@@ -3,14 +3,15 @@
 ``entry()`` runs the flagship ALCO-style ingest on the sf0.001-scale
 synthetic transcript corpus; ``queries()`` exposes every implemented
 operator from SURVEY.md §2 (plus the training-data operator suite) —
-160 queries, 156 with DuckDB oracles; ``oracle_sql()`` gives the
+267 queries, 260 with DuckDB oracles; ``oracle_sql()`` gives the
 DuckDB-equivalent SQL for each SQL-expressible query.  Hash-family
 chains (LSH->verify, SimHash banding, langid eval) are made
 oracle-checkable by persisting the engine's hash-family intermediates
-as /tmp sidecars the SQL consumes.  The three omissions are the
-genuinely approximate ANN probes and the declared multimodal stub
-(v_knn_lsh, v_knn_ivf, mm_features) — rows-only checks, recall
-pinned by pytest.
+as /tmp sidecars the SQL consumes.  The seven omissions are the
+genuinely approximate ANN probes and sketches (v_knn_lsh, v_knn_ivf,
+e_approx_users, e_type_sketch, e_value_sketch), the zlib-based
+d_compress_ratio and the declared multimodal stub (mm_features) —
+rows-only checks, values pinned by pytest.
 
 Ray is initialised by the driver BEFORE this module is imported: nothing
 here (or in alco_ray) calls ``ray.init()`` / ``ray.shutdown()``.

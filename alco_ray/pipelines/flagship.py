@@ -35,6 +35,7 @@ import ray.data
 from ..specs import LEVELS, UNKNOWN_LEVEL, PipelineConfig, default_transcript_config
 from ..sources import read_transcripts, transcript_files
 from ..sinks import promote_staging, write_routed
+from ..stages.aggregate import arrow_blocks
 from ..stages.parse import make_parse_batch
 from ..stages.dict_encode import build_dict_table, build_dicts
 from ..stages.route import make_route_batch
@@ -142,9 +143,13 @@ class IngestWorker:
     the stage's dataset output is just the per-batch partial aggregate
     (sink, level, bucket -> rows, failures).
 
-    Retried tasks are safe: sink filenames are content-hashed from the
-    batch identity (see sinks._make_block_writer), so a replayed batch
-    overwrites its own files and re-emits the same partial."""
+    The stage's plan executes ONCE per wave: the driver collects the
+    partials with ``stages.aggregate.arrow_blocks``, which never
+    re-runs a plan, so no second pool ever rewrites a batch's sink
+    files.  Retried tasks are still safe: sink filenames
+    are content-hashed from the batch identity (see
+    sinks._make_block_writer), so a replayed batch overwrites its own
+    files and re-emits the same partial."""
 
     def __init__(self, cfg: PipelineConfig, dict_refs: dict[str, Any],
                  staging_dir: str | None = None,
@@ -378,7 +383,7 @@ def run_flagship(input_dir: str | Path, out_root: str | Path,
             batch_size=rows_per_batch,
             concurrency=pool,
         )
-        partials = _merge_partials(ray.get(out.to_arrow_refs()))
+        partials = _merge_partials(arrow_blocks(out))
         pq.write_table(partials, partials_dir / f"{wave_id}.parquet")
         promote_staging(staging, out_root, wave_id)
         manifest.commit(wave_id, input_files=wave_files,

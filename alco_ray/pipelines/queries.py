@@ -1454,8 +1454,8 @@ def e_mannwhitney(sf_dir: str):
         u = (c1 * (2 * c2lt + c2)).sum()
         return pa.table({"u2": pa.array([int(u)], pa.int64())})
 
-    t = agg_stage.concat_nonempty(ray.get(
-        p.map_batches(umap, batch_format="pyarrow").to_arrow_refs()))
+    t = agg_stage.concat_nonempty(agg_stage.arrow_blocks(
+        p.map_batches(umap, batch_format="pyarrow")))
     u2 = int(pc.sum(t["u2"]).as_py() or 0)
     return pa.table({"n1": pa.array([n1], pa.int64()),
                      "n2": pa.array([n2], pa.int64()),
@@ -1600,7 +1600,7 @@ def q_returns_topk(sf_dir: str):
         .groupby("part").map_groups(cust_fold, batch_format="pandas"))
     top = order.top_k(per_cust, ["revenue_cents", "c_custkey"], 20,
                       descending=[True, False])
-    tt = agg_stage.concat_nonempty(ray.get(top.to_arrow_refs()))
+    tt = agg_stage.concat_nonempty(agg_stage.arrow_blocks(top))
     keys = pc.cast(tt["c_custkey"], pa.int64()).combine_chunks()
     names = pq.read_table(
         _tp(sf_dir, "customer"), columns=["c_custkey", "c_name"],
@@ -1738,7 +1738,7 @@ def q_big_orders(sf_dir: str):
                          "total_cents": c})
 
     orders = orders.map_batches(cents, batch_format="pyarrow")
-    bt = agg_stage.concat_nonempty(ray.get(big.to_arrow_refs()))
+    bt = agg_stage.concat_nonempty(agg_stage.arrow_blocks(big))
     if bt.num_rows == 0 or bt.num_columns == 0:
         return ray.data.from_arrow(pa.table(
             {"o_orderkey": pa.array([], pa.int64()),
@@ -1965,9 +1965,7 @@ def t_trending(sf_dir: str):
     # driver-sized) the token-keyed exchange is the only correct
     # shape.  p.count() is free post-materialize metadata.
     if p.count() <= 5_000_000:
-        from ..stages.aggregate import concat_nonempty
-
-        tbl = concat_nonempty(ray.get(p.to_arrow_refs()))
+        tbl = agg_stage.concat_nonempty(agg_stage.arrow_blocks(p))
         tot = (tbl.group_by(["day", "token"])
                .aggregate([("cnt", "sum")])
                .rename_columns(["day", "token", "cnt"]))
@@ -2599,9 +2597,8 @@ def d_simhash(sf_dir: str):
     distributed pair generation is exactly reproducible in SQL
     (bit_count(xor(...)) over the persisted signature sidecar)."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    sigs = agg_stage.concat_nonempty(ray.get(
-        ds.map_batches(dedup.simhash_batch, batch_format="pyarrow")
-          .to_arrow_refs()))
+    sigs = agg_stage.concat_nonempty(agg_stage.arrow_blocks(
+        ds.map_batches(dedup.simhash_batch, batch_format="pyarrow")))
     _write_sidecar(sigs.sort_by([("doc_id", "ascending")]), sf_dir,
                    "simhash_sigs.parquet")
     return dedup.simhash_near_pairs(
@@ -2662,7 +2659,7 @@ def d_components(sf_dir: str):
     u = ds.union(head60(1_000_000), head60(2_000_000))
     pairs = dedup.simhash_near_pairs(u, max_hamming=7)
     pt = agg_stage.concat_nonempty(
-        ray.get(pairs.to_arrow_refs())).select(["doc_a", "doc_b"])
+        agg_stage.arrow_blocks(pairs)).select(["doc_a", "doc_b"])
     _write_sidecar(
         pt.sort_by([("doc_a", "ascending"), ("doc_b", "ascending")]),
         sf_dir, "cc_pairs.parquet")
@@ -2962,8 +2959,8 @@ def v_pq_recall(sf_dir: str):
     topk, cents = similarity.pq_probe(ds, qv, m=4, kc=16, iters=2,
                                       k=10)
     _write_sidecar(cents, sf_dir, "pq_centroids.parquet")
-    exact = agg_stage.concat_nonempty(ray.get(
-        similarity.knn_brute(ds, qv, k=10).to_arrow_refs()))
+    exact = agg_stage.concat_nonempty(agg_stage.arrow_blocks(
+        similarity.knn_brute(ds, qv, k=10)))
     hits = len(set(topk["vec_id"].to_pylist())
                & set(exact["vec_id"].to_pylist()))
     return pa.table({"k": pa.array([10], pa.int64()),
@@ -2975,7 +2972,7 @@ def q_priority_lines(sf_dir: str):
     column, so the dimension is l_returnflag): per returnflag, how
     many lineitems belong to HIGH-priority orders (1-URGENT / 2-HIGH)
     vs not — the two-level CASE fold after the one fact-fact join.
-    Scale shape: the priority flag collapses to int8 map-side BEFORE
+    Scale shape: the priority flag collapses to int64 map-side BEFORE
     the orderkey join (strings never shuffle), per-batch partials
     fold the bounded (flag x priority) domain driver-side."""
     orders = _read(sf_dir, "orders",
@@ -4311,8 +4308,8 @@ def _dim_keyset(sf_dir: str, table: str, key_col: str, filter_col: str,
             pc.equal(b[filter_col], filter_val))[key_col]})
 
     t = agg_stage.concat_nonempty(
-        ray.get(ds.map_batches(keep, batch_format="pyarrow")
-                .to_arrow_refs()))
+        agg_stage.arrow_blocks(ds.map_batches(
+            keep, batch_format="pyarrow")))
     return t[key_col].combine_chunks()
 
 
@@ -4397,7 +4394,7 @@ def q_top_supplier(sf_dir: str):
     cand = (window.partition_by_key(
         p, "l_suppkey", approx_rows=_nrows(_tp(sf_dir, "lineitem")))
         .groupby("part").map_groups(local_argmax, batch_format="pandas"))
-    ct = agg_stage.concat_nonempty(ray.get(cand.to_arrow_refs()))
+    ct = agg_stage.concat_nonempty(agg_stage.arrow_blocks(cand))
     if ct.num_rows == 0 or ct.num_columns == 0:
         return ray.data.from_arrow(pa.table(
             {"s_suppkey": pa.array([], pa.int64()),
@@ -4474,8 +4471,8 @@ def q_avg_qty_joinback(sf_dir: str):
                                     pa.int64()),
             "n_rows": pa.array([kept.num_rows], pa.int64())})
 
-    parts = ray.get(nds.map_batches(winnow, batch_format="pyarrow")
-                    .to_arrow_refs())
+    parts = agg_stage.arrow_blocks(nds.map_batches(
+        winnow, batch_format="pyarrow"))
     t = agg_stage.concat_nonempty(parts)
     return ray.data.from_arrow(pa.table({
         "total_cents": pa.array([pc.sum(t["total_cents"]).as_py() or 0],
@@ -4519,8 +4516,8 @@ def q_idle_customers(sf_dir: str):
                          "n": pa.array([pos.num_rows], pa.int64())})
 
     sp = agg_stage.concat_nonempty(
-        ray.get(cds.map_batches(scalar_partial, batch_format="pyarrow")
-                .to_arrow_refs()))
+        agg_stage.arrow_blocks(cds.map_batches(
+            scalar_partial, batch_format="pyarrow")))
     s_tot = pc.sum(sp["s"]).as_py() or 0
     n_tot = pc.sum(sp["n"]).as_py() or 0
 
@@ -4758,8 +4755,8 @@ def q_disjunctive(sf_dir: str):
                          "p_size": pc.cast(b["p_size"], pa.int64())})
 
     at = agg_stage.concat_nonempty(
-        ray.get(part.map_batches(attrs, batch_format="pyarrow")
-                .to_arrow_refs()))
+        agg_stage.arrow_blocks(part.map_batches(
+            attrs, batch_format="pyarrow")))
     ref = ray.put((at["p_partkey"].combine_chunks(),
                    at["p_brand"].combine_chunks(),
                    at["p_size"].combine_chunks()))
@@ -4796,8 +4793,8 @@ def q_disjunctive(sf_dir: str):
             "n_rows": pa.array([kept.num_rows], pa.int64())})
 
     t = agg_stage.concat_nonempty(
-        ray.get(li.map_batches(partial, batch_format="pyarrow")
-                .to_arrow_refs()))
+        agg_stage.arrow_blocks(li.map_batches(
+            partial, batch_format="pyarrow")))
     return pa.table({
         "total_cents": pa.array([pc.sum(t["total_cents"]).as_py() or 0],
                                 pa.int64()),
@@ -4824,8 +4821,8 @@ def q_supplier_variety(sf_dir: str):
                          "p_size": pc.cast(b["p_size"], pa.int64())})
 
     at = agg_stage.concat_nonempty(
-        ray.get(part.map_batches(attrs, batch_format="pyarrow")
-                .to_arrow_refs()))
+        agg_stage.arrow_blocks(part.map_batches(
+            attrs, batch_format="pyarrow")))
     bad = _read(sf_dir, "supplier", columns=["s_suppkey", "s_acctbal"])
 
     def bad_keys(b: pa.Table) -> pa.Table:
@@ -4833,8 +4830,8 @@ def q_supplier_variety(sf_dir: str):
             pc.less(b["s_acctbal"], 0.0))["s_suppkey"]})
 
     bt = agg_stage.concat_nonempty(
-        ray.get(bad.map_batches(bad_keys, batch_format="pyarrow")
-                .to_arrow_refs()))
+        agg_stage.arrow_blocks(bad.map_batches(
+            bad_keys, batch_format="pyarrow")))
     ref = ray.put((at["p_partkey"].combine_chunks(),
                    at["p_brand"].combine_chunks(),
                    at["p_size"].combine_chunks(),
@@ -6377,7 +6374,7 @@ def d_dup_triangles(sf_dir: str):
     u = ds.union(head60(1_000_000), head60(2_000_000))
     pairs = dedup.simhash_near_pairs(u, max_hamming=7)
     pt = agg_stage.concat_nonempty(
-        ray.get(pairs.to_arrow_refs())).select(["doc_a", "doc_b"])
+        agg_stage.arrow_blocks(pairs)).select(["doc_a", "doc_b"])
     _write_sidecar(
         pt.sort_by([("doc_a", "ascending"), ("doc_b", "ascending")]),
         sf_dir, "tri_pairs.parquet")
@@ -6888,8 +6885,8 @@ def q_forecast_revenue(sf_dir: str):
 
     # keyless global fold: one summary row per block, summed on the
     # driver (fold_partials wants >= 1 grouping key)
-    parts = ray.get(ds.map_batches(
-        partial, batch_format="pyarrow").to_arrow_refs())
+    parts = agg_stage.arrow_blocks(ds.map_batches(
+        partial, batch_format="pyarrow"))
     n = np.int64(0)
     rev = np.int64(0)
     for pt in parts:
@@ -7169,13 +7166,12 @@ def q_small_qty_revenue(sf_dir: str):
              .aggregate([("q", "sum"), ([], "count_all")]))
         return g.rename_columns(["l_partkey", "sq", "cnt"])
 
-    stats_tbl = agg_stage.concat_nonempty(ray.get(
+    stats_tbl = agg_stage.concat_nonempty(agg_stage.arrow_blocks(
         filtered_li(["l_partkey", "l_quantity"])
         .map_batches(qty_partial, batch_format="pyarrow")
         .groupby("l_partkey")
         .aggregate(Sum("sq", alias_name="sq"),
-                   Sum("cnt", alias_name="cnt"))
-        .to_arrow_refs()))
+                   Sum("cnt", alias_name="cnt"))))
     if stats_tbl.num_columns == 0:
         stats_tbl = pa.table({"l_partkey": pa.array([], pa.int64()),
                               "sq": pa.array([], pa.int64()),
@@ -7203,8 +7199,8 @@ def q_small_qty_revenue(sf_dir: str):
                 [int(pc.sum(cents).as_py() or 0)], pa.int64())})
 
     t = agg_stage.concat_nonempty(
-        ray.get(joined.map_batches(small_partial, batch_format="pyarrow")
-                      .to_arrow_refs()))
+        agg_stage.arrow_blocks(joined.map_batches(
+            small_partial, batch_format="pyarrow")))
     n = (pc.sum(t["n_items"]).as_py() or 0) if "n_items" in \
         getattr(t, "column_names", []) else 0
     s = (pc.sum(t["sum_price_e2"]).as_py() or 0) if "sum_price_e2" in \
@@ -7250,7 +7246,7 @@ def q_large_orders(sf_dir: str):
         "l_orderkey", approx_rows=_nrows(_tp(sf_dir, "lineitem")))
         .groupby("part").map_groups(sum_and_filter,
                                     batch_format="pandas"))
-    big = agg_stage.concat_nonempty(ray.get(sums.to_arrow_refs()))
+    big = agg_stage.concat_nonempty(agg_stage.arrow_blocks(sums))
     if big.num_columns == 0 or big.num_rows == 0:
         return pa.table({"c_custkey": pa.array([], pa.int64()),
                          "c_name": pa.array([], pa.string()),
@@ -7276,12 +7272,11 @@ def q_large_orders(sf_dir: str):
                 pc.round(pc.multiply(b["o_totalprice"], 100),
                          round_mode="half_towards_infinity"), pa.int64())})
 
-    surv_orders = pa.concat_tables(ray.get(
+    surv_orders = pa.concat_tables(agg_stage.arrow_blocks(
         _read(sf_dir, "orders",
               columns=["o_orderkey", "o_custkey", "o_orderdate",
                        "o_totalprice"])
-        .map_batches(order_probe, batch_format="pyarrow")
-        .to_arrow_refs()))
+        .map_batches(order_probe, batch_format="pyarrow")))
 
     ckeys = pc.unique(surv_orders["o_custkey"])
     ckeys = ckeys.take(pc.array_sort_indices(ckeys))
@@ -7294,10 +7289,9 @@ def q_large_orders(sf_dir: str):
         return pa.table({"c_custkey": pc.cast(b["c_custkey"], pa.int64()),
                          "c_name": pc.cast(b["c_name"], pa.string())})
 
-    surv_cust = pa.concat_tables(ray.get(
+    surv_cust = pa.concat_tables(agg_stage.arrow_blocks(
         _read(sf_dir, "customer", columns=["c_custkey", "c_name"])
-        .map_batches(cust_probe, batch_format="pyarrow")
-        .to_arrow_refs()))
+        .map_batches(cust_probe, batch_format="pyarrow")))
 
     # Driver-side assembly over the survivor tail only (hundreds of
     # rows at sf0.1; bounded by the >300 threshold's selectivity).
@@ -7373,11 +7367,10 @@ def q_min_cost_supp(sf_dir: str):
                           kind="mergesort")
         return g.drop_duplicates("l_partkey")
 
-    best = agg_stage.concat_nonempty(ray.get(
+    best = agg_stage.concat_nonempty(agg_stage.arrow_blocks(
         li.map_batches(partial_best, batch_format="pyarrow")
           .groupby("l_partkey")
-          .map_groups(final_best, batch_format="pandas")
-          .to_arrow_refs()))
+          .map_groups(final_best, batch_format="pandas")))
     if best.num_columns == 0:
         return pa.table({"p_partkey": pa.array([], pa.int64()),
                          "s_suppkey": pa.array([], pa.int64()),
@@ -7768,8 +7761,8 @@ def v_dim_truncation(sf_dir: str):
     the membership flag joins two 10-row lists on the driver."""
     full_q = _query_vec(sf_dir)
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    full = agg_stage.concat_nonempty(ray.get(
-        similarity.knn_brute(ds, full_q, k=10).to_arrow_refs()))
+    full = agg_stage.concat_nonempty(agg_stage.arrow_blocks(
+        similarity.knn_brute(ds, full_q, k=10)))
 
     def truncate(b: pa.Table) -> pa.Table:
         m = similarity._matrix(b, "embedding")[:, :16]
@@ -7777,8 +7770,8 @@ def v_dim_truncation(sf_dir: str):
                          "embedding": pa.array(list(m))})
 
     ds16 = ds.map_batches(truncate, batch_format="pyarrow")
-    trunc = agg_stage.concat_nonempty(ray.get(
-        similarity.knn_brute(ds16, full_q[:16], k=10).to_arrow_refs()))
+    trunc = agg_stage.concat_nonempty(agg_stage.arrow_blocks(
+        similarity.knn_brute(ds16, full_q[:16], k=10)))
     in_full = set(full["vec_id"].to_pylist())
     return pa.table({
         "vec_id": pc.cast(trunc["vec_id"], pa.int64()),

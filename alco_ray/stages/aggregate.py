@@ -14,6 +14,8 @@ levels x bounded bucket count this makes the shuffle negligible.
 
 from __future__ import annotations
 
+import functools
+
 import pyarrow as pa
 
 
@@ -36,6 +38,47 @@ def concat_nonempty(parts: list[pa.Table]) -> pa.Table:
     return with_schema[0] if with_schema else pa.table({})
 
 
+def _block_to_arrow(block) -> pa.Table:
+    from ray.data.block import BlockAccessor
+
+    return BlockAccessor.for_block(block).to_arrow()
+
+
+@functools.cache
+def _block_to_arrow_task():
+    import ray
+
+    return ray.remote(_block_to_arrow)
+
+
+def arrow_refs(ds) -> list:
+    """Refs to ``ds``'s output blocks as ``pa.Table``s, from ONE run of
+    its plan — the one way the package collects blocks.
+
+    Ray 2.49's ``Dataset.to_arrow_refs`` streams the plan, then calls
+    ``schema(fetch_if_missing=True)`` to choose its zero-copy path; a
+    streamed plan caches no schema, so that call runs the whole plan
+    AGAIN as ``plan -> limit(1)`` — a second actor pool and, in the
+    flagship, a second write of one batch's sink files.  Each output
+    bundle already carries its schema, so the Arrow/pandas decision is
+    made per bundle here and nothing re-executes.  Non-Arrow (pandas)
+    blocks are converted in a remote task, as Ray's method does."""
+    refs = []
+    for bundle in ds.iter_internal_ref_bundles():
+        convert = not isinstance(bundle.schema, pa.Schema)
+        for ref, _ in bundle.blocks:
+            refs.append(_block_to_arrow_task().remote(ref) if convert
+                        else ref)
+    return refs
+
+
+def arrow_blocks(ds) -> list[pa.Table]:
+    """:func:`arrow_refs`, fetched to the driver (one table per block)."""
+    import ray
+
+    return ray.get(arrow_refs(ds))
+
+
 def drop_empty_blocks(ds, empty_schema: pa.Schema):
     """Rebuild a Dataset without Ray's schema-less EMPTY blocks.
 
@@ -55,7 +98,7 @@ def drop_empty_blocks(ds, empty_schema: pa.Schema):
     def _rows(t: pa.Table) -> int:
         return t.num_rows
 
-    refs = ds.materialize().to_arrow_refs()
+    refs = arrow_refs(ds)
     keep = [r for r, n in zip(refs, ray.get([_rows.remote(r)
                                              for r in refs])) if n]
     if not keep:
@@ -79,9 +122,7 @@ def fold_partials(partial_ds, keys: list[str], aggs: list[tuple[str, str]],
     upstream produced no blocks at all (a fully-filtered input can
     surface zero partials, not zero-row partials); without it that
     case raises, because the key/agg types are unknowable here."""
-    import ray
-
-    parts = ray.get(partial_ds.to_arrow_refs())
+    parts = arrow_blocks(partial_ds)
     merged = concat_nonempty(parts)
     if merged.num_columns == 0 and empty_schema is not None:
         merged = empty_schema.empty_table()
@@ -154,14 +195,11 @@ def distinct_values(ds, col: str) -> pa.Table:
     so the final distinct-of-distincts is a driver-side fold."""
     import pyarrow.compute as pc
 
-    import ray
-
     def partial(batch: pa.Table) -> pa.Table:
         u = pc.unique(batch[col])
         return pa.table({col: u.drop_null()})
 
-    parts = ray.get(ds.map_batches(partial, batch_format="pyarrow")
-                      .to_arrow_refs())
+    parts = arrow_blocks(ds.map_batches(partial, batch_format="pyarrow"))
     merged = concat_nonempty(parts)
     vals = pc.unique(merged[col].combine_chunks()).to_pylist()
     return pa.table({col: pa.array(sorted(v for v in vals if v is not None),
@@ -184,9 +222,6 @@ def quantile_disc(ds, value_col: str, q: float, by: str,
     with q_value in scaled integer units."""
     import pyarrow.compute as pc
 
-    import ray
-    import ray.data
-
     def partial(b: pa.Table) -> pa.Table:
         v = pc.cast(pc.round(pc.multiply(b[value_col], scale),
                              round_mode="half_towards_infinity"),
@@ -195,8 +230,7 @@ def quantile_disc(ds, value_col: str, q: float, by: str,
         g = t.group_by([by, "v"]).aggregate([([], "count_all")])
         return g.rename_columns([by, "v", "n"])
 
-    parts = ray.get(ds.map_batches(partial, batch_format="pyarrow")
-                    .to_arrow_refs())
+    parts = arrow_blocks(ds.map_batches(partial, batch_format="pyarrow"))
     merged = concat_nonempty(parts)
     hist = (merged.group_by([by, "v"]).aggregate([("n", "sum")])
             .rename_columns([by, "v", "n"])
@@ -348,15 +382,12 @@ def mode_by(ds, value_col: str, by: str,
     bounded (level per sink, hour-of-day per type): per-block
     (group, value) count partials, driver fold, argmax per group.
     Unbounded value domains need the Ray-groupby two-stage instead."""
-    import ray
-
     def partial(b: pa.Table) -> pa.Table:
         t = pa.table({by: b[by], "v": b[value_col]})
         g = t.group_by([by, "v"]).aggregate([([], "count_all")])
         return g.rename_columns([by, "v", "n"])
 
-    parts = ray.get(ds.map_batches(partial, batch_format="pyarrow")
-                    .to_arrow_refs())
+    parts = arrow_blocks(ds.map_batches(partial, batch_format="pyarrow"))
     hist = (concat_nonempty(parts).group_by([by, "v"])
             .aggregate([("n", "sum")])
             .rename_columns([by, "v", "n"])
@@ -386,14 +417,11 @@ def distinct_count_by(ds, value_col: str, by: str,
     user sets); at unbounded cardinality use the Ray ``groupby(pair)``
     two-stage, or the HLL sketch (stages/sketch, e_approx_users) when
     ±2 % suffices."""
-    import ray
-
     def partial(b: pa.Table) -> pa.Table:
         t = pa.table({by: b[by], "v": b[value_col]})
         return t.group_by([by, "v"]).aggregate([]).rename_columns([by, "v"])
 
-    parts = ray.get(ds.map_batches(partial, batch_format="pyarrow")
-                    .to_arrow_refs())
+    parts = arrow_blocks(ds.map_batches(partial, batch_format="pyarrow"))
     pairs = (concat_nonempty(parts).group_by([by, "v"]).aggregate([])
              .rename_columns([by, "v"]))
     out = (pairs.group_by([by]).aggregate([([], "count_all")])
@@ -459,8 +487,6 @@ def quantiles_disc(ds, value_col: str, qs: list[float], by: str,
 
     import pyarrow.compute as pc
 
-    import ray
-
     def partial(b: pa.Table) -> pa.Table:
         v = pc.cast(pc.round(pc.multiply(b[value_col], scale),
                              round_mode="half_towards_infinity"),
@@ -469,8 +495,7 @@ def quantiles_disc(ds, value_col: str, qs: list[float], by: str,
         g = t.group_by([by, "v"]).aggregate([([], "count_all")])
         return g.rename_columns([by, "v", "n"])
 
-    parts = ray.get(ds.map_batches(partial, batch_format="pyarrow")
-                    .to_arrow_refs())
+    parts = arrow_blocks(ds.map_batches(partial, batch_format="pyarrow"))
     hist = (concat_nonempty(parts).group_by([by, "v"])
             .aggregate([("n", "sum")])
             .rename_columns([by, "v", "n"])
@@ -582,9 +607,8 @@ def order_stats_cont(ds, value_col: str, ranks: list[int], *,
                 return pa.table({"bid": pa.array(np.concatenate(bids)),
                                  "v": pa.array(np.concatenate(vals))})
 
-            got = concat_nonempty(ray.get(
-                ds.map_batches(gather, batch_format="pyarrow")
-                .to_arrow_refs()))
+            got = concat_nonempty(arrow_blocks(
+                ds.map_batches(gather, batch_format="pyarrow")))
             by_bid = {}
             if got.num_rows:
                 bid_np = got["bid"].to_numpy(zero_copy_only=False)
@@ -623,8 +647,8 @@ def order_stats_cont(ds, value_col: str, ranks: list[int], *,
                              "cell": pa.array(np.concatenate(cells)),
                              "cnt": pa.array(np.concatenate(cnts))})
 
-        folded = concat_nonempty(ray.get(
-            ds.map_batches(hist, batch_format="pyarrow").to_arrow_refs()))
+        folded = concat_nonempty(arrow_blocks(
+            ds.map_batches(hist, batch_format="pyarrow")))
         folded = (folded.group_by(["bid", "cell"]).aggregate([("cnt", "sum")])
                   .rename_columns(["bid", "cell", "cnt"]))
         fb = folded["bid"].to_numpy(zero_copy_only=False)
@@ -667,8 +691,6 @@ def _count_min_max(ds, value_col: str) -> tuple[int, float, float]:
     """(non-null count, min, max) via one map-side partial pass."""
     import numpy as np
 
-    import ray
-
     def partial(batch: pa.Table) -> pa.Table:
         a = _float_vals(batch, value_col)
         if a.size == 0:
@@ -679,8 +701,8 @@ def _count_min_max(ds, value_col: str) -> tuple[int, float, float]:
                          "lo": pa.array([a.min()], pa.float64()),
                          "hi": pa.array([a.max()], pa.float64())})
 
-    t = concat_nonempty(ray.get(
-        ds.map_batches(partial, batch_format="pyarrow").to_arrow_refs()))
+    t = concat_nonempty(arrow_blocks(
+        ds.map_batches(partial, batch_format="pyarrow")))
     import pyarrow.compute as pc
     # a zero-row input can surface as zero blocks -> zero-column concat
     n = int(pc.sum(t["n"]).as_py() or 0) if t.num_columns else 0
@@ -693,8 +715,6 @@ def _bracket_min_max(ds, value_col: str, lo: float, hi: float,
                      closed: bool) -> tuple[float, float]:
     import numpy as np
 
-    import ray
-
     def partial(batch: pa.Table) -> pa.Table:
         a = _float_vals(batch, value_col)
         sel = a[_bracket_mask(a, lo, hi, closed)]
@@ -704,8 +724,8 @@ def _bracket_min_max(ds, value_col: str, lo: float, hi: float,
         return pa.table({"lo": pa.array([sel.min()], pa.float64()),
                          "hi": pa.array([sel.max()], pa.float64())})
 
-    t = concat_nonempty(ray.get(
-        ds.map_batches(partial, batch_format="pyarrow").to_arrow_refs()))
+    t = concat_nonempty(arrow_blocks(
+        ds.map_batches(partial, batch_format="pyarrow")))
     import pyarrow.compute as pc
     return (float(pc.min(t["lo"]).as_py()), float(pc.max(t["hi"]).as_py()))
 

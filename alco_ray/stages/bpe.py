@@ -41,6 +41,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .aggregate import arrow_blocks, concat_nonempty
 from .parse import tokenize
 
 
@@ -50,10 +51,6 @@ def word_count_table(ds, *, text_col: str = "text",
     ``value_counts`` partials, one bounded driver fold.  Raises if the
     distinct-word domain exceeds ``max_words`` (see module docstring
     for the 100-TB shrink path)."""
-    import ray
-
-    from .aggregate import concat_nonempty
-
     def partial(b: pa.Table) -> pa.Table:
         flat = pc.list_flatten(tokenize(b[text_col], b.num_rows))
         vc = flat.value_counts()
@@ -63,8 +60,8 @@ def word_count_table(ds, *, text_col: str = "text",
         return pa.table({"word": vc.field("values"),
                          "n": pc.cast(vc.field("counts"), pa.int64())})
 
-    parts = concat_nonempty(ray.get(
-        ds.map_batches(partial, batch_format="pyarrow").to_arrow_refs()))
+    parts = concat_nonempty(arrow_blocks(
+        ds.map_batches(partial, batch_format="pyarrow")))
     if parts.num_rows == 0 or parts.num_columns == 0:
         return pa.table({"word": pa.array([], pa.string()),
                          "n": pa.array([], pa.int64())})

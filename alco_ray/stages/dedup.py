@@ -34,6 +34,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .aggregate import arrow_blocks, arrow_refs, concat_nonempty
 from .parse import tokenize
 from .text import hash_tokens, segmented_window_hashes
 
@@ -557,14 +558,12 @@ def lsh_candidate_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
     if as_table:
         import ray
 
-        from .aggregate import concat_nonempty
-
         # Checked limit enforced INCREMENTALLY: blocks are fetched one
         # at a time and counted as they arrive, so an over-limit corpus
         # transfers at most max_candidate_rows + one block to the
         # driver before raising — not the whole edge list.
         blocks, total = [], 0
-        for ref in partials.to_arrow_refs():
+        for ref in arrow_refs(partials):
             t = ray.get(ref)
             total += t.num_rows
             if total > max_candidate_rows:
@@ -619,8 +618,6 @@ def _verify_in_waves(ds, refs, counts, threshold, *, text_col, id_col,
     verify each shard independently.  Exact — every pair is in exactly
     one shard and Jaccard verification is per-pair."""
     import ray
-
-    from .aggregate import concat_nonempty
 
     waves: list[list] = []
     cur: list = []
@@ -678,10 +675,8 @@ def verify_pairs(ds, candidates, threshold: float = 0.5, *,
     import ray
     import ray.data
 
-    from .aggregate import concat_nonempty
-
-    if hasattr(candidates, "to_arrow_refs"):
-        refs = candidates.to_arrow_refs()
+    if isinstance(candidates, ray.data.Dataset):
+        refs = arrow_refs(candidates)
         counts = _count_block_rows(refs)
         if sum(counts) > max_candidates:
             return _verify_in_waves(
@@ -722,8 +717,8 @@ def verify_pairs(ds, candidates, threshold: float = 0.5, *,
         # with sorted-array intersections locally.  The distributed
         # alternative costs TWO extra all-to-all shuffles whose fixed
         # latency dwarfs this much compute.
-        subset = concat_nonempty(ray.get(
-            sub.select_columns([id_col, text_col]).to_arrow_refs()))
+        subset = concat_nonempty(arrow_blocks(
+            sub.select_columns([id_col, text_col])))
         if subset.num_rows == 0 or id_col not in subset.column_names:
             # No candidate doc id exists in the corpus (concat_nonempty
             # collapses an all-empty ref list to a zero-column table).
@@ -786,7 +781,7 @@ def verify_pairs(ds, candidates, threshold: float = 0.5, *,
     exact = jaccard_pairs(sub, threshold, text_col=text_col, id_col=id_col,
                           k=k, max_shingle_freq=None,
                           n_buckets=suggest_pair_partitions(len(involved)))
-    exact_t = concat_nonempty(ray.get(exact.to_arrow_refs()))
+    exact_t = concat_nonempty(arrow_blocks(exact))
     if exact_t.num_rows == 0 or exact_t.num_columns == 0:
         empty = pa.table({"doc_a": pa.array([], pa.int64()),
                           "doc_b": pa.array([], pa.int64()),
@@ -959,15 +954,14 @@ def dedup_apply(ds, pairs, *, id_col: str = "doc_id",
     keeping the minimum id per cluster; the removal set is broadcast
     and applied as a vectorized anti-join filter, no shuffle."""
     import ray
+    import ray.data
 
-    from .aggregate import concat_nonempty
-
-    if hasattr(pairs, "to_arrow_refs"):
+    if isinstance(pairs, ray.data.Dataset):
         # Enforce the limit INCREMENTALLY while fetching: an over-limit
         # edge list moves at most max_edges + one block to the driver
         # before the raise — not the whole thing.
         blocks, n_edges = [], 0
-        for ref in pairs.to_arrow_refs():
+        for ref in arrow_refs(pairs):
             t = ray.get(ref)
             n_edges += t.num_rows
             if n_edges > max_edges:

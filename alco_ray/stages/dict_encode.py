@@ -24,6 +24,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from .aggregate import arrow_blocks, concat_nonempty
+
 
 def build_dict_table(values: pa.Array | list) -> pa.Table:
     """Sorted-distinct value -> id table: (value:string, id:int32)."""
@@ -47,8 +49,6 @@ def build_dicts(ds, columns: list[str], out_dir: str | Path | None = None,
     "UI read side" analog of ALCO's Redis dicts (SURVEY.md §2.1 S4) and
     a cache so reruns skip the pass.
     """
-    import ray
-
     dicts: dict[str, pa.Table] = {}
     missing: list[str] = []
     for col in columns:
@@ -78,9 +78,7 @@ def build_dicts(ds, columns: list[str], out_dir: str | Path | None = None,
             return pa.table({"col": pa.concat_arrays(cols),
                              "value": pa.concat_arrays(vals)})
 
-        parts = ray.get(ds.map_batches(partial, batch_format="pyarrow")
-                          .to_arrow_refs())
-        from .aggregate import concat_nonempty
+        parts = arrow_blocks(ds.map_batches(partial, batch_format="pyarrow"))
         merged = concat_nonempty(parts)
         for col in missing:
             vals = merged.filter(pc.equal(merged["col"], col))["value"]

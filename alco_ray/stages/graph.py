@@ -45,6 +45,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .aggregate import arrow_refs
+
 
 def _segment_starts(sorted_keys: np.ndarray) -> np.ndarray:
     n = len(sorted_keys)
@@ -185,7 +187,7 @@ def connected_components(pairs, *, a_col: str = "doc_a",
     emit_task = ray.remote(_cc_emit)
 
     splits = [split_task.remote(ref, a_col, b_col, True, n_parts)
-              for ref in pairs.to_arrow_refs()]
+              for ref in arrow_refs(pairs)]
     parts, labels = [], []
     for p in range(n_parts):
         pref, lref, _ = build_task.remote(
@@ -423,7 +425,7 @@ def pagerank(edges, *, src_col: str = "src", dst_col: str = "dst",
     emit_task = ray.remote(_pr_emit)
 
     splits = [split_task.remote(ref, src_col, dst_col, symmetric, n_parts)
-              for ref in edges.to_arrow_refs()]
+              for ref in arrow_refs(edges)]
     parts, count_refs = [], []
     for p in range(n_parts):
         pref, cref = build_task.remote(

@@ -19,6 +19,8 @@ bite in practice:
 
 from __future__ import annotations
 
+from .aggregate import arrow_blocks, concat_nonempty
+
 
 def _prepared(keys_ds, on: list[str]):
     """Project the right side to its key columns and materialize it
@@ -124,13 +126,11 @@ def runtime_filter_semi_join(ds, keys_ds, on: str, *,
         return semi_join(ds, keys, on, right_on=right_on,
                          num_partitions=num_partitions,
                          approx_rows=n_left)
-    from .aggregate import concat_nonempty
 
     def distinct(b: pa.Table) -> pa.Table:
         return pa.table({right_on: pc.unique(b[right_on]).drop_null()})
 
-    parts = ray.get(keys.map_batches(distinct, batch_format="pyarrow")
-                    .to_arrow_refs())
+    parts = arrow_blocks(keys.map_batches(distinct, batch_format="pyarrow"))
     vs = pc.unique(concat_nonempty(parts)[right_on].combine_chunks())
     ref = ray.put(vs)
 
@@ -180,7 +180,7 @@ def auto_join(left, right, on, *, right_on=None, how: str = "inner",
     # A fully-filtered right side can materialize as ZERO blocks in
     # ray 2.49; bare pa.concat_tables([]) raises, so guard the empty
     # refs list before concatenating (ADVICE r3).
-    right_tables = ray.get(right.to_arrow_refs())
+    right_tables = arrow_blocks(right)
     rt = pa.concat_tables(right_tables) if right_tables else None
     if rt is not None and rt.num_columns == 0:  # zero-column empty side
         rt = None

@@ -53,6 +53,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .aggregate import arrow_blocks, arrow_refs
 from .text import quality_score
 
 FEAT_SCALE = 1000
@@ -147,7 +148,7 @@ def fit_linear_gd(feature_ds, *, feat_cols: list[str] | None = None,
     feat_cols = feat_cols or FEAT_COLS
     d = len(feat_cols)
     lr_den = d * FEAT_SCALE * FEAT_SCALE
-    refs = feature_ds.materialize().to_arrow_refs()
+    refs = arrow_refs(feature_ds)
     gd_task = ray.remote(_gd_block_partial)
     w = [0] * d
 
@@ -175,8 +176,6 @@ def class_midpoint_threshold(feature_ds, weights: list[int], *,
     all in truncating integer arithmetic so the SQL oracle replays it
     exactly.  Falls back to FEAT_SCALE*W_SCALE/2 when a class is
     absent."""
-    import ray
-
     feat_cols = feat_cols or FEAT_COLS
     w_arr = np.array(weights, dtype=np.int64)
 
@@ -193,8 +192,8 @@ def class_midpoint_threshold(feature_ds, weights: list[int], *,
             "s0": pa.array([int(s[~pos].sum())], pa.int64()),
             "c0": pa.array([int((~pos).sum())], pa.int64())})
 
-    parts = ray.get(feature_ds.map_batches(
-        partial, batch_format="pyarrow").to_arrow_refs())
+    parts = arrow_blocks(feature_ds.map_batches(
+        partial, batch_format="pyarrow"))
     s1 = c1 = s0 = c0 = 0
     for p in parts:
         if p.num_rows == 0 or p.num_columns == 0:

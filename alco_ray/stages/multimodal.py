@@ -2689,7 +2689,10 @@ class PdfMetaParser:
                 return None
             if not p[off:].startswith(f"{k} 0 obj".encode()):
                 return None
-            obj = p[off:p.index(b"endobj", off)]
+            end = p.find(b"endobj", off)
+            if end < 0:
+                return None
+            obj = p[off:end]
             lm = re.search(rb"/Len (\d+)", obj)
             if lm is None:
                 return None

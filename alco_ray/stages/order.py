@@ -26,6 +26,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .aggregate import arrow_blocks, concat_nonempty
+
 
 def stable_order(ds):
     """Global stable (conv_id, turn_idx) order — range-partition shuffle."""
@@ -145,8 +147,7 @@ def top_k(ds, keys: list[str], k: int, descending=True):
         return batch.take(idx.slice(0, k))
 
     pruned = ds.map_batches(local_top, batch_format="pyarrow", batch_size=None)
-    parts = ray.get(pruned.to_arrow_refs())
-    from .aggregate import concat_nonempty
+    parts = arrow_blocks(pruned)
     merged = concat_nonempty(parts)
     if merged.num_columns == 0:
         # All blocks fully filtered upstream (empty search result):

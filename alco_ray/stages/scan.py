@@ -28,6 +28,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .aggregate import arrow_blocks, concat_nonempty
+
 
 def ordered_prefix_sum(ds, val_col: str, order_col: str, *,
                        out_col: str = "prefix", exclusive: bool = True):
@@ -51,11 +53,9 @@ def ordered_prefix_sum(ds, val_col: str, order_col: str, *,
                          "bmax": [int(keys.max())],
                          "bsum": [int(vals.sum())]})
 
-    from .aggregate import concat_nonempty
-
-    parts = concat_nonempty(ray.get(
+    parts = concat_nonempty(arrow_blocks(
         slim.map_batches(partial, batch_format="pyarrow",
-                         batch_size=None).to_arrow_refs()))
+                         batch_size=None)))
     if parts.num_rows == 0 or parts.num_columns == 0:
         # all blocks empty: keep the declared schema (out_col present)
         return slim.map_batches(

@@ -14,6 +14,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .aggregate import arrow_blocks, arrow_refs, concat_nonempty
+
 
 def _matrix(batch: pa.Table, col: str = "embedding") -> np.ndarray:
     """(n, d) float64 matrix from a list<float> column, zero-copy-ish."""
@@ -78,8 +80,7 @@ def knn_brute(ds, query_vec, k: int = 10, *, col: str = "embedding",
 
     local = ds.map_batches(local_top, batch_format="pyarrow",
                            batch_size=None)
-    from .aggregate import concat_nonempty
-    merged = concat_nonempty(ray.get(local.to_arrow_refs()))
+    merged = concat_nonempty(arrow_blocks(local))
     if merged.num_columns == 0:
         # Every block pruned empty (e.g. an ANN probe over unpopulated
         # buckets): an approximate-search miss is 0 rows, not a crash.
@@ -137,8 +138,7 @@ def knn_brute_multi(ds, query_mat, qids, k: int = 10, *,
 
     local = ds.map_batches(local_top, batch_format="pyarrow",
                            batch_size=None)
-    from .aggregate import concat_nonempty
-    merged = concat_nonempty(ray.get(local.to_arrow_refs()))
+    merged = concat_nonempty(arrow_blocks(local))
     if merged.num_columns == 0:
         return ray.data.from_arrow(pa.table({
             "qid": pa.array([], pa.int64()),
@@ -214,8 +214,7 @@ def triplet_mine(ds, anchor_mat, anchor_ids, anchor_labels, *,
 
     local = ds.map_batches(local_best, batch_format="pyarrow",
                            batch_size=None)
-    from .aggregate import concat_nonempty
-    merged = concat_nonempty(ray.get(local.to_arrow_refs()))
+    merged = concat_nonempty(arrow_blocks(local))
     pos: dict = {}
     neg: dict = {}
     if merged.num_columns:
@@ -276,9 +275,7 @@ def ivf_centroids(ds, n_centroids: int = 16, iters: int = 5, *,
     tiny and broadcast per pass)."""
     import ray
 
-    from .aggregate import concat_nonempty
-
-    first = ray.get(ds.limit(max(n_centroids * 8, 256)).to_arrow_refs())
+    first = arrow_blocks(ds.limit(max(n_centroids * 8, 256)))
     sample = _matrix(concat_nonempty(first), col)
     sample = sample / np.maximum(
         np.linalg.norm(sample, axis=1, keepdims=True), 1e-30)
@@ -309,8 +306,8 @@ def ivf_centroids(ds, n_centroids: int = 16, iters: int = 5, *,
                     pa.array(sums.reshape(-1), pa.float64()), c.shape[1]),
             })
 
-        parts = ray.get(ds.map_batches(partial, batch_format="pyarrow",
-                                       batch_size=None).to_arrow_refs())
+        parts = arrow_blocks(ds.map_batches(partial, batch_format="pyarrow",
+                                            batch_size=None))
         merged = concat_nonempty(parts)
         d = cents.shape[1]
         sums = np.zeros((len(cents), d))
@@ -382,9 +379,7 @@ def _cosine_dup_pairs_exact(ds, threshold: float, *, col: str,
     import ray
     import ray.data
 
-    from .aggregate import concat_nonempty
-
-    parts = ray.get(ds.to_arrow_refs())
+    parts = arrow_blocks(ds)
     full = concat_nonempty(parts)
     ids = full[id_col].to_numpy(zero_copy_only=False)
     m = _matrix(full, col)
@@ -958,7 +953,7 @@ def kmeans_fixed_point(ds, k: int = 8, iters: int = 3, *,
     wave; nothing row-sized ever reaches the driver."""
     import ray
 
-    refs = ds.materialize().to_arrow_refs()
+    refs = arrow_refs(ds)
     init_task = ray.remote(_km_init_block).options(num_returns=2)
     assign_task = ray.remote(_km_assign_block).options(num_returns=2)
     emit_task = ray.remote(_km_emit_block)
@@ -1024,11 +1019,9 @@ def cluster_purity(ds, *, scale: int = 1024, col: str = "embedding",
     partial rows; final fold is bounded by |labels|."""
     import ray
 
-    from .aggregate import concat_nonempty
-
-    sums = concat_nonempty(ray.get(
+    sums = concat_nonempty(arrow_blocks(
         label_vector_sums(ds, vec_col=col, label_col=label_col,
-                          scale=scale).to_arrow_refs()))
+                          scale=scale)))
     labels = np.unique(sums[label_col].to_numpy(zero_copy_only=False)
                        .astype(np.int64))
     d = int(sums["dim"].to_numpy().max())
@@ -1111,6 +1104,14 @@ def pq_probe(ds, query_vec, *, m: int = 4, kc: int = 16,
     if d % m:
         raise ValueError(f"pq_probe: dim {d} not divisible by m={m}")
     sub_d = d // m
+    if ds.count() == 0:
+        # no vectors: no codebook to fit and nothing to rank — typed
+        # empty top-k and centroid tables, not a k-means error
+        return (pa.table({id_col: pa.array([], pa.int64()),
+                          "adc_dist": pa.array([], pa.int64()),
+                          "rank": pa.array([], pa.int64())}),
+                pa.table({c: pa.array([], pa.int64())
+                          for c in ("sub", "cl", "jj", "c")}))
 
     cents = []
     for s in range(m):
@@ -1154,8 +1155,7 @@ def pq_probe(ds, query_vec, *, m: int = 4, kc: int = 16,
 
     local = ds.map_batches(local_top, batch_format="pyarrow",
                            batch_size=None)
-    from .aggregate import concat_nonempty
-    merged = concat_nonempty(ray.get(local.to_arrow_refs()))
+    merged = concat_nonempty(arrow_blocks(local))
     ids = merged[id_col].to_numpy(zero_copy_only=False)
     ad = merged["adc_dist"].to_numpy(zero_copy_only=False)
     order = np.lexsort((ids, ad))[:k]
@@ -1292,8 +1292,7 @@ def ivfpq_probe(ds, query_vec, *, kl: int = 8, m: int = 4,
 
     local = ds.map_batches(local_top, batch_format="pyarrow",
                            batch_size=None)
-    from .aggregate import concat_nonempty
-    merged = concat_nonempty(ray.get(local.to_arrow_refs()))
+    merged = concat_nonempty(arrow_blocks(local))
     if merged.num_columns == 0 or merged.num_rows == 0:
         topk = pa.table({id_col: pa.array([], pa.int64()),
                          "adc_dist": pa.array([], pa.int64()),
@@ -1359,7 +1358,7 @@ def pca_power_fixed_point(ds, *, iters: int = 4, col: str = "embedding",
         return pa.table({id_col: t[id_col],
                          "proj": pa.array(p.astype(np.int64))})
 
-    refs = ds.materialize().to_arrow_refs()
+    refs = arrow_refs(ds)
     parts = [g for g in ray.get([gram_block.remote(r) for r in refs])
              if g is not None]
     if not parts:
@@ -1521,9 +1520,8 @@ def mmr_rerank(ds, query_vec, *, k: int = 10, pool: int = 25,
             "rel": pa.array(rel[o]),
             "qv": pa.array(list(X[o]), pa.list_(pa.int64()))})
 
-    from .aggregate import concat_nonempty
-    parts = ray.get(ds.map_batches(local_top, batch_format="pyarrow",
-                                   batch_size=None).to_arrow_refs())
+    parts = arrow_blocks(ds.map_batches(local_top, batch_format="pyarrow",
+                                        batch_size=None))
     m = concat_nonempty(parts)
     if m.num_columns == 0 or m.num_rows == 0:
         return ray.data.from_arrow(
@@ -1603,7 +1601,7 @@ def scalar_quantize_stats(ds, *, col: str = "embedding",
             "code_min": pa.array(codes.min(axis=1).astype(np.int64)),
             "code_max": pa.array(codes.max(axis=1).astype(np.int64))})
 
-    refs = ds.materialize().to_arrow_refs()
+    refs = arrow_refs(ds)
     parts = [p for p in ray.get([minmax_block.remote(r) for r in refs])
              if p is not None]
     if not parts:

@@ -26,6 +26,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .aggregate import arrow_blocks, concat_nonempty
+
 
 def _bit_length_u64(w: np.ndarray) -> np.ndarray:
     """Exact vectorized bit_length for uint64 (0 -> 0): 6-step binary
@@ -81,10 +83,6 @@ def hll_distinct(ds, key_col: str, value_col: str, *,
     """Approximate COUNT(DISTINCT value) per key — bounded key domain
     (driver fold of per-batch register blobs; the fold state is
     n_keys x 2^p bytes, O(1) in the input)."""
-    import ray
-
-    from .aggregate import concat_nonempty
-
     m = 1 << p
 
     def partial(b: pa.Table) -> pa.Table:
@@ -100,8 +98,8 @@ def hll_distinct(ds, key_col: str, value_col: str, *,
             "regs": pa.array([r.tobytes() for r in regs], pa.binary()),
         })
 
-    parts = concat_nonempty(ray.get(
-        ds.map_batches(partial, batch_format="pyarrow").to_arrow_refs()))
+    parts = concat_nonempty(arrow_blocks(
+        ds.map_batches(partial, batch_format="pyarrow")))
     folded: dict[str, np.ndarray] = {}
     if parts.num_rows:
         for key, blob in zip(parts[key_col].to_pylist(),
@@ -155,8 +153,6 @@ def heavy_hitters(ds, col: str, *, k: int = 64,
 
     import ray
 
-    from .aggregate import concat_nonempty
-
     if divisor is None:
         divisor = k + 1
     if divisor > k + 1:
@@ -184,8 +180,8 @@ def heavy_hitters(ds, col: str, *, k: int = 64,
                          "c": pa.array(c, pa.int64()),
                          "n": pa.array(n, pa.int64())})
 
-    parts = concat_nonempty(ray.get(
-        ds.map_batches(partial, batch_format="pyarrow").to_arrow_refs()))
+    parts = concat_nonempty(arrow_blocks(
+        ds.map_batches(partial, batch_format="pyarrow")))
     if parts.num_rows == 0 or parts.num_columns == 0:
         return pa.table({col: pa.array([], pa.string()),
                          "cnt": pa.array([], pa.int64())})
@@ -213,8 +209,8 @@ def heavy_hitters(ds, col: str, *, k: int = 64,
         g = hit.group_by(["v"]).aggregate([([], "count_all")])
         return g.rename_columns(["v", "cnt"])
 
-    exact = concat_nonempty(ray.get(
-        ds.map_batches(rescore, batch_format="pyarrow").to_arrow_refs()))
+    exact = concat_nonempty(arrow_blocks(
+        ds.map_batches(rescore, batch_format="pyarrow")))
     if exact.num_rows == 0 or exact.num_columns == 0:
         return pa.table({col: pa.array([], pa.string()),
                          "cnt": pa.array([], pa.int64())})
@@ -272,8 +268,6 @@ def bloom_from_dataset(ds, col: str, *, m_bits: int,
     word-array partials (a fixed ``m_bits/8`` bytes each, O(1) in the
     batch) OR-fold driver-side — the same mergeable-sketch shape as
     the HLL fold.  ``m_bits`` must be a power of two."""
-    import ray
-
     if m_bits & (m_bits - 1):
         raise ValueError(f"m_bits {m_bits} must be a power of two")
 
@@ -282,11 +276,9 @@ def bloom_from_dataset(ds, col: str, *, m_bits: int,
         return pa.table({"w": pa.array([bloom_words(h, m_bits, k)
                                         .tobytes()], pa.binary())})
 
-    from .aggregate import concat_nonempty
-
-    parts = concat_nonempty(ray.get(
+    parts = concat_nonempty(arrow_blocks(
         ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=None).to_arrow_refs()))
+                       batch_size=None)))
     words = np.zeros(m_bits // 64, np.uint64)
     if parts.num_rows and parts.num_columns:
         for blob in parts["w"].to_pylist():
@@ -371,7 +363,6 @@ def quantile_sketch(ds, col: str, *, k: int = 256,
     failure probability); the bound is pytest-pinned against the exact
     quantiles.  Returns a pa.Table (q, value)."""
     import pyarrow as pa
-    import ray
 
     def partial(b: pa.Table) -> pa.Table:
         import io
@@ -386,8 +377,8 @@ def quantile_sketch(ds, col: str, *, k: int = 256,
 
     import pickle
 
-    parts = ray.get(ds.map_batches(
-        partial, batch_format="pyarrow").to_arrow_refs())
+    parts = arrow_blocks(ds.map_batches(
+        partial, batch_format="pyarrow"))
     sketches = []
     for p in parts:
         if p.num_rows == 0 or "sk" not in p.schema.names:
@@ -422,7 +413,6 @@ def quantile_sketch_grouped(ds, group_col: str, col: str, *, k: int = 256,
     import pickle
 
     import pyarrow as pa
-    import ray
 
     def partial(b: pa.Table) -> pa.Table:
         by_group = {}
@@ -438,8 +428,8 @@ def quantile_sketch_grouped(ds, group_col: str, col: str, *, k: int = 256,
         return pa.table({"sk": pa.array([pickle.dumps(by_group)],
                                         pa.binary())})
 
-    parts = ray.get(ds.map_batches(
-        partial, batch_format="pyarrow").to_arrow_refs())
+    parts = arrow_blocks(ds.map_batches(
+        partial, batch_format="pyarrow"))
     merged: dict = {}
     for p in parts:
         if p.num_rows == 0 or "sk" not in p.schema.names:

@@ -36,6 +36,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .aggregate import arrow_blocks, concat_nonempty
 from .parse import tokenize
 from .text import hash_tokens
 
@@ -243,8 +244,6 @@ def _fetch_texts(d: Path, text_col: str, topk, empty: pa.Table,
     import ray
     import ray.data
 
-    from .aggregate import concat_nonempty
-
     days = sorted(set(topk["parsed_ts"].dt.strftime("%Y-%m-%d")))
     dfiles = sorted(str(p) for day in days
                     for p in (d / "docs" / f"date={day}").glob("*.parquet"))
@@ -258,7 +257,7 @@ def _fetch_texts(d: Path, text_col: str, topk, empty: pa.Table,
 
     docs = ray.data.read_parquet(dfiles) \
         .map_batches(fetch, batch_format="pyarrow", batch_size=None)
-    dt = concat_nonempty(ray.get(docs.to_arrow_refs()))
+    dt = concat_nonempty(arrow_blocks(docs))
     out = topk.merge(dt.to_pandas(), on=["conv_id", "turn_idx"],
                      how="left")
     return ray.data.from_arrow(pa.Table.from_pandas(
@@ -1044,13 +1043,10 @@ def bm25_docs_topk(ds, terms: list[str], *, k: int = 50,
 
     scored = ds.map_batches(score_batch, batch_format="pyarrow",
                             batch_size=None)
-    import ray
-
-    from .aggregate import concat_nonempty
 
     topk = top_k(scored, ["score", id_col], k,
                  descending=[True, False])
-    merged = concat_nonempty(ray.get(topk.to_arrow_refs()))
+    merged = concat_nonempty(arrow_blocks(topk))
     if merged.num_columns == 0 or merged.num_rows == 0:
         return empty
     return merged.append_column(

@@ -27,6 +27,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .aggregate import arrow_blocks, arrow_refs, concat_nonempty
+
 
 def default_hash_parts() -> int:
     """CPU-derived FLOOR for the key-hash partition count: a multiple
@@ -146,8 +148,6 @@ def _grouped_kernel(ds, key_col: str, body, n_parts, approx_rows,
     import ray
     import ray.data
 
-    from .aggregate import concat_nonempty
-
     mat = ds.materialize()
 
     def mm(b: pa.Table) -> pa.Table:
@@ -159,9 +159,8 @@ def _grouped_kernel(ds, key_col: str, body, n_parts, approx_rows,
         return pa.table({"bmin": pa.array([m["min"].as_py()], typ),
                          "bmax": pa.array([m["max"].as_py()], typ)})
 
-    parts = concat_nonempty(ray.get(
-        mat.map_batches(mm, batch_format="pyarrow", batch_size=None)
-           .to_arrow_refs()))
+    parts = concat_nonempty(arrow_blocks(
+        mat.map_batches(mm, batch_format="pyarrow", batch_size=None)))
     if parts.num_rows == 0 or parts.num_columns == 0:
         return mat.map_batches(body, batch_format="pandas",
                                batch_size=None)
@@ -219,7 +218,7 @@ def _grouped_kernel(ds, key_col: str, body, n_parts, approx_rows,
         tbl = concat_nonempty(list(blocks))
         return body(tbl.to_pandas()).reset_index(drop=True)
 
-    b_ref = _apply_contested.remote(*picked.to_arrow_refs())
+    b_ref = _apply_contested.remote(*arrow_refs(picked))
     return safe_out.union(ray.data.from_pandas_refs([b_ref]))
 
 

@@ -1302,3 +1302,39 @@ def test_drop_empty_blocks_semantics():
     blocks = ray.get(out2.to_arrow_refs())
     assert len(blocks) == 1 and blocks[0].schema.equals(schema) \
         and blocks[0].num_rows == 0
+
+
+def test_pdf_missing_endobj_dead_letters():
+    """An object body without its ``endobj`` token, in a document whose
+    header, startxref and xref offsets all validate, dead-letters the
+    document instead of raising out of the batch."""
+    from alco_ray.stages.multimodal import PdfMetaParser, encode_pdf_batch
+
+    enc = encode_pdf_batch(pa.table({"doc_id": pa.array([7, 8], pa.int64())}))
+    good = enc["payload"][0].as_py()
+    cut = good.rindex(b"endobj")
+    no_end = good[:cut] + b"xxxxxx" + good[cut + 6:]  # offsets unchanged
+    batch = pa.table({"doc_id": pa.array([7, 8], pa.int64()),
+                      "payload": pa.array([no_end, enc["payload"][1].as_py()],
+                                          pa.binary())})
+    out = PdfMetaParser()(batch).to_pylist()
+    assert out[0]["decode_ok"] is False and out[0]["n_objects"] is None
+    assert out[1]["decode_ok"] is True
+
+
+def test_pq_probe_empty_input_returns_typed_empty():
+    """No embeddings in: an empty typed top-k and centroid table out,
+    not a k-means or missing-column error."""
+    import ray
+
+    from alco_ray.stages.similarity import pq_probe
+
+    empty = pa.table({"vec_id": pa.array([], pa.int64()),
+                      "embedding": pa.array([], pa.list_(pa.float64()))})
+    topk, cents = pq_probe(ray.data.from_arrow(empty), np.ones(8),
+                           m=4, kc=16, iters=2, k=10)
+    assert topk.num_rows == 0 and cents.num_rows == 0
+    assert topk.schema == pa.schema([("vec_id", pa.int64()),
+                                     ("adc_dist", pa.int64()),
+                                     ("rank", pa.int64())])
+    assert cents.column_names == ["sub", "cl", "jj", "c"]

@@ -1,0 +1,107 @@
+"""Each Ray Data plan runs once.
+
+``Dataset.to_arrow_refs`` (Ray 2.49) re-executes a streamed plan under
+``limit(1)`` to learn its schema; the package collects blocks with
+``alco_ray.stages.aggregate.arrow_refs`` / ``arrow_blocks`` instead.
+These tests pin the flagship to zero re-runs, keep the old call out of
+the package, and check the collector's block conversion."""
+
+import glob
+import re
+import shutil
+from pathlib import Path
+
+import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+import ray
+import ray.data
+
+from alco_ray.pipelines.flagship import run_flagship
+from alco_ray.sources import read_transcripts
+from alco_ray.specs import default_transcript_config
+from alco_ray.stages.aggregate import arrow_blocks, arrow_refs
+from alco_ray.stages.dict_encode import build_dicts
+
+PKG = Path(__file__).resolve().parents[1] / "alco_ray"
+
+
+@pytest.fixture
+def limit_calls(monkeypatch):
+    """Record every driver-side ``Dataset.limit`` call — the call Ray's
+    schema fetch makes when it re-runs a streamed plan."""
+    calls = []
+    orig = ray.data.Dataset.limit
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(ray.data.Dataset, "limit", counting)
+    return calls
+
+
+def test_flagship_and_dict_build_run_each_plan_once(
+        t_small_dir, t_small_oracle, tmp_path, limit_calls):
+    shards = sorted(Path(t_small_dir).glob("*.parquet"))
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for f in shards[:-1]:
+        shutil.copy(f, corpus / f.name)
+    out = tmp_path / "out"
+    run_flagship(corpus, out, wave_size=4)                 # fresh ingest
+    shutil.copy(shards[-1], corpus / shards[-1].name)
+    summary = run_flagship(corpus, out, wave_size=4)       # 1-shard append
+
+    dynamic = [c for c in default_transcript_config().filtered_columns()
+               if c != "level"]
+    files = [str(f) for f in shards]
+    dicts = build_dicts(read_transcripts(files, columns=dynamic), dynamic)
+
+    assert limit_calls == []
+    assert summary["rows"] == len(t_small_oracle["parsed"])
+    assert summary["parse_failures"] == t_small_oracle["parse_failures"]
+    assert summary["routed_counts"] == t_small_oracle["routed_counts"]
+    got = (pq.read_table(sorted(glob.glob(f"{out}/sink=*/date=*/*.parquet")))
+           .select(["conv_id", "turn_idx", "text", "level"]).to_pandas()
+           .sort_values(["conv_id", "turn_idx"]).reset_index(drop=True))
+    want = (t_small_oracle["ordered"][["conv_id", "turn_idx", "text",
+                                       "level"]].reset_index(drop=True))
+    assert got.equals(want)
+    # the one-pass dict build sees the same vocabulary the ingest grew
+    for c in dynamic:
+        cached = pq.read_table(out / "dicts" / f"{c}.parquet")
+        assert (set(dicts[c]["value"].to_pylist())
+                == set(cached["value"].to_pylist()))
+
+
+def test_package_never_calls_to_arrow_refs():
+    pattern = re.compile(r"\.to_arrow_refs\(")
+    hits = [f"{p.relative_to(PKG.parent)}:{n}"
+            for p in sorted(PKG.rglob("*.py"))
+            for n, line in enumerate(p.read_text().splitlines(), 1)
+            if pattern.search(line)]
+    assert not hits, (
+        "Dataset.to_arrow_refs() re-runs a streamed plan under limit(1); "
+        "collect blocks with alco_ray.stages.aggregate.arrow_refs (refs) "
+        f"or arrow_blocks (tables) instead: {hits}")
+
+
+def test_collector_converts_blocks_without_rerun(limit_calls):
+    df = pd.DataFrame({"k": [1, 2, 3], "v": ["a", "b", "c"]})
+    pandas_ds = ray.data.from_pandas([df.iloc[:2], df.iloc[2:]])
+    refs = arrow_refs(pandas_ds)
+    assert len(refs) == 2
+    blocks = ray.get(refs)
+    assert all(isinstance(b, pa.Table) for b in blocks)
+    assert pa.concat_tables(blocks).to_pandas().equals(df)
+
+    t = pa.table({"k": pa.array([1, 2, 3], pa.int64())})
+    arrow_ds = ray.data.from_arrow(t).map_batches(
+        lambda b: b, batch_format="pyarrow")
+    assert pa.concat_tables(arrow_blocks(arrow_ds)).equals(t)
+
+    none_left = arrow_ds.filter(expr="k > 10")
+    assert sum(b.num_rows for b in arrow_blocks(none_left)) == 0
+    assert limit_calls == []
