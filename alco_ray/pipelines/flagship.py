@@ -382,6 +382,10 @@ def run_flagship(input_dir: str | Path, out_root: str | Path,
             batch_format="pyarrow",
             batch_size=rows_per_batch,
             concurrency=pool,
+            # One CPU per actor, but never the CPU a read task needs:
+            # on a 1-CPU cluster the single actor would otherwise hold
+            # it and the read never schedules (the wave hangs).
+            num_cpus=min(1, (cpus - 1) / pool[1]),
         )
         partials = _merge_partials(arrow_blocks(out))
         pq.write_table(partials, partials_dir / f"{wave_id}.parquet")

@@ -162,8 +162,6 @@ def t_conv_tool_stats(sf_dir: str):
     key-hash partitions + one vectorized pandas nunique per partition."""
     import pandas as pd
 
-    from ..stages.window import partition_by_key
-
     ds = read_transcripts(_corpus(sf_dir),
                           columns=["conv_id", "tool"])
 
@@ -176,8 +174,7 @@ def t_conv_tool_stats(sf_dir: str):
             out[c] = out[c].astype("int64")
         return out
 
-    return partition_by_key(ds, "conv_id").groupby("part").map_groups(
-        body, batch_format="pandas")
+    return window.keyed_apply(ds, "conv_id", body)
 
 
 def t_topk_per_conv(sf_dir: str):
@@ -269,8 +266,6 @@ def e_session_stats(sf_dir: str):
     sessions co-locate)."""
     import pandas as pd
 
-    from ..stages.window import partition_by_key
-
     ds = _read(sf_dir, "events", columns=["user_id", "event_id", "ts"])
     sess = window.sessionize(ds, key_col="user_id", ts_col="ts",
                              gap_minutes=30)
@@ -289,10 +284,8 @@ def e_session_stats(sf_dir: str):
         out["duration_us"] = dur
         return out
 
-    return partition_by_key(
-        sess, "user_id",
-        approx_rows=_nrows(_tp(sf_dir, "events"))).groupby(
-            "part").map_groups(body, batch_format="pandas")
+    return window.keyed_apply(sess, "user_id", body,
+                              approx_rows=_nrows(_tp(sf_dir, "events")))
 
 
 def mm_features(sf_dir: str):
@@ -1260,9 +1253,8 @@ def q_ship_priority(sf_dir: str):
 
     p = joined.map_batches(partial, batch_format="pyarrow",
                            batch_size=None)
-    per_order = (window.partition_by_key(
-        p, "l_orderkey", approx_rows=_nrows(_tp(sf_dir, "lineitem")))
-        .groupby("part").map_groups(fold, batch_format="pandas"))
+    per_order = window.keyed_apply(p, "l_orderkey", fold,
+                                   approx_rows=_nrows(_tp(sf_dir, "lineitem")))
     return order.top_k(per_order,
                        ["revenue_cents", "o_orderdate", "l_orderkey"], 10,
                        descending=[True, False, False])
@@ -1301,10 +1293,8 @@ def e_funnel(sf_dir: str):
             "n_purchase_after": cnt.reindex(sg.index).fillna(0)
             .to_numpy().astype(np.int64)})
 
-    return window.partition_by_key(
-        ds, "user_id",
-        approx_rows=_nrows(_tp(sf_dir, "events"))).groupby(
-            "part").map_groups(body, batch_format="pandas")
+    return window.keyed_apply(ds, "user_id", body,
+                              approx_rows=_nrows(_tp(sf_dir, "events")))
 
 
 def e_exp_hist(sf_dir: str):
@@ -1350,17 +1340,22 @@ def e_type_overlap(sf_dir: str):
     user-hash partition finishing the OR), the bitmask HISTOGRAM is a
     bounded 32-key fold, and every pairwise intersection is a closed
     form over that histogram — the |types|^2 answer never touches a
-    pair join."""
+    pair join.  An event type outside TYPES raises ValueError: the
+    oracle enumerates whatever types exist, so a silent unmapped type
+    would make the two diverge."""
     TYPES = ["click", "error", "purchase", "signup", "view"]
     tmap = {t: 1 << i for i, t in enumerate(TYPES)}
-    from ..stages.window import partition_by_key
-
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
 
     def mask_partial(b: pa.Table) -> pa.Table:
         u = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         et = b["event_type"].to_pylist()
-        bits = np.array([tmap.get(t, 0) for t in et], np.int64)
+        unknown = set(et) - tmap.keys()
+        if unknown:
+            raise ValueError(
+                f"e_type_overlap: unmapped event type(s) "
+                f"{sorted(unknown, key=str)}; known types are {TYPES}")
+        bits = np.array([tmap[t] for t in et], np.int64)
         order = np.argsort(u, kind="stable")
         us, starts = np.unique(u[order], return_index=True)
         om = np.bitwise_or.reduceat(bits[order], starts)
@@ -1379,11 +1374,9 @@ def e_type_overlap(sf_dir: str):
                              "n_users": cnt[nz].astype("int64")})
 
     hist = agg_stage.fold_partials(
-        partition_by_key(ds.map_batches(mask_partial,
-                                        batch_format="pyarrow"),
-                         "user_id",
-                         approx_rows=_nrows(_tp(sf_dir, "events")))
-        .groupby("part").map_groups(or_fold, batch_format="pandas"),
+        window.keyed_apply(
+            ds.map_batches(mask_partial, batch_format="pyarrow"),
+            "user_id", or_fold, approx_rows=_nrows(_tp(sf_dir, "events"))),
         ["bits"], [("n_users", "sum")],
         empty_schema=pa.schema([("bits", pa.int64()),
                                 ("n_users", pa.int64())]))
@@ -1470,8 +1463,6 @@ def e_rolling_median(sf_dir: str):
     integer.  One user-hash exchange, then a vectorized
     pandas-rolling pass per partition — per-user sequences are
     partition-local so windows never cross blocks."""
-    from ..stages.window import partition_by_key
-
     ds = _read(sf_dir, "events",
                columns=["event_id", "user_id", "ts", "value"])
 
@@ -1489,9 +1480,8 @@ def e_rolling_median(sf_dir: str):
             "event_id": g["event_id"].astype("int64"),
             "med2": (med * 2).round().astype("int64").to_numpy()})
 
-    return (partition_by_key(ds, "user_id",
-                             approx_rows=_nrows(_tp(sf_dir, "events")))
-            .groupby("part").map_groups(body, batch_format="pandas"))
+    return window.keyed_apply(ds, "user_id", body,
+                              approx_rows=_nrows(_tp(sf_dir, "events")))
 
 
 def e_conversion_lag(sf_dir: str):
@@ -1529,10 +1519,8 @@ def e_conversion_lag(sf_dir: str):
             "user_id": first.index.to_numpy().astype(np.int64),
             "lag_us": lag.to_numpy().astype(np.int64)})
 
-    return window.partition_by_key(
-        ds, "user_id",
-        approx_rows=_nrows(_tp(sf_dir, "events"))).groupby(
-            "part").map_groups(body, batch_format="pandas")
+    return window.keyed_apply(ds, "user_id", body,
+                              approx_rows=_nrows(_tp(sf_dir, "events")))
 
 
 def v_cluster_purity(sf_dir: str):
@@ -1594,10 +1582,9 @@ def q_returns_topk(sf_dir: str):
         out["revenue_cents"] = out["revenue_cents"].astype("int64")
         return out
 
-    per_cust = (window.partition_by_key(
+    per_cust = window.keyed_apply(
         j.map_batches(cust_partial, batch_format="pyarrow"),
-        "c_custkey", approx_rows=_nrows(_tp(sf_dir, "customer")))
-        .groupby("part").map_groups(cust_fold, batch_format="pandas"))
+        "c_custkey", cust_fold, approx_rows=_nrows(_tp(sf_dir, "customer")))
     top = order.top_k(per_cust, ["revenue_cents", "c_custkey"], 20,
                       descending=[True, False])
     tt = agg_stage.concat_nonempty(agg_stage.arrow_blocks(top))
@@ -1642,10 +1629,8 @@ def e_retention(sf_dir: str):
         return out.astype({"cohort": "int64", "week_offset": "int64",
                            "n_users": "int64"})
 
-    parts = window.partition_by_key(
-        ds, "user_id",
-        approx_rows=_nrows(_tp(sf_dir, "events"))).groupby(
-            "part").map_groups(body, batch_format="pandas")
+    parts = window.keyed_apply(ds, "user_id", body,
+                               approx_rows=_nrows(_tp(sf_dir, "events")))
     return agg_stage.fold_partials(parts, ["cohort", "week_offset"],
                                    [("n_users", "sum")])
 
@@ -1680,9 +1665,8 @@ def q_cust_dist(sf_dir: str):
             "custdist": dist.to_numpy().astype(np.int64)})
 
     p = orders.map_batches(partial, batch_format="pyarrow")
-    parts = (window.partition_by_key(
-        p, "o_custkey", approx_rows=_nrows(_tp(sf_dir, "orders")))
-        .groupby("part").map_groups(fold, batch_format="pandas"))
+    parts = window.keyed_apply(p, "o_custkey", fold,
+                               approx_rows=_nrows(_tp(sf_dir, "orders")))
     t = agg_stage.fold_partials(parts, ["c_count"],
                                 [("custdist", "sum")])
     n_cust = _nrows(_tp(sf_dir, "customer"))
@@ -1722,9 +1706,8 @@ def q_big_orders(sf_dir: str):
         return out
 
     p = li.map_batches(qty_partial, batch_format="pyarrow")
-    big = (window.partition_by_key(
-        p, "l_orderkey", approx_rows=_nrows(_tp(sf_dir, "lineitem")))
-        .groupby("part").map_groups(fold, batch_format="pandas"))
+    big = window.keyed_apply(p, "l_orderkey", fold,
+                             approx_rows=_nrows(_tp(sf_dir, "lineitem")))
 
     orders = _read(sf_dir, "orders",
                    columns=["o_orderkey", "o_orderdate", "o_totalprice"])
@@ -1896,10 +1879,8 @@ def t_templates(sf_dir: str):
                              "n_msgs": np.asarray(out_c, np.int64)})
 
     dis = ds.map_batches(distinct_partial, batch_format="pyarrow")
-    return (window.partition_by_key(
-        dis, ["n", "first"], approx_rows=max(len(cmap) * 16, 1024))
-        .groupby("part").map_groups(build_templates,
-                                    batch_format="pandas"))
+    return window.keyed_apply(dis, ["n", "first"], build_templates,
+                              approx_rows=max(len(cmap) * 16, 1024))
 
 
 def t_sft_pairs(sf_dir: str):
@@ -1929,8 +1910,6 @@ def t_trending(sf_dir: str):
     partition per-day top-5 prune, and a driver merge of
     <= partitions x days x 5 survivor rows."""
     from ..stages.parse import tokenize
-    from ..stages.window import partition_by_key
-
     ds = read_transcripts(_corpus(sf_dir), columns=["ts", "text"])
     DAY = 86_400_000_000
 
@@ -1971,10 +1950,7 @@ def t_trending(sf_dir: str):
                .rename_columns(["day", "token", "cnt"]))
         df = tot.to_pandas()
     else:
-        pruned = (partition_by_key(p, "token", None)
-                  .groupby("part")
-                  .map_groups(fold, batch_format="pandas")
-                  .take_all())
+        pruned = window.keyed_apply(p, "token", fold).take_all()
         df = pd.DataFrame(pruned)
     df = df.sort_values(["day", "cnt", "token"],
                         ascending=[True, False, True],
@@ -2312,8 +2288,6 @@ def d_pack_concat(sf_dir: str):
 
     from ..stages.parse import TOKEN_PATTERN
     from ..stages.scan import ordered_prefix_sum
-    from ..stages.window import partition_by_key
-
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def tok(b: pa.Table) -> pa.Table:
@@ -2341,10 +2315,8 @@ def d_pack_concat(sf_dir: str):
         out["n_docs"] = out["n_docs"].astype("int64")
         return out[["pack_id", "n_docs", "seq"]]
 
-    return partition_by_key(
-        packed, "pack_id",
-        approx_rows=_nrows(_tp(sf_dir, "documents"))).groupby(
-            "part").map_groups(body, batch_format="pandas")
+    return window.keyed_apply(packed, "pack_id", body,
+                              approx_rows=_nrows(_tp(sf_dir, "documents")))
 
 
 def d_token_explode(sf_dir: str):
@@ -2435,13 +2407,9 @@ def d_split_leakage(sf_dir: str):
             "n_docs": out["n_docs"].astype(np.int64),
             "n_splits": out["n_splits"].astype(np.int64)})
 
-    from ..stages.window import partition_by_key, suggest_key_partitions
-
-    parts = partition_by_key(
-        tagged, "text",
-        suggest_key_partitions(_nrows(_tp(sf_dir, "documents")) + 50))
-    return parts.groupby("part").map_groups(fold,
-                                            batch_format="pandas")
+    return window.keyed_apply(
+        tagged, "text", fold, n_parts=window.suggest_key_partitions(
+            _nrows(_tp(sf_dir, "documents")) + 50))
 
 
 def d_chunk_dedup(sf_dir: str):
@@ -2485,12 +2453,9 @@ def d_chunk_dedup(sf_dir: str):
             "doc_id": g["doc_id"].astype(np.int64),
             "is_dup": dup.astype(np.int64).to_numpy()})
 
-    from ..stages.window import partition_by_key, suggest_key_partitions
-
-    n_parts = suggest_key_partitions(
+    n_parts = window.suggest_key_partitions(
         _nrows(_tp(sf_dir, "documents")) + 50)
-    marked = partition_by_key(chunks, "chunk_h", n_parts) \
-        .groupby("part").map_groups(first_wins, batch_format="pandas")
+    marked = window.keyed_apply(chunks, "chunk_h", first_wins, n_parts=n_parts)
 
     def doc_fold(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby("doc_id", as_index=False)
@@ -2500,8 +2465,7 @@ def d_chunk_dedup(sf_dir: str):
         out["n_dup_chunks"] = out["n_dup_chunks"].astype(np.int64)
         return out
 
-    return partition_by_key(marked, "doc_id", n_parts) \
-        .groupby("part").map_groups(doc_fold, batch_format="pandas")
+    return window.keyed_apply(marked, "doc_id", doc_fold, n_parts=n_parts)
 
 
 def d_dedup_apply(sf_dir: str):
@@ -3464,7 +3428,7 @@ def e_late_events(sf_dir: str):
     otherwise perfectly ordered; allowed lateness 30 min.
 
     Scale shape — a GLOBAL-ORDER scan with carry, the one windowed
-    pattern partition_by_key can't give directly: events bucket by
+    pattern window.keyed_apply can't give alone: events bucket by
     contiguous event_id range, a tiny partial pass folds per-bucket
     max event-times (one int per bucket reaches the driver), the
     exclusive prefix max over bucket ids becomes each bucket's
@@ -3474,9 +3438,7 @@ def e_late_events(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_id", "ts",
                                           "event_type"])
     n = _nrows(_tp(sf_dir, "events"))
-    from ..stages.window import partition_by_key, suggest_key_partitions
-
-    n_parts = suggest_key_partitions(n)
+    n_parts = window.suggest_key_partitions(n)
     B = -(-n // n_parts)
     HOUR = 3_600_000_000
     LATE = 1_800_000_000
@@ -3527,8 +3489,7 @@ def e_late_events(sf_dir: str):
         part["n_late"] = part["n_late"].astype(np.int64)
         return part
 
-    partials = partition_by_key(ev, "bucket", n_parts) \
-        .groupby("part").map_groups(fold, batch_format="pandas") \
+    partials = window.keyed_apply(ev, "bucket", fold, n_parts=n_parts) \
         .take_all()
     acc: dict[str, list[int]] = {}
     for r in partials:
@@ -3623,7 +3584,6 @@ def e_seq_match(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts",
                                           "event_type"])
     n = _nrows(_tp(sf_dir, "events"))
-    from ..stages.window import partition_by_key, suggest_key_partitions
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"],
@@ -3656,8 +3616,8 @@ def e_seq_match(sf_dir: str):
         res["n_matched"] = res["n_matched"].astype(np.int64)
         return res
 
-    return (partition_by_key(ds, "user_id", suggest_key_partitions(n))
-            .groupby("part").map_groups(fold, batch_format="pandas")
+    return (window.keyed_apply(ds, "user_id", fold,
+                               n_parts=window.suggest_key_partitions(n))
             .select_columns(["user_id", "n_matched"]))
 
 
@@ -3724,8 +3684,6 @@ def e_window_distinct(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["user_id", "event_type",
                                           "ts"])
     n = _nrows(_tp(sf_dir, "events"))
-    from ..stages.window import partition_by_key, suggest_key_partitions
-
     HOP = 900_000_000  # 15 min in us; span = 4 hops
 
     def explode(b: pa.Table) -> pa.Table:
@@ -3747,9 +3705,8 @@ def e_window_distinct(sf_dir: str):
         out["n_users"] = out["n_users"].astype(np.int64)
         return out[["event_type", "wstart", "n_users"]]
 
-    return (partition_by_key(ex, "wstart",
-                             suggest_key_partitions(n * 4))
-            .groupby("part").map_groups(fold, batch_format="pandas")
+    return (window.keyed_apply(ex, "wstart", fold,
+                               n_parts=window.suggest_key_partitions(n * 4))
             .select_columns(["event_type", "wstart", "n_users"]))
 
 
@@ -3769,7 +3726,6 @@ def e_upsert_merge(sf_dir: str):
     driver materialization."""
     ds = _read(sf_dir, "events", columns=["event_id", "value"])
     n = _nrows(_tp(sf_dir, "events"))
-    from ..stages.window import partition_by_key, suggest_key_partitions
 
     def changelog(b: pa.Table) -> pa.Table:
         eid = b["event_id"].to_numpy(zero_copy_only=False)
@@ -3803,8 +3759,8 @@ def e_upsert_merge(sf_dir: str):
             "value_cents": live["vc"].astype(np.int64).to_numpy(),
             "last_seq": live["seq"].astype(np.int64).to_numpy()})
 
-    return (partition_by_key(log, "event_id", suggest_key_partitions(n))
-            .groupby("part").map_groups(fold, batch_format="pandas")
+    return (window.keyed_apply(log, "event_id", fold,
+                               n_parts=window.suggest_key_partitions(n))
             .select_columns(["event_id", "value_cents", "last_seq"]))
 
 
@@ -3823,7 +3779,6 @@ def e_snapshot_diff(sf_dir: str):
     rows."""
     ds = _read(sf_dir, "events", columns=["event_id", "value"])
     n = _nrows(_tp(sf_dir, "events"))
-    from ..stages.window import partition_by_key, suggest_key_partitions
 
     def tag(b: pa.Table) -> pa.Table:
         eid = b["event_id"].to_numpy(zero_copy_only=False)
@@ -3858,8 +3813,8 @@ def e_snapshot_diff(sf_dir: str):
             "event_id": m["event_id"].to_numpy()[diff],
             "status": status[diff].astype(object)})
 
-    return (partition_by_key(both, "event_id", suggest_key_partitions(n))
-            .groupby("part").map_groups(fold, batch_format="pandas")
+    return (window.keyed_apply(both, "event_id", fold,
+                               n_parts=window.suggest_key_partitions(n))
             .select_columns(["event_id", "status"]))
 
 
@@ -4391,9 +4346,8 @@ def q_top_supplier(sf_dir: str):
         return s[s["units"] == s["units"].max()]
 
     p = li.map_batches(partial, batch_format="pyarrow")
-    cand = (window.partition_by_key(
-        p, "l_suppkey", approx_rows=_nrows(_tp(sf_dir, "lineitem")))
-        .groupby("part").map_groups(local_argmax, batch_format="pandas"))
+    cand = window.keyed_apply(p, "l_suppkey", local_argmax,
+                              approx_rows=_nrows(_tp(sf_dir, "lineitem")))
     ct = agg_stage.concat_nonempty(agg_stage.arrow_blocks(cand))
     if ct.num_rows == 0 or ct.num_columns == 0:
         return ray.data.from_arrow(pa.table(
@@ -4916,10 +4870,9 @@ def q_pagerank(sf_dir: str):
     want = max(cpus, min(1 << 16,
                          -(-_nrows(_tp(sf_dir, "lineitem")) // 250_000)))
     n_parts = 1 << (int(want) - 1).bit_length()
-    edges = (window.partition_by_key(pairs, ["src", "dst"], n_parts)
-             .groupby("part").map_groups(
-                 lambda g: g[["src", "dst"]].drop_duplicates(),
-                 batch_format="pandas")
+    edges = (window.keyed_apply(pairs, ["src", "dst"],
+                                lambda g: g[["src", "dst"]].drop_duplicates(),
+                                n_parts=n_parts)
              .materialize())
     ranks = graph.pagerank(edges, symmetric=True, iters=5)
 
@@ -5123,18 +5076,16 @@ def _event_type_sets(sf_dir: str, keep):
             [("p", "max"), ("v", "max")])
         return g.rename_columns(["user_id", "day", "p", "v"])
 
-    parts = window.partition_by_key(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["user_id", "day"], approx_rows=_nrows(_tp(sf_dir, "events")))
-
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         gg = (g.groupby(["user_id", "day"], as_index=False)
               .agg(p=("p", "max"), v=("v", "max")))
         out = gg[keep(gg["p"].to_numpy(), gg["v"].to_numpy())]
         return out[["user_id", "day"]]
 
-    out = (parts.groupby("part").map_groups(fold, batch_format="pandas")
-           .materialize())
+    out = window.keyed_apply(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["user_id", "day"], fold,
+        approx_rows=_nrows(_tp(sf_dir, "events"))).materialize()
     if out.count() == 0:
         # all-partitions-empty surfaces as ZERO blocks -> a 0-column
         # frame downstream (ray 2.49 drops the schema); hand back a
@@ -5232,8 +5183,6 @@ def t_gap_median(sf_dir: str):
     SQL."""
     ds = read_transcripts(_corpus(sf_dir),
                           columns=["conv_id", "turn_idx", "ts"])
-    parts = window.partition_by_key(
-        ds, "conv_id", approx_rows=_nrows(_corpus(sf_dir)))
 
     def gaps(g: "pd.DataFrame") -> "pd.DataFrame":
         ts = g["ts"].to_numpy().astype("datetime64[us]").view(np.int64)
@@ -5249,8 +5198,8 @@ def t_gap_median(sf_dir: str):
         return pd.DataFrame({"conv_id": conv[keep],
                              "gap_us": gap[keep]})
 
-    gaps_ds = parts.groupby("part").map_groups(gaps,
-                                               batch_format="pandas")
+    gaps_ds = window.keyed_apply(ds, "conv_id", gaps,
+                                 approx_rows=_nrows(_corpus(sf_dir)))
     return agg_stage.group_order_stats(
         gaps_ds, "conv_id", "gap_us", 0.5,
         approx_rows=_nrows(_corpus(sf_dir)))
@@ -5651,8 +5600,6 @@ def e_streaks(sf_dir: str):
     partition exchange; the island kernel is a single vectorized pass
     over the sorted (user, day) partition (boundary diff -> bincount),
     no per-user Python loop."""
-    from ..stages.window import partition_by_key
-
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
 
     def day_partial(b: pa.Table) -> pa.Table:
@@ -5682,10 +5629,8 @@ def e_streaks(sf_dir: str):
         r["longest_streak"] = r["longest_streak"].astype("int64")
         return r
 
-    return partition_by_key(
-        days, "user_id",
-        approx_rows=_nrows(_tp(sf_dir, "events"))).groupby(
-            "part").map_groups(body, batch_format="pandas")
+    return window.keyed_apply(days, "user_id", body,
+                              approx_rows=_nrows(_tp(sf_dir, "events")))
 
 
 def e_interval_union(sf_dir: str):
@@ -5697,8 +5642,6 @@ def e_interval_union(sf_dir: str):
     vectorized: grouped cummax shifted by one row gives each row its
     preceding reach, `start > reach` marks island breaks,
     maximum.reduceat folds island extents — no per-user loop."""
-    from ..stages.window import partition_by_key
-
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
 
     def to_iv(b: pa.Table) -> pa.Table:
@@ -5742,10 +5685,8 @@ def e_interval_union(sf_dir: str):
         r["covered_us"] = r["covered_us"].astype("int64")
         return r
 
-    return partition_by_key(
-        iv, "user_id",
-        approx_rows=_nrows(_tp(sf_dir, "events"))).groupby(
-            "part").map_groups(body, batch_format="pandas")
+    return window.keyed_apply(iv, "user_id", body,
+                              approx_rows=_nrows(_tp(sf_dir, "events")))
 
 
 def e_hhi(sf_dir: str):
@@ -5756,8 +5697,6 @@ def e_hhi(sf_dir: str):
     user-hash exchange, vectorized fold.  At extreme per-user counts
     (cnt^2 * 1e6 near int64) the fold would need Python ints; event
     streams sharded per day keep counts far below that."""
-    from ..stages.window import partition_by_key
-
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -5784,10 +5723,8 @@ def e_hhi(sf_dir: str):
         return out.astype({"n_events": "int64", "n_types": "int64",
                            "hhi_ppm": "int64"})
 
-    return partition_by_key(
-        parts, "user_id",
-        approx_rows=_nrows(_tp(sf_dir, "events"))).groupby(
-            "part").map_groups(body, batch_format="pandas")
+    return window.keyed_apply(parts, "user_id", body,
+                              approx_rows=_nrows(_tp(sf_dir, "events")))
 
 
 #: Safety/compliance lexicon for t_safety_flags — categories over the
@@ -5965,8 +5902,6 @@ def e_rfm(sf_dir: str):
     from ray.data.aggregate import Max
 
     from ..stages.scan import ntile
-    from ..stages.window import partition_by_key
-
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -5990,10 +5925,8 @@ def e_rfm(sf_dir: str):
         return r.astype({"day_max": "int64", "freq": "int64",
                          "mon_cents": "int64"})
 
-    users = partition_by_key(
-        parts, "user_id",
-        approx_rows=_nrows(_tp(sf_dir, "events"))).groupby(
-            "part").map_groups(fold, batch_format="pandas") \
+    users = window.keyed_apply(parts, "user_id", fold,
+                               approx_rows=_nrows(_tp(sf_dir, "events"))) \
         .materialize()
     mx = users.aggregate(Max("day_max"), Max("user_id"),
                          Max("freq"), Max("mon_cents"))
@@ -6041,8 +5974,6 @@ def d_prefix_dedup(sf_dir: str):
     No all-pairs work anywhere; texts assumed non-empty (the planted
     and corpus texts are; empty text is trivially a prefix of
     everything and would need a count-only special case)."""
-    from ..stages.window import partition_by_key
-
     base = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def plant(b: pa.Table) -> pa.Table:
@@ -6077,10 +6008,9 @@ def d_prefix_dedup(sf_dir: str):
             g.loc[keep, "text"].str.len().astype("int64"))
         return out
 
-    return partition_by_key(
-        u.map_batches(bucket, batch_format="pyarrow"), "b0",
-        approx_rows=_nrows(_tp(sf_dir, "documents"))).groupby(
-            "part").map_groups(body, batch_format="pandas")
+    return window.keyed_apply(u.map_batches(bucket, batch_format="pyarrow"),
+                              "b0", body,
+                              approx_rows=_nrows(_tp(sf_dir, "documents")))
 
 
 def d_semdedup(sf_dir: str):
@@ -6098,8 +6028,6 @@ def d_semdedup(sf_dir: str):
     doc passes the test, rep_id = the smallest such.  Output is the
     dropped set only, never the corpus."""
     from ..stages.similarity import _km_emit_block
-    from ..stages.window import partition_by_key
-
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     emb = ds.map_batches(similarity.TextEncoder,
                          batch_format="pyarrow",
@@ -6158,8 +6086,7 @@ def d_semdedup(sf_dir: str):
                 "rep_id": np.zeros(0, np.int64)})
         return pd.concat(outs, ignore_index=True)
 
-    return partition_by_key(tagged, "cluster", n_parts=8).groupby(
-        "part").map_groups(body, batch_format="pandas")
+    return window.keyed_apply(tagged, "cluster", body, n_parts=8)
 
 
 def d_dsir(sf_dir: str):
@@ -6354,8 +6281,6 @@ def d_dup_triangles(sf_dir: str):
     import pyarrow.dataset as pads
     from ray.data.aggregate import Sum
 
-    from ..stages.window import partition_by_key
-
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def rekey(off):
@@ -6401,9 +6326,8 @@ def d_dup_triangles(sf_dir: str):
                                  "z": np.zeros(0, np.int64)})
         return pd.concat(outs, ignore_index=True)
 
-    wedges = partition_by_key(
-        edges, "doc_a", approx_rows=pt.num_rows).groupby(
-        "part").map_groups(wedge_body, batch_format="pandas")
+    wedges = window.keyed_apply(edges, "doc_a", wedge_body,
+                                approx_rows=pt.num_rows)
     tri = join.semi_join(wedges, edges, on=["y", "z"],
                          right_on=["doc_a", "doc_b"])
 
@@ -6490,8 +6414,6 @@ def e_cusum(sf_dir: str):
     the earliest 1-based index attaining it.  ONE user-keyed exchange,
     then a fully vectorized partition-local kernel (sort + grouped
     cumsum — no per-user loop)."""
-    from ..stages.window import partition_by_key
-
     ds = _read(sf_dir, "events",
                columns=["event_id", "user_id", "ts", "value"])
 
@@ -6521,10 +6443,8 @@ def e_cusum(sf_dir: str):
             out[c] = out[c].astype(np.int64)
         return out.reset_index(drop=True)
 
-    return partition_by_key(
-        ds, "user_id",
-        approx_rows=_nrows(_tp(sf_dir, "events"))).groupby(
-            "part").map_groups(body, batch_format="pandas")
+    return window.keyed_apply(ds, "user_id", body,
+                              approx_rows=_nrows(_tp(sf_dir, "events")))
 
 
 def e_ewma(sf_dir: str):
@@ -6537,8 +6457,6 @@ def e_ewma(sf_dir: str):
     user-keyed exchange, then a fully vectorized partition-local
     kernel (sort + per-user position-from-end + bit-shift weights,
     no per-user loop)."""
-    from ..stages.window import partition_by_key
-
     ds = _read(sf_dir, "events",
                columns=["event_id", "user_id", "ts", "value"])
 
@@ -6561,10 +6479,8 @@ def e_ewma(sf_dir: str):
             out[c] = out[c].astype(np.int64)
         return out
 
-    return partition_by_key(
-        ds, "user_id",
-        approx_rows=_nrows(_tp(sf_dir, "events"))).groupby(
-            "part").map_groups(body, batch_format="pandas")
+    return window.keyed_apply(ds, "user_id", body,
+                              approx_rows=_nrows(_tp(sf_dir, "events")))
 
 
 def e_autocorr(sf_dir: str):
@@ -6577,8 +6493,6 @@ def e_autocorr(sf_dir: str):
     ~10^4 events/user at these value magnitudes).  Single-event users
     report 0 (empty sum).  ONE user-keyed exchange + vectorized
     partition-local kernel."""
-    from ..stages.window import partition_by_key
-
     ds = _read(sf_dir, "events",
                columns=["event_id", "user_id", "ts", "value"])
 
@@ -6606,10 +6520,8 @@ def e_autocorr(sf_dir: str):
             out[c2] = out[c2].astype(np.int64)
         return out
 
-    return partition_by_key(
-        ds, "user_id",
-        approx_rows=_nrows(_tp(sf_dir, "events"))).groupby(
-            "part").map_groups(body, batch_format="pandas")
+    return window.keyed_apply(ds, "user_id", body,
+                              approx_rows=_nrows(_tp(sf_dir, "events")))
 
 
 def e_benford(sf_dir: str):
@@ -6755,8 +6667,6 @@ def e_gini(sf_dir: str):
     correctness.  Shape: ONE user-keyed exchange folds per-user
     totals (distributed), then the driver ranks only the n_users-row
     summary — users, not events, reach the driver."""
-    from ..stages.window import partition_by_key
-
     ds = _read(sf_dir, "events", columns=["user_id", "value"])
 
     def totals(g: pd.DataFrame) -> pd.DataFrame:
@@ -6768,10 +6678,8 @@ def e_gini(sf_dir: str):
         out["tot"] = out["tot"].astype(np.int64)
         return out
 
-    per_user = partition_by_key(
-        ds, "user_id",
-        approx_rows=_nrows(_tp(sf_dir, "events"))).groupby(
-            "part").map_groups(totals, batch_format="pandas")
+    per_user = window.keyed_apply(ds, "user_id", totals,
+                                  approx_rows=_nrows(_tp(sf_dir, "events")))
     u = per_user.to_pandas()               # n_users rows, bounded
     x = np.sort(u["tot"].to_numpy(np.int64))
     n = np.int64(len(x))
@@ -7241,11 +7149,10 @@ def q_large_orders(sf_dir: str):
     # partition (the q_returns_topk shape — measured faster than
     # Ray's hash-shuffle Aggregate on unbounded keys); the >300
     # filter runs INSIDE the fold so only the survivor tail leaves.
-    sums = (window.partition_by_key(
+    sums = window.keyed_apply(
         li.map_batches(qty_partial, batch_format="pyarrow"),
-        "l_orderkey", approx_rows=_nrows(_tp(sf_dir, "lineitem")))
-        .groupby("part").map_groups(sum_and_filter,
-                                    batch_format="pandas"))
+        "l_orderkey", sum_and_filter,
+        approx_rows=_nrows(_tp(sf_dir, "lineitem")))
     big = agg_stage.concat_nonempty(agg_stage.arrow_blocks(sums))
     if big.num_columns == 0 or big.num_rows == 0:
         return pa.table({"c_custkey": pa.array([], pa.int64()),
@@ -7612,8 +7519,6 @@ def e_lifecycle(sf_dir: str):
     vectorized pass, then the per-day class counts fold over the
     BOUNDED day x 3 domain on the driver."""
     from ..stages.aggregate import fold_partials
-    from ..stages.window import partition_by_key
-
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
 
     def day_partial(b: pa.Table) -> pa.Table:
@@ -7644,10 +7549,8 @@ def e_lifecycle(sf_dir: str):
             out[c] = out[c].astype(np.int64)
         return out
 
-    per_part = partition_by_key(
-        days, "user_id",
-        approx_rows=_nrows(_tp(sf_dir, "events"))).groupby(
-            "part").map_groups(classify, batch_format="pandas")
+    per_part = window.keyed_apply(days, "user_id", classify,
+                                  approx_rows=_nrows(_tp(sf_dir, "events")))
     t = fold_partials(
         per_part, ["day_num"],
         [("new_users", "sum"), ("retained", "sum"),

@@ -785,7 +785,7 @@ def group_order_stats(ds, key_col: str, val_col: str, p: float, *,
     import numpy as np
     import pandas as pd
 
-    from .window import _segment_bounds, partition_by_key
+    from .window import _segment_bounds, keyed_apply
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -806,9 +806,8 @@ def group_order_stats(ds, key_col: str, val_col: str, p: float, *,
         return pd.DataFrame({key_col: k[starts],
                              lo_col: v[lo_r], hi_col: v[hi_r]})
 
-    return partition_by_key(ds, key_col, n_parts,
-                            approx_rows=approx_rows).groupby(
-        "part").map_groups(body, batch_format="pandas")
+    return keyed_apply(ds, key_col, body, n_parts=n_parts,
+                       approx_rows=approx_rows)
 
 
 def melt(ds, id_cols: list[str], value_cols: list[str],
@@ -900,7 +899,7 @@ def profile_table(ds, columns: list[str], *,
     import pandas as pd
     import pyarrow.compute as pc
 
-    from .window import partition_by_key, suggest_key_partitions
+    from .window import keyed_apply
 
     def counters(b: pa.Table) -> pa.Table:
         names, nn, nl = [], [], []
@@ -947,9 +946,6 @@ def profile_table(ds, columns: list[str], *,
             if _ray.is_initialized() else 8
         want = max(cpus, min(1 << 16, -(-est // 250_000)))
         n_parts = 1 << (int(want) - 1).bit_length()
-    dparts = partition_by_key(
-        ds.map_batches(distincts, batch_format="pyarrow"),
-        ["col_name", "v"], n_parts)
 
     def dcount(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.drop_duplicates(subset=["col_name", "v"])
@@ -957,7 +953,8 @@ def profile_table(ds, columns: list[str], *,
         return out.rename(columns={"size": "nd"})
 
     nd = fold_partials(
-        dparts.groupby("part").map_groups(dcount, batch_format="pandas"),
+        keyed_apply(ds.map_batches(distincts, batch_format="pyarrow"),
+                    ["col_name", "v"], dcount, n_parts=n_parts),
         ["col_name"], [("nd", "sum")],
         empty_schema=pa.schema([("col_name", pa.string()),
                                 ("nd", pa.int64())]))

@@ -37,6 +37,7 @@ import pyarrow.compute as pc
 from .aggregate import arrow_blocks, arrow_refs, concat_nonempty
 from .parse import tokenize
 from .text import hash_tokens, segmented_window_hashes
+from .window import keyed_apply, suggest_key_partitions
 
 MERSENNE_P = np.uint64((1 << 61) - 1)
 
@@ -61,8 +62,6 @@ def dedup_exact(ds, key_cols: list[str], order_col: str, *,
     :func:`dedup_exact_rows`."""
     import pandas as pd  # noqa: F811
 
-    from .window import partition_by_key
-
     def body(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby(key_cols, sort=False, dropna=False)
                 .agg(**{order_col: (order_col, "min"),
@@ -71,9 +70,8 @@ def dedup_exact(ds, key_cols: list[str], order_col: str, *,
         out["n_dups"] = out["n_dups"].astype("int64")
         return out
 
-    parts = partition_by_key(ds, key_cols, n_parts,
-                             approx_rows=approx_rows)
-    return parts.groupby("part").map_groups(body, batch_format="pandas")
+    return keyed_apply(ds, key_cols, body, n_parts=n_parts,
+                       approx_rows=approx_rows)
 
 
 def _shingle_hashes(batch: pa.Table, text_col: str, k: int = 3
@@ -122,7 +120,6 @@ def decontaminate(ds, bench, *, k: int = 3, text_col: str = "text",
     partition-local per-doc count.  Shingle identity is its 61-bit
     hash (the fingerprint family's negligible-collision trade)."""
     from .join import semi_join
-    from .window import partition_by_key
 
     def grams(b: pa.Table) -> pa.Table:
         return shingle_explode(b, text_col, id_col, k) \
@@ -142,8 +139,7 @@ def decontaminate(ds, bench, *, k: int = 3, text_col: str = "text",
 
     # rows after the semi join are (doc, shingle)-distinct by
     # construction, so the per-doc size IS the distinct overlap count
-    return partition_by_key(hits, id_col, approx_rows=n_grams) \
-        .groupby("part").map_groups(body, batch_format="pandas")
+    return keyed_apply(hits, id_col, body, approx_rows=n_grams)
 
 
 def decontaminate_bloom(ds, bench, *, k: int = 3, text_col: str = "text",
@@ -166,7 +162,6 @@ def decontaminate_bloom(ds, bench, *, k: int = 3, text_col: str = "text",
 
     from .join import semi_join
     from .sketch import bloom_from_dataset, bloom_probe
-    from .window import partition_by_key
 
     def grams(b: pa.Table) -> pa.Table:
         return shingle_explode(b, text_col, id_col, k) \
@@ -196,8 +191,7 @@ def decontaminate_bloom(ds, bench, *, k: int = 3, text_col: str = "text",
         out["n_hit_grams"] = out["n_hit_grams"].astype("int64")
         return out
 
-    return partition_by_key(hits, id_col, approx_rows=n_grams) \
-        .groupby("part").map_groups(body, batch_format="pandas")
+    return keyed_apply(hits, id_col, body, approx_rows=n_grams)
 
 
 def dedup_exact_rows(ds, key_cols: list[str], order_col: str, *,
@@ -213,16 +207,12 @@ def dedup_exact_rows(ds, key_cols: list[str], order_col: str, *,
     input size once."""
     import pandas as pd  # noqa: F811
 
-    from .window import partition_by_key
-
     def body(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([*key_cols, order_col], kind="mergesort")
-        return g.drop_duplicates(subset=key_cols, keep="first") \
-                .drop(columns=["part"])
+        return g.drop_duplicates(subset=key_cols, keep="first")
 
-    parts = partition_by_key(ds, key_cols, n_parts,
-                             approx_rows=approx_rows)
-    return parts.groupby("part").map_groups(body, batch_format="pandas")
+    return keyed_apply(ds, key_cols, body, n_parts=n_parts,
+                       approx_rows=approx_rows)
 
 
 def pair_partition_ids(a: np.ndarray, b: np.ndarray,
@@ -1181,29 +1171,22 @@ def fuzzy_pairs(ds, col: str, *, n_parts: int | None = None,
     size so the break is LOUD; ``"keep"`` verifies oversized buckets
     exactly anyway (quadratic in the bucket — caller accepts the
     cost); ``"drop"`` is the old documented approximation."""
-    import ray
-
-    from .window import partition_by_key, suggest_key_partitions
-
     if n_parts is None:
         # resolved ONCE up front: the upstream may be a transform
-        # chain, and letting each partition_by_key count it would
+        # chain, and letting each keyed_apply count it would
         # re-execute the plan per stage
         n_parts = suggest_key_partitions(ds.count())
-
-    # distinct values, partition-locally exact
-    vparts = partition_by_key(
-        ds.map_batches(
-            lambda b: (pa.table({"v": b[col]})
-                       .group_by(["v"]).aggregate([])
-                       .rename_columns(["v"])),
-            batch_format="pyarrow"), "v", n_parts)
 
     def distinct_fold(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"v": g["v"].drop_duplicates()})
 
-    distinct = vparts.groupby("part").map_groups(
-        distinct_fold, batch_format="pandas")
+    # distinct values, partition-locally exact
+    distinct = keyed_apply(
+        ds.map_batches(
+            lambda b: (pa.table({"v": b[col]})
+                       .group_by(["v"]).aggregate([])
+                       .rename_columns(["v"])),
+            batch_format="pyarrow"), "v", distinct_fold, n_parts=n_parts)
 
     def variants(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
@@ -1217,7 +1200,6 @@ def fuzzy_pairs(ds, col: str, *, n_parts: int | None = None,
                          "h": pa.array(hashes)})
 
     hv = distinct.map_batches(variants, batch_format="pyarrow")
-    hparts = partition_by_key(hv, "h", n_parts)
 
     if on_oversized not in ("error", "keep", "drop"):
         raise ValueError(f"fuzzy_pairs: on_oversized={on_oversized!r}")
@@ -1239,13 +1221,7 @@ def fuzzy_pairs(ds, col: str, *, n_parts: int | None = None,
         m = m[m["v_a"] < m["v_b"]]
         return m[["v_a", "v_b"]].drop_duplicates()
 
-    cands = hparts.groupby("part").map_groups(pairs_in_part,
-                                              batch_format="pandas")
-    # distinct across partitions (a pair can share several variants)
-    cparts = partition_by_key(
-        cands.map_batches(lambda b: b.select(["v_a", "v_b"]),
-                          batch_format="pyarrow"),
-        ["v_a", "v_b"], n_parts)
+    cands = keyed_apply(hv, "h", pairs_in_part, n_parts=n_parts)
 
     def verify(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(subset=["v_a", "v_b"])
@@ -1258,4 +1234,5 @@ def fuzzy_pairs(ds, col: str, *, n_parts: int | None = None,
         return pd.DataFrame({"val_a": kept["v_a"].to_numpy(),
                              "val_b": kept["v_b"].to_numpy()})
 
-    return cparts.groupby("part").map_groups(verify, batch_format="pandas")
+    # distinct across partitions (a pair can share several variants)
+    return keyed_apply(cands, ["v_a", "v_b"], verify, n_parts=n_parts)

@@ -27,6 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .aggregate import arrow_blocks, concat_nonempty
+from .window import default_hash_parts, keyed_apply
 
 
 def stable_order(ds):
@@ -59,28 +60,15 @@ def per_conv_turn_stats(ds, salt_buckets: int = 16,
     partition): Ray's own Aggregate measured ~44k rows/s on this
     workload, and its Min/Max also re-infers the timestamp unit from
     the values (second-aligned us data came back timestamp[s])."""
-    import numpy as np
     import pandas as pd
 
-    from .window import default_hash_parts
-
     n_parts = n_parts or default_hash_parts()
-
-    def prep(b: pa.Table) -> pa.Table:
-        b = add_salt(b, salt_buckets)
-        h = pd.util.hash_array(b["conv_id"].to_numpy(zero_copy_only=False))
-        salt = b["salt"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            part = (h ^ (salt * np.uint64(0x9E3779B97F4A7C15))) % n_parts
-        return b.append_column("part", pa.array(part.astype(np.int32)))
 
     def partial(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby(["conv_id", "salt"], sort=False)
                 .agg(n_turns=("ts", "size"), min_ts=("ts", "min"),
                      max_ts=("ts", "max"))
                 .reset_index())
-        h = pd.util.hash_array(out["conv_id"].to_numpy())
-        out["part2"] = (h % n_parts).astype(np.int32)
         return out.drop(columns=["salt"])
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
@@ -91,11 +79,11 @@ def per_conv_turn_stats(ds, salt_buckets: int = 16,
         out["n_turns"] = out["n_turns"].astype("int64")
         return out
 
-    salted = ds.map_batches(prep, batch_format="pyarrow")
-    partials = salted.groupby("part").map_groups(partial,
-                                                 batch_format="pandas")
-    return partials.groupby("part2").map_groups(merge,
-                                                batch_format="pandas")
+    salted = ds.map_batches(lambda b: add_salt(b, salt_buckets),
+                            batch_format="pyarrow")
+    partials = keyed_apply(salted, ["conv_id", "salt"], partial,
+                           n_parts=n_parts)
+    return keyed_apply(partials, "conv_id", merge, n_parts=n_parts)
 
 
 def top_k_per_group(ds, group_col: str, sort_cols: list[str], k: int,
@@ -108,19 +96,15 @@ def top_k_per_group(ds, group_col: str, sort_cols: list[str], k: int,
     import numpy as np  # noqa: F401
     import pandas as pd
 
-    from .window import partition_by_key
-
     if isinstance(descending, bool):
         descending = [descending] * len(sort_cols)
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(sort_cols, kind="mergesort",
                           ascending=[not d for d in descending])
-        return (g.groupby(group_col, sort=False).head(k)
-                 .drop(columns=["part"]))
+        return g.groupby(group_col, sort=False).head(k)
 
-    parts = partition_by_key(ds, group_col, n_parts)
-    return parts.groupby("part").map_groups(body, batch_format="pandas")
+    return keyed_apply(ds, group_col, body, n_parts=n_parts)
 
 
 def top_k(ds, keys: list[str], k: int, descending=True):

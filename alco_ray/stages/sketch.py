@@ -13,8 +13,8 @@ Shape here: per-batch register partials (one row per group seen in the
 batch, registers as a fixed-size binary blob) -> driver-side
 elementwise-max fold, which is exact for bounded group domains (the
 routed-sink / event-type shape this package folds everywhere else).
-For unbounded groups the same partials would feed ``partition_by_key``
-+ a partition-local max — the blob column makes that a drop-in swap.
+For unbounded groups the same partials would feed ``window.keyed_apply``
+with a partition-local max — the blob column makes that a drop-in swap.
 
 Determinism: value hashing is ``pandas.util.hash_array`` (SipHash,
 fixed key), the same primitive the dedup family pins; no RNG anywhere.

@@ -20,6 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .parse import TOKENIZE_SPLIT, tokenize
+from .window import default_hash_parts, keyed_apply, suggest_key_partitions
 
 STOPWORDS = ("the", "a", "and", "of", "to", "in", "is", "it")
 
@@ -373,17 +374,8 @@ def fingerprint_dups(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     partition on the same key, no broadcast of an unbounded set."""
     import ray
 
-    from .window import default_hash_parts
-
-    n_parts = default_hash_parts()
     fps = ds.map_batches(
         lambda b: fingerprint(b, text_col, id_col), batch_format="pyarrow")
-
-    def add_part(b: pa.Table) -> pa.Table:
-        h = b["fingerprint"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64).view(np.uint64)
-        return b.append_column(
-            "part", pa.array((h % np.uint64(n_parts)).astype(np.int32)))
 
     def dup_reps(g: pd.DataFrame) -> pd.DataFrame:
         # partition-local group stats (a fingerprint lives in exactly
@@ -393,12 +385,8 @@ def fingerprint_dups(ds, *, text_col: str = "text", id_col: str = "doc_id"):
                 .reset_index())
         return out.loc[out["n"] > 1, ["fingerprint", "rep_doc_id"]]
 
-    dup_groups = (fps.map_batches(add_part, batch_format="pyarrow")
-                  .groupby("part").map_groups(dup_reps,
-                                              batch_format="pandas")
-                  .materialize())
-    # (distinct name from n_parts above: add_part captures n_parts by
-    # reference, and Ray lineage may re-execute it after this point)
+    dup_groups = keyed_apply(fps, "fingerprint", dup_reps,
+                             n_parts=default_hash_parts()).materialize()
     if dup_groups.count() == 0:
         # A fully-empty join side crashes Ray's hash join (ray 2.49.2:
         # ArrowInvalid "no match for key field on right side"); a
@@ -476,7 +464,6 @@ def tf_df(ds, *, text_col: str = "text", id_col: str = "doc_id",
     Shape: per-batch (doc, token, tf) partials (a document lives
     wholly in one batch), then hash-partition on token — a token's
     rows co-locate, so df is a partition-local distinct count."""
-    from .window import partition_by_key
 
     def tf_partial(b: pa.Table) -> pa.Table:
         tok = token_explode(b, text_col, id_col)
@@ -488,10 +475,7 @@ def tf_df(ds, *, text_col: str = "text", id_col: str = "doc_id",
         # Size from the INPUT row count (metadata-cheap on pure reads)
         # times a tokens-per-doc estimate: counting `tf` itself would
         # execute tf_partial an extra time.
-        from .window import suggest_key_partitions
-
         n_parts = suggest_key_partitions(ds.count() * tokens_per_doc)
-    parts = partition_by_key(tf, "token", n_parts)
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
         out = g[[id_col, "token", "tf"]].copy()
@@ -502,7 +486,7 @@ def tf_df(ds, *, text_col: str = "text", id_col: str = "doc_id",
             .astype("int64")
         return out
 
-    return parts.groupby("part").map_groups(body, batch_format="pandas")
+    return keyed_apply(tf, "token", body, n_parts=n_parts)
 
 
 def ngram_counts(ds, *, n: int = 2, text_col: str = "text",
@@ -519,8 +503,6 @@ def ngram_counts(ds, *, n: int = 2, text_col: str = "text",
     is unbounded (driver folds are reserved for bounded key domains).
     Shuffle volume is the pre-aggregated per-batch distinct grams, not
     the token stream."""
-    from .window import partition_by_key, suggest_key_partitions
-
     sep = pa.scalar(" ", pa.string())
 
     def partial(b: pa.Table) -> pa.Table:
@@ -551,14 +533,13 @@ def ngram_counts(ds, *, n: int = 2, text_col: str = "text",
     if n_parts is None:
         n_docs = approx_docs if approx_docs is not None else ds.count()
         n_parts = suggest_key_partitions(n_docs * grams_per_doc)
-    parts = partition_by_key(partials, "gram", n_parts)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby("gram", as_index=False, sort=False)["cnt"].sum())
         out["cnt"] = out["cnt"].astype("int64")
         return out
 
-    return parts.groupby("part").map_groups(fold, batch_format="pandas")
+    return keyed_apply(partials, "gram", fold, n_parts=n_parts)
 
 
 # ------------------------------------------------------- learned langid
@@ -802,7 +783,6 @@ def cross_doc_ngram_share(ds, *, n: int = 5, text_col: str = "text",
     oracle replays the literal-gram rule; divergence requires a 64-bit
     cross-gram collision (P ~ G^2/2^65).  Output: (doc_id, n_grams,
     n_dup, dup_share)."""
-    from .window import partition_by_key, suggest_key_partitions
 
     def gram_partial(b: pa.Table) -> pa.Table:
         empty = pa.table({id_col: pa.array([], b[id_col].type),
@@ -836,9 +816,7 @@ def cross_doc_ngram_share(ds, *, n: int = 5, text_col: str = "text",
                .agg(gp=("_one", "sum"), dp=("_dup", "sum")))
         return out
 
-    per_part = (partition_by_key(grams, "gram", n_parts)
-                .groupby("part").map_groups(gram_fold,
-                                            batch_format="pandas"))
+    per_part = keyed_apply(grams, "gram", gram_fold, n_parts=n_parts)
     base = ds.map_batches(
         lambda b: pa.table({
             id_col: b[id_col],
@@ -857,10 +835,9 @@ def cross_doc_ngram_share(ds, *, n: int = 5, text_col: str = "text",
             nd, ng, out=np.zeros(len(ng), np.float64), where=ng > 0)
         return out
 
-    return (partition_by_key(per_part.union(base), id_col,
-                             n_parts, approx_rows=(approx_docs or 0) * 2
-                             or None)
-            .groupby("part").map_groups(doc_fold, batch_format="pandas"))
+    return keyed_apply(per_part.union(base), id_col, doc_fold,
+                       n_parts=n_parts,
+                       approx_rows=(approx_docs or 0) * 2 or None)
 
 
 def dup_span_mask(ds, *, n: int = 5, text_col: str = "text",
@@ -902,8 +879,6 @@ def dup_span_mask(ds, *, n: int = 5, text_col: str = "text",
     Output: (doc_id, n_tokens, n_masked, clean_text) for EVERY doc.
     """
     import pandas as pd
-
-    from .window import partition_by_key, suggest_key_partitions
 
     B = _TRIGRAM_B
     n_docs = approx_docs if approx_docs is not None else ds.count()
@@ -949,9 +924,7 @@ def dup_span_mask(ds, *, n: int = 5, text_col: str = "text",
         return pd.DataFrame({id_col: out[id_col].to_numpy(np.int64),
                              "pos": out["pos"].to_numpy(np.int64)})
 
-    masks = (partition_by_key(occurrences, "gram", n_parts)
-             .groupby("part").map_groups(gram_keep,
-                                         batch_format="pandas"))
+    masks = keyed_apply(occurrences, "gram", gram_keep, n_parts=n_parts)
     mask_rows = masks.map_batches(
         lambda b: pa.table({
             id_col: b[id_col],
@@ -1005,10 +978,8 @@ def dup_span_mask(ds, *, n: int = 5, text_col: str = "text",
                              "n_masked": nt - kept_per_doc,
                              "clean_text": clean.to_pandas()})
 
-    doc_parts = suggest_key_partitions(n_docs)
-    return (partition_by_key(text_rows.union(mask_rows), id_col,
-                             doc_parts)
-            .groupby("part").map_groups(rebuild, batch_format="pandas"))
+    return keyed_apply(text_rows.union(mask_rows), id_col, rebuild,
+                       n_parts=suggest_key_partitions(n_docs))
 
 
 def longest_shared_span(ds, *, max_len: int = 16, text_col: str = "text",
@@ -1039,8 +1010,6 @@ def longest_shared_span(ds, *, max_len: int = 16, text_col: str = "text",
     Output: (doc_id, max_shared_len) for EVERY doc.
     """
     import pandas as pd
-
-    from .window import partition_by_key, suggest_key_partitions
 
     n_docs = approx_docs if approx_docs is not None else ds.count()
     if n_parts is None:
@@ -1086,9 +1055,7 @@ def longest_shared_span(ds, *, max_len: int = 16, text_col: str = "text",
         out["max_shared_len"] = out["max_shared_len"].astype(np.int64)
         return out
 
-    per_part = (partition_by_key(occurrences, "gram", n_parts)
-                .groupby("part").map_groups(gram_fold,
-                                            batch_format="pandas"))
+    per_part = keyed_apply(occurrences, "gram", gram_fold, n_parts=n_parts)
     base = ds.map_batches(
         lambda b: pa.table({
             id_col: b[id_col],
@@ -1101,9 +1068,8 @@ def longest_shared_span(ds, *, max_len: int = 16, text_col: str = "text",
         out["max_shared_len"] = out["max_shared_len"].astype(np.int64)
         return out
 
-    return (partition_by_key(per_part.union(base), id_col,
-                             suggest_key_partitions(n_docs))
-            .groupby("part").map_groups(doc_fold, batch_format="pandas"))
+    return keyed_apply(per_part.union(base), id_col, doc_fold,
+                       n_parts=suggest_key_partitions(n_docs))
 
 
 def wrap_html_batch(batch: pa.Table, text_col: str = "text",

@@ -39,6 +39,7 @@ import pyarrow.compute as pc
 from .aggregate import arrow_blocks, concat_nonempty
 from .parse import tokenize
 from .text import hash_tokens
+from .window import keyed_apply
 
 POSTING_COLS = ["conv_id", "turn_idx", "parsed_ts", "level"]
 
@@ -279,7 +280,6 @@ def match_all_probe(index_dir: str | Path, terms: list[str], *,
     import ray.data
 
     from .order import top_k
-    from .window import partition_by_key
 
     d = Path(index_dir)
     meta = json.loads((d / "meta.json").read_text())
@@ -338,9 +338,8 @@ def match_all_probe(index_dir: str | Path, terms: list[str], *,
     import pyarrow.parquet as pq_
 
     approx = sum(pq_.read_metadata(f).num_rows for f in pfiles)
-    inter = partition_by_key(hits, ["conv_id", "turn_idx"],
-                             approx_rows=approx) \
-        .groupby("part").map_groups(intersect, batch_format="pandas")
+    inter = keyed_apply(hits, ["conv_id", "turn_idx"], intersect,
+                        approx_rows=approx)
     topk = top_k(inter, ["parsed_ts", "conv_id", "turn_idx"], k,
                  descending=[True, False, False]).to_pandas()
     if not len(topk):
@@ -362,7 +361,6 @@ def match_any_probe(index_dir: str | Path, terms: list[str], *,
     import ray.data
 
     from .order import top_k
-    from .window import partition_by_key
 
     d = Path(index_dir)
     meta = json.loads((d / "meta.json").read_text())
@@ -412,9 +410,8 @@ def match_any_probe(index_dir: str | Path, terms: list[str], *,
     import pyarrow.parquet as pq_
 
     approx = sum(pq_.read_metadata(f).num_rows for f in pfiles)
-    uniq = partition_by_key(hits, ["conv_id", "turn_idx"],
-                            approx_rows=approx) \
-        .groupby("part").map_groups(dedupe, batch_format="pandas")
+    uniq = keyed_apply(hits, ["conv_id", "turn_idx"], dedupe,
+                       approx_rows=approx)
     topk = top_k(uniq, ["parsed_ts", "conv_id", "turn_idx"], k,
                  descending=[True, False, False]).to_pandas()
     if not len(topk):
@@ -517,7 +514,6 @@ def phrase_probe(index_dir: str | Path, phrase: list[str], *,
     import ray.data
 
     from .order import top_k
-    from .window import partition_by_key
 
     d = Path(index_dir)
     meta = json.loads((d / "meta.json").read_text())
@@ -588,9 +584,8 @@ def phrase_probe(index_dir: str | Path, phrase: list[str], *,
     import pyarrow.parquet as pq_
 
     approx = sum(pq_.read_metadata(f).num_rows for f in pfiles)
-    inter = partition_by_key(hits, ["conv_id", "turn_idx"],
-                             approx_rows=approx) \
-        .groupby("part").map_groups(intersect, batch_format="pandas")
+    inter = keyed_apply(hits, ["conv_id", "turn_idx"], intersect,
+                        approx_rows=approx)
     topk = top_k(inter, ["parsed_ts", "conv_id", "turn_idx"], k,
                  descending=[True, False, False]).to_pandas()
     if not len(topk):
@@ -614,7 +609,6 @@ def near_probe(index_dir: str | Path, term_a: str, term_b: str, *,
     import ray.data
 
     from .order import top_k
-    from .window import partition_by_key
 
     ta, tb = term_a.lower(), term_b.lower()
     if ta == tb:
@@ -699,9 +693,8 @@ def near_probe(index_dir: str | Path, term_a: str, term_b: str, *,
     import pyarrow.parquet as pq_
 
     approx = sum(pq_.read_metadata(f).num_rows for f in pfiles)
-    inter = partition_by_key(hits, ["conv_id", "turn_idx"],
-                             approx_rows=approx) \
-        .groupby("part").map_groups(nearest, batch_format="pandas")
+    inter = keyed_apply(hits, ["conv_id", "turn_idx"], nearest,
+                        approx_rows=approx)
     topk = top_k(inter, ["parsed_ts", "conv_id", "turn_idx"], k,
                  descending=[True, False, False]).to_pandas()
     if not len(topk):
@@ -730,7 +723,6 @@ def ranked_probe(index_dir: str | Path, terms: list[str], n_docs: int,
     import ray.data
 
     from .order import top_k
-    from .window import partition_by_key
 
     want = sorted({t.lower() for t in terms})
     if not want:
@@ -810,9 +802,6 @@ def ranked_probe(index_dir: str | Path, terms: list[str], n_docs: int,
     import pyarrow.parquet as pq_
 
     approx = sum(pq_.read_metadata(f).num_rows for f in pfiles)
-    scored = partition_by_key(
-        hits.map_batches(score_partial, batch_format="pyarrow"),
-        ["conv_id", "turn_idx"], approx_rows=approx)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby(["conv_id", "turn_idx"], as_index=False)
@@ -822,8 +811,9 @@ def ranked_probe(index_dir: str | Path, terms: list[str], n_docs: int,
         out["score"] = out["score"].astype(np.int64)
         return out
 
-    totals = scored.groupby("part").map_groups(fold,
-                                               batch_format="pandas")
+    totals = keyed_apply(
+        hits.map_batches(score_partial, batch_format="pyarrow"),
+        ["conv_id", "turn_idx"], fold, approx_rows=approx)
     topk = top_k(totals, ["score", "conv_id", "turn_idx"], k,
                  descending=[True, False, False]).to_pandas()
     if not len(topk):
@@ -861,7 +851,6 @@ def ranked_bm25_probe(index_dir: str | Path, terms: list[str], *,
     import ray.data
 
     from .order import top_k
-    from .window import partition_by_key
 
     want = sorted({t.lower() for t in terms})
     if not want:
@@ -945,9 +934,6 @@ def ranked_bm25_probe(index_dir: str | Path, terms: list[str], *,
     import pyarrow.parquet as pq_
 
     approx = sum(pq_.read_metadata(f).num_rows for f in pfiles)
-    scored = partition_by_key(
-        hits.map_batches(score_partial, batch_format="pyarrow"),
-        ["conv_id", "turn_idx"], approx_rows=approx)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby(["conv_id", "turn_idx"], as_index=False)
@@ -957,8 +943,9 @@ def ranked_bm25_probe(index_dir: str | Path, terms: list[str], *,
         out["score"] = out["score"].astype(np.int64)
         return out
 
-    totals = scored.groupby("part").map_groups(fold,
-                                               batch_format="pandas")
+    totals = keyed_apply(
+        hits.map_batches(score_partial, batch_format="pyarrow"),
+        ["conv_id", "turn_idx"], fold, approx_rows=approx)
     topk = top_k(totals, ["score", "conv_id", "turn_idx"], k,
                  descending=[True, False, False]).to_pandas()
     if not len(topk):

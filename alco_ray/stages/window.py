@@ -16,11 +16,15 @@ partition at once.  A key lives in exactly one partition, so
 partition-local answers are globally exact.
 
 Partitioning assumption: a partition's frame (rows/n_parts) fits one
-worker's heap; ``n_parts`` defaults to a multiple of cluster CPUs and
-is a caller knob for corpora where rows/n_parts would be too large.
+worker's heap.  :func:`keyed_apply` sizes ``n_parts`` from the row
+count (:func:`suggest_key_partitions`: a bounded number of rows per
+partition, floored at a multiple of cluster CPUs), so frames stay
+bounded at any corpus size.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
@@ -43,9 +47,6 @@ def default_hash_parts() -> int:
     return 1 << (want - 1).bit_length()
 
 
-_default_parts = default_hash_parts
-
-
 def suggest_key_partitions(n_rows: int, rows_per_part: int = 250_000,
                            hi: int = 1 << 16) -> int:
     """Data-proportional power-of-two partition count for the
@@ -60,11 +61,10 @@ def suggest_key_partitions(n_rows: int, rows_per_part: int = 250_000,
 
 def partition_by_key(ds, key_cols, n_parts: int | None = None,
                      approx_rows: int | None = None):
-    """Append int32 ``part`` = hash(key columns) % n_parts — THE shared
-    primitive behind every partition-local kernel in this package
-    (window ops, dedup_exact, dedup_exact_rows): a key lives in
-    exactly one partition, so partition-local answers are globally
-    exact.  Deterministic (pandas SipHash, fixed key).
+    """Append int32 ``part`` = hash(key columns) % n_parts: the hash
+    behind :func:`keyed_apply` (and the partition-skew measurement).
+    A key lives in exactly one partition.  Deterministic (pandas
+    SipHash, fixed key).
 
     ``n_parts`` defaults to :func:`suggest_key_partitions` over
     ``approx_rows`` if given (callers that know the corpus size from
@@ -89,9 +89,27 @@ def partition_by_key(ds, key_cols, n_parts: int | None = None,
     return ds.map_batches(add_part, batch_format="pyarrow")
 
 
-def _partitioned(ds, key_col: str, n_parts: int | None = None,
-                 approx_rows: int | None = None):
-    return partition_by_key(ds, key_col, n_parts, approx_rows=approx_rows)
+def keyed_apply(ds, keys, kernel, *, n_parts: int | None = None,
+                approx_rows: int | None = None):
+    """Run ``kernel`` once per key-hash partition of ``ds`` — the one
+    shuffle behind every partition-local kernel in this package.  All
+    rows of a key (``keys``: a column name or a list of them) reach
+    the same call, so partition-local answers are globally exact.
+
+    ``kernel`` gets a pandas frame of whole key groups with the input
+    columns (never the ``part`` column, dropped zero-copy on the Arrow
+    side before the pandas conversion) and returns a batch (a pandas
+    frame or Arrow table).  ``n_parts``/``approx_rows`` size the
+    partitions as in :func:`partition_by_key`."""
+    from ray.data.block import BlockAccessor
+
+    @functools.wraps(kernel)  # Ray Data names the operator after it
+    def run(t: pa.Table):
+        return kernel(BlockAccessor.for_block(
+            t.drop_columns(["part"])).to_pandas())
+
+    return partition_by_key(ds, keys, n_parts, approx_rows).groupby(
+        "part").map_groups(run, batch_format="pyarrow")
 
 
 def _contested_intervals(lo: list, hi: list) -> tuple[list, list]:
@@ -194,9 +212,8 @@ def _grouped_kernel(ds, key_col: str, body, n_parts, approx_rows,
     picked = mat.map_batches(pick_contested, batch_format="pyarrow",
                              batch_size=None).materialize()
     if picked.size_bytes() > boundary_limit_bytes:  # plan 3
-        return _partitioned(mat, key_col, n_parts,
-                            approx_rows=approx_rows).groupby(
-            "part").map_groups(body, batch_format="pandas")
+        return keyed_apply(mat, key_col, body, n_parts=n_parts,
+                           approx_rows=approx_rows)
 
     # plan 2: block-local safe rows + ONE worker-task contested apply.
     # The driver only moves object REFS — the contested row data goes
@@ -328,9 +345,8 @@ def sessionize(ds, *, key_col: str = "user_id", ts_col: str = "ts",
         g[out_col] = c - c[seg_start]
         return g
 
-    return _partitioned(ds, key_col, n_parts,
-                        approx_rows=approx_rows).groupby("part").map_groups(
-        body, batch_format="pandas").drop_columns(["part"])
+    return keyed_apply(ds, key_col, body, n_parts=n_parts,
+                       approx_rows=approx_rows)
 
 
 def context_window(ds, *, match_col: str, match_value, radius: int = 1,
@@ -397,9 +413,8 @@ def nearby_count(ds, *, key_col: str, ts_col: str, id_col: str,
             out_col: (hi - lo - 1).astype(np.int64),
         })
 
-    return _partitioned(ds, key_col, n_parts,
-                        approx_rows=approx_rows).groupby("part").map_groups(
-        body, batch_format="pandas")
+    return keyed_apply(ds, key_col, body, n_parts=n_parts,
+                       approx_rows=approx_rows)
 
 
 def lag_delta(ds, *, key_col: str, ts_col: str, id_col: str,
@@ -438,9 +453,8 @@ def lag_delta(ds, *, key_col: str, ts_col: str, id_col: str,
 
     s = ds.schema()
     id_type = s.types[s.names.index(id_col)]
-    out = _partitioned(ds, key_col, n_parts,
-                       approx_rows=approx_rows).groupby("part").map_groups(
-        body, batch_format="pandas")
+    out = keyed_apply(ds, key_col, body, n_parts=n_parts,
+                      approx_rows=approx_rows)
     # Pin Arrow-native int64-with-nulls output: the pandas Int64
     # extension column above hashes as `123`/`<NA>` while the oracle's
     # nullable BIGINT round-trips as `123.0`/`NaN` — driver hash
@@ -474,9 +488,8 @@ def grouped_cumsum(ds, *, key_col: str, ts_col: str, id_col: str,
         return pd.DataFrame({id_col: g[id_col].to_numpy(),
                              out_col: run})
 
-    return _partitioned(ds, key_col, n_parts,
-                        approx_rows=approx_rows).groupby("part").map_groups(
-        body, batch_format="pandas")
+    return keyed_apply(ds, key_col, body, n_parts=n_parts,
+                       approx_rows=approx_rows)
 
 
 def grouped_dense_rank(ds, *, key_col: str, val_col: str, id_col: str,
@@ -511,9 +524,8 @@ def grouped_dense_rank(ds, *, key_col: str, val_col: str, id_col: str,
         return pd.DataFrame({id_col: g[id_col].to_numpy(),
                              out_col: rank})
 
-    return _partitioned(ds, key_col, n_parts,
-                        approx_rows=approx_rows).groupby("part").map_groups(
-        body, batch_format="pandas")
+    return keyed_apply(ds, key_col, body, n_parts=n_parts,
+                       approx_rows=approx_rows)
 
 
 def asof_join(left_ds, right_ds, *, key_col: str, ts_col: str,
@@ -592,9 +604,8 @@ def asof_join(left_ds, right_ds, *, key_col: str, ts_col: str,
 
     from alco_ray.stages import enforce_schema
 
-    out = _partitioned(both, key_col, n_parts,
-                       approx_rows=approx_rows).groupby("part").map_groups(
-        body, batch_format="pandas")
+    out = keyed_apply(both, key_col, body, n_parts=n_parts,
+                      approx_rows=approx_rows)
     # Pin the output schema: the null-unioned __id column upcasts to
     # float64 in the pandas kernel, so without this cast the engine's
     # id column is `double` while the oracle's is int64 (CORRECTNESS_
@@ -619,7 +630,7 @@ def transition_counts(ds, *, key_col: str, order_col: str, val_col: str,
     PRE-AGGREGATED (from, to, cnt) partials, so the driver fold is
     num_kernel_calls x |value domain|^2 rows — correct ONLY for
     bounded value domains (roles, levels, event types; for unbounded
-    values the partials would feed ``partition_by_key`` instead)."""
+    values the partials would feed :func:`keyed_apply` instead)."""
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -658,7 +669,7 @@ def path_counts(ds, *, key_col: str, order_cols: list[str],
     then GROUP BY).  Same partitioned shape: boundary-stitched
     grouped kernel, pre-aggregated (path, cnt) partials, bounded-
     domain driver fold (|value domain|^n rows — event types, roles,
-    levels; unbounded values would feed ``partition_by_key``
+    levels; unbounded values would feed :func:`keyed_apply`
     instead)."""
     from functools import reduce
 
@@ -717,7 +728,7 @@ def debounce(ds, *, key_cols, ts_col: str, id_col: str,
                           kind="mergesort")
         n = len(g)
         if n == 0:
-            return g.drop(columns=["part"], errors="ignore")
+            return g
         seg = g.groupby(key_cols, sort=False).ngroup().to_numpy()
         ts = g[ts_col].to_numpy().astype(np.int64)
         span = np.int64(ts.max() - ts.min() + cooldown + 2)
@@ -731,10 +742,9 @@ def debounce(ds, *, key_cols, ts_col: str, id_col: str,
             valid = nxt < n
             nxt = nxt[valid]
             active = nxt[seg[nxt] == seg[active[valid]]]
-        return g.iloc[kept].drop(columns=["part"], errors="ignore")
+        return g.iloc[kept]
 
-    parts = partition_by_key(ds, key_cols[0], n_parts)
-    return parts.groupby("part").map_groups(body, batch_format="pandas")
+    return keyed_apply(ds, key_cols[0], body, n_parts=n_parts)
 
 
 def adjacent_pairs(ds, *, key_col: str, order_col: str,
@@ -835,9 +845,6 @@ def first_last_by(ds, *, key_col: str, ts_col: str, id_col: str,
         })
         return out
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    parts = partition_by_key(partials, key_col, n_parts,
-                             approx_rows=approx_rows)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -856,7 +863,9 @@ def first_last_by(ds, *, key_col: str, ts_col: str, id_col: str,
         out[n_col] = out[n_col].astype("int64")
         return out
 
-    return parts.groupby("part").map_groups(fold, batch_format="pandas")
+    return keyed_apply(ds.map_batches(partial, batch_format="pyarrow"),
+                       key_col, fold, n_parts=n_parts,
+                       approx_rows=approx_rows)
 
 
 def asof_lookup(ds, dim: pa.Table, *, ts_col: str, dim_ts_col: str,
@@ -967,9 +976,8 @@ def grouped_range_count(ds, *, key_col: str, ts_col: str, id_col: str,
         return pd.DataFrame({id_col: g[id_col].to_numpy(),
                              out_col: hi - lo})
 
-    return _partitioned(ds, key_col, n_parts,
-                        approx_rows=approx_rows).groupby("part").map_groups(
-        body, batch_format="pandas")
+    return keyed_apply(ds, key_col, body, n_parts=n_parts,
+                       approx_rows=approx_rows)
 
 
 def grouped_rolling_sum(ds, *, key_col: str, ts_col: str, id_col: str,
@@ -1004,9 +1012,8 @@ def grouped_rolling_sum(ds, *, key_col: str, ts_col: str, id_col: str,
         return pd.DataFrame({id_col: g[id_col].to_numpy(),
                              out_col: roll})
 
-    return _partitioned(ds, key_col, n_parts,
-                        approx_rows=approx_rows).groupby("part").map_groups(
-        body, batch_format="pandas")
+    return keyed_apply(ds, key_col, body, n_parts=n_parts,
+                       approx_rows=approx_rows)
 
 
 def densify_daily(ds, key_col: str, ts_col: str, *,
@@ -1031,10 +1038,6 @@ def densify_daily(ds, key_col: str, ts_col: str, *,
         epoch_days = pc.divide(pc.cast(days, pa.int64()),
                                pa.scalar(86_400_000_000, pa.int64()))
         return pa.table({key_col: b[key_col], "d": epoch_days})
-
-    parts = partition_by_key(
-        ds.map_batches(prep, batch_format="pyarrow"), key_col,
-        n_parts, approx_rows=approx_rows)
 
     def fill(g: pd.DataFrame) -> pd.DataFrame:
         k = g[key_col].to_numpy()
@@ -1069,7 +1072,9 @@ def densify_daily(ds, key_col: str, ts_col: str, *,
             "day": day_str.astype(object),
             "n_events": n})
 
-    return parts.groupby("part").map_groups(fill, batch_format="pandas")
+    return keyed_apply(ds.map_batches(prep, batch_format="pyarrow"),
+                       key_col, fill, n_parts=n_parts,
+                       approx_rows=approx_rows)
 
 
 def locf_daily(ds, key_col: str, ts_col: str, id_col: str,
@@ -1099,10 +1104,6 @@ def locf_daily(ds, key_col: str, ts_col: str, id_col: str,
             key_col: b[key_col], "d": epoch_days,
             "t": pc.cast(b[ts_col], pa.int64()), id_col: b[id_col],
             "v": b[val_col]})
-
-    parts = partition_by_key(
-        ds.map_batches(prep, batch_format="pyarrow"), key_col,
-        n_parts, approx_rows=approx_rows)
 
     def fill(g: pd.DataFrame) -> pd.DataFrame:
         k = g[key_col].to_numpy()
@@ -1146,7 +1147,9 @@ def locf_daily(ds, key_col: str, ts_col: str, id_col: str,
             "day": day_str.astype(object),
             "cents": filled})
 
-    return parts.groupby("part").map_groups(fill, batch_format="pandas")
+    return keyed_apply(ds.map_batches(prep, batch_format="pyarrow"),
+                       key_col, fill, n_parts=n_parts,
+                       approx_rows=approx_rows)
 
 
 def coalesce_intervals(ds, key_col: str, ts_col: str, id_col: str, *,
@@ -1172,10 +1175,6 @@ def coalesce_intervals(ds, key_col: str, ts_col: str, id_col: str, *,
                          "t": pc.cast(b[ts_col], pa.int64()),
                          id_col: b[id_col]})
 
-    parts = partition_by_key(
-        ds.map_batches(prep, batch_format="pyarrow"), key_col,
-        n_parts, approx_rows=approx_rows)
-
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         k = g[key_col].to_numpy()
         t = g["t"].to_numpy().astype(np.int64)
@@ -1196,4 +1195,6 @@ def coalesce_intervals(ds, key_col: str, ts_col: str, id_col: str, *,
             "end_ts": e[ends].view("datetime64[us]"),
             "n_events": (ends - starts + 1).astype(np.int64)})
 
-    return parts.groupby("part").map_groups(merge, batch_format="pandas")
+    return keyed_apply(ds.map_batches(prep, batch_format="pyarrow"),
+                       key_col, merge, n_parts=n_parts,
+                       approx_rows=approx_rows)

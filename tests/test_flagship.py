@@ -379,3 +379,39 @@ def test_dict_build_rejects_high_cardinality_column(tmp_path):
                                 max_cardinality=1_000)
     assert dicts["role"].num_rows == 2
     assert dicts["tool"].num_rows == n
+
+
+def test_one_cpu_cluster_completes(t_small_dir, t_small_oracle, tmp_path):
+    """A 1-CPU cluster must finish an ingest: the IngestWorker pool may
+    not hold the only CPU the read tasks need.  Runs in a subprocess
+    with its own ``ray.init(num_cpus=1)`` under a timeout, so a hang
+    fails the test instead of stalling the suite."""
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "import json, sys, ray\n"
+        "ray.init(address='local', num_cpus=1, include_dashboard=False,"
+        " logging_level='ERROR')\n"
+        "from ray.data import DataContext\n"
+        "DataContext.get_current().enable_progress_bars = False\n"
+        "from alco_ray.pipelines.flagship import run_flagship\n"
+        "s = run_flagship(sys.argv[1], sys.argv[2], wave_size=4)\n"
+        "print('SUMMARY ' + json.dumps(s))\n"
+        "ray.shutdown()\n")
+    root = str(Path(__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   [root, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(t_small_dir),
+         str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=240, env=env, cwd=root)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    line = [ln for ln in proc.stdout.splitlines()
+            if ln.startswith("SUMMARY ")][-1]
+    summary = json.loads(line[len("SUMMARY "):])
+    assert summary["rows"] == len(t_small_oracle["parsed"])
+    assert summary["parse_failures"] == t_small_oracle["parse_failures"]
+    assert summary["routed_counts"] == t_small_oracle["routed_counts"]

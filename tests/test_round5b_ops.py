@@ -6,6 +6,7 @@ replay the oracle law over the sf0.001 parquet inputs."""
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 
 from alco_ray.pipelines import queries as q
 
@@ -1243,6 +1244,20 @@ def test_type_overlap_law():
     assert got_map == want
     for (a, b), (i2, na, nb) in got_map.items():
         assert i2 <= min(na, nb)
+
+
+def test_type_overlap_rejects_unmapped_type(tmp_path):
+    """An event type outside the five known ones fails loudly, naming
+    the type, instead of silently leaving the engine's answer apart
+    from the oracle's.  The ValueError is raised in a Ray task, so it
+    reaches the driver wrapped in Ray's task error."""
+    pq.write_table(pa.table({
+        "user_id": pa.array([1, 1, 2, 3], pa.int64()),
+        "event_type": ["click", "refund", "view", "click"]}),
+        tmp_path / "events.parquet")
+    with pytest.raises(Exception, match=r"ValueError: e_type_overlap: "
+                       r"unmapped event type\(s\) \['refund'\]"):
+        q.e_type_overlap(str(tmp_path))
 
 
 def test_pdf_parser_xref_validation_and_poison():

@@ -4,7 +4,9 @@
 ``limit(1)`` to learn its schema; the package collects blocks with
 ``alco_ray.stages.aggregate.arrow_refs`` / ``arrow_blocks`` instead.
 These tests pin the flagship to zero re-runs, keep the old call out of
-the package, and check the collector's block conversion."""
+the package, and check the collector's block conversion.  The same
+source scan keeps hand-rolled ``partition_by_key`` shuffles out of the
+package (``window.keyed_apply`` owns them)."""
 
 import glob
 import re
@@ -76,16 +78,24 @@ def test_flagship_and_dict_build_run_each_plan_once(
                 == set(cached["value"].to_pylist()))
 
 
-def test_package_never_calls_to_arrow_refs():
-    pattern = re.compile(r"\.to_arrow_refs\(")
-    hits = [f"{p.relative_to(PKG.parent)}:{n}"
+@pytest.mark.parametrize("pattern, allowed, message", [
+    (r"\.to_arrow_refs\(", None,
+     "Dataset.to_arrow_refs() re-runs a streamed plan under limit(1); "
+     "collect blocks with alco_ray.stages.aggregate.arrow_refs (refs) "
+     "or arrow_blocks (tables) instead"),
+    (r"\bpartition_by_key\(", "alco_ray/stages/window.py",
+     "hash-partition through alco_ray.stages.window.keyed_apply instead "
+     "of a hand-rolled partition_by_key -> groupby('part').map_groups "
+     "chain"),
+], ids=["to_arrow_refs", "partition_by_key"])
+def test_package_never_calls(pattern, allowed, message):
+    rx = re.compile(pattern)
+    hits = [f"{rel}:{n}"
             for p in sorted(PKG.rglob("*.py"))
+            if (rel := p.relative_to(PKG.parent).as_posix()) != allowed
             for n, line in enumerate(p.read_text().splitlines(), 1)
-            if pattern.search(line)]
-    assert not hits, (
-        "Dataset.to_arrow_refs() re-runs a streamed plan under limit(1); "
-        "collect blocks with alco_ray.stages.aggregate.arrow_refs (refs) "
-        f"or arrow_blocks (tables) instead: {hits}")
+            if rx.search(line)]
+    assert not hits, f"{message}: {hits}"
 
 
 def test_collector_converts_blocks_without_rerun(limit_calls):

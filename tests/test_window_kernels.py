@@ -9,6 +9,7 @@ and segment-reset bugs live.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -177,3 +178,48 @@ def test_debounce_matches_sequential_brute_force():
             cooldown=cool, n_parts=2,
             approx_rows=len(rows)).take_all()}
         assert got == want, nblocks
+
+
+@pytest.mark.parametrize("sizing", [{"n_parts": 4}, {"approx_rows": 3000}],
+                         ids=["n_parts", "approx_rows"])
+@pytest.mark.parametrize("keys", ["k", ["k", "j"]], ids=["one", "multi"])
+def test_keyed_apply_contract(keys, sizing):
+    """keyed_apply hands each kernel call whole key groups without the
+    ``part`` column, matches a pandas groupby, and maps an empty input
+    to no rows."""
+    import uuid
+
+    import pandas as pd
+    import ray
+
+    from alco_ray.stages.window import keyed_apply
+
+    cols = [keys] if isinstance(keys, str) else keys
+    rng = np.random.default_rng(7)
+    n = 3000
+    df = pd.DataFrame({"k": rng.integers(0, 97, n),
+                       "j": rng.choice(["a", "b", "c"], n),
+                       "v": rng.integers(0, 1000, n)})
+
+    def kernel(g: pd.DataFrame) -> pd.DataFrame:
+        out = g.groupby(cols, as_index=False).agg(
+            n=("v", "size"), s=("v", "sum"))
+        out["call"] = uuid.uuid4().hex
+        out["saw_part"] = "part" in g.columns
+        return out
+
+    ds = ray.data.from_pandas(df).repartition(8)
+    got = pd.DataFrame(keyed_apply(ds, keys, kernel, **sizing).take_all())
+
+    assert not got["saw_part"].any()
+    # one output row per key means no key was split across two calls
+    assert not got.duplicated(cols).any()
+    assert got["call"].nunique() > 1
+    want = df.groupby(cols, as_index=False).agg(n=("v", "size"),
+                                                s=("v", "sum"))
+    pd.testing.assert_frame_equal(
+        got[cols + ["n", "s"]].sort_values(cols).reset_index(drop=True),
+        want.sort_values(cols).reset_index(drop=True), check_dtype=False)
+
+    empty = ray.data.from_pandas(df.iloc[:0])
+    assert keyed_apply(empty, keys, kernel, **sizing).take_all() == []
