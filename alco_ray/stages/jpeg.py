@@ -49,7 +49,8 @@ import struct
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
+
+from .multimodal import RGB_MEANS, MediaParser, rgb_means_row
 
 # ----------------------------------------------------------- constants
 
@@ -267,7 +268,7 @@ def encode_baseline_jpeg(rgb: np.ndarray) -> bytes:
 
 class _BitReader:
     """MSB-first reader over the entropy-coded segment with 0xFF00
-    unstuffing; raises IndexError past the end (caught as poison)."""
+    unstuffing; raises IndexError past the end (a dead-letter row)."""
 
     def __init__(self, data: bytes):
         self.d = data
@@ -341,9 +342,11 @@ def _extend(bits_val: int, size: int) -> int:
 
 def decode_baseline_jpeg(p: bytes):
     """Decode a baseline JPEG within the module-docstring scope;
-    returns (w, h, (h, w, 3) uint8 RGB) or raises ValueError on any
-    malformation (the caller maps that to a dead-letter row).  Spec:
-    ITU-T T.81 sections B (syntax), C (Huffman), F.2 (decoding)."""
+    returns (w, h, (h, w, 3) uint8 RGB) or raises on any malformation
+    (ValueError for what the parser rejects by name; a truncated or
+    corrupt stream may also surface as IndexError/OverflowError — the
+    stage dead-letters every one).  Spec: ITU-T T.81 sections B
+    (syntax), C (Huffman), F.2 (decoding)."""
     if len(p) < 4 or p[:2] != b"\xFF\xD8":
         raise ValueError("not a JPEG (no SOI)")
     pos = 2
@@ -417,38 +420,35 @@ def _decode_scan(data: bytes, w: int, h: int, comps, tables, qts, huff):
     br = _BitReader(data)
     planes = [np.zeros((h, w), np.uint8) for _ in range(nc)]
     dc_pred = [0] * nc
-    try:
-        for by in range(0, h, 8):
-            for bx in range(0, w, 8):
-                for ci in range(nc):
-                    dct, act = tables[ci]
-                    if (0, dct) not in huff or (1, act) not in huff \
-                            or comps[ci][1] not in qts:
-                        raise ValueError("missing table")
-                    zz = np.zeros(64, np.int64)
-                    s = huff[(0, dct)].decode(br)
-                    dc_pred[ci] += _extend(br.bits(s), s)
-                    zz[0] = dc_pred[ci]
-                    k = 1
-                    while k < 64:
-                        sym = huff[(1, act)].decode(br)
-                        if sym == 0x00:
-                            break
-                        run, size = sym >> 4, sym & 0xF
-                        if size == 0:
-                            if run != 15:
-                                raise ValueError("bad AC symbol")
-                            k += 16
-                            continue
-                        k += run
-                        if k > 63:
-                            raise ValueError("AC coefficient overflow")
-                        zz[k] = _extend(br.bits(size), size)
-                        k += 1
-                    planes[ci][by:by + 8, bx:bx + 8] = \
-                        idct_block(zz, qts[comps[ci][1]])
-    except IndexError:
-        raise ValueError("entropy segment truncated") from None
+    for by in range(0, h, 8):
+        for bx in range(0, w, 8):
+            for ci in range(nc):
+                dct, act = tables[ci]
+                if (0, dct) not in huff or (1, act) not in huff \
+                        or comps[ci][1] not in qts:
+                    raise ValueError("missing table")
+                zz = np.zeros(64, np.int64)
+                s = huff[(0, dct)].decode(br)
+                dc_pred[ci] += _extend(br.bits(s), s)
+                zz[0] = dc_pred[ci]
+                k = 1
+                while k < 64:
+                    sym = huff[(1, act)].decode(br)
+                    if sym == 0x00:
+                        break
+                    run, size = sym >> 4, sym & 0xF
+                    if size == 0:
+                        if run != 15:
+                            raise ValueError("bad AC symbol")
+                        k += 16
+                        continue
+                    k += run
+                    if k > 63:
+                        raise ValueError("AC coefficient overflow")
+                    zz[k] = _extend(br.bits(size), size)
+                    k += 1
+                planes[ci][by:by + 8, bx:bx + 8] = \
+                    idct_block(zz, qts[comps[ci][1]])
     if nc == 1:
         rgb = np.repeat(planes[0][..., None], 3, axis=2)
     else:
@@ -487,39 +487,14 @@ def encode_jpeg_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     })
 
 
-class JpegDecoder:
+class JpegDecoder(MediaParser):
     """Actor-pool REAL baseline-JPEG decode: full marker parse, DHT
     canonical-Huffman reconstruction, bit-unstuffed entropy decode,
     dequant + pinned integer IDCT + pinned YCbCr->RGB, exact integer
     channel means out.  Malformed payloads emit ``decode_ok = false``
     rows (the poison-file dead-letter pattern)."""
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        ok = np.zeros(n, bool)
-        dims = np.zeros((n, 2), np.int64)
-        means = np.zeros((n, 3), np.int64)
-        for i, p in enumerate(batch["payload"].to_pylist()):
-            try:
-                w, h, rgb = decode_baseline_jpeg(p or b"")
-            except ValueError:
-                continue
-            ok[i] = True
-            dims[i] = (w, h)
-            means[i] = rgb.reshape(-1, 3).astype(np.int64).sum(axis=0) \
-                // (w * h)
-        okm = pa.array(ok)
+    schema = RGB_MEANS
 
-        def _masked(vals):
-            return pc.if_else(okm, pa.array(vals, pa.int64()),
-                              pa.scalar(None, pa.int64()))
-
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "decode_ok": okm,
-            "width": _masked(dims[:, 0]),
-            "height": _masked(dims[:, 1]),
-            "mean_r": _masked(means[:, 0]),
-            "mean_g": _masked(means[:, 1]),
-            "mean_b": _masked(means[:, 2]),
-        })
+    def _parse(self, p: bytes):
+        return rgb_means_row(*decode_baseline_jpeg(p))

@@ -1,13 +1,16 @@
 """Multimodal column plumbing — binary payloads through Ray Data.
 
 Images/audio/video ride the pipeline as opaque ``binary`` columns with
-typed metadata.  The Ray-side plumbing here is real and tested: schema,
-small-batch actor-pool stages, deterministic output layout.  The codec
-itself is STUBBED — this container has no image/audio libraries — via
-:class:`FakeImageDecoder`, a deterministic stand-in that derives
-"decoded" metadata purely from the bytes; swap in a real decoder class
-with the same ``__call__`` contract (batch of binary in, metadata/
-feature columns out) to productionize.
+typed metadata.  Every real decoder/parser here (PPM, WAV, PNG, ADPCM,
+MP4, ..., and the baseline JPEG decoder in ``stages/jpeg.py``) is a
+:class:`MediaParser`: it declares a ``schema`` (typed output fields)
+and a per-payload ``_parse`` returning one value per field, and the
+base ``__call__`` is the one row loop.  Dead-letter policy: a null
+payload, a ``None`` from ``_parse``, any exception ``_parse`` raises,
+or an integer that does not fit its int64 column turns that row into
+``decode_ok = false`` with every field null; a poison payload never
+fails the task or changes its neighbours.  The ``Fake*`` classes are
+deterministic stand-ins with their own contract (no ``decode_ok``).
 
 Scale notes: binary payloads are large, so these stages use an explicit
 small ``batch_size`` (payload x batch_size x concurrency must fit the
@@ -16,6 +19,11 @@ dtype copies); everything stays ``batch_format="pyarrow"``.
 """
 
 from __future__ import annotations
+
+import logging
+import re
+import struct
+import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -182,12 +190,82 @@ def extract_features(ds, extractor_cls=FakeFeatureExtractor, *,
                           batch_size=batch_size, concurrency=concurrency)
 
 
+# ------------------------------------------------------ parser skeleton
+
+_log = logging.getLogger(__name__)
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _int64s(*names: str) -> pa.Schema:
+    return pa.schema([(n, pa.int64()) for n in names])
+
+
+RGB_MEANS = _int64s("width", "height", "mean_r", "mean_g", "mean_b")
+PCM_STATS = _int64s("sample_rate", "n_samples", "duration_us", "peak",
+                    "mean_amp")
+
+
+class MediaParser:
+    """Actor-pool decode stage: binary ``payload`` in; ``doc_id``,
+    ``decode_ok`` and one typed column per ``schema`` field out.
+
+    Subclasses declare ``schema`` and ``_parse(payload)``, which gets
+    non-null bytes and returns one value per ``schema`` field, or
+    ``None`` to reject the payload.  ``__call__`` owns the dead-letter
+    policy (module docstring): rejection, any exception from
+    ``_parse`` and int64 overflow are all per-row ``decode_ok =
+    false``, so ``_parse`` never needs a ``try`` of its own."""
+
+    schema: pa.Schema
+
+    def _parse(self, payload: bytes) -> tuple | None:
+        raise NotImplementedError
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        rows = []
+        for p in batch["payload"].to_pylist():
+            try:
+                row = None if p is None else self._parse(p)
+            except Exception:
+                _log.debug("%s: payload dead-lettered",
+                           type(self).__name__, exc_info=True)
+                row = None
+            if row is not None and any(
+                    isinstance(v, int) and not _INT64_MIN <= v <= _INT64_MAX
+                    for v in row):
+                row = None
+            rows.append(row)
+        cols = {"doc_id": batch["doc_id"],
+                "decode_ok": pa.array([r is not None for r in rows],
+                                      pa.bool_())}
+        for k, field in enumerate(self.schema):
+            cols[field.name] = pa.array(
+                [None if r is None else r[k] for r in rows], field.type)
+        return pa.table(cols)
+
+
+def rgb_means_row(w: int, h: int, px: np.ndarray) -> tuple:
+    """``RGB_MEANS`` row: dims + exact floor per-channel means."""
+    sums = px.reshape(-1, 3).sum(axis=0, dtype=np.int64)
+    return (w, h, *(sums // (w * h)).tolist())
+
+
+def _pcm_stats(rate: int, s: np.ndarray):
+    """``PCM_STATS`` row: rate, sample count, floor-us duration, peak
+    |amplitude|, floor mean amplitude; ``None`` for an empty stream."""
+    if len(s) == 0:
+        return None
+    s = s.astype(np.int64)
+    return (rate, len(s), len(s) * 1_000_000 // rate,
+            int(np.abs(s).max()), int(s.sum()) // len(s))
+
+
 # ------------------------------------------------------------- real PPM
 # P6 "raw PPM" is header + raw RGB bytes: parsing it IS decoding, no
 # codec library required — so this path is a REAL image pipeline (byte
-# layout, header validation, pixel math), not a stub.  Compressed
-# formats (JPEG/PNG) still go through the Fake* stand-ins above until a
-# codec ships in the runtime image.
+# layout, header validation, pixel math), not a stub.  PNG (below) and
+# baseline JPEG (stages/jpeg.py) are the real compressed-image
+# decoders; all of them are MediaParser subclasses.
 
 def encode_ppm_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     """Fixture adapter: deterministic REAL binary-PPM payloads derived
@@ -212,102 +290,54 @@ def encode_ppm_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     })
 
 
-class PpmDecoder:
+_PPM_HEADER = re.compile(rb"\AP6\s+(\d+)\s+(\d+)\s+(\d+)\s")
+
+
+def _ppm_pixels(p: bytes):
+    """Validate a P6 payload (magic, maxval 255, exact body length);
+    (w, h, (h, w, 3) uint8 pixels) or ``None``."""
+    m = _PPM_HEADER.match(p)
+    if not m:
+        return None
+    w, h, maxval = (int(m.group(j)) for j in (1, 2, 3))
+    body = p[m.end():]
+    if maxval != 255 or len(body) != w * h * 3 or w * h == 0:
+        return None
+    return w, h, np.frombuffer(body, np.uint8).reshape(h, w, 3)
+
+
+class PpmDecoder(MediaParser):
     """Actor-pool REAL image decode (P6): validate magic + maxval,
     parse dims from the header, reshape the raw bytes to (h, w, 3),
-    emit exact integer per-channel means (sum // n).  The per-payload
-    loop is the normal decode-stage shape (PIL is per-image too); each
-    image's pixel math is numpy-vectorized.  Malformed payloads emit a
-    ``decode_ok = false`` row with null stats — the dead-letter
-    pattern, a poison image must not kill the wave."""
+    emit exact integer per-channel means (sum // n).  Decoding one
+    payload at a time is the normal decode-stage shape (PIL is
+    per-image too); each image's pixel math is numpy-vectorized."""
 
-    def __init__(self):
-        import re
+    schema = RGB_MEANS
 
-        # compiled once per actor — the "codec init"
-        self.header = re.compile(rb"\AP6\s+(\d+)\s+(\d+)\s+(\d+)\s")
+    def _parse(self, p: bytes):
+        d = _ppm_pixels(p)
+        return None if d is None else rgb_means_row(*d)
 
-    def _decode(self, p: bytes):
-        m = self.header.match(p or b"")
-        if not m:
+
+class PpmResizer(MediaParser):
+    """Actor-pool REAL 2x box downsample: decode (the PpmDecoder
+    header check), average each 2x2 block exactly (integer sum // 4),
+    emit the resized dims and the resized image's exact integer channel
+    means.  Requires even input dims (the fixture guarantees them); odd
+    dims emit ``decode_ok = false`` like malformed payloads."""
+
+    schema = RGB_MEANS
+
+    def _parse(self, p: bytes):
+        d = _ppm_pixels(p)
+        if d is None or d[0] % 2 or d[1] % 2:
             return None
-        w, h, maxval = (int(m.group(j)) for j in (1, 2, 3))
-        body = p[m.end():]
-        if maxval != 255 or len(body) != w * h * 3 or w * h == 0:
-            return None
-        return w, h, np.frombuffer(body, np.uint8).reshape(h, w, 3)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        ok = np.zeros(n, bool)
-        dims = np.zeros((n, 2), np.int64)
-        means = np.zeros((n, 3), np.int64)
-        for i, p in enumerate(batch["payload"].to_pylist()):
-            d = self._decode(p)
-            if d is None:
-                continue
-            w, h, px = d
-            ok[i] = True
-            dims[i] = (w, h)
-            means[i] = px.reshape(-1, 3).sum(axis=0,
-                                             dtype=np.int64) // (w * h)
-        okm = pa.array(ok)
-        def _masked(vals):
-            return pc.if_else(okm, pa.array(vals, pa.int64()),
-                              pa.scalar(None, pa.int64()))
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "decode_ok": okm,
-            "width": _masked(dims[:, 0]),
-            "height": _masked(dims[:, 1]),
-            "mean_r": _masked(means[:, 0]),
-            "mean_g": _masked(means[:, 1]),
-            "mean_b": _masked(means[:, 2]),
-        })
-
-
-class PpmResizer:
-    """Actor-pool REAL 2x box downsample: decode (PpmDecoder's parser),
-    average each 2x2 block exactly (integer sum // 4), emit the resized
-    dims and the resized image's exact integer channel means.  Requires
-    even input dims (the fixture guarantees them); odd dims emit
-    ``decode_ok = false`` like malformed payloads."""
-
-    def __init__(self):
-        self._dec = PpmDecoder()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        ok = np.zeros(n, bool)
-        dims = np.zeros((n, 2), np.int64)
-        means = np.zeros((n, 3), np.int64)
-        for i, p in enumerate(batch["payload"].to_pylist()):
-            d = self._dec._decode(p)
-            if d is None:
-                continue
-            w, h, px = d
-            if w % 2 or h % 2:
-                continue
-            small = (px.astype(np.int64)
-                     .reshape(h // 2, 2, w // 2, 2, 3)
-                     .sum(axis=(1, 3)) // 4)
-            ok[i] = True
-            dims[i] = (w // 2, h // 2)
-            means[i] = small.reshape(-1, 3).sum(axis=0) \
-                // (dims[i, 0] * dims[i, 1])
-        okm = pa.array(ok)
-        def _masked(vals):
-            return pc.if_else(okm, pa.array(vals, pa.int64()),
-                              pa.scalar(None, pa.int64()))
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "decode_ok": okm,
-            "width": _masked(dims[:, 0]),
-            "height": _masked(dims[:, 1]),
-            "mean_r": _masked(means[:, 0]),
-            "mean_g": _masked(means[:, 1]),
-            "mean_b": _masked(means[:, 2]),
-        })
+        w, h, px = d
+        small = (px.astype(np.int64)
+                 .reshape(h // 2, 2, w // 2, 2, 3)
+                 .sum(axis=(1, 3)) // 4)
+        return rgb_means_row(w // 2, h // 2, small)
 
 
 # ------------------------------------------------------------- real WAV
@@ -321,8 +351,6 @@ def encode_wav_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     n_samples = (id % 50 + 1) * 100, every sample the constant
     id % 1000 - 500 — closed forms for the oracle, real RIFF bytes for
     the engine."""
-    import struct
-
     ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
     payloads = []
     for i in ids:
@@ -341,19 +369,18 @@ def encode_wav_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     })
 
 
-class WavDecoder:
+class WavDecoder(MediaParser):
     """Actor-pool REAL audio decode (RIFF/WAVE PCM): validate the RIFF
     container, walk the chunk list to ``fmt `` and ``data``, reject
     non-PCM / non-mono-16-bit streams, view the data chunk as int16
     samples, and emit exact integer stats — sample rate, sample count,
     floor-microsecond duration, peak |amplitude| and floor mean
-    amplitude.  Malformed payloads emit ``decode_ok = false`` rows
-    (the poison-file dead-letter pattern)."""
+    amplitude."""
 
-    def _decode(self, p: bytes):
-        import struct
+    schema = PCM_STATS
 
-        if not p or len(p) < 12 or p[:4] != b"RIFF" or p[8:12] != b"WAVE":
+    def _parse(self, p: bytes):
+        if len(p) < 12 or p[:4] != b"RIFF" or p[8:12] != b"WAVE":
             return None
         pos, fmt, data = 12, None, None
         while pos + 8 <= len(p):
@@ -373,37 +400,7 @@ class WavDecoder:
             "<HHIIHH", fmt[:16])
         if audio_fmt != 1 or channels != 1 or bits != 16 or len(data) % 2:
             return None
-        return rate, np.frombuffer(data, dtype="<i2")
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        ok = np.zeros(n, bool)
-        stats = np.zeros((n, 5), np.int64)
-        for i, p in enumerate(batch["payload"].to_pylist()):
-            d = self._decode(p)
-            if d is None or len(d[1]) == 0:
-                continue
-            rate, s = d
-            ok[i] = True
-            s64 = s.astype(np.int64)
-            stats[i] = (rate, len(s), len(s) * 1_000_000 // rate,
-                        int(np.abs(s64).max()),
-                        int(s64.sum()) // len(s))
-        okm = pa.array(ok)
-
-        def _masked(col):
-            return pc.if_else(okm, pa.array(stats[:, col], pa.int64()),
-                              pa.scalar(None, pa.int64()))
-
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "decode_ok": okm,
-            "sample_rate": _masked(0),
-            "n_samples": _masked(1),
-            "duration_us": _masked(2),
-            "peak": _masked(3),
-            "mean_amp": _masked(4),
-        })
+        return _pcm_stats(rate, np.frombuffer(data, dtype="<i2"))
 
 
 # ------------------------------------------------------------- real PNG
@@ -420,9 +417,6 @@ class WavDecoder:
 # library this container doesn't ship.)
 
 def _png_chunk(ctype: bytes, data: bytes) -> bytes:
-    import struct
-    import zlib
-
     return (struct.pack(">I", len(data)) + ctype + data
             + struct.pack(">I", zlib.crc32(ctype + data) & 0xFFFFFFFF))
 
@@ -464,9 +458,6 @@ def encode_png_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     (id + row) % 5, so every fixture batch exercises ALL FIVE spec
     filters through the decoder's reconstruction math, and the IDAT
     stream is genuinely zlib-compressed."""
-    import zlib
-    import struct
-
     ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
     payloads = []
     for i in ids:
@@ -496,7 +487,7 @@ def encode_png_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     })
 
 
-class PngDecoder:
+class PngDecoder(MediaParser):
     """Actor-pool REAL compressed-image decode: verify the PNG
     signature, walk chunks verifying each CRC32, validate IHDR
     (8-bit RGB, no interlace), inflate the concatenated IDAT stream
@@ -509,14 +500,13 @@ class PngDecoder:
     unsupported color mode, short stream) emit ``decode_ok = false``
     rows — the poison-file dead-letter pattern."""
 
+    schema = RGB_MEANS
+
     #: IHDR the decoder supports: bit depth 8, color type 2 (RGB),
     #: compression 0, filter method 0, interlace 0
     _IHDR_TAIL = (8, 2, 0, 0, 0)
 
     def _chunks(self, p: bytes):
-        import struct
-        import zlib
-
         pos, out = len(_PNG_SIG), []
         while pos + 12 <= len(p):
             (size,) = struct.unpack(">I", p[pos:pos + 4])
@@ -573,10 +563,7 @@ class PngDecoder:
         return out.reshape(h, w, bpp)
 
     def _decode(self, p: bytes):
-        import struct
-        import zlib
-
-        if not p or not p.startswith(_PNG_SIG):
+        if not p.startswith(_PNG_SIG):
             return None
         chunks = self._chunks(p)
         if not chunks or chunks[0][0] != b"IHDR" \
@@ -586,42 +573,12 @@ class PngDecoder:
         if tuple(tail) != self._IHDR_TAIL or w * h == 0:
             return None
         idat = b"".join(d for t, d in chunks if t == b"IDAT")
-        try:
-            stream = zlib.decompress(idat)
-        except zlib.error:
-            return None
-        px = self._defilter(stream, w, h)
+        px = self._defilter(zlib.decompress(idat), w, h)
         return None if px is None else (w, h, px)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        ok = np.zeros(n, bool)
-        dims = np.zeros((n, 2), np.int64)
-        means = np.zeros((n, 3), np.int64)
-        for i, p in enumerate(batch["payload"].to_pylist()):
-            d = self._decode(p)
-            if d is None:
-                continue
-            w, h, px = d
-            ok[i] = True
-            dims[i] = (w, h)
-            means[i] = px.reshape(-1, 3).astype(np.int64).sum(axis=0) \
-                // (w * h)
-        okm = pa.array(ok)
-
-        def _masked(vals):
-            return pc.if_else(okm, pa.array(vals, pa.int64()),
-                              pa.scalar(None, pa.int64()))
-
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "decode_ok": okm,
-            "width": _masked(dims[:, 0]),
-            "height": _masked(dims[:, 1]),
-            "mean_r": _masked(means[:, 0]),
-            "mean_g": _masked(means[:, 1]),
-            "mean_b": _masked(means[:, 2]),
-        })
+    def _parse(self, p: bytes):
+        d = self._decode(p)
+        return None if d is None else rgb_means_row(*d)
 
 
 # ------------------------------------------------------- real IMA ADPCM
@@ -673,8 +630,6 @@ def _ima_encode_block(samples: np.ndarray, index: int):
     nibbles, predictor tracked through the reconstruction above.
     Returns (block_bytes, exit_index) so the caller can seed the next
     block's header with the evolved step index."""
-    import struct
-
     pred = int(samples[0])
     out = bytearray(struct.pack("<hBB", pred, index, 0))
     nibs = []
@@ -719,8 +674,6 @@ def encode_adpcm_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     INDEPENDENT naive reference decoder, so the oracle checks the
     stage decoder against a second implementation of the spec, not
     against itself."""
-    import struct
-
     ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
     payloads = []
     for i in ids:
@@ -749,7 +702,7 @@ def encode_adpcm_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     })
 
 
-class AdpcmWavDecoder:
+class AdpcmWavDecoder(MediaParser):
     """Actor-pool REAL compressed-audio decode: walk the RIFF chunks,
     validate fmt tag 0x11 / mono / 4-bit, then run the IMA state
     machine over every block (predictor re-seeded per block header,
@@ -760,10 +713,10 @@ class AdpcmWavDecoder:
     (bad container, unsupported format, step index > 88, short data)
     emit ``decode_ok = false`` rows."""
 
-    def _decode(self, p: bytes):
-        import struct
+    schema = PCM_STATS
 
-        if not p or len(p) < 12 or p[:4] != b"RIFF" or p[8:12] != b"WAVE":
+    def _decode(self, p: bytes):
+        if len(p) < 12 or p[:4] != b"RIFF" or p[8:12] != b"WAVE":
             return None
         pos, fmt, data, fact = 12, None, None, None
         while pos + 8 <= len(p):
@@ -810,33 +763,9 @@ class AdpcmWavDecoder:
                     w += 1
         return rate, out[:w]
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        ok = np.zeros(n, bool)
-        stats = np.zeros((n, 5), np.int64)
-        for i, p in enumerate(batch["payload"].to_pylist()):
-            d = self._decode(p)
-            if d is None or len(d[1]) == 0:
-                continue
-            rate, s = d
-            ok[i] = True
-            stats[i] = (rate, len(s), len(s) * 1_000_000 // rate,
-                        int(np.abs(s).max()), int(s.sum()) // len(s))
-        okm = pa.array(ok)
-
-        def _masked(col):
-            return pc.if_else(okm, pa.array(stats[:, col], pa.int64()),
-                              pa.scalar(None, pa.int64()))
-
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "decode_ok": okm,
-            "sample_rate": _masked(0),
-            "n_samples": _masked(1),
-            "duration_us": _masked(2),
-            "peak": _masked(3),
-            "mean_amp": _masked(4),
-        })
+    def _parse(self, p: bytes):
+        d = self._decode(p)
+        return None if d is None else _pcm_stats(*d)
 
 
 # ------------------------------------------------------ real MP4 (ISO BMFF)
@@ -853,8 +782,6 @@ _MP4_CONTAINERS = frozenset(
 
 
 def _mp4_box(btype: bytes, payload: bytes, largesize: bool = False) -> bytes:
-    import struct
-
     if largesize:
         return (struct.pack(">I", 1) + btype
                 + struct.pack(">Q", len(payload) + 16) + payload)
@@ -874,8 +801,6 @@ def encode_mp4_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     rotation: mvhd version = id%2 (32- vs 64-bit times) and ids
     divisible by 5 write mdat with a 64-bit largesize header, so the
     parser's every branch sees real data at every scale."""
-    import struct
-
     ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
     payloads = []
     for i in ids:
@@ -932,7 +857,7 @@ def encode_mp4_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     })
 
 
-class Mp4MetaParser:
+class Mp4MetaParser(MediaParser):
     """Actor-pool REAL MP4/ISO-BMFF container parse (ISO/IEC 14496-12
     box walk): recursive descent over {moov, trak, mdia, minf, stbl},
     32-bit sizes plus the size==1 largesize and size==0 to-end forms,
@@ -942,6 +867,10 @@ class Mp4MetaParser:
     Malformed containers (truncated box, size underrun, missing ftyp
     or mvhd) emit ``decode_ok = false`` — the poison-file dead-letter
     pattern shared by every decoder in this module."""
+
+    schema = pa.schema([("brand", pa.string()), ("n_tracks", pa.int64()),
+                        ("duration_us", pa.int64()), ("codecs", pa.string()),
+                        ("mdat_bytes", pa.int64())])
 
     def _walk(self, p: bytes, start: int, end: int, out: dict) -> bool:
         pos = start
@@ -999,7 +928,7 @@ class Mp4MetaParser:
             pos += size
         return pos == end
 
-    def _decode(self, p: bytes):
+    def _parse(self, p: bytes):
         out = {"brand": None, "timescale": 0, "duration": 0,
                "n_tracks": 0, "codecs": [], "mdat_bytes": 0}
         if len(p) < 8 or p[4:8] != b"ftyp":
@@ -1011,37 +940,6 @@ class Mp4MetaParser:
         return (out["brand"], out["n_tracks"],
                 out["duration"] * 1_000_000 // out["timescale"],
                 ",".join(out["codecs"]), out["mdat_bytes"])
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["payload"]
-        n = batch.num_rows
-        ok = np.zeros(n, bool)
-        brands: list = [None] * n
-        codecs: list = [None] * n
-        ints = np.zeros((n, 3), np.int64)
-        for i in range(n):
-            v = payloads[i].as_py()
-            d = self._decode(v) if v is not None else None
-            if d is None:
-                continue
-            ok[i] = True
-            brands[i], codecs[i] = d[0], d[3]
-            ints[i] = (d[1], d[2], d[4])
-        okm = pa.array(ok)
-
-        def _masked(col):
-            return pc.if_else(okm, pa.array(ints[:, col], pa.int64()),
-                              pa.scalar(None, pa.int64()))
-
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "decode_ok": okm,
-            "brand": pa.array(brands, pa.string()),
-            "n_tracks": _masked(0),
-            "duration_us": _masked(1),
-            "codecs": pa.array(codecs, pa.string()),
-            "mdat_bytes": _masked(2),
-        })
 
 
 # --------------------------------------------------- real MP3 (frame headers)
@@ -1099,7 +997,7 @@ def encode_mp3_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     })
 
 
-class Mp3MetaParser:
+class Mp3MetaParser(MediaParser):
     """Actor-pool REAL MP3 frame-header walk (ISO/IEC 11172-3): verify
     the 11-bit sync, decode version/layer/bitrate/rate/padding bit
     fields, hop frame to frame by the header-implied length, and emit
@@ -1112,7 +1010,10 @@ class Mp3MetaParser:
     ``decode_ok = false``.  The Huffman-coded payload is never
     touched — that part stays a declared stub."""
 
-    def _decode(self, p: bytes):
+    schema = _int64s("n_frames", "sample_rate", "duration_us",
+                     "mean_bitrate_kbps")
+
+    def _parse(self, p: bytes):
         pos, n_frames, rate, br_sum = 0, 0, None, 0
         while pos < len(p):
             if pos + 4 > len(p):
@@ -1142,33 +1043,6 @@ class Mp3MetaParser:
                 n_frames * 1152 * 1_000_000 // rate,
                 br_sum // n_frames)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["payload"]
-        n = batch.num_rows
-        ok = np.zeros(n, bool)
-        ints = np.zeros((n, 4), np.int64)
-        for i in range(n):
-            v = payloads[i].as_py()
-            d = self._decode(v) if v else None
-            if d is None:
-                continue
-            ok[i] = True
-            ints[i] = d
-        okm = pa.array(ok)
-
-        def _masked(col):
-            return pc.if_else(okm, pa.array(ints[:, col], pa.int64()),
-                              pa.scalar(None, pa.int64()))
-
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "decode_ok": okm,
-            "n_frames": _masked(0),
-            "sample_rate": _masked(1),
-            "duration_us": _masked(2),
-            "mean_bitrate_kbps": _masked(3),
-        })
-
 
 # ------------------------------------------------------ real GIF (container)
 # Same policy as MP4/MP3: what a multimodal sweep needs FIRST from
@@ -1191,8 +1065,6 @@ def encode_gif_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     sees real data at every scale.  Data sub-blocks are length-valid
     chains of deterministic filler bytes (the LZW payload is the
     declared stub, exactly like mdat in the MP4 fixture)."""
-    import struct
-
     ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
     payloads = []
     for i in ids:
@@ -1242,7 +1114,7 @@ def encode_gif_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     })
 
 
-class GifMetaParser:
+class GifMetaParser(MediaParser):
     """Actor-pool REAL GIF89a container parse: header + Logical
     Screen Descriptor bit fields, global/local color-table walks,
     extension dispatch (Graphic Control delays summed, NETSCAPE2.0
@@ -1253,6 +1125,9 @@ class GifMetaParser:
     stub, like MP4's mdat).  Malformed streams (bad magic, truncated
     block, missing trailer, bytes after the trailer) dead-letter with
     ``decode_ok = false``."""
+
+    schema = _int64s("width", "height", "n_frames", "total_delay_cs",
+                     "gct_colors", "loops")
 
     def _subblocks(self, p: bytes, pos: int):
         while True:
@@ -1265,7 +1140,7 @@ class GifMetaParser:
             if pos > len(p):
                 return None
 
-    def _decode(self, p: bytes):
+    def _parse(self, p: bytes):
         if len(p) < 13 or p[:6] not in (b"GIF89a", b"GIF87a"):
             return None
         w = int.from_bytes(p[6:8], "little")
@@ -1330,35 +1205,6 @@ class GifMetaParser:
             return None
         return (w, h, n_frames, total_delay, gct_colors, loops)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["payload"]
-        n = batch.num_rows
-        ok = np.zeros(n, bool)
-        ints = np.zeros((n, 6), np.int64)
-        for i in range(n):
-            v = payloads[i].as_py()
-            d = self._decode(v) if v else None
-            if d is None:
-                continue
-            ok[i] = True
-            ints[i] = d
-        okm = pa.array(ok)
-
-        def _masked(col):
-            return pc.if_else(okm, pa.array(ints[:, col], pa.int64()),
-                              pa.scalar(None, pa.int64()))
-
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "decode_ok": okm,
-            "width": _masked(0),
-            "height": _masked(1),
-            "n_frames": _masked(2),
-            "total_delay_cs": _masked(3),
-            "gct_colors": _masked(4),
-            "loops": _masked(5),
-        })
-
 
 # ------------------------------------------------------- real BMP (decode)
 # Like PPM, an uncompressed 24-bit BMP is header + raw pixels — so
@@ -1377,8 +1223,6 @@ def encode_bmp_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     biHeight — the other real DIB branch), everything else
     bottom-up; width alternates 3*w % 4 in {0, 2} so the row-padding
     branch sees both forms."""
-    import struct
-
     ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
     payloads = []
     for i in ids:
@@ -1409,7 +1253,7 @@ def encode_bmp_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     })
 
 
-class BmpDecoder:
+class BmpDecoder(MediaParser):
     """Actor-pool REAL uncompressed 24-bit BMP decode: file + info
     header validation (magic, header size 40, planes, bpp 24,
     BI_RGB), 4-byte row-stride arithmetic, bottom-up (positive
@@ -1419,9 +1263,10 @@ class BmpDecoder:
     stride matrix; malformed payloads dead-letter with
     ``decode_ok = false``."""
 
-    def _decode(self, p: bytes):
-        import struct
+    schema = _int64s("width", "height", "mean_r", "mean_g", "mean_b",
+                     "top_r", "top_g", "top_b")
 
+    def _parse(self, p: bytes):
         if len(p) < 54 or p[:2] != b"BM":
             return None
         off = struct.unpack_from("<I", p, 10)[0]
@@ -1446,37 +1291,6 @@ class BmpDecoder:
                 int(sums[0]) // n, int(px[0, 0, 2]),
                 int(px[0, 0, 1]), int(px[0, 0, 0]))
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["payload"]
-        n = batch.num_rows
-        ok = np.zeros(n, bool)
-        ints = np.zeros((n, 8), np.int64)
-        for i in range(n):
-            v = payloads[i].as_py()
-            d = self._decode(v) if v else None
-            if d is None:
-                continue
-            ok[i] = True
-            ints[i] = d
-        okm = pa.array(ok)
-
-        def _masked(col):
-            return pc.if_else(okm, pa.array(ints[:, col], pa.int64()),
-                              pa.scalar(None, pa.int64()))
-
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "decode_ok": okm,
-            "width": _masked(0),
-            "height": _masked(1),
-            "mean_r": _masked(2),
-            "mean_g": _masked(3),
-            "mean_b": _masked(4),
-            "top_r": _masked(5),
-            "top_g": _masked(6),
-            "top_b": _masked(7),
-        })
-
 
 # ------------------------------------------------------ real TIFF (IFD walk)
 # TIFF metadata is a linked list of Image File Directories — tag /
@@ -1492,8 +1306,6 @@ def encode_tiff_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     inline-value rule), bits_per_sample = 8 or 16 by id%2,
     compression = 1, and id%3+1 chained IFDs (multi-page).  Byte
     order rotates: even ids 'II', odd ids 'MM'."""
-    import struct
-
     ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
     payloads = []
     for i in ids:
@@ -1535,7 +1347,7 @@ def encode_tiff_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     })
 
 
-class TiffMetaParser:
+class TiffMetaParser(MediaParser):
     """Actor-pool REAL TIFF IFD walk (TIFF 6.0): byte-order mark +
     magic 42, then the chained Image File Directories — 12-byte
     tag/type/count/value entries with SHORT values read from the
@@ -1545,9 +1357,10 @@ class TiffMetaParser:
     Malformed files (bad magic, truncated IFD, IFD-offset loop)
     dead-letter with ``decode_ok = false``."""
 
-    def _decode(self, p: bytes):
-        import struct
+    schema = pa.schema([("byte_order", pa.string()), *_int64s(
+        "width", "height", "bits_per_sample", "compression", "n_pages")])
 
+    def _parse(self, p: bytes):
         if len(p) < 8 or p[:2] not in (b"II", b"MM"):
             return None
         e = "<" if p[:2] == b"II" else ">"
@@ -1585,37 +1398,6 @@ class TiffMetaParser:
             return None
         return (p[:2].decode("ascii"),) + first + (pages,)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["payload"]
-        n = batch.num_rows
-        ok = np.zeros(n, bool)
-        orders: list = [None] * n
-        ints = np.zeros((n, 5), np.int64)
-        for i in range(n):
-            v = payloads[i].as_py()
-            d = self._decode(v) if v else None
-            if d is None:
-                continue
-            ok[i] = True
-            orders[i] = d[0]
-            ints[i] = d[1:]
-        okm = pa.array(ok)
-
-        def _masked(col):
-            return pc.if_else(okm, pa.array(ints[:, col], pa.int64()),
-                              pa.scalar(None, pa.int64()))
-
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "decode_ok": okm,
-            "byte_order": pa.array(orders, pa.string()),
-            "width": _masked(0),
-            "height": _masked(1),
-            "bits_per_sample": _masked(2),
-            "compression": _masked(3),
-            "n_pages": _masked(4),
-        })
-
 
 # ------------------------------------------------------ real ZIP (directory)
 # Document pipelines ingest ARCHIVES long before they decode media:
@@ -1632,9 +1414,6 @@ def encode_zip_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     (id+j)%50+1 filler bytes STORED (method 0, real CRC32), names
     'm00'.., and an EOCD comment of id%7 bytes so the tail scan-back
     is exercised at every length."""
-    import struct
-    import zlib
-
     ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
     payloads = []
     for i in ids:
@@ -1670,7 +1449,7 @@ def encode_zip_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     })
 
 
-class ZipMetaParser:
+class ZipMetaParser(MediaParser):
     """Actor-pool REAL ZIP central-directory parse (PKWARE APPNOTE
     4.3): EOCD located by scanning back from the tail through the
     variable-length comment, then the central directory walked entry
@@ -1680,9 +1459,10 @@ class ZipMetaParser:
     count mismatch, bad entry signature, truncated directory)
     dead-letter with ``decode_ok = false``."""
 
-    def _decode(self, p: bytes):
-        import struct
+    schema = _int64s("n_members", "total_uncompressed", "total_compressed",
+                     "n_stored", "names_bytes", "comment_len")
 
+    def _parse(self, p: bytes):
         lo = max(0, len(p) - 65557)
         at = p.rfind(b"PK\x05\x06", lo)
         if at < 0 or at + 22 > len(p):
@@ -1709,35 +1489,6 @@ class ZipMetaParser:
             return None
         return (n_total, tot_u, tot_c, stored, names, clen)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["payload"]
-        n = batch.num_rows
-        ok = np.zeros(n, bool)
-        ints = np.zeros((n, 6), np.int64)
-        for i in range(n):
-            v = payloads[i].as_py()
-            d = self._decode(v) if v else None
-            if d is None:
-                continue
-            ok[i] = True
-            ints[i] = d
-        okm = pa.array(ok)
-
-        def _masked(col):
-            return pc.if_else(okm, pa.array(ints[:, col], pa.int64()),
-                              pa.scalar(None, pa.int64()))
-
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "decode_ok": okm,
-            "n_members": _masked(0),
-            "total_uncompressed": _masked(1),
-            "total_compressed": _masked(2),
-            "n_stored": _masked(3),
-            "names_bytes": _masked(4),
-            "comment_len": _masked(5),
-        })
-
 
 # ------------------------------------------------------ real FLAC (headers)
 # FLAC's STREAMINFO packs sample rate (20 bits), channels (3) and
@@ -1753,8 +1504,6 @@ def encode_flac_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     (id%50+1)*1000 + id%7 (exercising low bits of the 36-bit field).
     Block rotation: ids%2 == 0 append PADDING, ids%5 == 0 append a
     VORBIS_COMMENT-typed block, so the last-block flag moves."""
-    import struct
-
     rates = (32000, 44100, 48000)
     ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
     payloads = []
@@ -1786,7 +1535,7 @@ def encode_flac_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     })
 
 
-class FlacMetaParser:
+class FlacMetaParser(MediaParser):
     """Actor-pool REAL FLAC metadata parse: 'fLaC' magic, the
     METADATA_BLOCK chain (1-bit last flag + 7-bit type + 24-bit
     length), STREAMINFO required FIRST per spec, and the 64-bit
@@ -1796,7 +1545,10 @@ class FlacMetaParser:
     Malformed streams (bad magic, STREAMINFO not first or wrong
     size, truncated block, zero rate) dead-letter."""
 
-    def _decode(self, p: bytes):
+    schema = _int64s("sample_rate", "channels", "bits_per_sample",
+                     "total_samples", "duration_us", "n_blocks")
+
+    def _parse(self, p: bytes):
         if len(p) < 8 or p[:4] != b"fLaC":
             return None
         pos = 4
@@ -1832,35 +1584,6 @@ class FlacMetaParser:
                 break
         return info + (n_blocks,)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["payload"]
-        n = batch.num_rows
-        ok = np.zeros(n, bool)
-        ints = np.zeros((n, 6), np.int64)
-        for i in range(n):
-            v = payloads[i].as_py()
-            d = self._decode(v) if v else None
-            if d is None:
-                continue
-            ok[i] = True
-            ints[i] = d
-        okm = pa.array(ok)
-
-        def _masked(col):
-            return pc.if_else(okm, pa.array(ints[:, col], pa.int64()),
-                              pa.scalar(None, pa.int64()))
-
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "decode_ok": okm,
-            "sample_rate": _masked(0),
-            "channels": _masked(1),
-            "bits_per_sample": _masked(2),
-            "total_samples": _masked(3),
-            "duration_us": _masked(4),
-            "n_blocks": _masked(5),
-        })
-
 
 # ------------------------------------------------------------ real WebP
 # WebP is a RIFF container (like WAV) whose three chunk variants carry
@@ -1877,8 +1600,6 @@ def encode_webp_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     can carry it (VP8 cannot).  VP8X ids nest an ALPH chunk (when the
     alpha flag is set) and a real VP8 frame chunk, so the chunk walk
     sees multi-chunk files at every scale."""
-    import struct
-
     ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
     payloads = []
     for i in ids:
@@ -1930,7 +1651,7 @@ def encode_webp_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     })
 
 
-class WebpMetaParser:
+class WebpMetaParser(MediaParser):
     """Actor-pool REAL WebP container parse: RIFF validation, chunk
     walk with word alignment, then the variant-specific dimension
     decode — VP8 lossy frame header (start-code check, 14-bit w/h),
@@ -1938,10 +1659,11 @@ class WebpMetaParser:
     24-bit minus-one canvas fields + feature flags.  Malformed
     payloads dead-letter as ``decode_ok = false``."""
 
-    def _parse(self, p: bytes):
-        import struct
+    schema = pa.schema([("fmt", pa.string()), *_int64s(
+        "width", "height", "has_alpha", "n_chunks")])
 
-        if not p or len(p) < 12 or p[:4] != b"RIFF" or p[8:12] != b"WEBP":
+    def _parse(self, p: bytes):
+        if len(p) < 12 or p[:4] != b"RIFF" or p[8:12] != b"WEBP":
             return None
         if struct.unpack("<I", p[4:8])[0] != len(p) - 8:
             return None
@@ -1982,24 +1704,6 @@ class WebpMetaParser:
             return "VP8X", w, h, alpha, len(chunks)
         return None
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = [self._parse(p) for p in batch["payload"].to_pylist()]
-        ok = pa.array([r is not None for r in rows])
-
-        def col(k, typ):
-            return pa.array([r[k] if r is not None else None
-                             for r in rows], typ)
-
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "decode_ok": ok,
-            "fmt": col(0, pa.string()),
-            "width": col(1, pa.int64()),
-            "height": col(2, pa.int64()),
-            "has_alpha": col(3, pa.int64()),
-            "n_chunks": col(4, pa.int64()),
-        })
-
 
 # ------------------------------------------------------------- real Ogg
 # Ogg (RFC 3533) is the page-framed transport under Vorbis/Opus/FLAC
@@ -2020,8 +1724,6 @@ _BITREV = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
 def _ogg_crc(data: bytes) -> int:
-    import zlib
-
     raw = zlib.crc32(data.translate(_BITREV), 0xFFFFFFFF) ^ 0xFFFFFFFF
     return int(f"{raw:032b}"[::-1], 2)
 
@@ -2032,8 +1734,6 @@ def encode_ogg_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     payload length = (id*3+p*7)%600+1 (so the 255-lacing split and
     the 0-terminator branch both occur), granule = (id%97+1)*1000+p,
     BOS/EOS flags on the first/last page, REAL page CRCs."""
-    import struct
-
     ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
     payloads = []
     for i in ids:
@@ -2065,16 +1765,17 @@ def encode_ogg_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     })
 
 
-class OggMetaParser:
+class OggMetaParser(MediaParser):
     """Actor-pool REAL Ogg page walk (RFC 3533): capture-pattern and
     version checks, lacing-table packet accounting, granule/serial
     extraction, BOS/EOS flag accounting — and per-page CRC-32
     RE-VERIFICATION against the spec polynomial, so a flipped bit
     anywhere in a page dead-letters the document."""
 
-    def _parse(self, p: bytes):
-        import struct
+    schema = _int64s("n_pages", "n_packets", "serial", "last_granule",
+                     "payload_bytes")
 
+    def _parse(self, p: bytes):
         pos, n_pages, n_packets, total = 0, 0, 0, 0
         serial0, last_granule, saw_bos, saw_eos = None, None, False, False
         while pos < len(p):
@@ -2115,24 +1816,6 @@ class OggMetaParser:
             return None
         return n_pages, n_packets, serial0, last_granule, total
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = [self._parse(p) for p in batch["payload"].to_pylist()]
-        ok = pa.array([r is not None for r in rows])
-
-        def col(k):
-            return pa.array([r[k] if r is not None else None
-                             for r in rows], pa.int64())
-
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "decode_ok": ok,
-            "n_pages": col(0),
-            "n_packets": col(1),
-            "serial": col(2),
-            "last_granule": col(3),
-            "payload_bytes": col(4),
-        })
-
 
 # ------------------------------------------------------------- real ICO
 # ICO is the DIRECTORY-of-images container (favicon.ico): a 6-byte
@@ -2148,8 +1831,6 @@ def encode_ico_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     (id + i*17) % 256 (0 decodes to 256 — the quirk is exercised),
     bpp rotating over {1,4,8,24,32}, payload length (id*5+i*3)%200+8,
     PNG payload when (id+i)%2 else BMP (biSize=40 first)."""
-    import struct
-
     ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
     payloads = []
     for i in ids:
@@ -2180,17 +1861,18 @@ def encode_ico_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     })
 
 
-class IcoMetaParser:
+class IcoMetaParser(MediaParser):
     """Actor-pool REAL ICO parse: ICONDIR validation, entry walk with
     strict offset/size bounds accounting, width-0 = 256 decode, and
     per-image payload SNIFFING (PNG signature vs BITMAPINFOHEADER
     biSize) — an entry pointing outside the file, a bad type field or
     an unrecognizable payload dead-letters the document."""
 
-    def _parse(self, p: bytes):
-        import struct
+    schema = _int64s("n_images", "max_width", "max_bpp", "payload_bytes",
+                     "n_png")
 
-        if not p or len(p) < 6 or p[:4] != b"\x00\x00\x01\x00":
+    def _parse(self, p: bytes):
+        if len(p) < 6 or p[:4] != b"\x00\x00\x01\x00":
             return None
         n = struct.unpack("<H", p[4:6])[0]
         if n == 0 or 6 + 16 * n > len(p):
@@ -2213,24 +1895,6 @@ class IcoMetaParser:
             max_bpp = max(max_bpp, bpp)
             total += size
         return n, max_w, max_bpp, total, n_png
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = [self._parse(p) for p in batch["payload"].to_pylist()]
-        ok = pa.array([r is not None for r in rows])
-
-        def col(k):
-            return pa.array([r[k] if r is not None else None
-                             for r in rows], pa.int64())
-
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "decode_ok": ok,
-            "n_images": col(0),
-            "max_width": col(1),
-            "max_bpp": col(2),
-            "payload_bytes": col(3),
-            "n_png": col(4),
-        })
 
 
 # ------------------------------------------------------------- real SRT
@@ -2273,7 +1937,7 @@ def encode_srt_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     })
 
 
-class SrtMetaParser:
+class SrtMetaParser(MediaParser):
     """Actor-pool REAL SRT parse: cue-block structure (index line,
     ``HH:MM:SS,mmm --> HH:MM:SS,mmm`` range, >= 1 text line),
     millisecond arithmetic, monotone index enforcement, end-before-
@@ -2281,15 +1945,12 @@ class SrtMetaParser:
     including the OVERLAP count (next cue starts before the previous
     ends), the subtitle-QA signal."""
 
-    _TS = None
+    schema = _int64s("n_cues", "total_dur_ms", "n_lines", "n_overlaps")
+
+    _TS = re.compile(r"^(\d{2}):(\d{2}):(\d{2}),(\d{3})$")
 
     def _ms(self, s: str):
-        import re
-
-        if SrtMetaParser._TS is None:
-            SrtMetaParser._TS = re.compile(
-                r"^(\d{2}):(\d{2}):(\d{2}),(\d{3})$")
-        m = SrtMetaParser._TS.match(s)
+        m = self._TS.match(s)
         if not m:
             return None
         h, mi, se, ms = map(int, m.groups())
@@ -2298,11 +1959,7 @@ class SrtMetaParser:
         return ((h * 60 + mi) * 60 + se) * 1000 + ms
 
     def _parse(self, p: bytes):
-        try:
-            text = p.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-        blocks = [b for b in text.split("\n\n") if b.strip()]
+        blocks = [b for b in p.decode("utf-8").split("\n\n") if b.strip()]
         if not blocks:
             return None
         n_cues, total_dur, n_lines, n_overlap = 0, 0, 0, 0
@@ -2331,23 +1988,6 @@ class SrtMetaParser:
             prev_end, prev_start = end, start
         return n_cues, total_dur, n_lines, n_overlap
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = [self._parse(p) for p in batch["payload"].to_pylist()]
-        ok = pa.array([r is not None for r in rows])
-
-        def col(k):
-            return pa.array([r[k] if r is not None else None
-                             for r in rows], pa.int64())
-
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "decode_ok": ok,
-            "n_cues": col(0),
-            "total_dur_ms": col(1),
-            "n_lines": col(2),
-            "n_overlaps": col(3),
-        })
-
 
 # ------------------------------------------------------------- real AVI
 # AVI is the NESTED-list RIFF container (WAV and WebP walk flat chunk
@@ -2360,8 +2000,6 @@ def encode_avi_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     forms — total_frames = id%1000+1, width = (id%64+1)*16, height =
     (id%36+1)*16, n_streams = id%3+1 alternating vids/auds starting
     with vids, movi payload (id*11)%500+4 bytes."""
-    import struct
-
     ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
     payloads = []
     for i in ids:
@@ -2402,19 +2040,20 @@ def encode_avi_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     })
 
 
-class AviMetaParser:
+class AviMetaParser(MediaParser):
     """Actor-pool REAL AVI container parse: recursive RIFF LIST walk
     (hdrl two levels deep, strl three), avih main-header decode,
     per-stream fourcc classification, movi payload accounting.  The
     frame payloads inside movi stay opaque (the mdat doctrine);
     structural damage dead-letters."""
 
+    schema = _int64s("total_frames", "width", "height", "n_video",
+                     "n_audio", "movi_bytes")
+
     def _chunks(self, p: bytes, pos: int, end: int):
         out = []
         while pos + 8 <= end:
             cid = p[pos:pos + 4]
-            import struct
-
             size = struct.unpack("<I", p[pos + 4:pos + 8])[0]
             body_end = pos + 8 + size
             if body_end > end:
@@ -2424,10 +2063,7 @@ class AviMetaParser:
         return out
 
     def _parse(self, p: bytes):
-        import struct
-
-        if not p or len(p) < 12 or p[:4] != b"RIFF" \
-                or p[8:12] != b"AVI ":
+        if len(p) < 12 or p[:4] != b"RIFF" or p[8:12] != b"AVI ":
             return None
         if struct.unpack("<I", p[4:8])[0] != len(p) - 8:
             return None
@@ -2468,25 +2104,6 @@ class AviMetaParser:
                 or n_streams != n_vids + n_auds:
             return None
         return frames, w, h, n_vids, n_auds, movi_bytes
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = [self._parse(p) for p in batch["payload"].to_pylist()]
-        ok = pa.array([r is not None for r in rows])
-
-        def col(k):
-            return pa.array([r[k] if r is not None else None
-                             for r in rows], pa.int64())
-
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "decode_ok": ok,
-            "total_frames": col(0),
-            "width": col(1),
-            "height": col(2),
-            "n_video": col(3),
-            "n_audio": col(4),
-            "movi_bytes": col(5),
-        })
 
 
 # ------------------------------------------------------------- real TAR
@@ -2537,15 +2154,17 @@ def encode_tar_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     })
 
 
-class TarMetaParser:
+class TarMetaParser(MediaParser):
     """Actor-pool REAL ustar walk: octal field decode, per-header
     CHECKSUM re-verification (computed with the checksum field
     blanked to spaces), 512-block payload hop, magic + terminator
     enforcement.  A flipped header byte, a corrupt size field or a
     missing terminator dead-letters the archive."""
 
+    schema = _int64s("n_members", "total_bytes", "max_mtime", "n_blocks")
+
     def _parse(self, p: bytes):
-        if not p or len(p) % 512:
+        if len(p) % 512:
             return None
         n_members, total, max_mtime = 0, 0, None
         pos = 0
@@ -2563,12 +2182,9 @@ class TarMetaParser:
                 return n_members, total, max_mtime, len(p) // 512
             if hdr[257:263] != b"ustar\x00":
                 return None
-            try:
-                size = int(hdr[124:135].decode(), 8)
-                mtime = int(hdr[136:147].decode(), 8)
-                stored = int(hdr[148:154].decode(), 8)
-            except ValueError:
-                return None
+            size = int(hdr[124:135].decode(), 8)
+            mtime = int(hdr[136:147].decode(), 8)
+            stored = int(hdr[148:154].decode(), 8)
             blank = bytearray(hdr)
             blank[148:156] = b" " * 8
             if sum(blank) != stored:
@@ -2579,23 +2195,6 @@ class TarMetaParser:
                 else max(max_mtime, mtime)
             pos += 512 + (size + 511) // 512 * 512
         return None                            # ran off the end
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = [self._parse(p) for p in batch["payload"].to_pylist()]
-        ok = pa.array([r is not None for r in rows])
-
-        def col(k):
-            return pa.array([r[k] if r is not None else None
-                             for r in rows], pa.int64())
-
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "decode_ok": ok,
-            "n_members": col(0),
-            "total_bytes": col(1),
-            "max_mtime": col(2),
-            "n_blocks": col(3),
-        })
 
 
 # ------------------------------------------------------------- real PDF
@@ -2639,7 +2238,7 @@ def encode_pdf_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     })
 
 
-class PdfMetaParser:
+class PdfMetaParser(MediaParser):
     """Actor-pool REAL (minimal) PDF structural parse: header version,
     tail-scan to ``startxref``, classic xref table decode (20-byte
     entries, free-list head), CROSS-REFERENCE VALIDATION — every
@@ -2648,15 +2247,12 @@ class PdfMetaParser:
     startxref, a short xref table or a shifted object offset
     dead-letters the document."""
 
-    def _parse(self, p: bytes):
-        import re
+    schema = _int64s("version_minor", "n_objects", "len_sum", "xref_off")
 
+    def _parse(self, p: bytes):
         if not p.startswith(b"%PDF-1."):
             return None
-        try:
-            minor = int(p[7:p.index(b"\n")].decode())
-        except (ValueError, UnicodeDecodeError):
-            return None
+        minor = int(p[7:p.index(b"\n")].decode())
         tail = p[-256:]
         m = None
         for m in re.finditer(rb"startxref\s+(\d+)", tail):
@@ -2666,12 +2262,9 @@ class PdfMetaParser:
         xref_off = int(m.group(1))
         if not p[xref_off:xref_off + 4] == b"xref":
             return None
-        try:
-            body = p[xref_off:].split(b"\n")
-            head = body[1].split()
-            first, count = int(head[0]), int(head[1])
-        except (IndexError, ValueError):
-            return None
+        body = p[xref_off:].split(b"\n")
+        head = body[1].split()
+        first, count = int(head[0]), int(head[1])
         if first != 0 or count < 2:
             return None
         entries = body[2:2 + count]
@@ -2681,10 +2274,7 @@ class PdfMetaParser:
             return None
         n_objects, len_sum = 0, 0
         for k, e in enumerate(entries[1:], start=1):
-            try:
-                off = int(e[:10])
-            except ValueError:
-                return None
+            off = int(e[:10])
             if e[17:18] != b"n":
                 return None
             if not p[off:].startswith(f"{k} 0 obj".encode()):
@@ -2700,19 +2290,3 @@ class PdfMetaParser:
             len_sum += int(lm.group(1))
         return minor, n_objects, len_sum, xref_off
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = [self._parse(p) for p in batch["payload"].to_pylist()]
-        ok = pa.array([r is not None for r in rows])
-
-        def col(k):
-            return pa.array([r[k] if r is not None else None
-                             for r in rows], pa.int64())
-
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "decode_ok": ok,
-            "version_minor": col(0),
-            "n_objects": col(1),
-            "len_sum": col(2),
-            "xref_off": col(3),
-        })

@@ -457,24 +457,44 @@ def test_jpeg_stage_matches_independent_reference():
 
 
 def test_jpeg_poison_payloads_dead_letter():
-    from alco_ray.stages.jpeg import JpegDecoder, encode_jpeg_batch
+    from alco_ray.stages.jpeg import (JpegDecoder, decode_baseline_jpeg,
+                                      encode_jpeg_batch)
 
     enc = encode_jpeg_batch(pa.table({
-        "doc_id": pa.array([4], pa.int64())}))
+        "doc_id": pa.array([4, 0], pa.int64())}))
     good = enc["payload"][0].as_py()
     sos = good.index(b"\xff\xda")
+    # the decoder's two non-ValueError escapes, as single-bit flips of
+    # the smallest fixture (id 0, 8x8)
+    small = enc["payload"][1].as_py()
+    # SOF0 marker -> DHT: the frame header is read as a Huffman table
+    # whose BITS list is too short
+    sof_as_dht = bytearray(small)
+    sof_as_dht[small.index(b"\xff\xc0") + 1] ^= 0x04
+    # last HUFFVAL of the first (DC) table + 64: a DC size category
+    # that large overflows the int64 coefficient
+    dc_symbol = bytearray(small)
+    dht = small.index(b"\xff\xc4")
+    dht_len = int.from_bytes(small[dht + 2:dht + 4], "big")
+    dc_symbol[dht + 1 + dht_len] ^= 0x40
+    with pytest.raises(IndexError):
+        decode_baseline_jpeg(bytes(sof_as_dht))
+    with pytest.raises(OverflowError):
+        decode_baseline_jpeg(bytes(dc_symbol))
     bad = pa.table({
-        "doc_id": pa.array(list(range(5)), pa.int64()),
+        "doc_id": pa.array(list(range(7)), pa.int64()),
         "payload": pa.array([
             b"",                                  # empty
             b"\xff\xd8\xff\xd9",                  # SOI+EOI, no frame
             good[:sos],                           # headers, no scan
             good[:-20],                           # truncated entropy
             good.replace(b"\xff\xc0", b"\xff\xc2", 1),  # progressive SOF
+            bytes(sof_as_dht),                    # IndexError
+            bytes(dc_symbol),                     # OverflowError
         ], pa.binary()),
     })
     out = JpegDecoder()(bad).to_pylist()
-    assert [r["decode_ok"] for r in out] == [False] * 5
+    assert [r["decode_ok"] for r in out] == [False] * 7
     assert all(r["mean_r"] is None for r in out)
 
 
@@ -735,6 +755,36 @@ def test_mp4_parser_boxes_and_poison():
     got = parser(batch).to_pylist()
     assert [r["decode_ok"] for r in got] == [False] * 4
     assert got[0]["duration_us"] is None and got[0]["codecs"] is None
+
+
+def test_mp4_duration_overflow_dead_letters():
+    """A v1 mvhd duration whose microsecond value is >= 2**63 cannot
+    fit the int64 column: that row dead-letters, its neighbours keep
+    their values, and nothing raises."""
+    import struct
+
+    from alco_ray.stages.multimodal import Mp4MetaParser, encode_mp4_batch
+
+    enc = encode_mp4_batch(pa.table({"doc_id": pa.array([0, 1, 2],
+                                                        pa.int64())}))
+    payloads = enc["payload"].to_pylist()
+    huge = bytearray(payloads[1])                 # odd id: mvhd v1
+    mvhd = huge.index(b"mvhd") + 4
+    assert huge[mvhd] == 1
+    struct.pack_into(">Q", huge, mvhd + 24, 2 ** 64 - 1)  # duration
+    timescale = struct.unpack_from(">I", huge, mvhd + 20)[0]
+    assert (2 ** 64 - 1) * 1_000_000 // timescale >= 2 ** 63
+
+    parser = Mp4MetaParser()
+    clean = parser(enc).to_pylist()
+    got = parser(pa.table({
+        "doc_id": enc["doc_id"],
+        "payload": pa.array([payloads[0], bytes(huge), payloads[2]],
+                            pa.binary()),
+    })).to_pylist()
+    assert [r["decode_ok"] for r in got] == [True, False, True]
+    assert got[1]["duration_us"] is None and got[1]["brand"] is None
+    assert (got[0], got[2]) == (clean[0], clean[2])
 
 
 def test_mp3_parser_vbr_and_poison():
