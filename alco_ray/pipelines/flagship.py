@@ -1,28 +1,32 @@
 """Flagship pipeline: collect -> parse -> enrich -> route -> sink -> aggregate.
 
 The Ray-Data re-expression of ALCO's collector ingest loop
-(SURVEY.md §3.1 -> §3.4):
+(SURVEY.md §3.1 -> §3.4), one wave at a time:
 
-  read_parquet(pending shards)                       # S1 source
-    .map_batches(parse_batch)                        # P1-P5,P8 fused, zero-copy Arrow
-    .map_batches(DictEncoder, concurrency=pool)      # T1 actor pool, broadcast dicts
-    .map_batches(route_batch)                        # router: sink + date columns
-    .write_parquet(staging, partition_cols=[sink,date])   # S3 buffered fan-out
-  metrics from staged output -> promote -> manifest.commit  # ack-after-flush
-  groupby(sink, level, bucket).count over routed output     # A1/A2 count queries
+  read_parquet(wave's pending shards)                    # S1 source
+    .map_batches(IngestWorker(cfg, dict_refs, staging))  # ONE fused task-pool stage:
+        parse -> dict-encode -> route                    #   P1-P5,P8; T1 broadcast probe
+        -> write sink=<logger>/date=<day> files          #   S3 buffered fan-out, staged
+        -> per-batch partial counts                      #   the stage's only output
+  merge partials -> promote staging -> manifest.commit   # ack-after-flush
+  merge all committed waves' partials                    # A1/A2 interval_counts
 
 Scale properties: no full-input shuffle anywhere on the ingest path
 (routing is a map + partitioned write); the only exchanges are the tiny
-dict-build distincts and the map-side-combined aggregate; dictionaries
-are broadcast once per actor, not per batch; waves bound the blast
-radius of a failure and make output resumable (state/checkpoint.py).
+dict-build distincts and the driver-side merge of bounded partials;
+the dict tables ride in the ``IngestWorker`` instance, which Ray Data
+puts in the object store once per wave, not once per batch; waves
+bound the blast radius of a failure and make output resumable
+(state/checkpoint.py).
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
 import shutil
+import time
 from pathlib import Path
 from typing import Any
 
@@ -44,12 +48,14 @@ from ..state.checkpoint import (CheckpointManifest,
 
 
 #: Dictionary-encoded columns are the LOW-cardinality enum-ish ones
-#: (role, tool): every dict is broadcast whole to every ingest actor
+#: (role, tool): every dict is broadcast whole to every ingest task
 #: and grown via a driver-side set, so a high-cardinality column
 #: (user text, ids) pointed at this path would silently build a
 #: giant driver-resident dict.  Guarded: past this cap the build
 #: RAISES naming the column instead of degrading.
 MAX_DICT_CARDINALITY = 100_000
+
+_log = logging.getLogger("alco_ray")
 
 
 def build_or_load_dicts(files: list[str], cfg: PipelineConfig,
@@ -112,7 +118,7 @@ def build_or_load_dicts(files: list[str], cfg: PipelineConfig,
                         f"{dicts[c].num_rows} > max_cardinality="
                         f"{max_cardinality}: dictionary encoding is "
                         "for low-cardinality enum columns (the dict "
-                        "is broadcast whole to every actor); exclude "
+                        "is broadcast whole to every ingest task); exclude "
                         "this column or raise the cap explicitly")
                 tmp = cache / f".{c}.parquet.tmp.{os.getpid()}"
                 pq.write_table(dicts[c], tmp)
@@ -128,24 +134,34 @@ def build_or_load_dicts(files: list[str], cfg: PipelineConfig,
 
 class IngestWorker:
     """The collector, fused: parse -> dict-encode -> route (-> buffered
-    sink insert) in ONE actor-pool stage (T1 semantics: broadcast dict
-    tables fetched and pattern registry compiled once per actor in
-    ``__init__``).
+    sink insert) in ONE task-pool stage.  ``run_flagship`` builds one
+    instance per wave on the driver (broadcast dict tables fetched and
+    pattern registry compiled once, in ``__init__``) and passes the
+    instance itself as the ``map_batches`` UDF, so Ray Data ships it
+    to the object store once per wave and every task reuses it.
 
     This is ALCO's collector worker re-expressed: consume a batch,
     parse/enrich it, bulk-insert it into the routed per-logger per-day
     sink, and emit only the counters.  Fusing matters three ways: each
-    batch makes one trip through one worker instead of several operator
+    batch makes one trip through one task instead of several operator
     hops through the object store; the whole ingest CPU budget lives in
-    a single actor pool (no static CPU split between pools that idles
-    one of them at small cluster sizes); and when ``staging_dir`` is
-    set, the heavy routed rows never enter the object store at all —
-    the stage's dataset output is just the per-batch partial aggregate
-    (sink, level, bucket -> rows, failures).
+    one stage (no static CPU split between stages that idles one of
+    them at small cluster sizes); and when ``staging_dir`` is set, the
+    heavy routed rows never enter the object store at all — the stage's
+    dataset output is just the per-batch partial aggregate (sink, level,
+    bucket -> rows, failures).
+
+    It is a task pool, not an actor pool, because nothing in it changes
+    after ``__init__``: an actor pool would only add a fresh worker
+    process per wave (start, re-import ``ray.data``/``pandas``/
+    ``alco_ray``): a one-shard (1,500-turn) append took ~1.8 s with
+    it and ~0.45 s without, on a 1-core host.  Tasks run in Ray's
+    already-started workers and release their CPU between batches, so
+    the read always schedules, even on a 1-CPU cluster.
 
     The stage's plan executes ONCE per wave: the driver collects the
     partials with ``stages.aggregate.arrow_blocks``, which never
-    re-runs a plan, so no second pool ever rewrites a batch's sink
+    re-runs a plan, so no second pass ever rewrites a batch's sink
     files.  Retried tasks are still safe: sink filenames
     are content-hashed from the batch identity (see
     sinks._make_block_writer), so a replayed batch overwrites its own
@@ -174,6 +190,10 @@ class IngestWorker:
 
 
 _PARTIAL_KEYS = ["sink", "level", "bucket"]
+#: What ``_partial_of`` returns; a wave without rows commits it empty.
+_PARTIAL_SCHEMA = pa.schema([("sink", pa.string()), ("level", pa.string()),
+                             ("bucket", pa.timestamp("us")),
+                             ("rows", pa.int64()), ("failures", pa.int64())])
 
 
 def _partial_of(routed: pa.Table) -> pa.Table:
@@ -199,6 +219,8 @@ def _merge_partials(parts: list[pa.Table]) -> pa.Table:
     from ..stages.aggregate import concat_nonempty
 
     merged = concat_nonempty(parts)
+    if merged.num_rows == 0:  # an empty shard: no batch, or empty ones
+        return _PARTIAL_SCHEMA.empty_table()
     out = (merged.group_by(_PARTIAL_KEYS)
            .aggregate([("rows", "sum"), ("failures", "sum")])
            .rename_columns(_PARTIAL_KEYS + ["rows", "failures"]))
@@ -213,6 +235,20 @@ def _metrics_from_partials(partials: pa.Table) -> dict[str, Any]:
         "parse_failures": int(t["failures"].sum()),
         "routed_counts": {str(s): int(r) for s, r in by_sink.items()},
     }
+
+
+def ingest_batch_rows(n_rows: int, cpus: int) -> int:
+    """Rows per ingest batch for a wave of ``n_rows`` on ``cpus`` CPUs.
+
+    About two batches per slot, for tail balance, where a wave gets one
+    slot per ~50k rows and at most ~7/8 of the CPUs (>=1 left to the
+    read).  The slots were tuned as actor-pool widths (sf0.1, 657k
+    rows, 32 CPUs: 6 actors 7.9 s, 12 or 20 actors 7.3 s; a 1/4 read
+    reserve strictly worse).  Capped near ~64 MB of input rows, so
+    worker heap stays bounded at any corpus size.  Sink file count is
+    batches x sinks x dates, so this function fixes the output layout."""
+    slots = max(1, min(cpus - max(1, cpus // 8), max(1, n_rows // 50_000)))
+    return max(1, min(-(-n_rows // (2 * slots)), 300_000))
 
 
 def watch_flagship(input_dir: str | Path, out_root: str | Path,
@@ -233,16 +269,12 @@ def watch_flagship(input_dir: str | Path, out_root: str | Path,
     it after that many consecutive polls with no new work (None =
     run forever, the daemon mode).  An empty input dir is 'waiting for
     the first shard', not an error.  Returns the cumulative summary."""
-    import time
-
     idle = 0
     while True:
         if stop is not None and stop():
             break
-        manifest = CheckpointManifest(out_root)
         files = transcript_files(input_dir)
-        pending = [f for f in files if f not in manifest.processed_files()]
-        if pending:
+        if set(files) - CheckpointManifest(out_root).processed_files():
             run_flagship(input_dir, out_root, cfg, wave_size=wave_size,
                          dict_cache=dict_cache)
             idle = 0
@@ -257,7 +289,6 @@ def watch_flagship(input_dir: str | Path, out_root: str | Path,
 def run_flagship(input_dir: str | Path, out_root: str | Path,
                  cfg: PipelineConfig | None = None, *,
                  wave_size: int = 64,
-                 encoder_concurrency=None,
                  write_aggregates: bool = True,
                  dict_cache: str | Path | None = None) -> dict[str, Any]:
     """Run (or resume) the flagship ingest over a transcript corpus.
@@ -266,11 +297,15 @@ def run_flagship(input_dir: str | Path, out_root: str | Path,
     lives in ``<out_root>/_checkpoint/manifest.json``.
 
     ``wave_size`` trades resume granularity against fixed per-wave cost
-    (actor-pool start, execution barrier, partial fold, promote —
-    measured ~4-5 s per wave at 32 CPUs).  Size waves so each carries
-    at least ~a minute of compute: at 10^12-turn scale that is tens of
-    ~1 GB shards per wave and the overhead is percent-level; 1-file
-    waves would be dominated by it.
+    (plan start, execution barrier, partial fold, promote, commit).  A
+    one-shard (1,500-turn) append wave takes ~0.45 s end to end on a
+    1-core host with 4 logical Ray CPUs, most of it that fixed cost.
+    Size waves so each carries at least ~a minute of compute: at
+    10^12-turn scale that is tens of ~1 GB shards per wave and the
+    overhead is percent-level; 1-file waves would be dominated by it.
+    Each committed wave logs one INFO line on the ``alco_ray`` logger
+    (wave id, input files, rows, parse failures, files promoted, wall
+    seconds).
     """
     cfg = cfg or default_transcript_config()
     out_root = Path(out_root)
@@ -345,55 +380,35 @@ def run_flagship(input_dir: str | Path, out_root: str | Path,
     for wave_id, wave_files in waves:
         if manifest.is_done(wave_id):
             continue
+        started = time.perf_counter()
         staging = out_root / "_staging" / wave_id
         shutil.rmtree(staging, ignore_errors=True)
 
         ds = read_transcripts(wave_files)
         # ONE streaming pass: each IngestWorker batch is parsed,
         # enriched, routed, written to its sink files AND reduced to a
-        # partial-count table inside the worker — the heavy rows never
+        # partial-count table inside the task — the heavy rows never
         # transit the object store, there is no materialize barrier,
         # and the stage's output IS the wave's metric partials.
         n_rows = ds.count()  # Parquet metadata only, no read
         cpus = int(ray.cluster_resources().get("CPU", 8))
-        # Leave ~1/8 of CPUs (always >=1) outside the pool for the read
-        # operator: a pool holding every CPU starves reads — and can
-        # deadlock against its own next wave's actor startup while old
-        # actors wind down.  (A 1/4 reserve measured strictly worse:
-        # parquet reads are cheap relative to parse.)
-        # ...and don't start more actors than the wave can feed (~50k
-        # rows each): pool startup is the dominant cost of a small run.
-        # (Measured at sf0.1/657k rows on 32 CPUs: 6 actors 7.9 s, 12
-        # actors 7.3 s, 20 actors 7.3 s — feed-starved pools leave the
-        # pipeline read-bound, oversized ones just pay startup.)
-        n_act = encoder_concurrency or max(
-            1, min(cpus - max(1, cpus // 8), max(1, n_rows // 50_000)))
-        if isinstance(n_act, tuple):
-            pool = n_act
-        else:
-            pool = (n_act, n_act)
-        # ~2 batches per actor for tail balance, capped near ~64 MB of
-        # input rows so worker heap stays bounded at any corpus size.
-        rows_per_batch = max(1, min(-(-n_rows // (2 * pool[1])), 300_000))
         out = ds.map_batches(
-            IngestWorker,
-            fn_constructor_kwargs={"cfg": cfg, "dict_refs": dict_refs,
-                                   "staging_dir": str(staging)},
+            IngestWorker(cfg, dict_refs, staging_dir=str(staging)),
             batch_format="pyarrow",
-            batch_size=rows_per_batch,
-            concurrency=pool,
-            # One CPU per actor, but never the CPU a read task needs:
-            # on a 1-CPU cluster the single actor would otherwise hold
-            # it and the read never schedules (the wave hangs).
-            num_cpus=min(1, (cpus - 1) / pool[1]),
+            batch_size=ingest_batch_rows(n_rows, cpus),
         )
         partials = _merge_partials(arrow_blocks(out))
         pq.write_table(partials, partials_dir / f"{wave_id}.parquet")
-        promote_staging(staging, out_root, wave_id)
-        manifest.commit(wave_id, input_files=wave_files,
-                        metrics=_metrics_from_partials(partials),
+        promoted = promote_staging(staging, out_root, wave_id)
+        metrics = _metrics_from_partials(partials)
+        manifest.commit(wave_id, input_files=wave_files, metrics=metrics,
                         input_sigs={f: pending_sigs[f] for f in wave_files
                                     if f in pending_sigs})
+        _log.info("wave %s committed: input_files=%d rows=%d "
+                 "parse_failures=%d promoted_files=%d wall_s=%.3f",
+                 wave_id, len(wave_files), metrics["rows"],
+                 metrics["parse_failures"], promoted,
+                 time.perf_counter() - started)
 
     shutil.rmtree(out_root / "_staging", ignore_errors=True)
 

@@ -135,7 +135,7 @@ def t_enriched(sf_dir: str):
     ds = read_transcripts(corpus).map_batches(
         make_parse_batch(cfg, only={"level"}), batch_format="pyarrow")
     # Fixed-size pool: the autoscaler never ramps past 1 actor within
-    # a query-sized job (see flagship.build_ingest).
+    # a query-sized job.
     ds = ds.map_batches(DictEncoder, fn_constructor_kwargs={"dict_refs": refs},
                         batch_format="pyarrow", batch_size=None,
                         concurrency=4)
@@ -931,8 +931,8 @@ def e_dict_encode(sf_dir: str):
     # Task-based broadcast probe: ray.get(ref) inside the task is a
     # zero-copy plasma read, with none of an actor pool's spin-up
     # latency — the right shape when the stage holds no real state.
-    # (The flagship's DictEncoder stays an actor pool: T1's contract is
-    # state loaded once per worker.)
+    # (The flagship ingest is a task pool for the same reason; only
+    # t_enriched keeps DictEncoder's actor-pool T1 contract.)
     def enc(b: pa.Table) -> pa.Table:
         # Inner-join parity with the oracle: rows with null event_type
         # have no dictionary id and are dropped on both sides.

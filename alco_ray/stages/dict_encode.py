@@ -80,6 +80,9 @@ def build_dicts(ds, columns: list[str], out_dir: str | Path | None = None,
 
         parts = arrow_blocks(ds.map_batches(partial, batch_format="pyarrow"))
         merged = concat_nonempty(parts)
+        if merged.num_rows == 0:  # no input rows: no blocks to type it
+            merged = pa.table({"col": pa.array([], pa.string()),
+                               "value": pa.array([], pa.string())})
         for col in missing:
             vals = merged.filter(pc.equal(merged["col"], col))["value"]
             dicts[col] = build_dict_table(vals.combine_chunks())

@@ -415,3 +415,128 @@ def test_one_cpu_cluster_completes(t_small_dir, t_small_oracle, tmp_path):
     assert summary["rows"] == len(t_small_oracle["parsed"])
     assert summary["parse_failures"] == t_small_oracle["parse_failures"]
     assert summary["routed_counts"] == t_small_oracle["routed_counts"]
+
+
+def test_empty_shard_appends_with_zero_rows(t_small_dir, tmp_path,
+                                            monkeypatch):
+    """A zero-row shard (an hour with no traffic) landing next to a
+    committed tree commits a 0-row wave: dicts, summary and aggregate
+    unchanged, no sink file added, the shard recorded as processed."""
+    import alco_ray.pipelines.flagship as fl
+    from alco_ray.specs import TRANSCRIPT_SCHEMA
+
+    corpus = tmp_path / "corpus"
+    shutil.copytree(t_small_dir, corpus)
+    out = tmp_path / "out"
+    before = run_flagship(corpus, out, wave_size=4)
+    files_before = sorted(glob.glob(f"{out}/sink=*/date=*/*.parquet"))
+    dicts_before = {p.name: pq.read_table(p)
+                    for p in (out / "dicts").glob("*.parquet")}
+    agg_before = pq.read_table(out / "aggregates" / "interval_counts")
+
+    empty = corpus / "part-99999.parquet"
+    pq.write_table(TRANSCRIPT_SCHEMA.empty_table(), empty)
+    executed = []  # one promote_staging call per executed wave
+    orig = fl.promote_staging
+
+    def spy(staging_dir, out_root, wave_id):
+        executed.append(wave_id)
+        return orig(staging_dir, out_root, wave_id)
+
+    monkeypatch.setattr(fl, "promote_staging", spy)
+    assert run_flagship(corpus, out, wave_size=4) == before
+    assert len(executed) == 1
+    wave = CheckpointManifest(out).waves[executed[0]]
+    assert wave["input_files"] == [str(empty)]
+    assert wave["metrics"] == {"rows": 0, "parse_failures": 0,
+                               "routed_counts": {}}
+    assert str(empty) in CheckpointManifest(out).processed_files()
+    assert sorted(glob.glob(f"{out}/sink=*/date=*/*.parquet")) \
+        == files_before
+    assert {p.name: pq.read_table(p)
+            for p in (out / "dicts").glob("*.parquet")} == dicts_before
+    assert pq.read_table(out / "aggregates" / "interval_counts") \
+        .equals(agg_before)
+
+    assert run_flagship(corpus, out, wave_size=4) == before
+    assert len(executed) == 1  # third run: nothing pending
+
+
+def test_watch_reads_processed_files_once_per_poll(flagship_out, t_small_dir,
+                                                   monkeypatch):
+    """Each poll computes the processed-file set once, not once per
+    corpus file (that was O(files x waves) per poll)."""
+    from alco_ray.pipelines.flagship import watch_flagship
+
+    out, summary = flagship_out
+    calls = {"n": 0}
+    orig = CheckpointManifest.processed_files
+
+    def counting(self):
+        calls["n"] += 1
+        return orig(self)
+
+    assert len(list(Path(t_small_dir).glob("*.parquet"))) > 1
+    monkeypatch.setattr(CheckpointManifest, "processed_files", counting)
+    got = watch_flagship(t_small_dir, out, wave_size=4, poll_interval_s=0,
+                         max_idle_polls=3)
+    assert calls["n"] == 3
+    assert got == {k: v for k, v in summary.items()
+                   if k != "aggregate_files"}
+
+
+def test_ingest_starts_no_actor(t_small_dir, tmp_path):
+    """The ingest stage is a task-pool map: a wave starts no Ray Data
+    map actor (an actor pool would start a worker process per wave)."""
+    import ray
+
+    before = set(ray._private.state.actors())
+    run_flagship(t_small_dir, tmp_path / "out", wave_size=4)
+    new = [a["ActorClassName"]
+           for aid, a in ray._private.state.actors().items()
+           if aid not in before]
+    assert not [n for n in new if n.startswith("MapWorker(")], new
+
+
+@pytest.mark.parametrize("n_rows,cpus,want", [
+    (96_000, 4, 48_000),
+    (1_500, 4, 750),
+    (657_000, 4, 109_500),
+    (10_000_000, 32, 178_572),
+    (1, 1, 1),
+])
+def test_ingest_batch_rows(n_rows, cpus, want):
+    """Batch size is fixed by (rows, CPUs); sink file count is batches
+    x sinks x dates, so these values pin the output layout."""
+    from alco_ray.pipelines.flagship import ingest_batch_rows
+
+    assert ingest_batch_rows(n_rows, cpus) == want
+
+
+def test_wave_log_line(t_small_dir, tmp_path, caplog):
+    """One INFO line per committed wave on the ``alco_ray`` logger,
+    carrying the wave's id, input files, rows, parse failures, files
+    promoted and wall seconds."""
+    import logging
+    import re
+
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="alco_ray"):
+        summary = run_flagship(t_small_dir, out, wave_size=4)
+    pat = re.compile(r"wave (\w+) committed: input_files=(\d+) rows=(\d+) "
+                     r"parse_failures=(\d+) promoted_files=(\d+) "
+                     r"wall_s=(\d+\.\d+)$")
+    lines = [pat.match(r.getMessage()) for r in caplog.records
+             if r.name == "alco_ray"]
+    assert lines and all(lines)
+    waves = CheckpointManifest(out).waves
+    assert [m[1] for m in lines] == list(waves)
+    for m in lines:
+        wave = waves[m[1]]
+        assert int(m[2]) == len(wave["input_files"])
+        assert int(m[3]) == wave["metrics"]["rows"]
+        assert int(m[4]) == wave["metrics"]["parse_failures"]
+        assert float(m[6]) > 0
+    assert sum(int(m[3]) for m in lines) == summary["rows"]
+    assert sum(int(m[5]) for m in lines) \
+        == len(glob.glob(f"{out}/sink=*/date=*/*.parquet"))
