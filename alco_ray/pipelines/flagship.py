@@ -3,21 +3,24 @@
 The Ray-Data re-expression of ALCO's collector ingest loop
 (SURVEY.md §3.1 -> §3.4), one wave at a time:
 
-  read_parquet(wave's pending shards)                    # S1 source
-    .map_batches(IngestWorker(cfg, dict_refs, staging))  # ONE fused task-pool stage:
-        parse -> dict-encode -> route                    #   P1-P5,P8; T1 broadcast probe
-        -> write sink=<logger>/date=<day> files          #   S3 buffered fan-out, staged
-        -> per-batch partial counts                      #   the stage's only output
-  merge partials -> promote staging -> manifest.commit   # ack-after-flush
-  merge all committed waves' partials                    # A1/A2 interval_counts
+  Parquet footers of the wave's pending shards            # driver: rows per shard
+    -> plan_slices: batches of (path, start, stop) ranges  #   the batch cut
+  from_items(batches)
+    .map_batches(IngestWorker(cfg, dict_refs, staging))   # ONE fused task-pool stage:
+        read the batch's row groups                       #   S1 source, in the task
+        -> parse -> dict-encode -> route                  #   P1-P5,P8; T1 broadcast probe
+        -> write sink=<logger>/date=<day> files           #   S3 buffered fan-out, staged
+        -> per-batch partial counts                       #   the stage's only output
+  merge partials -> promote staging -> manifest.commit    # ack-after-flush
+  merge all committed waves' partials                     # A1/A2 interval_counts
 
 Scale properties: no full-input shuffle anywhere on the ingest path
-(routing is a map + partitioned write); the only exchanges are the tiny
-dict-build distincts and the driver-side merge of bounded partials;
-the dict tables ride in the ``IngestWorker`` instance, which Ray Data
-puts in the object store once per wave, not once per batch; waves
-bound the blast radius of a failure and make output resumable
-(state/checkpoint.py).
+(routing is a map + partitioned write); input rows never enter the
+object store (each task reads its own row ranges, and only row ranges
+and bounded partials travel); the dict tables ride in the
+``IngestWorker`` instance, which Ray Data puts in the object store once
+per wave, not once per batch; waves bound the blast radius of a
+failure and make output resumable (state/checkpoint.py).
 """
 
 from __future__ import annotations
@@ -37,11 +40,12 @@ import ray
 import ray.data
 
 from ..specs import LEVELS, UNKNOWN_LEVEL, PipelineConfig, default_transcript_config
-from ..sources import read_transcripts, transcript_files
-from ..sinks import promote_staging, write_routed
-from ..stages.aggregate import arrow_blocks
+from ..sources import transcript_files
+from ..sinks import promote_staging
+from ..stages.aggregate import arrow_blocks, concat_nonempty
 from ..stages.parse import make_parse_batch
-from ..stages.dict_encode import build_dict_table, build_dicts
+from ..stages.dict_encode import (build_dict_table, dicts_from_distincts,
+                                  distinct_values)
 from ..stages.route import make_route_batch
 from ..state.checkpoint import (CheckpointManifest,
                                 cleanup_uncommitted_outputs, make_waves)
@@ -62,8 +66,15 @@ def build_or_load_dicts(files: list[str], cfg: PipelineConfig,
                         cache_dir: str | Path,
                         max_cardinality: int = MAX_DICT_CARDINALITY,
                         ) -> dict[str, pa.Table]:
-    """J1 build: role/tool dicts from a column-pruned distinct pass,
+    """J1 build: role/tool dicts from a column-pruned distinct scan,
     cached as Parquet artifacts and grown **insert-if-absent**.
+
+    The scan runs on the driver, one row group at a time, reading only
+    the dictionary columns of the shards the cache has not seen, with
+    the same normalize + unique kernel as ``build_dicts``
+    (``distinct_values``).  Those columns are low-cardinality by
+    contract, so this is tens of milliseconds for a 64-shard wave,
+    where a Ray Data plan costs ~1 s to start.
 
     The cache tracks which corpus files it has already folded in
     (``_scanned.json``), so a re-run scans only NEW shards; values
@@ -93,8 +104,9 @@ def build_or_load_dicts(files: list[str], cfg: PipelineConfig,
                 dicts[c] = pq.read_table(p)
         pending = [f for f in sorted(files) if f not in scanned]
         if pending:
-            ds = read_transcripts(pending, columns=dynamic)
-            fresh = build_dicts(ds, dynamic)
+            fresh = dicts_from_distincts(
+                [distinct_values(t, dynamic)
+                 for t in _row_groups(pending, dynamic)], dynamic)
             cache.mkdir(parents=True, exist_ok=True)
             for c in dynamic:
                 if c in dicts:
@@ -132,44 +144,104 @@ def build_or_load_dicts(files: list[str], cfg: PipelineConfig,
     return dicts
 
 
+def _row_groups(files: list[str], columns: list[str]):
+    """Each row group of ``files`` in order, reading only ``columns``;
+    a read error names the file."""
+    for f in files:
+        try:
+            pf = pq.ParquetFile(f)
+            for i in range(pf.num_row_groups):
+                yield pf.read_row_group(i, columns=columns,
+                                        use_threads=False)
+        except (OSError, pa.ArrowException) as e:
+            raise RuntimeError(f"reading {f}: {e}") from e
+
+
+def plan_slices(row_counts: list[tuple[str, int]], batch_rows: int,
+                ) -> list[list[tuple[str, int, int]]]:
+    """Cut the rows of ``row_counts`` (``(path, rows)`` per file), in
+    file order, into batches of ``batch_rows`` rows; the last batch
+    takes the rest.  A batch is a list of ``(path, start, stop)`` row
+    ranges and may span files; an empty file gets no range."""
+    batches: list[list[tuple[str, int, int]]] = []
+    cur: list[tuple[str, int, int]] = []
+    room = batch_rows
+    for path, n in row_counts:
+        start = 0
+        while start < n:
+            stop = min(n, start + room)
+            cur.append((path, start, stop))
+            room -= stop - start
+            start = stop
+            if room == 0:
+                batches.append(cur)
+                cur, room = [], batch_rows
+    if cur:
+        batches.append(cur)
+    return batches
+
+
+def read_slices(ranges: list[tuple[str, int, int]]) -> pa.Table:
+    """The rows of ``ranges`` as one contiguous table, reading only the
+    row groups that overlap each range."""
+    parts = []
+    for path, start, stop in ranges:
+        pf = pq.ParquetFile(path)
+        groups, first, offset = [], 0, 0
+        for i in range(pf.metadata.num_row_groups):
+            n = pf.metadata.row_group(i).num_rows
+            if offset < stop and offset + n > start:
+                if not groups:
+                    first = offset
+                groups.append(i)
+            offset += n
+        parts.append(pf.read_row_groups(groups, use_threads=False)
+                     .slice(start - first, stop - start))
+    return pa.concat_tables(parts).combine_chunks()
+
+
 class IngestWorker:
-    """The collector, fused: parse -> dict-encode -> route (-> buffered
-    sink insert) in ONE task-pool stage.  ``run_flagship`` builds one
-    instance per wave on the driver (broadcast dict tables fetched and
-    pattern registry compiled once, in ``__init__``) and passes the
-    instance itself as the ``map_batches`` UDF, so Ray Data ships it
-    to the object store once per wave and every task reuses it.
+    """The collector, fused: read -> parse -> dict-encode -> route (->
+    buffered sink insert) in ONE task-pool stage.  ``run_flagship``
+    builds one instance per wave on the driver (broadcast dict tables
+    fetched and pattern registry compiled once, in ``__init__``) and
+    passes the instance itself as the ``map_batches`` UDF over the
+    wave's planned batches, so Ray Data ships it to the object store
+    once per wave and every task reuses it.  Each input row is one
+    batch: its ``path``/``start``/``stop`` row ranges (``plan_slices``),
+    which the task reads itself (``read_slices``).
 
     This is ALCO's collector worker re-expressed: consume a batch,
     parse/enrich it, bulk-insert it into the routed per-logger per-day
-    sink, and emit only the counters.  Fusing matters three ways: each
-    batch makes one trip through one task instead of several operator
-    hops through the object store; the whole ingest CPU budget lives in
-    one stage (no static CPU split between stages that idles one of
-    them at small cluster sizes); and when ``staging_dir`` is set, the
-    heavy routed rows never enter the object store at all — the stage's
-    dataset output is just the per-batch partial aggregate (sink, level,
-    bucket -> rows, failures).
+    sink, and emit only the counters.  Putting the scan inside the task
+    means input rows never enter the object store (only their ranges
+    do) and a wave pays no Parquet reader setup (metadata prefetch and
+    sampling tasks).  The whole ingest CPU budget lives in one stage,
+    and when ``staging_dir`` is set the routed rows never enter the
+    object store either — the stage's dataset output is just the
+    per-batch partial aggregate (sink, level, bucket -> rows, failures).
 
     It is a task pool, not an actor pool, because nothing in it changes
     after ``__init__``: an actor pool would only add a fresh worker
     process per wave (start, re-import ``ray.data``/``pandas``/
     ``alco_ray``): a one-shard (1,500-turn) append took ~1.8 s with
     it and ~0.45 s without, on a 1-core host.  Tasks run in Ray's
-    already-started workers and release their CPU between batches, so
-    the read always schedules, even on a 1-CPU cluster.
+    already-started workers, so a 1-CPU cluster runs every batch too.
 
     The stage's plan executes ONCE per wave: the driver collects the
     partials with ``stages.aggregate.arrow_blocks``, which never
     re-runs a plan, so no second pass ever rewrites a batch's sink
-    files.  Retried tasks are still safe: sink filenames
-    are content-hashed from the batch identity (see
-    sinks._make_block_writer), so a replayed batch overwrites its own
-    files and re-emits the same partial."""
+    files.  Retried tasks are still safe: the driver fixes each
+    batch's rows, and sink filenames are content-hashed from the batch
+    identity (see sinks._make_block_writer), so a replayed batch
+    overwrites its own files and re-emits the same partial.  An error
+    while reading or processing a batch re-raises naming ``wave_id``
+    and the batch's ranges."""
 
     def __init__(self, cfg: PipelineConfig, dict_refs: dict[str, Any],
                  staging_dir: str | None = None,
-                 partition_cols: tuple[str, ...] = ("sink", "date")):
+                 partition_cols: tuple[str, ...] = ("sink", "date"),
+                 wave_id: str | None = None):
         from ..sinks import _make_block_writer
 
         self.parse = make_parse_batch(cfg)
@@ -178,15 +250,23 @@ class IngestWorker:
                       for c, r in dict_refs.items()}
         self.writer = (_make_block_writer(staging_dir, list(partition_cols))
                        if staging_dir else None)
+        self.wave_id = wave_id
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, slices: pa.Table) -> pa.Table:
         from ..stages.dict_encode import encode_with_dicts
 
-        routed = self.route(encode_with_dicts(self.parse(batch), self.dicts))
-        if self.writer is None:
-            return routed
-        self.writer(routed)
-        return _partial_of(routed)
+        [batch] = slices.to_pylist()  # batch_size=1: one planned batch
+        ranges = list(zip(batch["path"], batch["start"], batch["stop"]))
+        try:
+            routed = self.route(encode_with_dicts(
+                self.parse(read_slices(ranges)), self.dicts))
+            if self.writer is None:
+                return routed
+            self.writer(routed)
+            return _partial_of(routed)
+        except Exception as e:
+            raise RuntimeError(
+                f"wave {self.wave_id} batch {ranges}: {e}") from e
 
 
 _PARTIAL_KEYS = ["sink", "level", "bucket"]
@@ -216,8 +296,6 @@ def _merge_partials(parts: list[pa.Table]) -> pa.Table:
     Per-batch partials are bounded by key cardinality (sinks x levels
     x buckets-touched), so the final combine is a driver-side merge of
     tiny tables — a distributed shuffle here would be pure overhead."""
-    from ..stages.aggregate import concat_nonempty
-
     merged = concat_nonempty(parts)
     if merged.num_rows == 0:  # an empty shard: no batch, or empty ones
         return _PARTIAL_SCHEMA.empty_table()
@@ -241,12 +319,10 @@ def ingest_batch_rows(n_rows: int, cpus: int) -> int:
     """Rows per ingest batch for a wave of ``n_rows`` on ``cpus`` CPUs.
 
     About two batches per slot, for tail balance, where a wave gets one
-    slot per ~50k rows and at most ~7/8 of the CPUs (>=1 left to the
-    read).  The slots were tuned as actor-pool widths (sf0.1, 657k
-    rows, 32 CPUs: 6 actors 7.9 s, 12 or 20 actors 7.3 s; a 1/4 read
-    reserve strictly worse).  Capped near ~64 MB of input rows, so
-    worker heap stays bounded at any corpus size.  Sink file count is
-    batches x sinks x dates, so this function fixes the output layout."""
+    slot per ~50k rows and at most ~7/8 of the CPUs.  Capped near
+    ~64 MB of input rows, so worker heap stays bounded at any corpus
+    size.  Sink file count is batches x sinks x dates, so this function
+    fixes the output layout: keep the formula as it is."""
     slots = max(1, min(cpus - max(1, cpus // 8), max(1, n_rows // 50_000)))
     return max(1, min(-(-n_rows // (2 * slots)), 300_000))
 
@@ -384,20 +460,36 @@ def run_flagship(input_dir: str | Path, out_root: str | Path,
         staging = out_root / "_staging" / wave_id
         shutil.rmtree(staging, ignore_errors=True)
 
-        ds = read_transcripts(wave_files)
-        # ONE streaming pass: each IngestWorker batch is parsed,
-        # enriched, routed, written to its sink files AND reduced to a
-        # partial-count table inside the task — the heavy rows never
-        # transit the object store, there is no materialize barrier,
-        # and the stage's output IS the wave's metric partials.
-        n_rows = ds.count()  # Parquet metadata only, no read
+        # The batch cut, from the shards' footers: rows in file order,
+        # ingest_batch_rows per batch.  Fixed here, not by block
+        # arrival order, so a retried task rebuilds the same batch.
+        counts = []
+        for f in wave_files:
+            try:
+                counts.append((f, pq.read_metadata(f).num_rows))
+            except (OSError, pa.ArrowException) as e:
+                raise RuntimeError(f"wave {wave_id}: reading the footer "
+                                   f"of {f}: {e}") from e
         cpus = int(ray.cluster_resources().get("CPU", 8))
-        out = ds.map_batches(
-            IngestWorker(cfg, dict_refs, staging_dir=str(staging)),
-            batch_format="pyarrow",
-            batch_size=ingest_batch_rows(n_rows, cpus),
-        )
-        partials = _merge_partials(arrow_blocks(out))
+        batches = plan_slices(
+            counts, ingest_batch_rows(sum(n for _, n in counts), cpus))
+        # ONE streaming pass: each task reads its batch's row ranges,
+        # then parses, enriches, routes, writes its sink files AND
+        # reduces them to a partial-count table — input and routed
+        # rows never transit the object store, there is no
+        # materialize barrier, and the stage's output IS the wave's
+        # metric partials.  A wave of empty shards runs no plan.
+        parts = []
+        if batches:
+            ds = ray.data.from_items(
+                [{"path": [r[0] for r in b], "start": [r[1] for r in b],
+                  "stop": [r[2] for r in b]} for b in batches],
+                override_num_blocks=len(batches))
+            parts = arrow_blocks(ds.map_batches(
+                IngestWorker(cfg, dict_refs, staging_dir=str(staging),
+                             wave_id=wave_id),
+                batch_format="pyarrow", batch_size=1))
+        partials = _merge_partials(parts)
         pq.write_table(partials, partials_dir / f"{wave_id}.parquet")
         promoted = promote_staging(staging, out_root, wave_id)
         metrics = _metrics_from_partials(partials)

@@ -10,6 +10,9 @@ per-process cache; ids are assigned by arrival order (INCR).  Here:
   partitionings, a documented deviation from Redis INCR arrival order
   (BASELINE.json:14 demands reproducible equality; arrival order is
   nondeterministic under parallelism).  Nulls get no id (stay null).
+  The per-batch kernel (:func:`distinct_values`) and the merge
+  (:func:`dicts_from_distincts`) are module-level, so the flagship's
+  driver-side scan of new shards shares the same normalize + unique.
 - **broadcast + probe** (:class:`DictEncoder`): the dict tables are put
   in the object store once (``ray.put``); each actor in the pool reads
   them ONCE in ``__init__`` and probes per batch with ``pc.index_in``
@@ -38,6 +41,38 @@ def build_dict_table(values: pa.Array | list) -> pa.Table:
     return pa.table({"value": distinct, "id": ids})
 
 
+def distinct_values(batch: pa.Table, columns: list[str]) -> pa.Table:
+    """Distinct non-null values of ``columns`` in ``batch`` as
+    (col, value) rows.  Values are normalized exactly as the parse
+    stage normalizes them before the probe (trim, empty->null): a dict
+    built on raw values would miss every value that only appears
+    dirty."""
+    from .parse import normalize_strings
+
+    cols: list[pa.Array] = []
+    vals: list[pa.Array] = []
+    for c in columns:
+        u = pc.unique(normalize_strings(batch[c])).drop_null()
+        vals.append(pc.cast(u, pa.string()))
+        cols.append(pa.array([c] * len(u), pa.string()))
+    return pa.table({"col": pa.concat_arrays(cols),
+                     "value": pa.concat_arrays(vals)})
+
+
+def dicts_from_distincts(parts: list[pa.Table], columns: list[str],
+                         ) -> dict[str, pa.Table]:
+    """Merge :func:`distinct_values` tables into one sorted-distinct
+    dict table per column."""
+    merged = concat_nonempty(parts)
+    if merged.num_rows == 0:  # no input rows: nothing to type it
+        merged = pa.table({"col": pa.array([], pa.string()),
+                           "value": pa.array([], pa.string())})
+    return {col: build_dict_table(
+                merged.filter(pc.equal(merged["col"], col))["value"]
+                .combine_chunks())
+            for col in columns}
+
+
 def build_dicts(ds, columns: list[str], out_dir: str | Path | None = None,
                 ) -> dict[str, pa.Table]:
     """Distributed distinct per filtered column -> dict tables.
@@ -59,37 +94,18 @@ def build_dicts(ds, columns: list[str], out_dir: str | Path | None = None,
                 continue
         missing.append(col)
     if missing:
-        # ONE pass for all missing columns: per-block distincts stacked
-        # as (col, value) pairs, merged driver-side (tiny by
-        # construction for filtered columns).
-        def partial(batch: pa.Table) -> pa.Table:
-            # Normalize exactly as the parse stage will before the
-            # probe (trim, empty->null): a dict built on raw values
-            # would miss every value that only appears dirty.
-            from .parse import normalize_strings
-
-            cols: list[pa.Array] = []
-            vals: list[pa.Array] = []
-            for c in missing:
-                u = pc.unique(normalize_strings(batch[c]))
-                u = u.drop_null()
-                vals.append(pc.cast(u, pa.string()))
-                cols.append(pa.array([c] * len(u), pa.string()))
-            return pa.table({"col": pa.concat_arrays(cols),
-                             "value": pa.concat_arrays(vals)})
-
-        parts = arrow_blocks(ds.map_batches(partial, batch_format="pyarrow"))
-        merged = concat_nonempty(parts)
-        if merged.num_rows == 0:  # no input rows: no blocks to type it
-            merged = pa.table({"col": pa.array([], pa.string()),
-                               "value": pa.array([], pa.string())})
-        for col in missing:
-            vals = merged.filter(pc.equal(merged["col"], col))["value"]
-            dicts[col] = build_dict_table(vals.combine_chunks())
+        # ONE pass for all missing columns: per-block distincts,
+        # merged driver-side (tiny by construction for filtered
+        # columns).
+        parts = arrow_blocks(ds.map_batches(
+            lambda batch: distinct_values(batch, missing),
+            batch_format="pyarrow"))
+        for col, table in dicts_from_distincts(parts, missing).items():
+            dicts[col] = table
             if out_dir is not None:
                 Path(out_dir).mkdir(parents=True, exist_ok=True)
                 tmp = Path(out_dir) / f".{col}.parquet.tmp"
-                pq.write_table(dicts[col], tmp)
+                pq.write_table(table, tmp)
                 tmp.rename(Path(out_dir) / f"{col}.parquet")
     return dicts
 

@@ -85,6 +85,10 @@ def parse_embedded_ts(text) -> tuple[pa.Array, pa.Array]:
     return parsed, present
 
 
+def _contiguous(arr):
+    return arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
+
+
 def normalize_strings(arr):
     """P8 normalizer for filtered/route string columns: trim
     whitespace, map empty -> null.  Shared by the parse stage and the
@@ -204,7 +208,11 @@ def make_parse_batch(cfg: PipelineConfig, only: set[str] | None = None):
         if need("parsed_ts") or need("parse_ok") or need("bucket"):
             parsed, present = parse_embedded_ts(text)
             ok = pc.or_(pc.invert(present), pc.is_valid(parsed))
-            parsed_filled = pc.coalesce(parsed, batch["ts"])
+            # Contiguous operands: pyarrow 16.1's coalesce over two
+            # ChunkedArrays with different chunk layouts returns wrong
+            # values after a length-1 chunk that is not the last one.
+            parsed_filled = pc.coalesce(_contiguous(parsed),
+                                        _contiguous(batch["ts"]))
             batch = batch.append_column("parsed_ts", parsed_filled)
             batch = batch.append_column("parse_ok", ok)
 

@@ -5,6 +5,7 @@ import json
 import shutil
 from pathlib import Path
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -540,3 +541,201 @@ def test_wave_log_line(t_small_dir, tmp_path, caplog):
     assert sum(int(m[3]) for m in lines) == summary["rows"]
     assert sum(int(m[5]) for m in lines) \
         == len(glob.glob(f"{out}/sink=*/date=*/*.parquet"))
+
+
+def test_plan_slices():
+    """The driver's batch cut, without Ray: rows in file order, full
+    batches of ``batch_rows`` and a shorter last one, ranges crossing
+    file boundaries, no range for an empty file."""
+    from alco_ray.pipelines.flagship import plan_slices
+
+    counts = [("a", 6), ("b", 1), ("c", 0), ("d", 5)]
+    assert plan_slices(counts, 4) == [
+        [("a", 0, 4)],
+        [("a", 4, 6), ("b", 0, 1), ("d", 0, 1)],
+        [("d", 1, 5)],
+    ]
+    assert plan_slices(counts, 12) == [
+        [("a", 0, 6), ("b", 0, 1), ("d", 0, 5)]]
+    assert plan_slices(counts, 100) == plan_slices(counts, 12)
+    assert plan_slices([("a", 0), ("b", 0)], 3) == []
+    assert plan_slices([], 3) == []
+    assert plan_slices([("a", 3)], 1) == [[("a", i, i + 1)] for i in range(3)]
+
+
+def test_read_slices_reads_overlapping_row_groups(t_small_table, tmp_path):
+    """A range is served from the row groups it overlaps, sliced to the
+    exact rows; ranges of several files come back as one chunk."""
+    from alco_ray.pipelines.flagship import read_slices
+
+    a, b = tmp_path / "a.parquet", tmp_path / "b.parquet"
+    pq.write_table(t_small_table.slice(0, 250), a, row_group_size=60)
+    pq.write_table(t_small_table.slice(250, 10), b)
+    got = read_slices([(str(a), 59, 181), (str(b), 0, 3)])
+    assert got.num_rows == 125
+    assert all(c.num_chunks == 1 for c in got.columns)
+    assert got.equals(pa.concat_tables([t_small_table.slice(59, 122),
+                                        t_small_table.slice(250, 3)])
+                      .combine_chunks())
+
+
+def _sink_rows_per_batch(out) -> list[int]:
+    """Rows per ingest batch: sink files are named ``<wave>-<n>-b<id>``,
+    where ``<id>`` identifies the batch that wrote them."""
+    rows: dict[str, int] = {}
+    for f in glob.glob(f"{out}/sink=*/date=*/*.parquet"):
+        ident = Path(f).stem.rsplit("-", 1)[1]
+        rows[ident] = rows.get(ident, 0) + pq.read_metadata(f).num_rows
+    return sorted(rows.values())
+
+
+def test_wave_shapes_match_oracle(t_small_table, t_small_oracle, tmp_path):
+    """One wave holding a 1-row shard in the middle, an empty shard and
+    a shard of several row groups larger than one batch, cut into
+    batches that cross shard boundaries: the output equals the oracle
+    and each batch holds the rows ``ingest_batch_rows`` gives it.  The
+    first batch's rows come from shards of 300, 1 and 286 rows, a
+    layout that pyarrow 16.1's coalesce gets wrong if it reaches the
+    parse still chunked."""
+    import ray
+
+    from alco_ray.pipelines.flagship import ingest_batch_rows
+
+    n = t_small_table.num_rows
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    pq.write_table(t_small_table.slice(0, 300), corpus / "part-0.parquet")
+    pq.write_table(t_small_table.slice(300, 1), corpus / "part-1.parquet")
+    pq.write_table(t_small_table.slice(0, 0), corpus / "part-2.parquet")
+    pq.write_table(t_small_table.slice(301), corpus / "part-3.parquet",
+                   row_group_size=200)
+    cpus = int(ray.cluster_resources()["CPU"])
+    step = ingest_batch_rows(n, cpus)
+    # batch 1 crosses shards 0, 1 and 3; shard 3 outgrows one batch
+    assert 301 < step < n - 301 and n % step
+
+    out = tmp_path / "out"
+    summary = run_flagship(corpus, out, wave_size=4)
+    assert len(CheckpointManifest(out).waves) == 1
+    assert summary["rows"] == len(t_small_oracle["parsed"])
+    assert summary["parse_failures"] == t_small_oracle["parse_failures"]
+    assert summary["routed_counts"] == t_small_oracle["routed_counts"]
+    got = (_read_out(out).select(["conv_id", "turn_idx", "text", "level"])
+           .to_pandas().sort_values(["conv_id", "turn_idx"])
+           .reset_index(drop=True))
+    want = (t_small_oracle["ordered"][["conv_id", "turn_idx", "text",
+                                       "level"]].reset_index(drop=True))
+    assert got.equals(want)
+    agg = (pq.read_table(out / "aggregates" / "interval_counts").to_pandas()
+           .sort_values(["sink", "level", "bucket"]).reset_index(drop=True))
+    want_agg = (t_small_oracle["interval_counts"]
+                .sort_values(["sink", "level", "bucket"])
+                .reset_index(drop=True))
+    assert agg["cnt"].astype(int).tolist() \
+        == want_agg["cnt"].astype(int).tolist()
+    assert agg["bucket"].tolist() == want_agg["bucket"].tolist()
+    assert _sink_rows_per_batch(out) \
+        == sorted([step] * (n // step) + [n % step])
+
+
+def test_ingest_starts_no_parquet_reader_or_dict_plan(t_small_dir,
+                                                      t_small_oracle,
+                                                      tmp_path, monkeypatch):
+    """The ingest reads shards inside its tasks: with
+    ``ray.data.read_parquet`` disabled, a fresh ingest, a one-shard
+    append and an empty-shard append all succeed, and the dictionary
+    build starts no Ray Data execution."""
+    import ray.data
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    from alco_ray.pipelines.flagship import build_or_load_dicts
+    from alco_ray.specs import TRANSCRIPT_SCHEMA, default_transcript_config
+
+    def no_reader(*a, **kw):
+        raise AssertionError("ray.data.read_parquet called")
+
+    monkeypatch.setattr(ray.data, "read_parquet", no_reader)
+    shards = sorted(Path(t_small_dir).glob("*.parquet"))
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for f in shards[:-1]:
+        shutil.copy(f, corpus / f.name)
+    out = tmp_path / "out"
+    run_flagship(corpus, out, wave_size=4)                   # fresh
+    shutil.copy(shards[-1], corpus / shards[-1].name)
+    summary = run_flagship(corpus, out, wave_size=4)         # one shard
+    pq.write_table(TRANSCRIPT_SCHEMA.empty_table(),
+                   corpus / "part-99999.parquet")
+    assert run_flagship(corpus, out, wave_size=4) == summary  # empty shard
+    assert summary["rows"] == len(t_small_oracle["parsed"])
+    assert summary["routed_counts"] == t_small_oracle["routed_counts"]
+
+    executions = []
+    orig = StreamingExecutor.execute
+
+    def counting(self, *a, **kw):
+        executions.append(a)
+        return orig(self, *a, **kw)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    dicts = build_or_load_dicts([str(f) for f in shards],
+                                default_transcript_config(),
+                                tmp_path / "fresh_dicts")
+    assert executions == []
+    for c in ("role", "tool"):
+        assert dicts[c].equals(pq.read_table(out / "dicts" / f"{c}.parquet"))
+
+
+def test_batch_errors_name_wave_and_ranges(t_small_table, tmp_path):
+    """A batch that fails to read re-raises naming its wave and its
+    (path, start, stop) ranges, both in the worker and through a run;
+    a shard whose footer is unreadable is named too."""
+    import ray
+
+    from alco_ray.pipelines.flagship import IngestWorker
+    from alco_ray.specs import default_transcript_config
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    good, bad = corpus / "part-0.parquet", corpus / "part-1.parquet"
+    pq.write_table(t_small_table.slice(0, 600), good)
+    pq.write_table(t_small_table.slice(600), bad)
+    truncated = tmp_path / "truncated.parquet"
+    truncated.write_bytes(bad.read_bytes()[: bad.stat().st_size // 2])
+
+    worker = IngestWorker(default_transcript_config(),
+                          {"role": ray.put(pa.table({
+                              "value": pa.array([], pa.string()),
+                              "id": pa.array([], pa.int32())}))},
+                          staging_dir=str(tmp_path / "staging"),
+                          wave_id="wtest")
+    batch = pa.table({"path": [[str(good), str(truncated)]],
+                      "start": [[590, 0]], "stop": [[600, 5]]})
+    with pytest.raises(RuntimeError) as err:
+        worker(batch)
+    assert "wave wtest" in str(err.value)
+    assert repr([(str(good), 590, 600), (str(truncated), 0, 5)]) \
+        in str(err.value)
+
+    # Damage the middle of the text column only: the footer and the
+    # dictionary columns still read, so the failure is in the task.
+    col = next(c for c in (pq.read_metadata(bad).row_group(0).column(i)
+                           for i in range(6)) if c.path_in_schema == "text")
+    data = bytearray(bad.read_bytes())
+    mid = col.dictionary_page_offset + col.total_compressed_size // 2
+    data[mid:mid + 64] = bytes(range(64))
+    bad.write_bytes(bytes(data))
+    pq.read_table(bad, columns=["role", "tool"])
+    with pytest.raises(OSError):
+        pq.read_table(bad)
+    [(wave_id, _)] = make_waves([str(good), str(bad)], 4)
+    with pytest.raises(Exception) as err:
+        run_flagship(corpus, tmp_path / "out", wave_size=4)
+    assert f"wave {wave_id} batch [" in str(err.value)
+    assert repr((str(bad), 0, t_small_table.num_rows - 600)) \
+        in str(err.value)
+
+    shutil.copy(truncated, bad)
+    with pytest.raises(RuntimeError, match=f"reading {bad}"):
+        run_flagship(corpus, tmp_path / "out2", wave_size=4)

@@ -39,6 +39,24 @@ def test_bucket_is_5min_floor(parsed):
     assert (bucket == ts.dt.floor("5min")).all()
 
 
+@pytest.mark.parametrize("layout", [(1, None), (72, 1, None)],
+                         ids=["1-n", "72-1-n"])
+def test_parse_batch_is_chunk_layout_proof(t_small_table, layout):
+    """parse_batch on a batch whose columns have a length-1 chunk that
+    is not the last one equals parse_batch on the same rows combined.
+    pyarrow 16.1's coalesce over differently chunked operands got the
+    rows after such a chunk wrong (parsed_ts, bucket)."""
+    table = t_small_table.slice(0, 145).combine_chunks()
+    sizes = [n if n is not None else table.num_rows - sum(layout[:-1])
+             for n in layout]
+    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+    chunked = pa.concat_tables(
+        [table.slice(o, n) for o, n in zip(offsets, sizes)])
+    assert chunked["ts"].num_chunks == len(layout)
+    parse_batch = make_parse_batch(default_transcript_config())
+    assert parse_batch(chunked).equals(parse_batch(chunked.combine_chunks()))
+
+
 def test_parse_edge_cases():
     table = pa.table({
         "conv_id": ["c", "c", "c", "c", "c"],
