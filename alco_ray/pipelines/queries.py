@@ -35,8 +35,8 @@ from ..stages import aggregate as agg_stage
 from ..stages import (dedup, graph, jpeg, join, model, multimodal, order,
                       similarity, text, window)
 from ..stages.dict_encode import DictEncoder, build_dict_table
-from ..stages.parse import make_parse_batch
-from ..stages.route import make_route_batch
+from ..stages.parse import count_tokens, make_parse_batch
+from ..stages.route import day_string, make_route_batch
 from .flagship import build_or_load_dicts
 
 EVENT_ROUTES = {"click": "web", "view": "web", "purchase": "commerce",
@@ -761,17 +761,14 @@ def d_weighted_sample(sf_dir: str):
     sharding/order (the Efraimidis-Spirakis shape with an integer
     key).  Same scale story as d_consistent_sample: pure map +
     per-block bottom-k + driver merge of <= blocks*k rows."""
-    from ..stages.parse import TOKEN_PATTERN
-
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def pri(b: pa.Table) -> pa.Table:
         did = b["doc_id"].to_numpy(zero_copy_only=False)
         h = ((did.astype(np.uint64) * np.uint64(2654435761))
              % np.uint64(4294967296)).astype(np.int64)
-        ntok = pc.cast(pc.count_substring_regex(
-            pc.utf8_lower(b["text"]), TOKEN_PATTERN),
-            pa.int64()).to_numpy(zero_copy_only=False)
+        ntok = pc.cast(count_tokens(b["text"]),
+                       pa.int64()).to_numpy(zero_copy_only=False)
         p = h * 1_000_000 // np.maximum(ntok, 1)
         return pa.table({"doc_id": b["doc_id"],
                          "n_tokens": pa.array(ntok),
@@ -2124,14 +2121,12 @@ def d_pack_greedy(sf_dir: str):
     distributed ordered scan (stages/scan.py): per-block partials ->
     driver prefix of block totals -> block-local cumsum + offset; no
     shuffle, no global sort, O(blocks) driver state."""
-    from ..stages.parse import TOKEN_PATTERN
     from ..stages.scan import ordered_prefix_sum
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def tok(b: pa.Table) -> pa.Table:
-        n = pc.cast(pc.count_substring_regex(pc.utf8_lower(b["text"]),
-                                             TOKEN_PATTERN), pa.int64())
+        n = pc.cast(count_tokens(b["text"]), pa.int64())
         return pa.table({"doc_id": b["doc_id"], "n_tokens": n})
 
     counted = ds.map_batches(tok, batch_format="pyarrow")
@@ -2286,13 +2281,11 @@ def d_pack_concat(sf_dir: str):
     each partition joins its strings in one vectorized pandas pass."""
     import pandas as pd
 
-    from ..stages.parse import TOKEN_PATTERN
     from ..stages.scan import ordered_prefix_sum
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def tok(b: pa.Table) -> pa.Table:
-        n = pc.cast(pc.count_substring_regex(pc.utf8_lower(b["text"]),
-                                             TOKEN_PATTERN), pa.int64())
+        n = pc.cast(count_tokens(b["text"]), pa.int64())
         return pa.table({"doc_id": b["doc_id"], "text": b["text"],
                          "n_tokens": n})
 
@@ -5069,7 +5062,7 @@ def _event_type_sets(sf_dir: str, keep):
     def partial(b: pa.Table) -> pa.Table:
         t = pa.table({
             "user_id": b["user_id"],
-            "day": pc.strftime(b["ts"], format="%Y-%m-%d"),
+            "day": day_string(b["ts"]),
             "p": pc.cast(pc.equal(b["event_type"], "view"), pa.int64()),
             "v": pc.cast(pc.equal(b["event_type"], "click"), pa.int64())})
         g = t.group_by(["user_id", "day"]).aggregate(
@@ -5439,7 +5432,7 @@ def e_grouping_sets(sf_dir: str):
     def prep(b: pa.Table) -> pa.Table:
         return pa.table({
             "event_type": b["event_type"],
-            "day": pc.strftime(b["ts"], format="%Y-%m-%d"),
+            "day": day_string(b["ts"]),
             "value_cents": pc.cast(
                 pc.round(pc.multiply(b["value"], 100),
                          round_mode="half_towards_infinity"),

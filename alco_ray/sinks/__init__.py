@@ -19,6 +19,25 @@ import shutil
 from pathlib import Path
 
 
+def _batch_ident(b) -> str:
+    """A block's file-name identity: 16 hex digits of a blake2b over
+    its Arrow IPC stream bytes (schema plus every column's full
+    contents, chunks combined first so the layout does not matter).
+    Two blocks that differ in any value of any column, or in row
+    order, get different names (a first/last-row sample let
+    same-shaped batches collide, and two tasks writing one path tear
+    the file); the same rows in the same order always get the same
+    name."""
+    import hashlib
+
+    import pyarrow as pa
+
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, b.schema) as w:
+        w.write_table(b.combine_chunks())
+    return hashlib.blake2b(sink.getvalue(), digest_size=8).hexdigest()
+
+
 def _make_block_writer(staging_dir: str, partition_cols: list[str]):
     """Per-block hive-partitioned writer (runs inside map_batches).
 
@@ -28,10 +47,14 @@ def _make_block_writer(staging_dir: str, partition_cols: list[str]):
     task: Ray's own parquet datasink calls pyarrow.dataset.write_dataset
     with use_threads=True, and N write tasks x an N-thread Arrow pool
     each measurably ANTI-scales on one node.  Filenames are a content
-    hash of the block's identity, so a retried task overwrites its own
-    file (idempotent) instead of duplicating rows."""
-    import hashlib
+    hash of the sorted block (:func:`_batch_ident`), so a retried task
+    overwrites its own files (idempotent) instead of duplicating rows.
 
+    The hash covers row order, so that idempotence needs a retried
+    task to see the same rows in the same order.  Every caller gives
+    it that: the flagship's driver fixes each batch's row ranges
+    (``plan_slices`` / ``read_slices``), and the index builders map
+    over the immutable blocks of a materialized dataset."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
@@ -50,32 +73,7 @@ def _make_block_writer(staging_dir: str, partition_cols: list[str]):
             change[1:] |= k[1:] != k[:-1]
         starts = np.flatnonzero(change)
         ends = np.append(starts[1:], n)
-        # Batch identity = order-insensitive hash folded over EVERY
-        # column's full contents (one per-column sum of row hashes).
-        # Strong enough that two distinct batches never share a
-        # filename (a first/last-row sample was not: same-shaped
-        # batches collided, and two actors writing one path tear the
-        # file; a first-two-column hash collided on batches differing
-        # only in later columns); stable under task retry so a replayed
-        # batch still overwrites its own output.
-        import pandas as pd
-
-        def col_hash(arr):
-            if isinstance(arr, pa.ChunkedArray):
-                arr = arr.combine_chunks()
-            # nested (list) columns: hash the flattened leaf values —
-            # pandas can't hash array-valued rows
-            while pa.types.is_list(arr.type) \
-                    or pa.types.is_fixed_size_list(arr.type) \
-                    or pa.types.is_large_list(arr.type):
-                arr = pa.compute.list_flatten(arr)
-            return pd.util.hash_array(
-                arr.to_numpy(zero_copy_only=False)).sum()
-
-        hs = [col_hash(b[c]) for c in batch.column_names]
-        ident = hashlib.sha1(
-            (f"{n}:" + ":".join(f"{h:x}" for h in hs)).encode()
-        ).hexdigest()[:16]
+        ident = _batch_ident(b)
         data = b.drop_columns(list(partition_cols))
         nf = 0
         for s, e in zip(starts, ends):

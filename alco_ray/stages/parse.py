@@ -16,7 +16,13 @@ Parse semantics (shared bit-for-bit with alco_ray.oracle):
   fallback-to-arrival-time.  ``parse_ok`` is False only when a token was
   present but unparseable (the parse_failures metric).
 - tokens: lowercase, split on runs of [^a-z0-9], empties dropped.
+  ``n_tokens`` counts them without building them (:func:`count_tokens`).
 - bucket: parsed_ts floored to the configured interval (default 5 min).
+
+The per-row hot spots are whole-column kernels, not per-value
+interpretation: the token count is a byte lookup table plus one
+reduction over the string offsets (no regex), and the calendar check is
+a plain timestamp -> string cast (no strftime).
 """
 
 from __future__ import annotations
@@ -37,6 +43,10 @@ TS_MARKER_PATTERN = r"at=\S+"
 TOKENIZE_SPLIT = r"[^a-z0-9]+"
 # Complement of TOKENIZE_SPLIT: counting its matches == len(tokenize()).
 TOKEN_PATTERN = r"[a-z0-9]+"
+# TOKEN_PATTERN as a byte class: 1 for the bytes a token is made of.
+_TOKEN_BYTE = np.zeros(256, dtype=np.int8)
+_TOKEN_BYTE[np.frombuffer(b"abcdefghijklmnopqrstuvwxyz0123456789",
+                          dtype=np.uint8)] = 1
 
 
 def extract_regex_column(text: pa.ChunkedArray | pa.Array, pattern: str,
@@ -60,22 +70,26 @@ def parse_embedded_ts(text) -> tuple[pa.Array, pa.Array]:
     """P1: (parsed timestamp[us] or null, token_present bool).
 
     Calendar validity: Arrow's strptime silently *normalizes*
-    out-of-range dates (2024-02-30 -> 2024-03-01) where Python and
-    DuckDB reject them; a strftime round-trip masks those to null so
-    engine and oracles agree that such tokens are parse failures.
-    Null text is treated as no-token-present (not a failure)."""
+    out-of-range dates (2024-02-30 -> 2024-03-01, 23:59:60 -> the next
+    minute) where Python and DuckDB reject them; rendering the parsed
+    instant back to text and comparing it with the token masks those
+    to null, so engine and oracles agree that such tokens are parse
+    failures.  Year 0000 is masked too (Python's datetime starts at
+    year 1).  Null text is treated as no-token-present (not a
+    failure)."""
     st = pc.extract_regex(text, TS_TOKEN_PATTERN)
     dt = pc.struct_field(st, "dt")
     us = pc.struct_field(st, "us")
     base = pc.strptime(dt, format="%Y-%m-%dT%H:%M:%S", unit="us",
                        error_is_null=True)
-    # (cast to seconds first: strftime at us precision renders %S with
-    # a .000000 fraction and the comparison would always fail)
-    roundtrip = pc.strftime(pc.cast(base, pa.timestamp("s")),
-                            format="%Y-%m-%dT%H:%M:%S")
-    base = pc.if_else(
-        pc.coalesce(pc.equal(roundtrip, dt), pa.scalar(False)),
-        base, pa.scalar(None, pa.timestamp("us")))
+    # A plain cast renders "YYYY-MM-DD HH:MM:SS" (at seconds: at us it
+    # would add a fraction), the token's form with a space for the T.
+    roundtrip = pc.cast(pc.cast(base, pa.timestamp("s")), pa.string())
+    same = pc.equal(roundtrip, pc.replace_substring(dt, "T", " ",
+                                                    max_replacements=1))
+    valid = pc.and_(same, pc.greater_equal(pc.year(base), 1))
+    base = pc.if_else(pc.coalesce(valid, pa.scalar(False)),
+                      base, pa.scalar(None, pa.timestamp("us")))
     frac = pc.cast(
         pc.utf8_rpad(pc.coalesce(us, pa.scalar("0")), 6, "0"), pa.int64())
     parsed = pc.add(base, pc.cast(pc.multiply(frac, 1), pa.duration("us")))
@@ -97,6 +111,50 @@ def normalize_strings(arr):
     cleaned = pc.utf8_trim_whitespace(arr)
     return pc.if_else(pc.equal(pc.coalesce(cleaned, pa.scalar("")), ""),
                       pa.scalar(None, pa.string()), cleaned)
+
+
+def count_tokens(text):
+    """P4 token count: ``len(tokenize(x))`` per row, as int32, nulls
+    null, without materializing a token.
+
+    Lowercases with ``utf8_lower`` (the tokenizer's own first step),
+    then counts maximal runs of ``[a-z0-9]`` bytes: a 256-entry lookup
+    table marks token bytes, a run starts at a token byte whose
+    predecessor in the same row is not one, and one ``np.add.reduceat``
+    over the string offsets sums the starts per row.  Exact on any
+    UTF-8 text: every byte of a multi-byte character is >= 0x80, so
+    no such byte is ever a token byte.  ``string`` and ``large_string``
+    columns (Array or ChunkedArray) are accepted; anything else raises
+    TypeError."""
+    if isinstance(text, pa.ChunkedArray):
+        return pa.chunked_array([count_tokens(c) for c in text.chunks],
+                                pa.int32())
+    if pa.types.is_string(text.type):
+        off_type = np.int32
+    elif pa.types.is_large_string(text.type):
+        off_type = np.int64
+    else:
+        raise TypeError(f"count_tokens needs string text, got {text.type}")
+    lowered = pc.utf8_lower(text)
+    n = len(lowered)
+    _, off_buf, data_buf = lowered.buffers()
+    offsets = np.frombuffer(off_buf, dtype=off_type)[
+        lowered.offset:lowered.offset + n + 1]
+    lo, hi = int(offsets[0]), int(offsets[-1])
+    token = _TOKEN_BYTE[np.frombuffer(data_buf, dtype=np.uint8)[lo:hi]]
+    starts = token.copy()
+    starts[1:] &= 1 - token[:-1]
+    # A row's first byte starts a run whatever ends the row before it.
+    first = offsets[:-1] - lo
+    nonempty = offsets[1:] > offsets[:-1]
+    starts[first[nonempty]] = token[first[nonempty]]
+    counts = np.zeros(n, np.int32)
+    if len(starts):
+        counts[nonempty] = np.add.reduceat(starts, first[nonempty],
+                                           dtype=np.int32)
+    mask = lowered.is_null().to_numpy(zero_copy_only=False) \
+        if lowered.null_count else None
+    return pa.array(counts, pa.int32(), mask=mask)
 
 
 def tokenize(text, nrows: int) -> pa.ListArray:
@@ -216,17 +274,15 @@ def make_parse_batch(cfg: PipelineConfig, only: set[str] | None = None):
             batch = batch.append_column("parsed_ts", parsed_filled)
             batch = batch.append_column("parse_ok", ok)
 
-        # P4: token count from the same tokenizer contract, computed as
-        # a direct match-count — building the full list<string> array
-        # only to take its lengths would be the single largest
-        # allocation in the hot path.  The materialized token stream
-        # (for index building / token_explode consumers) stays
-        # available via :func:`tokenize`.
+        # P4: token count from the same tokenizer contract, counted
+        # over the lowered bytes (count_tokens) — building the full
+        # list<string> array only to take its lengths would be the
+        # single largest allocation in the hot path, and a regex match
+        # count was the parse's costliest kernel.  The materialized
+        # token stream (for index building / token_explode consumers)
+        # stays available via :func:`tokenize`.
         if need("n_tokens"):
-            n_tokens = pc.count_substring_regex(pc.utf8_lower(text),
-                                                TOKEN_PATTERN)
-            batch = batch.append_column("n_tokens",
-                                        pc.cast(n_tokens, pa.int32()))
+            batch = batch.append_column("n_tokens", count_tokens(text))
 
         # Aggregate bucket (event-time groupby key, not a runtime window).
         if need("bucket"):

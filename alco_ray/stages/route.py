@@ -20,6 +20,15 @@ import pyarrow.compute as pc
 from ..specs import PipelineConfig
 
 
+def day_string(ts):
+    """``YYYY-MM-DD`` of each timestamp (the ``date`` partition key and
+    every other day-grain string key), nulls null.  Two casts — to
+    date32 (floor to the day, in the zone's local time when the type
+    has one), then to string — render the same text as a ``%Y-%m-%d``
+    strftime at a fraction of its per-row cost."""
+    return pc.cast(pc.cast(ts, pa.date32()), pa.string())
+
+
 def make_route_batch(cfg: PipelineConfig):
     """Build the routing map_batches body (stateless; route table is a
     small dict shipped in the closure — the config is data, per §2.10)."""
@@ -34,7 +43,7 @@ def make_route_batch(cfg: PipelineConfig):
         idx = pc.index_in(key, value_set=values)
         sink = pc.take(sinks, idx)  # null where unrouted
         sink = pc.coalesce(sink, pa.scalar(dead))
-        date = pc.strftime(batch["parsed_ts"], format="%Y-%m-%d")
+        date = day_string(batch["parsed_ts"])
         batch = batch.append_column("sink", sink)
         batch = batch.append_column("date", date)
         return batch

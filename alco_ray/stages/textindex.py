@@ -38,6 +38,7 @@ import pyarrow.compute as pc
 
 from .aggregate import arrow_blocks, concat_nonempty
 from .parse import tokenize
+from .route import day_string
 from .text import hash_tokens
 from .window import keyed_apply
 
@@ -133,7 +134,7 @@ def build_text_index(parsed_ds, index_dir: str | Path, *,
 
     def docstore(b: pa.Table) -> pa.Table:
         return pa.table({
-            "date": pc.strftime(b["parsed_ts"], "%Y-%m-%d"),
+            "date": day_string(b["parsed_ts"]),
             "conv_id": b["conv_id"],
             "turn_idx": b["turn_idx"],
             text_col: b[text_col],
@@ -245,7 +246,7 @@ def _fetch_texts(d: Path, text_col: str, topk, empty: pa.Table,
     import ray
     import ray.data
 
-    days = sorted(set(topk["parsed_ts"].dt.strftime("%Y-%m-%d")))
+    days = sorted(set(day_string(pa.array(topk["parsed_ts"])).to_pylist()))
     dfiles = sorted(str(p) for day in days
                     for p in (d / "docs" / f"date={day}").glob("*.parquet"))
     if stats_out is not None:
@@ -457,7 +458,7 @@ def update_text_index(parsed_delta_ds, index_dir: str | Path, *,
 
     def docstore(b: pa.Table) -> pa.Table:
         return pa.table({
-            "date": pc.strftime(b["parsed_ts"], "%Y-%m-%d"),
+            "date": day_string(b["parsed_ts"]),
             "conv_id": b["conv_id"],
             "turn_idx": b["turn_idx"],
             text_col: b[text_col],

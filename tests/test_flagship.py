@@ -687,6 +687,56 @@ def test_ingest_starts_no_parquet_reader_or_dict_plan(t_small_dir,
         assert dicts[c].equals(pq.read_table(out / "dicts" / f"{c}.parquet"))
 
 
+def test_rerun_batch_rewrites_only_its_own_files(t_small_table, tmp_path):
+    """A retried ingest task over the same planned ranges rewrites
+    exactly the staged files its first attempt wrote: same names, same
+    bytes, no other batch's file touched and no new file."""
+    import ray
+
+    from alco_ray.pipelines.flagship import (IngestWorker,
+                                             build_or_load_dicts,
+                                             plan_slices)
+    from alco_ray.specs import default_transcript_config
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    counts = []
+    for i, part in enumerate([t_small_table.slice(0, 400),
+                              t_small_table.slice(400)]):
+        path = corpus / f"part-{i}.parquet"
+        pq.write_table(part, path)
+        counts.append((str(path), part.num_rows))
+    cfg = default_transcript_config()
+    dicts = build_or_load_dicts([p for p, _ in counts], cfg,
+                                tmp_path / "dicts")
+    staging = tmp_path / "staging"
+    worker = IngestWorker(cfg, {c: ray.put(t) for c, t in dicts.items()},
+                          staging_dir=str(staging), wave_id="wtest")
+    batches = [pa.table({"path": [[p for p, _, _ in b]],
+                         "start": [[s for _, s, _ in b]],
+                         "stop": [[e for _, _, e in b]]})
+               for b in plan_slices(counts, 500)]
+    assert len(batches) == 3
+
+    def staged():
+        return {p: p.read_bytes() for p in staging.rglob("*.parquet")}
+
+    worker(batches[0])
+    own = staged()
+    worker(batches[1])
+    worker(batches[2])
+    written = staged()
+    assert own and set(own) < set(written)
+    for p in written:
+        p.write_bytes(b"stale")
+    partial = worker(batches[0])
+    after = staged()
+    assert set(after) == set(written)
+    assert {p for p in after if after[p] != b"stale"} == set(own)
+    assert all(after[p] == own[p] for p in own)
+    assert sum(partial["rows"].to_pylist()) == 500
+
+
 def test_batch_errors_name_wave_and_ranges(t_small_table, tmp_path):
     """A batch that fails to read re-raises naming its wave and its
     (path, start, stop) ranges, both in the worker and through a run;

@@ -6,7 +6,10 @@ import pytest
 
 from alco_ray.oracle import oracle_parse_row
 from alco_ray.specs import default_transcript_config
-from alco_ray.stages.parse import make_parse_batch, tokenize
+from alco_ray.stages.parse import (TOKEN_PATTERN, TS_TOKEN_PATTERN,
+                                   count_tokens, make_parse_batch,
+                                   parse_embedded_ts, tokenize)
+from alco_ray.stages.route import day_string
 
 
 @pytest.fixture(scope="module")
@@ -151,3 +154,132 @@ def test_dirty_input_engine_oracle_parity():
     enc = encode_with_dicts(routed, dicts)
     assert enc["role_id"].to_pylist() == [
         None if pd.isna(v) else v for v in odf["role_id"].tolist()]
+
+
+def _regex_token_count(text):
+    """The regex token count ``count_tokens`` replaced (reference)."""
+    return pc.cast(pc.count_substring_regex(pc.utf8_lower(text),
+                                            TOKEN_PATTERN), pa.int32())
+
+
+TOKEN_TEXTS = pa.array([
+    None, "", "--lead", "trail--", "--both--", "plain words here",
+    "Straße KELVIN émoji 🙂 x1y2", "\u212a\u212aelvin k", "ab12 CD_34",
+    None, "!!!", "x", "ÉCOLE école 東京 tōkyō 42", "a" * 300,
+])
+
+
+@pytest.mark.parametrize("shape", [
+    "whole", "offset", "middle", "tail-empty", "no-rows", "all-null",
+    "chunked", "no-chunks", "large_string", "large_string-offset"])
+def test_count_tokens_equals_regex_count(shape):
+    text = {
+        "whole": TOKEN_TEXTS,
+        "offset": TOKEN_TEXTS.slice(3),
+        "middle": TOKEN_TEXTS.slice(1, 7),
+        "tail-empty": TOKEN_TEXTS.slice(9, 3),
+        "no-rows": TOKEN_TEXTS.slice(2, 0),
+        "all-null": pa.array([None, None], pa.string()),
+        "chunked": pa.chunked_array([TOKEN_TEXTS.slice(0, 5),
+                                     TOKEN_TEXTS.slice(5, 0),
+                                     TOKEN_TEXTS.slice(5)]),
+        "no-chunks": pa.chunked_array([], pa.string()),
+        "large_string": TOKEN_TEXTS.cast(pa.large_string()),
+        "large_string-offset": TOKEN_TEXTS.cast(pa.large_string()).slice(4),
+    }[shape]
+    got = count_tokens(text)
+    want = _regex_token_count(text)
+    assert got.type == pa.int32()
+    assert type(got) is type(want)
+    assert got.to_pylist() == want.to_pylist()
+    assert got.null_count == want.null_count
+
+
+def test_count_tokens_on_corpus_text(t_small_table):
+    text = t_small_table["text"]
+    assert count_tokens(text).to_pylist() == \
+        _regex_token_count(text).to_pylist()
+    assert count_tokens(text).to_pylist() == \
+        [len(t) for t in tokenize(text, len(text)).to_pylist()]
+
+
+def test_count_tokens_rejects_non_string():
+    with pytest.raises(TypeError):
+        count_tokens(pa.array([b"ab cd"], pa.binary()))
+
+
+def _strftime_parsed_ts(text):
+    """``parse_embedded_ts``'s timestamp with the strftime calendar
+    round trip it replaced (reference)."""
+    st = pc.extract_regex(text, TS_TOKEN_PATTERN)
+    dt = pc.struct_field(st, "dt")
+    base = pc.strptime(dt, format="%Y-%m-%dT%H:%M:%S", unit="us",
+                       error_is_null=True)
+    roundtrip = pc.strftime(pc.cast(base, pa.timestamp("s")),
+                            format="%Y-%m-%dT%H:%M:%S")
+    base = pc.if_else(pc.coalesce(pc.equal(roundtrip, dt), False),
+                      base, pa.scalar(None, pa.timestamp("us")))
+    frac = pc.cast(pc.utf8_rpad(pc.coalesce(pc.struct_field(st, "us"), "0"),
+                                6, "0"), pa.int64())
+    return pc.add(base, pc.cast(frac, pa.duration("us")))
+
+
+CALENDAR_TOKENS = [
+    "at=1969-12-31T23:59:59Z", "at=1969-07-20T20:17:40.25Z",
+    "at=1900-03-01T01:02:03Z", "at=0001-01-01T00:00:00Z",
+    "at=0999-12-31T23:59:59Z", "at=9999-12-31T23:59:59.999999Z",
+    "at=2023-02-29T00:00:00Z", "at=2024-02-29T12:00:00Z",
+    "at=2024-02-30T00:00:00Z", "at=2023-12-31T23:59:60Z",
+    "at=2024-06-30T24:00:00Z", None, "no token", "at=2024-1-1T00:00:00Z",
+]
+
+
+def test_calendar_check_equals_strftime_roundtrip():
+    text = pa.array(CALENDAR_TOKENS)
+    parsed, _ = parse_embedded_ts(text)
+    want = _strftime_parsed_ts(text)
+    assert parsed.to_pylist() == want.to_pylist()
+    # the cases the check exists for are rejected, the rest kept
+    rejected = [t for t, p in zip(CALENDAR_TOKENS, parsed.to_pylist())
+                if p is None and t and t.startswith("at=")]
+    assert rejected == ["at=2023-02-29T00:00:00Z", "at=2024-02-30T00:00:00Z",
+                        "at=2023-12-31T23:59:60Z", "at=2024-06-30T24:00:00Z",
+                        "at=2024-1-1T00:00:00Z"]
+
+
+@pytest.mark.parametrize("tz", [None, "America/New_York"])
+def test_day_string_equals_strftime(tz):
+    import datetime as dt
+
+    instants = [dt.datetime(1969, 12, 31, 23, 59, 59, 500000),
+                dt.datetime(1900, 3, 1, 1, 2, 3), dt.datetime(1, 1, 1, 0, 0, 1),
+                dt.datetime(999, 5, 5, 12), dt.datetime(9999, 12, 31, 23, 59),
+                dt.datetime(2024, 2, 29, 23, 59, 59, 999999),
+                dt.datetime(2024, 1, 2, 2), None]
+    ts = pa.array(instants, pa.timestamp("us", tz=tz))
+    for arr in (ts, ts.slice(2), pa.chunked_array([ts.slice(0, 3),
+                                                   ts.slice(3)])):
+        got = day_string(arr)
+        assert got.type == pa.string()
+        assert got.to_pylist() == \
+            pc.strftime(arr, format="%Y-%m-%d").to_pylist()
+
+
+def test_year_zero_and_leap_second_match_oracle():
+    """Tokens Python's datetime rejects — year 0000, second 60, Feb 30
+    — are parse failures falling back to the arrival time in engine
+    and oracle alike; years 0001 and 9999 parse in both."""
+    import datetime as dt
+
+    texts = ["level=INFO at=0000-01-01T00:00:00Z",
+             "at=2016-12-31T23:59:60Z", "at=2024-02-30T00:00:00Z",
+             "at=0001-01-01T00:00:00Z", "at=9999-12-31T23:59:59.5Z"]
+    arrival = [dt.datetime(2024, 1, 1, 0, i) for i in range(len(texts))]
+    out = make_parse_batch(default_transcript_config())(pa.table({
+        "text": texts, "ts": pa.array(arrival, pa.timestamp("us"))}))
+    for got, text, ts in zip(out.to_pylist(), texts, arrival):
+        level, parsed_ts, ok, toks = oracle_parse_row(text, ts)
+        assert (got["level"], got["parsed_ts"], got["parse_ok"],
+                got["n_tokens"]) == (level, parsed_ts, ok, len(toks))
+    assert out["parse_ok"].to_pylist() == [False, False, False, True, True]
+    assert out["parsed_ts"][0].as_py() == arrival[0]

@@ -6,7 +6,10 @@
 These tests pin the flagship to zero re-runs, keep the old call out of
 the package, and check the collector's block conversion.  The same
 source scan keeps hand-rolled ``partition_by_key`` shuffles out of the
-package (``window.keyed_apply`` owns them)."""
+package (``window.keyed_apply`` owns them), and the per-row kernels the
+ingest dropped out of it: the regex token count
+(``parse.count_tokens`` owns it) and ``strftime`` day strings
+(``route.day_string``)."""
 
 import glob
 import re
@@ -78,6 +81,10 @@ def test_flagship_and_dict_build_run_each_plan_once(
                 == set(cached["value"].to_pylist()))
 
 
+# One call's arguments, across lines: no nested call deeper than one.
+_ARGS = r"(?:[^()]|\([^()]*\))*?"
+
+
 @pytest.mark.parametrize("pattern, allowed, message", [
     (r"\.to_arrow_refs\(", None,
      "Dataset.to_arrow_refs() re-runs a streamed plan under limit(1); "
@@ -87,14 +94,21 @@ def test_flagship_and_dict_build_run_each_plan_once(
      "hash-partition through alco_ray.stages.window.keyed_apply instead "
      "of a hand-rolled partition_by_key -> groupby('part').map_groups "
      "chain"),
-], ids=["to_arrow_refs", "partition_by_key"])
+    (r"count_substring_regex\(" + _ARGS + r"\bTOKEN_PATTERN\b", None,
+     "count tokens with alco_ray.stages.parse.count_tokens (a byte "
+     "table and one reduction), not a regex match count"),
+    (r"strftime\(" + _ARGS + r"[\"']%Y-%m-%d[\"']", "alco_ray/oracle.py",
+     "render day strings with alco_ray.stages.route.day_string (two "
+     "casts), not a per-row strftime; only the pandas oracle keeps it"),
+], ids=["to_arrow_refs", "partition_by_key", "regex_token_count",
+        "strftime_day"])
 def test_package_never_calls(pattern, allowed, message):
     rx = re.compile(pattern)
-    hits = [f"{rel}:{n}"
+    hits = [f"{rel}:{text.count(chr(10), 0, m.start()) + 1}"
             for p in sorted(PKG.rglob("*.py"))
             if (rel := p.relative_to(PKG.parent).as_posix()) != allowed
-            for n, line in enumerate(p.read_text().splitlines(), 1)
-            if rx.search(line)]
+            for text in [p.read_text()]
+            for m in rx.finditer(text)]
     assert not hits, f"{message}: {hits}"
 
 

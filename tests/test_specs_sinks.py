@@ -89,6 +89,39 @@ def test_write_routed_standalone(tmp_path):
     assert back.column_names == ["x"]  # partition cols live in the path
 
 
+def _staged_names(root) -> list[str]:
+    return sorted(p.relative_to(root).as_posix()
+                  for p in Path(root).rglob("*.parquet"))
+
+
+def test_block_writer_names_files_by_content(tmp_path):
+    """Writing one batch twice (in any chunk layout) leaves one file
+    per partition under the same names; a batch that differs only in
+    its last column gets different names."""
+    from alco_ray.sinks import _make_block_writer
+
+    t = pa.table({
+        "sink": pa.array(["a", "b", "a", "b", "a"]),
+        "date": pa.array(["2024-01-01", "2024-01-01", "2024-01-02",
+                          "2024-01-01", "2024-01-01"]),
+        "x": pa.array([1, 2, 3, 4, 5], pa.int64()),
+        "text": pa.array(["p", "q", "r", "s", "t"]),
+    })
+    write = _make_block_writer(str(tmp_path / "one"), ["sink", "date"])
+    write(t)
+    names = _staged_names(tmp_path / "one")
+    assert len(names) == 3  # (a, 01-01), (a, 01-02), (b, 01-01)
+    write(t)
+    write(pa.concat_tables([t.slice(0, 1), t.slice(1, 3), t.slice(4)]))
+    assert _staged_names(tmp_path / "one") == names
+
+    last = t.set_column(3, "text", pa.array(["p", "q", "r", "s", "u"]))
+    _make_block_writer(str(tmp_path / "two"), ["sink", "date"])(last)
+    other = _staged_names(tmp_path / "two")
+    assert len(other) == 3
+    assert not {Path(n).name for n in names} & {Path(n).name for n in other}
+
+
 def test_compact_partitions_preserves_rows(tmp_path):
     """Compaction merges small files per partition dir, preserves row
     content bit-for-bit, and is idempotent (a second call is a no-op)."""
