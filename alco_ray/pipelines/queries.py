@@ -2465,10 +2465,10 @@ def d_dedup_apply(sf_dir: str):
     """End-to-end near-dedup: Jaccard pairs -> connected components ->
     keep the min-id representative per cluster."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    # max_shingle_freq=None: the DuckDB oracle (_JACCARD_BODY) applies
-    # no shingle-frequency cap, so the engine must compute the same
-    # uncapped edge set (the cap is a scale knob, not a semantic).
-    pairs = dedup.jaccard_pairs(ds, threshold=0.5, max_shingle_freq=None)
+    # The DuckDB oracle (_JACCARD_BODY) applies no shingle-frequency
+    # cap, and neither does jaccard_pairs: both compute the same
+    # uncapped edge set.
+    pairs = dedup.jaccard_pairs(ds, threshold=0.5)
     kept = dedup.dedup_apply(
         _read(sf_dir, "documents", columns=["doc_id"]), pairs)
     return kept
@@ -2477,7 +2477,7 @@ def d_dedup_apply(sf_dir: str):
 def d_jaccard_pairs(sf_dir: str):
     """N-gram Jaccard near-dup pairs (threshold 0.5, 3-token shingles): bucketed shingle-hash self-join, size-ratio prune, exact verify — never all-pairs."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    return dedup.jaccard_pairs(ds, threshold=0.5, max_shingle_freq=None)
+    return dedup.jaccard_pairs(ds, threshold=0.5)
 
 
 def d_containment(sf_dir: str):
@@ -2519,7 +2519,7 @@ def d_minhash_apply(sf_dir: str):
     identical reachability over (exact pairs ∩ candidates) — LSH
     recall is part of the checked contract, not hidden."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    ct = dedup.lsh_candidate_pairs(ds, as_table=True)
+    ct = dedup.lsh_candidate_pairs(ds)
     ct = (ct.select(["doc_a", "doc_b"])
             .sort_by([("doc_a", "ascending"), ("doc_b", "ascending")]))
     _write_sidecar(ct, sf_dir, "lsh_apply_candidates.parquet")
@@ -2538,7 +2538,7 @@ def d_minhash_lsh(sf_dir: str):
     candidate set is persisted as a sidecar so the oracle joins it
     against the exact-Jaccard CTE — verification is hash-checked."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    ct = dedup.lsh_candidate_pairs(ds, as_table=True)
+    ct = dedup.lsh_candidate_pairs(ds)
     ct = (ct.select(["doc_a", "doc_b"])
             .sort_by([("doc_a", "ascending"), ("doc_b", "ascending")]))
     _write_sidecar(ct, sf_dir, "lsh_candidates.parquet")
@@ -7268,9 +7268,10 @@ def q_min_cost_supp(sf_dir: str):
         return g.drop_duplicates("l_partkey")
 
     best = agg_stage.concat_nonempty(agg_stage.arrow_blocks(
-        li.map_batches(partial_best, batch_format="pyarrow")
-          .groupby("l_partkey")
-          .map_groups(final_best, batch_format="pandas")))
+        window.keyed_apply(
+            li.map_batches(partial_best, batch_format="pyarrow"),
+            "l_partkey", final_best,
+            approx_rows=_nrows(_tp(sf_dir, "lineitem")))))
     if best.num_columns == 0:
         return pa.table({"p_partkey": pa.array([], pa.int64()),
                          "s_suppkey": pa.array([], pa.int64()),
@@ -7566,8 +7567,7 @@ def d_dup_degree(sf_dir: str):
     the pair generation itself stays the bucketed distributed
     kernel."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    pairs = dedup.jaccard_pairs(ds, threshold=0.5,
-                                max_shingle_freq=None).to_pandas()
+    pairs = dedup.jaccard_pairs(ds, threshold=0.5).to_pandas()
     total = _nrows(_tp(sf_dir, "documents"))
     deg = pd.concat([pairs["doc_a"], pairs["doc_b"]]) \
         .value_counts() if len(pairs) else pd.Series(dtype="int64")

@@ -133,9 +133,3 @@ def compile_schema(cfg: PipelineConfig) -> pa.Schema:
     fields += [pa.field(f"{name}_id", pa.int32()) for name in cfg.filtered_columns()]
     fields += [pa.field("sink", pa.string()), pa.field("date", pa.string())]
     return pa.schema(fields)
-
-
-def partition_layout(cfg: PipelineConfig) -> str:
-    """Documented sink layout: ALCO's per-logger per-day RT shards map to
-    ``sink=<logger>/date=<YYYY-MM-DD>/part-*.parquet`` (SURVEY.md §1.2)."""
-    return "sink=<logger>/date=<YYYY-MM-DD>/part-<partition>.parquet"

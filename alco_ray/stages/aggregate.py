@@ -148,22 +148,6 @@ def routed_counts(ds):
     return interval_counts(ds, keys=["sink"])
 
 
-def parse_failure_counts(ds):
-    """A2: parse failures per sink (parse_ok == False)."""
-    import pyarrow.compute as pc
-
-    import ray.data
-
-    def partial(batch: pa.Table) -> pa.Table:
-        failed = batch.filter(pc.invert(batch["parse_ok"]))
-        gb = failed.group_by(["sink"]).aggregate([([], "count_all")])
-        return gb.rename_columns(["sink", "failures"])
-
-    p = ds.map_batches(partial, batch_format="pyarrow")
-    return ray.data.from_arrow(
-        fold_partials(p, ["sink"], [("failures", "sum")]))
-
-
 def minmax_ts(ds, key: str = "sink", ts_col: str = "parsed_ts"):
     """A5: min/max event time per sink (shard bookkeeping).
 

@@ -9,22 +9,25 @@ Scalable shapes (each documented with its partitioning assumption):
 - **Exact n-gram Jaccard pairs** (:func:`jaccard_pairs`): explode
   distinct token 3-shingles, hash-shuffle on shingle, emit co-occurring
   doc pairs per shingle group, then sum pair intersections and compare
-  with set sizes.  Shuffle keys = shingle hash, then (doc_a, doc_b).
-  Cost is bounded by dropping shingles whose group exceeds
-  ``max_shingle_freq`` (stopword-shingles create quadratic pair
-  blowup; dropping them only *underestimates* similarity for
-  pathological docs — the standard trade).
-- **MinHash + LSH** (:func:`minhash_signatures`, :func:`lsh_candidate_pairs`):
+  with set sizes.  Shuffle keys = shingle, then (doc_a, doc_b).
+- **MinHash + LSH** (:func:`minhash_batch`, :func:`lsh_candidate_pairs`):
   shingle -> 64 minhashes -> 16 bands x 4 rows; band-bucket groupby
   emits candidates; probability a pair with Jaccard s collides in some
   band is 1-(1-s^4)^16 (>=0.97 at s=0.8).  Shuffle key = (band_id,
   band_hash).
-- **SimHash** (:func:`simhash`): 64-bit signature per doc; near-dups
-  are docs whose signatures differ in <= k bits — bucket by signature
-  bytes for candidate generation.
+- **SimHash** (:func:`simhash_batch`, :func:`simhash_near_pairs`):
+  64-bit signature per doc; near-dups are docs whose signatures differ
+  in <= k bits — bucket by (chunk_id, chunk_val) for candidate
+  generation.
 
-All hashing via ``pandas.util.hash_array`` (deterministic SipHash),
-mixed with fixed odd constants for independent hash families.
+Every pair join shuffles only through :func:`~.window.keyed_apply`:
+one call emits candidate pairs per bucket key, and where several
+buckets can emit the same pair, a second call keyed on the pair sums
+or dedupes it (:func:`lsh_candidate_pairs` folds on the driver
+instead; :func:`simhash_near_pairs` emits each pair once).  So all
+shuffle hashing goes through ``pandas.util.hash_array``
+(deterministic SipHash); shingle, MinHash and SimHash values mix
+fixed odd constants for independent hash families.
 """
 
 from __future__ import annotations
@@ -215,20 +218,6 @@ def dedup_exact_rows(ds, key_cols: list[str], order_col: str, *,
                        approx_rows=approx_rows)
 
 
-def pair_partition_ids(a: np.ndarray, b: np.ndarray,
-                       n_parts: int) -> np.ndarray:
-    """int32 partition ids for (a, b) pair keys — THE shared pair-hash
-    behind every pair distinct/sum stage here and in similarity (a
-    pair lives in exactly one partition).  ``n_parts`` must be a power
-    of two."""
-    with np.errstate(over="ignore"):
-        h = (np.ascontiguousarray(a, dtype=np.int64).view(np.uint64)
-             * np.uint64(0x9E3779B97F4A7C15)
-             ^ np.ascontiguousarray(b, dtype=np.int64).view(np.uint64)
-             * np.uint64(0xC2B2AE3D27D4EB4F))
-    return (h & np.uint64(n_parts - 1)).astype(np.int32)
-
-
 def suggest_pair_partitions(n_rows: int, rows_per_part: int = 250_000,
                             expansion: int = 128, lo: int = 32,
                             hi: int = 1 << 16) -> int:
@@ -243,78 +232,67 @@ def suggest_pair_partitions(n_rows: int, rows_per_part: int = 250_000,
     return 1 << (int(want) - 1).bit_length()
 
 
+def _shingle_overlaps(g: pd.DataFrame, id_col: str) -> pd.DataFrame:
+    """(doc_a, doc_b, inter, na, nb), doc_a < doc_b, for every doc pair
+    sharing a shingle in ``g`` (whole shingle groups): ``inter`` is the
+    pair's shared-shingle count within this frame, ``na``/``nb`` the
+    docs' distinct-shingle counts."""
+    m = g.merge(g, on="shingle", suffixes=("_a", "_b"))
+    m = m[m[f"{id_col}_a"] < m[f"{id_col}_b"]]
+    return (m.groupby([f"{id_col}_a", f"{id_col}_b"])
+             .agg(inter=("shingle", "size"),
+                  na=("n_shingles_a", "first"),
+                  nb=("n_shingles_b", "first"))
+             .reset_index()
+             .rename(columns={f"{id_col}_a": "doc_a",
+                              f"{id_col}_b": "doc_b"}))
+
+
+def _sum_overlaps(g: pd.DataFrame) -> pd.DataFrame:
+    """Per-pair totals of :func:`_shingle_overlaps` partials (``g``
+    holds whole pairs)."""
+    return (g.groupby(["doc_a", "doc_b"], sort=False)
+             .agg(inter=("inter", "sum"), na=("na", "max"),
+                  nb=("nb", "max"))
+             .reset_index())
+
+
 def jaccard_pairs(ds, threshold: float = 0.5, *, text_col: str = "text",
                   id_col: str = "doc_id", k: int = 3,
-                  max_shingle_freq: int = 64,
                   n_buckets: int | None = None):
     """Exact n-gram Jaccard near-dup pairs with Jaccard >= threshold.
 
     Returns Dataset(doc_a, doc_b, inter, uni) with doc_a < doc_b.
     threshold applied as inter/uni >= threshold using exact integer
     arithmetic (inter * 1000 >= uni * round(threshold*1000)).
-    """
-    import pandas as pd  # noqa: F811
 
+    Shape: a partitioned self hash-join (ray_guide "Joins and
+    lookups").  :func:`keyed_apply` on ``shingle`` runs one vectorized
+    pandas self-merge per partition of whole shingle groups, emitting
+    per-pair partial intersections; a second :func:`keyed_apply` on
+    (doc_a, doc_b) sums them (Ray's own Aggregate measured ~44k rows/s
+    on this shape).  Both stages use ``n_buckets`` partitions, sized
+    from the input by :func:`suggest_pair_partitions` by default.
+    """
     sh = ds.map_batches(
         lambda b: shingle_explode(b, text_col, id_col, k),
         batch_format="pyarrow")
-
-    # Explicit partitioned self hash-join (ray_guide "Joins and lookups"):
-    # bucket by shingle hash into a data-proportional number of
-    # partitions, then a vectorized pandas merge WITHIN each bucket.  A
-    # shingle lives in exactly one bucket, so bucket-local pairs are
-    # globally complete, and bucket-local shingle frequencies are
-    # globally exact (the max_shingle_freq cap can be applied locally).
     if n_buckets is None:
         n_buckets = suggest_pair_partitions(ds.count())
-
-    def bucketize(b: pa.Table) -> pa.Table:
-        bk = pc.cast(
-            pc.bit_wise_and(b["shingle"], pa.scalar(n_buckets - 1, pa.int64())),
-            pa.int32())
-        return b.append_column("bucket", bk)
-
-    sh = sh.map_batches(bucketize, batch_format="pyarrow")
-
     thr = round(threshold * 1000)
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if max_shingle_freq is not None:
-            df_counts = g.groupby("shingle")["shingle"].transform("size")
-            g = g[df_counts <= max_shingle_freq]
-        m = g.merge(g, on="shingle", suffixes=("_a", "_b"))
-        m = m[m[f"{id_col}_a"] < m[f"{id_col}_b"]]
-        out = (m.groupby([f"{id_col}_a", f"{id_col}_b"])
-                .agg(inter=("shingle", "size"),
-                     na=("n_shingles_a", "first"),
-                     nb=("n_shingles_b", "first"))
-                .reset_index())
-        out = out.rename(columns={f"{id_col}_a": "doc_a",
-                                  f"{id_col}_b": "doc_b"})
+        out = _shingle_overlaps(g, id_col)
         # Exact-safe size-ratio prune: J >= t and inter <= min(na, nb)
         # imply min(na, nb) >= t * max(na, nb); incompatible-size
         # pairs can never pass the final threshold, so dropping their
         # partials here cuts the shuffle without changing the answer.
         na = out["na"].to_numpy()
         nb = out["nb"].to_numpy()
-        ok = (np.minimum(na, nb) * 1000 >= thr * np.maximum(na, nb))
-        out = out[ok]
-        # Re-partition the pair partials by pair hash for the final
-        # sum: Ray's own Aggregate measured ~44k rows/s on this shape
-        # (200+ s at sf0.1); a second bounded map_groups with a
-        # vectorized pandas sum is limited only by the shuffle.
-        out = out.assign(part2=pair_partition_ids(
-            out["doc_a"].to_numpy(), out["doc_b"].to_numpy(), n_buckets))
-        return out
-
-    pair_partials = sh.groupby("bucket").map_groups(
-        pairs_in_bucket, batch_format="pandas")
+        return out[np.minimum(na, nb) * 1000 >= thr * np.maximum(na, nb)]
 
     def sum_finalize(g: pd.DataFrame) -> pd.DataFrame:
-        s = (g.groupby(["doc_a", "doc_b"], sort=False)
-              .agg(inter=("inter", "sum"), na=("na", "max"),
-                   nb=("nb", "max"))
-              .reset_index())
+        s = _sum_overlaps(g)
         uni = (s["na"] + s["nb"] - s["inter"]).astype("int64")
         keep = s["inter"].to_numpy() * 1000 >= uni.to_numpy() * thr
         out = pd.DataFrame({"doc_a": s["doc_a"], "doc_b": s["doc_b"],
@@ -322,14 +300,15 @@ def jaccard_pairs(ds, threshold: float = 0.5, *, text_col: str = "text",
                             "uni": uni})
         return out[keep]
 
-    return pair_partials.groupby("part2").map_groups(
-        sum_finalize, batch_format="pandas")
+    partials = keyed_apply(sh, "shingle", pairs_in_bucket,
+                           n_parts=n_buckets)
+    return keyed_apply(partials, ["doc_a", "doc_b"], sum_finalize,
+                       n_parts=n_buckets)
 
 
 def containment_pairs(ds, threshold: float = 0.8, *,
                       text_col: str = "text", id_col: str = "doc_id",
                       k: int = 3, min_shingles: int = 5,
-                      max_shingle_freq: int | None = None,
                       n_buckets: int | None = None):
     """DIRECTED n-gram containment pairs: C(A->B) = |sh(A) ∩ sh(B)|
     / |sh(A)| >= threshold — the asymmetric near-dup relation Jaccard
@@ -339,61 +318,28 @@ def containment_pairs(ds, threshold: float = 0.8, *,
     passes, exact integer threshold (inter*1000 >= n_a*thr_ppt),
     n_a >= min_shingles guards degenerate tiny docs.
 
-    Scale shape: identical to :func:`jaccard_pairs` (one shingle-hash
-    bucket exchange, bucket-local pandas self-merge, pair-hash
-    re-partitioned exact finalize) — only the feasibility prune
-    changes: a directed pass needs inter <= min(na, nb) >= thr*na,
-    so pairs where NEITHER direction satisfies thr*min <= 1000*max
-    drop before the second exchange."""
-    import pandas as pd  # noqa: F811
-
+    Scale shape: identical to :func:`jaccard_pairs` (a shingle-keyed
+    self-merge, then a pair-keyed exact finalize) — only the
+    feasibility prune changes: a directed pass needs inter <= min(na,
+    nb) >= thr*na, so pairs where NEITHER direction satisfies thr*min
+    <= 1000*max drop before the second exchange."""
     sh = ds.map_batches(
         lambda b: shingle_explode(b, text_col, id_col, k),
         batch_format="pyarrow")
     if n_buckets is None:
         n_buckets = suggest_pair_partitions(ds.count())
-
-    def bucketize(b: pa.Table) -> pa.Table:
-        bk = pc.cast(
-            pc.bit_wise_and(b["shingle"],
-                            pa.scalar(n_buckets - 1, pa.int64())),
-            pa.int32())
-        return b.append_column("bucket", bk)
-
-    sh = sh.map_batches(bucketize, batch_format="pyarrow")
     thr = round(threshold * 1000)
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if max_shingle_freq is not None:
-            freq = g.groupby("shingle")["shingle"].transform("size")
-            g = g[freq <= max_shingle_freq]
-        m = g.merge(g, on="shingle", suffixes=("_a", "_b"))
-        m = m[m[f"{id_col}_a"] < m[f"{id_col}_b"]]
-        out = (m.groupby([f"{id_col}_a", f"{id_col}_b"])
-                .agg(inter=("shingle", "size"),
-                     na=("n_shingles_a", "first"),
-                     nb=("n_shingles_b", "first"))
-                .reset_index()
-                .rename(columns={f"{id_col}_a": "doc_a",
-                                 f"{id_col}_b": "doc_b"}))
+        out = _shingle_overlaps(g, id_col)
         na = out["na"].to_numpy()
         nb = out["nb"].to_numpy()
         # feasibility: inter <= min(na, nb); a->b needs thr*na <=
         # 1000*min(na, nb) i.e. thr*na <= 1000*nb; b->a symmetric.
-        ok = ((thr * na <= 1000 * nb) | (thr * nb <= 1000 * na))
-        out = out[ok]
-        out = out.assign(part2=pair_partition_ids(
-            out["doc_a"].to_numpy(), out["doc_b"].to_numpy(), n_buckets))
-        return out
-
-    pair_partials = sh.groupby("bucket").map_groups(
-        pairs_in_bucket, batch_format="pandas")
+        return out[(thr * na <= 1000 * nb) | (thr * nb <= 1000 * na)]
 
     def containment_finalize(g: pd.DataFrame) -> pd.DataFrame:
-        s = (g.groupby(["doc_a", "doc_b"], sort=False)
-              .agg(inter=("inter", "sum"), na=("na", "max"),
-                   nb=("nb", "max"))
-              .reset_index())
+        s = _sum_overlaps(g)
         inter = s["inter"].to_numpy().astype("int64")
         na = s["na"].to_numpy().astype("int64")
         nb = s["nb"].to_numpy().astype("int64")
@@ -408,8 +354,10 @@ def containment_pairs(ds, threshold: float = 0.8, *,
                 "n_contained": n_c[keep]}))
         return pd.concat(rows, ignore_index=True)
 
-    return pair_partials.groupby("part2").map_groups(
-        containment_finalize, batch_format="pandas")
+    partials = keyed_apply(sh, "shingle", pairs_in_bucket,
+                           n_parts=n_buckets)
+    return keyed_apply(partials, ["doc_a", "doc_b"], containment_finalize,
+                       n_parts=n_buckets)
 
 
 # ---------------------------------------------------------------- MinHash
@@ -490,46 +438,28 @@ def band_explode(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
 
 def lsh_candidate_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
                         k: int = 3, max_bucket: int = 256,
-                        n_parts: int | None = None,
-                        as_table: bool = False,
-                        max_candidate_rows: int = 50_000_000):
-    """MinHash-LSH candidate pairs: Dataset(doc_a, doc_b) distinct.
+                        max_candidate_rows: int = 50_000_000) -> pa.Table:
+    """MinHash-LSH candidate pairs: pa.Table(doc_a, doc_b, n_bands),
+    one row per distinct pair, ``n_bands`` = bands it collided in.
 
-    Pipeline: signatures -> band explode -> groupby(band_id, band_hash)
-    -> pairs per bucket -> distinct.  ``max_bucket`` caps quadratic
-    blowup from degenerate buckets (boilerplate-heavy corpora).
-    ``as_table=True`` folds the cross-partition distinct driver-side
-    and returns a pa.Table — candidate lists are bounded by
-    construction, and a consumer that materializes them anyway (e.g.
-    the verify chain) saves one all-to-all shuffle's fixed latency.
+    Pipeline: signatures -> band explode -> :func:`keyed_apply` on
+    (band_id, band_hash) -> pairs per bucket -> driver-side distinct.
+    ``max_bucket`` caps quadratic blowup from degenerate buckets
+    (boilerplate-heavy corpora).  Candidate lists are bounded by
+    construction, and their consumers (e.g. the verify chain)
+    materialize them anyway, so the cross-partition distinct folds on
+    the driver instead of paying a second all-to-all shuffle;
+    ``max_candidate_rows`` makes that bound a checked limit.
     """
-    import pandas as pd  # noqa: F811
+    import ray
 
     sigs = ds.map_batches(
         lambda b: minhash_batch(b, text_col, id_col, k),
         batch_format="pyarrow")
     bands = sigs.map_batches(lambda b: band_explode(b, id_col),
                              batch_format="pyarrow")
-
-    # Same explicit partitioned self-join shape as jaccard_pairs: an LSH
-    # bucket (band_id, band_hash) lives entirely in one hash partition;
-    # partition count grows with the corpus (exploded rows per doc =
-    # N_BANDS) so per-worker frames stay bounded.
-    if n_parts is None:
-        n_parts = suggest_pair_partitions(ds.count(), expansion=N_BANDS)
-
-    def bucketize(b: pa.Table) -> pa.Table:
-        bk = pc.cast(
-            pc.bit_wise_and(
-                pc.bit_wise_xor(b["band_hash"],
-                                pc.cast(pc.multiply(
-                                    pc.cast(b["band_id"], pa.int64()),
-                                    pa.scalar(0x9E3779B9, pa.int64())), pa.int64())),
-                pa.scalar(n_parts - 1, pa.int64())),
-            pa.int32())
-        return b.append_column("part", bk)
-
-    parts = bands.map_batches(bucketize, batch_format="pyarrow")
+    # exploded rows per doc = N_BANDS, so per-worker frames stay bounded
+    n_parts = suggest_pair_partitions(ds.count(), expansion=N_BANDS)
 
     def pairs_in_part(g: pd.DataFrame) -> pd.DataFrame:
         if max_bucket is not None:
@@ -542,50 +472,29 @@ def lsh_candidate_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
         return out.rename(columns={f"{id_col}_a": "doc_a",
                                    f"{id_col}_b": "doc_b"})
 
-    partials = parts.groupby("part").map_groups(pairs_in_part,
-                                                batch_format="pandas")
-    # distinct pairs (a pair can collide in several bands / partitions)
-    if as_table:
-        import ray
-
-        # Checked limit enforced INCREMENTALLY: blocks are fetched one
-        # at a time and counted as they arrive, so an over-limit corpus
-        # transfers at most max_candidate_rows + one block to the
-        # driver before raising — not the whole edge list.
-        blocks, total = [], 0
-        for ref in arrow_refs(partials):
-            t = ray.get(ref)
-            total += t.num_rows
-            if total > max_candidate_rows:
-                raise ValueError(
-                    f"lsh_candidate_pairs(as_table=True): >{max_candidate_rows} "
-                    f"candidate rows (limit max_candidate_rows); verify in "
-                    "shards (as_table=False keeps them distributed)")
-            blocks.append(t)
-        t = concat_nonempty(blocks)
-        if t.num_columns == 0:
-            return pa.table({"doc_a": pa.array([], pa.int64()),
-                             "doc_b": pa.array([], pa.int64()),
-                             "n_bands": pa.array([], pa.int64())})
-        g = t.group_by(["doc_a", "doc_b"]).aggregate([("n_bands", "sum")])
-        return g.rename_columns(["doc_a", "doc_b", "n_bands"])
-
-    # Distributed distinct via the partitioned-pandas shape (a pair
-    # lives in exactly one hash partition) — Ray's own Aggregate
-    # measures ~44k rows/s on pair tables.
-    def add_pair_part(b: pa.Table) -> pa.Table:
-        return b.append_column("part2", pa.array(pair_partition_ids(
-            b["doc_a"].to_numpy(zero_copy_only=False),
-            b["doc_b"].to_numpy(zero_copy_only=False), n_parts)))
-
-    def sum_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        out = (g.groupby(["doc_a", "doc_b"], sort=False)
-                .agg(n_bands=("n_bands", "sum")).reset_index())
-        out["n_bands"] = out["n_bands"].astype("int64")
-        return out
-
-    return (partials.map_batches(add_pair_part, batch_format="pyarrow")
-            .groupby("part2").map_groups(sum_pairs, batch_format="pandas"))
+    partials = keyed_apply(bands, ["band_id", "band_hash"], pairs_in_part,
+                           n_parts=n_parts)
+    # Checked limit enforced INCREMENTALLY: blocks are fetched one at a
+    # time and counted as they arrive, so an over-limit corpus
+    # transfers at most max_candidate_rows + one block to the driver
+    # before raising — not the whole edge list.
+    blocks, total = [], 0
+    for ref in arrow_refs(partials):
+        t = ray.get(ref)
+        total += t.num_rows
+        if total > max_candidate_rows:
+            raise ValueError(
+                f"lsh_candidate_pairs: >{max_candidate_rows} candidate "
+                "rows (limit max_candidate_rows); raise the limit or "
+                "verify in shards")
+        blocks.append(t)
+    t = concat_nonempty(blocks)
+    if t.num_columns == 0:
+        return pa.table({"doc_a": pa.array([], pa.int64()),
+                         "doc_b": pa.array([], pa.int64()),
+                         "n_bands": pa.array([], pa.int64())})
+    g = t.group_by(["doc_a", "doc_b"]).aggregate([("n_bands", "sum")])
+    return g.rename_columns(["doc_a", "doc_b", "n_bands"])
 
 
 def _count_block_rows(refs) -> list:
@@ -769,7 +678,7 @@ def verify_pairs(ds, candidates, threshold: float = 0.5, *,
         return ray.data.from_arrow(out)
 
     exact = jaccard_pairs(sub, threshold, text_col=text_col, id_col=id_col,
-                          k=k, max_shingle_freq=None,
+                          k=k,
                           n_buckets=suggest_pair_partitions(len(involved)))
     exact_t = concat_nonempty(arrow_blocks(exact))
     if exact_t.num_rows == 0 or exact_t.num_columns == 0:
@@ -790,8 +699,7 @@ def verify_pairs(ds, candidates, threshold: float = 0.5, *,
 
 def simhash_near_pairs(ds, max_hamming: int = 7, *,
                        text_col: str = "text", id_col: str = "doc_id",
-                       n_chunks: int = 8, max_bucket: int | None = None,
-                       sig_ds=None):
+                       n_chunks: int = 8, sig_ds=None):
     """All pairs with SimHash Hamming distance <= ``max_hamming``.
 
     Banded by pigeonhole: the 64-bit signature splits into ``n_chunks``
@@ -800,13 +708,15 @@ def simhash_near_pairs(ds, max_hamming: int = 7, *,
     reaches **recall 1.0** for ``max_hamming < n_chunks``, and the
     in-bucket exact Hamming check gives precision 1.0 — making the
     distributed pair generation exactly SQL-checkable from the
-    signature table.  ``max_bucket``, when set, caps degenerate-bucket
-    quadratic blowup at scale (trades recall, like LSH).  ``sig_ds``
-    lets the caller reuse precomputed (id, simhash) signatures.
+    signature table.  Raises ``ValueError`` unless ``n_chunks``
+    divides 64 and ``max_hamming < n_chunks``.  ``sig_ds`` lets the
+    caller reuse precomputed (id, simhash) signatures.
     """
-    import pandas as pd  # noqa: F811
-
-    assert 64 % n_chunks == 0 and max_hamming < n_chunks
+    if 64 % n_chunks or not max_hamming < n_chunks:
+        raise ValueError(
+            f"simhash_near_pairs: need 64 % n_chunks == 0 and "
+            f"max_hamming < n_chunks for recall 1.0, got "
+            f"n_chunks={n_chunks}, max_hamming={max_hamming}")
     bits = 64 // n_chunks
     # Materialize the (id, sig) table — it is tiny — and size the
     # partitioning from ITS metadata count: counting ``ds`` would
@@ -821,23 +731,18 @@ def simhash_near_pairs(ds, max_hamming: int = 7, *,
         sig = t["simhash"].to_numpy(zero_copy_only=False).view(np.uint64)
         ids = t[id_col].to_numpy(zero_copy_only=False)
         n = len(ids)
-        chunk_ids = np.tile(np.arange(n_chunks, dtype=np.int32), n)
         shifts = (np.arange(n_chunks, dtype=np.uint64) * np.uint64(bits))
         vals = ((sig[:, None] >> shifts[None, :])
                 & np.uint64((1 << bits) - 1)).reshape(-1)
-        # partition on (chunk, value): a (chunk, value) bucket lives in
-        # exactly one partition
-        mix = (vals.view(np.int64)
-               ^ (chunk_ids.astype(np.int64) * 0x9E3779B9))
         return pa.table({
             id_col: pa.array(np.repeat(ids, n_chunks)),
             "sig": pa.array(np.repeat(sig.view(np.int64), n_chunks)),
-            "chunk_id": pa.array(chunk_ids),
+            "chunk_id": pa.array(
+                np.tile(np.arange(n_chunks, dtype=np.int32), n)),
             "chunk_val": pa.array(vals.view(np.int64)),
-            "part": pa.array((mix & (n_parts - 1)).astype(np.int32)),
         })
 
-    parts = sigs.map_batches(explode, batch_format="pyarrow")
+    chunks = sigs.map_batches(explode, batch_format="pyarrow")
 
     def pairs_in_part(g: pd.DataFrame) -> pd.DataFrame:
         # Segment-sorted numpy pair generation: a pandas self-merge
@@ -869,7 +774,7 @@ def simhash_near_pairs(ds, max_hamming: int = 7, *,
 
         for s, e in zip(starts, ends):
             m = e - s
-            if m < 2 or (max_bucket is not None and m > max_bucket):
+            if m < 2:
                 continue
             # Near-identical docs share the FULL signature, so real
             # buckets hold few DISTINCT signatures (measured: 1019
@@ -927,8 +832,8 @@ def simhash_near_pairs(ds, max_hamming: int = 7, *,
 
     # No distinct stage: min-agreeing-chunk emission is globally unique
     # by construction (see pairs_in_part).
-    return parts.groupby("part").map_groups(pairs_in_part,
-                                            batch_format="pandas")
+    return keyed_apply(chunks, ["chunk_id", "chunk_val"], pairs_in_part,
+                       n_parts=n_parts)
 
 
 def dedup_apply(ds, pairs, *, id_col: str = "doc_id",

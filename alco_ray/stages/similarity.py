@@ -11,10 +11,13 @@ query probes ~corpus/2^bits rows; recall is tunable by multi-probing.
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .aggregate import arrow_blocks, arrow_refs, concat_nonempty
+from .dedup import suggest_pair_partitions
+from .window import keyed_apply
 
 
 def _matrix(batch: pa.Table, col: str = "embedding") -> np.ndarray:
@@ -410,7 +413,8 @@ def cosine_dup_pairs_lsh(ds, threshold: float = 0.4, *,
     Banded random-hyperplane LSH: ``n_tables`` independent sign-bit
     signatures of ``n_bits`` hyperplanes each; rows sharing a (table,
     bucket) signature are candidates, verified with an exact in-bucket
-    matmul, deduplicated across tables by a final pair groupby.
+    matmul, deduplicated across tables by a pair-keyed
+    :func:`keyed_apply`.
 
     Partitioning assumptions: a (table, bucket) group holds ~corpus /
     2^n_bits rows — ``n_bits`` defaults to log2(rows /
@@ -450,39 +454,29 @@ def cosine_dup_pairs_lsh(ds, threshold: float = 0.4, *,
 
     exploded = ds.map_batches(explode, batch_format="pyarrow")
 
-    def pairs_in_bucket(g: pa.Table) -> pa.Table:
-        ids = g[id_col].to_numpy(zero_copy_only=False)
-        m = _matrix(g, "emb")  # already normalized
-        sims = m @ m.T
-        ai, bi = np.nonzero((sims >= threshold) &
-                            (ids[:, None] < ids[None, :]))
-        return pa.table({"vec_a": pa.array(ids[ai], pa.int64()),
-                         "vec_b": pa.array(ids[bi], pa.int64())})
+    def pairs_in_buckets(g: pd.DataFrame) -> pd.DataFrame:
+        ids = g[id_col].to_numpy()
+        emb = np.stack(g["emb"].to_numpy())  # already normalized
+        out_a, out_b = [], []
+        for rows in g.groupby(["table_id", "bucket"],
+                              sort=False).indices.values():
+            bid, m = ids[rows], emb[rows]
+            ai, bi = np.nonzero((m @ m.T >= threshold) &
+                                (bid[:, None] < bid[None, :]))
+            out_a.append(bid[ai])
+            out_b.append(bid[bi])
+        return pd.DataFrame({"vec_a": np.concatenate(out_a).astype(np.int64),
+                             "vec_b": np.concatenate(out_b).astype(np.int64)})
 
-    partials = exploded.groupby(["table_id", "bucket"]).map_groups(
-        pairs_in_bucket, batch_format="pyarrow")
+    def distinct_pairs(g: pd.DataFrame) -> pd.DataFrame:
+        return g.drop_duplicates(["vec_a", "vec_b"])
 
-    # distinct pairs (a pair can collide in several tables) via the
-    # partitioned-pandas shape — Ray's Aggregate measures ~44k rows/s
-    # on pair tables, the exact bottleneck this scale path exists to
-    # avoid.
-    from .dedup import suggest_pair_partitions
-
-    n_parts2 = suggest_pair_partitions(n, expansion=n_tables)
-
-    def add_pair_part(b: pa.Table) -> pa.Table:
-        from .dedup import pair_partition_ids
-
-        return b.append_column("part", pa.array(pair_partition_ids(
-            b["vec_a"].to_numpy(zero_copy_only=False),
-            b["vec_b"].to_numpy(zero_copy_only=False), n_parts2)))
-
-    def distinct_pairs(g):
-        return g.drop_duplicates(["vec_a", "vec_b"])[["vec_a", "vec_b"]]
-
-    return (partials.map_batches(add_pair_part, batch_format="pyarrow")
-            .groupby("part").map_groups(distinct_pairs,
-                                        batch_format="pandas"))
+    # a pair can collide in several tables: dedupe keyed on the pair
+    n_parts = suggest_pair_partitions(n, expansion=n_tables)
+    partials = keyed_apply(exploded, ["table_id", "bucket"],
+                           pairs_in_buckets, n_parts=n_parts)
+    return keyed_apply(partials, ["vec_a", "vec_b"], distinct_pairs,
+                       n_parts=n_parts)
 
 
 def _planes_banded(d: int, n_tables: int, n_bits: int,
@@ -750,7 +744,6 @@ def label_vector_sums(ds, *, vec_col: str = "embedding",
     |labels-in-block| x d rows — then the bounded-key driver fold
     (labels x dims is a SCHEMA-scale table).  Returns a Dataset of
     (label, dim 1-based, s, n)."""
-    import pandas as pd
     import pyarrow.compute as pc
 
     import ray.data

@@ -100,8 +100,12 @@ _ARGS = r"(?:[^()]|\([^()]*\))*?"
     (r"strftime\(" + _ARGS + r"[\"']%Y-%m-%d[\"']", "alco_ray/oracle.py",
      "render day strings with alco_ray.stages.route.day_string (two "
      "casts), not a per-row strftime; only the pandas oracle keeps it"),
+    (r"\.map_groups\(", "alco_ray/stages/window.py",
+     "shuffle through alco_ray.stages.window.keyed_apply (one kernel "
+     "call per partition of whole key groups), not Ray's per-group "
+     "groupby(...).map_groups"),
 ], ids=["to_arrow_refs", "partition_by_key", "regex_token_count",
-        "strftime_day"])
+        "strftime_day", "map_groups"])
 def test_package_never_calls(pattern, allowed, message):
     rx = re.compile(pattern)
     hits = [f"{rel}:{text.count(chr(10), 0, m.start()) + 1}"

@@ -76,6 +76,39 @@ def test_jaccard_pairs_matches_bruteforce():
     assert (0, 1) in got_pairs and (0, 2) in got_pairs
 
 
+@pytest.mark.parametrize("min_shingles", [5, 1])
+def test_containment_pairs_matches_bruteforce(min_shingles):
+    # _docs_table plus two quotes of doc 0: 6 shingles (contained in 0,
+    # 1 and 2, but not the reverse) and 4 shingles (below the default
+    # min_shingles guard).
+    base = _docs_table()
+    quotes = ["the quick brown fox jumps over the lazy",
+              "jumps over the lazy dog and"]
+    t = pa.concat_tables([base, pa.table({
+        "doc_id": pa.array(range(base.num_rows,
+                                 base.num_rows + len(quotes)), pa.int64()),
+        "text": pa.array(quotes, pa.string())})])
+    got = dedup.containment_pairs(ray.data.from_arrow(t), threshold=0.8,
+                                  min_shingles=min_shingles).to_pandas()
+    got_rows = {(a, b): (i, n) for a, b, i, n in
+                zip(got["contained"], got["container"], got["inter"],
+                    got["n_contained"])}
+    assert len(got_rows) == len(got)
+
+    texts = t["text"].to_pylist()
+    expect = {}
+    for a, b in itertools.permutations(range(len(texts)), 2):
+        sa, sb = _py_shingles(texts[a]), _py_shingles(texts[b])
+        inter = len(sa & sb)
+        if inter and len(sa) >= min_shingles and \
+                inter * 1000 >= len(sa) * 800:
+            expect[(a, b)] = (inter, len(sa))
+    assert got_rows == expect
+    assert (0, 2) in got_rows and (2, 0) in got_rows     # both directions
+    assert (7, 0) in got_rows and (0, 7) not in got_rows  # one direction
+    assert ((8, 0) in got_rows) == (min_shingles <= 4)    # the guard
+
+
 def test_minhash_lsh_finds_planted_pairs():
     ds = ray.data.from_arrow(_docs_table())
     got = dedup.lsh_candidate_pairs(ds).to_pandas()
@@ -366,7 +399,7 @@ def test_pair_partitions_grow_with_input():
     assert small == 32
     assert small < mid < big
     for v in (small, mid, big):
-        assert v & (v - 1) == 0  # pow2 (bucketize uses bit_wise_and)
+        assert v & (v - 1) == 0  # pow2
     assert dedup.suggest_pair_partitions(10**14) == 1 << 16  # clamped
 
 
@@ -527,6 +560,16 @@ def test_simhash_near_pairs_exhaustive_vs_bruteforce():
     assert {(a, b): d for a, b, d in
             zip(got["doc_a"], got["doc_b"], got["hamming"])} == expect
     assert expect, "fixture must contain at least one near pair"
+
+
+@pytest.mark.parametrize("max_hamming, n_chunks", [(8, 8), (3, 7)])
+def test_simhash_near_pairs_rejects_lossy_banding(max_hamming, n_chunks):
+    # max_hamming >= n_chunks loses recall and n_chunks must divide 64:
+    # both raise (an assert would vanish under python -O)
+    ds = ray.data.from_arrow(_docs_table())
+    with pytest.raises(ValueError, match="n_chunks"):
+        dedup.simhash_near_pairs(ds, max_hamming=max_hamming,
+                                 n_chunks=n_chunks)
 
 
 def test_fingerprint_dups_and_empty_corpus():
