@@ -21,6 +21,14 @@ and bounded partials travel); the dict tables ride in the
 ``IngestWorker`` instance, which Ray Data puts in the object store once
 per wave, not once per batch; waves bound the blast radius of a
 failure and make output resumable (state/checkpoint.py).
+
+A wave's batches run side by side, one per free CPU.  Ray Data reserves
+``target_max_block_size`` x ``_max_num_blocks_in_streaming_gen_buffer``
+(256 MiB by default) of object store for each map task that has not yet
+reported an output size, so on a small store one task would run until
+the first returned.  The wave plan's only output is the partials, so
+``run_flagship`` declares it small on the wave dataset's own context
+(why that is safe: ``IngestWorker``).
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from pathlib import Path
 from typing import Any
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
@@ -221,6 +230,18 @@ class IngestWorker:
     object store either — the stage's dataset output is just the
     per-batch partial aggregate (sink, level, bucket -> rows, failures).
 
+    Because that output is small, ``run_flagship`` sets
+    ``target_max_block_size = None`` on the wave dataset's context.
+    Ray Data then reserves no block-sized object store budget for a
+    task that has not reported yet (it uses the measured partial size
+    once one has), and does not split output blocks, so every batch
+    of the wave starts as soon as a CPU is free instead of one after
+    another.  This is safe because a partial is bounded by key
+    cardinality (sinks x levels x buckets), a few KB, never by batch
+    rows; and ``from_items`` gives the dataset its own copy of the
+    current ``DataContext``, so the setting reaches neither the
+    process's context nor any other plan (no read operator sees it).
+
     It is a task pool, not an actor pool, because nothing in it changes
     after ``__init__``: an actor pool would only add a fresh worker
     process per wave (start, re-import ``ray.data``/``pandas``/
@@ -279,8 +300,6 @@ _PARTIAL_SCHEMA = pa.schema([("sink", pa.string()), ("level", pa.string()),
 def _partial_of(routed: pa.Table) -> pa.Table:
     """Per-batch partial aggregate (sink, level, bucket) -> (rows,
     failures) — T3 counters, computed where the rows are."""
-    import pyarrow.compute as pc
-
     fails = pc.cast(pc.invert(routed["parse_ok"]), pa.int64())
     t = pa.table({"sink": pc.cast(routed["sink"], pa.string()),
                   "level": routed["level"], "bucket": routed["bucket"],
@@ -306,12 +325,14 @@ def _merge_partials(parts: list[pa.Table]) -> pa.Table:
 
 
 def _metrics_from_partials(partials: pa.Table) -> dict[str, Any]:
-    t = partials.to_pandas()
-    by_sink = t.groupby("sink")["rows"].sum()
+    """The wave's manifest metrics; ``routed_counts`` in sink order."""
+    by_sink = (partials.group_by("sink").aggregate([("rows", "sum")])
+               .sort_by("sink"))
     return {
-        "rows": int(t["rows"].sum()),
-        "parse_failures": int(t["failures"].sum()),
-        "routed_counts": {str(s): int(r) for s, r in by_sink.items()},
+        "rows": pc.sum(partials["rows"], min_count=0).as_py(),
+        "parse_failures": pc.sum(partials["failures"], min_count=0).as_py(),
+        "routed_counts": dict(zip(by_sink["sink"].to_pylist(),
+                                  by_sink["rows_sum"].to_pylist())),
     }
 
 
@@ -374,14 +395,14 @@ def run_flagship(input_dir: str | Path, out_root: str | Path,
 
     ``wave_size`` trades resume granularity against fixed per-wave cost
     (plan start, execution barrier, partial fold, promote, commit).  A
-    one-shard (1,500-turn) append wave takes ~0.45 s end to end on a
-    1-core host with 4 logical Ray CPUs, most of it that fixed cost.
+    one-shard (1,500-turn) append wave takes ~0.2 s end to end on a
+    4-vCPU host with 4 Ray CPUs, most of it that fixed cost.
     Size waves so each carries at least ~a minute of compute: at
     10^12-turn scale that is tens of ~1 GB shards per wave and the
     overhead is percent-level; 1-file waves would be dominated by it.
     Each committed wave logs one INFO line on the ``alco_ray`` logger
-    (wave id, input files, rows, parse failures, files promoted, wall
-    seconds).
+    (wave id, input files, planned batches, rows, parse failures, files
+    promoted, wall seconds).
     """
     cfg = cfg or default_transcript_config()
     out_root = Path(out_root)
@@ -485,6 +506,12 @@ def run_flagship(input_dir: str | Path, out_root: str | Path,
                 [{"path": [r[0] for r in b], "start": [r[1] for r in b],
                   "stop": [r[2] for r in b]} for b in batches],
                 override_num_blocks=len(batches))
+            # The stage outputs only partials (a few KB): without this,
+            # Ray Data reserves a full block per task until the first
+            # one reports, and on a small object store that lets one
+            # batch run at a time.  ds.context is this plan's own copy
+            # (see IngestWorker).
+            ds.context.target_max_block_size = None
             parts = arrow_blocks(ds.map_batches(
                 IngestWorker(cfg, dict_refs, staging_dir=str(staging),
                              wave_id=wave_id),
@@ -496,9 +523,9 @@ def run_flagship(input_dir: str | Path, out_root: str | Path,
         manifest.commit(wave_id, input_files=wave_files, metrics=metrics,
                         input_sigs={f: pending_sigs[f] for f in wave_files
                                     if f in pending_sigs})
-        _log.info("wave %s committed: input_files=%d rows=%d "
+        _log.info("wave %s committed: input_files=%d batches=%d rows=%d "
                  "parse_failures=%d promoted_files=%d wall_s=%.3f",
-                 wave_id, len(wave_files), metrics["rows"],
+                 wave_id, len(wave_files), len(batches), metrics["rows"],
                  metrics["parse_failures"], promoted,
                  time.perf_counter() - started)
 

@@ -418,6 +418,98 @@ def test_one_cpu_cluster_completes(t_small_dir, t_small_oracle, tmp_path):
     assert summary["routed_counts"] == t_small_oracle["routed_counts"]
 
 
+def test_wave_batches_run_concurrently(tmp_path):
+    """The batches of one wave run side by side: on a 4-CPU cluster
+    with a 512 MiB object store, a two-batch wave's second batch starts
+    before its first one ends.  Ray Data charges every map task that has
+    not reported its output size a full block reserve, which let only
+    one task start; the wave plan declares its output small instead.
+
+    Runs in a subprocess with its own ``ray.init``.  The driver swaps in
+    an ``IngestWorker`` subclass defined in ``__main__`` (so it ships by
+    value) that records each batch's start and end times to a file."""
+    import os
+    import subprocess
+    import sys
+
+    from alco_ray.fixtures import ensure_corpus
+
+    corpus = ensure_corpus("t-conc", 700, 20_000, seed=5,
+                           root=str(tmp_path))
+    n_rows = sum(pq.read_metadata(f).num_rows
+                 for f in corpus.glob("*.parquet"))
+    times = tmp_path / "times"
+    times.mkdir()
+
+    script = (
+        "import json, os, sys, time, uuid, ray\n"
+        "ray.init(address='local', num_cpus=4,"
+        " object_store_memory=512 << 20, include_dashboard=False,"
+        " logging_level='ERROR')\n"
+        "from ray.data import DataContext\n"
+        "DataContext.get_current().enable_progress_bars = False\n"
+        "import alco_ray.pipelines.flagship as fl\n"
+        "times = sys.argv[3]\n"
+        "class Timed(fl.IngestWorker):\n"
+        "    def __call__(self, slices):\n"
+        "        t0 = time.time()\n"
+        "        out = super().__call__(slices)\n"
+        "        with open(os.path.join(times, uuid.uuid4().hex), 'w') as f:\n"
+        "            json.dump([t0, time.time()], f)\n"
+        "        return out\n"
+        "fl.IngestWorker = Timed\n"
+        # a warm-up wave, so every worker has imported alco_ray
+        "fl.run_flagship(sys.argv[1], sys.argv[2] + '-warm')\n"
+        "for p in os.listdir(times):\n"
+        "    os.remove(os.path.join(times, p))\n"
+        "s = fl.run_flagship(sys.argv[1], sys.argv[2])\n"
+        "print('SUMMARY ' + json.dumps(s))\n"
+        "ray.shutdown()\n")
+    root = str(Path(__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   [root, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(corpus), str(tmp_path / "out"),
+         str(times)],
+        capture_output=True, text=True, timeout=240, env=env, cwd=root)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    line = [ln for ln in proc.stdout.splitlines()
+            if ln.startswith("SUMMARY ")][-1]
+    assert json.loads(line[len("SUMMARY "):])["rows"] == n_rows
+
+    spans = [json.loads(p.read_text()) for p in times.iterdir()]
+    assert len(spans) == 2, spans  # one wave of two ~10k-row batches
+    assert max(s for s, _ in spans) < min(e for _, e in spans), spans
+
+
+def test_ingest_leaves_global_data_context_alone(t_small_dir, tmp_path,
+                                                  monkeypatch):
+    """The wave plan's small-output hint lives on the wave dataset's own
+    context: after an ingest, the process's current ``DataContext`` is
+    the same object with the same block-size fields, and a plan built
+    afterwards still splits its output at the current bound."""
+    import numpy as np
+    import ray
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    monkeypatch.setattr(ctx, "target_max_block_size", 1 << 20)
+    fields = ("target_max_block_size", "target_min_block_size",
+              "_max_num_blocks_in_streaming_gen_buffer")
+    before = {f: getattr(ctx, f) for f in fields}
+    run_flagship(t_small_dir, tmp_path / "out", wave_size=4)
+    assert DataContext.get_current() is ctx
+    assert {f: getattr(ctx, f) for f in fields} == before
+
+    # one task emitting 4 MiB comes out as >= 4 blocks of <= 1 MiB
+    ds = ray.data.range(1, override_num_blocks=1).map_batches(
+        lambda b: pa.table({"x": np.arange(1 << 19)}),
+        batch_format="pyarrow").materialize()
+    assert ds.count() == 1 << 19
+    assert ds.num_blocks() >= 4
+
+
 def test_empty_shard_appends_with_zero_rows(t_small_dir, tmp_path,
                                             monkeypatch):
     """A zero-row shard (an hour with no traffic) landing next to a
@@ -516,15 +608,20 @@ def test_ingest_batch_rows(n_rows, cpus, want):
 
 def test_wave_log_line(t_small_dir, tmp_path, caplog):
     """One INFO line per committed wave on the ``alco_ray`` logger,
-    carrying the wave's id, input files, rows, parse failures, files
-    promoted and wall seconds."""
+    carrying the wave's id, input files, planned batches, rows, parse
+    failures, files promoted and wall seconds."""
     import logging
     import re
+
+    import ray
+
+    from alco_ray.pipelines.flagship import ingest_batch_rows, plan_slices
 
     out = tmp_path / "out"
     with caplog.at_level(logging.INFO, logger="alco_ray"):
         summary = run_flagship(t_small_dir, out, wave_size=4)
-    pat = re.compile(r"wave (\w+) committed: input_files=(\d+) rows=(\d+) "
+    pat = re.compile(r"wave (\w+) committed: input_files=(\d+) "
+                     r"batches=(\d+) rows=(\d+) "
                      r"parse_failures=(\d+) promoted_files=(\d+) "
                      r"wall_s=(\d+\.\d+)$")
     lines = [pat.match(r.getMessage()) for r in caplog.records
@@ -532,14 +629,19 @@ def test_wave_log_line(t_small_dir, tmp_path, caplog):
     assert lines and all(lines)
     waves = CheckpointManifest(out).waves
     assert [m[1] for m in lines] == list(waves)
+    cpus = int(ray.cluster_resources()["CPU"])
     for m in lines:
         wave = waves[m[1]]
         assert int(m[2]) == len(wave["input_files"])
-        assert int(m[3]) == wave["metrics"]["rows"]
-        assert int(m[4]) == wave["metrics"]["parse_failures"]
-        assert float(m[6]) > 0
-    assert sum(int(m[3]) for m in lines) == summary["rows"]
-    assert sum(int(m[5]) for m in lines) \
+        counts = [(f, pq.read_metadata(f).num_rows)
+                  for f in wave["input_files"]]
+        assert int(m[3]) == len(plan_slices(
+            counts, ingest_batch_rows(sum(n for _, n in counts), cpus)))
+        assert int(m[4]) == wave["metrics"]["rows"]
+        assert int(m[5]) == wave["metrics"]["parse_failures"]
+        assert float(m[7]) > 0
+    assert sum(int(m[4]) for m in lines) == summary["rows"]
+    assert sum(int(m[6]) for m in lines) \
         == len(glob.glob(f"{out}/sink=*/date=*/*.parquet"))
 
 
