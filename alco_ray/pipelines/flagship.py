@@ -28,16 +28,20 @@ A wave's batches run side by side, one per free CPU.  Ray Data reserves
 reported an output size, so on a small store one task would run until
 the first returned.  The wave plan's only output is the partials, so
 ``run_flagship`` declares it small on the wave dataset's own context
-(why that is safe: ``IngestWorker``).
+(why that is safe: ``IngestWorker``).  A wave of fewer batches than CPUs
+gives each task an equal share of them (``ingest_task_cpus``), and the
+task spreads its batch over that many threads.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
 import shutil
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any
 
@@ -209,6 +213,26 @@ def read_slices(ranges: list[tuple[str, int, int]]) -> pa.Table:
     return pa.concat_tables(parts).combine_chunks()
 
 
+def split_ranges(ranges: list[tuple[str, int, int]], parts: int,
+                 ) -> list[list[tuple[str, int, int]]]:
+    """Cut one batch's ``(path, start, stop)`` ranges, in order, into at
+    most ``parts`` runs of consecutive rows (``plan_slices`` over the
+    ranges, with ceil(rows / parts) rows per run)."""
+    rows = sum(stop - start for _, start, stop in ranges)
+    cut = plan_slices([(i, stop - start)
+                       for i, (_, start, stop) in enumerate(ranges)],
+                      max(1, -(-rows // parts)))
+    return [[(ranges[i][0], ranges[i][1] + s, ranges[i][1] + e)
+             for i, s, e in run] for run in cut]
+
+
+def _ranges_ident(ranges: list[tuple[str, int, int]]) -> str:
+    """A batch's file-name identity: 16 hex digits of a blake2b over its
+    ``(path, start, stop)`` ranges."""
+    return hashlib.blake2b(repr(ranges).encode(),
+                           digest_size=8).hexdigest()
+
+
 class IngestWorker:
     """The collector, fused: read -> parse -> dict-encode -> route (->
     buffered sink insert) in ONE task-pool stage.  ``run_flagship``
@@ -249,20 +273,35 @@ class IngestWorker:
     it and ~0.45 s without, on a 1-core host.  Tasks run in Ray's
     already-started workers, so a 1-CPU cluster runs every batch too.
 
+    A task spreads its batch over ``threads`` threads: the CPUs
+    ``run_flagship`` reserved for it (``ingest_task_cpus``), more than
+    one only when the wave has fewer batches than the cluster has
+    CPUs.  It cuts the batch's ranges into ``threads`` row-balanced
+    runs (``split_ranges``), reads, parses, encodes and routes each run
+    on its own thread, and concatenates the results in order; every
+    parse kernel works row by row, so the routed table does not depend
+    on the thread count.  The writer then writes the batch's partitions
+    on the same threads.  Arrow kernels and Parquet encoding run
+    mostly outside the GIL, and a task never holds more threads than
+    the CPUs Ray gave it.  One thread is one run on one worker thread, the same
+    code.  (A row group split between two runs is decoded by both.)
+
     The stage's plan executes ONCE per wave: the driver collects the
     partials with ``stages.aggregate.arrow_blocks``, which never
     re-runs a plan, so no second pass ever rewrites a batch's sink
     files.  Retried tasks are still safe: the driver fixes each
-    batch's rows, and sink filenames are content-hashed from the batch
-    identity (see sinks._make_block_writer), so a replayed batch
-    overwrites its own files and re-emits the same partial.  An error
-    while reading or processing a batch re-raises naming ``wave_id``
-    and the batch's ranges."""
+    batch's rows, and a batch's sink files are named by a hash of its
+    ``(path, start, stop)`` ranges (``_ranges_ident``), not of its
+    rows, so a replayed batch overwrites its own files and re-emits
+    the same partial; different batches of a wave have different
+    ranges, and ``promote_staging``'s wave prefix separates waves.  An
+    error while reading or processing a batch re-raises naming
+    ``wave_id`` and the batch's ranges."""
 
     def __init__(self, cfg: PipelineConfig, dict_refs: dict[str, Any],
                  staging_dir: str | None = None,
                  partition_cols: tuple[str, ...] = ("sink", "date"),
-                 wave_id: str | None = None):
+                 wave_id: str | None = None, threads: int = 1):
         from ..sinks import _make_block_writer
 
         self.parse = make_parse_batch(cfg)
@@ -272,18 +311,25 @@ class IngestWorker:
         self.writer = (_make_block_writer(staging_dir, list(partition_cols))
                        if staging_dir else None)
         self.wave_id = wave_id
+        self.threads = threads
 
-    def __call__(self, slices: pa.Table) -> pa.Table:
+    def _routed(self, ranges: list[tuple[str, int, int]]) -> pa.Table:
         from ..stages.dict_encode import encode_with_dicts
 
+        return self.route(encode_with_dicts(
+            self.parse(read_slices(ranges)), self.dicts))
+
+    def __call__(self, slices: pa.Table) -> pa.Table:
         [batch] = slices.to_pylist()  # batch_size=1: one planned batch
         ranges = list(zip(batch["path"], batch["start"], batch["stop"]))
         try:
-            routed = self.route(encode_with_dicts(
-                self.parse(read_slices(ranges)), self.dicts))
-            if self.writer is None:
-                return routed
-            self.writer(routed)
+            with ThreadPoolExecutor(self.threads) as pool:
+                routed = pa.concat_tables(pool.map(
+                    self._routed, split_ranges(ranges, self.threads),
+                )).combine_chunks()
+                if self.writer is None:
+                    return routed
+                self.writer(routed, _ranges_ident(ranges), pool.map)
             return _partial_of(routed)
         except Exception as e:
             raise RuntimeError(
@@ -343,9 +389,21 @@ def ingest_batch_rows(n_rows: int, cpus: int) -> int:
     slot per ~50k rows and at most ~7/8 of the CPUs.  Capped near
     ~64 MB of input rows, so worker heap stays bounded at any corpus
     size.  Sink file count is batches x sinks x dates, so this function
-    fixes the output layout: keep the formula as it is."""
+    fixes the output layout: keep the formula as it is.  A wave with
+    fewer batches than CPUs puts the idle ones to work inside its tasks
+    instead (``ingest_task_cpus``), which leaves the layout alone."""
     slots = max(1, min(cpus - max(1, cpus // 8), max(1, n_rows // 50_000)))
     return max(1, min(-(-n_rows // (2 * slots)), 300_000))
+
+
+def ingest_task_cpus(n_batches: int, cpus: int, node_cpus: int) -> int:
+    """CPUs (and threads) per ingest task for a wave of ``n_batches``
+    batches on a cluster of ``cpus`` CPUs whose largest node has
+    ``node_cpus``: an equal share of the cluster per batch, at most one
+    node, at least one.  The wave's tasks together never hold more than
+    the cluster's CPUs, and each fits on a node.  A wave with at least
+    as many batches as CPUs gets 1."""
+    return max(1, min(node_cpus, cpus // max(1, n_batches)))
 
 
 def watch_flagship(input_dir: str | Path, out_root: str | Path,
@@ -494,6 +552,11 @@ def run_flagship(input_dir: str | Path, out_root: str | Path,
         cpus = int(ray.cluster_resources().get("CPU", 8))
         batches = plan_slices(
             counts, ingest_batch_rows(sum(n for _, n in counts), cpus))
+        # A wave of fewer batches than CPUs gives each task a share of
+        # the idle CPUs, which it fills with threads (IngestWorker).
+        node_cpus = max((n["Resources"].get("CPU", 0) for n in ray.nodes()
+                         if n["Alive"]), default=cpus)
+        task_cpus = ingest_task_cpus(len(batches), cpus, int(node_cpus))
         # ONE streaming pass: each task reads its batch's row ranges,
         # then parses, enriches, routes, writes its sink files AND
         # reduces them to a partial-count table — input and routed
@@ -514,8 +577,8 @@ def run_flagship(input_dir: str | Path, out_root: str | Path,
             ds.context.target_max_block_size = None
             parts = arrow_blocks(ds.map_batches(
                 IngestWorker(cfg, dict_refs, staging_dir=str(staging),
-                             wave_id=wave_id),
-                batch_format="pyarrow", batch_size=1))
+                             wave_id=wave_id, threads=task_cpus),
+                batch_format="pyarrow", batch_size=1, num_cpus=task_cpus))
         partials = _merge_partials(parts)
         pq.write_table(partials, partials_dir / f"{wave_id}.parquet")
         promoted = promote_staging(staging, out_root, wave_id)
@@ -523,9 +586,11 @@ def run_flagship(input_dir: str | Path, out_root: str | Path,
         manifest.commit(wave_id, input_files=wave_files, metrics=metrics,
                         input_sigs={f: pending_sigs[f] for f in wave_files
                                     if f in pending_sigs})
-        _log.info("wave %s committed: input_files=%d batches=%d rows=%d "
-                 "parse_failures=%d promoted_files=%d wall_s=%.3f",
-                 wave_id, len(wave_files), len(batches), metrics["rows"],
+        _log.info("wave %s committed: input_files=%d batches=%d "
+                 "task_cpus=%d rows=%d parse_failures=%d "
+                 "promoted_files=%d wall_s=%.3f",
+                 wave_id, len(wave_files), len(batches), task_cpus,
+                 metrics["rows"],
                  metrics["parse_failures"], promoted,
                  time.perf_counter() - started)
 

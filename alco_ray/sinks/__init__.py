@@ -43,23 +43,33 @@ def _make_block_writer(staging_dir: str, partition_cols: list[str]):
 
     One stable sort of the block by the partition key, then one slice
     per distinct key — NOT one filter scan per partition (90 partitions
-    x full-block scans was quadratic-ish).  Single-threaded Arrow per
-    task: Ray's own parquet datasink calls pyarrow.dataset.write_dataset
-    with use_threads=True, and N write tasks x an N-thread Arrow pool
-    each measurably ANTI-scales on one node.  Filenames are a content
-    hash of the sorted block (:func:`_batch_ident`), so a retried task
-    overwrites its own files (idempotent) instead of duplicating rows.
+    x full-block scans was quadratic-ish).  The partitions' files are
+    written through ``map_fn``: builtin ``map`` by default, one after
+    the other; the flagship passes the ``map`` of its task's thread
+    pool, which has as many threads as the CPUs Ray reserved for the
+    task, so a node never runs more writer threads than it has CPUs.
+    (Ray's own parquet datasink instead gives every write task a
+    full-node Arrow pool, ``write_dataset(use_threads=True)``, and N
+    write tasks x N threads each measurably ANTI-scale on one node.)
+    Each file's rows and row order do not depend on ``map_fn``, so
+    neither do its bytes.
 
-    The hash covers row order, so that idempotence needs a retried
-    task to see the same rows in the same order.  Every caller gives
-    it that: the flagship's driver fixes each batch's row ranges
-    (``plan_slices`` / ``read_slices``), and the index builders map
-    over the immutable blocks of a materialized dataset."""
+    Every partition's file is named ``b<ident>.parquet``, so a retried
+    task overwrites its own files (idempotent) instead of duplicating
+    rows.  ``ident`` must be the same on every attempt over the same
+    rows and differ between the blocks written to one staging
+    directory.  The flagship passes a hash of its batch's row ranges,
+    which its driver fixes (``plan_slices``).  Without one, the name is
+    a content hash of the sorted block (:func:`_batch_ident`), which
+    covers row order, so a retried task must see the same rows in the
+    same order: the index builders, which rely on it, map over the
+    immutable blocks of a materialized dataset."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    def write_block(batch: pa.Table) -> pa.Table:
+    def write_block(batch: pa.Table, ident: str | None = None,
+                    map_fn=map) -> pa.Table:
         if batch.num_rows == 0:
             return pa.table({"files": pa.array([0], pa.int64())})
         order = pa.compute.sort_indices(
@@ -73,17 +83,19 @@ def _make_block_writer(staging_dir: str, partition_cols: list[str]):
             change[1:] |= k[1:] != k[:-1]
         starts = np.flatnonzero(change)
         ends = np.append(starts[1:], n)
-        ident = _batch_ident(b)
+        if ident is None:
+            ident = _batch_ident(b)
         data = b.drop_columns(list(partition_cols))
-        nf = 0
-        for s, e in zip(starts, ends):
+
+        def write_partition(s: int, e: int) -> None:
             d = Path(staging_dir)
             for c, k in zip(partition_cols, keys):
                 d = d / f"{c}={k[s]}"
             d.mkdir(parents=True, exist_ok=True)
             pq.write_table(data.slice(s, e - s), d / f"b{ident}.parquet")
-            nf += e - s > 0
-        return pa.table({"files": pa.array([nf], pa.int64())})
+
+        list(map_fn(write_partition, starts, ends))
+        return pa.table({"files": pa.array([len(starts)], pa.int64())})
 
     return write_block
 
@@ -141,12 +153,15 @@ def promote_staging(staging_dir: str | Path, out_root: str | Path,
 
     staging = Path(staging_dir)
     root = Path(out_root)
+    made: set[Path] = set()
     n = 0
     for f in sorted(staging.glob("sink=*/date=*/*.parquet")):
         rel = f.relative_to(staging)
-        dest = root / rel.parent / f"{wave_id}-{n:05d}-{rel.name}"
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        os.replace(f, dest)
+        dest = root / rel.parent
+        if dest not in made:
+            dest.mkdir(parents=True, exist_ok=True)
+            made.add(dest)
+        os.replace(f, dest / f"{wave_id}-{n:05d}-{rel.name}")
         n += 1
     shutil.rmtree(staging, ignore_errors=True)
     return n

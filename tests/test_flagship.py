@@ -606,22 +606,53 @@ def test_ingest_batch_rows(n_rows, cpus, want):
     assert ingest_batch_rows(n_rows, cpus) == want
 
 
+@pytest.mark.parametrize("n_batches,cpus,node_cpus,want", [
+    (1, 1, 1, 1),
+    (1, 4, 4, 4),
+    (2, 4, 4, 2),
+    (3, 4, 4, 1),
+    (8, 4, 4, 1),
+    (1, 16, 4, 4),   # 16 CPUs in 4-CPU nodes: a task must fit a node
+])
+def test_ingest_task_cpus(n_batches, cpus, node_cpus, want):
+    """A wave's tasks share the cluster's CPUs, each within one node; a
+    wave with as many batches as CPUs, or more, gets 1 per task."""
+    from alco_ray.pipelines.flagship import ingest_task_cpus
+
+    assert ingest_task_cpus(n_batches, cpus, node_cpus) == want
+
+
+def test_split_ranges():
+    """A batch's ranges cut into at most ``parts`` row-balanced runs, in
+    order, crossing file boundaries like ``plan_slices``."""
+    from alco_ray.pipelines.flagship import split_ranges
+
+    ranges = [("a", 2, 6), ("b", 0, 3)]
+    assert split_ranges(ranges, 1) == [ranges]
+    assert split_ranges(ranges, 2) == [[("a", 2, 6)], [("b", 0, 3)]]
+    assert split_ranges(ranges, 3) == [
+        [("a", 2, 5)], [("a", 5, 6), ("b", 0, 2)], [("b", 2, 3)]]
+    assert split_ranges(ranges, 10) == [
+        [(p, i, i + 1)] for p, s, e in ranges for i in range(s, e)]
+
+
 def test_wave_log_line(t_small_dir, tmp_path, caplog):
     """One INFO line per committed wave on the ``alco_ray`` logger,
-    carrying the wave's id, input files, planned batches, rows, parse
-    failures, files promoted and wall seconds."""
+    carrying the wave's id, input files, planned batches, CPUs per
+    task, rows, parse failures, files promoted and wall seconds."""
     import logging
     import re
 
     import ray
 
-    from alco_ray.pipelines.flagship import ingest_batch_rows, plan_slices
+    from alco_ray.pipelines.flagship import (ingest_batch_rows,
+                                             ingest_task_cpus, plan_slices)
 
     out = tmp_path / "out"
     with caplog.at_level(logging.INFO, logger="alco_ray"):
         summary = run_flagship(t_small_dir, out, wave_size=4)
     pat = re.compile(r"wave (\w+) committed: input_files=(\d+) "
-                     r"batches=(\d+) rows=(\d+) "
+                     r"batches=(\d+) task_cpus=(\d+) rows=(\d+) "
                      r"parse_failures=(\d+) promoted_files=(\d+) "
                      r"wall_s=(\d+\.\d+)$")
     lines = [pat.match(r.getMessage()) for r in caplog.records
@@ -630,18 +661,22 @@ def test_wave_log_line(t_small_dir, tmp_path, caplog):
     waves = CheckpointManifest(out).waves
     assert [m[1] for m in lines] == list(waves)
     cpus = int(ray.cluster_resources()["CPU"])
+    node_cpus = int(max(n["Resources"].get("CPU", 0) for n in ray.nodes()
+                        if n["Alive"]))
     for m in lines:
         wave = waves[m[1]]
         assert int(m[2]) == len(wave["input_files"])
         counts = [(f, pq.read_metadata(f).num_rows)
                   for f in wave["input_files"]]
-        assert int(m[3]) == len(plan_slices(
+        n_batches = len(plan_slices(
             counts, ingest_batch_rows(sum(n for _, n in counts), cpus)))
-        assert int(m[4]) == wave["metrics"]["rows"]
-        assert int(m[5]) == wave["metrics"]["parse_failures"]
-        assert float(m[7]) > 0
-    assert sum(int(m[4]) for m in lines) == summary["rows"]
-    assert sum(int(m[6]) for m in lines) \
+        assert int(m[3]) == n_batches
+        assert int(m[4]) == ingest_task_cpus(n_batches, cpus, node_cpus)
+        assert int(m[5]) == wave["metrics"]["rows"]
+        assert int(m[6]) == wave["metrics"]["parse_failures"]
+        assert float(m[8]) > 0
+    assert sum(int(m[5]) for m in lines) == summary["rows"]
+    assert sum(int(m[7]) for m in lines) \
         == len(glob.glob(f"{out}/sink=*/date=*/*.parquet"))
 
 
@@ -789,15 +824,13 @@ def test_ingest_starts_no_parquet_reader_or_dict_plan(t_small_dir,
         assert dicts[c].equals(pq.read_table(out / "dicts" / f"{c}.parquet"))
 
 
-def test_rerun_batch_rewrites_only_its_own_files(t_small_table, tmp_path):
-    """A retried ingest task over the same planned ranges rewrites
-    exactly the staged files its first attempt wrote: same names, same
-    bytes, no other batch's file touched and no new file."""
+def _planned_batches(t_small_table, tmp_path, row_group_size=None):
+    """(config, dict refs, batches): the t-small rows as shards of 400
+    and 773 rows cut by ``plan_slices`` into three 500-row batches, each
+    as the one-row table ``IngestWorker`` takes."""
     import ray
 
-    from alco_ray.pipelines.flagship import (IngestWorker,
-                                             build_or_load_dicts,
-                                             plan_slices)
+    from alco_ray.pipelines.flagship import build_or_load_dicts, plan_slices
     from alco_ray.specs import default_transcript_config
 
     corpus = tmp_path / "corpus"
@@ -806,19 +839,38 @@ def test_rerun_batch_rewrites_only_its_own_files(t_small_table, tmp_path):
     for i, part in enumerate([t_small_table.slice(0, 400),
                               t_small_table.slice(400)]):
         path = corpus / f"part-{i}.parquet"
-        pq.write_table(part, path)
+        pq.write_table(part, path, row_group_size=row_group_size)
         counts.append((str(path), part.num_rows))
     cfg = default_transcript_config()
     dicts = build_or_load_dicts([p for p, _ in counts], cfg,
                                 tmp_path / "dicts")
-    staging = tmp_path / "staging"
-    worker = IngestWorker(cfg, {c: ray.put(t) for c, t in dicts.items()},
-                          staging_dir=str(staging), wave_id="wtest")
     batches = [pa.table({"path": [[p for p, _, _ in b]],
                          "start": [[s for _, s, _ in b]],
                          "stop": [[e for _, _, e in b]]})
                for b in plan_slices(counts, 500)]
     assert len(batches) == 3
+    return cfg, {c: ray.put(t) for c, t in dicts.items()}, batches
+
+
+def _staged_bytes(staging) -> dict[str, bytes]:
+    return {p.relative_to(staging).as_posix(): p.read_bytes()
+            for p in Path(staging).rglob("*.parquet")}
+
+
+def test_rerun_batch_rewrites_only_its_own_files(t_small_table, tmp_path):
+    """A retried ingest task over the same planned ranges rewrites
+    exactly the staged files its first attempt wrote: same names, same
+    bytes, no other batch's file touched and no new file.  The names
+    come from each batch's ranges: the three batches of a wave get
+    pairwise disjoint names, and more threads give the same names."""
+    from itertools import combinations
+
+    from alco_ray.pipelines.flagship import IngestWorker
+
+    cfg, refs, batches = _planned_batches(t_small_table, tmp_path)
+    staging = tmp_path / "staging"
+    worker = IngestWorker(cfg, refs, staging_dir=str(staging),
+                          wave_id="wtest")
 
     def staged():
         return {p: p.read_bytes() for p in staging.rglob("*.parquet")}
@@ -837,6 +889,105 @@ def test_rerun_batch_rewrites_only_its_own_files(t_small_table, tmp_path):
     assert {p for p in after if after[p] != b"stale"} == set(own)
     assert all(after[p] == own[p] for p in own)
     assert sum(partial["rows"].to_pylist()) == 500
+
+    names = {}  # threads -> each batch's staged file names
+    for threads in (1, 3):
+        names[threads] = []
+        for i, b in enumerate(batches):
+            d = tmp_path / f"names-{threads}-{i}"
+            IngestWorker(cfg, refs, staging_dir=str(d), wave_id="wtest",
+                         threads=threads)(b)
+            names[threads].append({p.name for p in d.rglob("*.parquet")})
+    assert names[1] == names[3]
+    assert all(names[1])
+    assert all(not a & b for a, b in combinations(names[1], 2))
+
+
+def test_ingest_threads_change_nothing_on_disk(t_small_table, tmp_path):
+    """One planned batch, crossing a shard boundary and split row
+    groups, through ``IngestWorker`` with 1, 2 and 4 threads: the same
+    staged names with the same bytes, and equal partials."""
+    from alco_ray.pipelines.flagship import IngestWorker
+
+    cfg, refs, batches = _planned_batches(t_small_table, tmp_path,
+                                          row_group_size=64)
+    got = []
+    for threads in (1, 2, 4):
+        staging = tmp_path / f"staging-{threads}"
+        partial = IngestWorker(cfg, refs, staging_dir=str(staging),
+                               wave_id="wtest", threads=threads)(batches[0])
+        got.append((_staged_bytes(staging), partial))
+    (files, partial), *rest = got
+    assert files and sum(partial["rows"].to_pylist()) == 500
+    for other_files, other_partial in rest:
+        assert other_files == files
+        assert other_partial.equals(partial)
+
+
+def test_ingest_task_holds_its_cpus(t_small_table, tmp_path):
+    """A wave of fewer batches than CPUs gives each task the idle CPUs,
+    reserved from Ray and filled with threads: on a 4-CPU cluster a
+    one-batch wave's task holds 4 CPUs and runs 4 threads, and each
+    task of a two-batch wave 2 and 2.
+
+    Runs in a subprocess with its own ``ray.init``.  The driver swaps in
+    an ``IngestWorker`` subclass defined in ``__main__`` (so it ships by
+    value) that records, per batch, the CPUs Ray assigned to its task
+    and the worker's thread count."""
+    import os
+    import subprocess
+    import sys
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    pq.write_table(t_small_table.slice(0, 1), corpus / "part-0.parquet")
+    later = tmp_path / "part-1.parquet"  # 1,000 rows: two batches
+    pq.write_table(t_small_table.slice(1, 1000), later)
+    records = tmp_path / "records"
+    records.mkdir()
+
+    script = (
+        "import json, os, shutil, sys, uuid, ray\n"
+        "ray.init(address='local', num_cpus=4,"
+        " object_store_memory=512 << 20, include_dashboard=False,"
+        " logging_level='ERROR')\n"
+        "from ray.data import DataContext\n"
+        "DataContext.get_current().enable_progress_bars = False\n"
+        "import alco_ray.pipelines.flagship as fl\n"
+        "corpus, out, later, records = sys.argv[1:5]\n"
+        "class Probe(fl.IngestWorker):\n"
+        "    def __call__(self, slices):\n"
+        "        cpu = ray.get_runtime_context().get_assigned_resources()\n"
+        "        with open(os.path.join(records, uuid.uuid4().hex),"
+        " 'w') as f:\n"
+        "            json.dump([cpu.get('CPU'), self.threads], f)\n"
+        "        return super().__call__(slices)\n"
+        "fl.IngestWorker = Probe\n"
+        "def waves():\n"
+        "    got = sorted(json.load(open(os.path.join(records, p)))"
+        " for p in os.listdir(records))\n"
+        "    for p in os.listdir(records):\n"
+        "        os.remove(os.path.join(records, p))\n"
+        "    return got\n"
+        "fl.run_flagship(corpus, out)\n"
+        "print('ONE ' + json.dumps(waves()))\n"
+        "shutil.copy(later, corpus)\n"
+        "fl.run_flagship(corpus, out)\n"
+        "print('TWO ' + json.dumps(waves()))\n"
+        "ray.shutdown()\n")
+    root = str(Path(__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   [root, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(corpus), str(tmp_path / "out"),
+         str(later), str(records)],
+        capture_output=True, text=True, timeout=240, env=env, cwd=root)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = dict(ln.split(" ", 1) for ln in proc.stdout.splitlines()
+               if ln.startswith(("ONE ", "TWO ")))
+    assert json.loads(got["ONE"]) == [[4, 4]]
+    assert json.loads(got["TWO"]) == [[2, 2], [2, 2]]
 
 
 def test_batch_errors_name_wave_and_ranges(t_small_table, tmp_path):
