@@ -159,10 +159,14 @@ def build_or_load_dicts(files: list[str], cfg: PipelineConfig,
 
 def _row_groups(files: list[str], columns: list[str]):
     """Each row group of ``files`` in order, reading only ``columns``;
-    a read error names the file."""
+    a read error, or a requested column the file lacks (which
+    ``read_row_group`` would silently drop), names the file."""
     for f in files:
         try:
             pf = pq.ParquetFile(f)
+            missing = [c for c in columns if c not in pf.schema_arrow.names]
+            if missing:
+                raise RuntimeError(f"reading {f}: no column {missing[0]!r}")
             for i in range(pf.num_row_groups):
                 yield pf.read_row_group(i, columns=columns,
                                         use_threads=False)

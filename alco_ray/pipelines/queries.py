@@ -1791,10 +1791,9 @@ def t_role_transitions(sf_dir: str):
     """First-order Markov transition matrix of consecutive ROLES
     within each conversation (turn_idx order) — the conversational-
     flow analytic (who-speaks-after-whom) over the transcript corpus.
-    Rides the boundary-stitched grouped kernel
-    (stages/window.transition_counts): zero shuffle on conv-contiguous
-    shards, pre-aggregated (from, to, cnt) partials, bounded-domain
-    driver fold."""
+    One conv-keyed shuffle (stages/window.transition_counts over
+    keyed_apply), pre-aggregated (from, to, cnt) partials,
+    bounded-domain driver fold."""
     ds = read_transcripts(_corpus(sf_dir),
                           columns=["conv_id", "turn_idx", "role"])
     t = window.transition_counts(
@@ -1884,10 +1883,9 @@ def t_sft_pairs(sf_dir: str):
     """SFT TRAINING-PAIR extraction: (prompt, response) rows — each
     user turn paired with the assistant turn that immediately answers
     it (same conversation, turn_idx exactly +1) — the canonical
-    fine-tuning data-prep transform over a transcript corpus.  Rides
-    the boundary-stitched grouped kernel (stages/window.adjacent_pairs):
-    zero shuffle on conv-contiguous shards; only matched pairs leave
-    the kernel."""
+    fine-tuning data-prep transform over a transcript corpus.  One
+    conv-keyed shuffle (stages/window.adjacent_pairs over keyed_apply);
+    only matched pairs leave the kernel."""
     ds = read_transcripts(_corpus(sf_dir),
                           columns=["conv_id", "turn_idx", "role",
                                    "text"])
@@ -1964,14 +1962,13 @@ def t_conv_render(sf_dir: str):
     training-sample string ("role: text" lines, turn order, newline-
     joined) plus its turn count — the step that turns a transcript
     table into model-ready SFT samples.  The join is Arrow-native
-    inside the boundary-stitched grouped kernel: one vectorized line
-    build (binary_join_element_wise), segment offsets from the conv
-    boundaries, one list binary_join per block — no per-conversation
-    Python loop."""
+    inside each conv-keyed partition (keyed_apply): one vectorized
+    line build (binary_join_element_wise), segment offsets from the
+    conv boundaries, one list binary_join per partition — no
+    per-conversation Python loop."""
     ds = read_transcripts(_corpus(sf_dir),
                           columns=["conv_id", "turn_idx", "role",
                                    "text"])
-    from ..stages.window import _grouped_kernel, _segment_bounds
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
         order = np.lexsort((g["turn_idx"].to_numpy(),
@@ -1981,7 +1978,7 @@ def t_conv_render(sf_dir: str):
             pa.array(g["role"].to_numpy()[order], pa.string()),
             pa.array(g["text"].to_numpy()[order], pa.string()),
             ": ")
-        seg_start, _, _ = _segment_bounds(keys)
+        seg_start, _, _ = window._segment_bounds(keys)
         starts = np.flatnonzero(np.arange(len(keys)) == seg_start)
         offsets = np.append(starts, len(keys)).astype(np.int32)
         lst = pa.ListArray.from_arrays(pa.array(offsets), lines)
@@ -1993,8 +1990,8 @@ def t_conv_render(sf_dir: str):
             "rendered": np.asarray(rendered.to_numpy(
                 zero_copy_only=False), dtype=object)})
 
-    return _grouped_kernel(ds, "conv_id", body, None,
-                           _nrows(_corpus(sf_dir)))
+    return window.keyed_apply(
+        ds, "conv_id", body, approx_rows=_nrows(_corpus(sf_dir)))
 
 
 def t_sft_masks(sf_dir: str):
@@ -2003,12 +2000,11 @@ def t_sft_masks(sf_dir: str):
     [start_off, end_off) inside the t_conv_render sample ("role:
     text" lines, newline-joined, turn order) — computed WITHOUT
     materializing the rendered string: one vectorized utf8_length
-    pass + a segmented exclusive cumsum per conversation inside the
-    boundary-stitched grouped kernel."""
+    pass + a segmented exclusive cumsum per conversation inside each
+    conv-keyed partition (keyed_apply)."""
     ds = read_transcripts(_corpus(sf_dir),
                           columns=["conv_id", "turn_idx", "role",
                                    "text"])
-    from ..stages.window import _grouped_kernel, _segment_bounds
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
         order = np.lexsort((g["turn_idx"].to_numpy(),
@@ -2022,7 +2018,7 @@ def t_sft_masks(sf_dir: str):
               + pc.utf8_length(pa.array(g["text"].to_numpy()[order],
                                         pa.string())).to_numpy()
               ).astype(np.int64)
-        seg_start, _, _ = _segment_bounds(keys)
+        seg_start, _, _ = window._segment_bounds(keys)
         csum = np.cumsum(ll + 1)
         excl = csum - (ll + 1)
         start = excl - excl[seg_start]
@@ -2032,8 +2028,8 @@ def t_sft_masks(sf_dir: str):
             "start_off": start[isa],
             "end_off": start[isa] + ll[isa]})
 
-    return _grouped_kernel(ds, "conv_id", body, None,
-                           _nrows(_corpus(sf_dir)))
+    return window.keyed_apply(
+        ds, "conv_id", body, approx_rows=_nrows(_corpus(sf_dir)))
 
 
 def t_tool_calls(sf_dir: str):
@@ -5813,13 +5809,12 @@ def t_self_repeat(sf_dir: str):
     models and spammy users repeat themselves; high adjacent-turn
     Jaccard flags low-value conversations for SFT curation): for every
     positionally adjacent turn pair within a conversation, the
-    distinct-token Jaccard in ppm.  Pair extraction rides the
-    boundary-stitched grouped kernel (role-free adjacent_pairs);
-    the Jaccard is fully vectorized — THREE lexsort boundary-diff
-    distinct counts per batch (side A, side B, A∪B via concat),
-    |A∩B| = dA + dB - dU, no per-pair Python."""
+    distinct-token Jaccard in ppm.  Pairs are formed inside each
+    conv-keyed partition (keyed_apply, the role-free adjacent_pairs
+    shape); the Jaccard is fully vectorized — THREE lexsort
+    boundary-diff distinct counts per partition (side A, side B, A∪B
+    via concat), |A∩B| = dA + dB - dU, no per-pair Python."""
     from ..stages.parse import tokenize
-    from ..stages.window import _grouped_kernel
 
     ds = read_transcripts(_corpus(sf_dir),
                           columns=["conv_id", "turn_idx", "text"])
@@ -5877,8 +5872,8 @@ def t_self_repeat(sf_dir: str):
             "inter_toks": inter, "union_toks": du,
             "jac_ppm": inter * 1_000_000 // np.maximum(du, 1)})
 
-    return _grouped_kernel(ds, "conv_id", body, None,
-                           _nrows(_corpus(sf_dir)))
+    return window.keyed_apply(
+        ds, "conv_id", body, approx_rows=_nrows(_corpus(sf_dir)))
 
 
 def e_rfm(sf_dir: str):
@@ -6564,9 +6559,9 @@ def e_paths(sf_dir: str):
     types per user in (ts, event_id) order, counted globally — the
     funnel-discovery analytic (which journeys actually happen) that
     generalizes t_role_transitions to order 3
-    (stages/window.path_counts: boundary-stitched grouped kernel,
-    pre-aggregated path partials, bounded-domain driver fold —
-    |event types|^3 distinct paths)."""
+    (stages/window.path_counts: one user-keyed shuffle through
+    keyed_apply, pre-aggregated path partials, bounded-domain driver
+    fold — |event types|^3 distinct paths)."""
     t = window.path_counts(
         _read(sf_dir, "events",
               columns=["event_id", "user_id", "ts", "event_type"]),
@@ -6714,9 +6709,9 @@ def t_response_latency(sf_dir: str):
     """Assistant RESPONSE LATENCY: for every user turn answered by
     the assistant at turn_idx + 1 (the t_sft_pairs adjacency), the
     exact microsecond gap between the two timestamps — the
-    conversational-SLA analytic.  Rides the same boundary-stitched
-    adjacency kernel (stages/window.adjacent_pairs over the ts
-    column); the subtraction is a stateless vectorized map."""
+    conversational-SLA analytic.  Rides the same conv-keyed adjacency
+    kernel (stages/window.adjacent_pairs over the ts column); the
+    subtraction is a stateless vectorized map."""
     ds = read_transcripts(_corpus(sf_dir),
                           columns=["conv_id", "turn_idx", "role",
                                    "ts"])
@@ -7297,11 +7292,9 @@ def t_error_runs(sf_dir: str):
     different failure than ten isolated errors).  The kernel is a pure
     boundary-diff pass — lexsort (conv, turn), run starts where err
     flips on or the conversation changes, run lengths via one
-    ``np.bincount`` — and rides ``_grouped_kernel``'s shuffle-eliding
-    conv-partition plan; convs without errors produce no row, so the
-    output is error-conversation-sized, not corpus-sized."""
-    from ..stages.window import _grouped_kernel
-
+    ``np.bincount`` — run once per conv-keyed partition
+    (keyed_apply); convs without errors produce no row, so the output
+    is error-conversation-sized, not corpus-sized."""
     ds = _parsed_level(sf_dir)
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
@@ -7330,8 +7323,8 @@ def t_error_runs(sf_dir: str):
         out["n_err_runs"] = out["n_err_runs"].astype("int64")
         return out
 
-    return _grouped_kernel(ds, "conv_id", body, None,
-                           _nrows(_corpus(sf_dir)))
+    return window.keyed_apply(
+        ds, "conv_id", body, approx_rows=_nrows(_corpus(sf_dir)))
 
 
 def t_tool_lift(sf_dir: str):
@@ -7340,15 +7333,13 @@ def t_tool_lift(sf_dir: str):
     integer ratio in ppm — lift = 1e6 * c_ab * n / (c_a * c_b), where
     counts are over DISTINCT (conv, tool) uses and n is the number of
     tool-using conversations.  Scale shape: per-conv distinct pairs
-    are computed inside ``_grouped_kernel``'s conv-partitions (the
+    are computed inside keyed_apply's conv-partitions (the
     tool vocabulary is dictionary-bounded, so each partition emits a
     <= |tools|^2-row PARTIAL — pair counts, marginals and the conv
     count ride one long table with sentinel '' keys); the driver
     folds partials and forms the ratio in arbitrary-precision Python
     ints before the int64 cast (1e6 * c_ab * n overflows int64 at
     10^12-turn scale; the fold table is 66 rows, never the corpus)."""
-    from ..stages.window import _grouped_kernel
-
     ds = read_transcripts(_corpus(sf_dir), columns=["conv_id", "tool"])
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
@@ -7380,8 +7371,8 @@ def t_tool_lift(sf_dir: str):
         out["c"] = out["c"].astype("int64")
         return out
 
-    partials = _grouped_kernel(ds, "conv_id", body, None,
-                               _nrows(_corpus(sf_dir)))
+    partials = window.keyed_apply(
+        ds, "conv_id", body, approx_rows=_nrows(_corpus(sf_dir)))
     folded = agg_stage.fold_partials(partials, ["tool_a", "tool_b"],
                                      [("c", "sum")])
     ta = folded["tool_a"].to_pylist()

@@ -31,8 +31,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .aggregate import arrow_blocks, arrow_refs, concat_nonempty
-
 
 def default_hash_parts() -> int:
     """CPU-derived FLOOR for the key-hash partition count: a multiple
@@ -96,11 +94,14 @@ def keyed_apply(ds, keys, kernel, *, n_parts: int | None = None,
     rows of a key (``keys``: a column name or a list of them) reach
     the same call, so partition-local answers are globally exact.
 
-    ``kernel`` gets a pandas frame of whole key groups with the input
-    columns (never the ``part`` column, dropped zero-copy on the Arrow
-    side before the pandas conversion) and returns a batch (a pandas
-    frame or Arrow table).  ``n_parts``/``approx_rows`` size the
-    partitions as in :func:`partition_by_key`."""
+    ``kernel`` gets a pandas frame of MANY whole key groups with the
+    input columns (never the ``part`` column, dropped zero-copy on the
+    Arrow side before the pandas conversion) and returns a batch (a
+    pandas frame or Arrow table).  It must be pure per group: which
+    groups share a frame, and in what row order, is not fixed, so a
+    kernel sorts and segments its frame itself.  ``n_parts``/
+    ``approx_rows`` size the partitions as in
+    :func:`partition_by_key`."""
     from ray.data.block import BlockAccessor
 
     @functools.wraps(kernel)  # Ray Data names the operator after it
@@ -110,133 +111,6 @@ def keyed_apply(ds, keys, kernel, *, n_parts: int | None = None,
 
     return partition_by_key(ds, keys, n_parts, approx_rows).groupby(
         "part").map_groups(run, batch_format="pyarrow")
-
-
-def _contested_intervals(lo: list, hi: list) -> tuple[list, list]:
-    """Merged closed intervals of the key domain covered by >= 2 block
-    ranges.  Sweep over ranges sorted by lo: a point in two ranges a,b
-    (lo_a <= lo_b <= p) is caught at b as [lo_b, min(max_hi_so_far,
-    hi_b)]; union + merge of those per-range overlaps is exactly the
-    >=2-coverage region."""
-    order = sorted(range(len(lo)), key=lambda i: (lo[i], hi[i]))
-    out_lo: list = []
-    out_hi: list = []
-    max_hi = None
-    for i in order:
-        if max_hi is not None and lo[i] <= max_hi:
-            s, e = lo[i], min(max_hi, hi[i])
-            if out_lo and s <= out_hi[-1]:
-                out_hi[-1] = max(out_hi[-1], e)
-            else:
-                out_lo.append(s)
-                out_hi.append(e)
-        max_hi = hi[i] if max_hi is None else max(max_hi, hi[i])
-    return out_lo, out_hi
-
-
-def _grouped_kernel(ds, key_col: str, body, n_parts, approx_rows,
-                    boundary_limit_bytes: int = 1 << 31):
-    """Run a multi-group pandas kernel per key group with shuffle
-    ELISION where the block layout allows it.
-
-    Per-key kernels only need each key's rows together — a global
-    hash shuffle is overkill when the corpus is written in key order
-    (our transcript shards are conv-contiguous; Ray read tasks keep
-    file order).  Plan, driven by O(blocks) driver state (per-block
-    min/max key partials over the materialized input):
-
-    1. blocks cover pairwise-disjoint key ranges -> pure block-local
-       apply, zero shuffle;
-    2. ranges overlap only near block edges (the written-in-key-order
-       case) -> STITCH: rows whose key falls in a CONTESTED interval
-       (covered by >= 2 block ranges — the only keys that can span
-       blocks) are gathered into ONE worker task's apply (the driver
-       never holds row data — it ships block refs), everything else
-       runs block-local; the contested remainder is O(blocks x group
-       size) by construction;
-    3. contested bytes exceed ``boundary_limit_bytes`` (interleaved
-       layout, e.g. the events table — sized in BYTES so wide rows
-       can't turn a row-count guard into a multi-GB single-task
-       spike) -> classic key-hash partition shuffle + per-partition
-       apply.
-
-    ``body`` must handle frames holding MANY whole groups (all kernels
-    here lexsort + segment) and be pure per group — it runs once per
-    block in plan 1/2 and once per partition in plan 3."""
-    import ray
-    import ray.data
-
-    mat = ds.materialize()
-
-    def mm(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table({"bmin": pa.array([], pa.string()),
-                             "bmax": pa.array([], pa.string())})
-        m = pc.min_max(b[key_col])
-        typ = b.schema.field(key_col).type
-        return pa.table({"bmin": pa.array([m["min"].as_py()], typ),
-                         "bmax": pa.array([m["max"].as_py()], typ)})
-
-    parts = concat_nonempty(arrow_blocks(
-        mat.map_batches(mm, batch_format="pyarrow", batch_size=None)))
-    if parts.num_rows == 0 or parts.num_columns == 0:
-        return mat.map_batches(body, batch_format="pandas",
-                               batch_size=None)
-    c_lo, c_hi = _contested_intervals(parts["bmin"].to_pylist(),
-                                      parts["bmax"].to_pylist())
-    if not c_lo:  # plan 1: fully disjoint ranges
-        return mat.map_batches(body, batch_format="pandas",
-                               batch_size=None)
-
-    los = np.array(c_lo, dtype=object)
-    his = np.array(c_hi, dtype=object)
-
-    def contested_mask(keys: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(los, keys, side="right") - 1
-        in_iv = pos >= 0
-        safe_pos = np.where(in_iv, pos, 0)
-        return in_iv & (keys <= his[safe_pos])
-
-    # One fused pass extracts the contested rows INTO THE OBJECT STORE
-    # (spillable — the byte guard below sizes only the single-task
-    # apply); its post-materialize count()/size_bytes() are free
-    # metadata.  This replaces the former separate count pass: each
-    # eager pass over `mat` costs ~1-2 s of fixed task-dispatch
-    # latency regardless of data size, and plan 2 is taken precisely
-    # when the contested volume is small.
-    def pick_contested(b: pa.Table) -> pa.Table:
-        k = np.asarray(b[key_col].to_numpy(zero_copy_only=False),
-                       dtype=object)
-        return b.filter(pa.array(contested_mask(k)))
-
-    picked = mat.map_batches(pick_contested, batch_format="pyarrow",
-                             batch_size=None).materialize()
-    if picked.size_bytes() > boundary_limit_bytes:  # plan 3
-        return keyed_apply(mat, key_col, body, n_parts=n_parts,
-                           approx_rows=approx_rows)
-
-    # plan 2: block-local safe rows + ONE worker-task contested apply.
-    # The driver only moves object REFS — the contested row data goes
-    # object store -> one worker -> object store (from_pandas_refs),
-    # never through driver memory (VERDICT r3 finding 5).
-    def safe_body(g: pd.DataFrame) -> pd.DataFrame:
-        k = np.asarray(g[key_col].to_numpy(), dtype=object)
-        return body(g.iloc[~contested_mask(k)])
-
-    safe_out = mat.map_batches(safe_body, batch_format="pandas",
-                               batch_size=None)
-
-    if picked.count() == 0:
-        return safe_out
-
-    @ray.remote(num_cpus=1)
-    def _apply_contested(*blocks):
-        # count() > 0 above guarantees at least one nonempty block.
-        tbl = concat_nonempty(list(blocks))
-        return body(tbl.to_pandas()).reset_index(drop=True)
-
-    b_ref = _apply_contested.remote(*arrow_refs(picked))
-    return safe_out.union(ray.data.from_pandas_refs([b_ref]))
 
 
 def _segment_bounds(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,7 +158,8 @@ def rolling_count(ds, *, flag_col: str, flag_value, radius: int = 2,
         out[out_col] = _windowed_flag_sum(flag, seg_start, seg_end, radius)
         return out
 
-    return _grouped_kernel(ds, conv_col, body, n_parts, approx_rows)
+    return keyed_apply(ds, conv_col, body, n_parts=n_parts,
+                       approx_rows=approx_rows)
 
 
 def asof_prior(ds, *, flag_col: str, flag_value,
@@ -312,7 +187,8 @@ def asof_prior(ds, *, flag_col: str, flag_value,
         out[out_col] = run - seg_id * OFF
         return out
 
-    return _grouped_kernel(ds, conv_col, body, n_parts, approx_rows)
+    return keyed_apply(ds, conv_col, body, n_parts=n_parts,
+                       approx_rows=approx_rows)
 
 
 def sessionize(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -366,7 +242,8 @@ def context_window(ds, *, match_col: str, match_value, radius: int = 1,
         w = _windowed_flag_sum(flag, seg_start, seg_end, radius)
         return g.loc[w > 0, cols]
 
-    return _grouped_kernel(ds, conv_col, body, n_parts, approx_rows)
+    return keyed_apply(ds, conv_col, body, n_parts=n_parts,
+                       approx_rows=approx_rows)
 
 
 def nearby_count(ds, *, key_col: str, ts_col: str, id_col: str,
@@ -624,13 +501,12 @@ def transition_counts(ds, *, key_col: str, order_col: str, val_col: str,
     matrix (SQL ``lag(val) OVER (PARTITION BY key ORDER BY ord)`` then
     ``GROUP BY from, to``).
 
-    The pairing runs in the boundary-stitched grouped kernel
-    (:func:`_grouped_kernel`: zero shuffle on key-contiguous shards,
-    key-hash partition shuffle otherwise); each kernel call emits
-    PRE-AGGREGATED (from, to, cnt) partials, so the driver fold is
-    num_kernel_calls x |value domain|^2 rows — correct ONLY for
-    bounded value domains (roles, levels, event types; for unbounded
-    values the partials would feed :func:`keyed_apply` instead)."""
+    The pairing runs once per key-hash partition (:func:`keyed_apply`);
+    each kernel call emits PRE-AGGREGATED (from, to, cnt) partials, so
+    the driver fold is n_parts x |value domain|^2 rows — correct ONLY
+    for bounded value domains (roles, levels, event types; for
+    unbounded values the partials would feed a second
+    :func:`keyed_apply` instead)."""
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -652,7 +528,8 @@ def transition_counts(ds, *, key_col: str, order_col: str, val_col: str,
 
     from .aggregate import fold_partials
 
-    kern = _grouped_kernel(ds, key_col, body, n_parts, approx_rows)
+    kern = keyed_apply(ds, key_col, body, n_parts=n_parts,
+                       approx_rows=approx_rows)
     t = fold_partials(kern, [from_col, to_col], [("cnt", "sum")])
     return t.rename_columns([from_col, to_col, out_col])
 
@@ -666,10 +543,10 @@ def path_counts(ds, *, key_col: str, order_cols: list[str],
     :func:`transition_counts`: for every run of ``n`` CONSECUTIVE
     rows of the same key (``order_cols`` order), count the joined
     value path ``v1>v2>...>vn`` (SQL: n-1 stacked ``lead()`` windows
-    then GROUP BY).  Same partitioned shape: boundary-stitched
-    grouped kernel, pre-aggregated (path, cnt) partials, bounded-
-    domain driver fold (|value domain|^n rows — event types, roles,
-    levels; unbounded values would feed :func:`keyed_apply`
+    then GROUP BY).  Same partitioned shape: one :func:`keyed_apply`
+    over the key, pre-aggregated (path, cnt) partials, bounded-domain
+    driver fold (|value domain|^n rows — event types, roles, levels;
+    unbounded values would feed a second :func:`keyed_apply`
     instead)."""
     from functools import reduce
 
@@ -696,7 +573,8 @@ def path_counts(ds, *, key_col: str, order_cols: list[str],
 
     from .aggregate import fold_partials
 
-    kern = _grouped_kernel(ds, key_col, body, n_parts, approx_rows)
+    kern = keyed_apply(ds, key_col, body, n_parts=n_parts,
+                       approx_rows=approx_rows)
     t = fold_partials(kern, [path_col], [("cnt", "sum")],
                       empty_schema=pa.schema([(path_col, pa.string()),
                                               ("cnt", pa.int64())]))
@@ -770,10 +648,9 @@ def adjacent_pairs(ds, *, key_col: str, order_col: str,
     / drift analyses).  ``require_consecutive`` additionally demands
     order values differ by exactly 1 (a missing middle turn breaks
     the pair).  ``emit_order`` picks which row's order value labels
-    the pair ('first' or 'second').  Runs in the boundary-stitched
-    grouped kernel (:func:`_grouped_kernel`): zero shuffle on
-    key-contiguous shards, key-hash exchange otherwise; output rows
-    only (never the non-matching corpus)."""
+    the pair ('first' or 'second').  Runs once per key-hash partition
+    (:func:`keyed_apply`); output rows only (never the non-matching
+    corpus)."""
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
         order = np.lexsort((g[order_col].to_numpy(),
@@ -795,7 +672,8 @@ def adjacent_pairs(ds, *, key_col: str, order_col: str,
                              prompt_col: txt[i],
                              response_col: txt[i + 1]})
 
-    return _grouped_kernel(ds, key_col, body, n_parts, approx_rows)
+    return keyed_apply(ds, key_col, body, n_parts=n_parts,
+                       approx_rows=approx_rows)
 
 
 def first_last_by(ds, *, key_col: str, ts_col: str, id_col: str,

@@ -3,11 +3,13 @@
 
 Default mode: runs the headline pipelines over ``$GRAFT_SF_DIR``
 (default /root/testdata/sf0.1) under ``ray.init(address="local",
-num_cpus=$RAY_GRAFT_CPUS)`` (default 32) and prints ONE JSON line::
+num_cpus=$RAY_GRAFT_CPUS)`` (default: the host's CPU count, so the
+flagship cuts the batches and sink files a run on this host would) and
+prints ONE JSON line::
 
     {"metric": "...", "value": <flagship sec>, "unit": "sec",
      "queries": {...per-query sec...}, "sf": ..., "num_cpus": N,
-     "turns": T, "turns_per_sec": R}
+     "host_cpus": H, "turns": T, "turns_per_sec": R}
 
 ``--scaling``: runs the flagship ingest in FRESH subprocesses at N and
 4N CPUs (default ``GRAFT_SCALING_CPUS="2,8"`` — see the in-function
@@ -30,7 +32,8 @@ import time
 from pathlib import Path
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+HOST_CPUS = os.cpu_count() or 1
+CPUS = int(os.environ.get("RAY_GRAFT_CPUS", HOST_CPUS))
 
 # Headline query subset: one per operator family (parse/aggregate,
 # enrich-join, ordering, event routing, TPC-H agg-join, tokenize,
@@ -338,6 +341,7 @@ def main() -> None:
         "queries": per_query,
         "sf": Path(SF_DIR).name,
         "num_cpus": CPUS,
+        "host_cpus": HOST_CPUS,
         "turns": flagship["turns"],
         "turns_per_sec": round(flagship["turns_per_sec"], 1),
         **extra,

@@ -993,7 +993,8 @@ def test_ingest_task_holds_its_cpus(t_small_table, tmp_path):
 def test_batch_errors_name_wave_and_ranges(t_small_table, tmp_path):
     """A batch that fails to read re-raises naming its wave and its
     (path, start, stop) ranges, both in the worker and through a run;
-    a shard whose footer is unreadable is named too."""
+    a shard whose footer is unreadable is named too, and so is a shard
+    that lacks a dictionary column."""
     import ray
 
     from alco_ray.pipelines.flagship import IngestWorker
@@ -1042,3 +1043,8 @@ def test_batch_errors_name_wave_and_ranges(t_small_table, tmp_path):
     shutil.copy(truncated, bad)
     with pytest.raises(RuntimeError, match=f"reading {bad}"):
         run_flagship(corpus, tmp_path / "out2", wave_size=4)
+
+    pq.write_table(t_small_table.slice(600).drop_columns(["tool"]), bad)
+    with pytest.raises(RuntimeError,
+                       match=f"reading {bad}: no column 'tool'"):
+        run_flagship(corpus, tmp_path / "out3", wave_size=4)

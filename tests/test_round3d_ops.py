@@ -172,46 +172,129 @@ def test_runtime_filter_semi_join_empty_keys(tbl):
     assert got.count() == 0
 
 
-def test_contested_intervals_sweep():
-    from alco_ray.stages.window import _contested_intervals
+def _conv_table() -> pd.DataFrame:
+    """30 conversations of 10 turns; every 7th row is an ERROR, and
+    roles repeat a 7-row cycle (user, assistant, tool, assistant,
+    user, user, assistant) that drifts against the conversations."""
+    n = 300
+    roles = np.array(["user", "assistant", "tool", "assistant", "user"])
+    return pd.DataFrame({
+        "conv_id": np.repeat([f"c{i:03d}" for i in range(30)], 10),
+        "turn_idx": np.tile(np.arange(10, dtype=np.int64), 30),
+        "level": np.where(np.arange(n) % 7 == 0, "ERROR", "INFO"),
+        "role": roles[np.arange(n) % 7 % 5],
+        "text": [f"t{i}" for i in range(n)],
+    })
 
-    # disjoint -> none
-    assert _contested_intervals(["a", "m"], ["f", "z"]) == ([], [])
-    # shared edge -> single-point interval
-    assert _contested_intervals(["a", "f"], ["f", "z"]) == (["f"], ["f"])
-    # nested + chained overlaps merge
-    lo, hi = _contested_intervals([1, 2, 4, 10], [5, 6, 7, 12])
-    assert (lo, hi) == ([2], [6])
 
-
-def test_grouped_kernel_stitches_spanning_groups():
-    # groups deliberately split across blocks: block boundaries land
-    # mid-group, so the contested driver pass must reassemble them
-    import ray.data
-
+def _rolling_count(ds, df):
     from alco_ray.stages.window import rolling_count
 
-    n = 300
-    conv = np.repeat([f"c{i:03d}" for i in range(30)], 10)
-    t = pa.table({
-        "conv_id": pa.array(conv),
-        "turn_idx": pa.array(np.tile(np.arange(10, dtype=np.int64), 30)),
-        "level": pa.array(np.where(np.arange(n) % 7 == 0, "ERROR", "INFO")),
-    })
-    # 7 blocks of 43ish rows -> every block boundary splits a conv
-    ds = ray.data.from_arrow(t).repartition(7)
-    got = (rolling_count(ds, flag_col="level", flag_value="ERROR",
-                         radius=2)
-           .to_pandas().sort_values(["conv_id", "turn_idx"])
-           .reset_index(drop=True))
-    df = t.to_pandas()
-    flag = (df["level"] == "ERROR").astype(int)
-    want = (flag.groupby(df["conv_id"]).transform(
-        lambda s: s.rolling(5, center=True, min_periods=1).sum())
+    got = rolling_count(ds, flag_col="level", flag_value="ERROR",
+                        radius=2, n_parts=4).to_pandas()
+    flag = (df["level"] == "ERROR").astype(np.int64)
+    want = df[["conv_id", "turn_idx"]].assign(
+        w_count=flag.groupby(df["conv_id"]).transform(
+            lambda s: s.rolling(5, center=True, min_periods=1).sum())
         .astype(np.int64))
-    assert len(got) == n
-    assert (got["w_count"].to_numpy() ==
-            want.to_numpy()).all()
+    return got, want
+
+
+def _asof_prior(ds, df):
+    from alco_ray.stages.window import asof_prior
+
+    got = asof_prior(ds, flag_col="level", flag_value="ERROR",
+                     n_parts=4).to_pandas()
+    hit = df["turn_idx"].where(df["level"] == "ERROR", -1)
+    want = df[["conv_id", "turn_idx"]].assign(
+        last_match_idx=hit.groupby(df["conv_id"]).cummax()
+        .astype(np.int64))
+    return got, want
+
+
+def _context_window(ds, df):
+    from alco_ray.stages.window import context_window
+
+    got = context_window(ds, match_col="level", match_value="ERROR",
+                         radius=1, n_parts=4).to_pandas()
+    errs = {(c, t) for c, t, lv in zip(df["conv_id"], df["turn_idx"],
+                                       df["level"]) if lv == "ERROR"}
+    near = [any((c, t + d) in errs for d in (-1, 0, 1))
+            for c, t in zip(df["conv_id"], df["turn_idx"])]
+    return got, df.loc[near, ["conv_id", "turn_idx", "level"]]
+
+
+def _transition_counts(ds, df):
+    from alco_ray.stages.window import transition_counts
+
+    got = transition_counts(ds, key_col="conv_id", order_col="turn_idx",
+                            val_col="role", n_parts=4).to_pandas()
+    prev = df.groupby("conv_id")["role"].shift(1)
+    want = (pd.DataFrame({"from_val": prev, "to_val": df["role"]})
+            .dropna().groupby(["from_val", "to_val"], as_index=False)
+            .size().rename(columns={"size": "n"}))
+    return got, want.astype({"n": np.int64})
+
+
+def _path_counts(ds, df):
+    from alco_ray.stages.window import path_counts
+
+    got = path_counts(ds, key_col="conv_id", order_cols=["turn_idx"],
+                      val_col="role", n=3, n_parts=4).to_pandas()
+    paths = [">".join(g["role"].iloc[i:i + 3])
+             for _, g in df.groupby("conv_id")
+             for i in range(len(g) - 2)]
+    want = (pd.Series(paths, name="path").value_counts()
+            .rename("cnt").reset_index())
+    return got, want.astype({"cnt": np.int64})
+
+
+def _adjacent_pairs(ds, df):
+    from alco_ray.stages.window import adjacent_pairs
+
+    got = adjacent_pairs(ds, key_col="conv_id", order_col="turn_idx",
+                         role_col="role", text_col="text",
+                         from_role="user", to_role="assistant",
+                         n_parts=4).to_pandas()
+    nxt = df.groupby("conv_id")[["role", "text"]].shift(-1)
+    hit = (df["role"] == "user") & (nxt["role"] == "assistant")
+    want = pd.DataFrame({"conv_id": df["conv_id"][hit],
+                         "turn_idx": df["turn_idx"][hit],
+                         "prompt": df["text"][hit],
+                         "response": nxt["text"][hit]})
+    return got, want
+
+
+@pytest.mark.parametrize("op", [
+    _rolling_count, _asof_prior, _context_window, _transition_counts,
+    _path_counts, _adjacent_pairs], ids=lambda f: f.__name__[1:])
+def test_window_operator_runs_one_plan(op, monkeypatch):
+    # Block boundaries land mid-conversation (7 blocks of ~43 rows),
+    # so a kernel that ran per block instead of per key partition
+    # would cut windows, pairs and paths at every boundary.  Each
+    # operator matches a pandas or brute-force answer and runs ONE
+    # Ray Data plan: the key-hash shuffle, consumed once.
+    import ray.data
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    df = _conv_table()
+    ds = ray.data.from_pandas(df).repartition(7)
+    executions = []
+    orig = StreamingExecutor.execute
+
+    def counting(self, *a, **kw):
+        executions.append(a)
+        return orig(self, *a, **kw)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    got, want = op(ds, df)
+    assert len(executions) == 1
+    assert len(got) > 0
+    cols = list(want.columns)
+    norm = [x[cols].sort_values(cols).reset_index(drop=True)
+            for x in (got, want)]
+    pd.testing.assert_frame_equal(*norm)
 
 
 def test_distinct_count_by_matches_pandas(tbl):

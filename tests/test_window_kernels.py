@@ -90,7 +90,7 @@ def test_session_cumsum_rebase_matches_bruteforce(seg_lens, gap, seed):
 
 def test_adjacent_pairs_brute_force():
     """adjacent_pairs == Python brute force, at block layouts that
-    split a conversation mid-stream (the boundary-stitch path) and
+    split a conversation mid-stream (the key shuffle reunites it) and
     with every non-pair shape present: user at conv end, user->tool,
     turn_idx gap, assistant->user reversed."""
     import pyarrow as pa
