@@ -22,15 +22,20 @@ and bounded partials travel); the dict tables ride in the
 per wave, not once per batch; waves bound the blast radius of a
 failure and make output resumable (state/checkpoint.py).
 
-A wave's batches run side by side, one per free CPU.  Ray Data reserves
-``target_max_block_size`` x ``_max_num_blocks_in_streaming_gen_buffer``
-(256 MiB by default) of object store for each map task that has not yet
-reported an output size, so on a small store one task would run until
-the first returned.  The wave plan's only output is the partials, so
+A wave is cut into as few batches as keep every CPU busy with tasks
+that fit the smallest node (``ingest_batch_rows``): one per node when
+the nodes are equal, more past a row cap.  Each task holds an equal
+share of the CPUs (``ingest_task_cpus``) and spreads its batch over
+that many threads.  Threads, not extra batches, do the balancing, so
+the sink file count (batches x sinks x dates) grows with nodes and
+rows, not with CPUs.  A wave's batches run side by side.  Ray Data
+reserves ``target_max_block_size`` x
+``_max_num_blocks_in_streaming_gen_buffer`` (256 MiB by default) of
+object store for each map task that has not yet reported an output
+size, so on a small store one task would run until the first
+returned.  The wave plan's only output is the partials, so
 ``run_flagship`` declares it small on the wave dataset's own context
-(why that is safe: ``IngestWorker``).  A wave of fewer batches than CPUs
-gives each task an equal share of them (``ingest_task_cpus``), and the
-task spreads its batch over that many threads.
+(why that is safe: ``IngestWorker``).
 """
 
 from __future__ import annotations
@@ -71,6 +76,9 @@ from ..state.checkpoint import (CheckpointManifest,
 #: giant driver-resident dict.  Guarded: past this cap the build
 #: RAISES naming the column instead of degrading.
 MAX_DICT_CARDINALITY = 100_000
+
+#: Rows per ingest batch at most, so worker heap stays bounded.
+MAX_BATCH_ROWS = 300_000
 
 _log = logging.getLogger("alco_ray")
 
@@ -278,17 +286,19 @@ class IngestWorker:
     already-started workers, so a 1-CPU cluster runs every batch too.
 
     A task spreads its batch over ``threads`` threads: the CPUs
-    ``run_flagship`` reserved for it (``ingest_task_cpus``), more than
-    one only when the wave has fewer batches than the cluster has
-    CPUs.  It cuts the batch's ranges into ``threads`` row-balanced
-    runs (``split_ranges``), reads, parses, encodes and routes each run
-    on its own thread, and concatenates the results in order; every
-    parse kernel works row by row, so the routed table does not depend
-    on the thread count.  The writer then writes the batch's partitions
-    on the same threads.  Arrow kernels and Parquet encoding run
-    mostly outside the GIL, and a task never holds more threads than
-    the CPUs Ray gave it.  One thread is one run on one worker thread, the same
-    code.  (A row group split between two runs is decoded by both.)
+    ``run_flagship`` reserved for it (``ingest_task_cpus``), all of a
+    node's CPUs when the wave is one batch per node.  Threads, not
+    batches, balance the work, so a wave writes one set of sink files
+    per batch, not per CPU.  The task cuts the batch's ranges into
+    ``threads`` row-balanced runs (``split_ranges``), reads, parses,
+    encodes and routes each run on its own thread, and concatenates
+    the results in order; every parse kernel works row by row, so the
+    routed table does not depend on the thread count.  The writer then
+    writes the batch's partitions on the same threads.  Arrow kernels
+    and Parquet encoding run mostly outside the GIL, and a task never
+    holds more threads than the CPUs Ray gave it.  One thread is one
+    run on one worker thread, the same code.  (A row group split
+    between two runs is decoded by both.)
 
     The stage's plan executes ONCE per wave: the driver collects the
     partials with ``stages.aggregate.arrow_blocks``, which never
@@ -386,27 +396,24 @@ def _metrics_from_partials(partials: pa.Table) -> dict[str, Any]:
     }
 
 
-def ingest_batch_rows(n_rows: int, cpus: int) -> int:
-    """Rows per ingest batch for a wave of ``n_rows`` on ``cpus`` CPUs.
-
-    About two batches per slot, for tail balance, where a wave gets one
-    slot per ~50k rows and at most ~7/8 of the CPUs.  Capped near
-    ~64 MB of input rows, so worker heap stays bounded at any corpus
-    size.  Sink file count is batches x sinks x dates, so this function
-    fixes the output layout: keep the formula as it is.  A wave with
-    fewer batches than CPUs puts the idle ones to work inside its tasks
-    instead (``ingest_task_cpus``), which leaves the layout alone."""
-    slots = max(1, min(cpus - max(1, cpus // 8), max(1, n_rows // 50_000)))
-    return max(1, min(-(-n_rows // (2 * slots)), 300_000))
+def ingest_batch_rows(n_rows: int, cpus: int, node_cpus: int) -> int:
+    """Rows per ingest batch for a wave of ``n_rows`` on a cluster of
+    ``cpus`` CPUs whose smallest node has ``node_cpus``: the fewest
+    batches of at most ``MAX_BATCH_ROWS`` rows that keep every CPU busy
+    with tasks of ``ingest_task_cpus`` CPUs, so at least one per node;
+    a one-node wave is one batch that its threads balance.  Sink files
+    are batches x sinks x dates, so this fixes the output layout."""
+    cut = -(-n_rows // MAX_BATCH_ROWS)
+    batches = max(cut, cpus // ingest_task_cpus(cut, cpus, node_cpus))
+    return max(1, -(-n_rows // batches))
 
 
 def ingest_task_cpus(n_batches: int, cpus: int, node_cpus: int) -> int:
     """CPUs (and threads) per ingest task for a wave of ``n_batches``
-    batches on a cluster of ``cpus`` CPUs whose largest node has
-    ``node_cpus``: an equal share of the cluster per batch, at most one
-    node, at least one.  The wave's tasks together never hold more than
-    the cluster's CPUs, and each fits on a node.  A wave with at least
-    as many batches as CPUs gets 1."""
+    batches on a cluster of ``cpus`` CPUs whose smallest node has
+    ``node_cpus``: an equal share of the cluster per batch, at most the
+    smallest node, at least one.  The wave's tasks together never hold
+    more than the cluster's CPUs, and each fits on every node."""
     return max(1, min(node_cpus, cpus // max(1, n_batches)))
 
 
@@ -554,13 +561,12 @@ def run_flagship(input_dir: str | Path, out_root: str | Path,
                 raise RuntimeError(f"wave {wave_id}: reading the footer "
                                    f"of {f}: {e}") from e
         cpus = int(ray.cluster_resources().get("CPU", 8))
-        batches = plan_slices(
-            counts, ingest_batch_rows(sum(n for _, n in counts), cpus))
-        # A wave of fewer batches than CPUs gives each task a share of
-        # the idle CPUs, which it fills with threads (IngestWorker).
-        node_cpus = max((n["Resources"].get("CPU", 0) for n in ray.nodes()
-                         if n["Alive"]), default=cpus)
-        task_cpus = ingest_task_cpus(len(batches), cpus, int(node_cpus))
+        # The smallest node's CPUs (a CPU-less head limits nothing).
+        node_cpus = int(min(n["Resources"].get("CPU") or cpus
+                            for n in ray.nodes() if n["Alive"]))
+        batches = plan_slices(counts, ingest_batch_rows(
+            sum(n for _, n in counts), cpus, node_cpus))
+        task_cpus = ingest_task_cpus(len(batches), cpus, node_cpus)
         # ONE streaming pass: each task reads its batch's row ranges,
         # then parses, enriches, routes, writes its sink files AND
         # reduces them to a partial-count table — input and routed

@@ -6872,11 +6872,6 @@ def q_volume_shipping(sf_dir: str):
                                                           pa.int64()),
                                                 d100))})
 
-    li = li.map_batches(supp_probe, batch_format="pyarrow")
-    n_parts = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
-    joined = li.join(orders_n, "inner", num_partitions=n_parts,
-                     on=("l_orderkey",), right_on=("o_orderkey",))
-
     def partial(b: pa.Table) -> pa.Table:
         b = b.filter(pc.not_equal(b["s_nat"], b["c_nat"]))
         g = (pa.table({"s_nat": b["s_nat"], "c_nat": b["c_nat"],
@@ -6886,15 +6881,27 @@ def q_volume_shipping(sf_dir: str):
         return g.rename_columns(["s_nat", "c_nat", "l_year",
                                  "n_items", "revenue_e4"])
 
-    folded = agg_stage.fold_partials(
-        joined.map_batches(partial, batch_format="pyarrow"),
-        ["s_nat", "c_nat", "l_year"],
-        [("n_items", "sum"), ("revenue_e4", "sum")],
-        empty_schema=pa.schema([("s_nat", pa.int64()),
-                                ("c_nat", pa.int64()),
-                                ("l_year", pa.int64()),
-                                ("n_items", pa.int64()),
-                                ("revenue_e4", pa.int64())]))
+    folded_schema = pa.schema([("s_nat", pa.int64()), ("c_nat", pa.int64()),
+                               ("l_year", pa.int64()),
+                               ("n_items", pa.int64()),
+                               ("revenue_e4", pa.int64())])
+    # The hash join cannot key a partition that no left block reached,
+    # and a left side the filters empty (sf0.001) reaches none: keep
+    # only non-empty blocks, and join only when rows are left.
+    li = agg_stage.drop_empty_blocks(
+        li.map_batches(supp_probe, batch_format="pyarrow"),
+        pa.schema([("l_orderkey", pa.int64()), ("s_nat", pa.int64()),
+                   ("l_year", pa.int64()), ("u", pa.int64())]))
+    folded = folded_schema.empty_table()
+    if li.count():
+        n_parts = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
+        joined = li.join(orders_n, "inner", num_partitions=n_parts,
+                         on=("l_orderkey",), right_on=("o_orderkey",))
+        folded = agg_stage.fold_partials(
+            joined.map_batches(partial, batch_format="pyarrow"),
+            ["s_nat", "c_nat", "l_year"],
+            [("n_items", "sum"), ("revenue_e4", "sum")],
+            empty_schema=folded_schema)
     names = pa.array([code2name[int(v)] for v in
                       folded["s_nat"].to_pylist()], pa.string())
     cnames = pa.array([code2name[int(v)] for v in

@@ -1,4 +1,5 @@
-"""Worker-death resilience of the raw-task BSP waves.
+"""Worker-death resilience of the raw-task BSP waves and the flagship
+ingest.
 
 graph.py (components/pagerank) and model.py (GD fit) run iterative
 fixed points as raw ``ray.remote`` task waves, so they lean on Ray
@@ -6,20 +7,28 @@ CORE's task retry + lineage machinery rather than Ray Data's
 per-operator retries.  These tests pin that contract: a worker
 process dying mid-iteration (``os._exit`` inside a wave kernel — a
 process crash, not a Python exception) must still yield the
-oracle-exact fixed point via task retry.
+oracle-exact fixed point via task retry.  The flagship ingest task
+must leave, after its retry, the sink tree a clean run writes.
 
 Injection: the wave kernels are module globals resolved at
 ``ray.remote(...)`` wrap time, so a driver-side monkeypatch with a
 CLOSURE (cloudpickle ships closures by value) reaches every worker.
-A sentinel file consumed by an atomic rename makes exactly one task
-attempt crash its worker.
+The ingest's kernels are closures too, built on the driver in
+``IngestWorker.__init__`` and shipped with the instance.  A sentinel
+file consumed by an atomic rename makes exactly one task attempt
+crash its worker.
 """
 from __future__ import annotations
 
+import glob
+import logging
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 import ray
@@ -144,3 +153,71 @@ def test_kmeans_waves_survive_worker_death(ray_session, tmp_path,
     got = similarity.kmeans_fixed_point(ds2, k=8, iters=2).to_pandas()
     assert os.path.exists(sentinel + ".consumed"), "crash never fired"
     assert sorted(zip(got["vec_id"], got["cluster"])) == want
+
+
+def _sink_files(out) -> dict[str, bytes]:
+    return {Path(f).relative_to(out).as_posix(): Path(f).read_bytes()
+            for f in glob.glob(f"{out}/sink=*/date=*/*.parquet")}
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("point", ["parse", "after_write"])
+def test_ingest_survives_worker_death(ray_session, t_small_dir, tmp_path,
+                                      monkeypatch, caplog, threads, point):
+    """A worker process dies inside ``IngestWorker.__call__`` (before
+    the batch's first parse, or after its sink files are staged), on a
+    task of one thread and of four.  After the retry the summary,
+    routed row sets, ``interval_counts`` and sink file set equal a clean
+    run's, and every file reads back with the clean run's bytes:
+    nothing is duplicated or torn.
+
+    On the 4-CPU session cluster a t-small wave is one 4-CPU batch; a
+    100-row cap cuts it into six 1-CPU batches instead."""
+    import alco_ray.pipelines.flagship as fl
+    import alco_ray.sinks as sinks
+
+    if threads == 1:
+        monkeypatch.setattr(fl, "MAX_BATCH_ROWS", 100)
+    clean = tmp_path / "clean"
+    want = fl.run_flagship(t_small_dir, clean, wave_size=4)
+
+    sentinel = str(tmp_path / "ingest_crash")
+    open(sentinel, "w").close()
+    if point == "parse":
+        parse = fl.make_parse_batch
+        monkeypatch.setattr(fl, "make_parse_batch",
+                            lambda cfg: _crash_once(parse(cfg), sentinel))
+    else:
+        make_writer = sinks._make_block_writer
+
+        def writer_then_crash(*args):
+            write, crash = make_writer(*args), _crash_once(lambda: None,
+                                                           sentinel)
+
+            def wrapped(*a, **kw):
+                out = write(*a, **kw)
+                crash()
+                return out
+            return wrapped
+        monkeypatch.setattr(sinks, "_make_block_writer", writer_then_crash)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="alco_ray"):
+        got = fl.run_flagship(t_small_dir, out, wave_size=4)
+    assert os.path.exists(sentinel + ".consumed"), "crash never fired"
+    assert {int(m) for m in re.findall(r"task_cpus=(\d+)", caplog.text)} \
+        == {threads}
+
+    assert got == want
+    files = _sink_files(out)
+    assert files == _sink_files(clean)
+    assert sum(pq.read_metadata(out / f).num_rows for f in files) \
+        == want["rows"]
+    key = ["conv_id", "turn_idx"]
+    for sink in {f.split("/")[0] for f in files}:
+        rows = [pq.read_table(sorted(glob.glob(f"{o}/{sink}/*/*.parquet")))
+                .sort_by([(k, "ascending") for k in key])
+                for o in (out, clean)]
+        assert rows[0].equals(rows[1]), sink
+    agg = [pq.read_table(o / "aggregates" / "interval_counts")
+           for o in (out, clean)]
+    assert agg[0].equals(agg[1])

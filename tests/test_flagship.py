@@ -425,9 +425,11 @@ def test_wave_batches_run_concurrently(tmp_path):
     not reported its output size a full block reserve, which let only
     one task start; the wave plan declares its output small instead.
 
-    Runs in a subprocess with its own ``ray.init``.  The driver swaps in
-    an ``IngestWorker`` subclass defined in ``__main__`` (so it ships by
-    value) that records each batch's start and end times to a file."""
+    Runs in a subprocess with its own ``ray.init``.  A one-node wave is
+    one batch, so the driver lowers the row cap to half the corpus to
+    get two.  It swaps in an ``IngestWorker`` subclass defined in
+    ``__main__`` (so it ships by value) that records each batch's start
+    and end times to a file."""
     import os
     import subprocess
     import sys
@@ -458,6 +460,7 @@ def test_wave_batches_run_concurrently(tmp_path):
         "            json.dump([t0, time.time()], f)\n"
         "        return out\n"
         "fl.IngestWorker = Timed\n"
+        "fl.MAX_BATCH_ROWS = int(sys.argv[4])\n"
         # a warm-up wave, so every worker has imported alco_ray
         "fl.run_flagship(sys.argv[1], sys.argv[2] + '-warm')\n"
         "for p in os.listdir(times):\n"
@@ -471,7 +474,7 @@ def test_wave_batches_run_concurrently(tmp_path):
                    [root, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-c", script, str(corpus), str(tmp_path / "out"),
-         str(times)],
+         str(times), str(-(-n_rows // 2))],
         capture_output=True, text=True, timeout=240, env=env, cwd=root)
     assert proc.returncode == 0, proc.stderr[-2000:]
     line = [ln for ln in proc.stdout.splitlines()
@@ -591,19 +594,24 @@ def test_ingest_starts_no_actor(t_small_dir, tmp_path):
     assert not [n for n in new if n.startswith("MapWorker(")], new
 
 
-@pytest.mark.parametrize("n_rows,cpus,want", [
-    (96_000, 4, 48_000),
-    (1_500, 4, 750),
-    (657_000, 4, 109_500),
-    (10_000_000, 32, 178_572),
-    (1, 1, 1),
+@pytest.mark.parametrize("n_rows,cpus,node_cpus,want", [
+    (96_000, 4, 4, 96_000),          # one node: one batch of 4 threads
+    (1_500, 4, 4, 1_500),
+    (657_000, 4, 4, 164_250),        # past the cap: 4 x 1 CPU, not 3
+    (10_000_000, 32, 32, 294_118),   # 34 capped batches
+    (700_000, 8, 8, 175_000),        # 4 x 2 CPUs, not 3
+    (1, 1, 1, 1),
+    (96_000, 4, 2, 48_000),          # 0+2+2: one batch per node
+    (96_000, 4, 1, 24_000),          # 3+1: four 1-CPU tasks
+    (96_000, 16, 4, 24_000),         # four 4-CPU nodes
 ])
-def test_ingest_batch_rows(n_rows, cpus, want):
-    """Batch size is fixed by (rows, CPUs); sink file count is batches
-    x sinks x dates, so these values pin the output layout."""
+def test_ingest_batch_rows(n_rows, cpus, node_cpus, want):
+    """Batch size is fixed by (rows, CPUs, smallest node's CPUs); sink
+    file count is batches x sinks x dates, so these values pin the
+    output layout."""
     from alco_ray.pipelines.flagship import ingest_batch_rows
 
-    assert ingest_batch_rows(n_rows, cpus) == want
+    assert ingest_batch_rows(n_rows, cpus, node_cpus) == want
 
 
 @pytest.mark.parametrize("n_batches,cpus,node_cpus,want", [
@@ -613,10 +621,12 @@ def test_ingest_batch_rows(n_rows, cpus, want):
     (3, 4, 4, 1),
     (8, 4, 4, 1),
     (1, 16, 4, 4),   # 16 CPUs in 4-CPU nodes: a task must fit a node
+    (2, 4, 1, 1),    # 3+1: a 2-CPU task would fit only the 3-CPU node
 ])
 def test_ingest_task_cpus(n_batches, cpus, node_cpus, want):
-    """A wave's tasks share the cluster's CPUs, each within one node; a
-    wave with as many batches as CPUs, or more, gets 1 per task."""
+    """A wave's tasks share the cluster's CPUs, each within the smallest
+    node; a wave with as many batches as CPUs, or more, gets 1 per
+    task."""
     from alco_ray.pipelines.flagship import ingest_task_cpus
 
     assert ingest_task_cpus(n_batches, cpus, node_cpus) == want
@@ -661,15 +671,15 @@ def test_wave_log_line(t_small_dir, tmp_path, caplog):
     waves = CheckpointManifest(out).waves
     assert [m[1] for m in lines] == list(waves)
     cpus = int(ray.cluster_resources()["CPU"])
-    node_cpus = int(max(n["Resources"].get("CPU", 0) for n in ray.nodes()
-                        if n["Alive"]))
+    node_cpus = int(min(node["Resources"]["CPU"] for node in ray.nodes()
+                        if node["Alive"] and node["Resources"].get("CPU")))
     for m in lines:
         wave = waves[m[1]]
         assert int(m[2]) == len(wave["input_files"])
         counts = [(f, pq.read_metadata(f).num_rows)
                   for f in wave["input_files"]]
-        n_batches = len(plan_slices(
-            counts, ingest_batch_rows(sum(n for _, n in counts), cpus)))
+        n_batches = len(plan_slices(counts, ingest_batch_rows(
+            sum(n for _, n in counts), cpus, node_cpus)))
         assert int(m[3]) == n_batches
         assert int(m[4]) == ingest_task_cpus(n_batches, cpus, node_cpus)
         assert int(m[5]) == wave["metrics"]["rows"]
@@ -726,17 +736,18 @@ def _sink_rows_per_batch(out) -> list[int]:
     return sorted(rows.values())
 
 
-def test_wave_shapes_match_oracle(t_small_table, t_small_oracle, tmp_path):
+def test_wave_shapes_match_oracle(t_small_table, t_small_oracle, tmp_path,
+                                  monkeypatch):
     """One wave holding a 1-row shard in the middle, an empty shard and
-    a shard of several row groups larger than one batch, cut into
-    batches that cross shard boundaries: the output equals the oracle
-    and each batch holds the rows ``ingest_batch_rows`` gives it.  The
-    first batch's rows come from shards of 300, 1 and 286 rows, a
-    layout that pyarrow 16.1's coalesce gets wrong if it reaches the
-    parse still chunked."""
+    a shard of several row groups larger than one batch, cut (under a
+    600-row cap) into batches that cross shard boundaries: the output
+    equals the oracle and each batch holds the rows
+    ``ingest_batch_rows`` gives it.  The first batch's rows come from
+    shards of 300, 1 and 286 rows, a layout that pyarrow 16.1's
+    coalesce gets wrong if it reaches the parse still chunked."""
     import ray
 
-    from alco_ray.pipelines.flagship import ingest_batch_rows
+    import alco_ray.pipelines.flagship as fl
 
     n = t_small_table.num_rows
     corpus = tmp_path / "corpus"
@@ -746,8 +757,11 @@ def test_wave_shapes_match_oracle(t_small_table, t_small_oracle, tmp_path):
     pq.write_table(t_small_table.slice(0, 0), corpus / "part-2.parquet")
     pq.write_table(t_small_table.slice(301), corpus / "part-3.parquet",
                    row_group_size=200)
-    cpus = int(ray.cluster_resources()["CPU"])
-    step = ingest_batch_rows(n, cpus)
+    monkeypatch.setattr(fl, "MAX_BATCH_ROWS", 600)
+    step = fl.ingest_batch_rows(
+        n, int(ray.cluster_resources()["CPU"]),
+        int(min(node["Resources"]["CPU"] for node in ray.nodes()
+                if node["Alive"] and node["Resources"].get("CPU"))))
     # batch 1 crosses shards 0, 1 and 3; shard 3 outgrows one batch
     assert 301 < step < n - 301 and n % step
 
@@ -930,10 +944,12 @@ def test_ingest_task_holds_its_cpus(t_small_table, tmp_path):
     one-batch wave's task holds 4 CPUs and runs 4 threads, and each
     task of a two-batch wave 2 and 2.
 
-    Runs in a subprocess with its own ``ray.init``.  The driver swaps in
-    an ``IngestWorker`` subclass defined in ``__main__`` (so it ships by
-    value) that records, per batch, the CPUs Ray assigned to its task
-    and the worker's thread count."""
+    Runs in a subprocess with its own ``ray.init``.  A one-node wave is
+    one batch, so the driver lowers the row cap to 500 rows before the
+    1,000-row wave to get two.  It swaps in an ``IngestWorker``
+    subclass defined in ``__main__`` (so it ships by value) that
+    records, per batch, the CPUs Ray assigned to its task and the
+    worker's thread count."""
     import os
     import subprocess
     import sys
@@ -972,6 +988,7 @@ def test_ingest_task_holds_its_cpus(t_small_table, tmp_path):
         "fl.run_flagship(corpus, out)\n"
         "print('ONE ' + json.dumps(waves()))\n"
         "shutil.copy(later, corpus)\n"
+        "fl.MAX_BATCH_ROWS = 500\n"
         "fl.run_flagship(corpus, out)\n"
         "print('TWO ' + json.dumps(waves()))\n"
         "ray.shutdown()\n")
@@ -988,6 +1005,131 @@ def test_ingest_task_holds_its_cpus(t_small_table, tmp_path):
                if ln.startswith(("ONE ", "TWO ")))
     assert json.loads(got["ONE"]) == [[4, 4]]
     assert json.loads(got["TWO"]) == [[2, 2], [2, 2]]
+
+
+def _routed_rows(out) -> dict[str, pa.Table]:
+    """Each sink's rows, in (conv_id, turn_idx) order."""
+    return {Path(d).name: pq.read_table(
+                sorted(glob.glob(f"{d}/date=*/*.parquet")))
+            .sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
+            for d in sorted(glob.glob(f"{out}/sink=*"))}
+
+
+def test_cluster_shapes_match_single_node(tmp_path):
+    """A fresh ingest on multi-node clusters of 0+2+2, 3+1 and 1+1+1+1
+    CPUs gives the summary, routed row sets and ``interval_counts`` of
+    a one-node 4-CPU run.  A wave fills every CPU with tasks that fit
+    the smallest node (``ingest_batch_rows``, ``ingest_task_cpus``), so
+    on 3+1 four 1-CPU tasks run at once, where two 2-CPU tasks would
+    both need the 3-CPU node and run one after the other.
+
+    Runs in a subprocess that starts each shape with
+    ``ray.cluster_utils.Cluster``, all nodes on the local machine.  The driver
+    swaps in an ``IngestWorker`` subclass defined in ``__main__`` (so it
+    ships by value) that records each batch's start and end times, and
+    keeps the wave log lines.  A warm-up ingest per shape starts the
+    workers first."""
+    import os
+    import re
+    import subprocess
+    import sys
+
+    from alco_ray.fixtures import ensure_corpus
+    from alco_ray.pipelines.flagship import (ingest_batch_rows,
+                                             ingest_task_cpus, plan_slices)
+
+    corpus = ensure_corpus("t-conc", 700, 20_000, seed=5,
+                           root=str(tmp_path))
+    times = tmp_path / "times"
+    times.mkdir()
+    # shape -> (CPUs, smallest CPU node's CPUs)
+    shapes = {"4": (4, 4), "0+2+2": (4, 2), "3+1": (4, 1),
+              "1+1+1+1": (4, 1)}
+    # shape -> (batches, task_cpus) of its one wave
+    plans = {"4": (1, 4), "0+2+2": (2, 2), "3+1": (4, 1),
+             "1+1+1+1": (4, 1)}
+
+    script = (
+        "import json, logging, os, sys, time, uuid, ray\n"
+        "from ray.cluster_utils import Cluster\n"
+        "from ray.data import DataContext\n"
+        "import alco_ray.pipelines.flagship as fl\n"
+        "corpus, root, times = sys.argv[1:4]\n"
+        "class Timed(fl.IngestWorker):\n"
+        "    def __call__(self, slices):\n"
+        "        t0 = time.time()\n"
+        "        out = super().__call__(slices)\n"
+        "        with open(os.path.join(times, uuid.uuid4().hex), 'w') as f:\n"
+        "            json.dump([t0, time.time()], f)\n"
+        "        return out\n"
+        "fl.IngestWorker = Timed\n"
+        "lines = []\n"
+        "class Keep(logging.Handler):\n"
+        "    def emit(self, record):\n"
+        "        lines.append(record.getMessage())\n"
+        "log = logging.getLogger('alco_ray')\n"
+        "log.setLevel(logging.INFO)\n"
+        "log.addHandler(Keep())\n"
+        "for name in sys.argv[4:]:\n"
+        "    head, *rest = map(int, name.split('+'))\n"
+        "    c = Cluster(initialize_head=True, head_node_args={"
+        "'num_cpus': head, 'object_store_memory': 128 << 20})\n"
+        "    for n in rest:\n"
+        "        c.add_node(num_cpus=n, object_store_memory=128 << 20)\n"
+        "    c.wait_for_nodes()\n"
+        "    ray.init(address=c.address, logging_level='ERROR')\n"
+        "    DataContext.get_current().enable_progress_bars = False\n"
+        "    fl.run_flagship(corpus, os.path.join(root, name + '-warm'))\n"
+        "    for p in os.listdir(times):\n"
+        "        os.remove(os.path.join(times, p))\n"
+        "    del lines[:]\n"
+        "    s = fl.run_flagship(corpus, os.path.join(root, name))\n"
+        "    spans = [json.load(open(os.path.join(times, p)))"
+        " for p in os.listdir(times)]\n"
+        "    print('SHAPE ' + json.dumps([name, s, lines, spans]))\n"
+        "    ray.shutdown()\n"
+        "    c.shutdown()\n")
+    root = str(Path(__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   [root, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(corpus), str(tmp_path),
+         str(times), *shapes],
+        capture_output=True, text=True, timeout=480, env=env, cwd=root)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    runs = {name: (summary, lines, spans) for name, summary, lines, spans
+            in (json.loads(ln[len("SHAPE "):])
+                for ln in proc.stdout.splitlines()
+                if ln.startswith("SHAPE "))}
+    assert list(runs) == list(shapes)
+
+    n_rows = sum(pq.read_metadata(f).num_rows
+                 for f in corpus.glob("*.parquet"))
+    want_rows = _routed_rows(tmp_path / "4")
+    want_agg = pq.read_table(tmp_path / "4" / "aggregates" /
+                             "interval_counts")
+    wave = re.compile(r"wave \w+ committed: input_files=\d+ "
+                      r"batches=(\d+) task_cpus=(\d+) ")
+    for name, (summary, lines, spans) in runs.items():
+        assert summary == runs["4"][0], name
+        assert summary["rows"] == n_rows
+        got_rows = _routed_rows(tmp_path / name)
+        assert list(got_rows) == list(want_rows), name
+        assert all(got_rows[k].equals(want_rows[k]) for k in want_rows), name
+        assert pq.read_table(tmp_path / name / "aggregates" /
+                             "interval_counts").equals(want_agg), name
+        [line] = lines
+        planned = tuple(map(int, wave.match(line).groups()))
+        n_batches = len(plan_slices(
+            [(f, pq.read_metadata(f).num_rows)
+             for f in sorted(map(str, corpus.glob("*.parquet")))],
+            ingest_batch_rows(n_rows, *shapes[name])))
+        assert planned == plans[name] == (
+            n_batches, ingest_task_cpus(n_batches, *shapes[name])), name
+        assert len(spans) == planned[0], name
+    spans = runs["3+1"][2]
+    assert max(s for s, _ in spans) < min(e for _, e in spans), spans
 
 
 def test_batch_errors_name_wave_and_ranges(t_small_table, tmp_path):
