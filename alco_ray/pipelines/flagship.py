@@ -57,10 +57,12 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..specs import LEVELS, UNKNOWN_LEVEL, PipelineConfig, default_transcript_config
-from ..sources import transcript_files
+from ..specs import (LEVELS, TRANSCRIPT_SCHEMA, UNKNOWN_LEVEL, PipelineConfig,
+                     default_transcript_config)
+from ..sources import conform, transcript_files
 from ..sinks import promote_staging
-from ..stages.aggregate import arrow_blocks, concat_nonempty
+from ..stages.aggregate import (arrow_blocks, merge_aggs, merge_partials,
+                                partial_agg)
 from ..stages.parse import make_parse_batch
 from ..stages.dict_encode import (build_dict_table, dicts_from_distincts,
                                   distinct_values)
@@ -166,9 +168,11 @@ def build_or_load_dicts(files: list[str], cfg: PipelineConfig,
 
 
 def _row_groups(files: list[str], columns: list[str]):
-    """Each row group of ``files`` in order, reading only ``columns``;
-    a read error, or a requested column the file lacks (which
-    ``read_row_group`` would silently drop), names the file."""
+    """Each row group of ``files`` in order, reading only ``columns``,
+    cast to their canonical types (``conform``); a read error, a
+    value the cast cannot hold, or a requested column the file lacks
+    (which ``read_row_group`` would silently drop) names the file."""
+    target = pa.schema([TRANSCRIPT_SCHEMA.field(c) for c in columns])
     for f in files:
         try:
             pf = pq.ParquetFile(f)
@@ -176,8 +180,8 @@ def _row_groups(files: list[str], columns: list[str]):
             if missing:
                 raise RuntimeError(f"reading {f}: no column {missing[0]!r}")
             for i in range(pf.num_row_groups):
-                yield pf.read_row_group(i, columns=columns,
-                                        use_threads=False)
+                yield conform(pf.read_row_group(i, columns=columns,
+                                                use_threads=False), target)
         except (OSError, pa.ArrowException) as e:
             raise RuntimeError(f"reading {f}: {e}") from e
 
@@ -207,8 +211,10 @@ def plan_slices(row_counts: list[tuple[str, int]], batch_rows: int,
 
 
 def read_slices(ranges: list[tuple[str, int, int]]) -> pa.Table:
-    """The rows of ``ranges`` as one contiguous table, reading only the
-    row groups that overlap each range."""
+    """The rows of ``ranges`` as one contiguous table in the canonical
+    transcript schema (``conform``, so shards that differ only
+    physically can share a batch), reading only the row groups that
+    overlap each range."""
     parts = []
     for path, start, stop in ranges:
         pf = pq.ParquetFile(path)
@@ -220,8 +226,8 @@ def read_slices(ranges: list[tuple[str, int, int]]) -> pa.Table:
                     first = offset
                 groups.append(i)
             offset += n
-        parts.append(pf.read_row_groups(groups, use_threads=False)
-                     .slice(start - first, stop - start))
+        parts.append(conform(pf.read_row_groups(groups, use_threads=False)
+                             .slice(start - first, stop - start)))
     return pa.concat_tables(parts).combine_chunks()
 
 
@@ -351,22 +357,26 @@ class IngestWorker:
 
 
 _PARTIAL_KEYS = ["sink", "level", "bucket"]
+#: The T3 counters per key: rows, and rows that failed to parse.
+_PARTIAL_AGGS = {"rows": ([], "count_all"), "failures": ("fail", "sum")}
 #: What ``_partial_of`` returns; a wave without rows commits it empty.
 _PARTIAL_SCHEMA = pa.schema([("sink", pa.string()), ("level", pa.string()),
                              ("bucket", pa.timestamp("us")),
                              ("rows", pa.int64()), ("failures", pa.int64())])
 
 
-def _partial_of(routed: pa.Table) -> pa.Table:
-    """Per-batch partial aggregate (sink, level, bucket) -> (rows,
-    failures) — T3 counters, computed where the rows are."""
-    fails = pc.cast(pc.invert(routed["parse_ok"]), pa.int64())
-    t = pa.table({"sink": pc.cast(routed["sink"], pa.string()),
-                  "level": routed["level"], "bucket": routed["bucket"],
-                  "fail": fails})
-    g = t.group_by(_PARTIAL_KEYS).aggregate(
-        [([], "count_all"), ("fail", "sum")])
-    return g.rename_columns(_PARTIAL_KEYS + ["rows", "failures"])
+def _counted(routed: pa.Table) -> pa.Table:
+    """The columns ``_PARTIAL_AGGS`` counts: the keys, and ``fail`` (1
+    for a row that failed to parse)."""
+    return pa.table({"sink": pc.cast(routed["sink"], pa.string()),
+                     "level": routed["level"], "bucket": routed["bucket"],
+                     "fail": pc.cast(pc.invert(routed["parse_ok"]),
+                                     pa.int64())})
+
+
+#: Per-batch partial aggregate (sink, level, bucket) -> (rows,
+#: failures), computed where the rows are.
+_partial_of = partial_agg(_PARTIAL_KEYS, _PARTIAL_AGGS, _counted)
 
 
 def _merge_partials(parts: list[pa.Table]) -> pa.Table:
@@ -374,14 +384,10 @@ def _merge_partials(parts: list[pa.Table]) -> pa.Table:
 
     Per-batch partials are bounded by key cardinality (sinks x levels
     x buckets-touched), so the final combine is a driver-side merge of
-    tiny tables — a distributed shuffle here would be pure overhead."""
-    merged = concat_nonempty(parts)
-    if merged.num_rows == 0:  # an empty shard: no batch, or empty ones
-        return _PARTIAL_SCHEMA.empty_table()
-    out = (merged.group_by(_PARTIAL_KEYS)
-           .aggregate([("rows", "sum"), ("failures", "sum")])
-           .rename_columns(_PARTIAL_KEYS + ["rows", "failures"]))
-    return out.sort_by([(k, "ascending") for k in _PARTIAL_KEYS])
+    tiny tables — a distributed shuffle here would be pure overhead.
+    A wave without batches merges to the empty ``_PARTIAL_SCHEMA``."""
+    return merge_partials(parts, _PARTIAL_KEYS, merge_aggs(_PARTIAL_AGGS),
+                          _PARTIAL_SCHEMA)
 
 
 def _metrics_from_partials(partials: pa.Table) -> dict[str, Any]:
@@ -472,6 +478,18 @@ def run_flagship(input_dir: str | Path, out_root: str | Path,
     Each committed wave logs one INFO line on the ``alco_ray`` logger
     (wave id, input files, planned batches, rows, parse failures, files
     promoted, wall seconds).
+
+    Shards need the canonical transcript columns
+    (``specs.TRANSCRIPT_SCHEMA``), not its physical types: each task
+    and the dictionary scan cast what they read to it (``conform``),
+    so ``large_string`` text, a dictionary ``role``, ``int64``
+    turn_idx, ``timestamp[ms]`` ts, reordered or extra columns ingest
+    like the canonical shard, and the sink tree keeps one schema per
+    sink.  A shard without a dictionary column (``role``/``tool``) is
+    rejected, not read as nulls: the dictionary scan runs before the
+    first wave and raises naming the file and the column, so no task
+    runs.  A null ``tool`` is the value for a non-tool turn, and a
+    missing column is more likely a producer bug than such a corpus.
     """
     cfg = cfg or default_transcript_config()
     out_root = Path(out_root)
@@ -613,13 +631,12 @@ def run_flagship(input_dir: str | Path, out_root: str | Path,
         # append run re-merges old partials with the new ones, no
         # re-read of committed corpus data).  Bounded key cardinality
         # keeps this driver-side.
-        merged = pa.concat_tables(
-            pq.read_table(partials_dir / f"{wid}.parquet",
-                          columns=_PARTIAL_KEYS + ["rows"])
-            for wid in manifest.waves)
-        agg = (merged.group_by(_PARTIAL_KEYS).aggregate([("rows", "sum")])
-               .rename_columns(_PARTIAL_KEYS + ["cnt"])
-               .sort_by([(k, "ascending") for k in _PARTIAL_KEYS]))
+        agg = merge_partials(
+            [pq.read_table(partials_dir / f"{wid}.parquet",
+                           columns=_PARTIAL_KEYS + ["rows"])
+             for wid in manifest.waves],
+            _PARTIAL_KEYS, [("rows", "sum")],
+        ).rename_columns(_PARTIAL_KEYS + ["cnt"])
         agg_dir = out_root / "aggregates" / "interval_counts"
         shutil.rmtree(agg_dir, ignore_errors=True)
         agg_dir.mkdir(parents=True, exist_ok=True)

@@ -8,7 +8,14 @@ sorts columns by name and hashes values).
 Numeric policy for oracle-checked outputs: counts are int64; money and
 fixed-decimal sums are computed in integer cents/micros (float sums are
 order-dependent under distribution and would break bit-for-bit hash
-equality); timestamps are timestamp[us] UTC-naive.
+equality), always through ``stages.aggregate.to_fixed``, the one
+rounding rule; timestamps are timestamp[us] UTC-naive.
+
+Per-block partial aggregates are stated once, as keys plus named
+aggregates, and built by ``stages.aggregate``: ``fold_agg`` folds
+bounded keys on the driver, ``shuffle_agg`` merges unbounded keys with
+a hash groupby, and ``partials`` feeds keyed folds
+(``window.keyed_apply``).  Each query keeps only its projection.
 
 Transcript queries run over the deterministic synthetic corpus
 (alco_ray.fixtures) sized to the given sf; their oracle SQL reads the
@@ -91,18 +98,12 @@ def t_routed_counts(sf_dir: str):
 
 
 def t_parse_metrics(sf_dir: str):
-    """A2: per-sink rows + parse failures (bounded keys -> fold)."""
-    ds = _parsed_routed(sf_dir)
+    """A2: per-sink rows + parse failures (bounded keys -> fold), with
+    the flagship's own counters."""
+    from .flagship import _PARTIAL_AGGS, _counted
 
-    def partial(b: pa.Table) -> pa.Table:
-        fails = pc.cast(pc.invert(b["parse_ok"]), pa.int64())
-        t = pa.table({"sink": b["sink"], "fail": fails})
-        g = t.group_by(["sink"]).aggregate([([], "count_all"), ("fail", "sum")])
-        return g.rename_columns(["sink", "rows", "failures"])
-
-    p = ds.map_batches(partial, batch_format="pyarrow")
-    return agg_stage.fold_partials(
-        p, ["sink"], [("rows", "sum"), ("failures", "sum")])
+    return agg_stage.fold_agg(_parsed_routed(sf_dir), ["sink"],
+                              _PARTIAL_AGGS, _counted)
 
 
 def _dict_query(sf_dir: str, col: str) -> pa.Table:
@@ -476,22 +477,18 @@ def t_jsonl_routed(sf_dir: str):
     return agg_stage.routed_counts(routed)
 
 
+def _token_counts(ds):
+    """(token, cnt): occurrences of each token of the documents' text,
+    merged by a hash groupby over the unbounded token key."""
+    return agg_stage.shuffle_agg(ds, ["token"], {"cnt": ([], "count_all")},
+                                 text.token_explode)
+
+
 def d_vocab(sf_dir: str):
     """Vocabulary build: top-100 tokens by corpus frequency (count
     desc, token asc tie-break) — map-side per-batch token counts, one
     hash-shuffle groupby over the unbounded token key, then top-k."""
-    from ray.data.aggregate import Sum
-
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        toks = text.token_explode(b)
-        g = (pa.table({"token": toks["token"]})
-             .group_by(["token"]).aggregate([([], "count_all")]))
-        return g.rename_columns(["token", "cnt"])
-
-    p = ds.map_batches(partial, batch_format="pyarrow")
-    g = p.groupby("token").aggregate(Sum("cnt", alias_name="cnt"))
+    g = _token_counts(_read(sf_dir, "documents", columns=["doc_id", "text"]))
     return order.top_k(g, ["cnt", "token"], 100, descending=[True, False])
 
 
@@ -511,15 +508,8 @@ def d_keywords(sf_dir: str):
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     n_docs = _nrows(_tp(sf_dir, "documents"))
 
-    def tf_partial(b: pa.Table) -> pa.Table:
-        toks = text.token_explode(b)
-        g = (pa.table({"doc_id": toks["doc_id"],
-                       "token": toks["token"]})
-             .group_by(["doc_id", "token"])
-             .aggregate([([], "count_all")]))
-        return g.rename_columns(["doc_id", "token", "tf"])
-
-    tf = ds.map_batches(tf_partial, batch_format="pyarrow")
+    tf = agg_stage.partials(ds, ["doc_id", "token"],
+                            {"tf": ([], "count_all")}, text.token_explode)
 
     def ones(b: pa.Table) -> pa.Table:
         return pa.table({"token": b["token"],
@@ -553,19 +543,8 @@ def d_oov_rate(sf_dir: str):
     (map-side counts, one token groupby, per-block prune); the
     vocabulary broadcasts once via ray.put; pass 2 is one vectorized
     pc.is_in per batch — no second shuffle."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def tok_partial(b: pa.Table) -> pa.Table:
-        toks = text.token_explode(b)
-        g = (pa.table({"token": toks["token"]})
-             .group_by(["token"]).aggregate([([], "count_all")]))
-        return g.rename_columns(["token", "cnt"])
-
-    g = (ds.map_batches(tok_partial, batch_format="pyarrow")
-         .groupby("token").aggregate(Sum("cnt", alias_name="cnt")))
-    top = order.top_k(g, ["cnt", "token"], 1000,
+    top = order.top_k(_token_counts(ds), ["cnt", "token"], 1000,
                       descending=[True, False]).take_all()
     ref = ray.put(pa.array(sorted(r["token"] for r in top)))
 
@@ -791,19 +770,8 @@ def d_cooccur(sf_dir: str):
     0/1 incidence matrix and collapses it with ONE integer matmul to
     <= V(V-1)/2 pair counts per block, folded driver-side (bounded
     keys).  No pair ever rides a shuffle."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def tok_partial(b: pa.Table) -> pa.Table:
-        toks = text.token_explode(b)
-        g = (pa.table({"token": toks["token"]})
-             .group_by(["token"]).aggregate([([], "count_all")]))
-        return g.rename_columns(["token", "cnt"])
-
-    p = ds.map_batches(tok_partial, batch_format="pyarrow")
-    g = p.groupby("token").aggregate(Sum("cnt", alias_name="cnt"))
-    top = order.top_k(g, ["cnt", "token"], 50,
+    top = order.top_k(_token_counts(ds), ["cnt", "token"], 50,
                       descending=[True, False]).take_all()
     vocab = np.sort(np.array([r["token"] for r in top], dtype=str))
     ref = ray.put(vocab)
@@ -955,23 +923,29 @@ def e_json_k(sf_dir: str):
     return ds.map_batches(body, batch_format="pyarrow")
 
 
+def _user_cents(b: pa.Table) -> pa.Table:
+    """(user_id, c): each event's value in integer cents."""
+    return pa.table({"user_id": b["user_id"],
+                     "c": agg_stage.to_fixed(b["value"], 100)})
+
+
+def _active_days(ds):
+    """Distinct (user_id, day) per block, day as int32 days since epoch."""
+    def days(b: pa.Table) -> pa.Table:
+        return pa.table({"user_id": b["user_id"],
+                         "day": pc.cast(pc.cast(b["ts"], pa.date32()),
+                                        pa.int32())})
+
+    return agg_stage.partials(ds, ["user_id", "day"], {}, days)
+
+
 def e_user_stats(sf_dir: str):
     """Per-user counts + exact integer-cents value sum."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", columns=["user_id", "value"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(b["value"], 100),
-                                 round_mode="half_towards_infinity"), pa.int64())
-        t = pa.table({"user_id": b["user_id"], "c": cents})
-        g = t.group_by(["user_id"]).aggregate([([], "count_all"), ("c", "sum")])
-        return g.rename_columns(["user_id", "n_events", "total_cents"])
-
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("user_id")
-              .aggregate(Sum("n_events", alias_name="n_events"),
-                         Sum("total_cents", alias_name="total_cents")))
+    return agg_stage.shuffle_agg(
+        ds, ["user_id"],
+        {"n_events": ([], "count_all"), "total_cents": ("c", "sum")},
+        _user_cents)
 
 
 def e_median_value(sf_dir: str):
@@ -1000,37 +974,37 @@ def e_minmax_ts(sf_dir: str):
 
 # ----------------------------------------------------------------- tpch
 
+def _net_price(b: pa.Table, scale: int = 100) -> pa.Array:
+    """l_extendedprice x (1 - l_discount) in fixed point (cents)."""
+    return agg_stage.to_fixed(
+        pc.multiply(b["l_extendedprice"],
+                    pc.subtract(pa.scalar(1.0), b["l_discount"])), scale)
+
+
+#: Line items and their net revenue per key, from ``c`` = _net_price.
+_REVENUE = {"n_items": ([], "count_all"), "revenue_cents": ("c", "sum")}
+
+
 def q1_pricing(sf_dir: str):
     """TPC-H Q1-shaped aggregate in exact integer units."""
     ds = _read(sf_dir, "lineitem",
                columns=["l_returnflag", "l_linestatus", "l_quantity",
                         "l_extendedprice", "l_discount", "l_shipdate"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def units(b: pa.Table) -> pa.Table:
         b = b.filter(pc.less_equal(b["l_shipdate"],
                                    pa.scalar(np.datetime64("1998-09-02", "us"))))
-        qty = pc.cast(pc.round(b["l_quantity"],
-                               round_mode="half_towards_infinity"), pa.int64())
-        base = pc.cast(pc.round(pc.multiply(b["l_extendedprice"], 100),
-                                round_mode="half_towards_infinity"), pa.int64())
-        disc = pc.multiply(b["l_extendedprice"],
-                           pc.subtract(pa.scalar(1.0), b["l_discount"]))
-        disc_c = pc.cast(pc.round(pc.multiply(disc, 10000),
-                                  round_mode="half_towards_infinity"), pa.int64())
-        t = pa.table({"l_returnflag": b["l_returnflag"],
-                      "l_linestatus": b["l_linestatus"],
-                      "q": qty, "base": base, "disc": disc_c})
-        g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("q", "sum"), ("base", "sum"), ("disc", "sum"), ([], "count_all")])
-        return g.rename_columns(["l_returnflag", "l_linestatus", "sum_qty",
-                                 "sum_base_cents", "sum_disc_10k",
-                                 "count_order"])
+        return pa.table({"l_returnflag": b["l_returnflag"],
+                         "l_linestatus": b["l_linestatus"],
+                         "q": agg_stage.to_fixed(b["l_quantity"]),
+                         "base": agg_stage.to_fixed(b["l_extendedprice"], 100),
+                         "disc": _net_price(b, 10000)})
 
-    p = ds.map_batches(partial, batch_format="pyarrow")
-    return agg_stage.fold_partials(
-        p, ["l_returnflag", "l_linestatus"],
-        [("sum_qty", "sum"), ("sum_base_cents", "sum"),
-         ("sum_disc_10k", "sum"), ("count_order", "sum")])
+    return agg_stage.fold_agg(
+        ds, ["l_returnflag", "l_linestatus"],
+        {"sum_qty": ("q", "sum"), "sum_base_cents": ("base", "sum"),
+         "sum_disc_10k": ("disc", "sum"), "count_order": ([], "count_all")},
+        units)
 
 
 def q_mktsegment(sf_dir: str):
@@ -1045,19 +1019,15 @@ def q_mktsegment(sf_dir: str):
         seg0 = t0["c_mktsegment"].combine_chunks()
         idx = pc.index_in(b["o_custkey"], value_set=keys)
         seg = pc.take(seg0, idx)
-        cents = pc.cast(pc.round(pc.multiply(b["o_totalprice"], 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
+        cents = agg_stage.to_fixed(b["o_totalprice"], 100)
         t = pa.table({"c_mktsegment": seg, "c": cents})
-        t = t.filter(pc.is_valid(t["c_mktsegment"]))  # inner-join parity
-        g = t.group_by(["c_mktsegment"]).aggregate(
-            [([], "count_all"), ("c", "sum")])
-        return g.rename_columns(["c_mktsegment", "n_orders", "total_cents"])
+        return t.filter(pc.is_valid(t["c_mktsegment"]))  # inner-join parity
 
     ds = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-    p = ds.map_batches(lookup, batch_format="pyarrow", batch_size=None)
-    return agg_stage.fold_partials(
-        p, ["c_mktsegment"], [("n_orders", "sum"), ("total_cents", "sum")])
+    return agg_stage.fold_agg(
+        ds, ["c_mktsegment"],
+        {"n_orders": ([], "count_all"), "total_cents": ("c", "sum")},
+        lookup, batch_size=None)
 
 
 def q_nation_region(sf_dir: str):
@@ -1075,14 +1045,12 @@ def q_nation_region(sf_dir: str):
     def lookup(b: pa.Table) -> pa.Table:
         nk0, rname0 = ray.get(ref)
         idx = pc.index_in(b["c_nationkey"], value_set=nk0)
-        rn = pc.take(rname0, idx)
-        g = (pa.table({"r_name": rn})
-             .group_by(["r_name"]).aggregate([([], "count_all")]))
-        return g.rename_columns(["r_name", "n_customers"])
+        return pa.table({"r_name": pc.take(rname0, idx)})
 
     ds = _read(sf_dir, "customer", columns=["c_nationkey"])
-    p = ds.map_batches(lookup, batch_format="pyarrow", batch_size=None)
-    return agg_stage.fold_partials(p, ["r_name"], [("n_customers", "sum")])
+    return agg_stage.fold_agg(ds, ["r_name"],
+                              {"n_customers": ([], "count_all")}, lookup,
+                              batch_size=None)
 
 
 def q_shuffle_join(sf_dir: str):
@@ -1099,21 +1067,12 @@ def q_shuffle_join(sf_dir: str):
     joined = li.join(orders, "inner", num_partitions=n_parts,
                      on=("l_orderkey",), right_on=("o_orderkey",))
 
-    def partial(b: pa.Table) -> pa.Table:
-        disc = pc.multiply(b["l_extendedprice"],
-                           pc.subtract(pa.scalar(1.0), b["l_discount"]))
-        cents = pc.cast(pc.round(pc.multiply(disc, 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
-        t = pa.table({"o_orderstatus": b["o_orderstatus"], "c": cents})
-        g = t.group_by(["o_orderstatus"]).aggregate(
-            [([], "count_all"), ("c", "sum")])
-        return g.rename_columns(["o_orderstatus", "n_items",
-                                 "revenue_cents"])
+    def net(b: pa.Table) -> pa.Table:
+        return pa.table({"o_orderstatus": b["o_orderstatus"],
+                         "c": _net_price(b)})
 
-    p = joined.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    return agg_stage.fold_partials(
-        p, ["o_orderstatus"], [("n_items", "sum"), ("revenue_cents", "sum")])
+    return agg_stage.fold_agg(joined, ["o_orderstatus"], _REVENUE, net,
+                              batch_size=None)
 
 
 def q_top_orders(sf_dir: str):
@@ -1173,22 +1132,13 @@ def q_region_revenue(sf_dir: str):
         li, orders, "l_orderkey", right_on="o_orderkey",
         approx_rows=_nrows(_tp(sf_dir, "lineitem")))
 
-    def partial(b: pa.Table) -> pa.Table:
+    def net(b: pa.Table) -> pa.Table:
         k0, nm0 = ray.get(ref)
         rn = pc.take(nm0, pc.index_in(b["l_suppkey"], value_set=k0))
-        disc = pc.multiply(b["l_extendedprice"],
-                           pc.subtract(pa.scalar(1.0), b["l_discount"]))
-        cents = pc.cast(pc.round(pc.multiply(disc, 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
-        g = (pa.table({"r_name": rn, "c": cents})
-             .group_by(["r_name"])
-             .aggregate([([], "count_all"), ("c", "sum")]))
-        return g.rename_columns(["r_name", "n_items", "revenue_cents"])
+        return pa.table({"r_name": rn, "c": _net_price(b)})
 
-    p = joined.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    return agg_stage.fold_partials(
-        p, ["r_name"], [("n_items", "sum"), ("revenue_cents", "sum")])
+    return agg_stage.fold_agg(joined, ["r_name"], _REVENUE, net,
+                              batch_size=None)
 
 
 def q_ship_priority(sf_dir: str):
@@ -1227,17 +1177,9 @@ def q_ship_priority(sf_dir: str):
                      num_partitions=n_parts,
                      on=("l_orderkey",), right_on=("o_orderkey",))
 
-    def partial(b: pa.Table) -> pa.Table:
-        disc = pc.multiply(b["l_extendedprice"],
-                           pc.subtract(pa.scalar(1.0), b["l_discount"]))
-        cents = pc.cast(pc.round(pc.multiply(disc, 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
-        g = (pa.table({"l_orderkey": b["l_orderkey"],
-                       "o_orderdate": b["o_orderdate"], "c": cents})
-             .group_by(["l_orderkey", "o_orderdate"])
-             .aggregate([("c", "sum")]))
-        return g.rename_columns(["l_orderkey", "o_orderdate", "c"])
+    def net(b: pa.Table) -> pa.Table:
+        return pa.table({"l_orderkey": b["l_orderkey"],
+                         "o_orderdate": b["o_orderdate"], "c": _net_price(b)})
 
     import pandas as pd
 
@@ -1248,8 +1190,8 @@ def q_ship_priority(sf_dir: str):
         out["revenue_cents"] = out["revenue_cents"].astype("int64")
         return out
 
-    p = joined.map_batches(partial, batch_format="pyarrow",
-                           batch_size=None)
+    p = agg_stage.partials(joined, ["l_orderkey", "o_orderdate"],
+                           {"c": ("c", "sum")}, net, batch_size=None)
     per_order = window.keyed_apply(p, "l_orderkey", fold,
                                    approx_rows=_nrows(_tp(sf_dir, "lineitem")))
     return order.top_k(per_order,
@@ -1305,24 +1247,19 @@ def e_exp_hist(sf_dir: str):
     (type x bucket x sign) fold, zero shuffle."""
     ds = _read(sf_dir, "events", columns=["event_type", "value"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        v = pc.multiply(b["value"], 100)
-        cents = pc.cast(pc.round(v, round_mode="half_towards_infinity"),
-                        pa.int64()).to_numpy(zero_copy_only=False)
+    def buckets(b: pa.Table) -> pa.Table:
+        cents = agg_stage.to_fixed(b["value"], 100) \
+            .to_numpy(zero_copy_only=False)
         mag = np.abs(cents)
         bucket = np.where(mag == 0, 0,
                           np.frexp(mag.astype(np.float64))[1])
-        t = pa.table({"event_type": b["event_type"],
-                      "bucket": pa.array(bucket.astype(np.int64)),
-                      "neg": pa.array((cents < 0).astype(np.int64))})
-        g = (t.group_by(["event_type", "bucket", "neg"])
-             .aggregate([([], "count_all")]))
-        return g.rename_columns(["event_type", "bucket", "neg", "cnt"])
+        return pa.table({"event_type": b["event_type"],
+                         "bucket": pa.array(bucket.astype(np.int64)),
+                         "neg": pa.array((cents < 0).astype(np.int64))})
 
-    return agg_stage.fold_partials(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "bucket", "neg"], [("cnt", "sum")],
-        empty_schema=pa.schema([("event_type", pa.string()),
+    return agg_stage.fold_agg(
+        ds, ["event_type", "bucket", "neg"], {"cnt": ([], "count_all")},
+        buckets, empty_schema=pa.schema([("event_type", pa.string()),
                                 ("bucket", pa.int64()),
                                 ("neg", pa.int64()),
                                 ("cnt", pa.int64())]))
@@ -1398,6 +1335,22 @@ def e_type_overlap(sf_dir: str):
         "n_b": pa.array([r[4] for r in rows], pa.int64())})
 
 
+def _day_parity_counts(sf_dir: str):
+    """(cents, c1, c2): events per value in cents on even (c1) and odd
+    (c2) days, one row per value (a materialized hash groupby)."""
+    def parity(b: pa.Table) -> pa.Table:
+        us = pc.cast(b["ts"], pa.int64()).to_numpy(zero_copy_only=False)
+        odd = (us // 86_400_000_000) % 2
+        return pa.table({"cents": agg_stage.to_fixed(b["value"], 100),
+                         "c1": pa.array((odd == 0).astype(np.int64)),
+                         "c2": pa.array((odd == 1).astype(np.int64))})
+
+    ds = _read(sf_dir, "events", columns=["ts", "value"])
+    return agg_stage.shuffle_agg(
+        ds, ["cents"], {"c1": ("c1", "sum"), "c2": ("c2", "sum")},
+        parity).materialize()
+
+
 def e_mannwhitney(sf_dir: str):
     """MANN-WHITNEY U rank-sum test between the even-day and odd-day
     halves of the event stream (e_ks_drift's location-shift sibling:
@@ -1409,29 +1362,9 @@ def e_mannwhitney(sf_dir: str):
     groupby -> ordered_prefix_sum over the sorted support (O(blocks)
     driver state) -> one vectorized product map folding a single
     row; the support never materializes on the driver."""
-    from ray.data.aggregate import Sum
-
     from ..stages.scan import ordered_prefix_sum
 
-    ds = _read(sf_dir, "events", columns=["ts", "value"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(b["value"], 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
-        us = pc.cast(b["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        odd = (us // 86_400_000_000) % 2
-        t = pa.table({"cents": cents,
-                      "c1": pa.array((odd == 0).astype(np.int64)),
-                      "c2": pa.array((odd == 1).astype(np.int64))})
-        g = t.group_by(["cents"]).aggregate([("c1", "sum"),
-                                             ("c2", "sum")])
-        return g.rename_columns(["cents", "c1", "c2"])
-
-    g = (ds.map_batches(partial, batch_format="pyarrow")
-         .groupby("cents").aggregate(Sum("c1", alias_name="c1"),
-                                     Sum("c2", alias_name="c2"))
-         .materialize())
+    g = _day_parity_counts(sf_dir)
     n1 = int(g.sum("c1"))
     n2 = int(g.sum("c2"))
     p = ordered_prefix_sum(g.sort("cents"), "c2", "cents",
@@ -1550,26 +1483,17 @@ def q_returns_topk(sf_dir: str):
                columns=["l_orderkey", "l_extendedprice", "l_discount"],
                filter=pads.field("l_returnflag") == "R")
 
-    def cents_partial(b: pa.Table) -> pa.Table:
-        disc = pc.multiply(b["l_extendedprice"],
-                           pc.subtract(pa.scalar(1.0), b["l_discount"]))
-        c = pc.cast(pc.round(pc.multiply(disc, 100),
-                             round_mode="half_towards_infinity"),
-                    pa.int64())
-        g = (pa.table({"l_orderkey": b["l_orderkey"], "c": c})
-             .group_by(["l_orderkey"]).aggregate([("c", "sum")]))
-        return g.rename_columns(["l_orderkey", "c"])
+    def net(b: pa.Table) -> pa.Table:
+        return pa.table({"l_orderkey": b["l_orderkey"], "c": _net_price(b)})
 
-    p = li.map_batches(cents_partial, batch_format="pyarrow")
+    p = agg_stage.partials(li, ["l_orderkey"], {"c": ("c", "sum")}, net)
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
     n_parts = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
     j = p.join(orders, "inner", num_partitions=n_parts,
                on=("l_orderkey",), right_on=("o_orderkey",))
 
-    def cust_partial(b: pa.Table) -> pa.Table:
-        g = (pa.table({"c_custkey": b["o_custkey"], "c": b["c"]})
-             .group_by(["c_custkey"]).aggregate([("c", "sum")]))
-        return g.rename_columns(["c_custkey", "revenue_cents"])
+    def by_cust(b: pa.Table) -> pa.Table:
+        return pa.table({"c_custkey": b["o_custkey"], "c": b["c"]})
 
     import pandas as pd
 
@@ -1580,7 +1504,8 @@ def q_returns_topk(sf_dir: str):
         return out
 
     per_cust = window.keyed_apply(
-        j.map_batches(cust_partial, batch_format="pyarrow"),
+        agg_stage.partials(j, ["c_custkey"], {"revenue_cents": ("c", "sum")},
+                           by_cust),
         "c_custkey", cust_fold, approx_rows=_nrows(_tp(sf_dir, "customer")))
     top = order.top_k(per_cust, ["revenue_cents", "c_custkey"], 20,
                       descending=[True, False])
@@ -1650,10 +1575,6 @@ def q_cust_dist(sf_dir: str):
 
     orders = _read(sf_dir, "orders", columns=["o_custkey"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        g = b.group_by(["o_custkey"]).aggregate([([], "count_all")])
-        return g.rename_columns(["o_custkey", "n_orders"])
-
     def fold(g: "pd.DataFrame") -> "pd.DataFrame":
         per_c = g.groupby("o_custkey")["n_orders"].sum()
         dist = per_c.value_counts()
@@ -1661,7 +1582,8 @@ def q_cust_dist(sf_dir: str):
             "c_count": dist.index.to_numpy().astype(np.int64),
             "custdist": dist.to_numpy().astype(np.int64)})
 
-    p = orders.map_batches(partial, batch_format="pyarrow")
+    p = agg_stage.partials(orders, ["o_custkey"],
+                           {"n_orders": ([], "count_all")})
     parts = window.keyed_apply(p, "o_custkey", fold,
                                approx_rows=_nrows(_tp(sf_dir, "orders")))
     t = agg_stage.fold_partials(parts, ["c_count"],
@@ -1688,13 +1610,9 @@ def q_big_orders(sf_dir: str):
 
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
 
-    def qty_partial(b: pa.Table) -> pa.Table:
-        q = pc.cast(pc.round(b["l_quantity"],
-                             round_mode="half_towards_infinity"),
-                    pa.int64())
-        g = (pa.table({"l_orderkey": b["l_orderkey"], "q": q})
-             .group_by(["l_orderkey"]).aggregate([("q", "sum")]))
-        return g.rename_columns(["l_orderkey", "sum_qty"])
+    def qty(b: pa.Table) -> pa.Table:
+        return pa.table({"l_orderkey": b["l_orderkey"],
+                         "q": agg_stage.to_fixed(b["l_quantity"])})
 
     def fold(g: "pd.DataFrame") -> "pd.DataFrame":
         out = g.groupby("l_orderkey", as_index=False)["sum_qty"].sum()
@@ -1702,7 +1620,7 @@ def q_big_orders(sf_dir: str):
         out["sum_qty"] = out["sum_qty"].astype("int64")
         return out
 
-    p = li.map_batches(qty_partial, batch_format="pyarrow")
+    p = agg_stage.partials(li, ["l_orderkey"], {"sum_qty": ("q", "sum")}, qty)
     big = window.keyed_apply(p, "l_orderkey", fold,
                              approx_rows=_nrows(_tp(sf_dir, "lineitem")))
 
@@ -1710,9 +1628,7 @@ def q_big_orders(sf_dir: str):
                    columns=["o_orderkey", "o_orderdate", "o_totalprice"])
 
     def cents(b: pa.Table) -> pa.Table:
-        c = pc.cast(pc.round(pc.multiply(b["o_totalprice"], 100),
-                             round_mode="half_towards_infinity"),
-                    pa.int64())
+        c = agg_stage.to_fixed(b["o_totalprice"], 100)
         return pa.table({"o_orderkey": b["o_orderkey"],
                          "o_orderdate": b["o_orderdate"],
                          "total_cents": c})
@@ -1821,7 +1737,7 @@ def t_templates(sf_dir: str):
 
     ds = read_transcripts(_corpus(sf_dir), columns=["text"])
 
-    def distinct_partial(b: pa.Table) -> pa.Table:
+    def positions(b: pa.Table) -> pa.Table:
         la = pc.split_pattern(b["text"], " ")
         if isinstance(la, pa.ChunkedArray):
             la = la.combine_chunks()
@@ -1832,29 +1748,23 @@ def t_templates(sf_dir: str):
         first = np.repeat(toks[offs[:-1]], lens)
         pos = np.arange(len(toks), dtype=np.int64) \
             - np.repeat(offs[:-1], lens) + 1
-        t = pa.table({"n": pa.array(n, pa.int64()),
-                      "first": pa.array(first, pa.string()),
-                      "pos": pa.array(pos, pa.int64()),
-                      "token": pa.array(toks, pa.string())})
-        return (t.group_by(["n", "first", "pos", "token"])
-                 .aggregate([])
-                 .select(["n", "first", "pos", "token"]))
+        return pa.table({"n": pa.array(n, pa.int64()),
+                         "first": pa.array(first, pa.string()),
+                         "pos": pa.array(pos, pa.int64()),
+                         "token": pa.array(toks, pa.string())})
 
-    def count_partial(b: pa.Table) -> pa.Table:
+    def shapes(b: pa.Table) -> pa.Table:
         la = pc.split_pattern(b["text"], " ")
         if isinstance(la, pa.ChunkedArray):
             la = la.combine_chunks()
         offs = np.asarray(la.offsets)
         toks = la.values.to_numpy(zero_copy_only=False)
         lens = np.diff(offs)
-        t = pa.table({"n": pa.array(lens.astype(np.int64), pa.int64()),
-                      "first": pa.array(toks[offs[:-1]], pa.string())})
-        g = t.group_by(["n", "first"]).aggregate([([], "count_all")])
-        return g.rename_columns(["n", "first", "cnt"])
+        return pa.table({"n": pa.array(lens.astype(np.int64), pa.int64()),
+                         "first": pa.array(toks[offs[:-1]], pa.string())})
 
-    counts = agg_stage.fold_partials(
-        ds.map_batches(count_partial, batch_format="pyarrow"),
-        ["n", "first"], [("cnt", "sum")],
+    counts = agg_stage.fold_agg(
+        ds, ["n", "first"], {"cnt": ([], "count_all")}, shapes,
         empty_schema=pa.schema([("n", pa.int64()),
                                 ("first", pa.string()),
                                 ("cnt", pa.int64())]))
@@ -1874,7 +1784,8 @@ def t_templates(sf_dir: str):
         return pd.DataFrame({"template": out_t,
                              "n_msgs": np.asarray(out_c, np.int64)})
 
-    dis = ds.map_batches(distinct_partial, batch_format="pyarrow")
+    dis = agg_stage.partials(ds, ["n", "first", "pos", "token"], {},
+                             positions)
     return window.keyed_apply(dis, ["n", "first"], build_templates,
                               approx_rows=max(len(cmap) * 16, 1024))
 
@@ -1908,17 +1819,16 @@ def t_trending(sf_dir: str):
     ds = read_transcripts(_corpus(sf_dir), columns=["ts", "text"])
     DAY = 86_400_000_000
 
-    def partial(b: pa.Table) -> pa.Table:
+    def day_tokens(b: pa.Table) -> pa.Table:
         lst = tokenize(b["text"], b.num_rows)
         par = pc.list_parent_indices(lst).to_numpy(
             zero_copy_only=False)
         day = pc.cast(b["ts"], pa.int64()).to_numpy(
             zero_copy_only=False) // DAY
-        t = pa.table({"day": pa.array(day[par]), "token": lst.values})
-        g = t.group_by(["day", "token"]).aggregate([([], "count_all")])
-        return g.rename_columns(["day", "token", "cnt"])
+        return pa.table({"day": pa.array(day[par]), "token": lst.values})
 
-    p = ds.map_batches(partial, batch_format="pyarrow").materialize()
+    p = agg_stage.partials(ds, ["day", "token"], {"cnt": ([], "count_all")},
+                           day_tokens).materialize()
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         tot = (g.groupby(["day", "token"], as_index=False)
@@ -1939,11 +1849,8 @@ def t_trending(sf_dir: str):
     # driver-sized) the token-keyed exchange is the only correct
     # shape.  p.count() is free post-materialize metadata.
     if p.count() <= 5_000_000:
-        tbl = agg_stage.concat_nonempty(agg_stage.arrow_blocks(p))
-        tot = (tbl.group_by(["day", "token"])
-               .aggregate([("cnt", "sum")])
-               .rename_columns(["day", "token", "cnt"]))
-        df = tot.to_pandas()
+        df = agg_stage.fold_partials(p, ["day", "token"],
+                                     [("cnt", "sum")]).to_pandas()
     else:
         pruned = window.keyed_apply(p, "token", fold).take_all()
         df = pd.DataFrame(pruned)
@@ -2173,15 +2080,13 @@ def d_len_hist(sf_dir: str):
     bounded-key driver fold — the cheap full-corpus profiling pass."""
     ds = _read(sf_dir, "documents", columns=["text"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def bucket(b: pa.Table) -> pa.Table:
         ln = pc.cast(pc.utf8_length(b["text"]), pa.int64()) \
             .to_numpy(zero_copy_only=False)
-        t = pa.table({"len_bucket": pa.array(ln // 100, pa.int64())})
-        g = t.group_by(["len_bucket"]).aggregate([([], "count_all")])
-        return g.rename_columns(["len_bucket", "n_docs"])
+        return pa.table({"len_bucket": pa.array(ln // 100, pa.int64())})
 
-    p = ds.map_batches(partial, batch_format="pyarrow")
-    return agg_stage.fold_partials(p, ["len_bucket"], [("n_docs", "sum")])
+    return agg_stage.fold_agg(ds, ["len_bucket"],
+                              {"n_docs": ([], "count_all")}, bucket)
 
 
 def d_tf_df(sf_dir: str):
@@ -2945,20 +2850,16 @@ def q_priority_lines(sf_dir: str):
     j = li.join(o, "inner", num_partitions=n_parts,
                 on=("l_orderkey",), right_on=("o_orderkey",))
 
-    def partial(b: pa.Table) -> pa.Table:
+    def lines(b: pa.Table) -> pa.Table:
         hi = b["hi"].to_numpy(zero_copy_only=False)
-        t = pa.table({"l_returnflag": b["l_returnflag"],
-                      "high_lines": pa.array(hi),
-                      "low_lines": pa.array(1 - hi)})
-        g = (t.group_by(["l_returnflag"])
-             .aggregate([("high_lines", "sum"), ("low_lines", "sum")]))
-        return g.rename_columns(["l_returnflag", "high_lines",
-                                 "low_lines"])
+        return pa.table({"l_returnflag": b["l_returnflag"],
+                         "high_lines": pa.array(hi),
+                         "low_lines": pa.array(1 - hi)})
 
-    return agg_stage.fold_partials(
-        j.map_batches(partial, batch_format="pyarrow"),
-        ["l_returnflag"],
-        [("high_lines", "sum"), ("low_lines", "sum")],
+    return agg_stage.fold_agg(
+        j, ["l_returnflag"],
+        {"high_lines": ("high_lines", "sum"),
+         "low_lines": ("low_lines", "sum")}, lines,
         empty_schema=pa.schema([("l_returnflag", pa.string()),
                                 ("high_lines", pa.int64()),
                                 ("low_lines", pa.int64())]))
@@ -3196,24 +3097,14 @@ def e_user_rank(sf_dir: str):
     sort key packed into ONE injective int64, then stages/scan.
     global_rank = range-sort + prefix-count (O(blocks) driver state,
     no second shuffle)."""
-    from ray.data.aggregate import Max, Sum
+    from ray.data.aggregate import Max
 
     from ..stages.scan import global_rank
 
     ds = _read(sf_dir, "events", columns=["user_id", "value"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(b["value"], 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
-        t = pa.table({"user_id": b["user_id"], "c": cents})
-        g = t.group_by(["user_id"]).aggregate([("c", "sum")])
-        return g.rename_columns(["user_id", "total_cents"])
-
-    totals = (ds.map_batches(partial, batch_format="pyarrow")
-                .groupby("user_id")
-                .aggregate(Sum("total_cents", alias_name="total_cents"))
-                .materialize())
+    totals = agg_stage.shuffle_agg(ds, ["user_id"],
+                                   {"total_cents": ("c", "sum")},
+                                   _user_cents).materialize()
     m = totals.aggregate(Max("total_cents"), Max("user_id"))
     max_cents = int(m["max(total_cents)"])
     scale = int(m["max(user_id)"]) + 1
@@ -3238,23 +3129,15 @@ def q_left_join(sf_dir: str):
     pre-aggregated to one row per key BEFORE the join (row
     multiplication dies in the map-side partial), then Ray's
     left_outer hash join + null-fill."""
-    from ray.data.aggregate import Sum
-
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(b["o_totalprice"], 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
-        t = pa.table({"o_custkey": b["o_custkey"], "c": cents})
-        g = t.group_by(["o_custkey"]).aggregate(
-            [([], "count_all"), ("c", "sum")])
-        return g.rename_columns(["o_custkey", "n_orders", "total_cents"])
+    def cents(b: pa.Table) -> pa.Table:
+        return pa.table({"o_custkey": b["o_custkey"],
+                         "c": agg_stage.to_fixed(b["o_totalprice"], 100)})
 
-    oagg = (orders.map_batches(partial, batch_format="pyarrow")
-                  .groupby("o_custkey")
-                  .aggregate(Sum("n_orders", alias_name="n_orders"),
-                             Sum("total_cents", alias_name="total_cents")))
+    oagg = agg_stage.shuffle_agg(
+        orders, ["o_custkey"],
+        {"n_orders": ([], "count_all"), "total_cents": ("c", "sum")}, cents)
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
     join_parts = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
     j = cust.join(oagg, "left_outer", num_partitions=join_parts,
@@ -3289,13 +3172,8 @@ def q_order_priority(sf_dir: str):
     hit = semi_join(orders, li, "o_orderkey", right_on="l_orderkey",
                     approx_rows=_nrows(_tp(sf_dir, "orders")))
 
-    def partial(b: pa.Table) -> pa.Table:
-        g = b.group_by(["o_orderpriority"]).aggregate([([], "count_all")])
-        return g.rename_columns(["o_orderpriority", "n_orders"])
-
-    p = hit.map_batches(partial, batch_format="pyarrow")
-    return agg_stage.fold_partials(p, ["o_orderpriority"],
-                                   [("n_orders", "sum")])
+    return agg_stage.fold_agg(hit, ["o_orderpriority"],
+                              {"n_orders": ([], "count_all")})
 
 
 def d_source_cap(sf_dir: str):
@@ -3393,9 +3271,7 @@ def q_rollup(sf_dir: str):
                columns=["l_returnflag", "l_linestatus", "l_quantity"])
 
     def prep(b: pa.Table) -> pa.Table:
-        qty = pc.cast(pc.round(b["l_quantity"],
-                               round_mode="half_towards_infinity"),
-                      pa.int64())
+        qty = agg_stage.to_fixed(b["l_quantity"])
         return pa.table({"l_returnflag": b["l_returnflag"],
                          "l_linestatus": b["l_linestatus"],
                          "qty": qty})
@@ -3443,20 +3319,14 @@ def e_late_events(sf_dir: str):
 
     ev = ds.map_batches(perturb, batch_format="pyarrow").materialize()
 
-    def bucket_max(b: pa.Table) -> pa.Table:
-        g = (pa.table({"bucket": b["bucket"], "m": b["ts2"]})
-             .group_by(["bucket"]).aggregate([("m", "max")]))
-        return g.rename_columns(["bucket", "m"])
-
-    bm: dict[int, int] = {}
-    for r in ev.map_batches(bucket_max,
-                            batch_format="pyarrow").take_all():
-        bm[r["bucket"]] = max(bm.get(r["bucket"], r["m"]), r["m"])
+    bm = agg_stage.fold_agg(
+        ev, ["bucket"], {"m": ("ts2", "max")},
+        empty_schema=pa.schema([("bucket", pa.int64()), ("m", pa.int64())]))
     lo = np.iinfo(np.int64).min // 4
     carry, run = {}, lo
-    for bkt in sorted(bm):
+    for bkt, m in zip(bm["bucket"].to_pylist(), bm["m"].to_pylist()):
         carry[bkt] = run
-        run = max(run, bm[bkt])
+        run = max(run, m)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         outs = []
@@ -3531,29 +3401,23 @@ def e_quantile_normalize(sf_dir: str):
     row with one vectorized searchsorted.  No sort, no shuffle."""
     ds = _read(sf_dir, "events", columns=["event_id", "value"])
 
-    def _cents(col) -> pa.Array:
-        return pc.cast(pc.round(pc.multiply(col, 100),
-                                round_mode="half_towards_infinity"),
-                       pa.int64())
+    def cents(b: pa.Table) -> pa.Table:
+        return pa.table({"vc": agg_stage.to_fixed(b["value"], 100)})
 
-    def hist(b: pa.Table) -> pa.Table:
-        t = pa.table({"vc": _cents(b["value"])})
-        g = t.group_by(["vc"]).aggregate([([], "count_all")])
-        return g.rename_columns(["vc", "cnt"])
-
-    counts: dict[int, int] = {}
-    for r in ds.map_batches(hist, batch_format="pyarrow").take_all():
-        counts[r["vc"]] = counts.get(r["vc"], 0) + r["cnt"]
-    vals = np.array(sorted(counts), dtype=np.int64)
+    hist = agg_stage.fold_agg(
+        ds, ["vc"], {"cnt": ([], "count_all")}, cents,
+        empty_schema=pa.schema([("vc", pa.int64()), ("cnt", pa.int64())]))
+    vals = hist["vc"].to_numpy()
+    cnt = hist["cnt"].to_numpy()
     cum = np.zeros(len(vals), dtype=np.int64)
-    if len(vals) > 1:
-        cum[1:] = np.cumsum([counts[int(v)] for v in vals[:-1]])
-    n = int(sum(counts.values()))
+    cum[1:] = np.cumsum(cnt[:-1])
+    n = int(cnt.sum())
     ref = ray.put((vals, cum))
 
     def norm(b: pa.Table) -> pa.Table:
         v, c = ray.get(ref)
-        vc = _cents(b["value"]).to_numpy(zero_copy_only=False)
+        vc = agg_stage.to_fixed(b["value"], 100) \
+            .to_numpy(zero_copy_only=False)
         lt = c[np.searchsorted(v, vc)]
         ppm = lt * 1_000_000 // max(n - 1, 1)
         return pa.table({"event_id": b["event_id"],
@@ -3718,9 +3582,7 @@ def e_upsert_merge(sf_dir: str):
 
     def changelog(b: pa.Table) -> pa.Table:
         eid = b["event_id"].to_numpy(zero_copy_only=False)
-        vc = pc.cast(pc.round(pc.multiply(b["value"], 100),
-                              round_mode="half_towards_infinity"),
-                     pa.int64()).to_numpy(zero_copy_only=False)
+        vc = agg_stage.to_fixed(b["value"], 100).to_numpy(zero_copy_only=False)
         upd = eid % 13 == 0
         dele = eid % 29 == 0
         nb, nu, nd = len(eid), int(upd.sum()), int(dele.sum())
@@ -3771,9 +3633,7 @@ def e_snapshot_diff(sf_dir: str):
 
     def tag(b: pa.Table) -> pa.Table:
         eid = b["event_id"].to_numpy(zero_copy_only=False)
-        vc = pc.cast(pc.round(pc.multiply(b["value"], 100),
-                              round_mode="half_towards_infinity"),
-                     pa.int64()).to_numpy(zero_copy_only=False)
+        vc = agg_stage.to_fixed(b["value"], 100).to_numpy(zero_copy_only=False)
         keep = eid % 11 != 0
         b_ids = eid[keep]
         b_vc = np.where(b_ids % 7 == 0, vc[keep] + 1, vc[keep])
@@ -3828,9 +3688,7 @@ def e_user_cumsum(sf_dir: str):
                columns=["event_id", "user_id", "ts", "value"])
 
     def cents(b: pa.Table) -> pa.Table:
-        c = pc.cast(pc.round(pc.multiply(b["value"], 100),
-                             round_mode="half_towards_infinity"),
-                    pa.int64())
+        c = agg_stage.to_fixed(b["value"], 100)
         return b.append_column("cents", c)
 
     return window.grouped_cumsum(
@@ -3850,9 +3708,7 @@ def e_rolling_spend(sf_dir: str):
                columns=["event_id", "user_id", "ts", "value"])
 
     def cents(b: pa.Table) -> pa.Table:
-        c = pc.cast(pc.round(pc.multiply(b["value"], 100),
-                             round_mode="half_towards_infinity"),
-                    pa.int64())
+        c = agg_stage.to_fixed(b["value"], 100)
         return b.append_column("cents", c)
 
     return window.grouped_rolling_sum(
@@ -3868,25 +3724,16 @@ def q_full_join(sf_dir: str):
     sides pre-aggregated to one row per key before the hash join (row
     multiplication dies map-side, like q_left_join); Ray's full_outer
     coalesces the key column itself."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
 
     def side(ev: str, name: str):
-        def partial(b: pa.Table) -> pa.Table:
-            b = b.filter(pc.equal(b["event_type"], ev))
-            g = b.group_by(["user_id"]).aggregate([([], "count_all")])
-            return g.rename_columns(["user_id", name])
-        return partial
+        def only(b: pa.Table) -> pa.Table:
+            return b.filter(pc.equal(b["event_type"], ev))
+        return agg_stage.shuffle_agg(ds, ["user_id"],
+                                     {name: ([], "count_all")}, only)
 
-    clicks = (ds.map_batches(side("click", "n_click"),
-                             batch_format="pyarrow")
-                .groupby("user_id")
-                .aggregate(Sum("n_click", alias_name="n_click")))
-    purch = (ds.map_batches(side("purchase", "n_purchase"),
-                            batch_format="pyarrow")
-               .groupby("user_id")
-               .aggregate(Sum("n_purchase", alias_name="n_purchase")))
+    clicks = side("click", "n_click")
+    purch = side("purchase", "n_purchase")
     join_parts = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
     j = clicks.join(purch, "full_outer", num_partitions=join_parts,
                     on=("user_id",))
@@ -3984,23 +3831,15 @@ def q_qty_share(sf_dir: str):
                         "l_quantity"])
 
     def prep(b: pa.Table) -> pa.Table:
-        qty = pc.cast(pc.round(b["l_quantity"],
-                               round_mode="half_towards_infinity"),
-                      pa.int64())
+        qty = agg_stage.to_fixed(b["l_quantity"])
         return pa.table({"l_orderkey": b["l_orderkey"],
                          "l_linenumber": b["l_linenumber"],
                          "l_returnflag": b["l_returnflag"],
                          "qty": qty})
 
     slim = ds.map_batches(prep, batch_format="pyarrow")
-
-    def partial(b: pa.Table) -> pa.Table:
-        g = b.group_by(["l_returnflag"]).aggregate([("qty", "sum")])
-        return g.rename_columns(["l_returnflag", "total"])
-
-    totals = agg_stage.fold_partials(
-        slim.map_batches(partial, batch_format="pyarrow"),
-        ["l_returnflag"], [("total", "sum")])
+    totals = agg_stage.fold_agg(slim, ["l_returnflag"],
+                                {"total": ("qty", "sum")})
     ref = ray.put(totals)
 
     def share(b: pa.Table) -> pa.Table:
@@ -4085,7 +3924,7 @@ def e_hop_counts(sf_dir: str):
 
     ds = _read(sf_dir, "events", columns=["event_type", "ts"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def windows(b: pa.Table) -> pa.Table:
         base = pc.floor_temporal(b["ts"], multiple=HOP, unit="minute")
         parts = []
         for k in range(WIN // HOP):
@@ -4094,13 +3933,10 @@ def e_hop_counts(sf_dir: str):
             t = pa.table({"event_type": b["event_type"],
                           "ws": pc.cast(ws, pa.timestamp("us"))})
             parts.append(t)
-        both = pa.concat_tables(parts)
-        g = both.group_by(["event_type", "ws"]).aggregate([([], "count_all")])
-        return g.rename_columns(["event_type", "ws", "cnt"])
+        return pa.concat_tables(parts)
 
-    return ray.data.from_arrow(agg_stage.fold_partials(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "ws"], [("cnt", "sum")]))
+    return ray.data.from_arrow(agg_stage.fold_agg(
+        ds, ["event_type", "ws"], {"cnt": ([], "count_all")}, windows))
 
 
 def e_value_corr(sf_dir: str):
@@ -4121,9 +3957,7 @@ def e_value_corr(sf_dir: str):
         mins = pc.divide(pc.subtract(pc.cast(b["ts"], pa.int64()),
                                      pa.scalar(base, pa.int64())),
                          pa.scalar(60_000_000, pa.int64()))
-        cents = pc.cast(pc.round(pc.multiply(b["value"], 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
+        cents = agg_stage.to_fixed(b["value"], 100)
         return pa.table({"event_type": b["event_type"], "x": mins,
                          "y": cents})
 
@@ -4163,9 +3997,7 @@ def e_ntile(sf_dir: str):
     scale = int(m["max(event_id)"]) + 1
 
     def key(b: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(b["value"], 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
+        cents = agg_stage.to_fixed(b["value"], 100)
         if pc.max(cents).as_py() is not None and \
                 (pc.max(cents).as_py() + 1) * scale >= (1 << 62):
             raise ValueError("e_ntile: composite sort key overflow")
@@ -4198,9 +4030,7 @@ def e_cube(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_type", "ts", "value"])
 
     def prep(b: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(b["value"], 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
+        cents = agg_stage.to_fixed(b["value"], 100)
         return pa.table({"event_type": b["event_type"],
                          "dow": pc.cast(pc.day_of_week(b["ts"]), pa.int64()),
                          "cents": cents})
@@ -4227,9 +4057,7 @@ def e_dense_rank(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "value"])
 
     def prep(b: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(b["value"], 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
+        cents = agg_stage.to_fixed(b["value"], 100)
         return pa.table({"event_id": b["event_id"],
                          "user_id": b["user_id"], "cents": cents})
 
@@ -4257,6 +4085,14 @@ def _dim_keyset(sf_dir: str, table: str, key_col: str, filter_col: str,
     return t[key_col].combine_chunks()
 
 
+def _net_units(b: pa.Table) -> pa.Array:
+    """Exact revenue units: price in cents x (100 - discount in basis
+    points of a percent), both fixed point."""
+    return pc.multiply(agg_stage.to_fixed(b["l_extendedprice"], 100),
+                       pc.subtract(pa.scalar(100, pa.int64()),
+                                   agg_stage.to_fixed(b["l_discount"], 100)))
+
+
 def q_promo_share(sf_dir: str):
     """TPC-H Q14-style conditional-aggregation ratio (promo revenue vs
     total revenue per ship month): the promo part-key set is a pruned
@@ -4273,33 +4109,20 @@ def q_promo_share(sf_dir: str):
                columns=["l_partkey", "l_extendedprice", "l_discount",
                         "l_shipdate"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(b["l_extendedprice"], 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
-        bp = pc.cast(pc.round(pc.multiply(b["l_discount"], 100),
-                              round_mode="half_towards_infinity"),
-                     pa.int64())
-        units = pc.multiply(cents, pc.subtract(pa.scalar(100, pa.int64()),
-                                               bp))
+    def units(b: pa.Table) -> pa.Table:
+        units = _net_units(b)
         month = pc.add(pc.multiply(pc.cast(pc.year(b["l_shipdate"]),
                                            pa.int64()),
                                    pa.scalar(100, pa.int64())),
                        pc.cast(pc.month(b["l_shipdate"]), pa.int64()))
         is_promo = pc.is_in(b["l_partkey"], value_set=ray.get(ref))
         pu = pc.if_else(is_promo, units, pa.scalar(0, pa.int64()))
-        return (pa.table({"ship_month": month, "promo_units": pu,
-                          "total_units": units})
-                .group_by(["ship_month"])
-                .aggregate([("promo_units", "sum"), ("total_units", "sum")])
-                .rename_columns(["ship_month", "promo_units",
-                                 "total_units"]))
+        return pa.table({"ship_month": month, "promo_units": pu,
+                         "total_units": units})
 
-    p = li.map_batches(partial, batch_format="pyarrow")
-    out = agg_stage.fold_partials(p, ["ship_month"],
-                                  [("promo_units", "sum"),
-                                   ("total_units", "sum")])
-    return ray.data.from_arrow(out)
+    return ray.data.from_arrow(agg_stage.fold_agg(
+        li, ["ship_month"], {"promo_units": ("promo_units", "sum"),
+                             "total_units": ("total_units", "sum")}, units))
 
 
 def q_top_supplier(sf_dir: str):
@@ -4317,24 +4140,15 @@ def q_top_supplier(sf_dir: str):
     li = _read(sf_dir, "lineitem",
                columns=["l_suppkey", "l_extendedprice", "l_discount"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(b["l_extendedprice"], 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
-        bp = pc.cast(pc.round(pc.multiply(b["l_discount"], 100),
-                              round_mode="half_towards_infinity"),
-                     pa.int64())
-        units = pc.multiply(cents, pc.subtract(pa.scalar(100, pa.int64()),
-                                               bp))
-        return (pa.table({"l_suppkey": b["l_suppkey"], "units": units})
-                .group_by(["l_suppkey"]).aggregate([("units", "sum")])
-                .rename_columns(["l_suppkey", "units"]))
+    def units(b: pa.Table) -> pa.Table:
+        return pa.table({"l_suppkey": b["l_suppkey"], "units": _net_units(b)})
 
     def local_argmax(g: "pd.DataFrame") -> "pd.DataFrame":
         s = g.groupby("l_suppkey", as_index=False)["units"].sum()
         return s[s["units"] == s["units"].max()]
 
-    p = li.map_batches(partial, batch_format="pyarrow")
+    p = agg_stage.partials(li, ["l_suppkey"], {"units": ("units", "sum")},
+                           units)
     cand = window.keyed_apply(p, "l_suppkey", local_argmax,
                               approx_rows=_nrows(_tp(sf_dir, "lineitem")))
     ct = agg_stage.concat_nonempty(agg_stage.arrow_blocks(cand))
@@ -4375,27 +4189,15 @@ def q_avg_qty_joinback(sf_dir: str):
 
     def narrowed(b: pa.Table) -> pa.Table:
         b = b.filter(pc.is_in(b["l_partkey"], value_set=ray.get(bref)))
-        q = pc.cast(pc.round(b["l_quantity"],
-                             round_mode="half_towards_infinity"),
-                    pa.int64())
-        cents = pc.cast(pc.round(pc.multiply(b["l_extendedprice"], 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
+        q = agg_stage.to_fixed(b["l_quantity"])
+        cents = agg_stage.to_fixed(b["l_extendedprice"], 100)
         return pa.table({"l_partkey": b["l_partkey"], "q": q,
                          "cents": cents})
 
     nds = li.map_batches(narrowed, batch_format="pyarrow")
 
-    def stat_partial(b: pa.Table) -> pa.Table:
-        return (pa.table({"l_partkey": b["l_partkey"], "sq": b["q"],
-                          "one": pa.array(np.ones(b.num_rows, np.int64))})
-                .group_by(["l_partkey"])
-                .aggregate([("sq", "sum"), ("one", "sum")])
-                .rename_columns(["l_partkey", "sq", "cnt"]))
-
-    stats = agg_stage.fold_partials(
-        nds.map_batches(stat_partial, batch_format="pyarrow"),
-        ["l_partkey"], [("sq", "sum"), ("cnt", "sum")])
+    stats = agg_stage.fold_agg(nds, ["l_partkey"],
+                               {"sq": ("q", "sum"), "cnt": ([], "count_all")})
     sref = ray.put((stats["l_partkey"].combine_chunks(),
                     stats["sq"].combine_chunks(),
                     stats["cnt"].combine_chunks()))
@@ -4442,9 +4244,7 @@ def q_idle_customers(sf_dir: str):
                  columns=["c_custkey", "c_nationkey", "c_acctbal"])
 
     def cents_tbl(b: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(b["c_acctbal"], 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
+        cents = agg_stage.to_fixed(b["c_acctbal"], 100)
         return pa.table({"c_custkey": b["c_custkey"],
                          "c_nationkey": pc.cast(b["c_nationkey"],
                                                 pa.int64()),
@@ -4482,17 +4282,9 @@ def q_idle_customers(sf_dir: str):
     idle = anti_join(rich, big, "c_custkey", right_on="o_custkey",
                      approx_rows=_nrows(_tp(sf_dir, "customer")))
 
-    def nation_partial(b: pa.Table) -> pa.Table:
-        return (pa.table({"c_nationkey": b["c_nationkey"],
-                          "one": pa.array(np.ones(b.num_rows, np.int64)),
-                          "cents": b["cents"]})
-                .group_by(["c_nationkey"])
-                .aggregate([("one", "sum"), ("cents", "sum")])
-                .rename_columns(["c_nationkey", "n_cust", "total_cents"]))
-
-    out = agg_stage.fold_partials(
-        idle.map_batches(nation_partial, batch_format="pyarrow"),
-        ["c_nationkey"], [("n_cust", "sum"), ("total_cents", "sum")],
+    out = agg_stage.fold_agg(
+        idle, ["c_nationkey"],
+        {"n_cust": ([], "count_all"), "total_cents": ("cents", "sum")},
         empty_schema=pa.schema([("c_nationkey", pa.int64()),
                                 ("n_cust", pa.int64()),
                                 ("total_cents", pa.int64())]))
@@ -4576,7 +4368,7 @@ def d_langid_confusion(sf_dir: str):
     pref = _ray.put({ln: np.sort(np.asarray(profiles[ln], np.int64))
                      for ln in langs})
 
-    def partial(b: pa.Table) -> pa.Table:
+    def predict(b: pa.Table) -> pa.Table:
         profs = _ray.get(pref)
         n = b.num_rows
         if not langs:
@@ -4594,15 +4386,11 @@ def d_langid_confusion(sf_dir: str):
             best = np.argmax(scores, axis=1)
             pred = np.array(langs, dtype=object)[best]
             pred[scores.max(axis=1) == 0] = ""
-        t = pa.table({"true_lang": b["lang"],
-                      "pred_lang": pa.array(list(pred), pa.string())})
-        g2 = (t.group_by(["true_lang", "pred_lang"])
-              .aggregate([([], "count_all")]))
-        return g2.rename_columns(["true_lang", "pred_lang", "cnt"])
+        return pa.table({"true_lang": b["lang"],
+                         "pred_lang": pa.array(list(pred), pa.string())})
 
-    return agg_stage.fold_partials(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["true_lang", "pred_lang"], [("cnt", "sum")],
+    return agg_stage.fold_agg(
+        ds, ["true_lang", "pred_lang"], {"cnt": ([], "count_all")}, predict,
         empty_schema=pa.schema([("true_lang", pa.string()),
                                 ("pred_lang", pa.string()),
                                 ("cnt", pa.int64())]))
@@ -4663,18 +4451,14 @@ def e_asof_lookup(sf_dir: str):
     shuffle dual is q_asof_join."""
     orders = _read(sf_dir, "orders", columns=["o_orderdate", "o_orderkey"])
 
-    def day_max(b: pa.Table) -> pa.Table:
-        g = (pa.table({"dts": b["o_orderdate"],
-                       "ref_key": b["o_orderkey"]})
-             .group_by(["dts"]).aggregate([("ref_key", "max")]))
-        return g.rename_columns(["dts", "ref_key"])
+    def by_day(b: pa.Table) -> pa.Table:
+        return pa.table({"dts": b["o_orderdate"], "ref_key": b["o_orderkey"]})
 
     # the dimension derives DISTRIBUTED (bounded date domain: one row
     # per day survives each block), only the folded per-day table is
     # driver-side — orders itself never materializes here
-    dim = agg_stage.fold_partials(
-        orders.map_batches(day_max, batch_format="pyarrow"),
-        ["dts"], [("ref_key", "max")])
+    dim = agg_stage.fold_agg(orders, ["dts"], {"ref_key": ("ref_key", "max")},
+                             by_day)
     ds = _read(sf_dir, "events", columns=["event_id", "ts"])
     out = window.asof_lookup(ds, dim, ts_col="ts", dim_ts_col="dts",
                              payload_col="ref_key")
@@ -4711,9 +4495,7 @@ def q_disjunctive(sf_dir: str):
         idx = pc.index_in(b["l_partkey"], value_set=keys)
         br = pc.take(brand, idx)
         sz = pc.take(size, idx)
-        q = pc.cast(pc.round(b["l_quantity"],
-                             round_mode="half_towards_infinity"),
-                    pa.int64())
+        q = agg_stage.to_fixed(b["l_quantity"])
         g1 = pc.and_(pc.and_(pc.equal(br, "Brand#1"),
                              pc.and_(pc.greater_equal(sz, 1),
                                      pc.less_equal(sz, 15))),
@@ -4726,10 +4508,7 @@ def q_disjunctive(sf_dir: str):
                              pc.less_equal(q, 40)))
         keep = pc.fill_null(pc.or_(g1, g2), False)
         kept = b.filter(keep)
-        cents = pc.cast(pc.round(pc.multiply(kept["l_extendedprice"],
-                                             100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
+        cents = agg_stage.to_fixed(kept["l_extendedprice"], 100)
         return pa.table({
             "total_cents": pa.array([pc.sum(cents).as_py() or 0],
                                     pa.int64()),
@@ -4845,12 +4624,10 @@ def q_pagerank(sf_dir: str):
             .astype(np.int64)
         supp = b["l_suppkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        t = pa.table({"src": pa.array(cust * 2),
-                      "dst": pa.array(supp * 2 + 1)})
-        return (t.group_by(["src", "dst"]).aggregate([])
-                .rename_columns(["src", "dst"]))
+        return pa.table({"src": pa.array(cust * 2),
+                         "dst": pa.array(supp * 2 + 1)})
 
-    pairs = joined.map_batches(thin, batch_format="pyarrow")
+    pairs = agg_stage.partials(joined, ["src", "dst"], {}, thin)
     # CPU floor, not suggest_key_partitions' 64+ floor: pairs are
     # pre-deduped per block, so the distinct stage sees far fewer rows
     # than lineitem and per-group scheduling would dominate (the
@@ -4971,29 +4748,18 @@ def q_nation_traffic(sf_dir: str):
     j2 = j1.join(cust, "inner", num_partitions=n_join,
                  on=("o_custkey",), right_on=("c_custkey",))
 
-    def partial(b: pa.Table) -> pa.Table:
+    def nations(b: pa.Table) -> pa.Table:
         supp_lut, nat_lut = ray.get(luts)
         sk = b["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         ck = b["c_nationkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        disc = pc.multiply(b["l_extendedprice"],
-                           pc.subtract(pa.scalar(1.0), b["l_discount"]))
-        cents = pc.cast(pc.round(pc.multiply(disc, 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
-        t = pa.table({
+        return pa.table({
             "supp_nation": pa.array(supp_lut[sk], pa.string()),
             "cust_nation": pa.array(nat_lut[ck], pa.string()),
-            "c": cents})
-        g = t.group_by(["supp_nation", "cust_nation"]).aggregate(
-            [([], "count_all"), ("c", "sum")])
-        return g.rename_columns(["supp_nation", "cust_nation",
-                                 "n_items", "revenue_cents"])
+            "c": _net_price(b)})
 
-    p = j2.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    return agg_stage.fold_partials(
-        p, ["supp_nation", "cust_nation"],
-        [("n_items", "sum"), ("revenue_cents", "sum")])
+    return agg_stage.fold_agg(j2, ["supp_nation", "cust_nation"], _REVENUE,
+                              nations, batch_size=None)
 
 
 def q_type_profit(sf_dir: str):
@@ -5010,7 +4776,7 @@ def q_type_profit(sf_dir: str):
     keys = np.sort(keep["p_partkey"].to_numpy().astype(np.int64))
     luts = ray.put((keys, _supp_nation_lut(sf_dir)))
 
-    def partial(b: pa.Table) -> pa.Table:
+    def promo_lines(b: pa.Table) -> pa.Table:
         pkeys, supp_lut = ray.get(luts)
         pk = b["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         idx = np.searchsorted(pkeys, pk)
@@ -5019,28 +4785,17 @@ def q_type_profit(sf_dir: str):
             pa.array(np.zeros(len(pk), bool))
         b = b.filter(mask)
         sk = b["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        disc = pc.multiply(b["l_extendedprice"],
-                           pc.subtract(pa.scalar(1.0), b["l_discount"]))
-        cents = pc.cast(pc.round(pc.multiply(disc, 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
-        t = pa.table({
+        return pa.table({
             "supp_nation": pa.array(supp_lut[sk], pa.string()),
             "ship_year": pc.cast(pc.year(b["l_shipdate"]), pa.int64()),
-            "c": cents})
-        g = t.group_by(["supp_nation", "ship_year"]).aggregate(
-            [([], "count_all"), ("c", "sum")])
-        return g.rename_columns(["supp_nation", "ship_year",
-                                 "n_items", "revenue_cents"])
+            "c": _net_price(b)})
 
     li = _read(sf_dir, "lineitem",
                columns=["l_partkey", "l_suppkey", "l_shipdate",
                         "l_extendedprice", "l_discount"])
-    p = li.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    return agg_stage.fold_partials(
-        p, ["supp_nation", "ship_year"],
-        [("n_items", "sum"), ("revenue_cents", "sum")],
-        empty_schema=pa.schema([("supp_nation", pa.string()),
+    return agg_stage.fold_agg(
+        li, ["supp_nation", "ship_year"], _REVENUE, promo_lines,
+        batch_size=None, empty_schema=pa.schema([("supp_nation", pa.string()),
                                 ("ship_year", pa.int64()),
                                 ("n_items", pa.int64()),
                                 ("revenue_cents", pa.int64())]))
@@ -5055,15 +4810,12 @@ def _event_type_sets(sf_dir: str, keep):
     and oracle agree on the type exactly."""
     ds = _read(sf_dir, "events", columns=["user_id", "event_type", "ts"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        t = pa.table({
+    def flags(b: pa.Table) -> pa.Table:
+        return pa.table({
             "user_id": b["user_id"],
             "day": day_string(b["ts"]),
             "p": pc.cast(pc.equal(b["event_type"], "view"), pa.int64()),
             "v": pc.cast(pc.equal(b["event_type"], "click"), pa.int64())})
-        g = t.group_by(["user_id", "day"]).aggregate(
-            [("p", "max"), ("v", "max")])
-        return g.rename_columns(["user_id", "day", "p", "v"])
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         gg = (g.groupby(["user_id", "day"], as_index=False)
@@ -5072,7 +4824,8 @@ def _event_type_sets(sf_dir: str, keep):
         return out[["user_id", "day"]]
 
     out = window.keyed_apply(
-        ds.map_batches(partial, batch_format="pyarrow"),
+        agg_stage.partials(ds, ["user_id", "day"],
+                           {"p": ("p", "max"), "v": ("v", "max")}, flags),
         ["user_id", "day"], fold,
         approx_rows=_nrows(_tp(sf_dir, "events"))).materialize()
     if out.count() == 0:
@@ -5238,9 +4991,8 @@ def e_mad(sf_dir: str):
 
     def dev(b: pa.Table) -> pa.Table:
         m = ray.get(ref)
-        cents = pc.cast(pc.round(pc.multiply(b["value"], 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64()).to_numpy(zero_copy_only=False)
+        cents = agg_stage.to_fixed(b["value"], 100) \
+            .to_numpy(zero_copy_only=False)
         types = b["event_type"].to_numpy(zero_copy_only=False)
         mv = np.zeros(len(cents), np.int64)
         for t, v in m.items():
@@ -5266,9 +5018,7 @@ def e_locf(sf_dir: str):
                columns=["user_id", "ts", "event_id", "value"])
 
     def prep(b: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(b["value"], 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
+        cents = agg_stage.to_fixed(b["value"], 100)
         return pa.table({"user_id": b["user_id"], "ts": b["ts"],
                          "event_id": b["event_id"], "cents": cents})
 
@@ -5307,29 +5057,22 @@ def e_outliers(sf_dir: str):
                columns=["event_id", "event_type", "value"])
 
     def prep(b: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(b["value"], 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
+        cents = agg_stage.to_fixed(b["value"], 100)
         return pa.table({"event_id": b["event_id"],
                          "event_type": b["event_type"],
                          "cents": cents})
 
     prepped = ds.map_batches(prep, batch_format="pyarrow").materialize()
 
-    def moments(b: pa.Table) -> pa.Table:
+    def squares(b: pa.Table) -> pa.Table:
         c = b["cents"].to_numpy(zero_copy_only=False)
-        t = pa.table({"event_type": b["event_type"],
-                      "n": pa.array(np.ones(len(c), np.int64)),
-                      "s": pa.array(c),
-                      "q": pa.array(c * c)})
-        g = t.group_by(["event_type"]).aggregate(
-            [("n", "sum"), ("s", "sum"), ("q", "sum")])
-        return g.rename_columns(["event_type", "n", "s", "q"])
+        return pa.table({"event_type": b["event_type"],
+                         "s": pa.array(c), "q": pa.array(c * c)})
 
-    mom = agg_stage.fold_partials(
-        prepped.map_batches(moments, batch_format="pyarrow"),
-        ["event_type"], [("n", "sum"), ("s", "sum"), ("q", "sum")],
-        empty_schema=pa.schema([("event_type", pa.string()),
+    mom = agg_stage.fold_agg(
+        prepped, ["event_type"],
+        {"n": ([], "count_all"), "s": ("s", "sum"), "q": ("q", "sum")},
+        squares, empty_schema=pa.schema([("event_type", pa.string()),
                                 ("n", pa.int64()), ("s", pa.int64()),
                                 ("q", pa.int64())]))
     stats = {}
@@ -5429,10 +5172,7 @@ def e_grouping_sets(sf_dir: str):
         return pa.table({
             "event_type": b["event_type"],
             "day": day_string(b["ts"]),
-            "value_cents": pc.cast(
-                pc.round(pc.multiply(b["value"], 100),
-                         round_mode="half_towards_infinity"),
-                pa.int64())})
+            "value_cents": agg_stage.to_fixed(b["value"], 100)})
 
     return agg_stage.grouping_sets_sums(
         ds.map_batches(prep, batch_format="pyarrow"),
@@ -5591,12 +5331,7 @@ def e_streaks(sf_dir: str):
     no per-user Python loop."""
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
 
-    def day_partial(b: pa.Table) -> pa.Table:
-        day = pc.cast(pc.cast(b["ts"], pa.date32()), pa.int32())
-        t = pa.table({"user_id": b["user_id"], "day": day})
-        return t.group_by(["user_id", "day"]).aggregate([])
-
-    days = ds.map_batches(day_partial, batch_format="pyarrow")
+    days = _active_days(ds)
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
         g = (g.drop_duplicates(["user_id", "day"])
@@ -5688,14 +5423,8 @@ def e_hhi(sf_dir: str):
     streams sharded per day keep counts far below that."""
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        g = (pa.table({"user_id": b["user_id"],
-                       "event_type": b["event_type"]})
-             .group_by(["user_id", "event_type"])
-             .aggregate([([], "count_all")]))
-        return g.rename_columns(["user_id", "event_type", "cnt"])
-
-    parts = ds.map_batches(partial, batch_format="pyarrow")
+    parts = agg_stage.partials(ds, ["user_id", "event_type"],
+                               {"cnt": ([], "count_all")})
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
         c = (g.groupby(["user_id", "event_type"], sort=False)["cnt"]
@@ -5892,19 +5621,15 @@ def e_rfm(sf_dir: str):
     from ..stages.scan import ntile
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        day = pc.cast(pc.cast(b["ts"], pa.date32()), pa.int32())
-        cents = pc.cast(pc.round(pc.multiply(b["value"], 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
-        g = (pa.table({"user_id": b["user_id"], "day": day,
-                       "cents": cents})
-             .group_by(["user_id"])
-             .aggregate([("day", "max"), ("cents", "sum"),
-                         ([], "count_all")]))
-        return g.rename_columns(["user_id", "day_max", "cents", "cnt"])
+    def day_cents(b: pa.Table) -> pa.Table:
+        return pa.table({
+            "user_id": b["user_id"],
+            "day": pc.cast(pc.cast(b["ts"], pa.date32()), pa.int32()),
+            "cents": agg_stage.to_fixed(b["value"], 100)})
 
-    parts = ds.map_batches(partial, batch_format="pyarrow")
+    parts = agg_stage.partials(
+        ds, ["user_id"], {"day_max": ("day", "max"), "cents": ("cents", "sum"),
+                          "cnt": ([], "count_all")}, day_cents)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         r = (g.groupby("user_id", sort=False)
@@ -6107,21 +5832,15 @@ def d_dsir(sf_dir: str):
     SCALE = 10_000
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
-    def cnt_partial(b: pa.Table) -> pa.Table:
+    def target_tokens(b: pa.Table) -> pa.Table:
         toks = text.token_explode(b)
         ids = toks["doc_id"].to_numpy(zero_copy_only=False)
-        t = pa.table({"token": toks["token"],
-                      "cnt": pa.array(np.ones(toks.num_rows, np.int64)),
-                      "cnt_t": pa.array((ids % 7 == 0)
-                                        .astype(np.int64))})
-        g = (t.group_by(["token"])
-             .aggregate([("cnt", "sum"), ("cnt_t", "sum")]))
-        return g.rename_columns(["token", "cnt", "cnt_t"])
+        return pa.table({"token": toks["token"],
+                         "cnt_t": pa.array((ids % 7 == 0).astype(np.int64))})
 
-    g = (ds.map_batches(cnt_partial, batch_format="pyarrow")
-         .groupby("token").aggregate(Sum("cnt", alias_name="cnt"),
-                                     Sum("cnt_t", alias_name="cnt_t"))
-         .materialize())
+    g = agg_stage.shuffle_agg(
+        ds, ["token"], {"cnt": ([], "count_all"), "cnt_t": ("cnt_t", "sum")},
+        target_tokens).materialize()
     nr = int(g.sum("cnt"))
     nt = int(g.sum("cnt_t"))
     v = g.count()
@@ -6147,15 +5866,8 @@ def d_dsir(sf_dir: str):
         g.map_batches(ratio, batch_format="pyarrow"),
         pa.schema([("token", pa.string()), ("ratio", pa.int64())]))
 
-    def tf_partial(b: pa.Table) -> pa.Table:
-        toks = text.token_explode(b)
-        g2 = (pa.table({"doc_id": toks["doc_id"],
-                        "token": toks["token"]})
-              .group_by(["doc_id", "token"])
-              .aggregate([([], "count_all")]))
-        return g2.rename_columns(["doc_id", "token", "occ"])
-
-    tf = ds.map_batches(tf_partial, batch_format="pyarrow")
+    tf = agg_stage.partials(ds, ["doc_id", "token"],
+                            {"occ": ([], "count_all")}, text.token_explode)
     n_parts = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
     joined = tf.join(rt, "inner", num_partitions=n_parts,
                      on=("token",))
@@ -6190,29 +5902,9 @@ def e_ks_drift(sf_dir: str):
     sum: range-sort once, O(blocks) driver state) run for each side's
     cumulative count -> a vectorized |cross-product| map -> top-1.
     The argmax never pulls the support to the driver."""
-    from ray.data.aggregate import Sum
-
     from ..stages.scan import ordered_prefix_sum
 
-    ds = _read(sf_dir, "events", columns=["ts", "value"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.round(pc.multiply(b["value"], 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
-        us = pc.cast(b["ts"], pa.int64()).to_numpy(zero_copy_only=False)
-        odd = (us // 86_400_000_000) % 2
-        t = pa.table({"cents": cents,
-                      "c1": pa.array((odd == 0).astype(np.int64)),
-                      "c2": pa.array((odd == 1).astype(np.int64))})
-        g = t.group_by(["cents"]).aggregate([("c1", "sum"),
-                                             ("c2", "sum")])
-        return g.rename_columns(["cents", "c1", "c2"])
-
-    g = (ds.map_batches(partial, batch_format="pyarrow")
-         .groupby("cents").aggregate(Sum("c1", alias_name="c1"),
-                                     Sum("c2", alias_name="c2"))
-         .materialize())
+    g = _day_parity_counts(sf_dir)
     n1 = int(g.sum("c1"))
     n2 = int(g.sum("c2"))
     p = ordered_prefix_sum(g.sort("cents"), "c1", "cents",
@@ -6267,7 +5959,6 @@ def d_dup_triangles(sf_dir: str):
     flat-map each triangle to its three corners -> ONE node-keyed
     count.  No adjacency ever materializes on the driver."""
     import pyarrow.dataset as pads
-    from ray.data.aggregate import Sum
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -6327,14 +6018,10 @@ def d_dup_triangles(sf_dir: str):
             else b["y"],
             b["z"].combine_chunks() if isinstance(b["z"], pa.ChunkedArray)
             else b["z"]])
-        t = pa.table({"doc_id": nodes,
-                      "one": pa.array(np.ones(len(nodes), np.int64))})
-        g2 = t.group_by(["doc_id"]).aggregate([("one", "sum")])
-        return g2.rename_columns(["doc_id", "n_tri"])
+        return pa.table({"doc_id": nodes})
 
-    return (tri.map_batches(corners, batch_format="pyarrow")
-            .groupby("doc_id").aggregate(Sum("n_tri",
-                                             alias_name="n_tri")))
+    return agg_stage.shuffle_agg(tri, ["doc_id"], {"n_tri": ([], "count_all")},
+                                 corners)
 
 
 def d_winnow(sf_dir: str):
@@ -6749,12 +6436,8 @@ def q_forecast_revenue(sf_dir: str):
                         "l_extendedprice"])
 
     def partial(b: pa.Table) -> pa.Table:
-        d100 = pc.cast(pc.round(pc.multiply(b["l_discount"], 100),
-                                round_mode="half_towards_infinity"),
-                       pa.int64())
-        qty = pc.cast(pc.round(b["l_quantity"],
-                               round_mode="half_towards_infinity"),
-                      pa.int64())
+        d100 = agg_stage.to_fixed(b["l_discount"], 100)
+        qty = agg_stage.to_fixed(b["l_quantity"])
         keep = pc.and_(
             pc.and_(
                 pc.and_(pc.greater_equal(
@@ -6767,13 +6450,10 @@ def q_forecast_revenue(sf_dir: str):
                         pc.less_equal(d100, pa.scalar(7)))),
             pc.less(qty, pa.scalar(24)))
         b2 = b.filter(keep)
-        cents = pc.cast(pc.round(pc.multiply(b2["l_extendedprice"],
-                                             100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64()).to_numpy(zero_copy_only=False)
-        d2 = pc.cast(pc.round(pc.multiply(b2["l_discount"], 100),
-                              round_mode="half_towards_infinity"),
-                     pa.int64()).to_numpy(zero_copy_only=False)
+        cents = agg_stage.to_fixed(b2["l_extendedprice"], 100) \
+            .to_numpy(zero_copy_only=False)
+        d2 = agg_stage.to_fixed(b2["l_discount"], 100) \
+            .to_numpy(zero_copy_only=False)
         return pa.table({
             "n_items": pa.array([np.int64(b2.num_rows)]),
             "revenue_e4": pa.array([np.int64((cents * d2).sum())]),
@@ -6858,12 +6538,8 @@ def q_volume_shipping(sf_dir: str):
         ix = pc.index_in(b["l_suppkey"], value_set=k0)
         b = b.filter(pc.is_valid(ix))
         ix = pc.index_in(b["l_suppkey"], value_set=k0)
-        cents = pc.cast(pc.round(pc.multiply(b["l_extendedprice"], 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
-        d100 = pc.cast(pc.round(pc.multiply(b["l_discount"], 100),
-                                round_mode="half_towards_infinity"),
-                       pa.int64())
+        cents = agg_stage.to_fixed(b["l_extendedprice"], 100)
+        d100 = agg_stage.to_fixed(b["l_discount"], 100)
         return pa.table({
             "l_orderkey": b["l_orderkey"],
             "s_nat": pc.take(n0, ix),
@@ -6872,14 +6548,8 @@ def q_volume_shipping(sf_dir: str):
                                                           pa.int64()),
                                                 d100))})
 
-    def partial(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.not_equal(b["s_nat"], b["c_nat"]))
-        g = (pa.table({"s_nat": b["s_nat"], "c_nat": b["c_nat"],
-                       "l_year": b["l_year"], "u": b["u"]})
-             .group_by(["s_nat", "c_nat", "l_year"])
-             .aggregate([([], "count_all"), ("u", "sum")]))
-        return g.rename_columns(["s_nat", "c_nat", "l_year",
-                                 "n_items", "revenue_e4"])
+    def cross_border(b: pa.Table) -> pa.Table:
+        return b.filter(pc.not_equal(b["s_nat"], b["c_nat"]))
 
     folded_schema = pa.schema([("s_nat", pa.int64()), ("c_nat", pa.int64()),
                                ("l_year", pa.int64()),
@@ -6897,11 +6567,10 @@ def q_volume_shipping(sf_dir: str):
         n_parts = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
         joined = li.join(orders_n, "inner", num_partitions=n_parts,
                          on=("l_orderkey",), right_on=("o_orderkey",))
-        folded = agg_stage.fold_partials(
-            joined.map_batches(partial, batch_format="pyarrow"),
-            ["s_nat", "c_nat", "l_year"],
-            [("n_items", "sum"), ("revenue_e4", "sum")],
-            empty_schema=folded_schema)
+        folded = agg_stage.fold_agg(
+            joined, ["s_nat", "c_nat", "l_year"],
+            {"n_items": ([], "count_all"), "revenue_e4": ("u", "sum")},
+            cross_border, empty_schema=folded_schema)
     names = pa.array([code2name[int(v)] for v in
                       folded["s_nat"].to_pylist()], pa.string())
     cnames = pa.array([code2name[int(v)] for v in
@@ -6987,12 +6656,8 @@ def q_market_share(sf_dir: str):
                               value_set=ray.get(part_ref)))
         k0, f0 = ray.get(supp_ref)
         ix = pc.index_in(b["l_suppkey"], value_set=k0)
-        cents = pc.cast(pc.round(pc.multiply(b["l_extendedprice"], 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
-        d100 = pc.cast(pc.round(pc.multiply(b["l_discount"], 100),
-                                round_mode="half_towards_infinity"),
-                       pa.int64())
+        cents = agg_stage.to_fixed(b["l_extendedprice"], 100)
+        d100 = agg_stage.to_fixed(b["l_discount"], 100)
         u = pc.multiply(cents, pc.subtract(pa.scalar(100, pa.int64()),
                                            d100))
         return pa.table({"l_orderkey": b["l_orderkey"],
@@ -7003,18 +6668,14 @@ def q_market_share(sf_dir: str):
     joined = li.join(orders, "inner", num_partitions=n_parts,
                      on=("l_orderkey",), right_on=("o_orderkey",))
 
-    def partial(b: pa.Table) -> pa.Table:
-        g = (pa.table({"o_year": b["o_year"],
-                       "t": pc.multiply(b["tgt"], b["u"]), "u": b["u"]})
-             .group_by(["o_year"])
-             .aggregate([([], "count_all"), ("t", "sum"), ("u", "sum")]))
-        return g.rename_columns(["o_year", "n_items", "target_e4",
-                                 "total_e4"])
+    def target(b: pa.Table) -> pa.Table:
+        return pa.table({"o_year": b["o_year"],
+                         "t": pc.multiply(b["tgt"], b["u"]), "u": b["u"]})
 
-    return agg_stage.fold_partials(
-        joined.map_batches(partial, batch_format="pyarrow"),
-        ["o_year"],
-        [("n_items", "sum"), ("target_e4", "sum"), ("total_e4", "sum")],
+    return agg_stage.fold_agg(
+        joined, ["o_year"],
+        {"n_items": ([], "count_all"), "target_e4": ("t", "sum"),
+         "total_e4": ("u", "sum")}, target,
         empty_schema=pa.schema([("o_year", pa.int64()),
                                 ("n_items", pa.int64()),
                                 ("target_e4", pa.int64()),
@@ -7035,8 +6696,6 @@ def q_small_qty_revenue(sf_dir: str):
     float division ever happens), folding one (n_items, cents) row.
     Scale shape: zero all-to-all on the fact table except the
     stats-side groupby over the pre-filtered 1/150 subset."""
-    from ray.data.aggregate import Sum
-
     from ..stages.join import auto_join
 
     part = pq.read_table(_tp(sf_dir, "part"),
@@ -7059,22 +6718,15 @@ def q_small_qty_revenue(sf_dir: str):
 
         return ds.map_batches(probe, batch_format="pyarrow")
 
-    def qty_partial(b: pa.Table) -> pa.Table:
-        q = pc.cast(pc.round(b["l_quantity"],
-                             round_mode="half_towards_infinity"),
-                    pa.int64())
-        g = (pa.table({"l_partkey": pc.cast(b["l_partkey"], pa.int64()),
-                       "q": q})
-             .group_by(["l_partkey"])
-             .aggregate([("q", "sum"), ([], "count_all")]))
-        return g.rename_columns(["l_partkey", "sq", "cnt"])
+    def qty(b: pa.Table) -> pa.Table:
+        return pa.table({"l_partkey": pc.cast(b["l_partkey"], pa.int64()),
+                         "q": agg_stage.to_fixed(b["l_quantity"])})
 
     stats_tbl = agg_stage.concat_nonempty(agg_stage.arrow_blocks(
-        filtered_li(["l_partkey", "l_quantity"])
-        .map_batches(qty_partial, batch_format="pyarrow")
-        .groupby("l_partkey")
-        .aggregate(Sum("sq", alias_name="sq"),
-                   Sum("cnt", alias_name="cnt"))))
+        agg_stage.shuffle_agg(filtered_li(["l_partkey", "l_quantity"]),
+                              ["l_partkey"],
+                              {"sq": ("q", "sum"), "cnt": ([], "count_all")},
+                              qty)))
     if stats_tbl.num_columns == 0:
         stats_tbl = pa.table({"l_partkey": pa.array([], pa.int64()),
                               "sq": pa.array([], pa.int64()),
@@ -7086,16 +6738,12 @@ def q_small_qty_revenue(sf_dir: str):
                        right_rows=stats_tbl.num_rows)
 
     def small_partial(b: pa.Table) -> pa.Table:
-        q = pc.cast(pc.round(b["l_quantity"],
-                             round_mode="half_towards_infinity"),
-                    pa.int64())
+        q = agg_stage.to_fixed(b["l_quantity"])
         keep = pc.less(pc.multiply(pc.multiply(q, pa.scalar(5, pa.int64())),
                                    b["cnt"]),
                        b["sq"])
         b = b.filter(keep)
-        cents = pc.cast(pc.round(pc.multiply(b["l_extendedprice"], 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64())
+        cents = agg_stage.to_fixed(b["l_extendedprice"], 100)
         return pa.table({
             "n_items": pa.array([b.num_rows], pa.int64()),
             "sum_price_e2": pa.array(
@@ -7126,14 +6774,9 @@ def q_large_orders(sf_dir: str):
     exact integer cents."""
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
 
-    def qty_partial(b: pa.Table) -> pa.Table:
-        q = pc.cast(pc.round(b["l_quantity"],
-                             round_mode="half_towards_infinity"),
-                    pa.int64())
-        g = (pa.table({"l_orderkey": pc.cast(b["l_orderkey"], pa.int64()),
-                       "q": q})
-             .group_by(["l_orderkey"]).aggregate([("q", "sum")]))
-        return g.rename_columns(["l_orderkey", "q"])
+    def qty(b: pa.Table) -> pa.Table:
+        return pa.table({"l_orderkey": pc.cast(b["l_orderkey"], pa.int64()),
+                         "q": agg_stage.to_fixed(b["l_quantity"])})
 
     def sum_and_filter(g: "pd.DataFrame") -> "pd.DataFrame":
         out = g.groupby("l_orderkey", as_index=False)["q"].sum()
@@ -7145,7 +6788,7 @@ def q_large_orders(sf_dir: str):
     # Ray's hash-shuffle Aggregate on unbounded keys); the >300
     # filter runs INSIDE the fold so only the survivor tail leaves.
     sums = window.keyed_apply(
-        li.map_batches(qty_partial, batch_format="pyarrow"),
+        agg_stage.partials(li, ["l_orderkey"], {"q": ("q", "sum")}, qty),
         "l_orderkey", sum_and_filter,
         approx_rows=_nrows(_tp(sf_dir, "lineitem")))
     big = agg_stage.concat_nonempty(agg_stage.arrow_blocks(sums))
@@ -7170,9 +6813,7 @@ def q_large_orders(sf_dir: str):
             "o_orderkey": pc.cast(b["o_orderkey"], pa.int64()),
             "o_custkey": pc.cast(b["o_custkey"], pa.int64()),
             "o_orderdate": pc.cast(b["o_orderdate"], pa.timestamp("us")),
-            "o_totalprice_e2": pc.cast(
-                pc.round(pc.multiply(b["o_totalprice"], 100),
-                         round_mode="half_towards_infinity"), pa.int64())})
+            "o_totalprice_e2": agg_stage.to_fixed(b["o_totalprice"], 100)})
 
     surv_orders = pa.concat_tables(agg_stage.arrow_blocks(
         _read(sf_dir, "orders",
@@ -7246,12 +6887,8 @@ def q_min_cost_supp(sf_dir: str):
             return pa.table({"l_partkey": pa.array([], pa.int64()),
                              "up": pa.array([], pa.int64()),
                              "l_suppkey": pa.array([], pa.int64())})
-        cents = pc.cast(pc.round(pc.multiply(b["l_extendedprice"], 100),
-                                 round_mode="half_towards_infinity"),
-                        pa.int64()).to_numpy()
-        qty = pc.cast(pc.round(b["l_quantity"],
-                               round_mode="half_towards_infinity"),
-                      pa.int64()).to_numpy()
+        cents = agg_stage.to_fixed(b["l_extendedprice"], 100).to_numpy()
+        qty = agg_stage.to_fixed(b["l_quantity"]).to_numpy()
         up = cents * 10_000 // qty
         df = pd.DataFrame({
             "l_partkey": pc.cast(b["l_partkey"],
@@ -7513,12 +7150,7 @@ def e_lifecycle(sf_dir: str):
     from ..stages.aggregate import fold_partials
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
 
-    def day_partial(b: pa.Table) -> pa.Table:
-        day = pc.cast(pc.cast(b["ts"], pa.date32()), pa.int32())
-        t = pa.table({"user_id": b["user_id"], "day": day})
-        return t.group_by(["user_id", "day"]).aggregate([])
-
-    days = ds.map_batches(day_partial, batch_format="pyarrow")
+    days = _active_days(ds)
 
     def classify(g: pd.DataFrame) -> pd.DataFrame:
         g = (g.drop_duplicates(["user_id", "day"])

@@ -66,20 +66,26 @@ def _make_block_writer(staging_dir: str, partition_cols: list[str]):
     immutable blocks of a materialized dataset."""
     import numpy as np
     import pyarrow as pa
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     def write_block(batch: pa.Table, ident: str | None = None,
                     map_fn=map) -> pa.Table:
         if batch.num_rows == 0:
             return pa.table({"files": pa.array([0], pa.int64())})
-        order = pa.compute.sort_indices(
+        order = pc.sort_indices(
             batch, sort_keys=[(c, "ascending") for c in partition_cols])
         b = batch.take(order)
-        keys = [b[c].to_numpy(zero_copy_only=False) for c in partition_cols]
+        # A partition starts where any sorted key changes.  Equal values
+        # share a dictionary index (nulls too, as one more entry), so
+        # the scan compares int32 indices, never the values themselves.
         n = b.num_rows
         change = np.zeros(n, dtype=bool)
         change[0] = True
-        for k in keys:
+        for c in partition_cols:
+            idx = pc.dictionary_encode(b[c].combine_chunks(),
+                                       null_encoding="encode").indices
+            k = idx.to_numpy(zero_copy_only=False)
             change[1:] |= k[1:] != k[:-1]
         starts = np.flatnonzero(change)
         ends = np.append(starts[1:], n)
@@ -89,8 +95,8 @@ def _make_block_writer(staging_dir: str, partition_cols: list[str]):
 
         def write_partition(s: int, e: int) -> None:
             d = Path(staging_dir)
-            for c, k in zip(partition_cols, keys):
-                d = d / f"{c}={k[s]}"
+            for c in partition_cols:
+                d = d / f"{c}={b[c][s].as_py()}"
             d.mkdir(parents=True, exist_ok=True)
             pq.write_table(data.slice(s, e - s), d / f"b{ident}.parquet")
 

@@ -67,9 +67,9 @@ def read_jsonl_transcripts(paths: list[str] | str,
 
 def normalize_wire_batch(b: "pa.Table") -> "pa.Table":
     """Shared wire-format normalization (JSONL / CSV sources): ISO
-    ``ts`` strings -> timestamp[us], ``turn_idx`` -> int32, columns
-    ordered to the canonical transcript schema — downstream stages
-    can't tell the source apart."""
+    ``ts`` strings -> timestamp[us], then :func:`conform` (``turn_idx``
+    -> int32, columns ordered to the canonical transcript schema) —
+    downstream stages can't tell the source apart."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -85,17 +85,7 @@ def normalize_wire_batch(b: "pa.Table") -> "pa.Table":
                                        pa.scalar("0"), frac), 6, "0")
         ts = pc.add(base, pc.cast(pc.cast(frac, pa.int64()),
                                   pa.duration("us")))
-    else:
-        ts = pc.cast(ts, pa.timestamp("us"))
-    cols = {
-        "conv_id": pc.cast(b["conv_id"], pa.string()),
-        "turn_idx": pc.cast(b["turn_idx"], pa.int32()),
-        "role": pc.cast(b["role"], pa.string()),
-        "text": pc.cast(b["text"], pa.string()),
-        "tool": pc.cast(b["tool"], pa.string()),
-        "ts": ts,
-    }
-    return pa.table(cols)
+    return conform(b.set_column(b.schema.get_field_index("ts"), "ts", ts))
 
 
 def read_csv_transcripts(paths: list[str] | str) -> "ray.data.Dataset":
@@ -114,20 +104,26 @@ def read_csv_transcripts(paths: list[str] | str) -> "ray.data.Dataset":
     return ds.map_batches(normalize_wire_batch, batch_format="pyarrow")
 
 
-TRANSCRIPT_SCHEMA = None  # built lazily (pyarrow import cost)
-
-
-def _transcript_schema():
+def conform(b: "pa.Table", target: "pa.Schema | None" = None) -> "pa.Table":
+    """``b`` in the shape of ``target`` (the canonical transcript schema
+    by default): the target's columns in its order, each cast to its
+    type, a missing one as typed nulls, any other column dropped.  So
+    a physical variant of a shard (``large_string`` text, a dictionary
+    ``role``, ``int64`` turn_idx, ``timestamp[ms]`` ts, reordered or
+    extra columns) reads as the canonical table; a value the cast
+    cannot hold raises."""
     import pyarrow as pa
+    import pyarrow.compute as pc
 
-    global TRANSCRIPT_SCHEMA
-    if TRANSCRIPT_SCHEMA is None:
-        TRANSCRIPT_SCHEMA = pa.schema([
-            ("conv_id", pa.string()), ("turn_idx", pa.int32()),
-            ("role", pa.string()), ("text", pa.string()),
-            ("tool", pa.string()), ("ts", pa.timestamp("us")),
-        ])
-    return TRANSCRIPT_SCHEMA
+    from ..specs import TRANSCRIPT_SCHEMA
+
+    cols = {}
+    for f in target or TRANSCRIPT_SCHEMA:
+        if f.name in b.column_names:
+            cols[f.name] = pc.cast(b[f.name], f.type)
+        else:
+            cols[f.name] = pa.nulls(b.num_rows, f.type)
+    return pa.table(cols)
 
 
 def read_evolving_transcripts(paths: list[str] | str,
@@ -147,12 +143,13 @@ def read_evolving_transcripts(paths: list[str] | str,
     The groups union at plan level — no shuffle, no materialization;
     downstream stages can't tell the generations apart."""
     import pyarrow as pa
-    import pyarrow.compute as pc
     import pyarrow.parquet as pq
+
+    from ..specs import TRANSCRIPT_SCHEMA
 
     if isinstance(paths, (str, Path)):
         paths = transcript_files(paths)
-    target = target_schema or _transcript_schema()
+    target = target_schema or TRANSCRIPT_SCHEMA
     if columns is not None:
         target = pa.schema([target.field(c) for c in columns])
 
@@ -162,15 +159,6 @@ def read_evolving_transcripts(paths: list[str] | str,
         key = tuple(sorted(zip(s.names, (str(t) for t in s.types))))
         groups.setdefault(key, []).append(p)
 
-    def conform(b: pa.Table) -> pa.Table:
-        cols = {}
-        for f in target:
-            if f.name in b.column_names:
-                cols[f.name] = pc.cast(b[f.name], f.type)
-            else:
-                cols[f.name] = pa.nulls(b.num_rows, f.type)
-        return pa.table(cols)
-
     parts = []
     for key, files in sorted(groups.items()):
         have = {n for n, _ in key}
@@ -178,7 +166,8 @@ def read_evolving_transcripts(paths: list[str] | str,
         ds = ray.data.read_parquet(
             files, columns=cols or None,
             override_num_blocks=suggest_num_blocks(files))
-        parts.append(ds.map_batches(conform, batch_format="pyarrow"))
+        parts.append(ds.map_batches(conform, batch_format="pyarrow",
+                                    fn_kwargs={"target": target}))
     out = parts[0]
     return out.union(*parts[1:]) if len(parts) > 1 else out
 

@@ -10,6 +10,18 @@ partial aggregate** inside ``map_batches`` (pa.Table.group_by per
 block), so the all-to-all exchange moves one row per distinct key per
 block — not one row per input row.  At 10^12 turns with ~10 sinks x 5
 levels x bounded bucket count this makes the shuffle negligible.
+
+The package makes two decisions here and nowhere else:
+
+- :func:`to_fixed` is the fixed-point rule (money in cents, rates in
+  1e-4 units): scale, round half away from zero, int64.
+- A partial aggregate is stated once, as keys plus named aggregates
+  ``{out: (column or [], op)}``.  :func:`partial_agg` builds the
+  per-block step from it, and :func:`merge_aggs` derives how each
+  output merges across blocks: :func:`fold_agg` folds bounded keys on
+  the driver (:func:`merge_partials`), :func:`shuffle_agg` merges
+  unbounded keys with a Ray hash ``groupby``, and keyed folds
+  (``window.keyed_apply``) take :func:`partials` as their input.
 """
 
 from __future__ import annotations
@@ -18,13 +30,69 @@ import functools
 
 import pyarrow as pa
 
+#: How a per-block aggregate merges across blocks: counts and sums add
+#: up, extrema keep theirs.  An aggregate without an entry (mean,
+#: distinct count, list) cannot be merged from partials.
+_MERGE_OPS = {"count_all": "sum", "sum": "sum", "min": "min", "max": "max"}
 
-def _partial_counts(keys: list[str]):
-    def body(batch: pa.Table) -> pa.Table:
-        gb = batch.group_by(keys).aggregate([([], "count_all")])
-        return gb.rename_columns(keys + ["cnt"])
 
-    return body
+def to_fixed(x, scale: int = 1):
+    """``x`` x ``scale`` rounded half away from zero, as int64 — the
+    one fixed-point rule for exact integer money (cents at 100,
+    four-decimal units at 10,000).  Nulls stay null."""
+    import pyarrow.compute as pc
+
+    if scale != 1:
+        x = pc.multiply(x, scale)
+    return pc.cast(pc.round(x, round_mode="half_towards_infinity"),
+                   pa.int64())
+
+
+def partial_agg(keys: list[str], aggs: dict[str, tuple], project=None):
+    """The per-block partial aggregate: ``project(block)`` (the block
+    itself by default) grouped by ``keys``, with one output column per
+    ``aggs`` entry ``name: (column or [], op)``, keys first."""
+    specs = [(col, op) for col, op in aggs.values()]
+    names = list(keys) + list(aggs)
+
+    def partial(b: pa.Table) -> pa.Table:
+        t = b if project is None else project(b)
+        return t.group_by(keys).aggregate(specs).rename_columns(names)
+
+    return partial
+
+
+def merge_aggs(aggs: dict[str, tuple]) -> list[tuple[str, str]]:
+    """``(name, merge op)`` per output of :func:`partial_agg`."""
+    return [(name, _MERGE_OPS[op]) for name, (_, op) in aggs.items()]
+
+
+def partials(ds, keys: list[str], aggs: dict[str, tuple], project=None,
+             **map_kw):
+    """``ds`` reduced to one :func:`partial_agg` table per block."""
+    return ds.map_batches(partial_agg(keys, aggs, project),
+                          batch_format="pyarrow", **map_kw)
+
+
+def fold_agg(ds, keys: list[str], aggs: dict[str, tuple], project=None,
+             empty_schema: pa.Schema | None = None, **map_kw) -> pa.Table:
+    """Bounded-key aggregate: :func:`partials`, then the driver fold
+    (:func:`fold_partials`); ``empty_schema`` is the partial's."""
+    return fold_partials(partials(ds, keys, aggs, project, **map_kw),
+                         keys, merge_aggs(aggs), empty_schema)
+
+
+def shuffle_agg(ds, keys: list[str], aggs: dict[str, tuple], project=None,
+                **map_kw):
+    """Unbounded-key aggregate: :func:`partials`, merged by a Ray hash
+    ``groupby`` on ``keys`` (a Dataset, one row per key)."""
+    from ray.data.aggregate import Max, Min, Sum
+
+    ray_ops = {"sum": Sum, "min": Min, "max": Max}
+    return (partials(ds, keys, aggs, project, **map_kw)
+            .groupby(keys[0] if len(keys) == 1 else keys)
+            .aggregate(*[ray_ops[op](name, alias_name=name)
+                         for name, op in merge_aggs(aggs)]))
 
 
 def concat_nonempty(parts: list[pa.Table]) -> pa.Table:
@@ -108,7 +176,8 @@ def drop_empty_blocks(ds, empty_schema: pa.Schema):
 
 def fold_partials(partial_ds, keys: list[str], aggs: list[tuple[str, str]],
                   empty_schema: pa.Schema | None = None) -> pa.Table:
-    """Collect per-block partial-aggregate tables and merge driver-side.
+    """Collect per-block partial-aggregate tables and merge driver-side
+    (:func:`merge_partials`).
 
     Correct ONLY for bounded-key aggregates (sinks x levels x buckets,
     not e.g. user_id): each block's partial is at most |keys| rows, so
@@ -116,21 +185,28 @@ def fold_partials(partial_ds, keys: list[str], aggs: list[tuple[str, str]],
     sort/hash shuffle for that is pure fixed overhead (measured: Ray's
     groupby costs seconds of latency regardless of data size, while
     this fold is milliseconds).  Unbounded-key aggregates must keep
-    ``Dataset.groupby`` — see e_user_stats / per_conv_turn_stats.
+    ``Dataset.groupby`` — see e_user_stats / per_conv_turn_stats."""
+    return merge_partials(arrow_blocks(partial_ds), keys, aggs, empty_schema)
+
+
+def merge_partials(parts: list[pa.Table], keys: list[str],
+                   aggs: list[tuple[str, str]],
+                   empty_schema: pa.Schema | None = None) -> pa.Table:
+    """The driver half of :func:`fold_partials`, over partial tables
+    already fetched: ``aggs`` is ``(column, merge op)`` per aggregate,
+    and the result is sorted by ``keys``.
 
     ``empty_schema``: PRE-aggregation schema to assume when the
     upstream produced no blocks at all (a fully-filtered input can
     surface zero partials, not zero-row partials); without it that
     case raises, because the key/agg types are unknowable here."""
-    parts = arrow_blocks(partial_ds)
     merged = concat_nonempty(parts)
     if merged.num_columns == 0 and empty_schema is not None:
         merged = empty_schema.empty_table()
     out_names = keys + [c for c, _ in aggs]
-    out = (merged.group_by(keys).aggregate(aggs)
-           .rename_columns(out_names)
-           .sort_by([(k, "ascending") for k in keys]))
-    return out
+    return (merged.group_by(keys).aggregate(aggs)
+            .rename_columns(out_names)
+            .sort_by([(k, "ascending") for k in keys]))
 
 
 def interval_counts(ds, keys: list[str] | None = None):
@@ -139,8 +215,7 @@ def interval_counts(ds, keys: list[str] | None = None):
     import ray.data
 
     keys = keys or ["sink", "level", "bucket"]
-    partial = ds.map_batches(_partial_counts(keys), batch_format="pyarrow")
-    return ray.data.from_arrow(fold_partials(partial, keys, [("cnt", "sum")]))
+    return ray.data.from_arrow(fold_agg(ds, keys, {"cnt": ([], "count_all")}))
 
 
 def routed_counts(ds):
@@ -156,14 +231,12 @@ def minmax_ts(ds, key: str = "sink", ts_col: str = "parsed_ts"):
 
     import ray.data
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({key: batch[key],
-                      ts_col: pc.cast(batch[ts_col], pa.int64())})
-        gb = t.group_by([key]).aggregate([(ts_col, "min"), (ts_col, "max")])
-        return gb.rename_columns([key, "min_ts", "max_ts"])
+    def micros(batch: pa.Table) -> pa.Table:
+        return pa.table({key: batch[key],
+                         ts_col: pc.cast(batch[ts_col], pa.int64())})
 
-    p = ds.map_batches(partial, batch_format="pyarrow")
-    merged = fold_partials(p, [key], [("min_ts", "min"), ("max_ts", "max")])
+    merged = fold_agg(ds, [key], {"min_ts": (ts_col, "min"),
+                                  "max_ts": (ts_col, "max")}, micros)
     for col in ("min_ts", "max_ts"):
         merged = merged.set_column(
             merged.schema.get_field_index(col), col,
@@ -190,6 +263,14 @@ def distinct_values(ds, col: str) -> pa.Table:
                                    pa.string())})
 
 
+def _scaled_hist(ds, value_col: str, by: str, scale: int) -> pa.Table:
+    """(by, v, n): rows per group and fixed-point value, sorted."""
+    def project(b: pa.Table) -> pa.Table:
+        return pa.table({by: b[by], "v": to_fixed(b[value_col], scale)})
+
+    return fold_agg(ds, [by, "v"], {"n": ([], "count_all")}, project)
+
+
 def quantile_disc(ds, value_col: str, q: float, by: str,
                   scale: int = 100):
     """Exact discrete quantile per bounded group (A-family extension):
@@ -204,23 +285,9 @@ def quantile_disc(ds, value_col: str, q: float, by: str,
     (prices/latencies are; free-floating doubles are not — those need
     the sort-based path or a sketch).  Returns Table(by, q_value)
     with q_value in scaled integer units."""
-    import pyarrow.compute as pc
-
-    def partial(b: pa.Table) -> pa.Table:
-        v = pc.cast(pc.round(pc.multiply(b[value_col], scale),
-                             round_mode="half_towards_infinity"),
-                    pa.int64())
-        t = pa.table({by: b[by], "v": v})
-        g = t.group_by([by, "v"]).aggregate([([], "count_all")])
-        return g.rename_columns([by, "v", "n"])
-
-    parts = arrow_blocks(ds.map_batches(partial, batch_format="pyarrow"))
-    merged = concat_nonempty(parts)
-    hist = (merged.group_by([by, "v"]).aggregate([("n", "sum")])
-            .rename_columns([by, "v", "n"])
-            .sort_by([(by, "ascending"), ("v", "ascending")])
-            .to_pandas())
     import math
+
+    hist = _scaled_hist(ds, value_col, by, scale).to_pandas()
 
     out_k, out_v = [], []
     for key, g in hist.groupby(by, sort=True):
@@ -247,21 +314,24 @@ def pivot_counts(ds, key: str, col: str, values: list[str],
     fold (see :func:`fold_partials` for the bounded-key contract)."""
     import pyarrow.compute as pc
 
-    from ray.data.aggregate import Sum
-
     names = [f"{prefix}{v}" for v in values]
 
-    def partial(b: pa.Table) -> pa.Table:
+    def indicators(b: pa.Table) -> pa.Table:
         cols = {key: b[key]}
         for v, nm in zip(values, names):
             cols[nm] = pc.cast(pc.equal(b[col], v), pa.int64())
-        t = pa.table(cols)
-        g = t.group_by([key]).aggregate([(nm, "sum") for nm in names])
-        return g.rename_columns([key] + names)
+        return pa.table(cols)
 
-    return (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby(key)
-              .aggregate(*[Sum(nm, alias_name=nm) for nm in names]))
+    return shuffle_agg(ds, [key], {nm: (nm, "sum") for nm in names},
+                       indicators)
+
+
+def _finest_sums(ds, keys: list[str], sum_cols: list[str], count_col: str):
+    """The finest grouping level of :func:`rollup_sums` and kin (one
+    scan) and the merge that re-aggregates it to coarser levels."""
+    spec = {c: (c, "sum") for c in sum_cols}
+    spec[count_col] = ([], "count_all")
+    return fold_agg(ds, keys, spec), merge_aggs(spec)
 
 
 def rollup_sums(ds, keys: list[str], sum_cols: list[str],
@@ -278,17 +348,8 @@ def rollup_sums(ds, keys: list[str], sum_cols: list[str],
     over the data."""
     import pyarrow.compute as pc
 
-    aggs = [(c, "sum") for c in sum_cols] + [(count_col, "sum")]
+    finest, aggs = _finest_sums(ds, keys, sum_cols, count_col)
     out_names = keys + sum_cols + [count_col]
-
-    def partial(b: pa.Table) -> pa.Table:
-        g = b.group_by(keys).aggregate(
-            [(c, "sum") for c in sum_cols] + [([], "count_all")])
-        return g.rename_columns(out_names)
-
-    p = ds.map_batches(partial, batch_format="pyarrow")
-    finest = fold_partials(p, keys, [(c, "sum") for c in sum_cols] +
-                           [(count_col, "sum")])
     levels = [finest]
     for lvl in range(len(keys) - 1, -1, -1):
         kept = keys[:lvl]
@@ -322,25 +383,18 @@ def corr_moments(ds, x_col: str, y_col: str, by: str):
     shift/scale x,y near zero (corr is affine-invariant), and at
     10¹²-row groups chunk partials through Python-int folds or switch
     to Welford-in-double (documented loss of bit-exactness)."""
-    import ray
+    import pyarrow.compute as pc
 
-    def partial(b: pa.Table) -> pa.Table:
+    def products(b: pa.Table) -> pa.Table:
         x, y = b[x_col], b[y_col]
-        import pyarrow.compute as pc
+        return pa.table({by: b[by], "sx": x, "sy": y,
+                         "sxy": pc.multiply(x, y),
+                         "sxx": pc.multiply(x, x),
+                         "syy": pc.multiply(y, y)})
 
-        t = pa.table({by: b[by], "sx": x, "sy": y,
-                      "sxy": pc.multiply(x, y),
-                      "sxx": pc.multiply(x, x),
-                      "syy": pc.multiply(y, y)})
-        g = t.group_by([by]).aggregate(
-            [([], "count_all"), ("sx", "sum"), ("sy", "sum"),
-             ("sxy", "sum"), ("sxx", "sum"), ("syy", "sum")])
-        return g.rename_columns([by, "n", "sx", "sy", "sxy", "sxx", "syy"])
-
-    p = ds.map_batches(partial, batch_format="pyarrow")
-    return fold_partials(p, [by], [("n", "sum"), ("sx", "sum"),
-                                   ("sy", "sum"), ("sxy", "sum"),
-                                   ("sxx", "sum"), ("syy", "sum")])
+    spec = {"n": ([], "count_all")}
+    spec.update({c: (c, "sum") for c in ("sx", "sy", "sxy", "sxx", "syy")})
+    return fold_agg(ds, [by], spec, products)
 
 
 def corr_from_moments(m: pa.Table) -> list[float | None]:
@@ -366,15 +420,10 @@ def mode_by(ds, value_col: str, by: str,
     bounded (level per sink, hour-of-day per type): per-block
     (group, value) count partials, driver fold, argmax per group.
     Unbounded value domains need the Ray-groupby two-stage instead."""
-    def partial(b: pa.Table) -> pa.Table:
-        t = pa.table({by: b[by], "v": b[value_col]})
-        g = t.group_by([by, "v"]).aggregate([([], "count_all")])
-        return g.rename_columns([by, "v", "n"])
+    def pairs(b: pa.Table) -> pa.Table:
+        return pa.table({by: b[by], "v": b[value_col]})
 
-    parts = arrow_blocks(ds.map_batches(partial, batch_format="pyarrow"))
-    hist = (concat_nonempty(parts).group_by([by, "v"])
-            .aggregate([("n", "sum")])
-            .rename_columns([by, "v", "n"])
+    hist = (fold_agg(ds, [by, "v"], {"n": ([], "count_all")}, pairs)
             .sort_by([(by, "ascending"), ("n", "descending"),
                       ("v", "ascending")]))
     # first row per group of the (count desc, value asc) sort = the mode
@@ -401,13 +450,10 @@ def distinct_count_by(ds, value_col: str, by: str,
     user sets); at unbounded cardinality use the Ray ``groupby(pair)``
     two-stage, or the HLL sketch (stages/sketch, e_approx_users) when
     ±2 % suffices."""
-    def partial(b: pa.Table) -> pa.Table:
-        t = pa.table({by: b[by], "v": b[value_col]})
-        return t.group_by([by, "v"]).aggregate([]).rename_columns([by, "v"])
+    def project(b: pa.Table) -> pa.Table:
+        return pa.table({by: b[by], "v": b[value_col]})
 
-    parts = arrow_blocks(ds.map_batches(partial, batch_format="pyarrow"))
-    pairs = (concat_nonempty(parts).group_by([by, "v"]).aggregate([])
-             .rename_columns([by, "v"]))
+    pairs = fold_agg(ds, [by, "v"], {}, project)
     out = (pairs.group_by([by]).aggregate([([], "count_all")])
            .rename_columns([by, out_col])
            .sort_by([(by, "ascending")]))
@@ -429,17 +475,8 @@ def cube_sums(ds, keys: list[str], sum_cols: list[str],
 
     import pyarrow.compute as pc
 
-    aggs = [(c, "sum") for c in sum_cols] + [(count_col, "sum")]
+    finest, aggs = _finest_sums(ds, keys, sum_cols, count_col)
     out_names = keys + sum_cols + [count_col]
-
-    def partial(b: pa.Table) -> pa.Table:
-        g = b.group_by(keys).aggregate(
-            [(c, "sum") for c in sum_cols] + [([], "count_all")])
-        return g.rename_columns(out_names)
-
-    p = ds.map_batches(partial, batch_format="pyarrow")
-    finest = fold_partials(p, keys, [(c, "sum") for c in sum_cols] +
-                           [(count_col, "sum")])
     levels = [finest]
     subsets = [list(s) for r in range(len(keys) - 1, -1, -1)
                for s in combinations(keys, r)]
@@ -469,22 +506,7 @@ def quantiles_disc(ds, value_col: str, qs: list[float], by: str,
     ``{out_prefix}{q*100:g}``.  Same bounded-domain contract."""
     import math
 
-    import pyarrow.compute as pc
-
-    def partial(b: pa.Table) -> pa.Table:
-        v = pc.cast(pc.round(pc.multiply(b[value_col], scale),
-                             round_mode="half_towards_infinity"),
-                    pa.int64())
-        t = pa.table({by: b[by], "v": v})
-        g = t.group_by([by, "v"]).aggregate([([], "count_all")])
-        return g.rename_columns([by, "v", "n"])
-
-    parts = arrow_blocks(ds.map_batches(partial, batch_format="pyarrow"))
-    hist = (concat_nonempty(parts).group_by([by, "v"])
-            .aggregate([("n", "sum")])
-            .rename_columns([by, "v", "n"])
-            .sort_by([(by, "ascending"), ("v", "ascending")])
-            .to_pandas())
+    hist = _scaled_hist(ds, value_col, by, scale).to_pandas()
     names = [f"{out_prefix}{q * 100:g}" for q in qs]
     out_k = []
     out_q: dict[str, list[int]] = {nm: [] for nm in names}
@@ -631,10 +653,8 @@ def order_stats_cont(ds, value_col: str, ranks: list[int], *,
                              "cell": pa.array(np.concatenate(cells)),
                              "cnt": pa.array(np.concatenate(cnts))})
 
-        folded = concat_nonempty(arrow_blocks(
-            ds.map_batches(hist, batch_format="pyarrow")))
-        folded = (folded.group_by(["bid", "cell"]).aggregate([("cnt", "sum")])
-                  .rename_columns(["bid", "cell", "cnt"]))
+        folded = fold_partials(ds.map_batches(hist, batch_format="pyarrow"),
+                               ["bid", "cell"], [("cnt", "sum")])
         fb = folded["bid"].to_numpy(zero_copy_only=False)
         fc = folded["cell"].to_numpy(zero_copy_only=False)
         fn = folded["cnt"].to_numpy(zero_copy_only=False)
@@ -831,17 +851,8 @@ def grouping_sets_sums(ds, keys: list[str], sets: list[list[str]],
         bad = [c for c in s if c not in keys]
         if bad:
             raise ValueError(f"grouping_sets_sums: {bad} not in keys")
-    aggs = [(c, "sum") for c in sum_cols] + [(count_col, "sum")]
+    finest, aggs = _finest_sums(ds, keys, sum_cols, count_col)
     out_names = keys + sum_cols + [count_col]
-
-    def partial(b: pa.Table) -> pa.Table:
-        g = b.group_by(keys).aggregate(
-            [(c, "sum") for c in sum_cols] + [([], "count_all")])
-        return g.rename_columns(out_names)
-
-    p = ds.map_batches(partial, batch_format="pyarrow")
-    finest = fold_partials(p, keys, [(c, "sum") for c in sum_cols] +
-                           [(count_col, "sum")])
     levels = []
     for kept in sets:
         kept = [k for k in keys if k in kept]  # canonical key order
@@ -904,15 +915,15 @@ def profile_table(ds, columns: list[str], *,
                                 ("n_nonnull", pa.int64()),
                                 ("n_nulls", pa.int64())]))
 
+    distinct_pairs = partial_agg(["col_name", "v"], {})
+
     def distincts(b: pa.Table) -> pa.Table:
         frames = []
         for c in columns:
             v = pc.drop_null(b[c])
             s = pc.cast(v, pa.string())
-            t = pa.table({"col_name": pa.array([c] * len(s), pa.string()),
-                          "v": s})
-            frames.append(t.group_by(["col_name", "v"]).aggregate([])
-                          .rename_columns(["col_name", "v"]))
+            frames.append(distinct_pairs(pa.table(
+                {"col_name": pa.array([c] * len(s), pa.string()), "v": s})))
         return pa.concat_tables(frames) if frames else pa.table({
             "col_name": pa.array([], pa.string()),
             "v": pa.array([], pa.string())})

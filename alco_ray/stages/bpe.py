@@ -41,33 +41,23 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .aggregate import arrow_blocks, concat_nonempty
+from .aggregate import fold_agg
 from .parse import tokenize
 
 
 def word_count_table(ds, *, text_col: str = "text",
                      max_words: int = 2_000_000) -> pa.Table:
-    """Distinct corpus words with total counts: per-block Arrow
-    ``value_counts`` partials, one bounded driver fold.  Raises if the
+    """Distinct corpus words with total counts: per-block word-count
+    partials, one bounded driver fold.  Raises if the
     distinct-word domain exceeds ``max_words`` (see module docstring
     for the 100-TB shrink path)."""
-    def partial(b: pa.Table) -> pa.Table:
-        flat = pc.list_flatten(tokenize(b[text_col], b.num_rows))
-        vc = flat.value_counts()
-        if len(vc) == 0:
-            return pa.table({"word": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-        return pa.table({"word": vc.field("values"),
-                         "n": pc.cast(vc.field("counts"), pa.int64())})
+    def words(b: pa.Table) -> pa.Table:
+        return pa.table(
+            {"word": pc.list_flatten(tokenize(b[text_col], b.num_rows))})
 
-    parts = concat_nonempty(arrow_blocks(
-        ds.map_batches(partial, batch_format="pyarrow")))
-    if parts.num_rows == 0 or parts.num_columns == 0:
-        return pa.table({"word": pa.array([], pa.string()),
-                         "n": pa.array([], pa.int64())})
-    out = (parts.group_by(["word"]).aggregate([("n", "sum")])
-           .rename_columns(["word", "n"])
-           .sort_by([("word", "ascending")]))
+    out = fold_agg(ds, ["word"], {"n": ([], "count_all")}, words,
+                   empty_schema=pa.schema([("word", pa.string()),
+                                           ("n", pa.int64())]))
     if out.num_rows > max_words:
         raise ValueError(
             f"distinct word domain {out.num_rows} exceeds max_words="

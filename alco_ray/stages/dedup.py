@@ -37,7 +37,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .aggregate import arrow_blocks, arrow_refs, concat_nonempty
+from .aggregate import arrow_blocks, arrow_refs, concat_nonempty, partials
 from .parse import tokenize
 from .text import hash_tokens, segmented_window_hashes
 from .window import keyed_apply, suggest_key_partitions
@@ -1087,11 +1087,8 @@ def fuzzy_pairs(ds, col: str, *, n_parts: int | None = None,
 
     # distinct values, partition-locally exact
     distinct = keyed_apply(
-        ds.map_batches(
-            lambda b: (pa.table({"v": b[col]})
-                       .group_by(["v"]).aggregate([])
-                       .rename_columns(["v"])),
-            batch_format="pyarrow"), "v", distinct_fold, n_parts=n_parts)
+        partials(ds, ["v"], {}, lambda b: pa.table({"v": b[col]})),
+        "v", distinct_fold, n_parts=n_parts)
 
     def variants(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:

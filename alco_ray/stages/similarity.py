@@ -15,7 +15,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .aggregate import arrow_blocks, arrow_refs, concat_nonempty
+from .aggregate import arrow_blocks, arrow_refs, concat_nonempty, to_fixed
 from .dedup import suggest_pair_partitions
 from .window import keyed_apply
 
@@ -762,10 +762,8 @@ def label_vector_sums(ds, *, vec_col: str = "embedding",
         # quantize on the FLAT values with the same double-precision
         # half-away rounding the oracle uses (np.round is half-even —
         # wrong tie behavior)
-        q = pc.cast(pc.round(pc.multiply(pc.cast(arr.values, pa.float64()),
-                                         pa.scalar(float(scale))),
-                             round_mode="half_towards_infinity"),
-                    pa.int64()).to_numpy(zero_copy_only=False)
+        q = to_fixed(pc.cast(arr.values, pa.float64()), float(scale)) \
+            .to_numpy(zero_copy_only=False)
         if isinstance(arr, pa.FixedSizeListArray):
             d = arr.type.list_size
         else:
@@ -823,10 +821,8 @@ def gram_matrix(ds, *, vec_col: str = "embedding",
         arr = b[vec_col]
         if isinstance(arr, pa.ChunkedArray):
             arr = arr.combine_chunks()
-        q = pc.cast(pc.round(pc.multiply(pc.cast(arr.values, pa.float64()),
-                                         pa.scalar(float(scale))),
-                             round_mode="half_towards_infinity"),
-                    pa.int64()).to_numpy(zero_copy_only=False)
+        q = to_fixed(pc.cast(arr.values, pa.float64()), float(scale)) \
+            .to_numpy(zero_copy_only=False)
         if isinstance(arr, pa.FixedSizeListArray):
             d = arr.type.list_size
         else:
@@ -863,8 +859,8 @@ def _km_tdiv_vec(sums: list, n: int) -> list:
 
 
 def _km_quant(t: pa.Table, col: str, scale: int) -> np.ndarray:
-    """Half-away-from-zero quantization (DuckDB ``round`` / pyarrow
-    ``half_towards_infinity``) of the embedding matrix to int64."""
+    """Half-away-from-zero quantization (DuckDB ``round``, the rule of
+    ``aggregate.to_fixed``) of the embedding matrix to int64."""
     m = _matrix(t, col) * float(scale)
     return np.copysign(np.floor(np.abs(m) + 0.5), m).astype(np.int64)
 

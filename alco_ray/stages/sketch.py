@@ -26,7 +26,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .aggregate import arrow_blocks, concat_nonempty
+from .aggregate import arrow_blocks, concat_nonempty, fold_agg
 
 
 def _bit_length_u64(w: np.ndarray) -> np.ndarray:
@@ -202,22 +202,16 @@ def heavy_hitters(ds, col: str, *, k: int = 64,
     cand_set = pa.array(sorted(cand_v), pa.string())
     ref = ray.put(cand_set)
 
-    def rescore(b: pa.Table) -> pa.Table:
-        cands = ray.get(ref)
+    def candidates(b: pa.Table) -> pa.Table:
         vals = pc.cast(b[col], pa.string())
-        hit = pa.table({"v": vals}).filter(pc.is_in(vals, value_set=cands))
-        g = hit.group_by(["v"]).aggregate([([], "count_all")])
-        return g.rename_columns(["v", "cnt"])
+        return pa.table({"v": vals}).filter(
+            pc.is_in(vals, value_set=ray.get(ref)))
 
-    exact = concat_nonempty(arrow_blocks(
-        ds.map_batches(rescore, batch_format="pyarrow")))
-    if exact.num_rows == 0 or exact.num_columns == 0:
-        return pa.table({col: pa.array([], pa.string()),
-                         "cnt": pa.array([], pa.int64())})
-    folded = exact.group_by(["v"]).aggregate([("cnt", "sum")])
-    keep = folded.filter(pc.greater(folded["cnt_sum"], threshold))
-    out = keep.rename_columns([col, "cnt"])
-    return out.take(pc.sort_indices(out, sort_keys=[(col, "ascending")]))
+    exact = fold_agg(ds, ["v"], {"cnt": ([], "count_all")}, candidates,
+                     empty_schema=pa.schema([("v", pa.string()),
+                                             ("cnt", pa.int64())]))
+    return exact.filter(pc.greater(exact["cnt"], threshold)) \
+        .rename_columns([col, "cnt"])
 
 
 # -------------------------------------------------------------------- Bloom

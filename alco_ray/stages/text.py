@@ -20,6 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .parse import TOKENIZE_SPLIT, tokenize
+from .aggregate import fold_agg, partials
 from .window import default_hash_parts, keyed_apply, suggest_key_partitions
 
 STOPWORDS = ("the", "a", "and", "of", "to", "in", "is", "it")
@@ -465,16 +466,14 @@ def tf_df(ds, *, text_col: str = "text", id_col: str = "doc_id",
     wholly in one batch), then hash-partition on token — a token's
     rows co-locate, so df is a partition-local distinct count."""
 
-    def tf_partial(b: pa.Table) -> pa.Table:
-        tok = token_explode(b, text_col, id_col)
-        g = tok.group_by([id_col, "token"]).aggregate([([], "count_all")])
-        return g.rename_columns([id_col, "token", "tf"])
+    def explode(b: pa.Table) -> pa.Table:
+        return token_explode(b, text_col, id_col)
 
-    tf = ds.map_batches(tf_partial, batch_format="pyarrow")
+    tf = partials(ds, [id_col, "token"], {"tf": ([], "count_all")}, explode)
     if n_parts is None:
         # Size from the INPUT row count (metadata-cheap on pure reads)
         # times a tokens-per-doc estimate: counting `tf` itself would
-        # execute tf_partial an extra time.
+        # execute the partial an extra time.
         n_parts = suggest_key_partitions(ds.count() * tokens_per_doc)
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
@@ -505,9 +504,8 @@ def ngram_counts(ds, *, n: int = 2, text_col: str = "text",
     the token stream."""
     sep = pa.scalar(" ", pa.string())
 
-    def partial(b: pa.Table) -> pa.Table:
-        empty = pa.table({"gram": pa.array([], pa.string()),
-                          "cnt": pa.array([], pa.int64())})
+    def ngrams(b: pa.Table) -> pa.Table:
+        empty = pa.table({"gram": pa.array([], pa.string())})
         if b.num_rows == 0:
             return empty
         toks = tokenize(b[text_col], b.num_rows)
@@ -525,11 +523,9 @@ def ngram_counts(ds, *, n: int = 2, text_col: str = "text",
         grams = pieces[0]
         for p in pieces[1:]:
             grams = pc.binary_join_element_wise(grams, p, sep)
-        g = (pa.table({"gram": grams})
-             .group_by(["gram"]).aggregate([([], "count_all")]))
-        return g.rename_columns(["gram", "cnt"])
+        return pa.table({"gram": grams})
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
+    counts = partials(ds, ["gram"], {"cnt": ([], "count_all")}, ngrams)
     if n_parts is None:
         n_docs = approx_docs if approx_docs is not None else ds.count()
         n_parts = suggest_key_partitions(n_docs * grams_per_doc)
@@ -539,7 +535,7 @@ def ngram_counts(ds, *, n: int = 2, text_col: str = "text",
         out["cnt"] = out["cnt"].astype("int64")
         return out
 
-    return keyed_apply(partials, "gram", fold, n_parts=n_parts)
+    return keyed_apply(counts, "gram", fold, n_parts=n_parts)
 
 
 # ------------------------------------------------------- learned langid
@@ -599,22 +595,17 @@ def fit_trigram_profiles(ds, *, text_col: str = "text",
     shape)."""
     import ray
 
-    from .aggregate import fold_partials
-
-    def partial(b: pa.Table) -> pa.Table:
+    def grams(b: pa.Table) -> pa.Table:
         g, goffs = _char_trigrams_distinct(b[text_col])
         counts = np.diff(goffs)
         langs = b[lang_col].to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "lang": pa.array(np.repeat(langs, counts)),
             "gram": pa.array(g, pa.int64()),
         })
-        out = t.group_by(["lang", "gram"]).aggregate([([], "count_all")])
-        return out.rename_columns(["lang", "gram", "df"])
 
-    folded = fold_partials(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["lang", "gram"], [("df", "sum")],
+    folded = fold_agg(
+        ds, ["lang", "gram"], {"df": ([], "count_all")}, grams,
         empty_schema=pa.schema([("lang", pa.string()),
                                 ("gram", pa.int64()),
                                 ("df", pa.int64())]))
@@ -702,19 +693,14 @@ def fit_background_trigrams(ds, *, text_col: str = "text",
     lowercase trigrams in the corpus, alphabet-cubed in practice; at an
     unbounded gram domain switch the fold to a gram-hash partition —
     the tf_df shape)."""
-    from .aggregate import fold_partials
-
-    def partial(b: pa.Table) -> pa.Table:
+    def grams(b: pa.Table) -> pa.Table:
         lowered = pc.utf8_lower(
             pc.coalesce(b[text_col], pa.scalar("", pa.string())))
         g, goffs = _char_trigrams_distinct(lowered)
-        t = pa.table({"gram": pa.array(g, pa.int64())})
-        out = t.group_by(["gram"]).aggregate([([], "count_all")])
-        return out.rename_columns(["gram", "df"])
+        return pa.table({"gram": pa.array(g, pa.int64())})
 
-    folded = fold_partials(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["gram"], [("df", "sum")],
+    folded = fold_agg(
+        ds, ["gram"], {"df": ([], "count_all")}, grams,
         empty_schema=pa.schema([("gram", pa.int64()),
                                 ("df", pa.int64())]))
     df = folded.to_pandas()

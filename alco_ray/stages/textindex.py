@@ -36,11 +36,14 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .aggregate import arrow_blocks, concat_nonempty
+from .aggregate import arrow_blocks, concat_nonempty, fold_agg, partials
 from .parse import tokenize
 from .route import day_string
 from .text import hash_tokens
 from .window import keyed_apply
+
+#: A turn's ranking score and its event time, from per-hit rows.
+_SCORE_AGGS = {"score": ("s", "sum"), "parsed_ts": ("parsed_ts", "min")}
 
 POSTING_COLS = ["conv_id", "turn_idx", "parsed_ts", "level"]
 
@@ -767,17 +770,8 @@ def ranked_probe(index_dir: str | Path, terms: list[str], n_docs: int,
                          batch_size=None).materialize())
 
     # df per term: bounded fold (|terms| keys)
-    from .aggregate import fold_partials
-
-    df_t = fold_partials(
-        hits.map_batches(
-            lambda b: (pa.table({"token": b["token"],
-                                 "df": pa.array(
-                                     np.ones(b.num_rows, np.int64))})
-                       .group_by(["token"]).aggregate([("df", "sum")])
-                       .rename_columns(["token", "df"])),
-            batch_format="pyarrow"),
-        ["token"], [("df", "sum")],
+    df_t = fold_agg(
+        hits, ["token"], {"df": ([], "count_all")},
         empty_schema=pa.schema([("token", pa.string()),
                                 ("df", pa.int64())]))
     weights = {r["token"]: ((2 * n_docs - 2 * int(r["df"]) + 1)
@@ -786,19 +780,15 @@ def ranked_probe(index_dir: str | Path, terms: list[str], n_docs: int,
     if not weights:
         return ray.data.from_arrow(empty)
 
-    def score_partial(b: pa.Table) -> pa.Table:
+    def scored(b: pa.Table) -> pa.Table:
         toks = b["token"].to_numpy(zero_copy_only=False)
         w = np.array([weights[t] for t in toks], np.int64) \
             if len(toks) else np.zeros(0, np.int64)
         s = b["tf"].to_numpy(zero_copy_only=False) * w
-        t = pa.table({"conv_id": b["conv_id"],
-                      "turn_idx": b["turn_idx"],
-                      "parsed_ts": b["parsed_ts"],
-                      "s": pa.array(s)})
-        g = t.group_by(["conv_id", "turn_idx"]).aggregate(
-            [("s", "sum"), ("parsed_ts", "min")])
-        return g.rename_columns(["conv_id", "turn_idx", "score",
-                                 "parsed_ts"])
+        return pa.table({"conv_id": b["conv_id"],
+                         "turn_idx": b["turn_idx"],
+                         "parsed_ts": b["parsed_ts"],
+                         "s": pa.array(s)})
 
     import pyarrow.parquet as pq_
 
@@ -813,7 +803,7 @@ def ranked_probe(index_dir: str | Path, terms: list[str], n_docs: int,
         return out
 
     totals = keyed_apply(
-        hits.map_batches(score_partial, batch_format="pyarrow"),
+        partials(hits, ["conv_id", "turn_idx"], _SCORE_AGGS, scored),
         ["conv_id", "turn_idx"], fold, approx_rows=approx)
     topk = top_k(totals, ["score", "conv_id", "turn_idx"], k,
                  descending=[True, False, False]).to_pandas()
@@ -896,17 +886,8 @@ def ranked_bm25_probe(index_dir: str | Path, terms: list[str], *,
             .map_batches(match, batch_format="pyarrow",
                          batch_size=None).materialize())
 
-    from .aggregate import fold_partials
-
-    df_t = fold_partials(
-        hits.map_batches(
-            lambda b: (pa.table({"token": b["token"],
-                                 "df": pa.array(
-                                     np.ones(b.num_rows, np.int64))})
-                       .group_by(["token"]).aggregate([("df", "sum")])
-                       .rename_columns(["token", "df"])),
-            batch_format="pyarrow"),
-        ["token"], [("df", "sum")],
+    df_t = fold_agg(
+        hits, ["token"], {"df": ([], "count_all")},
         empty_schema=pa.schema([("token", pa.string()),
                                 ("df", pa.int64())]))
     weights = {r["token"]: ((2 * n_docs - 2 * int(r["df"]) + 1)
@@ -915,7 +896,7 @@ def ranked_bm25_probe(index_dir: str | Path, terms: list[str], *,
     if not weights:
         return ray.data.from_arrow(empty)
 
-    def score_partial(b: pa.Table) -> pa.Table:
+    def scored(b: pa.Table) -> pa.Table:
         toks = b["token"].to_numpy(zero_copy_only=False)
         w = np.array([weights[t] for t in toks], np.int64) \
             if len(toks) else np.zeros(0, np.int64)
@@ -923,14 +904,10 @@ def ranked_bm25_probe(index_dir: str | Path, terms: list[str], *,
         dl = b["doclen"].to_numpy(zero_copy_only=False)
         den = 10 * avgdl_q * tf + 3 * avgdl_q + 9000 * dl
         tfc = (22 * tf * avgdl_q * tf_scale) // np.maximum(den, 1)
-        t = pa.table({"conv_id": b["conv_id"],
-                      "turn_idx": b["turn_idx"],
-                      "parsed_ts": b["parsed_ts"],
-                      "s": pa.array(w * tfc)})
-        g = t.group_by(["conv_id", "turn_idx"]).aggregate(
-            [("s", "sum"), ("parsed_ts", "min")])
-        return g.rename_columns(["conv_id", "turn_idx", "score",
-                                 "parsed_ts"])
+        return pa.table({"conv_id": b["conv_id"],
+                         "turn_idx": b["turn_idx"],
+                         "parsed_ts": b["parsed_ts"],
+                         "s": pa.array(w * tfc)})
 
     import pyarrow.parquet as pq_
 
@@ -945,7 +922,7 @@ def ranked_bm25_probe(index_dir: str | Path, terms: list[str], *,
         return out
 
     totals = keyed_apply(
-        hits.map_batches(score_partial, batch_format="pyarrow"),
+        partials(hits, ["conv_id", "turn_idx"], _SCORE_AGGS, scored),
         ["conv_id", "turn_idx"], fold, approx_rows=approx)
     topk = top_k(totals, ["score", "conv_id", "turn_idx"], k,
                  descending=[True, False, False]).to_pandas()

@@ -42,6 +42,11 @@ PANDAS_KERNEL_QUERIES = [
     "t_parse_metrics", "d_model_score", "d_bpe_tokens", "q_pagerank",
     # a hash join whose filtered left side is empty at sf0.001
     "q_volume_shipping",
+    # one per aggregate.py helper shape: three fixed-point scales, a
+    # bounded fold, a keyed fold, a keyed fold of three merge ops, and
+    # the interval counts
+    "q1_pricing", "e_exp_hist", "q_cust_dist", "e_rfm",
+    "t_interval_counts",
 ]
 
 

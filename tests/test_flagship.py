@@ -1190,3 +1190,82 @@ def test_batch_errors_name_wave_and_ranges(t_small_table, tmp_path):
     with pytest.raises(RuntimeError,
                        match=f"reading {bad}: no column 'tool'"):
         run_flagship(corpus, tmp_path / "out3", wave_size=4)
+
+
+
+def _shard_variant(name: str, t: pa.Table):
+    """A physical variant of canonical shard ``t`` and the canonical
+    table it must ingest like (its twin), or None: rejected."""
+    import pyarrow.compute as pc
+
+    def with_col(c: str, values) -> pa.Table:
+        return t.set_column(t.schema.get_field_index(c), c, values)
+
+    ms = pc.cast(t["ts"], pa.timestamp("ms"), safe=False)
+    nulls = pa.nulls(t.num_rows)
+    return {
+        "int64_turn_idx": (with_col("turn_idx",
+                                    pc.cast(t["turn_idx"], pa.int64())), t),
+        "reordered": (t.select(t.column_names[::-1]), t),
+        "extra_column": (t.append_column(
+            "source", pa.array(["replay"] * t.num_rows)), t),
+        "ts_ms": (with_col("ts", ms),
+                  with_col("ts", pc.cast(ms, pa.timestamp("us")))),
+        "large_string_text": (with_col(
+            "text", pc.cast(t["text"], pa.large_string())), t),
+        "dictionary_role": (with_col("role", pc.dictionary_encode(t["role"])),
+                            t),
+        "null_text": (with_col("text", nulls),
+                      with_col("text", pc.cast(nulls, pa.string()))),
+        "missing_tool": (t.drop_columns(["tool"]), None),
+    }[name]
+
+
+@pytest.mark.parametrize("variant", [
+    "int64_turn_idx", "reordered", "extra_column", "ts_ms",
+    "large_string_text", "dictionary_role", "null_text", "missing_tool"])
+def test_shard_schema_variants_ingest_like_canonical(variant, t_small_table,
+                                                     tmp_path):
+    """A shard that differs from the canonical schema only physically
+    gives, next to a canonical shard (in the same batch, and in a wave
+    of its own), the summary, routed row sets and ``interval_counts``
+    of its canonical twin, and each sink keeps one schema; a shard
+    without a dictionary column is rejected before any task runs,
+    naming the file and the column."""
+    import re
+
+    shard, twin = _shard_variant(variant, t_small_table.slice(600))
+
+    def corpus_with(second: pa.Table, name: str) -> Path:
+        corpus = tmp_path / f"{name}_in"
+        corpus.mkdir()
+        pq.write_table(t_small_table.slice(0, 600), corpus / "part-0.parquet")
+        pq.write_table(second, corpus / "part-1.parquet")
+        return corpus
+
+    if twin is None:
+        corpus = corpus_with(shard, "rejected")
+        bad = re.escape(str(corpus / "part-1.parquet"))
+        with pytest.raises(RuntimeError,
+                           match=f"reading {bad}: no column 'tool'"):
+            run_flagship(corpus, tmp_path / "out", wave_size=4)
+        assert not glob.glob(f"{tmp_path}/out/sink=*")
+        assert not CheckpointManifest(tmp_path / "out").waves
+        return
+
+    twin_out = tmp_path / "twin_out"
+    twin_summary = run_flagship(corpus_with(twin, "twin"), twin_out,
+                                wave_size=4)
+    agg = "aggregates/interval_counts/part-00000.parquet"
+    for name, wave_size in (("mixed", 4), ("own_wave", 1)):
+        out = tmp_path / f"{name}_out"
+        assert run_flagship(corpus_with(shard, name), out,
+                            wave_size=wave_size) == twin_summary
+        got, want = _routed_rows(out), _routed_rows(twin_out)
+        assert got.keys() == want.keys()
+        for sink in want:
+            assert got[sink].equals(want[sink]), sink
+            schemas = {pq.read_schema(f) for f in
+                       glob.glob(f"{out}/{sink}/date=*/*.parquet")}
+            assert len(schemas) == 1, (sink, schemas)
+        assert pq.read_table(out / agg).equals(pq.read_table(twin_out / agg))

@@ -1,6 +1,7 @@
 """Stable ordering, salted per-conv stats, top-k, interval aggregates."""
 
 import pandas as pd
+import pytest
 import pyarrow as pa
 import ray.data
 
@@ -100,3 +101,92 @@ def test_top_k_per_group(t_small_table):
     w = want.sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
     assert g[["conv_id", "turn_idx", "text"]].equals(
         w[["conv_id", "turn_idx", "text"]])
+
+
+def test_to_fixed_rounds_half_away_from_zero():
+    from alco_ray.stages.aggregate import to_fixed
+
+    x = pa.array([0.5, -0.5, 1.5, -1.5, 2.4999, None, 0.0], pa.float64())
+    assert to_fixed(x).to_pylist() == [1, -1, 2, -2, 2, None, 0]
+    cents = to_fixed(pa.array([0.125, -0.125, 1.005, None]), 100)
+    assert cents.type == pa.int64()
+    # 0.125 x 100 is exactly 12.5; 1.005 x 100 is 100.49999... in binary
+    assert cents.to_pylist() == [13, -13, 100, None]
+    e4 = to_fixed(pa.array([0.12345678, -0.12345678, 2.5]), 10_000)
+    assert e4.to_pylist() == [1235, -1235, 25000]
+    chunked = pa.chunked_array([[0.5], [None, -2.5]])
+    assert to_fixed(chunked).to_pylist() == [1, None, -3]
+
+
+def test_partial_agg_states_keys_and_aggregates_once():
+    from alco_ray.stages.aggregate import merge_aggs, partial_agg
+
+    aggs = {"n": ([], "count_all"), "s": ("v", "sum"),
+            "lo": ("v", "min"), "hi": ("v", "max")}
+    t = pa.table({"k": ["a", "b", "a", None], "v": [1, 2, 3, 4]})
+    got = partial_agg(["k"], aggs)(t).sort_by("n")
+    assert got.column_names == ["k", "n", "s", "lo", "hi"]
+    assert got.to_pylist()[-1] == {"k": "a", "n": 2, "s": 4, "lo": 1,
+                                   "hi": 3}
+    # counts merge by summing; sums, minima and maxima keep their op
+    assert merge_aggs(aggs) == [("n", "sum"), ("s", "sum"),
+                                ("lo", "min"), ("hi", "max")]
+    # the projection runs before the grouping
+    double = partial_agg(["k"], {"s": ("w", "sum")},
+                         lambda b: b.append_column(
+                             "w", pa.compute.multiply(b["v"], 2)))
+    assert double(t).sort_by("k").column("s").to_pylist() == [8, 4, 8]
+
+
+def test_fold_agg_merges_count_all_across_blocks():
+    from alco_ray.stages.aggregate import fold_agg, merge_partials
+
+    t = pa.table({"k": ["x", "y", "x", "x", "y", "z"],
+                  "v": [1, 2, 3, 4, 5, 6]})
+    ds = ray.data.from_arrow([t.slice(0, 2), t.slice(2, 2), t.slice(4, 2)])
+    got = fold_agg(ds, ["k"], {"n": ([], "count_all"), "s": ("v", "sum")})
+    assert got.to_pylist() == [{"k": "x", "n": 3, "s": 8},
+                               {"k": "y", "n": 2, "s": 7},
+                               {"k": "z", "n": 1, "s": 6}]
+    assert got.schema.field("n").type == pa.int64()
+    # the driver half takes tables already fetched
+    parts = [pa.table({"k": ["x"], "n": [2]}),
+             pa.table({"k": ["x"], "n": [5]})]
+    assert merge_partials(parts, ["k"], [("n", "sum")]).to_pylist() == [
+        {"k": "x", "n": 7}]
+
+
+def test_merge_partials_over_no_blocks_and_schemaless_blocks():
+    from alco_ray.stages.aggregate import merge_partials
+
+    schema = pa.schema([("k", pa.string()), ("n", pa.int64())])
+    for parts in ([], [pa.table({})], [pa.table({}), schema.empty_table()]):
+        out = merge_partials(parts, ["k"], [("n", "sum")], schema)
+        assert out.num_rows == 0
+        assert out.schema.equals(schema)
+    # a schema-less empty block next to real partials is skipped
+    out = merge_partials([pa.table({}), pa.table({"k": ["a"], "n": [3]})],
+                         ["k"], [("n", "sum")], schema)
+    assert out.to_pylist() == [{"k": "a", "n": 3}]
+    with pytest.raises(Exception):
+        merge_partials([], ["k"], [("n", "sum")])  # unknowable schema
+
+
+def test_shuffle_agg_matches_fold_agg():
+    from alco_ray.stages.aggregate import fold_agg, shuffle_agg
+
+    t = pa.table({"k": [3, 1, 3, 2, 1, 3], "v": [1.25, 2.5, -0.5, 4.0,
+                                                 0.125, 6.0]})
+    ds = ray.data.from_arrow([t.slice(0, 3), t.slice(3, 3)])
+    aggs = {"n": ([], "count_all"), "c": ("c", "sum"), "top": ("c", "max")}
+
+    def cents(b):
+        from alco_ray.stages.aggregate import to_fixed
+
+        return pa.table({"k": b["k"], "c": to_fixed(b["v"], 100)})
+
+    folded = fold_agg(ds, ["k"], aggs, cents)
+    shuffled = pa.Table.from_pandas(
+        shuffle_agg(ds, ["k"], aggs, cents).to_pandas(), preserve_index=False)
+    assert shuffled.sort_by("k").select(folded.column_names).equals(folded)
+    assert folded.to_pylist()[2] == {"k": 3, "n": 3, "c": 675, "top": 600}

@@ -104,8 +104,11 @@ _ARGS = r"(?:[^()]|\([^()]*\))*?"
      "shuffle through alco_ray.stages.window.keyed_apply (one kernel "
      "call per partition of whole key groups), not Ray's per-group "
      "groupby(...).map_groups"),
+    (r"half_towards_infinity", "alco_ray/stages/aggregate.py",
+     "convert to fixed point with alco_ray.stages.aggregate.to_fixed "
+     "(the package's one rounding rule), not an inline pc.round"),
 ], ids=["to_arrow_refs", "partition_by_key", "regex_token_count",
-        "strftime_day", "map_groups"])
+        "strftime_day", "map_groups", "fixed_point"])
 def test_package_never_calls(pattern, allowed, message):
     rx = re.compile(pattern)
     hits = [f"{rel}:{text.count(chr(10), 0, m.start()) + 1}"

@@ -267,3 +267,50 @@ def test_compaction_crash_window_safety(tmp_path):
         compact_partitions(tmp_path, target_bytes=1 << 30)
         assert not (d / resurrect).exists()
         assert read_routed_output(tmp_path).count() == want_rows
+
+
+def test_block_writer_partitions_null_keys_like_value_scan(tmp_path):
+    """The writer's change-point scan over dictionary indices cuts the
+    sorted block where a scan over the key values does: null ``sink``
+    and ``date`` keys are one partition each (``sink=None``,
+    ``date=None``), and every file holds that partition's rows, byte
+    for byte, in a multi-chunk block too."""
+    import numpy as np
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from alco_ray.sinks import _make_block_writer
+
+    rng = np.random.default_rng(3)
+    n = 5_000
+    sinks = np.array(["chat", "sys", "tools", None], dtype=object)
+    dates = np.array(["2024-01-01", "2024-01-02", "2024-01-03", None],
+                     dtype=object)
+    t = pa.table({"sink": pa.array(sinks[rng.integers(0, 4, n)], pa.string()),
+                  "date": pa.array(dates[rng.integers(0, 4, n)], pa.string()),
+                  "x": pa.array(rng.integers(0, 1 << 40, n))})
+    t = pa.concat_tables([t.slice(0, 1_700), t.slice(1_700)])
+    written = _make_block_writer(str(tmp_path / "w"), ["sink", "date"])(
+        t, "id")
+
+    # the value scan: compare neighbouring keys as Python objects
+    b = t.take(pc.sort_indices(t, sort_keys=[("sink", "ascending"),
+                                             ("date", "ascending")]))
+    keys = [b[c].to_numpy(zero_copy_only=False) for c in ("sink", "date")]
+    change = np.ones(n, dtype=bool)
+    change[1:] = (keys[0][1:] != keys[0][:-1]) | (keys[1][1:] != keys[1][:-1])
+    starts = np.flatnonzero(change)
+    want = {}
+    for s, e in zip(starts, np.append(starts[1:], n)):
+        path = tmp_path / "v" / f"sink={keys[0][s]}" / f"date={keys[1][s]}"
+        path.mkdir(parents=True)
+        pq.write_table(b.drop_columns(["sink", "date"]).slice(s, e - s),
+                       path / "bid.parquet")
+        want[str(path.relative_to(tmp_path / "v"))] = \
+            (path / "bid.parquet").read_bytes()
+
+    got = {str(p.parent.relative_to(tmp_path / "w")): p.read_bytes()
+           for p in (tmp_path / "w").rglob("*.parquet")}
+    assert written["files"].to_pylist() == [16]
+    assert "sink=None/date=None" in got
+    assert got == want
