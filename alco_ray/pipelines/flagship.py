@@ -268,9 +268,10 @@ class IngestWorker:
     means input rows never enter the object store (only their ranges
     do) and a wave pays no Parquet reader setup (metadata prefetch and
     sampling tasks).  The whole ingest CPU budget lives in one stage,
-    and when ``staging_dir`` is set the routed rows never enter the
-    object store either — the stage's dataset output is just the
-    per-batch partial aggregate (sink, level, bucket -> rows, failures).
+    and the routed rows never enter the object store either: the task
+    writes them under ``staging_dir``, and the stage's dataset output
+    is just the per-batch partial aggregate (sink, level, bucket ->
+    rows, failures).
 
     Because that output is small, ``run_flagship`` sets
     ``target_max_block_size = None`` on the wave dataset's context.
@@ -319,17 +320,15 @@ class IngestWorker:
     ``wave_id`` and the batch's ranges."""
 
     def __init__(self, cfg: PipelineConfig, dict_refs: dict[str, Any],
-                 staging_dir: str | None = None,
-                 partition_cols: tuple[str, ...] = ("sink", "date"),
-                 wave_id: str | None = None, threads: int = 1):
+                 staging_dir: str, wave_id: str | None = None,
+                 threads: int = 1):
         from ..sinks import _make_block_writer
 
         self.parse = make_parse_batch(cfg)
         self.route = make_route_batch(cfg)
         self.dicts = {c: ray.get(r).combine_chunks()
                       for c, r in dict_refs.items()}
-        self.writer = (_make_block_writer(staging_dir, list(partition_cols))
-                       if staging_dir else None)
+        self.writer = _make_block_writer(staging_dir, ["sink", "date"])
         self.wave_id = wave_id
         self.threads = threads
 
@@ -347,8 +346,6 @@ class IngestWorker:
                 routed = pa.concat_tables(pool.map(
                     self._routed, split_ranges(ranges, self.threads),
                 )).combine_chunks()
-                if self.writer is None:
-                    return routed
                 self.writer(routed, _ranges_ident(ranges), pool.map)
             return _partial_of(routed)
         except Exception as e:

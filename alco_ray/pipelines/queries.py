@@ -66,10 +66,11 @@ def _corpus(sf_dir: str) -> Path:
 
 def _nrows(path) -> int:
     """Row count from Parquet footer metadata only (no data read) —
-    the approx_rows hint for partition-local kernels over TRANSFORMED
-    inputs, where Dataset.count() would execute the upstream plan an
-    extra time.  Pure reads don't need it (Ray answers count() from
-    the same metadata)."""
+    the size hint for join partitioning over TRANSFORMED inputs, where
+    Dataset.count() would execute the upstream plan an extra time, and
+    for queries whose answer or layout needs the table size.  Pure
+    reads don't need it (Ray answers count() from the same
+    metadata)."""
     p = Path(path)
     files = sorted(p.glob("*.parquet")) if p.is_dir() else [p]
     return sum(pq.read_metadata(f).num_rows for f in files)
@@ -214,15 +215,13 @@ def _parsed_level(sf_dir: str):
 def t_rolling_errors(sf_dir: str):
     """Windowed aggregate: ERROR count within +-2 turns, per turn."""
     return window.rolling_count(_parsed_level(sf_dir), flag_col="level",
-                                flag_value="ERROR", radius=2,
-                                approx_rows=_nrows(_corpus(sf_dir)))
+                                flag_value="ERROR", radius=2)
 
 
 def t_asof_last_error(sf_dir: str):
     """As-of join within conversation: latest ERROR turn at-or-before."""
     return window.asof_prior(_parsed_level(sf_dir), flag_col="level",
-                             flag_value="ERROR",
-                             approx_rows=_nrows(_corpus(sf_dir)))
+                             flag_value="ERROR")
 
 
 def t_kv_fields(sf_dir: str):
@@ -249,8 +248,7 @@ def t_dedup_backstop(sf_dir: str):
                           columns=["conv_id", "turn_idx", "ts"])
     doubled = ds.union(read_transcripts(
         _corpus(sf_dir), columns=["conv_id", "turn_idx", "ts"]))
-    return dedup.dedup_exact(doubled, ["conv_id", "turn_idx"], "ts",
-                             approx_rows=2 * _nrows(_corpus(sf_dir)))
+    return dedup.dedup_exact(doubled, ["conv_id", "turn_idx"], "ts")
 
 
 def e_sessionize(sf_dir: str):
@@ -285,8 +283,7 @@ def e_session_stats(sf_dir: str):
         out["duration_us"] = dur
         return out
 
-    return window.keyed_apply(sess, "user_id", body,
-                              approx_rows=_nrows(_tp(sf_dir, "events")))
+    return window.keyed_apply(sess, "user_id", body)
 
 
 def mm_features(sf_dir: str):
@@ -456,8 +453,7 @@ def t_context_errors(sf_dir: str):
                   batch_format="pyarrow")
     ds = ds.select_columns(["conv_id", "turn_idx", "level"])
     return window.context_window(ds, match_col="level", match_value="ERROR",
-                                 radius=1,
-                                 approx_rows=_nrows(_corpus(sf_dir)))
+                                 radius=1)
 
 
 def t_jsonl_routed(sf_dir: str):
@@ -1192,8 +1188,7 @@ def q_ship_priority(sf_dir: str):
 
     p = agg_stage.partials(joined, ["l_orderkey", "o_orderdate"],
                            {"c": ("c", "sum")}, net, batch_size=None)
-    per_order = window.keyed_apply(p, "l_orderkey", fold,
-                                   approx_rows=_nrows(_tp(sf_dir, "lineitem")))
+    per_order = window.keyed_apply(p, "l_orderkey", fold)
     return order.top_k(per_order,
                        ["revenue_cents", "o_orderdate", "l_orderkey"], 10,
                        descending=[True, False, False])
@@ -1232,8 +1227,7 @@ def e_funnel(sf_dir: str):
             "n_purchase_after": cnt.reindex(sg.index).fillna(0)
             .to_numpy().astype(np.int64)})
 
-    return window.keyed_apply(ds, "user_id", body,
-                              approx_rows=_nrows(_tp(sf_dir, "events")))
+    return window.keyed_apply(ds, "user_id", body)
 
 
 def e_exp_hist(sf_dir: str):
@@ -1310,7 +1304,7 @@ def e_type_overlap(sf_dir: str):
     hist = agg_stage.fold_partials(
         window.keyed_apply(
             ds.map_batches(mask_partial, batch_format="pyarrow"),
-            "user_id", or_fold, approx_rows=_nrows(_tp(sf_dir, "events"))),
+            "user_id", or_fold),
         ["bits"], [("n_users", "sum")],
         empty_schema=pa.schema([("bits", pa.int64()),
                                 ("n_users", pa.int64())]))
@@ -1410,8 +1404,7 @@ def e_rolling_median(sf_dir: str):
             "event_id": g["event_id"].astype("int64"),
             "med2": (med * 2).round().astype("int64").to_numpy()})
 
-    return window.keyed_apply(ds, "user_id", body,
-                              approx_rows=_nrows(_tp(sf_dir, "events")))
+    return window.keyed_apply(ds, "user_id", body)
 
 
 def e_conversion_lag(sf_dir: str):
@@ -1449,8 +1442,7 @@ def e_conversion_lag(sf_dir: str):
             "user_id": first.index.to_numpy().astype(np.int64),
             "lag_us": lag.to_numpy().astype(np.int64)})
 
-    return window.keyed_apply(ds, "user_id", body,
-                              approx_rows=_nrows(_tp(sf_dir, "events")))
+    return window.keyed_apply(ds, "user_id", body)
 
 
 def v_cluster_purity(sf_dir: str):
@@ -1506,7 +1498,7 @@ def q_returns_topk(sf_dir: str):
     per_cust = window.keyed_apply(
         agg_stage.partials(j, ["c_custkey"], {"revenue_cents": ("c", "sum")},
                            by_cust),
-        "c_custkey", cust_fold, approx_rows=_nrows(_tp(sf_dir, "customer")))
+        "c_custkey", cust_fold)
     top = order.top_k(per_cust, ["revenue_cents", "c_custkey"], 20,
                       descending=[True, False])
     tt = agg_stage.concat_nonempty(agg_stage.arrow_blocks(top))
@@ -1551,8 +1543,7 @@ def e_retention(sf_dir: str):
         return out.astype({"cohort": "int64", "week_offset": "int64",
                            "n_users": "int64"})
 
-    parts = window.keyed_apply(ds, "user_id", body,
-                               approx_rows=_nrows(_tp(sf_dir, "events")))
+    parts = window.keyed_apply(ds, "user_id", body)
     return agg_stage.fold_partials(parts, ["cohort", "week_offset"],
                                    [("n_users", "sum")])
 
@@ -1584,8 +1575,7 @@ def q_cust_dist(sf_dir: str):
 
     p = agg_stage.partials(orders, ["o_custkey"],
                            {"n_orders": ([], "count_all")})
-    parts = window.keyed_apply(p, "o_custkey", fold,
-                               approx_rows=_nrows(_tp(sf_dir, "orders")))
+    parts = window.keyed_apply(p, "o_custkey", fold)
     t = agg_stage.fold_partials(parts, ["c_count"],
                                 [("custdist", "sum")])
     n_cust = _nrows(_tp(sf_dir, "customer"))
@@ -1621,8 +1611,7 @@ def q_big_orders(sf_dir: str):
         return out
 
     p = agg_stage.partials(li, ["l_orderkey"], {"sum_qty": ("q", "sum")}, qty)
-    big = window.keyed_apply(p, "l_orderkey", fold,
-                             approx_rows=_nrows(_tp(sf_dir, "lineitem")))
+    big = window.keyed_apply(p, "l_orderkey", fold)
 
     orders = _read(sf_dir, "orders",
                    columns=["o_orderkey", "o_orderdate", "o_totalprice"])
@@ -1714,8 +1703,7 @@ def t_role_transitions(sf_dir: str):
                           columns=["conv_id", "turn_idx", "role"])
     t = window.transition_counts(
         ds, key_col="conv_id", order_col="turn_idx", val_col="role",
-        from_col="from_role", to_col="to_role", out_col="n",
-        approx_rows=_nrows(_corpus(sf_dir)))
+        from_col="from_role", to_col="to_role", out_col="n")
     return ray.data.from_arrow(t)
 
 
@@ -1786,8 +1774,7 @@ def t_templates(sf_dir: str):
 
     dis = agg_stage.partials(ds, ["n", "first", "pos", "token"], {},
                              positions)
-    return window.keyed_apply(dis, ["n", "first"], build_templates,
-                              approx_rows=max(len(cmap) * 16, 1024))
+    return window.keyed_apply(dis, ["n", "first"], build_templates)
 
 
 def t_sft_pairs(sf_dir: str):
@@ -1802,8 +1789,7 @@ def t_sft_pairs(sf_dir: str):
                                    "text"])
     return window.adjacent_pairs(
         ds, key_col="conv_id", order_col="turn_idx", role_col="role",
-        text_col="text", from_role="user", to_role="assistant",
-        approx_rows=_nrows(_corpus(sf_dir)))
+        text_col="text", from_role="user", to_role="assistant")
 
 
 def t_trending(sf_dir: str):
@@ -1898,7 +1884,7 @@ def t_conv_render(sf_dir: str):
                 zero_copy_only=False), dtype=object)})
 
     return window.keyed_apply(
-        ds, "conv_id", body, approx_rows=_nrows(_corpus(sf_dir)))
+        ds, "conv_id", body)
 
 
 def t_sft_masks(sf_dir: str):
@@ -1936,7 +1922,7 @@ def t_sft_masks(sf_dir: str):
             "end_off": start[isa] + ll[isa]})
 
     return window.keyed_apply(
-        ds, "conv_id", body, approx_rows=_nrows(_corpus(sf_dir)))
+        ds, "conv_id", body)
 
 
 def t_tool_calls(sf_dir: str):
@@ -1975,8 +1961,7 @@ def e_first_last(sf_dir: str):
     return window.first_last_by(
         ds, key_col="user_id", ts_col="ts", id_col="event_id",
         val_col="event_type", first_col="first_type",
-        last_col="last_type", n_col="n_events",
-        approx_rows=_nrows(_tp(sf_dir, "events")))
+        last_col="last_type", n_col="n_events")
 
 
 def _error_conv_keys(sf_dir: str):
@@ -2104,7 +2089,7 @@ def d_ngram_top(sf_dir: str):
     (stages/text.ngram_counts + stages/order.top_k)."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     counts = text.ngram_counts(
-        ds, n=2, approx_docs=_nrows(_tp(sf_dir, "documents")))
+        ds, n=2)
     return order.top_k(counts, ["cnt", "gram"], 20,
                        descending=[True, False])
 
@@ -2209,8 +2194,7 @@ def d_pack_concat(sf_dir: str):
         out["n_docs"] = out["n_docs"].astype("int64")
         return out[["pack_id", "n_docs", "seq"]]
 
-    return window.keyed_apply(packed, "pack_id", body,
-                              approx_rows=_nrows(_tp(sf_dir, "documents")))
+    return window.keyed_apply(packed, "pack_id", body)
 
 
 def d_token_explode(sf_dir: str):
@@ -2252,8 +2236,7 @@ def d_dedup_exact_rows(sf_dir: str):
     planted = _read(sf_dir, "documents", columns=["doc_id", "text"]) \
         .map_batches(rekey, batch_format="pyarrow")
     return dedup.dedup_exact_rows(
-        ds.union(planted), ["text"], "doc_id",
-        approx_rows=_nrows(_tp(sf_dir, "documents")) + 50)
+        ds.union(planted), ["text"], "doc_id")
 
 
 def d_split_leakage(sf_dir: str):
@@ -2302,8 +2285,7 @@ def d_split_leakage(sf_dir: str):
             "n_splits": out["n_splits"].astype(np.int64)})
 
     return window.keyed_apply(
-        tagged, "text", fold, n_parts=window.suggest_key_partitions(
-            _nrows(_tp(sf_dir, "documents")) + 50))
+        tagged, "text", fold)
 
 
 def d_chunk_dedup(sf_dir: str):
@@ -2347,9 +2329,7 @@ def d_chunk_dedup(sf_dir: str):
             "doc_id": g["doc_id"].astype(np.int64),
             "is_dup": dup.astype(np.int64).to_numpy()})
 
-    n_parts = window.suggest_key_partitions(
-        _nrows(_tp(sf_dir, "documents")) + 50)
-    marked = window.keyed_apply(chunks, "chunk_h", first_wins, n_parts=n_parts)
+    marked = window.keyed_apply(chunks, "chunk_h", first_wins)
 
     def doc_fold(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby("doc_id", as_index=False)
@@ -2359,7 +2339,7 @@ def d_chunk_dedup(sf_dir: str):
         out["n_dup_chunks"] = out["n_dup_chunks"].astype(np.int64)
         return out
 
-    return window.keyed_apply(marked, "doc_id", doc_fold, n_parts=n_parts)
+    return window.keyed_apply(marked, "doc_id", doc_fold)
 
 
 def d_dedup_apply(sf_dir: str):
@@ -3086,8 +3066,7 @@ def e_range_join(sf_dir: str):
                columns=["event_id", "user_id", "ts", "event_type"])
     return window.nearby_count(
         ds, key_col="user_id", ts_col="ts", id_col="event_id",
-        radius_us=60_000_000, flag_col="event_type", flag_value="error",
-        approx_rows=_nrows(_tp(sf_dir, "events")))
+        radius_us=60_000_000, flag_col="event_type", flag_value="error")
 
 
 def e_user_rank(sf_dir: str):
@@ -3303,8 +3282,8 @@ def e_late_events(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_id", "ts",
                                           "event_type"])
     n = _nrows(_tp(sf_dir, "events"))
-    n_parts = window.suggest_key_partitions(n)
-    B = -(-n // n_parts)
+    n_buckets = window.suggest_key_partitions(n)
+    B = -(-n // n_buckets)  # event ids per bucket
     HOUR = 3_600_000_000
     LATE = 1_800_000_000
 
@@ -3348,7 +3327,7 @@ def e_late_events(sf_dir: str):
         part["n_late"] = part["n_late"].astype(np.int64)
         return part
 
-    partials = window.keyed_apply(ev, "bucket", fold, n_parts=n_parts) \
+    partials = window.keyed_apply(ev, "bucket", fold) \
         .take_all()
     acc: dict[str, list[int]] = {}
     for r in partials:
@@ -3436,7 +3415,6 @@ def e_seq_match(sf_dir: str):
     single mask; one user-hash exchange, nothing sequential."""
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts",
                                           "event_type"])
-    n = _nrows(_tp(sf_dir, "events"))
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"],
@@ -3469,8 +3447,7 @@ def e_seq_match(sf_dir: str):
         res["n_matched"] = res["n_matched"].astype(np.int64)
         return res
 
-    return (window.keyed_apply(ds, "user_id", fold,
-                               n_parts=window.suggest_key_partitions(n))
+    return (window.keyed_apply(ds, "user_id", fold)
             .select_columns(["user_id", "n_matched"]))
 
 
@@ -3496,8 +3473,7 @@ def e_debounce(sf_dir: str):
     kept = window.debounce(
         ds.map_batches(cast_ts, batch_format="pyarrow"),
         key_cols="user_id", ts_col="tsu", id_col="event_id",
-        cooldown=86_400_000_000,
-        approx_rows=_nrows(_tp(sf_dir, "events")))
+        cooldown=86_400_000_000)
     return kept.select_columns(["event_id"])
 
 
@@ -3536,7 +3512,6 @@ def e_window_distinct(sf_dir: str):
     partition; nothing reaches the driver."""
     ds = _read(sf_dir, "events", columns=["user_id", "event_type",
                                           "ts"])
-    n = _nrows(_tp(sf_dir, "events"))
     HOP = 900_000_000  # 15 min in us; span = 4 hops
 
     def explode(b: pa.Table) -> pa.Table:
@@ -3558,8 +3533,7 @@ def e_window_distinct(sf_dir: str):
         out["n_users"] = out["n_users"].astype(np.int64)
         return out[["event_type", "wstart", "n_users"]]
 
-    return (window.keyed_apply(ex, "wstart", fold,
-                               n_parts=window.suggest_key_partitions(n * 4))
+    return (window.keyed_apply(ex, "wstart", fold)
             .select_columns(["event_type", "wstart", "n_users"]))
 
 
@@ -3578,7 +3552,6 @@ def e_upsert_merge(sf_dir: str):
     distributed compaction over 100 TB of changelog shards, with no
     driver materialization."""
     ds = _read(sf_dir, "events", columns=["event_id", "value"])
-    n = _nrows(_tp(sf_dir, "events"))
 
     def changelog(b: pa.Table) -> pa.Table:
         eid = b["event_id"].to_numpy(zero_copy_only=False)
@@ -3610,8 +3583,7 @@ def e_upsert_merge(sf_dir: str):
             "value_cents": live["vc"].astype(np.int64).to_numpy(),
             "last_seq": live["seq"].astype(np.int64).to_numpy()})
 
-    return (window.keyed_apply(log, "event_id", fold,
-                               n_parts=window.suggest_key_partitions(n))
+    return (window.keyed_apply(log, "event_id", fold)
             .select_columns(["event_id", "value_cents", "last_seq"]))
 
 
@@ -3629,7 +3601,6 @@ def e_snapshot_diff(sf_dir: str):
     with shuffle volume = the two key+value columns, never the full
     rows."""
     ds = _read(sf_dir, "events", columns=["event_id", "value"])
-    n = _nrows(_tp(sf_dir, "events"))
 
     def tag(b: pa.Table) -> pa.Table:
         eid = b["event_id"].to_numpy(zero_copy_only=False)
@@ -3662,8 +3633,7 @@ def e_snapshot_diff(sf_dir: str):
             "event_id": m["event_id"].to_numpy()[diff],
             "status": status[diff].astype(object)})
 
-    return (window.keyed_apply(both, "event_id", fold,
-                               n_parts=window.suggest_key_partitions(n))
+    return (window.keyed_apply(both, "event_id", fold)
             .select_columns(["event_id", "status"]))
 
 
@@ -3675,8 +3645,7 @@ def e_event_gaps(sf_dir: str):
     partition)."""
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
     return window.lag_delta(ds, key_col="user_id", ts_col="ts",
-                            id_col="event_id",
-                            approx_rows=_nrows(_tp(sf_dir, "events")))
+                            id_col="event_id")
 
 
 def e_user_cumsum(sf_dir: str):
@@ -3694,8 +3663,7 @@ def e_user_cumsum(sf_dir: str):
     return window.grouped_cumsum(
         ds.map_batches(cents, batch_format="pyarrow"),
         key_col="user_id", ts_col="ts", id_col="event_id",
-        val_col="cents", out_col="cum_cents",
-        approx_rows=_nrows(_tp(sf_dir, "events")))
+        val_col="cents", out_col="cum_cents")
 
 
 def e_rolling_spend(sf_dir: str):
@@ -3714,8 +3682,7 @@ def e_rolling_spend(sf_dir: str):
     return window.grouped_rolling_sum(
         ds.map_batches(cents, batch_format="pyarrow"),
         key_col="user_id", ts_col="ts", id_col="event_id",
-        val_col="cents", frame=3, out_col="roll_cents",
-        approx_rows=_nrows(_tp(sf_dir, "events")))
+        val_col="cents", frame=3, out_col="roll_cents")
 
 
 def q_full_join(sf_dir: str):
@@ -3769,8 +3736,7 @@ def q_asof_join(sf_dir: str):
     return window.asof_join(
         clicks, purchases, key_col="user_id", ts_col="ts",
         left_id_col="event_id", right_val_col="ts",
-        out_col="last_purchase_ts",
-        approx_rows=_nrows(_tp(sf_dir, "events")))
+        out_col="last_purchase_ts")
 
 
 def d_shuffle_order(sf_dir: str):
@@ -4064,7 +4030,7 @@ def e_dense_rank(sf_dir: str):
     return window.grouped_dense_rank(
         ds.map_batches(prep, batch_format="pyarrow"),
         key_col="user_id", val_col="cents", id_col="event_id",
-        out_col="drank", approx_rows=_nrows(_tp(sf_dir, "events")))
+        out_col="drank")
 
 
 def _dim_keyset(sf_dir: str, table: str, key_col: str, filter_col: str,
@@ -4149,8 +4115,7 @@ def q_top_supplier(sf_dir: str):
 
     p = agg_stage.partials(li, ["l_suppkey"], {"units": ("units", "sum")},
                            units)
-    cand = window.keyed_apply(p, "l_suppkey", local_argmax,
-                              approx_rows=_nrows(_tp(sf_dir, "lineitem")))
+    cand = window.keyed_apply(p, "l_suppkey", local_argmax)
     ct = agg_stage.concat_nonempty(agg_stage.arrow_blocks(cand))
     if ct.num_rows == 0 or ct.num_columns == 0:
         return ray.data.from_arrow(pa.table(
@@ -4316,8 +4281,7 @@ def d_curate(sf_dir: str):
         return b.filter(keep)
 
     kept = ds.map_batches(quality_keep, batch_format="pyarrow")
-    unique = dedup.dedup_exact(kept, ["text"], "doc_id",
-                               approx_rows=_nrows(_tp(sf_dir, "documents")))
+    unique = dedup.dedup_exact(kept, ["text"], "doc_id")
     return unique.map_batches(
         lambda b: text.chunk_documents(b.select(["doc_id", "text"]),
                                        chunk_size=64),
@@ -4332,8 +4296,7 @@ def e_user_median(sf_dir: str):
     AS-IS for bit-exact comparison."""
     ds = _read(sf_dir, "events", columns=["user_id", "value"])
     return agg_stage.group_order_stats(
-        ds, "user_id", "value", 0.5,
-        approx_rows=_nrows(_tp(sf_dir, "events")))
+        ds, "user_id", "value", 0.5)
 
 
 def e_events_1h(sf_dir: str):
@@ -4346,8 +4309,7 @@ def e_events_1h(sf_dir: str):
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
     return window.grouped_range_count(
         ds, key_col="user_id", ts_col="ts", id_col="event_id",
-        interval_us=3_600_000_000, out_col="n_1h",
-        approx_rows=_nrows(_tp(sf_dir, "events")))
+        interval_us=3_600_000_000, out_col="n_1h")
 
 
 def d_langid_confusion(sf_dir: str):
@@ -4628,17 +4590,8 @@ def q_pagerank(sf_dir: str):
                          "dst": pa.array(supp * 2 + 1)})
 
     pairs = agg_stage.partials(joined, ["src", "dst"], {}, thin)
-    # CPU floor, not suggest_key_partitions' 64+ floor: pairs are
-    # pre-deduped per block, so the distinct stage sees far fewer rows
-    # than lineitem and per-group scheduling would dominate (the
-    # iteration stages inside pagerank use the same sizing rationale).
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    want = max(cpus, min(1 << 16,
-                         -(-_nrows(_tp(sf_dir, "lineitem")) // 250_000)))
-    n_parts = 1 << (int(want) - 1).bit_length()
     edges = (window.keyed_apply(pairs, ["src", "dst"],
-                                lambda g: g[["src", "dst"]].drop_duplicates(),
-                                n_parts=n_parts)
+                                lambda g: g[["src", "dst"]].drop_duplicates())
              .materialize())
     ranks = graph.pagerank(edges, symmetric=True, iters=5)
 
@@ -4677,7 +4630,7 @@ def d_cross_dup(sf_dir: str):
     exchanges are pre-folded (see the stage docstring)."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     return text.cross_doc_ngram_share(
-        ds, n=5, approx_docs=_nrows(_tp(sf_dir, "documents")))
+        ds, n=5)
 
 
 
@@ -4691,7 +4644,7 @@ def d_longest_dup(sf_dir: str):
     n=5 SCORE)."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     return text.longest_shared_span(
-        ds, max_len=12, approx_docs=_nrows(_tp(sf_dir, "documents")))
+        ds, max_len=12)
 
 
 def d_dup_spans(sf_dir: str):
@@ -4703,7 +4656,7 @@ def d_dup_spans(sf_dir: str):
     oracle replays the identical rule collision-free."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     return text.dup_span_mask(
-        ds, n=5, approx_docs=_nrows(_tp(sf_dir, "documents")))
+        ds, n=5)
 
 
 def _nation_name_lut(sf_dir: str) -> np.ndarray:
@@ -4826,8 +4779,7 @@ def _event_type_sets(sf_dir: str, keep):
     out = window.keyed_apply(
         agg_stage.partials(ds, ["user_id", "day"],
                            {"p": ("p", "max"), "v": ("v", "max")}, flags),
-        ["user_id", "day"], fold,
-        approx_rows=_nrows(_tp(sf_dir, "events"))).materialize()
+        ["user_id", "day"], fold).materialize()
     if out.count() == 0:
         # all-partitions-empty surfaces as ZERO blocks -> a 0-column
         # frame downstream (ray 2.49 drops the schema); hand back a
@@ -4846,8 +4798,7 @@ def t_profile(sf_dir: str):
     high-cardinality column."""
     ds = read_transcripts(_corpus(sf_dir))
     return agg_stage.profile_table(
-        ds, ["conv_id", "turn_idx", "role", "text", "tool", "ts"],
-        approx_rows=_nrows(_corpus(sf_dir)))
+        ds, ["conv_id", "turn_idx", "role", "text", "tool", "ts"])
 
 
 def _ensure_value_index(sf_dir: str) -> Path:
@@ -4940,11 +4891,9 @@ def t_gap_median(sf_dir: str):
         return pd.DataFrame({"conv_id": conv[keep],
                              "gap_us": gap[keep]})
 
-    gaps_ds = window.keyed_apply(ds, "conv_id", gaps,
-                                 approx_rows=_nrows(_corpus(sf_dir)))
+    gaps_ds = window.keyed_apply(ds, "conv_id", gaps)
     return agg_stage.group_order_stats(
-        gaps_ds, "conv_id", "gap_us", 0.5,
-        approx_rows=_nrows(_corpus(sf_dir)))
+        gaps_ds, "conv_id", "gap_us", 0.5)
 
 
 def t_search_ranked(sf_dir: str):
@@ -5024,8 +4973,7 @@ def e_locf(sf_dir: str):
 
     return window.locf_daily(
         ds.map_batches(prep, batch_format="pyarrow"),
-        "user_id", "ts", "event_id", "cents",
-        approx_rows=_nrows(_tp(sf_dir, "events")))
+        "user_id", "ts", "event_id", "cents")
 
 
 def e_busy_periods(sf_dir: str):
@@ -5036,8 +4984,7 @@ def e_busy_periods(sf_dir: str):
     island break is one shifted compare per partition."""
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "event_id"])
     return window.coalesce_intervals(
-        ds, "user_id", "ts", "event_id",
-        approx_rows=_nrows(_tp(sf_dir, "events")))
+        ds, "user_id", "ts", "event_id")
 
 
 def e_outliers(sf_dir: str):
@@ -5104,8 +5051,7 @@ def e_profile(sf_dir: str):
     ds = _read(sf_dir, "events")
     return agg_stage.profile_table(
         ds, ["event_id", "ts", "user_id", "event_type", "value",
-             "props"],
-        approx_rows=_nrows(_tp(sf_dir, "events")))
+             "props"])
 
 
 def q_fuzzy_names(sf_dir: str):
@@ -5131,8 +5077,7 @@ def e_densify(sf_dir: str):
     or resampled snapshots.  Key-hash partitions, one vectorized
     expand-and-scatter kernel per partition."""
     ds = _read(sf_dir, "events", columns=["user_id", "ts"])
-    return window.densify_daily(ds, "user_id", "ts",
-                                approx_rows=_nrows(_tp(sf_dir, "events")))
+    return window.densify_daily(ds, "user_id", "ts")
 
 
 def t_grep_near(sf_dir: str):
@@ -5353,8 +5298,7 @@ def e_streaks(sf_dir: str):
         r["longest_streak"] = r["longest_streak"].astype("int64")
         return r
 
-    return window.keyed_apply(days, "user_id", body,
-                              approx_rows=_nrows(_tp(sf_dir, "events")))
+    return window.keyed_apply(days, "user_id", body)
 
 
 def e_interval_union(sf_dir: str):
@@ -5409,8 +5353,7 @@ def e_interval_union(sf_dir: str):
         r["covered_us"] = r["covered_us"].astype("int64")
         return r
 
-    return window.keyed_apply(iv, "user_id", body,
-                              approx_rows=_nrows(_tp(sf_dir, "events")))
+    return window.keyed_apply(iv, "user_id", body)
 
 
 def e_hhi(sf_dir: str):
@@ -5441,8 +5384,7 @@ def e_hhi(sf_dir: str):
         return out.astype({"n_events": "int64", "n_types": "int64",
                            "hhi_ppm": "int64"})
 
-    return window.keyed_apply(parts, "user_id", body,
-                              approx_rows=_nrows(_tp(sf_dir, "events")))
+    return window.keyed_apply(parts, "user_id", body)
 
 
 #: Safety/compliance lexicon for t_safety_flags — categories over the
@@ -5602,7 +5544,7 @@ def t_self_repeat(sf_dir: str):
             "jac_ppm": inter * 1_000_000 // np.maximum(du, 1)})
 
     return window.keyed_apply(
-        ds, "conv_id", body, approx_rows=_nrows(_corpus(sf_dir)))
+        ds, "conv_id", body)
 
 
 def e_rfm(sf_dir: str):
@@ -5638,8 +5580,7 @@ def e_rfm(sf_dir: str):
         return r.astype({"day_max": "int64", "freq": "int64",
                          "mon_cents": "int64"})
 
-    users = window.keyed_apply(parts, "user_id", fold,
-                               approx_rows=_nrows(_tp(sf_dir, "events"))) \
+    users = window.keyed_apply(parts, "user_id", fold) \
         .materialize()
     mx = users.aggregate(Max("day_max"), Max("user_id"),
                          Max("freq"), Max("mon_cents"))
@@ -5722,8 +5663,7 @@ def d_prefix_dedup(sf_dir: str):
         return out
 
     return window.keyed_apply(u.map_batches(bucket, batch_format="pyarrow"),
-                              "b0", body,
-                              approx_rows=_nrows(_tp(sf_dir, "documents")))
+                              "b0", body)
 
 
 def d_semdedup(sf_dir: str):
@@ -5799,7 +5739,7 @@ def d_semdedup(sf_dir: str):
                 "rep_id": np.zeros(0, np.int64)})
         return pd.concat(outs, ignore_index=True)
 
-    return window.keyed_apply(tagged, "cluster", body, n_parts=8)
+    return window.keyed_apply(tagged, "cluster", body)
 
 
 def d_dsir(sf_dir: str):
@@ -6005,8 +5945,7 @@ def d_dup_triangles(sf_dir: str):
                                  "z": np.zeros(0, np.int64)})
         return pd.concat(outs, ignore_index=True)
 
-    wedges = window.keyed_apply(edges, "doc_a", wedge_body,
-                                approx_rows=pt.num_rows)
+    wedges = window.keyed_apply(edges, "doc_a", wedge_body)
     tri = join.semi_join(wedges, edges, on=["y", "z"],
                          right_on=["doc_a", "doc_b"])
 
@@ -6118,8 +6057,7 @@ def e_cusum(sf_dir: str):
             out[c] = out[c].astype(np.int64)
         return out.reset_index(drop=True)
 
-    return window.keyed_apply(ds, "user_id", body,
-                              approx_rows=_nrows(_tp(sf_dir, "events")))
+    return window.keyed_apply(ds, "user_id", body)
 
 
 def e_ewma(sf_dir: str):
@@ -6154,8 +6092,7 @@ def e_ewma(sf_dir: str):
             out[c] = out[c].astype(np.int64)
         return out
 
-    return window.keyed_apply(ds, "user_id", body,
-                              approx_rows=_nrows(_tp(sf_dir, "events")))
+    return window.keyed_apply(ds, "user_id", body)
 
 
 def e_autocorr(sf_dir: str):
@@ -6195,8 +6132,7 @@ def e_autocorr(sf_dir: str):
             out[c2] = out[c2].astype(np.int64)
         return out
 
-    return window.keyed_apply(ds, "user_id", body,
-                              approx_rows=_nrows(_tp(sf_dir, "events")))
+    return window.keyed_apply(ds, "user_id", body)
 
 
 def e_benford(sf_dir: str):
@@ -6253,8 +6189,7 @@ def e_paths(sf_dir: str):
         _read(sf_dir, "events",
               columns=["event_id", "user_id", "ts", "event_type"]),
         key_col="user_id", order_cols=["ts", "event_id"],
-        val_col="event_type", n=3,
-        approx_rows=_nrows(_tp(sf_dir, "events")))
+        val_col="event_type", n=3)
     return ray.data.from_arrow(t)
 
 
@@ -6353,8 +6288,7 @@ def e_gini(sf_dir: str):
         out["tot"] = out["tot"].astype(np.int64)
         return out
 
-    per_user = window.keyed_apply(ds, "user_id", totals,
-                                  approx_rows=_nrows(_tp(sf_dir, "events")))
+    per_user = window.keyed_apply(ds, "user_id", totals)
     u = per_user.to_pandas()               # n_users rows, bounded
     x = np.sort(u["tot"].to_numpy(np.int64))
     n = np.int64(len(x))
@@ -6377,7 +6311,7 @@ def d_bigram_cond(sf_dir: str):
     is a driver fold by doctrine."""
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     counts = text.ngram_counts(
-        ds, n=2, approx_docs=_nrows(_tp(sf_dir, "documents")))
+        ds, n=2)
     g = counts.to_pandas()                 # distinct bigrams, bounded
     sp = g["gram"].str.split(" ", n=1, expand=True)
     g = pd.DataFrame({"token": sp[0], "next_token": sp[1],
@@ -6404,8 +6338,7 @@ def t_response_latency(sf_dir: str):
                                    "ts"])
     pairs = window.adjacent_pairs(
         ds, key_col="conv_id", order_col="turn_idx", role_col="role",
-        text_col="ts", from_role="user", to_role="assistant",
-        approx_rows=_nrows(_corpus(sf_dir)))
+        text_col="ts", from_role="user", to_role="assistant")
 
     def lat(b: pa.Table) -> pa.Table:
         # pin the unit BEFORE the int cast: a pandas round-trip can
@@ -6789,8 +6722,7 @@ def q_large_orders(sf_dir: str):
     # filter runs INSIDE the fold so only the survivor tail leaves.
     sums = window.keyed_apply(
         agg_stage.partials(li, ["l_orderkey"], {"q": ("q", "sum")}, qty),
-        "l_orderkey", sum_and_filter,
-        approx_rows=_nrows(_tp(sf_dir, "lineitem")))
+        "l_orderkey", sum_and_filter)
     big = agg_stage.concat_nonempty(agg_stage.arrow_blocks(sums))
     if big.num_columns == 0 or big.num_rows == 0:
         return pa.table({"c_custkey": pa.array([], pa.int64()),
@@ -6909,8 +6841,7 @@ def q_min_cost_supp(sf_dir: str):
     best = agg_stage.concat_nonempty(agg_stage.arrow_blocks(
         window.keyed_apply(
             li.map_batches(partial_best, batch_format="pyarrow"),
-            "l_partkey", final_best,
-            approx_rows=_nrows(_tp(sf_dir, "lineitem")))))
+            "l_partkey", final_best)))
     if best.num_columns == 0:
         return pa.table({"p_partkey": pa.array([], pa.int64()),
                          "s_suppkey": pa.array([], pa.int64()),
@@ -6968,7 +6899,7 @@ def t_error_runs(sf_dir: str):
         return out
 
     return window.keyed_apply(
-        ds, "conv_id", body, approx_rows=_nrows(_corpus(sf_dir)))
+        ds, "conv_id", body)
 
 
 def t_tool_lift(sf_dir: str):
@@ -7016,7 +6947,7 @@ def t_tool_lift(sf_dir: str):
         return out
 
     partials = window.keyed_apply(
-        ds, "conv_id", body, approx_rows=_nrows(_corpus(sf_dir)))
+        ds, "conv_id", body)
     folded = agg_stage.fold_partials(partials, ["tool_a", "tool_b"],
                                      [("c", "sum")])
     ta = folded["tool_a"].to_pylist()
@@ -7173,8 +7104,7 @@ def e_lifecycle(sf_dir: str):
             out[c] = out[c].astype(np.int64)
         return out
 
-    per_part = window.keyed_apply(days, "user_id", classify,
-                                  approx_rows=_nrows(_tp(sf_dir, "events")))
+    per_part = window.keyed_apply(days, "user_id", classify)
     t = fold_partials(
         per_part, ["day_num"],
         [("new_users", "sum"), ("retained", "sum"),
@@ -7424,8 +7354,7 @@ def e_markov_stationary(sf_dir: str):
 
     t = path_counts(ds, key_col="user_id",
                     order_cols=["ts", "event_id"],
-                    val_col="event_type", n=2, sep=">",
-                    approx_rows=_nrows(_tp(sf_dir, "events")))
+                    val_col="event_type", n=2, sep=">")
     tp = t.to_pandas()
     sp = tp["path"].str.split(">", n=1, expand=True)
     frm = sp[0].to_numpy()

@@ -771,9 +771,7 @@ def quantile_cont(ds, value_col: str, ps: list[float], *,
 
 
 def group_order_stats(ds, key_col: str, val_col: str, p: float, *,
-                      lo_col: str = "lo_value", hi_col: str = "hi_value",
-                      n_parts: int | None = None,
-                      approx_rows: int | None = None):
+                      lo_col: str = "lo_value", hi_col: str = "hi_value"):
     """Per-GROUP continuous percentile (SQL ``percentile_cont(p)
     WITHIN GROUP (ORDER BY val) ... GROUP BY key``), kept exact the
     same way :func:`quantile_cont` is: the two bracketing order
@@ -781,11 +779,11 @@ def group_order_stats(ds, key_col: str, val_col: str, p: float, *,
     data values per key.
 
     Unlike the global :func:`order_stats_cont` (whose key domain is
-    ONE), the grouped variant hash-partitions by key — every group
-    lands whole in one partition — and selects with one lexsort +
-    segment-start gather per partition: no per-group Python, no
+    ONE), the grouped variant shuffles by key (:func:`~.window.keyed_apply`:
+    every group lands whole in one frame) and selects with one lexsort +
+    segment-start gather per frame: no per-group Python, no
     iterative passes (the group's rows are already co-located, so
-    selection is an in-partition index away)."""
+    selection is an in-frame index away)."""
     import numpy as np
     import pandas as pd
 
@@ -810,8 +808,7 @@ def group_order_stats(ds, key_col: str, val_col: str, p: float, *,
         return pd.DataFrame({key_col: k[starts],
                              lo_col: v[lo_r], hi_col: v[hi_r]})
 
-    return keyed_apply(ds, key_col, body, n_parts=n_parts,
-                       approx_rows=approx_rows)
+    return keyed_apply(ds, key_col, body)
 
 
 def melt(ds, id_cols: list[str], value_cols: list[str],
@@ -874,21 +871,20 @@ def grouping_sets_sums(ds, keys: list[str], sets: list[list[str]],
         [(k, "ascending") for k in keys])
 
 
-def profile_table(ds, columns: list[str], *,
-                  n_parts: int | None = None,
-                  approx_rows: int | None = None):
+def profile_table(ds, columns: list[str]):
     """DATA PROFILING: per column, (col_name, n_rows, n_nulls,
     n_distinct) with EXACT distinct counts — the schema-quality report
     an ingestion pipeline runs before training.
 
     Shape: one pass emits, per block, (a) bounded per-column row/null
     counters and (b) per-column per-block DISTINCT value strings; the
-    distinct stream partitions by (col, value) so a value lives in
-    exactly one partition and the global distinct count is the sum of
-    partition-local ones.  Values travel as their canonical Arrow
-    string cast — injective per column (shortest-roundtrip float repr,
-    identity for strings, ISO timestamps), used ONLY as an engine-
-    internal distinct key, never surfaced.  NULLs are excluded from
+    distinct stream shuffles on (col, value) so a value lives in
+    exactly one :func:`~.window.keyed_apply` frame and the global
+    distinct count is the sum of frame-local ones.  Values travel as
+    their canonical Arrow string cast — injective per column
+    (shortest-roundtrip float repr, identity for strings, ISO
+    timestamps), used ONLY as an engine-internal distinct key, never
+    surfaced.  NULLs are excluded from
     distinct (SQL count(DISTINCT) semantics); float NaNs collapse to
     one distinct value, matching DuckDB's grouping semantics."""
     import pandas as pd
@@ -928,20 +924,6 @@ def profile_table(ds, columns: list[str], *,
             "col_name": pa.array([], pa.string()),
             "v": pa.array([], pa.string())})
 
-    if n_parts is None:
-        # CPU floor, not default_hash_parts' 64+ floor: the distinct
-        # stream is pre-deduped per block, so small inputs reach this
-        # groupby as a handful of rows and per-group scheduling would
-        # dominate (same rationale as connected_components' sizing).
-        import ray as _ray
-
-        est = (approx_rows if approx_rows is not None else ds.count()) \
-            * max(len(columns), 1)
-        cpus = int(_ray.cluster_resources().get("CPU", 8)) \
-            if _ray.is_initialized() else 8
-        want = max(cpus, min(1 << 16, -(-est // 250_000)))
-        n_parts = 1 << (int(want) - 1).bit_length()
-
     def dcount(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.drop_duplicates(subset=["col_name", "v"])
                .groupby("col_name", as_index=False).size())
@@ -949,7 +931,7 @@ def profile_table(ds, columns: list[str], *,
 
     nd = fold_partials(
         keyed_apply(ds.map_batches(distincts, batch_format="pyarrow"),
-                    ["col_name", "v"], dcount, n_parts=n_parts),
+                    ["col_name", "v"], dcount),
         ["col_name"], [("nd", "sum")],
         empty_schema=pa.schema([("col_name", pa.string()),
                                 ("nd", pa.int64())]))

@@ -40,7 +40,7 @@ import pyarrow.compute as pc
 from .aggregate import arrow_blocks, arrow_refs, concat_nonempty, partials
 from .parse import tokenize
 from .text import hash_tokens, segmented_window_hashes
-from .window import keyed_apply, suggest_key_partitions
+from .window import keyed_apply
 
 MERSENNE_P = np.uint64((1 << 61) - 1)
 
@@ -49,14 +49,13 @@ MERSENNE_P = np.uint64((1 << 61) - 1)
 _POPCNT = np.array([bin(i).count("1") for i in range(256)], np.uint8)
 
 
-def dedup_exact(ds, key_cols: list[str], order_col: str, *,
-                n_parts: int | None = None, approx_rows: int | None = None):
+def dedup_exact(ds, key_cols: list[str], order_col: str):
     """One row per exact key: (key_cols..., <order_col> of the kept
     representative = group min, n_dups) — the D1 row-level backstop.
 
-    Shape: hash-partition on the key columns (a key lives in exactly
-    one partition), then ONE vectorized pandas aggregation per
-    partition.  Ray's own hash-shuffle aggregate measured ~44k rows/s
+    Shape: shuffle on the key columns (a key lives in exactly one
+    :func:`keyed_apply` frame), then ONE vectorized pandas aggregation
+    per frame.  Ray's own hash-shuffle aggregate measured ~44k rows/s
     on this path (30 s for 1.3M rows at sf0.1); the partitioned
     pandas groupby is bounded only by the shuffle.  This also
     sidesteps Ray's value-dependent timestamp-unit re-inference
@@ -73,8 +72,7 @@ def dedup_exact(ds, key_cols: list[str], order_col: str, *,
         out["n_dups"] = out["n_dups"].astype("int64")
         return out
 
-    return keyed_apply(ds, key_cols, body, n_parts=n_parts,
-                       approx_rows=approx_rows)
+    return keyed_apply(ds, key_cols, body)
 
 
 def _shingle_hashes(batch: pa.Table, text_col: str, k: int = 3
@@ -120,7 +118,7 @@ def decontaminate(ds, bench, *, k: int = 3, text_col: str = "text",
     vectorized segmented pass, :func:`shingle_explode`), then a keyed
     SEMI JOIN on the shingle hash — both sides hash-shuffle, so the
     benchmark may be arbitrarily large (no broadcast) — then a
-    partition-local per-doc count.  Shingle identity is its 61-bit
+    frame-local per-doc count.  Shingle identity is its 61-bit
     hash (the fingerprint family's negligible-collision trade)."""
     from .join import semi_join
 
@@ -142,7 +140,7 @@ def decontaminate(ds, bench, *, k: int = 3, text_col: str = "text",
 
     # rows after the semi join are (doc, shingle)-distinct by
     # construction, so the per-doc size IS the distinct overlap count
-    return keyed_apply(hits, id_col, body, approx_rows=n_grams)
+    return keyed_apply(hits, id_col, body)
 
 
 def decontaminate_bloom(ds, bench, *, k: int = 3, text_col: str = "text",
@@ -194,42 +192,25 @@ def decontaminate_bloom(ds, bench, *, k: int = 3, text_col: str = "text",
         out["n_hit_grams"] = out["n_hit_grams"].astype("int64")
         return out
 
-    return keyed_apply(hits, id_col, body, approx_rows=n_grams)
+    return keyed_apply(hits, id_col, body)
 
 
-def dedup_exact_rows(ds, key_cols: list[str], order_col: str, *,
-                     n_parts: int | None = None,
-                     approx_rows: int | None = None):
+def dedup_exact_rows(ds, key_cols: list[str], order_col: str):
     """Full-row exact dedup: keep the first row (minimum ``order_col``)
     per exact key, with ALL columns — the operator users actually want
     when "dedup" means "give me the surviving rows".
 
-    Shape: hash-partition on the key columns (a key lives in exactly
-    one partition), then ONE vectorized sort + drop_duplicates per
-    partition — no per-group Python, no broadcast, shuffle volume =
-    input size once."""
+    Shape: shuffle on the key columns (a key lives in exactly one
+    :func:`keyed_apply` frame), then ONE vectorized sort +
+    drop_duplicates per frame — no per-group Python, no broadcast,
+    shuffle volume = input size once."""
     import pandas as pd  # noqa: F811
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([*key_cols, order_col], kind="mergesort")
         return g.drop_duplicates(subset=key_cols, keep="first")
 
-    return keyed_apply(ds, key_cols, body, n_parts=n_parts,
-                       approx_rows=approx_rows)
-
-
-def suggest_pair_partitions(n_rows: int, rows_per_part: int = 250_000,
-                            expansion: int = 128, lo: int = 32,
-                            hi: int = 1 << 16) -> int:
-    """Power-of-two partition count for the bucketed self-joins, sized
-    from the input: each partition's exploded shingle/band table is one
-    in-worker pandas frame, so its row count must stay bounded at ANY
-    corpus size (a fixed count means partitions grow linearly with the
-    corpus — the round-1 scale bug).  ``expansion`` estimates exploded
-    rows per input row (distinct shingles per doc / bands per doc)."""
-    est = n_rows * expansion
-    want = max(lo, min(hi, -(-est // rows_per_part)))
-    return 1 << (int(want) - 1).bit_length()
+    return keyed_apply(ds, key_cols, body)
 
 
 def _shingle_overlaps(g: pd.DataFrame, id_col: str) -> pd.DataFrame:
@@ -258,8 +239,7 @@ def _sum_overlaps(g: pd.DataFrame) -> pd.DataFrame:
 
 
 def jaccard_pairs(ds, threshold: float = 0.5, *, text_col: str = "text",
-                  id_col: str = "doc_id", k: int = 3,
-                  n_buckets: int | None = None):
+                  id_col: str = "doc_id", k: int = 3):
     """Exact n-gram Jaccard near-dup pairs with Jaccard >= threshold.
 
     Returns Dataset(doc_a, doc_b, inter, uni) with doc_a < doc_b.
@@ -268,17 +248,14 @@ def jaccard_pairs(ds, threshold: float = 0.5, *, text_col: str = "text",
 
     Shape: a partitioned self hash-join (ray_guide "Joins and
     lookups").  :func:`keyed_apply` on ``shingle`` runs one vectorized
-    pandas self-merge per partition of whole shingle groups, emitting
+    pandas self-merge per frame of whole shingle groups, emitting
     per-pair partial intersections; a second :func:`keyed_apply` on
     (doc_a, doc_b) sums them (Ray's own Aggregate measured ~44k rows/s
-    on this shape).  Both stages use ``n_buckets`` partitions, sized
-    from the input by :func:`suggest_pair_partitions` by default.
+    on this shape).
     """
     sh = ds.map_batches(
         lambda b: shingle_explode(b, text_col, id_col, k),
         batch_format="pyarrow")
-    if n_buckets is None:
-        n_buckets = suggest_pair_partitions(ds.count())
     thr = round(threshold * 1000)
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -300,16 +277,13 @@ def jaccard_pairs(ds, threshold: float = 0.5, *, text_col: str = "text",
                             "uni": uni})
         return out[keep]
 
-    partials = keyed_apply(sh, "shingle", pairs_in_bucket,
-                           n_parts=n_buckets)
-    return keyed_apply(partials, ["doc_a", "doc_b"], sum_finalize,
-                       n_parts=n_buckets)
+    partials = keyed_apply(sh, "shingle", pairs_in_bucket)
+    return keyed_apply(partials, ["doc_a", "doc_b"], sum_finalize)
 
 
 def containment_pairs(ds, threshold: float = 0.8, *,
                       text_col: str = "text", id_col: str = "doc_id",
-                      k: int = 3, min_shingles: int = 5,
-                      n_buckets: int | None = None):
+                      k: int = 3, min_shingles: int = 5):
     """DIRECTED n-gram containment pairs: C(A->B) = |sh(A) ∩ sh(B)|
     / |sh(A)| >= threshold — the asymmetric near-dup relation Jaccard
     misses (a short document quoted whole inside a long one scores
@@ -326,8 +300,6 @@ def containment_pairs(ds, threshold: float = 0.8, *,
     sh = ds.map_batches(
         lambda b: shingle_explode(b, text_col, id_col, k),
         batch_format="pyarrow")
-    if n_buckets is None:
-        n_buckets = suggest_pair_partitions(ds.count())
     thr = round(threshold * 1000)
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -354,10 +326,8 @@ def containment_pairs(ds, threshold: float = 0.8, *,
                 "n_contained": n_c[keep]}))
         return pd.concat(rows, ignore_index=True)
 
-    partials = keyed_apply(sh, "shingle", pairs_in_bucket,
-                           n_parts=n_buckets)
-    return keyed_apply(partials, ["doc_a", "doc_b"], containment_finalize,
-                       n_parts=n_buckets)
+    partials = keyed_apply(sh, "shingle", pairs_in_bucket)
+    return keyed_apply(partials, ["doc_a", "doc_b"], containment_finalize)
 
 
 # ---------------------------------------------------------------- MinHash
@@ -458,8 +428,6 @@ def lsh_candidate_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
         batch_format="pyarrow")
     bands = sigs.map_batches(lambda b: band_explode(b, id_col),
                              batch_format="pyarrow")
-    # exploded rows per doc = N_BANDS, so per-worker frames stay bounded
-    n_parts = suggest_pair_partitions(ds.count(), expansion=N_BANDS)
 
     def pairs_in_part(g: pd.DataFrame) -> pd.DataFrame:
         if max_bucket is not None:
@@ -472,8 +440,7 @@ def lsh_candidate_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
         return out.rename(columns={f"{id_col}_a": "doc_a",
                                    f"{id_col}_b": "doc_b"})
 
-    partials = keyed_apply(bands, ["band_id", "band_hash"], pairs_in_part,
-                           n_parts=n_parts)
+    partials = keyed_apply(bands, ["band_id", "band_hash"], pairs_in_part)
     # Checked limit enforced INCREMENTALLY: blocks are fetched one at a
     # time and counted as they arrive, so an over-limit corpus
     # transfers at most max_candidate_rows + one block to the driver
@@ -678,8 +645,7 @@ def verify_pairs(ds, candidates, threshold: float = 0.5, *,
         return ray.data.from_arrow(out)
 
     exact = jaccard_pairs(sub, threshold, text_col=text_col, id_col=id_col,
-                          k=k,
-                          n_buckets=suggest_pair_partitions(len(involved)))
+                          k=k)
     exact_t = concat_nonempty(arrow_blocks(exact))
     if exact_t.num_rows == 0 or exact_t.num_columns == 0:
         empty = pa.table({"doc_a": pa.array([], pa.int64()),
@@ -718,14 +684,9 @@ def simhash_near_pairs(ds, max_hamming: int = 7, *,
             f"max_hamming < n_chunks for recall 1.0, got "
             f"n_chunks={n_chunks}, max_hamming={max_hamming}")
     bits = 64 // n_chunks
-    # Materialize the (id, sig) table — it is tiny — and size the
-    # partitioning from ITS metadata count: counting ``ds`` would
-    # re-execute the whole upstream pipeline (a second full text read,
-    # measured as ~1/3 of d_components' pair-generation wall time).
     sigs = sig_ds if sig_ds is not None else ds.map_batches(
         lambda t: simhash_batch(t, text_col, id_col),
-        batch_format="pyarrow").materialize()
-    n_parts = suggest_pair_partitions(sigs.count(), expansion=n_chunks)
+        batch_format="pyarrow")
 
     def explode(t: pa.Table) -> pa.Table:
         sig = t["simhash"].to_numpy(zero_copy_only=False).view(np.uint64)
@@ -832,8 +793,7 @@ def simhash_near_pairs(ds, max_hamming: int = 7, *,
 
     # No distinct stage: min-agreeing-chunk emission is globally unique
     # by construction (see pairs_in_part).
-    return keyed_apply(chunks, ["chunk_id", "chunk_val"], pairs_in_part,
-                       n_parts=n_parts)
+    return keyed_apply(chunks, ["chunk_id", "chunk_val"], pairs_in_part)
 
 
 def dedup_apply(ds, pairs, *, id_col: str = "doc_id",
@@ -1053,8 +1013,8 @@ def _lev1_exact(a_vals, b_vals) -> np.ndarray:
     return out
 
 
-def fuzzy_pairs(ds, col: str, *, n_parts: int | None = None,
-                max_bucket: int = 512, on_oversized: str = "error"):
+def fuzzy_pairs(ds, col: str, *, max_bucket: int = 512,
+                on_oversized: str = "error"):
     """FUZZY SIMILARITY JOIN: all pairs of DISTINCT values of ``col``
     within edit distance 1 (substitution, insertion or deletion) —
     the typo/near-identifier matching operator.  Returns a Dataset of
@@ -1076,19 +1036,13 @@ def fuzzy_pairs(ds, col: str, *, n_parts: int | None = None,
     size so the break is LOUD; ``"keep"`` verifies oversized buckets
     exactly anyway (quadratic in the bucket — caller accepts the
     cost); ``"drop"`` is the old documented approximation."""
-    if n_parts is None:
-        # resolved ONCE up front: the upstream may be a transform
-        # chain, and letting each keyed_apply count it would
-        # re-execute the plan per stage
-        n_parts = suggest_key_partitions(ds.count())
-
     def distinct_fold(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"v": g["v"].drop_duplicates()})
 
-    # distinct values, partition-locally exact
+    # distinct values, frame-locally exact
     distinct = keyed_apply(
         partials(ds, ["v"], {}, lambda b: pa.table({"v": b[col]})),
-        "v", distinct_fold, n_parts=n_parts)
+        "v", distinct_fold)
 
     def variants(b: pa.Table) -> pa.Table:
         if b.num_rows == 0:
@@ -1123,7 +1077,7 @@ def fuzzy_pairs(ds, col: str, *, n_parts: int | None = None,
         m = m[m["v_a"] < m["v_b"]]
         return m[["v_a", "v_b"]].drop_duplicates()
 
-    cands = keyed_apply(hv, "h", pairs_in_part, n_parts=n_parts)
+    cands = keyed_apply(hv, "h", pairs_in_part)
 
     def verify(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(subset=["v_a", "v_b"])
@@ -1136,5 +1090,5 @@ def fuzzy_pairs(ds, col: str, *, n_parts: int | None = None,
         return pd.DataFrame({"val_a": kept["v_a"].to_numpy(),
                              "val_b": kept["v_b"].to_numpy()})
 
-    # distinct across partitions (a pair can share several variants)
-    return keyed_apply(cands, ["v_a", "v_b"], verify, n_parts=n_parts)
+    # distinct across frames (a pair can share several variants)
+    return keyed_apply(cands, ["v_a", "v_b"], verify)

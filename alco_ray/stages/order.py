@@ -27,7 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .aggregate import arrow_blocks, concat_nonempty
-from .window import default_hash_parts, keyed_apply
+from .window import keyed_apply
 
 
 def stable_order(ds):
@@ -48,21 +48,19 @@ def add_salt(batch: pa.Table, salt_buckets: int = 16) -> pa.Table:
     return batch.append_column("salt", salt)
 
 
-def per_conv_turn_stats(ds, salt_buckets: int = 16,
-                        n_parts: int | None = None):
+def per_conv_turn_stats(ds, salt_buckets: int = 16):
     """Per-conversation (n_turns, min_ts, max_ts) via salted two-phase
     aggregation: shuffle #1 partitions on hash(conv_id, salt) so any
     reducer's share of a hot conversation is bounded to 1/S of it;
     shuffle #2 merges the <= S tiny partials per conversation.
 
-    Both phases use the partition-local pandas aggregation shape (a
-    (conv_id, salt) group — phase 2: a conv_id — lives in exactly one
-    partition): Ray's own Aggregate measured ~44k rows/s on this
-    workload, and its Min/Max also re-infers the timestamp unit from
-    the values (second-aligned us data came back timestamp[s])."""
+    Both phases use the frame-local pandas aggregation shape of
+    :func:`keyed_apply` (a (conv_id, salt) group — phase 2: a conv_id
+    — lives in exactly one frame): Ray's own Aggregate measured ~44k
+    rows/s on this workload, and its Min/Max also re-infers the
+    timestamp unit from the values (second-aligned us data came back
+    timestamp[s])."""
     import pandas as pd
-
-    n_parts = n_parts or default_hash_parts()
 
     def partial(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby(["conv_id", "salt"], sort=False)
@@ -81,17 +79,16 @@ def per_conv_turn_stats(ds, salt_buckets: int = 16,
 
     salted = ds.map_batches(lambda b: add_salt(b, salt_buckets),
                             batch_format="pyarrow")
-    partials = keyed_apply(salted, ["conv_id", "salt"], partial,
-                           n_parts=n_parts)
-    return keyed_apply(partials, "conv_id", merge, n_parts=n_parts)
+    partials = keyed_apply(salted, ["conv_id", "salt"], partial)
+    return keyed_apply(partials, "conv_id", merge)
 
 
 def top_k_per_group(ds, group_col: str, sort_cols: list[str], k: int,
-                    descending=True, n_parts: int | None = None):
+                    descending=True):
     """Top-k rows PER GROUP (latest k turns per conversation, top
     events per user — the grouped-limit operator Ray Data lacks):
-    hash-partition on the group key, then one vectorized
-    sort + groupby-head per partition.  Deterministic given a
+    shuffle on the group key, then one vectorized
+    sort + groupby-head per frame of whole groups.  Deterministic given a
     tie-breaking sort key; returns all input columns."""
     import numpy as np  # noqa: F401
     import pandas as pd
@@ -104,7 +101,7 @@ def top_k_per_group(ds, group_col: str, sort_cols: list[str], k: int,
                           ascending=[not d for d in descending])
         return g.groupby(group_col, sort=False).head(k)
 
-    return keyed_apply(ds, group_col, body, n_parts=n_parts)
+    return keyed_apply(ds, group_col, body)
 
 
 def top_k(ds, keys: list[str], k: int, descending=True):

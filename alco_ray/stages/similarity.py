@@ -16,7 +16,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .aggregate import arrow_blocks, arrow_refs, concat_nonempty, to_fixed
-from .dedup import suggest_pair_partitions
 from .window import keyed_apply
 
 
@@ -425,12 +424,11 @@ def cosine_dup_pairs_lsh(ds, threshold: float = 0.4, *,
     (n_tables=8, n_bits=8: ~0.99 at c=0.95); emitted pairs are
     exact-verified, so precision is 1.0 at any setting.
     """
-    n = ds.count()
     if n_bits is None:
         import math
 
         n_bits = min(20, max(6, math.ceil(
-            math.log2(max(2, n / target_bucket_rows)))))
+            math.log2(max(2, ds.count() / target_bucket_rows)))))
 
     def explode(batch: pa.Table) -> pa.Table:
         m = _matrix(batch, col)
@@ -472,11 +470,9 @@ def cosine_dup_pairs_lsh(ds, threshold: float = 0.4, *,
         return g.drop_duplicates(["vec_a", "vec_b"])
 
     # a pair can collide in several tables: dedupe keyed on the pair
-    n_parts = suggest_pair_partitions(n, expansion=n_tables)
     partials = keyed_apply(exploded, ["table_id", "bucket"],
-                           pairs_in_buckets, n_parts=n_parts)
-    return keyed_apply(partials, ["vec_a", "vec_b"], distinct_pairs,
-                       n_parts=n_parts)
+                           pairs_in_buckets)
+    return keyed_apply(partials, ["vec_a", "vec_b"], distinct_pairs)
 
 
 def _planes_banded(d: int, n_tables: int, n_bits: int,

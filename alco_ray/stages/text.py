@@ -21,7 +21,7 @@ import pyarrow.compute as pc
 
 from .parse import TOKENIZE_SPLIT, tokenize
 from .aggregate import fold_agg, partials
-from .window import default_hash_parts, keyed_apply, suggest_key_partitions
+from .window import keyed_apply
 
 STOPWORDS = ("the", "a", "and", "of", "to", "in", "is", "it")
 
@@ -379,15 +379,14 @@ def fingerprint_dups(ds, *, text_col: str = "text", id_col: str = "doc_id"):
         lambda b: fingerprint(b, text_col, id_col), batch_format="pyarrow")
 
     def dup_reps(g: pd.DataFrame) -> pd.DataFrame:
-        # partition-local group stats (a fingerprint lives in exactly
-        # one partition); Ray's Aggregate measures ~44k rows/s here
+        # frame-local group stats (a fingerprint lives in exactly one
+        # frame); Ray's Aggregate measures ~44k rows/s here
         out = (g.groupby("fingerprint", sort=False)
                 .agg(rep_doc_id=(id_col, "min"), n=(id_col, "size"))
                 .reset_index())
         return out.loc[out["n"] > 1, ["fingerprint", "rep_doc_id"]]
 
-    dup_groups = keyed_apply(fps, "fingerprint", dup_reps,
-                             n_parts=default_hash_parts()).materialize()
+    dup_groups = keyed_apply(fps, "fingerprint", dup_reps).materialize()
     if dup_groups.count() == 0:
         # A fully-empty join side crashes Ray's hash join (ray 2.49.2:
         # ArrowInvalid "no match for key field on right side"); a
@@ -455,26 +454,20 @@ class LangId:
         })
 
 
-def tf_df(ds, *, text_col: str = "text", id_col: str = "doc_id",
-          n_parts: int | None = None, tokens_per_doc: int = 64):
+def tf_df(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     """Integer-exact IR stats: (doc_id, token, tf, df) — term frequency
     per document and document frequency per token (the TF-IDF
     precursor; the float weighting is a trivial map the consumer
     applies, kept out so results stay bit-for-bit comparable).
 
     Shape: per-batch (doc, token, tf) partials (a document lives
-    wholly in one batch), then hash-partition on token — a token's
-    rows co-locate, so df is a partition-local distinct count."""
+    wholly in one batch), then shuffle on token — a token's rows
+    co-locate, so df is a frame-local distinct count."""
 
     def explode(b: pa.Table) -> pa.Table:
         return token_explode(b, text_col, id_col)
 
     tf = partials(ds, [id_col, "token"], {"tf": ([], "count_all")}, explode)
-    if n_parts is None:
-        # Size from the INPUT row count (metadata-cheap on pure reads)
-        # times a tokens-per-doc estimate: counting `tf` itself would
-        # execute the partial an extra time.
-        n_parts = suggest_key_partitions(ds.count() * tokens_per_doc)
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
         out = g[[id_col, "token", "tf"]].copy()
@@ -485,12 +478,10 @@ def tf_df(ds, *, text_col: str = "text", id_col: str = "doc_id",
             .astype("int64")
         return out
 
-    return keyed_apply(tf, "token", body, n_parts=n_parts)
+    return keyed_apply(tf, "token", body)
 
 
-def ngram_counts(ds, *, n: int = 2, text_col: str = "text",
-                 n_parts: int | None = None, approx_docs: int | None = None,
-                 grams_per_doc: int = 64):
+def ngram_counts(ds, *, n: int = 2, text_col: str = "text"):
     """Corpus-wide n-gram frequency table ``(gram, cnt)`` — the
     language-model co-occurrence / collocation primitive (top-k
     bigrams, contamination n-gram banks, PMI inputs).
@@ -498,8 +489,9 @@ def ngram_counts(ds, *, n: int = 2, text_col: str = "text",
     Shape: per-batch partial counts — tokens flatten once, every
     adjacent ``n``-window whose rows share a parent document joins in
     ONE ``binary_join_element_wise`` call (no Python loop over rows or
-    grams) — then a gram-hash partition fold, because the gram domain
-    is unbounded (driver folds are reserved for bounded key domains).
+    grams) — then a gram-keyed :func:`keyed_apply` fold, because the
+    gram domain is unbounded (driver folds are reserved for bounded
+    key domains).
     Shuffle volume is the pre-aggregated per-batch distinct grams, not
     the token stream."""
     sep = pa.scalar(" ", pa.string())
@@ -526,16 +518,13 @@ def ngram_counts(ds, *, n: int = 2, text_col: str = "text",
         return pa.table({"gram": grams})
 
     counts = partials(ds, ["gram"], {"cnt": ([], "count_all")}, ngrams)
-    if n_parts is None:
-        n_docs = approx_docs if approx_docs is not None else ds.count()
-        n_parts = suggest_key_partitions(n_docs * grams_per_doc)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby("gram", as_index=False, sort=False)["cnt"].sum())
         out["cnt"] = out["cnt"].astype("int64")
         return out
 
-    return keyed_apply(counts, "gram", fold, n_parts=n_parts)
+    return keyed_apply(counts, "gram", fold)
 
 
 # ------------------------------------------------------- learned langid
@@ -746,10 +735,7 @@ def trigram_coverage(ds, profile: np.ndarray, *, text_col: str = "text",
 
 
 def cross_doc_ngram_share(ds, *, n: int = 5, text_col: str = "text",
-                          id_col: str = "doc_id",
-                          n_parts: int | None = None,
-                          approx_docs: int | None = None,
-                          grams_per_doc: int = 64):
+                          id_col: str = "doc_id"):
     """Per-document CROSS-document duplication rate: the share of a
     document's DISTINCT word ``n``-grams that also occur in at least
     one OTHER document — the substring-level contamination/boilerplate
@@ -760,10 +746,10 @@ def cross_doc_ngram_share(ds, *, n: int = 5, text_col: str = "text",
     lives wholly in one batch; :func:`segmented_window_hashes` emits
     the per-doc DISTINCT uint64 window hashes directly, so no literal
     gram string is ever materialized or shuffled — 8 bytes/gram on the
-    wire) -> gram-hash partitions where a gram's document frequency is
-    partition-locally exact; each partition PRE-FOLDS to per-doc
+    wire) -> gram-hash frames where a gram's document frequency is
+    frame-locally exact; each frame PRE-FOLDS to per-doc
     (grams-seen, grams-shared) counts, so the second (doc-keyed)
-    exchange moves <= |docs| rows per partition, not the gram stream.
+    exchange moves <= |docs| rows per frame, not the gram stream.
     Documents shorter than ``n`` tokens surface with zero counts via a
     doc-id base union — no driver materialization anywhere.  The SQL
     oracle replays the literal-gram rule; divergence requires a 64-bit
@@ -790,9 +776,6 @@ def cross_doc_ngram_share(ds, *, n: int = 5, text_col: str = "text",
                          "gram": pa.array(win)})
 
     grams = ds.map_batches(gram_partial, batch_format="pyarrow")
-    if n_parts is None:
-        n_docs = approx_docs if approx_docs is not None else ds.count()
-        n_parts = suggest_key_partitions(n_docs * grams_per_doc)
 
     def gram_fold(g: pd.DataFrame) -> pd.DataFrame:
         df_size = g.groupby("gram")["gram"].transform("size")
@@ -802,7 +785,7 @@ def cross_doc_ngram_share(ds, *, n: int = 5, text_col: str = "text",
                .agg(gp=("_one", "sum"), dp=("_dup", "sum")))
         return out
 
-    per_part = keyed_apply(grams, "gram", gram_fold, n_parts=n_parts)
+    per_part = keyed_apply(grams, "gram", gram_fold)
     base = ds.map_batches(
         lambda b: pa.table({
             id_col: b[id_col],
@@ -821,15 +804,11 @@ def cross_doc_ngram_share(ds, *, n: int = 5, text_col: str = "text",
             nd, ng, out=np.zeros(len(ng), np.float64), where=ng > 0)
         return out
 
-    return keyed_apply(per_part.union(base), id_col, doc_fold,
-                       n_parts=n_parts,
-                       approx_rows=(approx_docs or 0) * 2 or None)
+    return keyed_apply(per_part.union(base), id_col, doc_fold)
 
 
 def dup_span_mask(ds, *, n: int = 5, text_col: str = "text",
-                  id_col: str = "doc_id", n_parts: int | None = None,
-                  approx_docs: int | None = None,
-                  grams_per_doc: int = 64):
+                  id_col: str = "doc_id"):
     """Cross-document duplicated-SPAN removal — the APPLY step of
     exact substring dedup (Lee et al., "Deduplicating Training Data
     Makes Language Models Better", ACL'22): every token position
@@ -849,14 +828,14 @@ def dup_span_mask(ds, *, n: int = 5, text_col: str = "text",
     testable scale, and an error only ADDS a masked span, never drops
     one).
 
-    Shape: two exchanges, both key-partitioned —
+    Shape: two :func:`keyed_apply` exchanges —
 
     1. gram-keyed: every gram OCCURRENCE (doc, start position) ships
-       to its gram hash's partition, where distinct-doc frequency is
-       partition-locally exact and only occurrences of shared grams
+       to its gram hash's frame, where distinct-doc frequency is
+       frame-locally exact and only occurrences of shared grams
        survive (volume out <= volume in, usually far less);
     2. doc-keyed: surviving (doc, pos) masks meet the document text
-       rows; the per-partition kernel re-tokenizes (the SAME
+       rows; the per-frame kernel re-tokenizes (the SAME
        tokenizer), unions the [pos, pos+n) intervals with one
        interval-diff pass over the flat token array, and rebuilds
        ``clean_text`` with Arrow filter + ``pc.binary_join`` — no
@@ -867,9 +846,6 @@ def dup_span_mask(ds, *, n: int = 5, text_col: str = "text",
     import pandas as pd
 
     B = _TRIGRAM_B
-    n_docs = approx_docs if approx_docs is not None else ds.count()
-    if n_parts is None:
-        n_parts = suggest_key_partitions(n_docs * grams_per_doc)
 
     def occ_partial(b: pa.Table) -> pa.Table:
         empty = pa.table({id_col: pa.array([], pa.int64()),
@@ -910,7 +886,7 @@ def dup_span_mask(ds, *, n: int = 5, text_col: str = "text",
         return pd.DataFrame({id_col: out[id_col].to_numpy(np.int64),
                              "pos": out["pos"].to_numpy(np.int64)})
 
-    masks = keyed_apply(occurrences, "gram", gram_keep, n_parts=n_parts)
+    masks = keyed_apply(occurrences, "gram", gram_keep)
     mask_rows = masks.map_batches(
         lambda b: pa.table({
             id_col: b[id_col],
@@ -943,7 +919,7 @@ def dup_span_mask(ds, *, n: int = 5, text_col: str = "text",
         mdid = mrows[id_col].to_numpy(np.int64)
         mpos = mrows["pos"].to_numpy(np.int64)
         # Interval union over the FLAT token array: one diff pass for
-        # every mask in the partition (no per-document Python loop).
+        # every mask in the frame (no per-document Python loop).
         ridx = np.searchsorted(dids, mdid)
         starts = offs[ridx] + np.clip(mpos, 0,
                                       np.maximum(nt[ridx] - 1, 0))
@@ -964,14 +940,11 @@ def dup_span_mask(ds, *, n: int = 5, text_col: str = "text",
                              "n_masked": nt - kept_per_doc,
                              "clean_text": clean.to_pandas()})
 
-    return keyed_apply(text_rows.union(mask_rows), id_col, rebuild,
-                       n_parts=suggest_key_partitions(n_docs))
+    return keyed_apply(text_rows.union(mask_rows), id_col, rebuild)
 
 
 def longest_shared_span(ds, *, max_len: int = 16, text_col: str = "text",
-                        id_col: str = "doc_id", n_parts: int | None = None,
-                        approx_docs: int | None = None,
-                        grams_per_doc: int = 64):
+                        id_col: str = "doc_id"):
     """Per-document VARIABLE-LENGTH duplicate-span measure: the length
     (in tokens) of the longest token span that also occurs verbatim in
     at least one OTHER document, capped at ``max_len`` (0 = no shared
@@ -983,10 +956,10 @@ def longest_shared_span(ds, *, max_len: int = 16, text_col: str = "text",
     length — every doc emits its DISTINCT window hashes for ALL
     lengths n = 1..max_len (:func:`segmented_window_hashes` per n
     over the same per-token u64 hashes; 8 bytes/window), so exchange
-    volume is <= max_len x corpus tokens x 8B.  Each gram partition
+    volume is <= max_len x corpus tokens x 8B.  Each gram frame
     computes sharedness exactly per (n, hash) and PRE-FOLDS to one
     (doc, local max shared n) row, so the doc-keyed exchange moves
-    <= |docs| rows per partition.  A corpus-suffix-array formulation
+    <= |docs| rows per frame.  A corpus-suffix-array formulation
     would avoid the max_len factor for unbounded spans; at the span
     caps curation uses (dozens of tokens) the fused ladder is one
     exchange and embarrassingly parallel.  The SQL oracle replays the
@@ -996,11 +969,6 @@ def longest_shared_span(ds, *, max_len: int = 16, text_col: str = "text",
     Output: (doc_id, max_shared_len) for EVERY doc.
     """
     import pandas as pd
-
-    n_docs = approx_docs if approx_docs is not None else ds.count()
-    if n_parts is None:
-        n_parts = suggest_key_partitions(
-            n_docs * grams_per_doc * max(1, max_len // 4))
 
     def occ_partial(b: pa.Table) -> pa.Table:
         empty = pa.table({id_col: pa.array([], pa.int64()),
@@ -1032,7 +1000,7 @@ def longest_shared_span(ds, *, max_len: int = 16, text_col: str = "text",
     occurrences = ds.map_batches(occ_partial, batch_format="pyarrow")
 
     def gram_fold(g: pd.DataFrame) -> pd.DataFrame:
-        # per (n, gram) sharedness is partition-locally exact; rows
+        # per (n, gram) sharedness is frame-locally exact; rows
         # are already distinct per doc, so size == distinct docs
         shared = g.groupby(["n", "gram"])[id_col].transform("size") > 1
         hit = g.loc[shared, [id_col, "n"]]
@@ -1041,7 +1009,7 @@ def longest_shared_span(ds, *, max_len: int = 16, text_col: str = "text",
         out["max_shared_len"] = out["max_shared_len"].astype(np.int64)
         return out
 
-    per_part = keyed_apply(occurrences, "gram", gram_fold, n_parts=n_parts)
+    per_part = keyed_apply(occurrences, "gram", gram_fold)
     base = ds.map_batches(
         lambda b: pa.table({
             id_col: b[id_col],
@@ -1054,8 +1022,7 @@ def longest_shared_span(ds, *, max_len: int = 16, text_col: str = "text",
         out["max_shared_len"] = out["max_shared_len"].astype(np.int64)
         return out
 
-    return keyed_apply(per_part.union(base), id_col, doc_fold,
-                       n_parts=suggest_key_partitions(n_docs))
+    return keyed_apply(per_part.union(base), id_col, doc_fold)
 
 
 def wrap_html_batch(batch: pa.Table, text_col: str = "text",

@@ -339,11 +339,7 @@ def match_all_probe(index_dir: str | Path, terms: list[str], *,
                 full["parsed_ts"].to_numpy().astype("datetime64[us]")),
         })
 
-    import pyarrow.parquet as pq_
-
-    approx = sum(pq_.read_metadata(f).num_rows for f in pfiles)
-    inter = keyed_apply(hits, ["conv_id", "turn_idx"], intersect,
-                        approx_rows=approx)
+    inter = keyed_apply(hits, ["conv_id", "turn_idx"], intersect)
     topk = top_k(inter, ["parsed_ts", "conv_id", "turn_idx"], k,
                  descending=[True, False, False]).to_pandas()
     if not len(topk):
@@ -411,11 +407,7 @@ def match_any_probe(index_dir: str | Path, terms: list[str], *,
                 u["parsed_ts"].to_numpy().astype("datetime64[us]")),
         })
 
-    import pyarrow.parquet as pq_
-
-    approx = sum(pq_.read_metadata(f).num_rows for f in pfiles)
-    uniq = keyed_apply(hits, ["conv_id", "turn_idx"], dedupe,
-                       approx_rows=approx)
+    uniq = keyed_apply(hits, ["conv_id", "turn_idx"], dedupe)
     topk = top_k(uniq, ["parsed_ts", "conv_id", "turn_idx"], k,
                  descending=[True, False, False]).to_pandas()
     if not len(topk):
@@ -585,11 +577,7 @@ def phrase_probe(index_dir: str | Path, phrase: list[str], *,
                 full["parsed_ts"].to_numpy().astype("datetime64[us]")),
         })
 
-    import pyarrow.parquet as pq_
-
-    approx = sum(pq_.read_metadata(f).num_rows for f in pfiles)
-    inter = keyed_apply(hits, ["conv_id", "turn_idx"], intersect,
-                        approx_rows=approx)
+    inter = keyed_apply(hits, ["conv_id", "turn_idx"], intersect)
     topk = top_k(inter, ["parsed_ts", "conv_id", "turn_idx"], k,
                  descending=[True, False, False]).to_pandas()
     if not len(topk):
@@ -694,11 +682,7 @@ def near_probe(index_dir: str | Path, term_a: str, term_b: str, *,
                 rep["parsed_ts"].to_numpy().astype("datetime64[us]")),
         })
 
-    import pyarrow.parquet as pq_
-
-    approx = sum(pq_.read_metadata(f).num_rows for f in pfiles)
-    inter = keyed_apply(hits, ["conv_id", "turn_idx"], nearest,
-                        approx_rows=approx)
+    inter = keyed_apply(hits, ["conv_id", "turn_idx"], nearest)
     topk = top_k(inter, ["parsed_ts", "conv_id", "turn_idx"], k,
                  descending=[True, False, False]).to_pandas()
     if not len(topk):
@@ -790,10 +774,6 @@ def ranked_probe(index_dir: str | Path, terms: list[str], n_docs: int,
                          "parsed_ts": b["parsed_ts"],
                          "s": pa.array(s)})
 
-    import pyarrow.parquet as pq_
-
-    approx = sum(pq_.read_metadata(f).num_rows for f in pfiles)
-
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby(["conv_id", "turn_idx"], as_index=False)
                .agg(score=("score", "sum"), parsed_ts=("parsed_ts",
@@ -804,7 +784,7 @@ def ranked_probe(index_dir: str | Path, terms: list[str], n_docs: int,
 
     totals = keyed_apply(
         partials(hits, ["conv_id", "turn_idx"], _SCORE_AGGS, scored),
-        ["conv_id", "turn_idx"], fold, approx_rows=approx)
+        ["conv_id", "turn_idx"], fold)
     topk = top_k(totals, ["score", "conv_id", "turn_idx"], k,
                  descending=[True, False, False]).to_pandas()
     if not len(topk):
@@ -909,10 +889,6 @@ def ranked_bm25_probe(index_dir: str | Path, terms: list[str], *,
                          "parsed_ts": b["parsed_ts"],
                          "s": pa.array(w * tfc)})
 
-    import pyarrow.parquet as pq_
-
-    approx = sum(pq_.read_metadata(f).num_rows for f in pfiles)
-
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby(["conv_id", "turn_idx"], as_index=False)
                .agg(score=("score", "sum"), parsed_ts=("parsed_ts",
@@ -923,7 +899,7 @@ def ranked_bm25_probe(index_dir: str | Path, terms: list[str], *,
 
     totals = keyed_apply(
         partials(hits, ["conv_id", "turn_idx"], _SCORE_AGGS, scored),
-        ["conv_id", "turn_idx"], fold, approx_rows=approx)
+        ["conv_id", "turn_idx"], fold)
     topk = top_k(totals, ["score", "conv_id", "turn_idx"], k,
                  descending=[True, False, False]).to_pandas()
     if not len(topk):

@@ -7,19 +7,19 @@ the same context-column values.  Graft: per-conversation windows over
 Execution shape (round 2): instead of ``groupby(conv_id).map_groups``
 — one Python call and one pandas frame PER conversation, so at
 billions of small conversations the interpreter overhead dominates the
-math — every operator here hash-partitions on the key column into a
-bounded number of partitions, then runs ONE vectorized segmented
-kernel per partition: sort the partition by (key, idx), find segment
-boundaries with one diff, and answer every window/as-of/session
-question with cumsum / maximum.accumulate arithmetic over the whole
-partition at once.  A key lives in exactly one partition, so
-partition-local answers are globally exact.
+math — every operator here sorts on a hash of the key column, then
+runs ONE vectorized segmented kernel per frame of many whole key
+groups: sort the frame by (key, idx), find segment boundaries with one
+diff, and answer every window/as-of/session question with cumsum /
+maximum.accumulate arithmetic over the whole frame at once.  A key
+lives in exactly one frame, so frame-local answers are globally exact.
 
-Partitioning assumption: a partition's frame (rows/n_parts) fits one
-worker's heap.  :func:`keyed_apply` sizes ``n_parts`` from the row
-count (:func:`suggest_key_partitions`: a bounded number of rows per
-partition, floored at a multiple of cluster CPUs), so frames stay
-bounded at any corpus size.
+Partitioning assumption: a frame fits one worker's heap.
+:func:`keyed_apply` cuts each sorted block into runs of whole key
+groups of at most :data:`FRAME_ROWS` rows (a larger group is one frame
+of its own), and its tasks are the sort's partitions, one per input
+block, so frames stay bounded at any corpus size and no caller sizes
+anything.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+#: Most rows :func:`keyed_apply` hands one kernel call, unless a single
+#: key group is larger (it goes whole).
+FRAME_ROWS = 250_000
 
 
 def default_hash_parts() -> int:
@@ -45,72 +49,88 @@ def default_hash_parts() -> int:
     return 1 << (want - 1).bit_length()
 
 
-def suggest_key_partitions(n_rows: int, rows_per_part: int = 250_000,
-                           hi: int = 1 << 16) -> int:
-    """Data-proportional power-of-two partition count for the
-    partition-local kernels: each partition's frame is one in-worker
-    pandas sort, so its row count must stay bounded at ANY corpus size
-    (a fixed CPU-derived count means frames grow linearly with the
-    corpus).  Floor = :func:`default_hash_parts` (parallelism at small
-    scale), cap ``hi`` bounds per-group scheduling overhead."""
-    want = max(default_hash_parts(), min(hi, -(-int(n_rows) // rows_per_part)))
+def suggest_key_partitions(n_rows: int) -> int:
+    """Data-proportional power-of-two partition count for a hash
+    layout of ``n_rows`` rows (join partitions, index buckets, the
+    :func:`partition_by_key` skew measurement): at most
+    :data:`FRAME_ROWS` rows per partition at ANY corpus size.  Floor =
+    :func:`default_hash_parts` (parallelism at small scale), cap 2^16
+    bounds per-partition scheduling overhead."""
+    want = max(default_hash_parts(),
+               min(1 << 16, -(-int(n_rows) // FRAME_ROWS)))
     return 1 << (int(want) - 1).bit_length()
 
 
-def partition_by_key(ds, key_cols, n_parts: int | None = None,
-                     approx_rows: int | None = None):
-    """Append int32 ``part`` = hash(key columns) % n_parts: the hash
-    behind :func:`keyed_apply` (and the partition-skew measurement).
-    A key lives in exactly one partition.  Deterministic (pandas
-    SipHash, fixed key).
+def _key_hash(b: pa.Table, cols: list[str]) -> np.ndarray:
+    """uint64 hash of each row's key columns (pandas SipHash, fixed
+    key, so deterministic across processes)."""
+    if len(cols) == 1:
+        return pd.util.hash_array(b[cols[0]].to_numpy(zero_copy_only=False))
+    return pd.util.hash_pandas_object(
+        b.select(cols).to_pandas(), index=False).to_numpy()
 
-    ``n_parts`` defaults to :func:`suggest_key_partitions` over
-    ``approx_rows`` if given (callers that know the corpus size from
-    Parquet metadata avoid an extra pass), else over ``ds.count()``
-    (one extra pass over the upstream plan — the safe default; pass
-    the hint on hot paths)."""
-    if n_parts is None:
-        n_parts = suggest_key_partitions(
-            approx_rows if approx_rows is not None else ds.count())
+
+def partition_by_key(ds, key_cols, n_parts: int):
+    """Append int32 ``part`` = hash(key columns) % n_parts, from the
+    same key hash :func:`keyed_apply` sorts on.  A key lives in exactly
+    one partition."""
     cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
 
     def add_part(b: pa.Table) -> pa.Table:
-        if len(cols) == 1:
-            h = pd.util.hash_array(
-                b[cols[0]].to_numpy(zero_copy_only=False))
-        else:
-            h = pd.util.hash_pandas_object(
-                b.select(cols).to_pandas(), index=False).to_numpy()
-        return b.append_column(
-            "part", pa.array((h % n_parts).astype(np.int32)))
+        return b.append_column("part", pa.array(
+            (_key_hash(b, cols) % n_parts).astype(np.int32)))
 
     return ds.map_batches(add_part, batch_format="pyarrow")
 
 
-def keyed_apply(ds, keys, kernel, *, n_parts: int | None = None,
-                approx_rows: int | None = None):
-    """Run ``kernel`` once per key-hash partition of ``ds`` — the one
-    shuffle behind every partition-local kernel in this package.  All
-    rows of a key (``keys``: a column name or a list of them) reach
-    the same call, so partition-local answers are globally exact.
+_HASH = "__key_hash"
+
+
+def keyed_apply(ds, keys, kernel):
+    """Run ``kernel`` over frames of whole key groups of ``ds`` — the
+    one keyed shuffle behind every frame-local kernel in this package.
+    All rows of a key (``keys``: a column name or a list of them) reach
+    the same call, so frame-local answers are globally exact.
+
+    Shape: append the 64-bit key hash, ``ds.sort`` on it (one sort
+    partition per input block, so the task count follows the data),
+    then cut each sorted block into runs of whole hash groups of at
+    most :data:`FRAME_ROWS` rows; a larger group is a frame of its own.
 
     ``kernel`` gets a pandas frame of MANY whole key groups with the
-    input columns (never the ``part`` column, dropped zero-copy on the
+    input columns (never the hash column, dropped zero-copy on the
     Arrow side before the pandas conversion) and returns a batch (a
     pandas frame or Arrow table).  It must be pure per group: which
     groups share a frame, and in what row order, is not fixed, so a
-    kernel sorts and segments its frame itself.  ``n_parts``/
-    ``approx_rows`` size the partitions as in
-    :func:`partition_by_key`."""
+    kernel sorts and segments its frame itself."""
     from ray.data.block import BlockAccessor
+
+    cols = [keys] if isinstance(keys, str) else list(keys)
+    frame_rows = FRAME_ROWS  # captured here: tasks see the caller's value
+
+    def add_hash(b: pa.Table) -> pa.Table:
+        return b.append_column(
+            _HASH, pa.array(_key_hash(b, cols).view(np.int64)))
 
     @functools.wraps(kernel)  # Ray Data names the operator after it
     def run(t: pa.Table):
-        return kernel(BlockAccessor.for_block(
-            t.drop_columns(["part"])).to_pandas())
+        h = t[_HASH].to_numpy()
+        t = t.drop_columns([_HASH])
+        start, n = 0, len(h)
+        while start < n:
+            stop = start + frame_rows
+            if stop < n:
+                # back off to the start of the group the cut would split;
+                # a group longer than a frame goes whole
+                cut = int(np.searchsorted(h, h[stop], "left"))
+                stop = cut if cut > start else \
+                    int(np.searchsorted(h, h[start], "right"))
+            yield kernel(BlockAccessor.for_block(
+                t.slice(start, min(stop, n) - start)).to_pandas())
+            start = stop
 
-    return partition_by_key(ds, keys, n_parts, approx_rows).groupby(
-        "part").map_groups(run, batch_format="pyarrow")
+    return (ds.map_batches(add_hash, batch_format="pyarrow").sort(_HASH)
+            .map_batches(run, batch_size=None, batch_format="pyarrow"))
 
 
 def _segment_bounds(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,8 +163,7 @@ def _windowed_flag_sum(flag: np.ndarray, seg_start: np.ndarray,
 
 def rolling_count(ds, *, flag_col: str, flag_value, radius: int = 2,
                   conv_col: str = "conv_id", idx_col: str = "turn_idx",
-                  out_col: str = "w_count", n_parts: int | None = None,
-                  approx_rows: int | None = None):
+                  out_col: str = "w_count"):
     """Centered rolling window aggregate: for every turn, the number of
     rows with ``flag_col == flag_value`` within ``radius`` turns in the
     same conversation (ROWS frame)."""
@@ -158,14 +177,12 @@ def rolling_count(ds, *, flag_col: str, flag_value, radius: int = 2,
         out[out_col] = _windowed_flag_sum(flag, seg_start, seg_end, radius)
         return out
 
-    return keyed_apply(ds, conv_col, body, n_parts=n_parts,
-                       approx_rows=approx_rows)
+    return keyed_apply(ds, conv_col, body)
 
 
 def asof_prior(ds, *, flag_col: str, flag_value,
                conv_col: str = "conv_id", idx_col: str = "turn_idx",
-               out_col: str = "last_match_idx", n_parts: int | None = None,
-               approx_rows: int | None = None):
+               out_col: str = "last_match_idx"):
     """As-of join within a conversation: for every turn, the most
     recent ``turn_idx`` at-or-before it whose ``flag_col`` equals
     ``flag_value`` (-1 if none yet).
@@ -187,18 +204,16 @@ def asof_prior(ds, *, flag_col: str, flag_value,
         out[out_col] = run - seg_id * OFF
         return out
 
-    return keyed_apply(ds, conv_col, body, n_parts=n_parts,
-                       approx_rows=approx_rows)
+    return keyed_apply(ds, conv_col, body)
 
 
 def sessionize(ds, *, key_col: str = "user_id", ts_col: str = "ts",
-               gap_minutes: int = 30, out_col: str = "session_id",
-               n_parts: int | None = None, approx_rows: int | None = None):
+               gap_minutes: int = 30, out_col: str = "session_id"):
     """Gap-based sessionization: within each key, a new session starts
     whenever the time since the previous event exceeds ``gap_minutes``.
     session_id = running count of gap-breaks (0-based) per key.
 
-    Kernel: one diff over the (key, ts)-sorted partition; a row is a
+    Kernel: one diff over the (key, ts)-sorted frame; a row is a
     gap-break iff it is not a segment start and its ts-delta exceeds
     the gap; session_id = cumsum re-based at each segment start."""
     gap_us = np.int64(gap_minutes) * 60 * 1_000_000
@@ -221,15 +236,12 @@ def sessionize(ds, *, key_col: str = "user_id", ts_col: str = "ts",
         g[out_col] = c - c[seg_start]
         return g
 
-    return keyed_apply(ds, key_col, body, n_parts=n_parts,
-                       approx_rows=approx_rows)
+    return keyed_apply(ds, key_col, body)
 
 
 def context_window(ds, *, match_col: str, match_value, radius: int = 1,
                    conv_col: str = "conv_id", idx_col: str = "turn_idx",
-                   keep_cols: list[str] | None = None,
-                   n_parts: int | None = None,
-                   approx_rows: int | None = None):
+                   keep_cols: list[str] | None = None):
     """Rows within ``radius`` turns of a matching row in the same
     conversation (the grep context view).  Returns the kept rows."""
     cols = keep_cols or [conv_col, idx_col, match_col]
@@ -242,22 +254,19 @@ def context_window(ds, *, match_col: str, match_value, radius: int = 1,
         w = _windowed_flag_sum(flag, seg_start, seg_end, radius)
         return g.loc[w > 0, cols]
 
-    return keyed_apply(ds, conv_col, body, n_parts=n_parts,
-                       approx_rows=approx_rows)
+    return keyed_apply(ds, conv_col, body)
 
 
 def nearby_count(ds, *, key_col: str, ts_col: str, id_col: str,
                  radius_us: int, flag_col: str | None = None,
-                 flag_value=None, out_col: str = "n_nearby",
-                 n_parts: int | None = None,
-                 approx_rows: int | None = None):
+                 flag_value=None, out_col: str = "n_nearby"):
     """Time-RANGE join count: for every (flagged) row, the number of
     OTHER rows with the same key whose timestamp lies within
     ``±radius_us`` — the interval/range-join shape Ray Data has no
     native operator for (a SQL engine answers it with a non-equi
     self-join).
 
-    Kernel (per key-hash partition, fully vectorized): collapse
+    Kernel (per key-hash frame, fully vectorized): collapse
     (key, ts) into ONE int64 timeline — ``code * span + (ts - min)``
     with ``span > (max - min) + radius + 1`` so no probe window can
     bleed across keys — then a single pair of ``np.searchsorted``
@@ -278,7 +287,7 @@ def nearby_count(ds, *, key_col: str, ts_col: str, id_col: str,
         if span * n_keys >= (1 << 62):
             raise ValueError(
                 f"nearby_count: composite timeline overflow "
-                f"({n_keys} keys x span {span}); raise n_parts")
+                f"({n_keys} keys x span {span} in one frame)")
         comp = codes.astype(np.int64) * span + base
         srt = np.sort(comp)
         probe = (g[flag_col] == flag_value).to_numpy() \
@@ -290,20 +299,18 @@ def nearby_count(ds, *, key_col: str, ts_col: str, id_col: str,
             out_col: (hi - lo - 1).astype(np.int64),
         })
 
-    return keyed_apply(ds, key_col, body, n_parts=n_parts,
-                       approx_rows=approx_rows)
+    return keyed_apply(ds, key_col, body)
 
 
 def lag_delta(ds, *, key_col: str, ts_col: str, id_col: str,
-              out_col: str = "gap_us", n_parts: int | None = None,
-              approx_rows: int | None = None):
+              out_col: str = "gap_us"):
     """LAG window function: for every row, microseconds since the
     PREVIOUS row of the same key in (ts, id) order — null for each
     key's first row (SQL ``ts - lag(ts) OVER (PARTITION BY key
     ORDER BY ts, id)``).  The inter-event-time signal behind retention
     / bot-detection features.
 
-    Kernel: one lexsort per key-hash partition, one diff; segment
+    Kernel: one lexsort per key-hash frame, one diff; segment
     starts masked to null via a pandas Int64 (nullable) column so the
     output schema stays int64, not float."""
 
@@ -330,8 +337,7 @@ def lag_delta(ds, *, key_col: str, ts_col: str, id_col: str,
 
     s = ds.schema()
     id_type = s.types[s.names.index(id_col)]
-    out = keyed_apply(ds, key_col, body, n_parts=n_parts,
-                      approx_rows=approx_rows)
+    out = keyed_apply(ds, key_col, body)
     # Pin Arrow-native int64-with-nulls output: the pandas Int64
     # extension column above hashes as `123`/`<NA>` while the oracle's
     # nullable BIGINT round-trips as `123.0`/`NaN` — driver hash
@@ -340,15 +346,13 @@ def lag_delta(ds, *, key_col: str, ts_col: str, id_col: str,
 
 
 def grouped_cumsum(ds, *, key_col: str, ts_col: str, id_col: str,
-                   val_col: str, out_col: str = "cum",
-                   n_parts: int | None = None,
-                   approx_rows: int | None = None):
+                   val_col: str, out_col: str = "cum"):
     """Per-key RUNNING SUM: inclusive cumulative sum of ``val_col``
     (int64) over (ts, id) order within each key — SQL ``sum(val) OVER
     (PARTITION BY key ORDER BY ts, id ROWS UNBOUNDED PRECEDING)``.
     Unlike stages/scan.ordered_prefix_sum (ONE global order, block-
     ordered input) this is the per-group variant over arbitrary input:
-    segment-rebased cumsum per key-hash partition."""
+    segment-rebased cumsum per key-hash frame."""
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -365,19 +369,16 @@ def grouped_cumsum(ds, *, key_col: str, ts_col: str, id_col: str,
         return pd.DataFrame({id_col: g[id_col].to_numpy(),
                              out_col: run})
 
-    return keyed_apply(ds, key_col, body, n_parts=n_parts,
-                       approx_rows=approx_rows)
+    return keyed_apply(ds, key_col, body)
 
 
 def grouped_dense_rank(ds, *, key_col: str, val_col: str, id_col: str,
-                       out_col: str = "drank", descending: bool = True,
-                       n_parts: int | None = None,
-                       approx_rows: int | None = None):
+                       out_col: str = "drank", descending: bool = True):
     """Per-key DENSE_RANK over ``val_col`` (int64; ties share a rank,
     no gaps) — SQL ``dense_rank() OVER (PARTITION BY key ORDER BY val
-    DESC)``.  Same key-hash-partitioned segmented kernel as
+    DESC)``.  Same key-hash-framed segmented kernel as
     :func:`grouped_cumsum`: one shuffle on the key hash, vectorized
-    rank per partition, never a global sort."""
+    rank per frame, never a global sort."""
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -401,14 +402,12 @@ def grouped_dense_rank(ds, *, key_col: str, val_col: str, id_col: str,
         return pd.DataFrame({id_col: g[id_col].to_numpy(),
                              out_col: rank})
 
-    return keyed_apply(ds, key_col, body, n_parts=n_parts,
-                       approx_rows=approx_rows)
+    return keyed_apply(ds, key_col, body)
 
 
 def asof_join(left_ds, right_ds, *, key_col: str, ts_col: str,
               left_id_col: str, right_val_col: str,
-              out_col: str = "asof_val", n_parts: int | None = None,
-              approx_rows: int | None = None):
+              out_col: str = "asof_val"):
     """Two-INPUT as-of join (pandas ``merge_asof`` / SQL ``ASOF LEFT
     JOIN``): for every left row, the value carried by the right row of
     the SAME key with the greatest ``ts`` at-or-before the left row's
@@ -416,7 +415,7 @@ def asof_join(left_ds, right_ds, *, key_col: str, ts_col: str,
     (:func:`asof_prior` is the single-table special case).
 
     Shape: tag each side, project both to one shared schema, union,
-    ONE key-hash partition pass.  Per partition the kernel sorts by
+    ONE key-hash shuffle.  Per frame the kernel sorts by
     (key, ts, side) with right rows FIRST at equal ts (inclusive
     match), then a segment-reset running max over ROW POSITIONS (the
     offset trick) answers every probe at once; the matched value is a
@@ -452,7 +451,7 @@ def asof_join(left_ds, right_ds, *, key_col: str, ts_col: str,
     def body(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0 or not (g["__side"] == 1).any():
             # dtype-preserving empty output (object-dtype empties would
-            # break Arrow schema unification across partitions)
+            # break Arrow schema unification across frames)
             return pd.DataFrame({left_id_col: g["__id"].iloc[:0],
                                  out_col: g["__val"].iloc[:0]})
         ts = g[ts_col].to_numpy()
@@ -464,10 +463,9 @@ def asof_join(left_ds, right_ds, *, key_col: str, ts_col: str,
         side = side[order]
         n = len(g)
         _, _, seg_id = _segment_bounds(g[key_col].to_numpy())
-        OFF = np.int64(1) << 40  # > any partition's row count
+        OFF = np.int64(1) << 40  # > any frame's row count
         if n >= OFF:
-            raise ValueError("asof_join: partition too large; "
-                             "raise n_parts")
+            raise ValueError("asof_join: frame too large")
         cand = np.where(side == 0, np.arange(n, dtype=np.int64),
                         np.int64(-1)) + seg_id * OFF
         pos = np.maximum.accumulate(cand) - seg_id * OFF
@@ -481,8 +479,7 @@ def asof_join(left_ds, right_ds, *, key_col: str, ts_col: str,
 
     from alco_ray.stages import enforce_schema
 
-    out = keyed_apply(both, key_col, body, n_parts=n_parts,
-                      approx_rows=approx_rows)
+    out = keyed_apply(both, key_col, body)
     # Pin the output schema: the null-unioned __id column upcasts to
     # float64 in the pandas kernel, so without this cast the engine's
     # id column is `double` while the oracle's is int64 (CORRECTNESS_
@@ -493,17 +490,16 @@ def asof_join(left_ds, right_ds, *, key_col: str, ts_col: str,
 
 def transition_counts(ds, *, key_col: str, order_col: str, val_col: str,
                       from_col: str = "from_val", to_col: str = "to_val",
-                      out_col: str = "n", n_parts: int | None = None,
-                      approx_rows: int | None = None) -> pa.Table:
+                      out_col: str = "n") -> pa.Table:
     """First-order Markov TRANSITION counts: for every pair of
     CONSECUTIVE rows of the same key in ``order_col`` order, count
     (previous value -> value) — the conversational-flow / user-journey
     matrix (SQL ``lag(val) OVER (PARTITION BY key ORDER BY ord)`` then
     ``GROUP BY from, to``).
 
-    The pairing runs once per key-hash partition (:func:`keyed_apply`);
+    The pairing runs once per key-hash frame (:func:`keyed_apply`);
     each kernel call emits PRE-AGGREGATED (from, to, cnt) partials, so
-    the driver fold is n_parts x |value domain|^2 rows — correct ONLY
+    the driver fold is frames x |value domain|^2 rows — correct ONLY
     for bounded value domains (roles, levels, event types; for
     unbounded values the partials would feed a second
     :func:`keyed_apply` instead)."""
@@ -528,22 +524,19 @@ def transition_counts(ds, *, key_col: str, order_col: str, val_col: str,
 
     from .aggregate import fold_partials
 
-    kern = keyed_apply(ds, key_col, body, n_parts=n_parts,
-                       approx_rows=approx_rows)
+    kern = keyed_apply(ds, key_col, body)
     t = fold_partials(kern, [from_col, to_col], [("cnt", "sum")])
     return t.rename_columns([from_col, to_col, out_col])
 
 
 def path_counts(ds, *, key_col: str, order_cols: list[str],
                 val_col: str, n: int = 3, sep: str = ">",
-                path_col: str = "path", out_col: str = "cnt",
-                n_parts: int | None = None,
-                approx_rows: int | None = None) -> pa.Table:
+                path_col: str = "path", out_col: str = "cnt") -> pa.Table:
     """Order-``n`` PATH counts — the user-journey generalization of
     :func:`transition_counts`: for every run of ``n`` CONSECUTIVE
     rows of the same key (``order_cols`` order), count the joined
     value path ``v1>v2>...>vn`` (SQL: n-1 stacked ``lead()`` windows
-    then GROUP BY).  Same partitioned shape: one :func:`keyed_apply`
+    then GROUP BY).  Same keyed shape: one :func:`keyed_apply`
     over the key, pre-aggregated (path, cnt) partials, bounded-domain
     driver fold (|value domain|^n rows — event types, roles, levels;
     unbounded values would feed a second :func:`keyed_apply`
@@ -573,8 +566,7 @@ def path_counts(ds, *, key_col: str, order_cols: list[str],
 
     from .aggregate import fold_partials
 
-    kern = keyed_apply(ds, key_col, body, n_parts=n_parts,
-                       approx_rows=approx_rows)
+    kern = keyed_apply(ds, key_col, body)
     t = fold_partials(kern, [path_col], [("cnt", "sum")],
                       empty_schema=pa.schema([(path_col, pa.string()),
                                               ("cnt", pa.int64())]))
@@ -582,8 +574,7 @@ def path_counts(ds, *, key_col: str, order_cols: list[str],
 
 
 def debounce(ds, *, key_cols, ts_col: str, id_col: str,
-             cooldown: int, n_parts: int | None = None,
-             approx_rows: int | None = None):
+             cooldown: int):
     """GREEDY DEBOUNCE / alert suppression (the log-pipeline storm
     breaker): per key, keep an event iff its timestamp is >= the last
     KEPT event's timestamp + ``cooldown`` (the first event of a key
@@ -597,7 +588,7 @@ def debounce(ds, *, key_cols, ts_col: str, id_col: str,
     even on a year of events.
 
     ``ts_col`` must be integer-valued (cast timestamps upstream).
-    Runs per key-hash partition; returns the kept rows, all input
+    Runs per key-hash frame; returns the kept rows, all input
     columns."""
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
 
@@ -622,7 +613,7 @@ def debounce(ds, *, key_cols, ts_col: str, id_col: str,
             active = nxt[seg[nxt] == seg[active[valid]]]
         return g.iloc[kept]
 
-    return keyed_apply(ds, key_cols[0], body, n_parts=n_parts)
+    return keyed_apply(ds, key_cols[0], body)
 
 
 def adjacent_pairs(ds, *, key_col: str, order_col: str,
@@ -632,9 +623,7 @@ def adjacent_pairs(ds, *, key_col: str, order_col: str,
                    prompt_col: str = "prompt",
                    response_col: str = "response",
                    require_consecutive: bool = True,
-                   emit_order: str = "first",
-                   n_parts: int | None = None,
-                   approx_rows: int | None = None):
+                   emit_order: str = "first"):
     """CONSECUTIVE-ROW PAIR EXTRACTION: for every pair of adjacent
     rows of the same key in ``order_col`` order where the first row's
     ``role_col`` is ``from_role`` and the next row's is ``to_role``,
@@ -648,7 +637,7 @@ def adjacent_pairs(ds, *, key_col: str, order_col: str,
     / drift analyses).  ``require_consecutive`` additionally demands
     order values differ by exactly 1 (a missing middle turn breaks
     the pair).  ``emit_order`` picks which row's order value labels
-    the pair ('first' or 'second').  Runs once per key-hash partition
+    the pair ('first' or 'second').  Runs once per key-hash frame
     (:func:`keyed_apply`); output rows only (never the non-matching
     corpus)."""
 
@@ -672,22 +661,19 @@ def adjacent_pairs(ds, *, key_col: str, order_col: str,
                              prompt_col: txt[i],
                              response_col: txt[i + 1]})
 
-    return keyed_apply(ds, key_col, body, n_parts=n_parts,
-                       approx_rows=approx_rows)
+    return keyed_apply(ds, key_col, body)
 
 
 def first_last_by(ds, *, key_col: str, ts_col: str, id_col: str,
                   val_col: str, first_col: str = "first_val",
-                  last_col: str = "last_val", n_col: str = "n",
-                  n_parts: int | None = None,
-                  approx_rows: int | None = None):
+                  last_col: str = "last_val", n_col: str = "n"):
     """Per-key FIRST and LAST value in (ts, id) order plus row count —
     the distributed arg_min/arg_max (SQL ``min_by(val, (ts, id))`` /
     ``max_by``), the entry/exit-event feature of funnel analytics.
 
     Shape: a map-side reduce collapses each batch to at most ONE row
     per key seen (its batch-local argmin/argmax/count — 8 fixed-width
-    columns), then a key-hash partition fold re-reduces; shuffle
+    columns), then a key-hash frame fold re-reduces; shuffle
     volume is per-batch distinct keys, never the event stream.  Both
     reduce levels are the same vectorized sort + drop_duplicates —
     no per-key Python."""
@@ -742,8 +728,7 @@ def first_last_by(ds, *, key_col: str, ts_col: str, id_col: str,
         return out
 
     return keyed_apply(ds.map_batches(partial, batch_format="pyarrow"),
-                       key_col, fold, n_parts=n_parts,
-                       approx_rows=approx_rows)
+                       key_col, fold)
 
 
 def asof_lookup(ds, dim: pa.Table, *, ts_col: str, dim_ts_col: str,
@@ -823,9 +808,7 @@ def _range_frame_bounds(keys: np.ndarray, ts: np.ndarray,
 
 
 def grouped_range_count(ds, *, key_col: str, ts_col: str, id_col: str,
-                        interval_us: int, out_col: str = "n_range",
-                        n_parts: int | None = None,
-                        approx_rows: int | None = None):
+                        interval_us: int, out_col: str = "n_range"):
     """Per-key TIME-RANGE frame count: for every row, the number of
     same-key rows with ``ts`` in ``[ts - interval, ts]`` — SQL
     ``count(*) OVER (PARTITION BY key ORDER BY ts RANGE BETWEEN
@@ -833,7 +816,7 @@ def grouped_range_count(ds, *, key_col: str, ts_col: str, id_col: str,
     burst-detection frame.  RANGE semantics: peers (equal ts) are IN
     the frame regardless of position, unlike the ROWS frames above.
 
-    Kernel: one lexsort per key-hash partition, then two vectorized
+    Kernel: one lexsort per key-hash frame, then two vectorized
     ``searchsorted`` calls over a segment-offset composite (seg_id *
     span + ts) that keeps each key's rows in their own disjoint
     integer range — no per-segment Python loop.  When the composite
@@ -854,21 +837,19 @@ def grouped_range_count(ds, *, key_col: str, ts_col: str, id_col: str,
         return pd.DataFrame({id_col: g[id_col].to_numpy(),
                              out_col: hi - lo})
 
-    return keyed_apply(ds, key_col, body, n_parts=n_parts,
-                       approx_rows=approx_rows)
+    return keyed_apply(ds, key_col, body)
 
 
 def grouped_rolling_sum(ds, *, key_col: str, ts_col: str, id_col: str,
                         val_col: str, frame: int = 3,
-                        out_col: str = "roll", n_parts: int | None = None,
-                        approx_rows: int | None = None):
+                        out_col: str = "roll"):
     """Per-key BOUNDED-FRAME running sum: sum of ``val_col`` over the
     current row and the ``frame - 1`` preceding rows of the same key
     in (ts, id) order — SQL ``sum(val) OVER (PARTITION BY key ORDER BY
     ts, id ROWS BETWEEN frame-1 PRECEDING AND CURRENT ROW)``, the
     trailing-window feature (recent spend, burst detection).
 
-    Kernel: one lexsort per key-hash partition, one cumsum, one
+    Kernel: one lexsort per key-hash frame, one cumsum, one
     clamped gather — the frame lower bound is ``max(segment start,
     i - frame + 1)`` so windows never cross keys.  No per-row loop."""
 
@@ -890,20 +871,17 @@ def grouped_rolling_sum(ds, *, key_col: str, ts_col: str, id_col: str,
         return pd.DataFrame({id_col: g[id_col].to_numpy(),
                              out_col: roll})
 
-    return keyed_apply(ds, key_col, body, n_parts=n_parts,
-                       approx_rows=approx_rows)
+    return keyed_apply(ds, key_col, body)
 
 
-def densify_daily(ds, key_col: str, ts_col: str, *,
-                  n_parts: int | None = None,
-                  approx_rows: int | None = None):
+def densify_daily(ds, key_col: str, ts_col: str):
     """GAP FILLING / densification: per key, one row for EVERY calendar
     day in that key's [min(ts), max(ts)] span with the day's event
     count (0 for silent days) — the time-series regularization step
     before rolling features or resampled training snapshots.
 
-    Shape: key-hash partitions (a key's span is partition-local), one
-    vectorized kernel per partition: per-(key, day) counts via sort +
+    Shape: key-hash frames (a key's span is frame-local), one
+    vectorized kernel per frame: per-(key, day) counts via sort +
     reduceat, spans expanded with a single global ``arange`` minus
     per-row offsets (no per-key Python), counts scattered into the
     dense frame by computed index.  Output rows = sum of span lengths;
@@ -951,20 +929,18 @@ def densify_daily(ds, key_col: str, ts_col: str, *,
             "n_events": n})
 
     return keyed_apply(ds.map_batches(prep, batch_format="pyarrow"),
-                       key_col, fill, n_parts=n_parts,
-                       approx_rows=approx_rows)
+                       key_col, fill)
 
 
 def locf_daily(ds, key_col: str, ts_col: str, id_col: str,
-               val_col: str, *, n_parts: int | None = None,
-               approx_rows: int | None = None):
+               val_col: str):
     """Densify + LAST-OBSERVATION-CARRIED-FORWARD: per key, one row
     per calendar day in the key's span carrying the day's LAST value
     ((ts, id) order) forward over silent days — the feature-snapshot
     regularization step (:func:`densify_daily` gives the counts;
     this gives the state).  ``val_col`` must be integer-exact (cents).
 
-    Kernel: one lexsort per partition finds each (key, day)'s closing
+    Kernel: one lexsort per frame finds each (key, day)'s closing
     value, the dense frame expands exactly as densify_daily, and the
     fill is the classic vectorized LOCF (position-of-last-observation
     via ``np.maximum.accumulate`` + gather).  Every key's first dense
@@ -1026,15 +1002,12 @@ def locf_daily(ds, key_col: str, ts_col: str, id_col: str,
             "cents": filled})
 
     return keyed_apply(ds.map_batches(prep, batch_format="pyarrow"),
-                       key_col, fill, n_parts=n_parts,
-                       approx_rows=approx_rows)
+                       key_col, fill)
 
 
 def coalesce_intervals(ds, key_col: str, ts_col: str, id_col: str, *,
                        before_us: int = 900_000_000,
-                       after_us: int = 900_000_000,
-                       n_parts: int | None = None,
-                       approx_rows: int | None = None):
+                       after_us: int = 900_000_000):
     """INTERVAL COALESCING (union of overlapping intervals per key):
     each row spans ``[ts - before, ts + after]``; touching/overlapping
     spans of one key merge into maximal islands — the generic
@@ -1042,7 +1015,7 @@ def coalesce_intervals(ds, key_col: str, ts_col: str, id_col: str, *,
     merging (gap-based :func:`sessionize` is the point-event special
     case).  Returns (key, start_ts, end_ts, n_events) per island.
 
-    Kernel: one lexsort per key-hash partition; with fixed ±W spans
+    Kernel: one lexsort per key-hash frame; with fixed ±W spans
     the interval END is monotone within a key, so an island break is
     simply ``start > previous end`` — one shifted compare + cumsum,
     then segment-bound gathers.  No per-key Python."""
@@ -1074,5 +1047,4 @@ def coalesce_intervals(ds, key_col: str, ts_col: str, id_col: str, *,
             "n_events": (ends - starts + 1).astype(np.int64)})
 
     return keyed_apply(ds.map_batches(prep, batch_format="pyarrow"),
-                       key_col, merge, n_parts=n_parts,
-                       approx_rows=approx_rows)
+                       key_col, merge)

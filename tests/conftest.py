@@ -20,6 +20,15 @@ def ray_session():
     ray.shutdown()
 
 
+@pytest.fixture
+def small_frames(monkeypatch):
+    """Cap ``keyed_apply`` frames at 25 rows, so a kernel runs over
+    many frames and the frame cut lands inside key groups."""
+    from alco_ray.stages import window
+
+    monkeypatch.setattr(window, "FRAME_ROWS", 25)
+
+
 @pytest.fixture(scope="session")
 def t_small_dir():
     from alco_ray import fixtures

@@ -42,11 +42,11 @@ def _ds(table, n_blocks: int = 5):
     return ray.data.from_arrow(table).repartition(n_blocks)
 
 
-def test_lag_delta_matches_pandas(ev):
+def test_lag_delta_matches_pandas(ev, small_frames):
     from alco_ray.stages.window import lag_delta
 
     got = (lag_delta(_ds(ev), key_col="user_id", ts_col="ts",
-                     id_col="event_id", n_parts=8)
+                     id_col="event_id")
            .to_pandas().sort_values("event_id").reset_index(drop=True))
     df = ev.to_pandas().sort_values(["user_id", "ts", "event_id"])
     prev = df.groupby("user_id")["ts"].shift(1)
@@ -61,12 +61,12 @@ def test_lag_delta_matches_pandas(ev):
             np.asarray(w, dtype=float)[mask]).all()
 
 
-def test_grouped_cumsum_matches_pandas(ev):
+def test_grouped_cumsum_matches_pandas(ev, small_frames):
     from alco_ray.stages.window import grouped_cumsum
 
     got = (grouped_cumsum(_ds(ev), key_col="user_id", ts_col="ts",
                           id_col="event_id", val_col="cents",
-                          out_col="cum", n_parts=8)
+                          out_col="cum")
            .to_pandas().sort_values("event_id").reset_index(drop=True))
     df = ev.to_pandas().sort_values(["user_id", "ts", "event_id"])
     df["cum"] = df.groupby("user_id")["cents"].cumsum()
@@ -163,7 +163,7 @@ def test_full_outer_join_keeps_both_sides(ev):
                 else int(j.loc[u, "n_purchase"])) == int(wp.get(u, 0))
 
 
-def test_asof_join_matches_merge_asof(ev):
+def test_asof_join_matches_merge_asof(ev, small_frames):
     """Two-input as-of join vs pandas merge_asof (backward, inclusive)
     — duplicate timestamps within a user exercise the right-rows-first
     tiebreak; users with no right rows exercise the null path."""
@@ -176,7 +176,7 @@ def test_asof_join_matches_merge_asof(ev):
         _ds(pa.Table.from_pandas(left, preserve_index=False)),
         _ds(pa.Table.from_pandas(right, preserve_index=False)),
         key_col="user_id", ts_col="ts", left_id_col="event_id",
-        right_val_col="ts", out_col="m_ts", n_parts=8,
+        right_val_col="ts", out_col="m_ts",
     ).to_pandas().sort_values("event_id").reset_index(drop=True)
     want = pd.merge_asof(
         left.sort_values("ts", kind="mergesort"),

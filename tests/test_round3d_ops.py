@@ -132,11 +132,11 @@ def test_quantiles_disc_matches_single_q(tbl):
         assert multi[col].to_pylist() == single["q_value"].to_pylist()
 
 
-def test_grouped_dense_rank_matches_pandas(tbl):
+def test_grouped_dense_rank_matches_pandas(tbl, small_frames):
     from alco_ray.stages.window import grouped_dense_rank
 
     got = (grouped_dense_rank(_ds(tbl), key_col="grp", val_col="y",
-                              id_col="id", n_parts=4)
+                              id_col="id")
            .to_pandas().sort_values("id").reset_index(drop=True))
     df = tbl.to_pandas()
     want = (df.groupby("grp")["y"].rank(method="dense", ascending=False)
@@ -191,7 +191,7 @@ def _rolling_count(ds, df):
     from alco_ray.stages.window import rolling_count
 
     got = rolling_count(ds, flag_col="level", flag_value="ERROR",
-                        radius=2, n_parts=4).to_pandas()
+                        radius=2).to_pandas()
     flag = (df["level"] == "ERROR").astype(np.int64)
     want = df[["conv_id", "turn_idx"]].assign(
         w_count=flag.groupby(df["conv_id"]).transform(
@@ -203,8 +203,7 @@ def _rolling_count(ds, df):
 def _asof_prior(ds, df):
     from alco_ray.stages.window import asof_prior
 
-    got = asof_prior(ds, flag_col="level", flag_value="ERROR",
-                     n_parts=4).to_pandas()
+    got = asof_prior(ds, flag_col="level", flag_value="ERROR").to_pandas()
     hit = df["turn_idx"].where(df["level"] == "ERROR", -1)
     want = df[["conv_id", "turn_idx"]].assign(
         last_match_idx=hit.groupby(df["conv_id"]).cummax()
@@ -216,7 +215,7 @@ def _context_window(ds, df):
     from alco_ray.stages.window import context_window
 
     got = context_window(ds, match_col="level", match_value="ERROR",
-                         radius=1, n_parts=4).to_pandas()
+                         radius=1).to_pandas()
     errs = {(c, t) for c, t, lv in zip(df["conv_id"], df["turn_idx"],
                                        df["level"]) if lv == "ERROR"}
     near = [any((c, t + d) in errs for d in (-1, 0, 1))
@@ -228,7 +227,7 @@ def _transition_counts(ds, df):
     from alco_ray.stages.window import transition_counts
 
     got = transition_counts(ds, key_col="conv_id", order_col="turn_idx",
-                            val_col="role", n_parts=4).to_pandas()
+                            val_col="role").to_pandas()
     prev = df.groupby("conv_id")["role"].shift(1)
     want = (pd.DataFrame({"from_val": prev, "to_val": df["role"]})
             .dropna().groupby(["from_val", "to_val"], as_index=False)
@@ -240,7 +239,7 @@ def _path_counts(ds, df):
     from alco_ray.stages.window import path_counts
 
     got = path_counts(ds, key_col="conv_id", order_cols=["turn_idx"],
-                      val_col="role", n=3, n_parts=4).to_pandas()
+                      val_col="role", n=3).to_pandas()
     paths = [">".join(g["role"].iloc[i:i + 3])
              for _, g in df.groupby("conv_id")
              for i in range(len(g) - 2)]
@@ -254,8 +253,7 @@ def _adjacent_pairs(ds, df):
 
     got = adjacent_pairs(ds, key_col="conv_id", order_col="turn_idx",
                          role_col="role", text_col="text",
-                         from_role="user", to_role="assistant",
-                         n_parts=4).to_pandas()
+                         from_role="user", to_role="assistant").to_pandas()
     nxt = df.groupby("conv_id")[["role", "text"]].shift(-1)
     hit = (df["role"] == "user") & (nxt["role"] == "assistant")
     want = pd.DataFrame({"conv_id": df["conv_id"][hit],
@@ -268,10 +266,11 @@ def _adjacent_pairs(ds, df):
 @pytest.mark.parametrize("op", [
     _rolling_count, _asof_prior, _context_window, _transition_counts,
     _path_counts, _adjacent_pairs], ids=lambda f: f.__name__[1:])
-def test_window_operator_runs_one_plan(op, monkeypatch):
+def test_window_operator_runs_one_plan(op, monkeypatch, small_frames):
     # Block boundaries land mid-conversation (7 blocks of ~43 rows),
-    # so a kernel that ran per block instead of per key partition
-    # would cut windows, pairs and paths at every boundary.  Each
+    # and so do 25-row frame cuts, so a kernel that ran per block, or
+    # a frame that split a key group, would cut windows, pairs and
+    # paths at every boundary.  Each
     # operator matches a pandas or brute-force answer and runs ONE
     # Ray Data plan: the key-hash shuffle, consumed once.
     import ray.data

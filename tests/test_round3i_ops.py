@@ -113,7 +113,7 @@ def test_trigram_coverage_matches_reference():
         assert out[i]["lm_score"] == want
 
 
-def test_cross_doc_ngram_share_matches_reference():
+def test_cross_doc_ngram_share_matches_reference(small_frames):
     from alco_ray.stages.text import cross_doc_ngram_share
 
     texts = [
@@ -125,8 +125,7 @@ def test_cross_doc_ngram_share_matches_reference():
     ]
     ds = _docs_ds(texts)
     out = {r["doc_id"]: r
-           for r in cross_doc_ngram_share(ds, n=5, n_parts=4,
-                                          approx_docs=len(texts))
+           for r in cross_doc_ngram_share(ds, n=5)
            .take_all()}
 
     def grams(t):
@@ -277,14 +276,14 @@ def test_lev1_kernel_bruteforce():
             assert sets[x] & sets[y], (x, y)
 
 
-def test_fuzzy_pairs_end_to_end():
+def test_fuzzy_pairs_end_to_end(small_frames):
     from alco_ray.stages.dedup import fuzzy_pairs
 
     vals = ["alpha", "alpho", "alpha", "lpha", "alphaa", "beta",
             "betas", "gamma", "", "a"]
     ds = ray.data.from_arrow(pa.table({"v": pa.array(vals, pa.string())}))
     got = {(r["val_a"], r["val_b"])
-           for r in fuzzy_pairs(ds, "v", n_parts=4).take_all()}
+           for r in fuzzy_pairs(ds, "v").take_all()}
     uniq = sorted(set(vals))
     import itertools
     want = {(a, b) for a, b in itertools.combinations(uniq, 2)
@@ -293,7 +292,7 @@ def test_fuzzy_pairs_end_to_end():
     assert ("alpha", "alpho") in got and ("", "a") in got
 
 
-def test_densify_daily_matches_pandas():
+def test_densify_daily_matches_pandas(small_frames):
     import pandas as pd
 
     from alco_ray.stages.window import densify_daily
@@ -307,7 +306,7 @@ def test_densify_daily_matches_pandas():
           + rng.randint(0, 86_400_000_000, n).astype("timedelta64[us]"))
     ds = ray.data.from_arrow(pa.table({
         "user_id": pa.array(users), "ts": pa.array(ts)}))
-    out = densify_daily(ds, "user_id", "ts", n_parts=4).to_pandas()
+    out = densify_daily(ds, "user_id", "ts").to_pandas()
     df = pd.DataFrame({"user_id": users,
                        "day": ts.astype("datetime64[D]")})
     for u, grp in df.groupby("user_id"):
@@ -324,7 +323,7 @@ def test_densify_daily_matches_pandas():
             == df.groupby("user_id").size().to_numpy()).all()
 
 
-def test_profile_table_matches_pandas():
+def test_profile_table_matches_pandas(small_frames):
     import pandas as pd
 
     from alco_ray.stages.aggregate import profile_table
@@ -339,8 +338,8 @@ def test_profile_table_matches_pandas():
                        for _ in range(n)], pa.string()),
         "f": pa.array(rng.choice([1.5, 2.25, -3.0, 0.0], n)),
     })
-    out = profile_table(ray.data.from_arrow(t), ["a", "b", "f"],
-                        n_parts=4).to_pandas().set_index("col_name")
+    out = profile_table(ray.data.from_arrow(t), ["a", "b", "f"]) \
+        .to_pandas().set_index("col_name")
     df = t.to_pandas()
     for c in ["a", "b", "f"]:
         assert out.loc[c, "n_rows"] == n
@@ -579,7 +578,7 @@ def test_outlier_rule_matches_bigint_bruteforce():
         assert bool(got[i]) == (d * d > 4 * (n * q - s * s))
 
 
-def test_locf_daily_matches_pandas():
+def test_locf_daily_matches_pandas(small_frames):
     import pandas as pd
 
     from alco_ray.stages.window import locf_daily
@@ -596,8 +595,7 @@ def test_locf_daily_matches_pandas():
         "eid": pa.array(np.arange(n, dtype=np.int64)),
         "c": pa.array(rng.randint(0, 1000, n).astype(np.int64)),
     })
-    out = locf_daily(ray.data.from_arrow(t), "u", "ts", "eid", "c",
-                     n_parts=4).to_pandas()
+    out = locf_daily(ray.data.from_arrow(t), "u", "ts", "eid", "c").to_pandas()
     df = t.to_pandas()
     df["day"] = df["ts"].dt.floor("D")
     for u, grp in df.groupby("u"):
@@ -612,7 +610,7 @@ def test_locf_daily_matches_pandas():
             assert int(sel[d.strftime("%Y-%m-%d")]) == int(filled[d])
 
 
-def test_coalesce_intervals_matches_bruteforce():
+def test_coalesce_intervals_matches_bruteforce(small_frames):
     from alco_ray.stages.window import coalesce_intervals
 
     rng = np.random.RandomState(71)
@@ -626,8 +624,7 @@ def test_coalesce_intervals_matches_bruteforce():
         "eid": pa.array(np.arange(n, dtype=np.int64)),
     })
     out = coalesce_intervals(ray.data.from_arrow(t), "u", "ts", "eid",
-                             before_us=W, after_us=W,
-                             n_parts=4).to_pandas()
+                             before_us=W, after_us=W).to_pandas()
     df = t.to_pandas()
     for u, grp in df.groupby("u"):
         ts = np.sort(grp["ts"].to_numpy().astype("datetime64[us]")
@@ -679,7 +676,7 @@ def test_export_sink_duplicate_blocks_not_lost(tmp_path):
     assert paths2 == paths  # re-export is filename-idempotent
 
 
-def test_fuzzy_pairs_oversized_bucket_contract():
+def test_fuzzy_pairs_oversized_bucket_contract(small_frames):
     """ADVICE r3: buckets past max_bucket must not be dropped
     SILENTLY.  Default errors loudly; 'keep' stays exact; 'drop' is
     the documented approximation."""
@@ -695,17 +692,17 @@ def test_fuzzy_pairs_oversized_bucket_contract():
     ds = ray.data.from_arrow(pa.table({"v": pa.array(vals, pa.string())}))
 
     with pytest.raises(Exception, match="max_bucket"):
-        fuzzy_pairs(ds, "v", n_parts=2, max_bucket=3).take_all()
+        fuzzy_pairs(ds, "v", max_bucket=3).take_all()
 
     kept = {(r["val_a"], r["val_b"])
-            for r in fuzzy_pairs(ds, "v", n_parts=2, max_bucket=3,
+            for r in fuzzy_pairs(ds, "v", max_bucket=3,
                                  on_oversized="keep").take_all()}
     want = {(a, b) for a, b in itertools.combinations(sorted(set(vals)), 2)
             if _lev_ref(a, b) <= 1}
     assert kept == want
 
     dropped = {(r["val_a"], r["val_b"])
-               for r in fuzzy_pairs(ds, "v", n_parts=2, max_bucket=3,
+               for r in fuzzy_pairs(ds, "v", max_bucket=3,
                                     on_oversized="drop").take_all()}
     assert dropped <= want
 

@@ -600,7 +600,8 @@ def _span_reference(texts, n=5):
     return out
 
 
-def test_dup_span_mask_matches_reference(ray_session):
+def test_dup_span_mask_matches_reference(ray_session, monkeypatch):
+    from alco_ray.stages import window
     from alco_ray.stages.text import dup_span_mask
 
     texts = [
@@ -616,13 +617,13 @@ def test_dup_span_mask_matches_reference(ray_session):
     ds = ray.data.from_arrow(pa.table({
         "doc_id": pa.array(range(len(texts)), pa.int64()),
         "text": pa.array(texts, pa.string())}))
-    for parts in (1, 4):
+    for frame_rows in (4, window.FRAME_ROWS):
+        monkeypatch.setattr(window, "FRAME_ROWS", frame_rows)
         got = {r["doc_id"]: (r["n_tokens"], r["n_masked"], r["clean_text"])
-               for r in dup_span_mask(ds, n=5, n_parts=parts,
-                                      approx_docs=len(texts)).take_all()}
+               for r in dup_span_mask(ds, n=5).take_all()}
         assert len(got) == len(texts)
         for d in range(len(texts)):
-            assert got[d] == want[d], (parts, d, got[d], want[d])
+            assert got[d] == want[d], (frame_rows, d, got[d], want[d])
     # the fully-duplicated pair is entirely masked; the within-doc
     # repeat is NOT (distinct-doc rule); the unrelated doc is intact
     assert got[0][2] == "" and got[5][2] == ""

@@ -108,7 +108,7 @@ def test_path_counts_kernel_law():
     })
     ds = ray.data.from_pandas(df)
     got = path_counts(ds, key_col="k", order_cols=["o1", "o2"],
-                      val_col="v", n=3, approx_rows=n).to_pandas() \
+                      val_col="v", n=3).to_pandas() \
         .set_index("path")["cnt"].to_dict()
 
     want: dict = {}

@@ -9,8 +9,12 @@ source scan keeps hand-rolled ``partition_by_key`` shuffles out of the
 package (``window.keyed_apply`` owns them), and the per-row kernels the
 ingest dropped out of it: the regex token count
 (``parse.count_tokens`` owns it) and ``strftime`` day strings
-(``route.day_string``)."""
+(``route.day_string``).  An AST scan keeps keyed shuffles unsized:
+``keyed_apply`` sizes its frames from the data, so only the functions
+whose counts do another job take a partition-count or row-count
+parameter."""
 
+import ast
 import glob
 import re
 import shutil
@@ -100,9 +104,9 @@ _ARGS = r"(?:[^()]|\([^()]*\))*?"
     (r"strftime\(" + _ARGS + r"[\"']%Y-%m-%d[\"']", "alco_ray/oracle.py",
      "render day strings with alco_ray.stages.route.day_string (two "
      "casts), not a per-row strftime; only the pandas oracle keeps it"),
-    (r"\.map_groups\(", "alco_ray/stages/window.py",
+    (r"\.map_groups\(", None,
      "shuffle through alco_ray.stages.window.keyed_apply (one kernel "
-     "call per partition of whole key groups), not Ray's per-group "
+     "call per frame of whole key groups), not Ray's per-group "
      "groupby(...).map_groups"),
     (r"half_towards_infinity", "alco_ray/stages/aggregate.py",
      "convert to fixed point with alco_ray.stages.aggregate.to_fixed "
@@ -117,6 +121,97 @@ def test_package_never_calls(pattern, allowed, message):
             for text in [p.read_text()]
             for m in rx.finditer(text)]
     assert not hits, f"{message}: {hits}"
+
+
+# Sizing parameters and the functions that keep them, each for a job
+# other than sizing a keyed shuffle: a join's partitions (join.py, and
+# decontaminate* feeding semi_join), an index's bucket layout
+# (build_text_index), graph.py's partitioned iterations, and the
+# partition_by_key skew measurement.
+_SIZING = {"n_parts", "approx_rows", "approx_docs", "grams_per_doc",
+           "tokens_per_doc"}
+_SIZED = {
+    "alco_ray/stages/join.py": {"semi_join", "anti_join",
+                                "runtime_filter_semi_join"},
+    "alco_ray/stages/dedup.py": {"decontaminate", "decontaminate_bloom"},
+    "alco_ray/stages/textindex.py": {"build_text_index"},
+    "alco_ray/stages/graph.py": {"_cc_send", "_cc_jump_req",
+                                 "_cc_jump_apply", "_pr_hash",
+                                 "_pr_split_arrays", "_pr_split_block",
+                                 "_pr_contrib"},
+    "alco_ray/stages/window.py": {"partition_by_key"},
+}
+
+
+def test_only_non_shuffle_jobs_take_sizing_parameters():
+    sized, names = {}, set()
+    for p in sorted(PKG.rglob("*.py")):
+        rel = p.relative_to(PKG.parent).as_posix()
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+                a = node.args
+                if {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
+                        } & _SIZING:
+                    sized.setdefault(rel, set()).add(node.name)
+    assert sized == _SIZED
+    assert "suggest_pair_partitions" not in names
+
+
+def _docs_ds() -> "ray.data.Dataset":
+    """Six documents (two exact dups, one near dup, two texts one edit
+    apart) behind a map_batches, so a ``count()`` would re-run a plan,
+    not read metadata; ``conv_id``/``turn_idx``/``level`` feed
+    rolling_count."""
+    texts = ["one two three four five six seven",
+             "zero one two three four five six",
+             "one two three four five six seven",
+             "totally different words here nothing shared",
+             "short doc", "short dog"]
+    t = pa.table({"doc_id": pa.array(range(6), pa.int64()),
+                  "text": texts,
+                  "conv_id": ["a", "a", "b", "b", "b", "b"],
+                  "turn_idx": pa.array([0, 1, 0, 1, 2, 3], pa.int32()),
+                  "level": ["ERROR", "INFO", "INFO", "ERROR", "INFO",
+                            "INFO"]})
+    return ray.data.from_arrow(t).map_batches(lambda b: b,
+                                              batch_format="pyarrow")
+
+
+def _counting_ops():
+    from alco_ray.stages import aggregate, dedup, text, window
+
+    return {
+        "jaccard_pairs": lambda ds: dedup.jaccard_pairs(ds, 0.5),
+        "containment_pairs": lambda ds: dedup.containment_pairs(ds, 0.8),
+        "lsh_candidate_pairs": dedup.lsh_candidate_pairs,
+        "simhash_near_pairs": lambda ds: dedup.simhash_near_pairs(ds, 7),
+        "fuzzy_pairs": lambda ds: dedup.fuzzy_pairs(ds, "text"),
+        "tf_df": text.tf_df,
+        "ngram_counts": text.ngram_counts,
+        "cross_doc_ngram_share": text.cross_doc_ngram_share,
+        "dup_span_mask": text.dup_span_mask,
+        "longest_shared_span": text.longest_shared_span,
+        "profile_table": lambda ds: aggregate.profile_table(
+            ds, ["doc_id", "text"]),
+        "rolling_count": lambda ds: window.rolling_count(
+            ds, flag_col="level", flag_value="ERROR"),
+    }
+
+
+@pytest.mark.parametrize("op", sorted(_counting_ops()))
+def test_keyed_operators_never_count_their_input(op, monkeypatch):
+    """These operators used to size their shuffles with
+    ``Dataset.count()``, which re-runs the upstream plan of a
+    transformed input.  Their shuffles now size themselves."""
+    def no_count(self):
+        raise AssertionError("Dataset.count() re-runs the upstream plan")
+
+    monkeypatch.setattr(ray.data.Dataset, "count", no_count)
+    out = _counting_ops()[op](_docs_ds())
+    rows = out.num_rows if isinstance(out, pa.Table) else len(
+        out.take_all())
+    assert rows > 0
 
 
 def test_collector_converts_blocks_without_rerun(limit_calls):

@@ -389,20 +389,6 @@ def test_dedup_apply_keeps_min_per_cluster():
     assert sorted(kept2["doc_id"]) == [0, 1, 2, 3, 6]
 
 
-def test_pair_partitions_grow_with_input():
-    # Fixed partition counts are a scale bug: each partition holds
-    # corpus/NP rows.  The suggested count must grow (power of two,
-    # clamped) with the input row count.
-    small = dedup.suggest_pair_partitions(500)
-    mid = dedup.suggest_pair_partitions(5_000_000)
-    big = dedup.suggest_pair_partitions(500_000_000)
-    assert small == 32
-    assert small < mid < big
-    for v in (small, mid, big):
-        assert v & (v - 1) == 0  # pow2
-    assert dedup.suggest_pair_partitions(10**14) == 1 << 16  # clamped
-
-
 def test_dedup_apply_union_find_random_graph():
     # Vectorized min-label propagation vs a plain Python union-find on
     # a random edge set (chains, cliques, isolated nodes).
@@ -924,7 +910,7 @@ def test_hll_distinct_accuracy_and_independence():
     assert np.array_equal(full, np.maximum(h1, h2))
 
 
-def test_nearby_count_matches_bruteforce():
+def test_nearby_count_matches_bruteforce(small_frames):
     """Range-join count vs an O(n^2) oracle, self excluded, flagged
     probes only."""
     import ray.data
@@ -944,7 +930,7 @@ def test_nearby_count_matches_bruteforce():
     out = window.nearby_count(
         ray.data.from_arrow(t).repartition(5), key_col="user_id",
         ts_col="ts", id_col="event_id", radius_us=R,
-        flag_col="event_type", flag_value="error", n_parts=4) \
+        flag_col="event_type", flag_value="error") \
         .to_pandas().set_index("event_id")["n_nearby"].to_dict()
     tsi = ts.view(np.int64)
     want = {}
@@ -1009,7 +995,7 @@ def test_global_rank_matches_argsort():
                           (out["k"].to_numpy() % 17))
 
 
-def test_source_cap_partition_stable():
+def test_source_cap_partition_stable(small_frames):
     """Per-group cap: never more than k rows per group, and the SAME
     surviving ids under different partitionings (hash order, not
     arrival order)."""
@@ -1030,8 +1016,7 @@ def test_source_cap_partition_stable():
     for blocks in (2, 9):
         out = top_k_per_group(
             ray.data.from_arrow(t).repartition(blocks),
-            "source", ["h", "doc_id"], 5, descending=False,
-            n_parts=4).to_pandas()
+            "source", ["h", "doc_id"], 5, descending=False).to_pandas()
         assert out.groupby("source").size().max() <= 5
         picks.append(set(out["doc_id"]))
     assert picks[0] == picks[1]
@@ -1084,13 +1069,13 @@ def test_text_encoder_feeds_ann_paths():
     assert lsh["sim"].tolist()[0] == pytest.approx(1.0)
 
 
-def test_longest_shared_span_matches_bruteforce():
+def test_longest_shared_span_matches_bruteforce(small_frames):
     """Fused variable-length ladder == per-pair Python brute force,
     including the cap, the zero base for unshared docs, and exact
     dups maxing out at min(doc len, cap)."""
     t = _docs_table()
     got = text.longest_shared_span(
-        ray.data.from_arrow(t), max_len=10, n_parts=4).to_pandas()
+        ray.data.from_arrow(t), max_len=10).to_pandas()
     got_map = dict(zip(got["doc_id"], got["max_shared_len"]))
 
     texts = [_py_tokens(s) for s in t["text"].to_pylist()]

@@ -132,12 +132,11 @@ def test_adjacent_pairs_brute_force():
                for r in window.adjacent_pairs(
                    ds, key_col="conv_id", order_col="turn_idx",
                    role_col="role", text_col="text",
-                   from_role="user", to_role="assistant",
-                   approx_rows=len(rows)).take_all()}
+                   from_role="user", to_role="assistant").take_all()}
         assert got == want, nblocks
 
 
-def test_debounce_matches_sequential_brute_force():
+def test_debounce_matches_sequential_brute_force(small_frames):
     """The vectorized-rounds debounce == the sequential greedy state
     machine, at several partitionings, with ties, long storms, and a
     key whose every event is kept."""
@@ -175,25 +174,27 @@ def test_debounce_matches_sequential_brute_force():
         ds = ray.data.from_arrow(tbl).repartition(nblocks)
         got = {r["i"] for r in window.debounce(
             ds, key_cols="k", ts_col="t", id_col="i",
-            cooldown=cool, n_parts=2,
-            approx_rows=len(rows)).take_all()}
+            cooldown=cool).take_all()}
         assert got == want, nblocks
 
 
-@pytest.mark.parametrize("sizing", [{"n_parts": 4}, {"approx_rows": 3000}],
-                         ids=["n_parts", "approx_rows"])
+@pytest.mark.parametrize("frame_rows", [None, 7],
+                         ids=["block_frames", "frame_rows_7"])
 @pytest.mark.parametrize("keys", ["k", ["k", "j"]], ids=["one", "multi"])
-def test_keyed_apply_contract(keys, sizing):
-    """keyed_apply hands each kernel call whole key groups without the
-    ``part`` column, matches a pandas groupby, and maps an empty input
-    to no rows."""
+def test_keyed_apply_contract(keys, frame_rows, monkeypatch):
+    """keyed_apply hands each kernel call whole key groups with only
+    the input columns, matches a pandas groupby, and maps an empty
+    input to no rows, with whole blocks as frames and with small
+    frames."""
     import uuid
 
     import pandas as pd
     import ray
 
-    from alco_ray.stages.window import keyed_apply
+    from alco_ray.stages import window
 
+    if frame_rows is not None:
+        monkeypatch.setattr(window, "FRAME_ROWS", frame_rows)
     cols = [keys] if isinstance(keys, str) else keys
     rng = np.random.default_rng(7)
     n = 3000
@@ -205,13 +206,13 @@ def test_keyed_apply_contract(keys, sizing):
         out = g.groupby(cols, as_index=False).agg(
             n=("v", "size"), s=("v", "sum"))
         out["call"] = uuid.uuid4().hex
-        out["saw_part"] = "part" in g.columns
+        out["cols"] = ",".join(g.columns)
         return out
 
     ds = ray.data.from_pandas(df).repartition(8)
-    got = pd.DataFrame(keyed_apply(ds, keys, kernel, **sizing).take_all())
+    got = pd.DataFrame(window.keyed_apply(ds, keys, kernel).take_all())
 
-    assert not got["saw_part"].any()
+    assert (got["cols"] == "k,j,v").all()
     # one output row per key means no key was split across two calls
     assert not got.duplicated(cols).any()
     assert got["call"].nunique() > 1
@@ -222,4 +223,50 @@ def test_keyed_apply_contract(keys, sizing):
         want.sort_values(cols).reset_index(drop=True), check_dtype=False)
 
     empty = ray.data.from_pandas(df.iloc[:0])
-    assert keyed_apply(empty, keys, kernel, **sizing).take_all() == []
+    assert window.keyed_apply(empty, keys, kernel).take_all() == []
+
+
+def test_keyed_apply_frames_hold_whole_groups(monkeypatch):
+    """Frames are runs of whole key groups of at most FRAME_ROWS rows;
+    a larger group is a frame of its own.  The answer does not depend
+    on the frame size."""
+    import uuid
+
+    import pandas as pd
+    import ray
+
+    from alco_ray.stages import window
+
+    rng = np.random.default_rng(11)
+    small = np.repeat(np.arange(60), rng.integers(1, 4, 60))
+    keys = np.concatenate([small, np.full(20, 999)])
+    df = pd.DataFrame({"k": keys, "v": rng.integers(0, 100, len(keys))})
+    ds = ray.data.from_pandas(df.sample(frac=1, random_state=3)) \
+        .repartition(4)
+
+    def kernel(g: pd.DataFrame) -> pd.DataFrame:
+        out = g.groupby("k", as_index=False).agg(n=("v", "size"),
+                                                 s=("v", "sum"))
+        out["frame"] = uuid.uuid4().hex
+        out["frame_rows"] = len(g)
+        return out
+
+    def run() -> pd.DataFrame:
+        return pd.DataFrame(window.keyed_apply(ds, "k", kernel).take_all())
+
+    whole = run()
+    monkeypatch.setattr(window, "FRAME_ROWS", 7)
+    framed = run()
+
+    assert not framed.duplicated("k").any()  # no key in two frames
+    frames = framed.groupby("frame").agg(rows=("frame_rows", "first"),
+                                         groups=("k", "size"),
+                                         n=("n", "sum"))
+    assert (frames["rows"] == frames["n"]).all()
+    assert (frames.loc[frames["rows"] > 7, "groups"] == 1).all()
+    assert frames["rows"].max() == 20        # the big group went whole
+    assert (frames["groups"] > 1).any()      # small groups share frames
+    assert len(frames) > whole["frame"].nunique()
+    pd.testing.assert_frame_equal(
+        framed[["k", "n", "s"]].sort_values("k").reset_index(drop=True),
+        whole[["k", "n", "s"]].sort_values("k").reset_index(drop=True))
