@@ -84,11 +84,13 @@ def oracle_run(df: pd.DataFrame, cfg: PipelineConfig | None = None) -> dict:
         levels.append(level)
         parsed_list.append(parsed)
         oks.append(ok)
-        ntoks.append(len(tokens))
+        # a null text has no token count (SQL: len(regexp_extract_all(
+        # NULL, ...)) is NULL), an empty one has 0
+        ntoks.append(None if pd.isna(text) else len(tokens))
     df["level"] = levels
     df["parsed_ts"] = pd.to_datetime(parsed_list)
     df["parse_ok"] = oks
-    df["n_tokens"] = ntoks
+    df["n_tokens"] = pd.array(ntoks, dtype="Int32")
 
     # 5-minute bucket
     df["bucket"] = df["parsed_ts"].dt.floor(f"{cfg.bucket_minutes}min")

@@ -93,11 +93,12 @@ def build_or_load_dicts(files: list[str], cfg: PipelineConfig,
     cached as Parquet artifacts and grown **insert-if-absent**.
 
     The scan runs on the driver, one row group at a time, reading only
-    the dictionary columns of the shards the cache has not seen, with
-    the same normalize + unique kernel as ``build_dicts``
-    (``distinct_values``).  Those columns are low-cardinality by
-    contract, so this is tens of milliseconds for a 64-shard wave,
-    where a Ray Data plan costs ~1 s to start.
+    the dictionary columns of the shards the cache has not seen,
+    through ``dict_encode.distinct_values`` (the parse stage's
+    normalize, then unique) and ``dicts_from_distincts``.  Those
+    columns are low-cardinality by contract, so this is tens of
+    milliseconds for a 64-shard wave, where a Ray Data plan costs ~1 s
+    to start.
 
     The cache tracks which corpus files it has already folded in
     (``_scanned.json``), so a re-run scans only NEW shards; values
@@ -418,41 +419,6 @@ def ingest_task_cpus(n_batches: int, cpus: int, node_cpus: int) -> int:
     smallest node, at least one.  The wave's tasks together never hold
     more than the cluster's CPUs, and each fits on every node."""
     return max(1, min(node_cpus, cpus // max(1, n_batches)))
-
-
-def watch_flagship(input_dir: str | Path, out_root: str | Path,
-                   cfg: PipelineConfig | None = None, *,
-                   wave_size: int = 64,
-                   poll_interval_s: float = 5.0,
-                   max_idle_polls: int | None = None,
-                   stop=None,
-                   dict_cache: str | Path | None = None) -> dict[str, Any]:
-    """The streaming-collector loop: poll ``input_dir`` for new shards
-    and ingest each new frontier with :func:`run_flagship` (file-keyed
-    incremental waves — only NEW files are processed; totals equal a
-    fresh full run bit-for-bit, pinned by the resume tests).
-
-    ALCO's collector blocks on an AMQP queue; the Parquet-shard analog
-    is this poll loop.  ``stop`` (callable -> bool, checked once per
-    poll) ends the loop for embedding/testing; ``max_idle_polls`` ends
-    it after that many consecutive polls with no new work (None =
-    run forever, the daemon mode).  An empty input dir is 'waiting for
-    the first shard', not an error.  Returns the cumulative summary."""
-    idle = 0
-    while True:
-        if stop is not None and stop():
-            break
-        files = transcript_files(input_dir)
-        if set(files) - CheckpointManifest(out_root).processed_files():
-            run_flagship(input_dir, out_root, cfg, wave_size=wave_size,
-                         dict_cache=dict_cache)
-            idle = 0
-        else:
-            idle += 1
-            if max_idle_polls is not None and idle >= max_idle_polls:
-                break
-            time.sleep(poll_interval_s)
-    return CheckpointManifest(out_root).total_metrics()
 
 
 def run_flagship(input_dir: str | Path, out_root: str | Path,

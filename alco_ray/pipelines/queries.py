@@ -338,8 +338,7 @@ def _ensure_text_index(sf_dir: str) -> Path:
     """Build-or-reuse the persisted inverted text index for a corpus
     (shared by every indexed-search query): corpus-signature freshness
     gate, one parse pass on (re)build.  A stale index (shards added or
-    rewritten) rebuilds whole here; streaming appends use
-    textindex.update_text_index (pytest-pinned equivalent)."""
+    rewritten) rebuilds whole."""
     from ..stages.textindex import build_text_index
 
     idx = Path("/tmp/alco_ray_cache") / Path(sf_dir).name / "text_index"
@@ -3909,8 +3908,9 @@ def e_value_corr(sf_dir: str):
     """Distributed Pearson-correlation kernel (corr(value, time) per
     event type): exact int64 co-moment partials per block, one driver
     fold — the moments ARE the distributed algorithm (associative
-    merge); r itself is O(groups) driver arithmetic from them
-    (stages/aggregate.corr_from_moments, pytest-checked against numpy).
+    merge); the query returns them, and r is O(groups) arithmetic on
+    that table (stages/aggregate.corr_moments, pytest-checked against
+    numpy).
     x = whole minutes since the corpus min ts (affine shift keeps
     n·x² < 2⁶³), y = integer cents."""
     from ray.data.aggregate import Min

@@ -173,19 +173,11 @@ def read_evolving_transcripts(paths: list[str] | str,
 
 
 def routed_output_files(out_root: str | Path) -> list[str]:
-    """Sorted live file list of the sink tree, excluding files a
-    compaction already absorbed (their rows live in a ``c-*`` file; a
-    crash between installing it and unlinking its inputs must not
-    double-count — see sinks.compact_partitions)."""
-    from ..sinks import compacted_input_names
-
-    files: list[str] = []
-    dirs = {p.parent for p in Path(out_root).glob("sink=*/date=*/*.parquet")}
-    for d in sorted(dirs):
-        absorbed = compacted_input_names(d)
-        files += (str(p) for p in d.glob("*.parquet")
-                  if p.name not in absorbed)
-    return sorted(files)
+    """Sorted file list of the sink tree: every promoted
+    ``sink=*/date=*/*.parquet`` file (nothing rewrites or absorbs
+    one, see alco_ray.sinks)."""
+    return sorted(str(p) for p in
+                  Path(out_root).glob("sink=*/date=*/*.parquet"))
 
 
 def read_routed_output(out_root: str | Path, columns: list[str] | None = None,

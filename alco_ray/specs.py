@@ -4,10 +4,10 @@ In the reference, which fields get parsed, dictionary-encoded, displayed
 or excluded is *data* (Django model rows ``LoggerIndex``/``LoggerColumn``,
 see SURVEY.md §1.1), not code.  This module keeps that property: a
 pipeline is driven by a :class:`PipelineConfig` holding a list of
-:class:`ColumnSpec` and :class:`LoggerSpec` rows, and the output Arrow
-schema + partition layout are *compiled* from the config by
-:func:`compile_schema` (the sphinx.conf-generator analog, SURVEY.md §2.1
-S5).
+:class:`ColumnSpec` and :class:`LoggerSpec` rows, and the stages derive
+the output columns and partition layout from it (one ``<col>_id``
+column per :meth:`PipelineConfig.filtered_columns` entry, one ``sink``
+partition per logger; SURVEY.md §2.1 S5).
 """
 
 from __future__ import annotations
@@ -109,27 +109,3 @@ def default_transcript_config() -> PipelineConfig:
             LoggerSpec("tools", ("tool",)),
         ],
     )
-
-
-def compile_schema(cfg: PipelineConfig) -> pa.Schema:
-    """Compile the routed-output Arrow schema from the config — the
-    analog of ALCO's sphinx.conf generator rendering RT index fields and
-    uint attributes from LoggerColumn rows (SURVEY.md §2.1 S5, §3.2).
-
-    Output = input columns + parse-derived columns + one ``<col>_id``
-    int32 attribute per filtered column + routing/partition columns.
-    """
-    fields = list(TRANSCRIPT_SCHEMA)
-    fields += [
-        pa.field("level", pa.string()),
-        pa.field("parsed_ts", pa.timestamp("us")),
-        pa.field("parse_ok", pa.bool_()),
-        # n_tokens, not tokens: the tokenizer contract is verified via
-        # counts + stages.parse.tokenize; per-row token lists are not
-        # persisted (Sphinx stores an inverted index, not token lists).
-        pa.field("n_tokens", pa.int32()),
-        pa.field("bucket", pa.timestamp("us")),
-    ]
-    fields += [pa.field(f"{name}_id", pa.int32()) for name in cfg.filtered_columns()]
-    fields += [pa.field("sink", pa.string()), pa.field("date", pa.string())]
-    return pa.schema(fields)

@@ -374,8 +374,8 @@ def corr_moments(ds, x_col: str, y_col: str, by: str):
     statistics for Pearson r, covariance and OLS slope.  The merge of
     per-block partials IS the distributed algorithm (moment sums are
     associative+commutative); the final r = (nΣxy − ΣxΣy) /
-    √((nΣx²−(Σx)²)(nΣy²−(Σy)²)) is O(groups) driver arithmetic
-    (:func:`corr_from_moments`).
+    √((nΣx²−(Σx)²)(nΣy²−(Σy)²)) is O(groups) arithmetic on the
+    returned table, left to the caller.
 
     Inputs must already be int64 (caller integerizes: cents, minutes
     offset — float sums are order-dependent under distribution and
@@ -395,21 +395,6 @@ def corr_moments(ds, x_col: str, y_col: str, by: str):
     spec = {"n": ([], "count_all")}
     spec.update({c: (c, "sum") for c in ("sx", "sy", "sxy", "sxx", "syy")})
     return fold_agg(ds, [by], spec, products)
-
-
-def corr_from_moments(m: pa.Table) -> list[float | None]:
-    """Pearson r per row of a :func:`corr_moments` table — exact
-    Python-int numerator/denominator, one float division at the end.
-    None where either variance is zero."""
-    import math
-
-    out = []
-    for r in m.to_pylist():
-        n, sx, sy = r["n"], r["sx"], r["sy"]
-        num = n * r["sxy"] - sx * sy
-        den2 = (n * r["sxx"] - sx * sx) * (n * r["syy"] - sy * sy)
-        out.append(num / math.sqrt(den2) if den2 > 0 else None)
-    return out
 
 
 def mode_by(ds, value_col: str, by: str,

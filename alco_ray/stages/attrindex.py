@@ -35,8 +35,8 @@ import pyarrow.compute as pc
 
 def _bucket_of_meta(v: np.ndarray, meta: dict) -> np.ndarray:
     """Bucket assignment from meta alone — the ONE shared rule for
-    build, update and probe (grid drift between them would silently
-    unprune results)."""
+    build and probe (grid drift between them would silently unprune
+    results)."""
     nb = meta["n_buckets"]
     if "edges" in meta:
         return np.searchsorted(np.asarray(meta["edges"], np.float64),
@@ -157,52 +157,3 @@ def range_probe(index_dir: str | Path, lo: float, hi: float, *,
         return pa.table(
             {c: pa.array([], schema.field(c).type) for c in columns})
     return out
-
-
-def update_value_index(delta_ds, index_dir: str | Path, *,
-                       extra_meta: dict | None = None) -> None:
-    """INCREMENTAL attribute-index update (the textindex
-    update_text_index protocol applied to the value-range index):
-    delta rows land in the live ``buckets/bucket=*/`` directories
-    under the EXISTING bucket grid — lo/width are pinned by the index,
-    so old and new segments stay probe-compatible — with content-
-    hashed filenames (idempotent retries), then ``meta.json`` swaps
-    atomically with the caller's new corpus signature as the commit
-    point.  Values outside the original [lo, hi] clamp into the edge
-    buckets (the probe's exact predicate keeps results right; a
-    drifting value domain eventually wants a rebuild, which the
-    signature gate forces anyway)."""
-    from ..sinks import _make_block_writer
-
-    d = Path(index_dir)
-    meta = json.loads((d / "meta.json").read_text())
-    if meta.get("kind") != "value_range":
-        raise ValueError(f"{d} is not a value-range index")
-    vcol = meta["value_col"]
-
-    writer = _make_block_writer(str(d / "buckets"), ["bucket"])
-
-    def assign(b: pa.Table) -> pa.Table:
-        v = b[vcol].to_numpy(zero_copy_only=False).astype(np.float64)
-        return b.append_column("bucket",
-                               pa.array(_bucket_of_meta(v, meta)))
-
-    (delta_ds.map_batches(assign, batch_format="pyarrow")
-        .map_batches(writer, batch_format="pyarrow").materialize())
-
-    new_meta = {**meta, **(extra_meta or {})}
-    tmp = d / "meta.json.tmp"
-    tmp.write_text(json.dumps(new_meta))
-    os.replace(tmp, d / "meta.json")
-
-
-def compact_value_index(index_dir: str | Path,
-                        target_bytes: int = 256 << 20) -> int:
-    """Segment-merge for the incrementally-updated value index (one
-    small file lands per update wave per touched bucket): rewrites
-    each bucket directory via the sinks' convergent compactor.  Same
-    operational contract as sink/text-index compaction."""
-    from ..sinks import compact_partitions
-
-    return compact_partitions(Path(index_dir), target_bytes,
-                              pattern="buckets/bucket=*")

@@ -4,15 +4,15 @@ SURVEY.md §2.4 J1 / §2.3 T1.  The reference keeps a Redis hash per
 (logger, filtered column) mapping string value -> small int id, with a
 per-process cache; ids are assigned by arrival order (INCR).  Here:
 
-- **build** (:func:`build_dicts`): one distributed distinct pass per
-  filtered column (`Dataset.unique`), then ids assigned by
-  **sorted-distinct order** — deterministic and reproducible across
-  partitionings, a documented deviation from Redis INCR arrival order
-  (BASELINE.json:14 demands reproducible equality; arrival order is
-  nondeterministic under parallelism).  Nulls get no id (stay null).
-  The per-batch kernel (:func:`distinct_values`) and the merge
-  (:func:`dicts_from_distincts`) are module-level, so the flagship's
-  driver-side scan of new shards shares the same normalize + unique.
+- **build**: one distinct pass over the filtered columns, then ids
+  assigned by **sorted-distinct order** — deterministic and
+  reproducible across partitionings, a documented deviation from Redis
+  INCR arrival order (BASELINE.json:14 demands reproducible equality;
+  arrival order is nondeterministic under parallelism).  Nulls get no
+  id (stay null).  The per-batch kernel (:func:`distinct_values`) and
+  the merge (:func:`dicts_from_distincts`) are module-level; the
+  flagship's driver-side scan of new shards
+  (``flagship.build_or_load_dicts``) runs them over row groups.
 - **broadcast + probe** (:class:`DictEncoder`): the dict tables are put
   in the object store once (``ray.put``); each actor in the pool reads
   them ONCE in ``__init__`` and probes per batch with ``pc.index_in``
@@ -21,13 +21,10 @@ per-process cache; ids are assigned by arrival order (INCR).  Here:
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
-from .aggregate import arrow_blocks, concat_nonempty
+from .aggregate import concat_nonempty
 
 
 def build_dict_table(values: pa.Array | list) -> pa.Table:
@@ -71,43 +68,6 @@ def dicts_from_distincts(parts: list[pa.Table], columns: list[str],
                 merged.filter(pc.equal(merged["col"], col))["value"]
                 .combine_chunks())
             for col in columns}
-
-
-def build_dicts(ds, columns: list[str], out_dir: str | Path | None = None,
-                ) -> dict[str, pa.Table]:
-    """Distributed distinct per filtered column -> dict tables.
-
-    ``ds.unique(col)`` is a shuffle, but over low-cardinality columns the
-    map-side combine collapses each block to a handful of values first,
-    so the exchange is tiny at any input scale.  When ``out_dir`` is
-    given the tables are also persisted as Parquet artifacts — the
-    "UI read side" analog of ALCO's Redis dicts (SURVEY.md §2.1 S4) and
-    a cache so reruns skip the pass.
-    """
-    dicts: dict[str, pa.Table] = {}
-    missing: list[str] = []
-    for col in columns:
-        if out_dir is not None:
-            p = Path(out_dir) / f"{col}.parquet"
-            if p.exists():
-                dicts[col] = pq.read_table(p)
-                continue
-        missing.append(col)
-    if missing:
-        # ONE pass for all missing columns: per-block distincts,
-        # merged driver-side (tiny by construction for filtered
-        # columns).
-        parts = arrow_blocks(ds.map_batches(
-            lambda batch: distinct_values(batch, missing),
-            batch_format="pyarrow"))
-        for col, table in dicts_from_distincts(parts, missing).items():
-            dicts[col] = table
-            if out_dir is not None:
-                Path(out_dir).mkdir(parents=True, exist_ok=True)
-                tmp = Path(out_dir) / f".{col}.parquet.tmp"
-                pq.write_table(table, tmp)
-                tmp.rename(Path(out_dir) / f"{col}.parquet")
-    return dicts
 
 
 def encode_with_dicts(batch: pa.Table, dicts: dict[str, pa.Table]) -> pa.Table:

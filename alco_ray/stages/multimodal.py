@@ -96,34 +96,6 @@ class FakeFeatureExtractor:
         })
 
 
-class FakeImageResizer:
-    """Actor-pool resize stub: payload in -> payload out (composable
-    with decode/feature stages).  The fake "resize" tiles/truncates the
-    byte stream to exactly ``w*h`` bytes — deterministic, so output
-    sizes are exact — while the plumbing (binary->binary actor stage,
-    per-actor "codec" init, small batches) matches a real
-    PIL/libvips stage."""
-
-    def __init__(self, w: int = 64, h: int = 64):
-        self.target = w * h
-        self.w, self.h = w, h
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["payload"].to_pylist()
-        out = []
-        for p in payloads:
-            p = p or b"\x00"
-            reps = -(-self.target // len(p))
-            out.append((p * reps)[: self.target])
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "media_type": batch["media_type"],
-            "payload": pa.array(out, pa.binary()),
-            "width": pa.array([self.w] * batch.num_rows, pa.int64()),
-            "height": pa.array([self.h] * batch.num_rows, pa.int64()),
-        })
-
-
 def sample_frames_batch(batch: pa.Table, frame_bytes: int = 64,
                         every_n: int = 4) -> pa.Table:
     """Frame sampling: treat each payload as a sequence of
@@ -2289,4 +2261,3 @@ class PdfMetaParser(MediaParser):
             n_objects += 1
             len_sum += int(lm.group(1))
         return minor, n_objects, len_sum, xref_off
-

@@ -49,9 +49,3 @@ def make_route_batch(cfg: PipelineConfig):
         return batch
 
     return route_batch
-
-
-def split_dead_letter(batch: pa.Table, dead: str = "_dead_letter"):
-    """(routed, dead_letter) split of one batch — J3 anti-join."""
-    mask = pc.equal(batch["sink"], pa.scalar(dead))
-    return batch.filter(pc.invert(mask)), batch.filter(mask)

@@ -25,24 +25,6 @@ HASH_MULT = 2654435761  # Knuth multiplicative; shared with split/cap
 HASH_MOD = 4294967296
 
 
-def temperature_rates(counts: dict[str, int], tau: float,
-                      ) -> dict[str, float]:
-    """Temperature-flattened mixture rates (the multilingual sampling
-    rule: sample source s with probability proportional to n_s^tau,
-    tau<1 boosting low-resource sources).  Returned rates preserve the
-    total corpus size in expectation: sum_s n_s * r_s == sum_s n_s.
-
-    tau=1 is pass-through (every rate 1.0); tau=0 targets a uniform
-    mix.  Sources are summed in sorted order so the float result is
-    reproducible across processes."""
-    if not counts:
-        return {}
-    total = sum(counts.values())
-    w = {s: float(c) ** tau for s, c in counts.items()}
-    wsum = sum(w[s] for s in sorted(w))
-    return {s: (w[s] * total) / (wsum * counts[s]) for s in counts}
-
-
 def mixture_resample(ds, rates: dict[str, float], *,
                      source_col: str = "source", id_col: str = "doc_id",
                      copy_col: str = "copy_idx"):

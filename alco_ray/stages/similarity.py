@@ -325,33 +325,6 @@ def ivf_centroids(ds, n_centroids: int = 16, iters: int = 5, *,
     return cents
 
 
-def knn_ivf(ds, query_vec, k: int = 10, *, n_centroids: int = 16,
-            n_probe: int = 4, col: str = "embedding",
-            id_col: str = "vec_id", seed: int = 123):
-    """IVF approximate top-k: train the coarse quantizer, keep only
-    rows whose nearest centroid is among the query's ``n_probe``
-    closest, then exact cosine within the probed lists.  Cost scales
-    with the probed fraction (~n_probe/n_centroids of the corpus)."""
-    import ray
-
-    cents = ivf_centroids(ds, n_centroids, col=col, seed=seed)
-    q = np.asarray(query_vec, dtype=np.float64)
-    qn = q / max(np.linalg.norm(q), 1e-30)
-    probe = set(np.argsort(-(cents @ qn))[:n_probe].tolist())
-    cref = ray.put(cents)
-
-    def prune(batch: pa.Table) -> pa.Table:
-        c = ray.get(cref)
-        m = _matrix(batch, col)
-        m = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-30)
-        assign = np.argmax(m @ c.T, axis=1)
-        keep = np.isin(assign, list(probe))
-        return batch.filter(pa.array(keep))
-
-    pruned = ds.map_batches(prune, batch_format="pyarrow", batch_size=None)
-    return knn_brute(pruned, q, k, col=col, id_col=id_col)
-
-
 def cosine_dup_pairs(ds, threshold: float = 0.4, *, col: str = "embedding",
                      id_col: str = "vec_id",
                      exact_max_rows: int = 100_000, n_tables: int = 8,
@@ -699,32 +672,6 @@ def knn_ivf_probe(index_dir, query_vec, k: int = 10, *, n_probe: int = 4):
         return ray.data.from_arrow(empty)
     ds = ray.data.read_parquet(files)
     return knn_brute(ds, q, k, col=meta["col"], id_col=meta["id_col"])
-
-
-def knn_lsh(ds, query_vec, k: int = 10, *, col: str = "embedding",
-            id_col: str = "vec_id", seed: int = 777, n_probe_bits: int = 2):
-    """Approximate cosine top-k: probe the query's LSH bucket plus all
-    buckets within Hamming distance ``n_probe_bits`` of it.
-
-    Partitioning assumption: bucketing is a pure map (no shuffle); the
-    probe filter prunes blocks BEFORE the matmul, so cost scales with
-    the probed fraction (~sum_{i<=b} C(P,i)/2^P of the corpus).
-    """
-    q = np.asarray(query_vec, dtype=np.float64)
-    planes = _planes(len(q), seed)
-    qbits = (q @ planes) >= 0
-    base = int(qbits @ (1 << np.arange(_N_PLANES)))
-    probe = _probe_bucket_set(base, n_probe_bits, _N_PLANES)
-
-    bucketed = ds.map_batches(
-        lambda b: lsh_bucket_batch(b, col=col, seed=seed),
-        batch_format="pyarrow")
-    probe_arr = pa.array(sorted(probe), pa.int32())
-    pruned = bucketed.map_batches(
-        lambda b: b.filter(pc.is_in(b["bucket"], value_set=probe_arr)),
-        batch_format="pyarrow")
-    return knn_brute(pruned.drop_columns(["bucket"]), q, k,
-                     col=col, id_col=id_col)
 
 
 def label_vector_sums(ds, *, vec_col: str = "embedding",

@@ -157,7 +157,7 @@ def build_text_index(parsed_ds, index_dir: str | Path, *,
 
 def _corpus_token_totals(parsed_ds, text_col: str) -> tuple[int, int]:
     """(n_turns, total token count) of a parsed corpus — the BM25
-    avgdl inputs, recorded in meta.json at build/update time so probes
+    avgdl inputs, recorded in meta.json at build time so probes
     never re-scan.  One distributed pass emitting one row per block."""
 
     def totals(b: pa.Table) -> pa.Table:
@@ -413,87 +413,6 @@ def match_any_probe(index_dir: str | Path, terms: list[str], *,
     if not len(topk):
         return ray.data.from_arrow(empty)
     return _fetch_texts(d, text_col, topk, empty, stats_out)
-
-
-def update_text_index(parsed_delta_ds, index_dir: str | Path, *,
-                      extra_meta: dict | None = None) -> None:
-    """INCREMENTAL index update (the Sphinx RT-segment analog): append
-    a parsed DELTA corpus (new shards only) to a live index without
-    rebuilding — the build-once index becomes build-once /
-    append-per-wave, which is what a streaming collector needs.
-
-    Protocol: delta postings and docstore rows are written INTO the
-    live ``postings/bucket=*/`` and ``docs/date=*/`` directories with
-    the sink writers' content-hashed filenames (a retried update
-    overwrites its own files — idempotent, never duplicates), then
-    ``meta.json`` is atomically replaced with the caller's new corpus
-    signature.  The meta swap is the commit point: probes are gated on
-    ``corpus_sig`` freshness by callers, so a crash between file
-    writes and the meta swap leaves a stale-signed index that the next
-    build/update makes consistent (same files rewritten, then
-    committed).  The bucket count is pinned by the existing index —
-    the token -> bucket mapping must stay stable across segments."""
-    from ..sinks import _make_block_writer
-
-    d = Path(index_dir)
-    meta = json.loads((d / "meta.json").read_text())
-    if meta.get("kind") != "text_inverted":
-        raise ValueError(f"{d} is not a text index")
-    n_buckets = meta["n_buckets"]
-    text_col = meta["text_col"]
-
-    parsed_delta_ds = parsed_delta_ds.materialize()
-    post_writer = _make_block_writer(str(d / "postings"), ["bucket"])
-    parsed_delta_ds.map_batches(
-        lambda b: posting_explode(b, n_buckets, text_col),
-        batch_format="pyarrow") \
-        .map_batches(post_writer, batch_format="pyarrow").materialize()
-
-    doc_writer = _make_block_writer(str(d / "docs"), ["date"])
-
-    def docstore(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "date": day_string(b["parsed_ts"]),
-            "conv_id": b["conv_id"],
-            "turn_idx": b["turn_idx"],
-            text_col: b[text_col],
-        })
-
-    parsed_delta_ds.map_batches(docstore, batch_format="pyarrow") \
-        .map_batches(doc_writer, batch_format="pyarrow").materialize()
-
-    new_meta = {**meta, **(extra_meta or {})}
-    if "total_tokens" in meta and \
-            (extra_meta or {}).get("corpus_sig") != meta.get("corpus_sig"):
-        # v3: keep the BM25 avgdl inputs exact.  Rides the existing
-        # commit protocol: totals advance only when the corpus
-        # signature does, so a crash before the meta swap re-adds
-        # exactly once on retry, and a RE-APPLIED already-committed
-        # delta (same sig — the content-hashed files just overwrite
-        # themselves) adds nothing.
-        d_rows, d_toks = _corpus_token_totals(parsed_delta_ds, text_col)
-        new_meta["n_turns"] = meta["n_turns"] + d_rows
-        new_meta["total_tokens"] = meta["total_tokens"] + d_toks
-    tmp = d / "meta.json.tmp"
-    tmp.write_text(json.dumps(new_meta))
-    os.replace(tmp, d / "meta.json")
-
-
-def compact_text_index(index_dir: str | Path,
-                       target_bytes: int = 256 << 20) -> int:
-    """Segment-merge for the incrementally-updated index (the Sphinx
-    RT OPTIMIZE analog): after many :func:`update_text_index` waves a
-    posting bucket holds one small file per wave; this rewrites each
-    bucket / docstore-day directory into ~``target_bytes`` files via
-    the sinks' convergent compactor (recorded-inputs recovery,
-    content-hashed outputs, crash-safe re-runs).  Same operational
-    contract as sink compaction: run when no probes race it.  Returns
-    files removed."""
-    from ..sinks import compact_partitions
-
-    d = Path(index_dir)
-    return (compact_partitions(d, target_bytes, pattern="postings/bucket=*")
-            + compact_partitions(d, target_bytes, pattern="docs/date=*"))
 
 
 def phrase_probe(index_dir: str | Path, phrase: list[str], *,
@@ -814,8 +733,8 @@ def ranked_bm25_probe(index_dir: str | Path, terms: list[str], *,
     :func:`ranked_probe` lacks (long turns stop winning on raw tf).
 
     Needs a v3 index: ``dl`` rides on every posting row (``doclen``)
-    and N / total_tokens come from meta.json — both maintained by
-    build AND incremental update, so no probe-time corpus pass.
+    and N / total_tokens come from meta.json — both written by the
+    build, so no probe-time corpus pass.
     Overflow-safe in int64 for dl, avgdl <= ~10^5 tokens and
     N <= ~10^9 turns.  Ties break (conv_id, turn_idx) ascending."""
     import pandas as pd

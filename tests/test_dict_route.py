@@ -1,13 +1,14 @@
 """Dictionary build/encode + routing vs oracle."""
 
 import pyarrow as pa
-import ray.data
 
 from alco_ray.oracle import oracle_run_table
 from alco_ray.specs import default_transcript_config
-from alco_ray.stages.dict_encode import DictEncoder, build_dict_table, build_dicts, encode_with_dicts
+from alco_ray.stages.dict_encode import (DictEncoder, build_dict_table,
+                                         dicts_from_distincts,
+                                         distinct_values, encode_with_dicts)
 from alco_ray.stages.parse import make_parse_batch
-from alco_ray.stages.route import make_route_batch, split_dead_letter
+from alco_ray.stages.route import make_route_batch
 
 
 def test_dict_ids_sorted_distinct():
@@ -16,16 +17,18 @@ def test_dict_ids_sorted_distinct():
 
 
 def test_dict_build_partition_order_invariant(t_small_table):
-    """Property: ids independent of partition order (SURVEY.md §5.3)."""
-    ds1 = ray.data.from_arrow(t_small_table)
-    rev = t_small_table.slice(600).to_pandas()
-    fwd = t_small_table.slice(0, 600).to_pandas()
-    import pandas as pd
+    """Property: ids independent of partition order (SURVEY.md §5.3).
+    The per-block kernel and the merge see the corpus as one block,
+    then as two blocks cut elsewhere, in reverse order."""
+    cols = ["role", "tool"]
 
-    ds2 = ray.data.from_pandas([rev, fwd])  # different partitioning+order
-    d1 = build_dicts(ds1, ["role", "tool"])
-    d2 = build_dicts(ds2, ["role", "tool"])
-    for col in ("role", "tool"):
+    def build(blocks):
+        return dicts_from_distincts(
+            [distinct_values(b, cols) for b in blocks], cols)
+
+    d1 = build([t_small_table])
+    d2 = build([t_small_table.slice(600), t_small_table.slice(0, 600)])
+    for col in cols:
         assert d1[col].equals(d2[col])
 
 
@@ -50,7 +53,8 @@ def test_dict_encoder_actor_class(t_small_table):
 
     cfg = default_transcript_config()
     parsed = make_parse_batch(cfg)(t_small_table)
-    dicts = build_dicts(ray.data.from_arrow(t_small_table), ["role"])
+    dicts = dicts_from_distincts([distinct_values(t_small_table, ["role"])],
+                                 ["role"])
     refs = {"role": ray.put(dicts["role"])}
     enc = DictEncoder(refs)
     out = enc(parsed)
@@ -78,6 +82,4 @@ def test_dead_letter_split():
     })
     parsed = make_parse_batch(cfg)(table)
     routed = make_route_batch(cfg)(parsed)
-    ok, dead = split_dead_letter(routed)
-    assert ok.num_rows == 2 and dead.num_rows == 1
-    assert dead["role"].to_pylist() == ["alien"]
+    assert routed["sink"].to_pylist() == ["chat", "_dead_letter", "tools"]

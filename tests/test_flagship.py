@@ -305,46 +305,6 @@ def test_resume_rejects_shard_rewritten_in_place(t_small_dir, tmp_path):
         run_flagship(corpus, out, wave_size=4)
 
 
-def test_watch_mode_appends_equal_fresh_run(t_small_dir, tmp_path):
-    """watch_flagship: shards appended mid-'stream' are picked up by
-    the poll loop, and the final totals + aggregate artifact equal a
-    fresh full run over the complete corpus bit-for-bit."""
-    import shutil as sh
-
-    import pyarrow.parquet as pq
-
-    from alco_ray.pipelines.flagship import watch_flagship
-
-    shards = sorted(Path(t_small_dir).glob("*.parquet"))
-    assert len(shards) >= 4
-    live = tmp_path / "live_corpus"
-    live.mkdir()
-    for p in shards[: len(shards) // 2]:
-        sh.copy(p, live / p.name)
-
-    out = tmp_path / "watch_out"
-    calls = {"n": 0}
-
-    def stop() -> bool:
-        calls["n"] += 1
-        if calls["n"] == 2:  # first frontier ingested -> appends arrive
-            for p in shards[len(shards) // 2:]:
-                sh.copy(p, live / p.name)
-            return False
-        return calls["n"] > 2
-
-    got = watch_flagship(live, out, wave_size=2, poll_interval_s=0,
-                         stop=stop)
-
-    out_fresh = tmp_path / "fresh_out"
-    want = run_flagship(t_small_dir, out_fresh, wave_size=2)
-    want.pop("aggregate_files", None)
-    assert got == want
-    a = pq.read_table(out / "aggregates" / "interval_counts")
-    b = pq.read_table(out_fresh / "aggregates" / "interval_counts")
-    assert a.equals(b)
-
-
 def test_dict_build_rejects_high_cardinality_column(tmp_path):
     """The dictionary path is for enum-ish columns (dicts broadcast
     whole, grown driver-side): a high-cardinality column must fail
@@ -556,29 +516,6 @@ def test_empty_shard_appends_with_zero_rows(t_small_dir, tmp_path,
 
     assert run_flagship(corpus, out, wave_size=4) == before
     assert len(executed) == 1  # third run: nothing pending
-
-
-def test_watch_reads_processed_files_once_per_poll(flagship_out, t_small_dir,
-                                                   monkeypatch):
-    """Each poll computes the processed-file set once, not once per
-    corpus file (that was O(files x waves) per poll)."""
-    from alco_ray.pipelines.flagship import watch_flagship
-
-    out, summary = flagship_out
-    calls = {"n": 0}
-    orig = CheckpointManifest.processed_files
-
-    def counting(self):
-        calls["n"] += 1
-        return orig(self)
-
-    assert len(list(Path(t_small_dir).glob("*.parquet"))) > 1
-    monkeypatch.setattr(CheckpointManifest, "processed_files", counting)
-    got = watch_flagship(t_small_dir, out, wave_size=4, poll_interval_s=0,
-                         max_idle_polls=3)
-    assert calls["n"] == 3
-    assert got == {k: v for k, v in summary.items()
-                   if k != "aggregate_files"}
 
 
 def test_ingest_starts_no_actor(t_small_dir, tmp_path):

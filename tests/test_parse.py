@@ -36,6 +36,33 @@ def test_n_tokens_matches_oracle(parsed, t_small_oracle):
     assert parsed["n_tokens"].to_pylist() == t_small_oracle["parsed"]["n_tokens"].tolist()
 
 
+def test_n_tokens_of_null_text_matches_oracle():
+    """A null text has a null token count in the engine, the oracle and
+    SQL (``len(regexp_extract_all(NULL, ...))``); an empty one has 0."""
+    import datetime as dt
+
+    import duckdb
+    import pandas as pd
+
+    from alco_ray.oracle import oracle_run_table
+
+    t = pa.table({
+        "conv_id": ["c", "c", "c"],
+        "turn_idx": pa.array([0, 1, 2], pa.int32()),
+        "role": ["user"] * 3,
+        "text": pa.array(["two tokens", None, ""]),
+        "tool": pa.array([None] * 3, pa.string()),
+        "ts": pa.array([dt.datetime(2024, 1, 1)] * 3, pa.timestamp("us")),
+    })
+    got = make_parse_batch(default_transcript_config())(t)
+    want = [None if pd.isna(v) else v for v in
+            oracle_run_table(t)["parsed"]["n_tokens"].tolist()]
+    sql = [n for (n,) in duckdb.sql(
+        "SELECT len(regexp_extract_all(lower(text), '[a-z0-9]+')) "
+        "FROM t ORDER BY turn_idx").fetchall()]
+    assert got["n_tokens"].to_pylist() == want == sql == [2, None, 0]
+
+
 def test_bucket_is_5min_floor(parsed):
     bucket = parsed["bucket"].to_pandas()
     ts = parsed["parsed_ts"].to_pandas()

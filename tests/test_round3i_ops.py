@@ -347,41 +347,6 @@ def test_profile_table_matches_pandas(small_frames):
         assert out.loc[c, "n_distinct"] == df[c].dropna().nunique()
 
 
-def test_export_sinks_round_trip(tmp_path):
-    from alco_ray import fixtures
-    from alco_ray.sinks import (write_csv_transcripts,
-                                write_jsonl_transcripts)
-    from alco_ray.sources import (read_csv_transcripts,
-                                  read_jsonl_transcripts,
-                                  read_transcripts)
-
-    corpus = fixtures.ensure_corpus("t-small")
-    ds = read_transcripts(corpus)
-    want = (ds.to_pandas()
-            .sort_values(["conv_id", "turn_idx"])
-            .reset_index(drop=True))
-
-    jd = tmp_path / "jsonl_out"
-    paths = write_jsonl_transcripts(read_transcripts(corpus), jd)
-    assert paths and all(p.endswith(".jsonl") for p in paths)
-    back = (read_jsonl_transcripts(str(jd)).to_pandas()
-            .sort_values(["conv_id", "turn_idx"])
-            .reset_index(drop=True))
-    assert back[want.columns.tolist()].equals(want)
-
-    cd = tmp_path / "csv_out"
-    cpaths = write_csv_transcripts(read_transcripts(corpus), cd)
-    assert cpaths and all(p.endswith(".csv") for p in cpaths)
-    back_csv = (read_csv_transcripts(str(cd)).to_pandas()
-                .sort_values(["conv_id", "turn_idx"])
-                .reset_index(drop=True))
-    assert back_csv[want.columns.tolist()].equals(want)
-
-    # idempotence: re-export overwrites the same content-hashed files
-    paths2 = write_jsonl_transcripts(read_transcripts(corpus), jd)
-    assert paths2 == paths
-
-
 def test_lev1_kernel_unicode():
     import random
 
@@ -455,50 +420,6 @@ def test_value_index_probe_and_pruning(tmp_path):
     # out-of-domain empty probe keeps the schema
     empty = range_probe(idx, 200.0, 300.0).to_pandas()
     assert len(empty) == 0
-
-
-def test_value_index_incremental_update(tmp_path):
-    from alco_ray.stages.attrindex import (build_value_index,
-                                           compact_value_index,
-                                           range_probe,
-                                           update_value_index)
-
-    rng = np.random.RandomState(41)
-    full = pa.table({
-        "id": pa.array(np.arange(1200, dtype=np.int64)),
-        "value": pa.array(rng.uniform(0, 50, 1200)),
-    })
-    half1, half2 = full.slice(0, 700), full.slice(700)
-    a = tmp_path / "vidx_full"
-    b = tmp_path / "vidx_incr"
-    build_value_index(ray.data.from_arrow(full), a, value_col="value",
-                      n_buckets=8)
-    build_value_index(ray.data.from_arrow(half1), b, value_col="value",
-                      n_buckets=8)
-    # pin the SAME grid: rebuild b's meta comes from half1's min/max,
-    # so copy full's grid for strict equivalence of bucket assignment
-    import json as _json
-
-    meta_a = _json.loads((a / "meta.json").read_text())
-    meta_b = _json.loads((b / "meta.json").read_text())
-    meta_b["lo"], meta_b["width"] = meta_a["lo"], meta_a["width"]
-    (b / "meta.json").write_text(_json.dumps(meta_b))
-    update_value_index(ray.data.from_arrow(half2), b)
-    for lo, hi in [(5.0, 7.5), (0.0, 50.5), (49.0, 50.5)]:
-        ga = range_probe(a, lo, hi).to_pandas()
-        gb = range_probe(b, lo, hi).to_pandas()
-        assert sorted(ga["id"]) == sorted(gb["id"]), (lo, hi)
-    # double-apply is idempotent: same content-hashed files
-    before = sorted(p.name for p in (b / "buckets").rglob("*.parquet"))
-    update_value_index(ray.data.from_arrow(half2), b)
-    after = sorted(p.name for p in (b / "buckets").rglob("*.parquet"))
-    assert before == after
-    # compaction preserves probe results
-    removed = compact_value_index(b)
-    assert removed >= 0
-    gb2 = range_probe(b, 5.0, 7.5).to_pandas()
-    assert sorted(gb2["id"]) == sorted(
-        range_probe(a, 5.0, 7.5).to_pandas()["id"])
 
 
 def test_value_index_quantile_grid_under_skew(tmp_path):
@@ -648,32 +569,6 @@ def test_coalesce_intervals_matches_bruteforce(small_frames):
             assert r["end_ts"].to_datetime64().astype(
                 "datetime64[us]").view(np.int64) == e
             assert r["n_events"] == c
-
-
-def test_export_sink_duplicate_blocks_not_lost(tmp_path):
-    """ADVICE r3: two byte-identical blocks (corpus unioned with
-    itself) must land in DISTINCT files — a pure content-hash name
-    silently dropped one block's rows.  Also pins re-export filename
-    idempotency under duplicates."""
-    from alco_ray import fixtures
-    from alco_ray.sinks import write_jsonl_transcripts
-    from alco_ray.sources import read_jsonl_transcripts, read_transcripts
-
-    corpus = fixtures.ensure_corpus("t-small")
-
-    def doubled():
-        one = read_transcripts(corpus)
-        return one.union(read_transcripts(corpus))
-
-    n_one = read_transcripts(corpus).count()
-    d = tmp_path / "dup_out"
-    paths = write_jsonl_transcripts(doubled(), d)
-    back = read_jsonl_transcripts(str(d)).to_pandas()
-    assert len(back) == 2 * n_one  # no block lost
-    assert len(paths) == len(set(paths))
-
-    paths2 = write_jsonl_transcripts(doubled(), d)
-    assert paths2 == paths  # re-export is filename-idempotent
 
 
 def test_fuzzy_pairs_oversized_bucket_contract(small_frames):

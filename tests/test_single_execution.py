@@ -12,7 +12,8 @@ ingest dropped out of it: the regex token count
 (``route.day_string``).  An AST scan keeps keyed shuffles unsized:
 ``keyed_apply`` sizes its frames from the data, so only the functions
 whose counts do another job take a partition-count or row-count
-parameter."""
+parameter.  A last scan keeps every package definition reachable from
+an entry point."""
 
 import ast
 import glob
@@ -31,7 +32,7 @@ from alco_ray.pipelines.flagship import run_flagship
 from alco_ray.sources import read_transcripts
 from alco_ray.specs import default_transcript_config
 from alco_ray.stages.aggregate import arrow_blocks, arrow_refs
-from alco_ray.stages.dict_encode import build_dicts
+from alco_ray.stages.dict_encode import dicts_from_distincts, distinct_values
 
 PKG = Path(__file__).resolve().parents[1] / "alco_ray"
 
@@ -66,7 +67,11 @@ def test_flagship_and_dict_build_run_each_plan_once(
     dynamic = [c for c in default_transcript_config().filtered_columns()
                if c != "level"]
     files = [str(f) for f in shards]
-    dicts = build_dicts(read_transcripts(files, columns=dynamic), dynamic)
+    # one distributed distinct pass over every shard, collected once
+    dicts = dicts_from_distincts(arrow_blocks(
+        read_transcripts(files, columns=dynamic).map_batches(
+            lambda b: distinct_values(b, dynamic), batch_format="pyarrow")),
+        dynamic)
 
     assert limit_calls == []
     assert summary["rows"] == len(t_small_oracle["parsed"])
@@ -156,6 +161,61 @@ def test_only_non_shuffle_jobs_take_sizing_parameters():
                     sized.setdefault(rel, set()).add(node.name)
     assert sized == _SIZED
     assert "suggest_pair_partitions" not in names
+
+
+# Entry points: the package's module-level code (which builds the query
+# REGISTRY), the flagship, the CLI, and every script a user or the
+# benchmark runs.
+_ENTRY_FILES = ["alco_ray/run.py", "bench.py", "__ray_entry__.py",
+                "pipebench/*.py", "scripts/*.py"]
+_ENTRY_NAMES = {"run_flagship"}
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every name ``node`` mentions: bare names, attributes and
+    imports (``from m import f as g`` mentions both ``f`` and ``g``)."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.update({n.name.rpartition(".")[2], n.asname} - {None})
+    return out
+
+
+def test_every_package_definition_is_reached():
+    """Every top-level function and class under ``alco_ray/``, public
+    or private, is reached by name from an entry point, directly or
+    through the body of another reached definition.  Code only tests
+    call is dead weight: delete it with its tests."""
+    defs: dict[str, list[tuple[str, ast.AST]]] = {}
+    reached = set(_ENTRY_NAMES)
+    for p in sorted(PKG.rglob("*.py")):
+        rel = p.relative_to(PKG.parent).as_posix()
+        for node in ast.parse(p.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defs.setdefault(node.name, []).append((rel, node))
+                for d in node.decorator_list:
+                    reached |= _names(d)
+            else:
+                reached |= _names(node)
+    for pattern in _ENTRY_FILES:
+        for p in sorted(PKG.parent.glob(pattern)):
+            reached |= _names(ast.parse(p.read_text()))
+    todo = list(reached & defs.keys())
+    seen: set[str] = set()
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            for _, node in defs[name]:
+                todo += (_names(node) & defs.keys()) - seen
+    unreached = sorted(f"{rel}:{name}" for name, found in defs.items()
+                       if name not in seen for rel, _ in found)
+    assert not unreached, unreached
 
 
 def _docs_ds() -> "ray.data.Dataset":
