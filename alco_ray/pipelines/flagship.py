@@ -12,7 +12,7 @@ The Ray-Data re-expression of ALCO's collector ingest loop
         -> write sink=<logger>/date=<day> files           #   S3 buffered fan-out, staged
         -> per-batch partial counts                       #   the stage's only output
   merge partials -> promote staging -> manifest.commit    # ack-after-flush
-  merge all committed waves' partials                     # A1/A2 interval_counts
+  fold new waves' partials into the aggregate             # A1/A2 interval_counts
 
 Scale properties: no full-input shuffle anywhere on the ingest path
 (routing is a map + partitioned write); input rows never enter the
@@ -133,7 +133,8 @@ def build_or_load_dicts(files: list[str], cfg: PipelineConfig,
                  for t in _row_groups(pending, dynamic)], dynamic)
             cache.mkdir(parents=True, exist_ok=True)
             for c in dynamic:
-                if c in dicts:
+                old = dicts.get(c)
+                if old is not None:
                     have = set(dicts[c]["value"].to_pylist())
                     new_vals = [v for v in fresh[c]["value"].to_pylist()
                                 if v not in have]
@@ -156,9 +157,10 @@ def build_or_load_dicts(files: list[str], cfg: PipelineConfig,
                         "for low-cardinality enum columns (the dict "
                         "is broadcast whole to every ingest task); exclude "
                         "this column or raise the cap explicitly")
-                tmp = cache / f".{c}.parquet.tmp.{os.getpid()}"
-                pq.write_table(dicts[c], tmp)
-                os.replace(tmp, cache / f"{c}.parquet")
+                if dicts[c] is not old:  # new or grown
+                    tmp = cache / f".{c}.parquet.tmp.{os.getpid()}"
+                    pq.write_table(dicts[c], tmp)
+                    os.replace(tmp, cache / f"{c}.parquet")
             scanned.update(pending)
             tmp = cache / f"._scanned.json.tmp.{os.getpid()}"
             tmp.write_text(json.dumps(sorted(scanned)))
@@ -301,12 +303,13 @@ class IngestWorker:
     ``threads`` row-balanced runs (``split_ranges``), reads, parses,
     encodes and routes each run on its own thread, and concatenates
     the results in order; every parse kernel works row by row, so the
-    routed table does not depend on the thread count.  The writer then
-    writes the batch's partitions on the same threads.  Arrow kernels
-    and Parquet encoding run mostly outside the GIL, and a task never
-    holds more threads than the CPUs Ray gave it.  One thread is one
-    run on one worker thread, the same code.  (A row group split
-    between two runs is decoded by both.)
+    routed table does not depend on the thread count.  Arrow kernels
+    run mostly outside the GIL.  One thread is one run on one worker
+    thread, the same code.  (A row group split between two runs is
+    decoded by both.)  The writer then partitions the routed batch on
+    the task's thread and encodes its files on Arrow's IO thread pool
+    (``sinks._make_block_writer``), which belongs to the worker
+    process and is not among the CPUs Ray gave the task.
 
     The stage's plan executes ONCE per wave: the driver collects the
     partials with ``stages.aggregate.arrow_blocks``, which never
@@ -347,7 +350,7 @@ class IngestWorker:
                 routed = pa.concat_tables(pool.map(
                     self._routed, split_ranges(ranges, self.threads),
                 )).combine_chunks()
-                self.writer(routed, _ranges_ident(ranges), pool.map)
+            self.writer(routed, _ranges_ident(ranges))
             return _partial_of(routed)
         except Exception as e:
             raise RuntimeError(
@@ -398,6 +401,54 @@ def _metrics_from_partials(partials: pa.Table) -> dict[str, Any]:
         "routed_counts": dict(zip(by_sink["sink"].to_pylist(),
                                   by_sink["rows_sum"].to_pylist())),
     }
+
+
+#: Key of the interval-counts file's Parquet metadata that lists the
+#: committed waves it sums.
+_COVERS = b"alco_ray.covers"
+
+
+def _fold_interval_counts(path: Path, partials_dir: Path, waves: list[str],
+                          in_memory: dict[str, pa.Table]) -> None:
+    """Bring the interval-counts aggregate at ``path`` up to ``waves``,
+    the committed waves.  The counts are sums, so the aggregate folds
+    with the partials of only the waves its metadata (``_COVERS``)
+    does not list yet: those in ``in_memory`` (this run's) as they
+    are, the others (a crash fell before their fold) read from
+    ``partials_dir``.  A missing aggregate, unreadable coverage, or
+    coverage naming a wave not in ``waves`` rebuilds it from every
+    partial.  One input (a merged wave partial, as on a fresh
+    ingest) is written as it is, and an aggregate that covers every
+    wave is left alone.  The file is replaced in one ``os.replace``,
+    so its counts and its coverage change together and a crash leaves
+    the previous aggregate; readers skip the hidden temp file."""
+    cols = _PARTIAL_KEYS + ["rows"]
+    try:
+        old = pq.ParquetFile(path)
+        covered = set(json.loads(old.schema_arrow.metadata[_COVERS]))
+    except (OSError, pa.ArrowException, KeyError, TypeError, ValueError):
+        covered = None
+    inputs: list[pa.Table] = []
+    if covered is None or not covered <= set(waves):
+        covered = set()  # rebuild
+    elif covered == set(waves):
+        return
+    else:
+        inputs.append(old.read().rename_columns(cols))
+    for wid in waves:
+        if wid in covered:
+            continue
+        inputs.append(in_memory[wid].select(cols) if wid in in_memory else
+                      pq.read_table(partials_dir / f"{wid}.parquet",
+                                    columns=cols))
+    agg = inputs[0] if len(inputs) == 1 else merge_partials(
+        inputs, _PARTIAL_KEYS, [("rows", "sum")], _PARTIAL_SCHEMA)
+    agg = agg.rename_columns(_PARTIAL_KEYS + ["cnt"]).replace_schema_metadata(
+        {_COVERS: json.dumps(sorted(waves))})
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.parent / f".{path.name}.tmp"
+    pq.write_table(agg, tmp)
+    os.replace(tmp, path)
 
 
 def ingest_batch_rows(n_rows: int, cpus: int, node_cpus: int) -> int:
@@ -512,6 +563,7 @@ def run_flagship(input_dir: str | Path, out_root: str | Path,
     partials_dir.mkdir(parents=True, exist_ok=True)
 
     dict_refs = None
+    fresh: dict[str, pa.Table] = {}  # this run's wave partials
     if pending:
         # Insert-if-absent growth keyed by already-scanned shards: a
         # resume/append run scans only new files, and ids already
@@ -577,6 +629,7 @@ def run_flagship(input_dir: str | Path, out_root: str | Path,
         manifest.commit(wave_id, input_files=wave_files, metrics=metrics,
                         input_sigs={f: pending_sigs[f] for f in wave_files
                                     if f in pending_sigs})
+        fresh[wave_id] = partials
         _log.info("wave %s committed: input_files=%d batches=%d "
                  "task_cpus=%d rows=%d parse_failures=%d "
                  "promoted_files=%d wall_s=%.3f",
@@ -589,20 +642,13 @@ def run_flagship(input_dir: str | Path, out_root: str | Path,
 
     summary = manifest.total_metrics()
     if write_aggregates:
-        # A1/A2: exact interval counts = merge of the per-wave partials
-        # across ALL committed waves (including earlier runs' — an
-        # append run re-merges old partials with the new ones, no
-        # re-read of committed corpus data).  Bounded key cardinality
-        # keeps this driver-side.
-        agg = merge_partials(
-            [pq.read_table(partials_dir / f"{wid}.parquet",
-                           columns=_PARTIAL_KEYS + ["rows"])
-             for wid in manifest.waves],
-            _PARTIAL_KEYS, [("rows", "sum")],
-        ).rename_columns(_PARTIAL_KEYS + ["cnt"])
+        # A1/A2: exact interval counts over ALL committed waves (earlier
+        # runs' too): the committed aggregate folded with the partials
+        # of the waves it does not cover yet, so an append run reads
+        # no old partial and no committed corpus data.  Bounded key
+        # cardinality keeps this driver-side.
         agg_dir = out_root / "aggregates" / "interval_counts"
-        shutil.rmtree(agg_dir, ignore_errors=True)
-        agg_dir.mkdir(parents=True, exist_ok=True)
-        pq.write_table(agg, agg_dir / "part-00000.parquet")
+        _fold_interval_counts(agg_dir / "part-00000.parquet", partials_dir,
+                              list(manifest.waves), fresh)
         summary["aggregate_files"] = len(list(agg_dir.glob("*.parquet")))
     return summary

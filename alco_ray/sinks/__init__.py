@@ -4,7 +4,8 @@ ALCO's buffered bulk INSERT into per-logger per-day Sphinx RT shards
 maps to ``sink=<logger>/date=<YYYY-MM-DD>/`` partitioned Parquet.
 Buffering = one ingest batch; fan-out = :func:`_make_block_writer`,
 which writes one file per (batch x partition) from inside the batch's
-task — no extra shuffle, no per-sink re-scan of the input.
+task with one Arrow ``write_dataset`` call — no extra shuffle, no
+per-sink re-scan of the input, no per-partition Python loop.
 
 Writes go to a staging directory first; :func:`promote_staging` then
 moves every file into the final tree under a deterministic
@@ -43,67 +44,59 @@ def _batch_ident(b) -> str:
 def _make_block_writer(staging_dir: str, partition_cols: list[str]):
     """Per-block hive-partitioned writer (runs inside map_batches).
 
-    One stable sort of the block by the partition key, then one slice
-    per distinct key — NOT one filter scan per partition (90 partitions
-    x full-block scans was quadratic-ish).  The partitions' files are
-    written through ``map_fn``: builtin ``map`` by default, one after
-    the other; the flagship passes the ``map`` of its task's thread
-    pool, which has as many threads as the CPUs Ray reserved for the
-    task, so a node never runs more writer threads than it has CPUs.
-    (Ray's own parquet datasink instead gives every write task a
-    full-node Arrow pool, ``write_dataset(use_threads=True)``, and N
-    write tasks x N threads each measurably ANTI-scale on one node.)
-    Each file's rows and row order do not depend on ``map_fn``, so
-    neither do its bytes.
+    One ``pyarrow.dataset.write_dataset`` call per block writes one
+    file per distinct ``partition_cols`` key under ``<col>=<value>/``
+    (a null key is ``<col>=None``) with the bytes ``pq.write_table``
+    gives that key's rows in block order.  The partitioning runs on
+    the calling thread; Arrow encodes and writes the files on its IO
+    thread pool (``pa.io_thread_count()``), outside the GIL and outside
+    the CPUs Ray counts for the task.  The settings keep that exact:
+    ``use_threads=False`` and a ``RecordBatchReader`` source keep block
+    order (pyarrow 16 reorders a multi-chunk ``Table`` source whose
+    chunk outgrows a scan batch); row groups of ``1 << 20`` rows are
+    ``pq.write_table``'s; ``segment_encoding="none"`` writes key
+    values raw.  ``max_partitions`` is above any block's key count (at
+    the default, 1,024, more keys raise), and so is ``max_open_files``
+    (at the default, more keys close and reopen files, splitting a
+    partition into ``.0``, ``.1``, ...) up to half the process's
+    open-file limit, since every key holds an open file until the
+    block is written.
 
-    Every partition's file is named ``b<ident>.parquet``, so a retried
-    task overwrites its own files (idempotent) instead of duplicating
-    rows.  ``ident`` must be the same on every attempt over the same
-    rows and differ between the blocks written to one staging
+    Every partition's file is named ``b<ident>.0.parquet``, so a
+    retried task overwrites its own files (idempotent) instead of
+    duplicating rows.  ``ident`` must be the same on every attempt over
+    the same rows and differ between the blocks written to one staging
     directory.  The flagship passes a hash of its batch's row ranges,
     which its driver fixes (``plan_slices``).  Without one, the name is
-    a content hash of the sorted block (:func:`_batch_ident`), which
-    covers row order, so a retried task must see the same rows in the
-    same order: the index builders, which rely on it, map over the
+    a content hash of the block (:func:`_batch_ident`), which covers
+    row order, so a retried task must see the same rows in the same
+    order: the index builders, which rely on it, map over the
     immutable blocks of a materialized dataset."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
+    import resource
 
-    def write_block(batch: pa.Table, ident: str | None = None,
-                    map_fn=map) -> pa.Table:
+    import pyarrow as pa
+    import pyarrow.dataset as pds
+
+    nofile = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
+    open_files = nofile // 2 if nofile != resource.RLIM_INFINITY else 1 << 30
+
+    def write_block(batch: pa.Table, ident: str | None = None) -> pa.Table:
         if batch.num_rows == 0:
             return pa.table({"files": pa.array([0], pa.int64())})
-        order = pc.sort_indices(
-            batch, sort_keys=[(c, "ascending") for c in partition_cols])
-        b = batch.take(order)
-        # A partition starts where any sorted key changes.  Equal values
-        # share a dictionary index (nulls too, as one more entry), so
-        # the scan compares int32 indices, never the values themselves.
-        n = b.num_rows
-        change = np.zeros(n, dtype=bool)
-        change[0] = True
-        for c in partition_cols:
-            idx = pc.dictionary_encode(b[c].combine_chunks(),
-                                       null_encoding="encode").indices
-            k = idx.to_numpy(zero_copy_only=False)
-            change[1:] |= k[1:] != k[:-1]
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], n)
-        if ident is None:
-            ident = _batch_ident(b)
-        data = b.drop_columns(list(partition_cols))
-
-        def write_partition(s: int, e: int) -> None:
-            d = Path(staging_dir)
-            for c in partition_cols:
-                d = d / f"{c}={b[c][s].as_py()}"
-            d.mkdir(parents=True, exist_ok=True)
-            pq.write_table(data.slice(s, e - s), d / f"b{ident}.parquet")
-
-        list(map_fn(write_partition, starts, ends))
-        return pa.table({"files": pa.array([len(starts)], pa.int64())})
+        keys = batch.num_rows + 1  # more than the block's keys
+        files: list[str] = []
+        pds.write_dataset(
+            batch.to_reader(), staging_dir, format="parquet",
+            partitioning=pds.HivePartitioning(
+                pa.schema([batch.schema.field(c) for c in partition_cols]),
+                null_fallback="None", segment_encoding="none"),
+            basename_template=f"b{ident or _batch_ident(batch)}.{{i}}.parquet",
+            use_threads=False,
+            min_rows_per_group=1 << 20, max_rows_per_group=1 << 20,
+            max_partitions=keys, max_open_files=min(keys, open_files),
+            existing_data_behavior="overwrite_or_ignore",
+            file_visitor=lambda f: files.append(f.path))
+        return pa.table({"files": pa.array([len(files)], pa.int64())})
 
     return write_block
 

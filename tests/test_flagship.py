@@ -342,6 +342,145 @@ def test_dict_build_rejects_high_cardinality_column(tmp_path):
     assert dicts["tool"].num_rows == n
 
 
+def test_dict_files_rewritten_only_when_grown(t_small_dir, tmp_path):
+    """A shard that brings no new role or tool leaves both dictionary
+    files untouched (bytes and mtime) and is still recorded as
+    scanned; a shard with a new tool rewrites only ``tool.parquet``,
+    appending the value."""
+    from alco_ray.pipelines.flagship import build_or_load_dicts
+    from alco_ray.specs import default_transcript_config
+
+    cfg = default_transcript_config()
+    base = sorted(Path(t_small_dir).glob("*.parquet"))[0]
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    files = [str(shutil.copy(base, corpus / "a.parquet"))]
+    cache = tmp_path / "dicts"
+    build_or_load_dicts(files, cfg, cache)
+
+    def state():
+        return {c: ((cache / f"{c}.parquet").read_bytes(),
+                    (cache / f"{c}.parquet").stat().st_mtime_ns)
+                for c in ("role", "tool")}
+
+    before = state()
+    files.append(str(shutil.copy(base, corpus / "b.parquet")))
+    build_or_load_dicts(files, cfg, cache)
+    assert state() == before
+    assert json.loads((cache / "_scanned.json").read_text()) == files
+
+    t = pq.read_table(base)
+    tools = t["tool"].to_pylist()
+    tools[0] = "a-tool-no-shard-had"
+    pq.write_table(t.set_column(t.schema.get_field_index("tool"), "tool",
+                                pa.array(tools, t.schema.field("tool").type)),
+                   corpus / "c.parquet")
+    files.append(str(corpus / "c.parquet"))
+    dicts = build_or_load_dicts(files, cfg, cache)
+    after = state()
+    assert after["role"] == before["role"]
+    assert after["tool"] != before["tool"]
+    assert dicts["tool"]["value"].to_pylist()[-1] == "a-tool-no-shard-had"
+
+
+def _remerged_partials(out) -> pa.Table:
+    """``interval_counts`` rebuilt from every committed wave's partial."""
+    from alco_ray.stages.aggregate import merge_partials
+
+    keys = ["sink", "level", "bucket"]
+    return merge_partials(
+        [pq.read_table(Path(out) / "_checkpoint" / "partials"
+                       / f"{w}.parquet", columns=keys + ["rows"])
+         for w in CheckpointManifest(out).waves],
+        keys, [("rows", "sum")]).rename_columns(keys + ["cnt"])
+
+
+def test_interval_counts_fold_only_uncovered_waves(t_small_dir,
+                                                   t_small_oracle, tmp_path,
+                                                   monkeypatch):
+    """A base of two waves plus one-shard appends: after every run the
+    aggregate equals a full re-merge of the partials, and at the end
+    the oracle.  An append reads no partial of a wave the aggregate
+    covers.  A crash between the last commit and the aggregate's
+    ``os.replace`` leaves the old aggregate, and the next run folds in
+    just the wave it missed.  An aggregate whose coverage is gone or
+    names a wave the manifest lacks is rebuilt from every partial."""
+    import os
+
+    import pyarrow.compute as pc
+
+    import alco_ray.pipelines.flagship as fl
+
+    shards = sorted(Path(t_small_dir).glob("*.parquet"))
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    out = tmp_path / "out"
+    agg_path = out / "aggregates" / "interval_counts" / "part-00000.parquet"
+    read, read_table = [], pq.read_table
+
+    def spy(source, *a, **kw):
+        if Path(source).parent.name == "partials":
+            read.append(Path(source).stem)
+        return read_table(source, *a, **kw)
+
+    monkeypatch.setattr(pq, "read_table", spy)
+
+    def run(*new):
+        for f in new:
+            shutil.copy(f, corpus / f.name)
+        covered = set()
+        if agg_path.exists():
+            meta = pq.read_schema(agg_path).metadata or {}
+            covered = set(json.loads(meta.get(fl._COVERS, b"[]")))
+        if not covered <= set(CheckpointManifest(out).waves):
+            covered = set()  # rebuilt: every partial is read
+        read.clear()
+        fl.run_flagship(corpus, out, wave_size=2)
+        partials = list(read)
+        assert not set(partials) & covered
+        assert read_table(agg_path).equals(_remerged_partials(out))
+        return partials
+
+    run(*shards[:4])
+    assert len(CheckpointManifest(out).waves) == 2
+    for f in shards[4:6]:
+        run(f)
+
+    replace = os.replace
+
+    def crash_at_aggregate(src, dst):
+        if Path(dst) == agg_path:
+            raise OSError("crash before the aggregate is replaced")
+        replace(src, dst)
+
+    before = agg_path.read_bytes()
+    shutil.copy(shards[6], corpus / shards[6].name)
+    monkeypatch.setattr(fl.os, "replace", crash_at_aggregate)
+    with pytest.raises(OSError, match="crash before"):
+        fl.run_flagship(corpus, out, wave_size=2)
+    monkeypatch.setattr(fl.os, "replace", replace)
+    assert agg_path.read_bytes() == before
+    missed = list(CheckpointManifest(out).waves)[-1]
+    assert run() == [missed]
+
+    # coverage naming a wave the manifest lacks, then no coverage at
+    # all: both rebuild from every partial (counts made wrong first)
+    exact = read_table(agg_path)
+    for covers in ([*CheckpointManifest(out).waves, "wnot-committed"], None):
+        wrong = exact.set_column(3, "cnt", pc.multiply(exact["cnt"], 2))
+        pq.write_table(wrong.replace_schema_metadata(
+            None if covers is None else {fl._COVERS: json.dumps(covers)}),
+            agg_path)
+        assert len(run()) == len(CheckpointManifest(out).waves)
+
+    run(shards[7])
+    got = read_table(agg_path).to_pandas()
+    want = (t_small_oracle["interval_counts"]
+            .sort_values(["sink", "level", "bucket"]).reset_index(drop=True))
+    assert got["cnt"].astype(int).tolist() == want["cnt"].astype(int).tolist()
+    assert got["bucket"].tolist() == want["bucket"].tolist()
+
+
 def test_one_cpu_cluster_completes(t_small_dir, t_small_oracle, tmp_path):
     """A 1-CPU cluster must finish an ingest: the IngestWorker pool may
     not hold the only CPU the read tasks need.  Runs in a subprocess

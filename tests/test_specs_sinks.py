@@ -135,12 +135,13 @@ def test_csv_source_matches_parquet(t_small_dir):
     assert a.equals(b)
 
 
-def test_block_writer_partitions_null_keys_like_value_scan(tmp_path):
-    """The writer's change-point scan over dictionary indices cuts the
-    sorted block where a scan over the key values does: null ``sink``
-    and ``date`` keys are one partition each (``sink=None``,
-    ``date=None``), and every file holds that partition's rows, byte
-    for byte, in a multi-chunk block too."""
+def _write_like_value_scan(tmp_path, n: int, n_sinks: int, n_dates: int,
+                           cuts: list[int]) -> None:
+    """Write an ``n``-row block cut into chunks at ``cuts``, with random
+    ``sink``/``date`` keys (``n_sinks``/``n_dates`` values and null),
+    and check it against the reference: a value scan of the stably
+    sorted block and ``pq.write_table`` of each partition's slice.
+    Every partition is one file with the reference's bytes."""
     import numpy as np
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
@@ -148,14 +149,18 @@ def test_block_writer_partitions_null_keys_like_value_scan(tmp_path):
     from alco_ray.sinks import _make_block_writer
 
     rng = np.random.default_rng(3)
-    n = 5_000
-    sinks = np.array(["chat", "sys", "tools", None], dtype=object)
-    dates = np.array(["2024-01-01", "2024-01-02", "2024-01-03", None],
-                     dtype=object)
-    t = pa.table({"sink": pa.array(sinks[rng.integers(0, 4, n)], pa.string()),
-                  "date": pa.array(dates[rng.integers(0, 4, n)], pa.string()),
+    sinks = np.array([f"s{i:02d}" for i in range(n_sinks)] + [None])
+    dates = np.array([f"2024-01-{i + 1:02d}" for i in range(n_dates)]
+                     + [None])
+    t = pa.table({"sink": pa.array(sinks[rng.integers(0, len(sinks), n)],
+                                   pa.string()),
+                  "date": pa.array(dates[rng.integers(0, len(dates), n)],
+                                   pa.string()),
                   "x": pa.array(rng.integers(0, 1 << 40, n))})
-    t = pa.concat_tables([t.slice(0, 1_700), t.slice(1_700)])
+    bounds = [0, *cuts, n]
+    t = pa.concat_tables([t.slice(s, e - s)
+                          for s, e in zip(bounds, bounds[1:])])
+    assert t["x"].num_chunks == len(cuts) + 1
     written = _make_block_writer(str(tmp_path / "w"), ["sink", "date"])(
         t, "id")
 
@@ -166,17 +171,35 @@ def test_block_writer_partitions_null_keys_like_value_scan(tmp_path):
     change = np.ones(n, dtype=bool)
     change[1:] = (keys[0][1:] != keys[0][:-1]) | (keys[1][1:] != keys[1][:-1])
     starts = np.flatnonzero(change)
+    assert len(starts) == len(sinks) * len(dates)
     want = {}
+    data = b.drop_columns(["sink", "date"])
     for s, e in zip(starts, np.append(starts[1:], n)):
         path = tmp_path / "v" / f"sink={keys[0][s]}" / f"date={keys[1][s]}"
         path.mkdir(parents=True)
-        pq.write_table(b.drop_columns(["sink", "date"]).slice(s, e - s),
-                       path / "bid.parquet")
+        pq.write_table(data.slice(s, e - s), path / "bid.parquet")
         want[str(path.relative_to(tmp_path / "v"))] = \
             (path / "bid.parquet").read_bytes()
 
+    files = list((tmp_path / "w").rglob("*.parquet"))
     got = {str(p.parent.relative_to(tmp_path / "w")): p.read_bytes()
-           for p in (tmp_path / "w").rglob("*.parquet")}
-    assert written["files"].to_pylist() == [16]
+           for p in files}
+    assert written["files"].to_pylist() == [len(starts)] == [len(files)]
     assert "sink=None/date=None" in got
     assert got == want
+
+
+def test_block_writer_partitions_null_keys_like_value_scan(tmp_path):
+    """Null ``sink`` and ``date`` keys are one partition each
+    (``sink=None``, ``date=None``), and every file holds that
+    partition's rows, byte for byte, in a multi-chunk block too."""
+    _write_like_value_scan(tmp_path, 5_000, 3, 3, [1_700])
+
+
+def test_block_writer_many_partitions_one_file_each(tmp_path):
+    """A block in three chunks, one of them longer than the 131,072
+    rows a dataset scan cuts a batch into, over more than 1,024 (sink,
+    date) keys with nulls, still writes exactly one file per key, in
+    block order, with ``pq.write_table``'s bytes: the writer lifts
+    ``write_dataset``'s 1,024-key limits and keeps chunk order."""
+    _write_like_value_scan(tmp_path, 200_000, 40, 30, [1_000, 150_000])
