@@ -282,11 +282,16 @@ class IngestWorker:
     task that has not reported yet (it uses the measured partial size
     once one has), and does not split output blocks, so every batch
     of the wave starts as soon as a CPU is free instead of one after
-    another.  This is safe because a partial is bounded by key
-    cardinality (sinks x levels x buckets), a few KB, never by batch
-    rows; and ``from_items`` gives the dataset its own copy of the
-    current ``DataContext``, so the setting reaches neither the
-    process's context nor any other plan (no read operator sees it).
+    another.  This is safe because a partial holds one row per
+    (sink, level, 5-minute bucket) key of its batch, and the bucket
+    key grows with the corpus's time span: 68,747 keys, 2.83 MB, for a
+    165k-row sf0.1 batch over ~30 days.  A batch has at most
+    ``MAX_BATCH_ROWS`` rows, so at most that many keys (~12 MB at
+    41 bytes a key), still far below the 256 MiB block Ray Data would
+    otherwise reserve per task; and ``from_items`` gives the dataset
+    its own copy of the current ``DataContext``, so the setting
+    reaches neither the process's context nor any other plan (no read
+    operator sees it).
 
     It is a task pool, not an actor pool, because nothing in it changes
     after ``__init__``: an actor pool would only add a fresh worker
@@ -612,7 +617,8 @@ def run_flagship(input_dir: str | Path, out_root: str | Path,
                 [{"path": [r[0] for r in b], "start": [r[1] for r in b],
                   "stop": [r[2] for r in b]} for b in batches],
                 override_num_blocks=len(batches))
-            # The stage outputs only partials (a few KB): without this,
+            # The stage outputs only partials (MBs, not the 256 MiB
+            # block Ray Data assumes; see IngestWorker): without this,
             # Ray Data reserves a full block per task until the first
             # one reports, and on a small object store that lets one
             # batch run at a time.  ds.context is this plan's own copy

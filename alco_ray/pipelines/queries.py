@@ -65,12 +65,9 @@ def _corpus(sf_dir: str) -> Path:
 
 
 def _nrows(path) -> int:
-    """Row count from Parquet footer metadata only (no data read) —
-    the size hint for join partitioning over TRANSFORMED inputs, where
-    Dataset.count() would execute the upstream plan an extra time, and
-    for queries whose answer or layout needs the table size.  Pure
-    reads don't need it (Ray answers count() from the same
-    metadata)."""
+    """Row count from Parquet footer metadata only (no data read), for
+    queries whose answer, layout or broadcast decision needs a table's
+    size."""
     p = Path(path)
     files = sorted(p.glob("*.parquet")) if p.is_dir() else [p]
     return sum(pq.read_metadata(f).num_rows for f in files)
@@ -351,8 +348,7 @@ def _ensure_text_index(sf_dir: str) -> Path:
                       batch_format="pyarrow", batch_size=None
         ).select_columns(["conv_id", "turn_idx", "parsed_ts", "level",
                           "text"])
-        build_text_index(parsed, idx, approx_rows=_nrows(_corpus(sf_dir)),
-                         extra_meta={"corpus_sig": sig})
+        build_text_index(parsed, idx, extra_meta={"corpus_sig": sig})
     return idx
 
 
@@ -513,8 +509,7 @@ def d_keywords(sf_dir: str):
 
     df = (tf.map_batches(ones, batch_format="pyarrow")
           .groupby("token").aggregate(Sum("one", alias_name="df")))
-    n_parts = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
-    joined = tf.join(df, "inner", num_partitions=n_parts,
+    joined = tf.join(df, "inner", num_partitions=join.join_partitions(),
                      on=("token",))
 
     def score(b: pa.Table) -> pa.Table:
@@ -1058,8 +1053,7 @@ def q_shuffle_join(sf_dir: str):
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_extendedprice", "l_discount"])
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderstatus"])
-    n_parts = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
-    joined = li.join(orders, "inner", num_partitions=n_parts,
+    joined = li.join(orders, "inner", num_partitions=join.join_partitions(),
                      on=("l_orderkey",), right_on=("o_orderkey",))
 
     def net(b: pa.Table) -> pa.Table:
@@ -1124,8 +1118,7 @@ def q_region_revenue(sf_dir: str):
     from ..stages.join import runtime_filter_semi_join
 
     joined = runtime_filter_semi_join(
-        li, orders, "l_orderkey", right_on="o_orderkey",
-        approx_rows=_nrows(_tp(sf_dir, "lineitem")))
+        li, orders, "l_orderkey", right_on="o_orderkey")
 
     def net(b: pa.Table) -> pa.Table:
         k0, nm0 = ray.get(ref)
@@ -1162,14 +1155,12 @@ def q_ship_priority(sf_dir: str):
                    filter=pads.field("o_orderdate") < cutoff)
     orders = runtime_filter_semi_join(
         orders, ray.data.from_arrow(seg_keys), "o_custkey",
-        right_on="c_custkey",
-        approx_rows=_nrows(_tp(sf_dir, "orders")))
+        right_on="c_custkey")
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_extendedprice", "l_discount"],
                filter=pads.field("l_shipdate") > cutoff)
-    n_parts = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
     joined = li.join(orders.drop_columns(["o_custkey"]), "inner",
-                     num_partitions=n_parts,
+                     num_partitions=join.join_partitions(),
                      on=("l_orderkey",), right_on=("o_orderkey",))
 
     def net(b: pa.Table) -> pa.Table:
@@ -1479,8 +1470,7 @@ def q_returns_topk(sf_dir: str):
 
     p = agg_stage.partials(li, ["l_orderkey"], {"c": ("c", "sum")}, net)
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-    n_parts = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
-    j = p.join(orders, "inner", num_partitions=n_parts,
+    j = p.join(orders, "inner", num_partitions=join.join_partitions(),
                on=("l_orderkey",), right_on=("o_orderkey",))
 
     def by_cust(b: pa.Table) -> pa.Table:
@@ -1643,8 +1633,7 @@ def q_big_orders(sf_dir: str):
                                    pc.take(s0, idx.filter(hit)))
 
         return orders.map_batches(probe, batch_format="pyarrow")
-    n_parts = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
-    j = orders.join(big, "inner", num_partitions=n_parts,
+    j = orders.join(big, "inner", num_partitions=join.join_partitions(),
                     on=("o_orderkey",), right_on=("l_orderkey",))
 
     def project(b: pa.Table) -> pa.Table:
@@ -1982,8 +1971,7 @@ def t_semi_join(sf_dir: str):
 
     turns = read_transcripts(_corpus(sf_dir),
                              columns=["conv_id", "turn_idx"])
-    return semi_join(turns, _error_conv_keys(sf_dir), "conv_id",
-                     approx_rows=_nrows(_corpus(sf_dir)))
+    return semi_join(turns, _error_conv_keys(sf_dir), "conv_id")
 
 
 def t_anti_join(sf_dir: str):
@@ -1994,8 +1982,7 @@ def t_anti_join(sf_dir: str):
 
     turns = read_transcripts(_corpus(sf_dir),
                              columns=["conv_id", "turn_idx"])
-    return anti_join(turns, _error_conv_keys(sf_dir), "conv_id",
-                     approx_rows=_nrows(_corpus(sf_dir)))
+    return anti_join(turns, _error_conv_keys(sf_dir), "conv_id")
 
 
 # ------------------------------------------------------------- documents
@@ -2825,8 +2812,7 @@ def q_priority_lines(sf_dir: str):
     o = orders.map_batches(flag, batch_format="pyarrow")
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_returnflag"])
-    n_parts = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
-    j = li.join(o, "inner", num_partitions=n_parts,
+    j = li.join(o, "inner", num_partitions=join.join_partitions(),
                 on=("l_orderkey",), right_on=("o_orderkey",))
 
     def lines(b: pa.Table) -> pa.Table:
@@ -3117,8 +3103,7 @@ def q_left_join(sf_dir: str):
         orders, ["o_custkey"],
         {"n_orders": ([], "count_all"), "total_cents": ("c", "sum")}, cents)
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
-    join_parts = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
-    j = cust.join(oagg, "left_outer", num_partitions=join_parts,
+    j = cust.join(oagg, "left_outer", num_partitions=join.join_partitions(),
                   on=("c_custkey",), right_on=("o_custkey",))
 
     def fin(b: pa.Table) -> pa.Table:
@@ -3147,8 +3132,7 @@ def q_order_priority(sf_dir: str):
                    columns=["o_orderkey", "o_orderpriority"])
     li = _read(sf_dir, "lineitem", columns=["l_orderkey"],
                filter=pads.field("l_returnflag") == "R")
-    hit = semi_join(orders, li, "o_orderkey", right_on="l_orderkey",
-                    approx_rows=_nrows(_tp(sf_dir, "orders")))
+    hit = semi_join(orders, li, "o_orderkey", right_on="l_orderkey")
 
     return agg_stage.fold_agg(hit, ["o_orderpriority"],
                               {"n_orders": ([], "count_all")})
@@ -3198,9 +3182,7 @@ def d_decontaminate(sf_dir: str):
 
     bench = docs.map_batches(split(True), batch_format="pyarrow")
     cand = docs.map_batches(split(False), batch_format="pyarrow")
-    return dedup.decontaminate(
-        cand, bench, k=3,
-        approx_rows=_nrows(_tp(sf_dir, "documents")))
+    return dedup.decontaminate(cand, bench, k=3)
 
 
 def d_decontaminate_bloom(sf_dir: str):
@@ -3221,9 +3203,7 @@ def d_decontaminate_bloom(sf_dir: str):
 
     bench = docs.map_batches(split(True), batch_format="pyarrow")
     cand = docs.map_batches(split(False), batch_format="pyarrow")
-    return dedup.decontaminate_bloom(
-        cand, bench, k=3,
-        approx_rows=_nrows(_tp(sf_dir, "documents")))
+    return dedup.decontaminate_bloom(cand, bench, k=3)
 
 
 def e_pivot(sf_dir: str):
@@ -3700,8 +3680,7 @@ def q_full_join(sf_dir: str):
 
     clicks = side("click", "n_click")
     purch = side("purchase", "n_purchase")
-    join_parts = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
-    j = clicks.join(purch, "full_outer", num_partitions=join_parts,
+    j = clicks.join(purch, "full_outer", num_partitions=join.join_partitions(),
                     on=("user_id",))
 
     def fin(b: pa.Table) -> pa.Table:
@@ -4244,8 +4223,7 @@ def q_idle_customers(sf_dir: str):
         return pa.table({"o_custkey": b.filter(keep)["o_custkey"]})
 
     big = orders.map_batches(big_orders, batch_format="pyarrow")
-    idle = anti_join(rich, big, "c_custkey", right_on="o_custkey",
-                     approx_rows=_nrows(_tp(sf_dir, "customer")))
+    idle = anti_join(rich, big, "c_custkey", right_on="o_custkey")
 
     out = agg_stage.fold_agg(
         idle, ["c_nationkey"],
@@ -4695,10 +4673,9 @@ def q_nation_traffic(sf_dir: str):
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
     luts = ray.put((_supp_nation_lut(sf_dir), _nation_name_lut(sf_dir)))
-    n_join = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
-    j1 = li.join(orders, "inner", num_partitions=n_join,
+    j1 = li.join(orders, "inner", num_partitions=join.join_partitions(),
                  on=("l_orderkey",), right_on=("o_orderkey",))
-    j2 = j1.join(cust, "inner", num_partitions=n_join,
+    j2 = j1.join(cust, "inner", num_partitions=join.join_partitions(),
                  on=("o_custkey",), right_on=("c_custkey",))
 
     def nations(b: pa.Table) -> pa.Table:
@@ -5808,8 +5785,7 @@ def d_dsir(sf_dir: str):
 
     tf = agg_stage.partials(ds, ["doc_id", "token"],
                             {"occ": ([], "count_all")}, text.token_explode)
-    n_parts = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
-    joined = tf.join(rt, "inner", num_partitions=n_parts,
+    joined = tf.join(rt, "inner", num_partitions=join.join_partitions(),
                      on=("token",))
 
     def score(b: pa.Table) -> pa.Table:
@@ -6497,8 +6473,8 @@ def q_volume_shipping(sf_dir: str):
                    ("l_year", pa.int64()), ("u", pa.int64())]))
     folded = folded_schema.empty_table()
     if li.count():
-        n_parts = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
-        joined = li.join(orders_n, "inner", num_partitions=n_parts,
+        joined = li.join(orders_n, "inner",
+                         num_partitions=join.join_partitions(),
                          on=("l_orderkey",), right_on=("o_orderkey",))
         folded = agg_stage.fold_agg(
             joined, ["s_nat", "c_nat", "l_year"],
@@ -6597,8 +6573,7 @@ def q_market_share(sf_dir: str):
                          "tgt": pc.take(f0, ix), "u": u})
 
     li = li.map_batches(li_probe, batch_format="pyarrow")
-    n_parts = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
-    joined = li.join(orders, "inner", num_partitions=n_parts,
+    joined = li.join(orders, "inner", num_partitions=join.join_partitions(),
                      on=("l_orderkey",), right_on=("o_orderkey",))
 
     def target(b: pa.Table) -> pa.Table:

@@ -37,7 +37,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .aggregate import arrow_blocks, arrow_refs, concat_nonempty, partials
+from .aggregate import (arrow_blocks, arrow_refs, concat_nonempty,
+                        drop_empty_blocks, partials)
 from .parse import tokenize
 from .text import hash_tokens, segmented_window_hashes
 from .window import keyed_apply
@@ -105,9 +106,26 @@ def shingle_explode(batch: pa.Table, text_col: str = "text",
     })
 
 
+def _hit_counts(hits, id_col: str):
+    """Per-doc ``n_hit_grams`` over a shingle semi join's hits.  Its
+    rows are (doc, shingle)-distinct by construction, so the per-doc
+    size IS the distinct overlap count.  No overlap is a typed empty
+    answer (int64 ids, the corpora's doc id type), not a schema-less
+    one."""
+
+    def body(g: "pd.DataFrame") -> "pd.DataFrame":
+        out = (g.groupby(id_col, sort=False).size()
+                .rename("n_hit_grams").reset_index())
+        out["n_hit_grams"] = out["n_hit_grams"].astype("int64")
+        return out
+
+    return drop_empty_blocks(
+        keyed_apply(hits, id_col, body),
+        pa.schema([(id_col, pa.int64()), ("n_hit_grams", pa.int64())]))
+
+
 def decontaminate(ds, bench, *, k: int = 3, text_col: str = "text",
-                  id_col: str = "doc_id", approx_rows: int | None = None,
-                  grams_per_doc: int = 64):
+                  id_col: str = "doc_id"):
     """Benchmark decontamination: for every corpus document, the number
     of DISTINCT k-token shingles it shares with ANY document of the
     ``bench`` corpus (only contaminated docs are returned — sharing at
@@ -129,24 +147,11 @@ def decontaminate(ds, bench, *, k: int = 3, text_col: str = "text",
     cg = ds.map_batches(grams, batch_format="pyarrow")
     bg = bench.map_batches(grams, batch_format="pyarrow") \
         .select_columns(["shingle"])
-    n_grams = (approx_rows * grams_per_doc) if approx_rows else None
-    hits = semi_join(cg, bg, "shingle", approx_rows=n_grams)
-
-    def body(g: "pd.DataFrame") -> "pd.DataFrame":
-        out = (g.groupby(id_col, sort=False).size()
-                .rename("n_hit_grams").reset_index())
-        out["n_hit_grams"] = out["n_hit_grams"].astype("int64")
-        return out
-
-    # rows after the semi join are (doc, shingle)-distinct by
-    # construction, so the per-doc size IS the distinct overlap count
-    return keyed_apply(hits, id_col, body)
+    return _hit_counts(semi_join(cg, bg, "shingle"), id_col)
 
 
 def decontaminate_bloom(ds, bench, *, k: int = 3, text_col: str = "text",
-                        id_col: str = "doc_id",
-                        approx_rows: int | None = None,
-                        grams_per_doc: int = 64, bloom_bits: int = 1 << 22,
+                        id_col: str = "doc_id", bloom_bits: int = 1 << 22,
                         bloom_k: int = 6):
     """:func:`decontaminate` with a BLOOM-FILTER prefilter — the
     100-TB-corpus shape: the benchmark's shingle set compresses to a
@@ -183,16 +188,7 @@ def decontaminate_bloom(ds, bench, *, k: int = 3, text_col: str = "text",
         return g.filter(pa.array(keep))
 
     cg = ds.map_batches(probe, batch_format="pyarrow")
-    n_grams = (approx_rows * grams_per_doc) if approx_rows else None
-    hits = semi_join(cg, bg, "shingle", approx_rows=n_grams)
-
-    def body(g: "pd.DataFrame") -> "pd.DataFrame":
-        out = (g.groupby(id_col, sort=False).size()
-                .rename("n_hit_grams").reset_index())
-        out["n_hit_grams"] = out["n_hit_grams"].astype("int64")
-        return out
-
-    return keyed_apply(hits, id_col, body)
+    return _hit_counts(semi_join(cg, bg, "shingle"), id_col)
 
 
 def dedup_exact_rows(ds, key_cols: list[str], order_col: str):

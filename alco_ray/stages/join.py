@@ -9,12 +9,12 @@ partition on the key and meet in partition-local probes.  Ray Data's
 bite in practice:
 
 - the empty-side guard (ray 2.49 ``Dataset.join`` raises ArrowInvalid
-  when one side has zero blocks — semi of anything with an empty key
+  when either side has no rows — semi of anything with an empty key
   set is empty, anti is the input unchanged);
 - key-column projection of the right side (its payload columns must
   not ride through the shuffle);
-- a data-proportional ``num_partitions`` default (partition frames
-  bounded at any corpus size, CPU floor at small scale).
+- :func:`join_partitions`, the partition count of every hash join in
+  the package.
 """
 
 from __future__ import annotations
@@ -24,80 +24,71 @@ from .aggregate import arrow_blocks, concat_nonempty
 
 def _prepared(keys_ds, on: list[str]):
     """Project the right side to its key columns and materialize it
-    (the join pulls it fully anyway; materializing lets the zero-block
+    (the join pulls it fully anyway; materializing lets the empty-side
     guard use a metadata count instead of a second pass)."""
     return keys_ds.select_columns(list(on)).materialize()
 
 
-def _num_partitions(n_left: int, n_right: int) -> int:
-    """Data-proportional partition count, CAPPED at ~half the cluster
-    CPUs: Dataset.join schedules one aggregator actor per partition,
-    and a partition count above what the cluster can start DEADLOCKS
-    the join (verified on ray 2.49: num_partitions=64 on 4 CPUs never
-    completes).  On a real cluster CPUs grow with nodes, so the cap
-    still scales partition count out — but per-partition size is
-    data/CPUs, which is Ray join's own memory contract
+def _has_no_rows(ds) -> bool:
+    """Exact emptiness at the cost of one row: a pure read answers from
+    metadata, a transformed plan stops at its first output row."""
+    return ds.limit(1).count() == 0
+
+
+def join_partitions() -> int:
+    """Partition count of every ``Dataset.join`` in the package: half
+    the cluster CPUs, at least 2.  Dataset.join schedules one
+    aggregator actor per partition, and a partition count above what
+    the cluster can start DEADLOCKS the join (verified on ray 2.49:
+    num_partitions=64 on 4 CPUs never completes).  On a real cluster
+    CPUs grow with nodes, so the count still scales out; per-partition
+    size is data/CPUs, which is Ray join's own memory contract
     (partition_size_hint exists for skewed cases)."""
     import ray
 
-    from .window import suggest_key_partitions
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) \
-        if ray.is_initialized() else 8
-    return min(suggest_key_partitions(max(n_left, n_right)),
-               max(2, cpus // 2))
+    return max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
 
 
-def semi_join(ds, keys_ds, on: list[str] | str, *,
-              right_on: list[str] | str | None = None,
-              num_partitions: int | None = None,
-              approx_rows: int | None = None):
-    """Rows of ``ds`` whose key appears in ``keys_ds`` (no row
-    multiplication, left columns only).  Hash-shuffle on both sides —
-    the right side may be arbitrarily large."""
+def _key_lists(on, right_on):
     on = [on] if isinstance(on, str) else list(on)
     right_on = on if right_on is None else (
         [right_on] if isinstance(right_on, str) else list(right_on))
+    return on, right_on
+
+
+def semi_join(ds, keys_ds, on: list[str] | str, *,
+              right_on: list[str] | str | None = None):
+    """Rows of ``ds`` whose key appears in ``keys_ds`` (no row
+    multiplication, left columns only).  Hash-shuffle on both sides —
+    the right side may be arbitrarily large."""
+    on, right_on = _key_lists(on, right_on)
     keys = _prepared(keys_ds, right_on)
-    n_left = approx_rows if approx_rows is not None else ds.count()
-    # ray 2.49 Dataset.join raises on a zero-block side; semi of an
-    # empty key set — or of an empty left — is empty by definition.
-    if keys.count() == 0 or n_left == 0:
+    # semi of an empty key set — or of an empty left — is empty.
+    if keys.count() == 0 or _has_no_rows(ds):
         return ds.limit(0)
-    return ds.join(keys, "left_semi",
-                   num_partitions=num_partitions or
-                   _num_partitions(n_left, keys.count()),
+    return ds.join(keys, "left_semi", num_partitions=join_partitions(),
                    on=tuple(on), right_on=tuple(right_on))
 
 
 def anti_join(ds, keys_ds, on: list[str] | str, *,
-              right_on: list[str] | str | None = None,
-              num_partitions: int | None = None,
-              approx_rows: int | None = None):
+              right_on: list[str] | str | None = None):
     """Rows of ``ds`` whose key does NOT appear in ``keys_ds`` (left
     columns only) — the dead-letter / drop-list filter generalized to
     an unbounded right side."""
-    on = [on] if isinstance(on, str) else list(on)
-    right_on = on if right_on is None else (
-        [right_on] if isinstance(right_on, str) else list(right_on))
+    on, right_on = _key_lists(on, right_on)
     keys = _prepared(keys_ds, right_on)
-    n_left = approx_rows if approx_rows is not None else ds.count()
-    # anti of an empty left is empty; of an empty key set, the input.
-    if n_left == 0:
-        return ds.limit(0)
+    # anti of an empty key set is the input; of an empty left, empty.
     if keys.count() == 0:
         return ds
-    return ds.join(keys, "left_anti",
-                   num_partitions=num_partitions or
-                   _num_partitions(n_left, keys.count()),
+    if _has_no_rows(ds):
+        return ds.limit(0)
+    return ds.join(keys, "left_anti", num_partitions=join_partitions(),
                    on=tuple(on), right_on=tuple(right_on))
 
 
 def runtime_filter_semi_join(ds, keys_ds, on: str, *,
                              right_on: str | None = None,
-                             broadcast_limit: int = 2_000_000,
-                             num_partitions: int | None = None,
-                             approx_rows: int | None = None):
+                             broadcast_limit: int = 2_000_000):
     """Size-ADAPTIVE semi join (runtime-filter pushdown): when the
     distinct key side fits ``broadcast_limit`` rows, the probe is a
     broadcast ``pc.is_in`` mask inside ``map_batches`` — the fact side
@@ -119,13 +110,10 @@ def runtime_filter_semi_join(ds, keys_ds, on: str, *,
     right_on = right_on or on
     keys = _prepared(keys_ds, [right_on])
     n_keys = keys.count()
-    n_left = approx_rows if approx_rows is not None else ds.count()
-    if n_keys == 0 or n_left == 0:
+    if n_keys == 0:
         return ds.limit(0)
     if n_keys > broadcast_limit:
-        return semi_join(ds, keys, on, right_on=right_on,
-                         num_partitions=num_partitions,
-                         approx_rows=n_left)
+        return semi_join(ds, keys, on, right_on=right_on)
 
     def distinct(b: pa.Table) -> pa.Table:
         return pa.table({right_on: pc.unique(b[right_on]).drop_null()})
@@ -142,7 +130,6 @@ def runtime_filter_semi_join(ds, keys_ds, on: str, *,
 
 def auto_join(left, right, on, *, right_on=None, how: str = "inner",
               broadcast_limit: int = 2_000_000,
-              num_partitions: int | None = None,
               right_rows: int | None = None):
     """ADAPTIVE inner join — the one planning decision every pipeline
     makes, made explicit: BROADCAST the right side when it is
@@ -172,9 +159,7 @@ def auto_join(left, right, on, *, right_on=None, how: str = "inner",
 
     n_right = right_rows if right_rows is not None else right.count()
     if n_right > broadcast_limit:
-        return left.join(right, "inner",
-                         num_partitions=num_partitions
-                         or _num_partitions(left.count(), n_right),
+        return left.join(right, "inner", num_partitions=join_partitions(),
                          on=(lkey,), right_on=(rkey,))
 
     # A fully-filtered right side can materialize as ZERO blocks in

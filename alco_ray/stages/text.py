@@ -21,6 +21,7 @@ import pyarrow.compute as pc
 
 from .parse import TOKENIZE_SPLIT, tokenize
 from .aggregate import fold_agg, partials
+from .join import join_partitions
 from .window import keyed_apply
 
 STOPWORDS = ("the", "a", "and", "of", "to", "in", "is", "it")
@@ -373,8 +374,6 @@ def fingerprint_dups(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     groupby(fingerprint) to find dup groups -> hash-shuffle join of the
     (small) dup-group table back to the fingerprint rows — both sides
     partition on the same key, no broadcast of an unbounded set."""
-    import ray
-
     fps = ds.map_batches(
         lambda b: fingerprint(b, text_col, id_col), batch_format="pyarrow")
 
@@ -396,8 +395,7 @@ def fingerprint_dups(ds, *, text_col: str = "text", id_col: str = "doc_id"):
         empty = pa.table({id_col: pa.array([], pa.int64()),
                           "rep_doc_id": pa.array([], pa.int64())})
         return ray.data.from_arrow(empty)
-    join_parts = max(2, int(ray.cluster_resources().get("CPU", 8)) // 2)
-    joined = fps.join(dup_groups, "inner", num_partitions=join_parts,
+    joined = fps.join(dup_groups, "inner", num_partitions=join_partitions(),
                       on=("fingerprint",))
     return joined.select_columns([id_col, "rep_doc_id"])
 

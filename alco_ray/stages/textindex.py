@@ -100,7 +100,6 @@ def posting_explode(batch: pa.Table, n_buckets: int,
 
 def build_text_index(parsed_ds, index_dir: str | Path, *,
                      text_col: str = "text", n_buckets: int | None = None,
-                     approx_rows: int | None = None,
                      extra_meta: dict | None = None) -> None:
     """Build the persisted index from a PARSED dataset (columns
     conv_id, turn_idx, parsed_ts, level, text).  Staged build + atomic
@@ -111,12 +110,6 @@ def build_text_index(parsed_ds, index_dir: str | Path, *,
     from .similarity import _swap_in_index, _sweep_stale_builds
     from .window import suggest_key_partitions
 
-    if n_buckets is None:
-        # ~32 distinct tokens per turn estimated; bucket files bounded
-        # at any corpus size, power of two for the mask.
-        n = approx_rows if approx_rows is not None else parsed_ds.count()
-        n_buckets = suggest_key_partitions(n * 32)
-
     d = Path(index_dir)
     _sweep_stale_builds(d)
     build = d.parent / f".{d.name}.building.{os.getpid()}"
@@ -126,6 +119,11 @@ def build_text_index(parsed_ds, index_dir: str | Path, *,
     # postings pass and the docstore pass would each re-execute the
     # upstream read+parse plan.
     parsed_ds = parsed_ds.materialize()
+    if n_buckets is None:
+        # ~32 distinct tokens per turn estimated; bucket files bounded
+        # at any corpus size, power of two for the mask.  The count is
+        # the materialized blocks' metadata.
+        n_buckets = suggest_key_partitions(parsed_ds.count() * 32)
 
     post_writer = _make_block_writer(str(build / "postings"), ["bucket"])
     postings = parsed_ds.map_batches(

@@ -517,6 +517,51 @@ def test_one_cpu_cluster_completes(t_small_dir, t_small_oracle, tmp_path):
     assert summary["routed_counts"] == t_small_oracle["routed_counts"]
 
 
+# Driver-script lines that swap in an ``IngestWorker`` subclass defined
+# in ``__main__`` (so it ships by value).  Each batch records its start,
+# waits (at most 30 s) until every batch of the run has recorded one,
+# then runs and writes ``[start, end, peers_started]`` to a ``span-``
+# file.  ``reset(n)`` empties the ``times`` directory before a run of
+# ``n`` planned batches (a warm-up run waits for none: ``reset(1)``).
+# The wait makes "all starts precede all ends" hold whenever the
+# batches really run side by side, whatever the host's scheduling
+# delay; a run that serializes them leaves a batch whose wait timed
+# out.
+_TIMED_WORKER = (
+    "class Timed(fl.IngestWorker):\n"
+    "    def __call__(self, slices):\n"
+    "        t0, me = time.time(), uuid.uuid4().hex\n"
+    "        open(os.path.join(times, 'start-' + me), 'w').close()\n"
+    "        with open(os.path.join(times, 'expect')) as f:\n"
+    "            n = int(f.read())\n"
+    "        def started():\n"
+    "            return sum(p.startswith('start-')"
+    " for p in os.listdir(times))\n"
+    "        while started() < n and time.time() < t0 + 30:\n"
+    "            time.sleep(0.005)\n"
+    "        peers = started() >= n\n"
+    "        out = super().__call__(slices)\n"
+    "        with open(os.path.join(times, 'span-' + me), 'w') as f:\n"
+    "            json.dump([t0, time.time(), peers], f)\n"
+    "        return out\n"
+    "fl.IngestWorker = Timed\n"
+    "def reset(n):\n"
+    "    for p in os.listdir(times):\n"
+    "        os.remove(os.path.join(times, p))\n"
+    "    with open(os.path.join(times, 'expect'), 'w') as f:\n"
+    "        f.write(str(n))\n"
+    "def spans():\n"
+    "    return [json.load(open(os.path.join(times, p)))"
+    " for p in os.listdir(times) if p.startswith('span-')]\n")
+
+
+def _assert_side_by_side(spans):
+    """Every batch saw all its peers start, and every start precedes
+    every end."""
+    assert spans and all(peers for _, _, peers in spans), spans
+    assert max(s for s, _, _ in spans) < min(e for _, e, _ in spans), spans
+
+
 def test_wave_batches_run_concurrently(tmp_path):
     """The batches of one wave run side by side: on a 4-CPU cluster
     with a 512 MiB object store, a two-batch wave's second batch starts
@@ -526,9 +571,8 @@ def test_wave_batches_run_concurrently(tmp_path):
 
     Runs in a subprocess with its own ``ray.init``.  A one-node wave is
     one batch, so the driver lowers the row cap to half the corpus to
-    get two.  It swaps in an ``IngestWorker`` subclass defined in
-    ``__main__`` (so it ships by value) that records each batch's start
-    and end times to a file."""
+    get two.  Each batch records its start and end times and waits for
+    its peer to start (``_TIMED_WORKER``)."""
     import os
     import subprocess
     import sys
@@ -551,21 +595,15 @@ def test_wave_batches_run_concurrently(tmp_path):
         "DataContext.get_current().enable_progress_bars = False\n"
         "import alco_ray.pipelines.flagship as fl\n"
         "times = sys.argv[3]\n"
-        "class Timed(fl.IngestWorker):\n"
-        "    def __call__(self, slices):\n"
-        "        t0 = time.time()\n"
-        "        out = super().__call__(slices)\n"
-        "        with open(os.path.join(times, uuid.uuid4().hex), 'w') as f:\n"
-        "            json.dump([t0, time.time()], f)\n"
-        "        return out\n"
-        "fl.IngestWorker = Timed\n"
+        + _TIMED_WORKER +
         "fl.MAX_BATCH_ROWS = int(sys.argv[4])\n"
         # a warm-up wave, so every worker has imported alco_ray
+        "reset(1)\n"
         "fl.run_flagship(sys.argv[1], sys.argv[2] + '-warm')\n"
-        "for p in os.listdir(times):\n"
-        "    os.remove(os.path.join(times, p))\n"
+        "reset(2)\n"
         "s = fl.run_flagship(sys.argv[1], sys.argv[2])\n"
         "print('SUMMARY ' + json.dumps(s))\n"
+        "print('SPANS ' + json.dumps(spans()))\n"
         "ray.shutdown()\n")
     root = str(Path(__file__).resolve().parents[1])
     env = dict(os.environ,
@@ -576,13 +614,13 @@ def test_wave_batches_run_concurrently(tmp_path):
          str(times), str(-(-n_rows // 2))],
         capture_output=True, text=True, timeout=240, env=env, cwd=root)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    line = [ln for ln in proc.stdout.splitlines()
-            if ln.startswith("SUMMARY ")][-1]
-    assert json.loads(line[len("SUMMARY "):])["rows"] == n_rows
+    got = dict(ln.split(" ", 1) for ln in proc.stdout.splitlines()
+               if ln.startswith(("SUMMARY ", "SPANS ")))
+    assert json.loads(got["SUMMARY"])["rows"] == n_rows
 
-    spans = [json.loads(p.read_text()) for p in times.iterdir()]
+    spans = json.loads(got["SPANS"])
     assert len(spans) == 2, spans  # one wave of two ~10k-row batches
-    assert max(s for s, _ in spans) < min(e for _, e in spans), spans
+    _assert_side_by_side(spans)
 
 
 def test_ingest_leaves_global_data_context_alone(t_small_dir, tmp_path,
@@ -1100,11 +1138,10 @@ def test_cluster_shapes_match_single_node(tmp_path):
     both need the 3-CPU node and run one after the other.
 
     Runs in a subprocess that starts each shape with
-    ``ray.cluster_utils.Cluster``, all nodes on the local machine.  The driver
-    swaps in an ``IngestWorker`` subclass defined in ``__main__`` (so it
-    ships by value) that records each batch's start and end times, and
-    keeps the wave log lines.  A warm-up ingest per shape starts the
-    workers first."""
+    ``ray.cluster_utils.Cluster``, all nodes on the local machine.  The
+    driver keeps the wave log lines, and each batch records its start
+    and end times and waits for its peers to start (``_TIMED_WORKER``).
+    A warm-up ingest per shape starts the workers first."""
     import os
     import re
     import subprocess
@@ -1130,15 +1167,8 @@ def test_cluster_shapes_match_single_node(tmp_path):
         "from ray.cluster_utils import Cluster\n"
         "from ray.data import DataContext\n"
         "import alco_ray.pipelines.flagship as fl\n"
-        "corpus, root, times = sys.argv[1:4]\n"
-        "class Timed(fl.IngestWorker):\n"
-        "    def __call__(self, slices):\n"
-        "        t0 = time.time()\n"
-        "        out = super().__call__(slices)\n"
-        "        with open(os.path.join(times, uuid.uuid4().hex), 'w') as f:\n"
-        "            json.dump([t0, time.time()], f)\n"
-        "        return out\n"
-        "fl.IngestWorker = Timed\n"
+        "corpus, root, times, batches = sys.argv[1:5]\n"
+        + _TIMED_WORKER +
         "lines = []\n"
         "class Keep(logging.Handler):\n"
         "    def emit(self, record):\n"
@@ -1146,7 +1176,7 @@ def test_cluster_shapes_match_single_node(tmp_path):
         "log = logging.getLogger('alco_ray')\n"
         "log.setLevel(logging.INFO)\n"
         "log.addHandler(Keep())\n"
-        "for name in sys.argv[4:]:\n"
+        "for name in sys.argv[5:]:\n"
         "    head, *rest = map(int, name.split('+'))\n"
         "    c = Cluster(initialize_head=True, head_node_args={"
         "'num_cpus': head, 'object_store_memory': 128 << 20})\n"
@@ -1155,14 +1185,12 @@ def test_cluster_shapes_match_single_node(tmp_path):
         "    c.wait_for_nodes()\n"
         "    ray.init(address=c.address, logging_level='ERROR')\n"
         "    DataContext.get_current().enable_progress_bars = False\n"
+        "    reset(1)\n"
         "    fl.run_flagship(corpus, os.path.join(root, name + '-warm'))\n"
-        "    for p in os.listdir(times):\n"
-        "        os.remove(os.path.join(times, p))\n"
+        "    reset(json.loads(batches)[name])\n"
         "    del lines[:]\n"
         "    s = fl.run_flagship(corpus, os.path.join(root, name))\n"
-        "    spans = [json.load(open(os.path.join(times, p)))"
-        " for p in os.listdir(times)]\n"
-        "    print('SHAPE ' + json.dumps([name, s, lines, spans]))\n"
+        "    print('SHAPE ' + json.dumps([name, s, lines, spans()]))\n"
         "    ray.shutdown()\n"
         "    c.shutdown()\n")
     root = str(Path(__file__).resolve().parents[1])
@@ -1171,7 +1199,8 @@ def test_cluster_shapes_match_single_node(tmp_path):
                    [root, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-c", script, str(corpus), str(tmp_path),
-         str(times), *shapes],
+         str(times), json.dumps({k: b for k, (b, _) in plans.items()}),
+         *shapes],
         capture_output=True, text=True, timeout=480, env=env, cwd=root)
     assert proc.returncode == 0, proc.stderr[-2000:]
     runs = {name: (summary, lines, spans) for name, summary, lines, spans
@@ -1204,8 +1233,7 @@ def test_cluster_shapes_match_single_node(tmp_path):
         assert planned == plans[name] == (
             n_batches, ingest_task_cpus(n_batches, *shapes[name])), name
         assert len(spans) == planned[0], name
-    spans = runs["3+1"][2]
-    assert max(s for s, _ in spans) < min(e for _, e in spans), spans
+        _assert_side_by_side(spans)
 
 
 def test_batch_errors_name_wave_and_ranges(t_small_table, tmp_path):

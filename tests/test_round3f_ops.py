@@ -282,8 +282,7 @@ def test_match_all_probe_intersects_terms(tmp_path):
         "text": pa.array(list(text), pa.string()),
     })
     idx = tmp_path / "tidx2"
-    build_text_index(ray.data.from_arrow(parsed), idx, n_buckets=64,
-                     approx_rows=n)
+    build_text_index(ray.data.from_arrow(parsed), idx, n_buckets=64)
     stats = {}
     got = match_all_probe(idx, ["needlea", "needleb"], k=100,
                           stats_out=stats).to_pandas()
@@ -325,8 +324,7 @@ def test_phrase_probe_exact_adjacency(tmp_path):
         "text": pa.array(list(text), pa.string()),
     })
     idx = tmp_path / "tidx3"
-    build_text_index(ray.data.from_arrow(parsed), idx, n_buckets=64,
-                     approx_rows=n)
+    build_text_index(ray.data.from_arrow(parsed), idx, n_buckets=64)
     got = phrase_probe(idx, ["aa", "bb"], k=100).to_pandas()
     assert sorted(got["turn_idx"]) == [3, 21]
     # repeated-term phrase: 'aa aa' matches only the doubled turn

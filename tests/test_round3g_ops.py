@@ -423,8 +423,7 @@ def test_match_any_probe_unions_and_dedupes(tmp_path):
 
     parsed = _parsed_corpus()
     idx = tmp_path / "tidx_or"
-    build_text_index(ray.data.from_arrow(parsed), idx, n_buckets=64,
-                     approx_rows=parsed.num_rows)
+    build_text_index(ray.data.from_arrow(parsed), idx, n_buckets=64)
     got = match_any_probe(idx, ["wanta", "wantb"], k=100).to_pandas()
     # union of both needles, the double-match row exactly once
     assert sorted(got["turn_idx"]) == [4, 9, 40, 90, 120]
@@ -682,8 +681,7 @@ def test_bm25_probe_and_incremental_totals(tmp_path):
 
     parsed = _parsed_corpus()
     full_idx = tmp_path / "tidx_bm_full"
-    build_text_index(ray.data.from_arrow(parsed), full_idx, n_buckets=64,
-                     approx_rows=parsed.num_rows)
+    build_text_index(ray.data.from_arrow(parsed), full_idx, n_buckets=64)
     terms = ["wanta", "wantb"]
     got = ranked_bm25_probe(full_idx, terms, k=10).to_pandas()
 

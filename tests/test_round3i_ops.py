@@ -172,8 +172,7 @@ def test_near_probe_semantics(tmp_path):
         "text": pa.array(list(text), pa.string()),
     })
     idx = tmp_path / "tidx_near"
-    build_text_index(ray.data.from_arrow(parsed), idx, n_buckets=64,
-                     approx_rows=n)
+    build_text_index(ray.data.from_arrow(parsed), idx, n_buckets=64)
     got = near_probe(idx, "aa", "bb", max_dist=2, k=100).to_pandas()
     assert sorted(got["turn_idx"]) == [3, 9, 21, 27]
     # widen the radius: the dist-3 turn joins

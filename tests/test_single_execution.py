@@ -12,8 +12,8 @@ ingest dropped out of it: the regex token count
 (``route.day_string``).  An AST scan keeps keyed shuffles unsized:
 ``keyed_apply`` sizes its frames from the data, so only the functions
 whose counts do another job take a partition-count or row-count
-parameter.  A last scan keeps every package definition reachable from
-an entry point."""
+parameter, and one function sizes every hash join.  A last scan keeps
+every package definition reachable from an entry point."""
 
 import ast
 import glob
@@ -116,8 +116,12 @@ _ARGS = r"(?:[^()]|\([^()]*\))*?"
     (r"half_towards_infinity", "alco_ray/stages/aggregate.py",
      "convert to fixed point with alco_ray.stages.aggregate.to_fixed "
      "(the package's one rounding rule), not an inline pc.round"),
+    (r'cluster_resources\(\)\.get\("CPU", 8\)\) // 2',
+     "alco_ray/stages/join.py",
+     "size a hash join with alco_ray.stages.join.join_partitions (the "
+     "package's one join partition rule), not an inline CPU count"),
 ], ids=["to_arrow_refs", "partition_by_key", "regex_token_count",
-        "strftime_day", "map_groups", "fixed_point"])
+        "strftime_day", "map_groups", "fixed_point", "join_partitions"])
 def test_package_never_calls(pattern, allowed, message):
     rx = re.compile(pattern)
     hits = [f"{rel}:{text.count(chr(10), 0, m.start()) + 1}"
@@ -129,17 +133,12 @@ def test_package_never_calls(pattern, allowed, message):
 
 
 # Sizing parameters and the functions that keep them, each for a job
-# other than sizing a keyed shuffle: a join's partitions (join.py, and
-# decontaminate* feeding semi_join), an index's bucket layout
-# (build_text_index), graph.py's partitioned iterations, and the
-# partition_by_key skew measurement.
+# other than sizing a keyed shuffle: graph.py's partitioned iterations
+# and the partition_by_key skew measurement.  A hash join's partition
+# count is join.join_partitions(), which reads no row count.
 _SIZING = {"n_parts", "approx_rows", "approx_docs", "grams_per_doc",
            "tokens_per_doc"}
 _SIZED = {
-    "alco_ray/stages/join.py": {"semi_join", "anti_join",
-                                "runtime_filter_semi_join"},
-    "alco_ray/stages/dedup.py": {"decontaminate", "decontaminate_bloom"},
-    "alco_ray/stages/textindex.py": {"build_text_index"},
     "alco_ray/stages/graph.py": {"_cc_send", "_cc_jump_req",
                                  "_cc_jump_apply", "_pr_hash",
                                  "_pr_split_arrays", "_pr_split_block",

@@ -766,8 +766,7 @@ def test_text_index_probe_reads_strict_subset(tmp_path):
         "text": pa.array(text, pa.string()),
     })
     idx = tmp_path / "tidx"
-    build_text_index(ray.data.from_arrow(parsed), idx, n_buckets=64,
-                     approx_rows=n)
+    build_text_index(ray.data.from_arrow(parsed), idx, n_buckets=64)
 
     stats = {}
     got = grep_probe(idx, "needle", level="ERROR", k=1000,
@@ -832,20 +831,51 @@ def test_ordered_prefix_sum_scan():
         ordered_prefix_sum(bad, "v", "k")
 
 
-def test_semi_anti_join_empty_left():
-    """An upstream-filtered-to-empty left side must return empty, not
-    crash in ray's join (zero-block side)."""
+def test_semi_anti_join_empty_left(tmp_path):
+    """A left side with no rows returns empty, not a crash in ray's
+    join (it raises when either side has no rows), however the rows
+    went: a map that drops them all, or a Parquet read whose filter
+    matches nothing."""
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
     import ray.data
 
     from alco_ray.stages.join import anti_join, semi_join
 
-    left = ray.data.from_arrow(pa.table(
-        {"k": [1, 2, 3], "v": ["a", "b", "c"]}))
-    empty_left = left.map_batches(lambda b: b.slice(0, 0),
-                                  batch_format="pyarrow")
+    table = pa.table({"k": [1, 2, 3], "v": ["a", "b", "c"]})
+    pq.write_table(table, tmp_path / "t.parquet")
+    left = ray.data.from_arrow(table)
     right = ray.data.from_arrow(pa.table({"k": [2, 9]}))
-    assert semi_join(empty_left, right, "k").count() == 0
-    assert anti_join(empty_left, right, "k").count() == 0
+    empties = [
+        left.map_batches(lambda b: b.slice(0, 0), batch_format="pyarrow"),
+        ray.data.read_parquet(str(tmp_path / "t.parquet"),
+                              filter=pads.field("k") > 10),
+    ]
+    for empty_left in empties:
+        assert semi_join(empty_left, right, "k").count() == 0
+        assert anti_join(empty_left, right, "k").count() == 0
+    # the guard does not fire on a left side that has rows
+    assert semi_join(left, right, "k").to_pandas()["k"].tolist() == [2]
+    assert sorted(anti_join(left, right, "k").to_pandas()["k"]) == [1, 3]
+
+
+def test_decontaminate_bloom_without_overlap():
+    """An eval set that shares no shingle with the corpus: the bloom
+    probe drops every corpus row, and the answer is a typed empty
+    frame, not a crash in the semi join."""
+    import ray.data
+
+    from alco_ray.stages.dedup import decontaminate_bloom
+
+    cand = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array([1, 2], pa.int64()),
+        "text": ["alpha beta gamma delta", "one two three four"]}))
+    bench = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array([9], pa.int64()),
+        "text": ["zulu yankee xray whiskey"]}))
+    out = decontaminate_bloom(cand, bench, k=3)
+    assert out.count() == 0
+    assert out.schema().names == ["doc_id", "n_hit_grams"]
 
 
 # ------------------------------------------------------- round-3b ops
