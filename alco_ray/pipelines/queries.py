@@ -335,11 +335,12 @@ def _ensure_text_index(sf_dir: str) -> Path:
     """Build-or-reuse the persisted inverted text index for a corpus
     (shared by every indexed-search query): corpus-signature freshness
     gate, one parse pass on (re)build.  A stale index (shards added or
-    rewritten) rebuilds whole."""
-    from ..stages.textindex import build_text_index
+    rewritten) rebuilds whole, and so does an index of another format
+    version: the signature carries ``INDEX_VERSION``."""
+    from ..stages.textindex import INDEX_VERSION, build_text_index
 
     idx = Path("/tmp/alco_ray_cache") / Path(sf_dir).name / "text_index"
-    sig = _transcript_sig(sf_dir)
+    sig = f"{_transcript_sig(sf_dir)}:v{INDEX_VERSION}"
     if not _index_fresh(idx, sig):
         cfg = default_transcript_config()
         parsed = read_transcripts(
@@ -2842,16 +2843,13 @@ def _corpus_sig(sf_dir: str, table: str) -> str:
 
 
 def _index_fresh(idx: Path, sig: str) -> bool:
+    """Whether the persisted index at ``idx`` was built from the corpus
+    state ``sig`` names (its meta.json records the signature)."""
     import json
 
     meta = idx / "meta.json"
-    if not meta.exists():
-        return False
-    m = json.loads(meta.read_text())
-    # version gate: v1 indexes lack positional postings (phrase probe)
-    # version gate: v1 lacks positional postings (phrase probe);
-    # v2 lacks doclen postings + token totals (BM25 probe)
-    return m.get("corpus_sig") == sig and m.get("version", 1) >= 3
+    return meta.exists() and \
+        json.loads(meta.read_text()).get("corpus_sig") == sig
 
 
 
@@ -4883,8 +4881,7 @@ def t_search_ranked(sf_dir: str):
     from ..stages.textindex import ranked_probe
 
     idx = _ensure_text_index(sf_dir)
-    return ranked_probe(idx, ["shuffle", "stream"],
-                        _nrows(_corpus(sf_dir)), k=20)
+    return ranked_probe(idx, ["shuffle", "stream"], k=20)
 
 
 

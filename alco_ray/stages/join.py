@@ -62,7 +62,13 @@ def semi_join(ds, keys_ds, on: list[str] | str, *,
     multiplication, left columns only).  Hash-shuffle on both sides —
     the right side may be arbitrarily large."""
     on, right_on = _key_lists(on, right_on)
-    keys = _prepared(keys_ds, right_on)
+    return _semi_join_prepared(ds, _prepared(keys_ds, right_on), on,
+                               right_on)
+
+
+def _semi_join_prepared(ds, keys, on: list[str], right_on: list[str]):
+    """:func:`semi_join` on a key side :func:`_prepared` already
+    projected and materialized."""
     # semi of an empty key set — or of an empty left — is empty.
     if keys.count() == 0 or _has_no_rows(ds):
         return ds.limit(0)
@@ -113,7 +119,7 @@ def runtime_filter_semi_join(ds, keys_ds, on: str, *,
     if n_keys == 0:
         return ds.limit(0)
     if n_keys > broadcast_limit:
-        return semi_join(ds, keys, on, right_on=right_on)
+        return _semi_join_prepared(ds, keys, [on], [right_on])
 
     def distinct(b: pa.Table) -> pa.Table:
         return pa.table({right_on: pc.unique(b[right_on]).drop_null()})
@@ -159,6 +165,9 @@ def auto_join(left, right, on, *, right_on=None, how: str = "inner",
 
     n_right = right_rows if right_rows is not None else right.count()
     if n_right > broadcast_limit:
+        # the empty-side guard: an inner join with an empty left is empty
+        if _has_no_rows(left):
+            return left.limit(0)
         return left.join(right, "inner", num_partitions=join_partitions(),
                          on=(lkey,), right_on=(rkey,))
 

@@ -159,6 +159,33 @@ def test_runtime_filter_semi_join_both_paths(tbl, limit):
     assert (got["id"].to_numpy() == want["id"].to_numpy()).all()
 
 
+def test_runtime_filter_fallback_prepares_keys_once(tbl, monkeypatch):
+    """The hash-shuffle fallback joins the key side the size decision
+    already projected and materialized: one ``Project`` plan, then the
+    join."""
+    import ray.data
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    from alco_ray.stages.join import runtime_filter_semi_join
+
+    keys = pa.table({"k": pa.array([1, 3, 5, 7, 9], pa.int64())})
+    plans = []
+    orig = StreamingExecutor.execute
+
+    def recording(self, dag, *a, **kw):
+        plans.append(dag.name)
+        return orig(self, dag, *a, **kw)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", recording)
+    n = runtime_filter_semi_join(
+        ray.data.from_arrow(tbl), ray.data.from_arrow(keys), "x",
+        right_on="k", broadcast_limit=0).count()
+    df = tbl.to_pandas()
+    assert n == int(df["x"].isin([1, 3, 5, 7, 9]).sum())
+    assert plans == ["Project", "AggregateNumRows"]
+
+
 def test_runtime_filter_semi_join_empty_keys(tbl):
     from alco_ray.stages.join import runtime_filter_semi_join
 

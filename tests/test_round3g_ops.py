@@ -431,6 +431,45 @@ def test_match_any_probe_unions_and_dedupes(tmp_path):
     assert len(miss) == 0
 
 
+@pytest.fixture(scope="module")
+def parsed_index(tmp_path_factory):
+    import ray.data
+
+    from alco_ray.stages.textindex import build_text_index
+
+    idx = tmp_path_factory.mktemp("tidx") / "index"
+    build_text_index(ray.data.from_arrow(_parsed_corpus()), idx,
+                     n_buckets=64)
+    return idx
+
+
+_TURN_COLS = ["conv_id", "turn_idx", "parsed_ts", "text"]
+_RANKED_COLS = ["conv_id", "turn_idx", "score", "parsed_ts", "text"]
+
+
+@pytest.mark.parametrize("probe, args, cols", [
+    ("grep_probe", ("zzznope",), _TURN_COLS),
+    ("match_all_probe", (["wanta", "zzznope"],), _TURN_COLS),
+    ("match_any_probe", (["zzznope"],), _TURN_COLS),
+    ("phrase_probe", (["wanta", "zzznope"],), _TURN_COLS),
+    ("near_probe", ("wanta", "zzznope"), _TURN_COLS),
+    ("ranked_probe", (["zzznope"],), _RANKED_COLS),
+    ("ranked_bm25_probe", (["zzznope"],), _RANKED_COLS),
+])
+def test_probe_of_absent_term_is_typed_empty(parsed_index, probe, args,
+                                             cols):
+    """A term the index lacks: zero rows, the probe's columns, and no
+    docstore read."""
+    from alco_ray.stages import textindex
+
+    stats = {}
+    out = getattr(textindex, probe)(parsed_index, *args, k=10,
+                                    stats_out=stats)
+    assert out.count() == 0
+    assert out.schema().names == cols
+    assert stats["doc_files"] == []
+
+
 def test_read_evolving_transcripts_fill_and_prune(tmp_path):
     import ray.data
 
@@ -670,20 +709,23 @@ def test_fold_partials_empty_schema():
 
 
 def test_bm25_probe_and_incremental_totals(tmp_path):
-    """BM25 ranking against a Python brute force, and the v3 token
-    totals (the avgdl inputs) the build records in meta.json."""
+    """BM25 and tf-weighted rankings against a Python brute force, and
+    the v3 token totals (the avgdl inputs) the build records in
+    meta.json."""
     import json
 
     import ray.data
 
     from alco_ray.stages.parse import TOKENIZE_SPLIT
-    from alco_ray.stages.textindex import build_text_index, ranked_bm25_probe
+    from alco_ray.stages.textindex import (build_text_index,
+                                           ranked_bm25_probe, ranked_probe)
 
     parsed = _parsed_corpus()
     full_idx = tmp_path / "tidx_bm_full"
     build_text_index(ray.data.from_arrow(parsed), full_idx, n_buckets=64)
     terms = ["wanta", "wantb"]
     got = ranked_bm25_probe(full_idx, terms, k=10).to_pandas()
+    got_tf = ranked_probe(full_idx, terms, k=10).to_pandas()
 
     # brute-force the integer BM25 in Python
     import re
@@ -694,9 +736,9 @@ def test_bm25_probe_and_incremental_totals(tmp_path):
     tot = sum(len(t) for t in toks)
     avgdl_q = (tot * 1000) // n
     df = {w: sum(w in t for t in toks) for w in terms}
-    want_scores = {}
+    want_scores, tf_scores = {}, {}
     for i, t in enumerate(toks):
-        s = 0
+        s = s_tf = 0
         for w in terms:
             tf = t.count(w)
             if not tf or not df[w]:
@@ -704,15 +746,24 @@ def test_bm25_probe_and_incremental_totals(tmp_path):
             wt = ((2 * n - 2 * df[w] + 1) * 1_000_000) // (2 * df[w] + 1)
             den = 10 * avgdl_q * tf + 3 * avgdl_q + 9000 * len(t)
             s += wt * ((22 * tf * avgdl_q * 10_000) // den)
+            s_tf += tf * wt
+        key = (parsed["conv_id"][i].as_py(), parsed["turn_idx"][i].as_py())
         if s:
-            key = (parsed["conv_id"][i].as_py(),
-                   parsed["turn_idx"][i].as_py())
             want_scores[key] = s
+        if s_tf:
+            tf_scores[key] = s_tf
     for _, r in got.iterrows():
         assert want_scores[(r.conv_id, r.turn_idx)] == r.score
     assert len(got) == min(10, len(want_scores))
     # length normalization is live: scores differ from pure tf*w
     assert got["score"].nunique() > 1
+    # ranked_probe: score = sum tf * w, the whole ranking in order
+    # (score desc, conv_id, turn_idx), N read from meta.json
+    want_tf = sorted(tf_scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    assert [((r.conv_id, r.turn_idx), r.score)
+            for r in got_tf.itertuples()] == want_tf[:10]
+    assert list(got_tf.columns) == ["conv_id", "turn_idx", "score",
+                                    "parsed_ts", "text"]
 
     # the avgdl inputs in meta.json are the corpus totals
     meta = json.loads((full_idx / "meta.json").read_text())

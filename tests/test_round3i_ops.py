@@ -481,6 +481,12 @@ def test_auto_join_paths_agree():
                       "name": pa.array([], pa.string())})
     out = auto_join(lds, ray.data.from_arrow(empty), "k")
     assert out.count() == 0
+    # empty left: empty on both paths (Dataset.join itself raises
+    # ArrowInvalid on it)
+    none_left = lds.filter(expr="k > 100")
+    for limit in (2_000_000, 0):
+        assert auto_join(none_left, rds, "k",
+                         broadcast_limit=limit).count() == 0
 
 
 def test_outlier_rule_matches_bigint_bruteforce():

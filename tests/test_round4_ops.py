@@ -264,6 +264,35 @@ def test_grep_cursor_pagination_matches_offset():
     assert len(merged) == 0
 
 
+def test_index_freshness_reads_only_the_signature(tmp_path):
+    """The LSH and IVF index metas carry no format version; an index
+    is fresh when its signature matches, whatever else meta.json
+    holds."""
+    import json
+
+    from alco_ray.pipelines.queries import _index_fresh
+
+    idx = tmp_path / "ann"
+    assert not _index_fresh(idx, "abc")             # never built
+    idx.mkdir()
+    (idx / "meta.json").write_text(json.dumps(
+        {"kind": "lsh", "corpus_sig": "abc"}))
+    assert _index_fresh(idx, "abc")
+    assert not _index_fresh(idx, "abd")             # corpus changed
+
+
+def test_probes_refuse_an_index_of_another_version(tmp_path):
+    import json
+
+    from alco_ray.stages import textindex
+
+    (tmp_path / "meta.json").write_text(json.dumps(
+        {"kind": "text_inverted", "version": textindex.INDEX_VERSION - 1,
+         "n_buckets": 4, "text_col": "text"}))
+    with pytest.raises(ValueError, match="rebuild"):
+        textindex.grep_probe(tmp_path, "shuffle")
+
+
 # --------------------------------------------------------------- PNG
 
 
