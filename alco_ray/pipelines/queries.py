@@ -1385,7 +1385,7 @@ def e_rolling_median(sf_dir: str):
         g = g.sort_values(["user_id", "ts", "event_id"],
                           kind="mergesort")
         v = g["value"].to_numpy(dtype=np.float64) * 100.0
-        cents = np.copysign(np.floor(np.abs(v) + 0.5), v)
+        cents = agg_stage.half_away(v)
         med = (pd.Series(cents, index=g.index)
                .groupby(g["user_id"], sort=False)
                .rolling(5, min_periods=1).median()
@@ -5665,7 +5665,7 @@ def d_semdedup(sf_dir: str):
 
     def tag(b: pa.Table) -> pa.Table:
         c = ray.get(cref)
-        asn = _km_emit_block(b, "embedding", "doc_id", 1024, c)
+        asn = _km_emit_block(b, "doc_id", c)
         lst = b["embedding"]
         if isinstance(lst, pa.ChunkedArray):
             lst = lst.combine_chunks()
@@ -6008,8 +6008,7 @@ def e_cusum(sf_dir: str):
         g = g.sort_values(["user_id", "ts", "event_id"],
                           kind="mergesort")
         v = g["value"].to_numpy(dtype=np.float64) * 100.0
-        cents = np.copysign(np.floor(np.abs(v) + 0.5), v) \
-            .astype(np.int64)
+        cents = agg_stage.half_away(v).astype(np.int64)
         grp = g.groupby("user_id", sort=False)
         n = grp["user_id"].transform("size").to_numpy(dtype=np.int64)
         cs = pd.Series(cents, index=g.index)
@@ -6050,8 +6049,7 @@ def e_ewma(sf_dir: str):
         g = g.sort_values(["user_id", "ts", "event_id"],
                           kind="mergesort")
         v = g["value"].to_numpy(dtype=np.float64) * 100.0
-        cents = np.copysign(np.floor(np.abs(v) + 0.5), v) \
-            .astype(np.int64)
+        cents = agg_stage.half_away(v).astype(np.int64)
         grp = g.groupby("user_id", sort=False)
         n = grp["user_id"].transform("size").to_numpy(dtype=np.int64)
         k = n - grp.cumcount().to_numpy(dtype=np.int64)  # 1 = newest
@@ -6085,7 +6083,7 @@ def e_autocorr(sf_dir: str):
         g = g.sort_values(["user_id", "ts", "event_id"],
                           kind="mergesort")
         v = g["value"].to_numpy(dtype=np.float64) * 100.0
-        c = np.copysign(np.floor(np.abs(v) + 0.5), v).astype(np.int64)
+        c = agg_stage.half_away(v).astype(np.int64)
         uid = g["user_id"].to_numpy()
         grp = g.groupby("user_id", sort=False)
         n = grp["user_id"].transform("size").to_numpy(dtype=np.int64)
@@ -6123,7 +6121,7 @@ def e_benford(sf_dir: str):
 
     def partial(b: pa.Table) -> pa.Table:
         v = b["value"].to_numpy(zero_copy_only=False) * 100.0
-        c = np.copysign(np.floor(np.abs(v) + 0.5), v).astype(np.int64)
+        c = agg_stage.half_away(v).astype(np.int64)
         keep = c > 0
         c = c[keep]
         for _ in range(18):          # 10^19 > int64 max: 18 halvings
@@ -6254,7 +6252,7 @@ def e_gini(sf_dir: str):
 
     def totals(g: pd.DataFrame) -> pd.DataFrame:
         v = g["value"].to_numpy(dtype=np.float64) * 100.0
-        c = np.copysign(np.floor(np.abs(v) + 0.5), v).astype(np.int64)
+        c = agg_stage.half_away(v).astype(np.int64)
         out = pd.DataFrame({"user_id": g["user_id"].to_numpy(),
                             "tot": c})
         out = out.groupby("user_id", as_index=False)["tot"].sum()

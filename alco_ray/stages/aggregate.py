@@ -15,6 +15,8 @@ The package makes two decisions here and nowhere else:
 
 - :func:`to_fixed` is the fixed-point rule (money in cents, rates in
   1e-4 units): scale, round half away from zero, int64.
+  :func:`half_away` is the same rounding for kernels that work in
+  NumPy.
 - A partial aggregate is stated once, as keys plus named aggregates
   ``{out: (column or [], op)}``.  :func:`partial_agg` builds the
   per-block step from it, and :func:`merge_aggs` derives how each
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import functools
 
+import numpy as np
 import pyarrow as pa
 
 #: How a per-block aggregate merges across blocks: counts and sums add
@@ -46,6 +49,14 @@ def to_fixed(x, scale: int = 1):
         x = pc.multiply(x, scale)
     return pc.cast(pc.round(x, round_mode="half_towards_infinity"),
                    pa.int64())
+
+
+def half_away(x: np.ndarray) -> np.ndarray:
+    """The NumPy kernels' half-away-from-zero rounding of ``x`` (float
+    out; the caller casts).  Not :func:`to_fixed`: ``pc.round`` rounds
+    +-0.49999999999999994 to 0, while here ``|x| + 0.5`` rounds up to
+    1.0 first — the rule these kernels' oracles pin."""
+    return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
 def partial_agg(keys: list[str], aggs: dict[str, tuple], project=None):
@@ -509,8 +520,6 @@ def quantiles_disc(ds, value_col: str, qs: list[float], by: str,
 
 def _float_vals(batch: pa.Table, col: str):
     """Non-null float64 values of one column as a numpy array."""
-    import numpy as np
-
     v = batch[col]
     if isinstance(v, pa.ChunkedArray):
         v = v.combine_chunks()
@@ -549,8 +558,6 @@ def order_stats_cont(ds, value_col: str, ranks: list[int], *,
 
     ``span``: optional precomputed (n, min, max) to skip pass 0.
     """
-    import numpy as np
-
     import ray
 
     if span is None:
@@ -678,8 +685,6 @@ def order_stats_cont(ds, value_col: str, ranks: list[int], *,
 
 def _count_min_max(ds, value_col: str) -> tuple[int, float, float]:
     """(non-null count, min, max) via one map-side partial pass."""
-    import numpy as np
-
     def partial(batch: pa.Table) -> pa.Table:
         a = _float_vals(batch, value_col)
         if a.size == 0:
@@ -702,8 +707,6 @@ def _count_min_max(ds, value_col: str) -> tuple[int, float, float]:
 
 def _bracket_min_max(ds, value_col: str, lo: float, hi: float,
                      closed: bool) -> tuple[float, float]:
-    import numpy as np
-
     def partial(batch: pa.Table) -> pa.Table:
         a = _float_vals(batch, value_col)
         sel = a[_bracket_mask(a, lo, hi, closed)]
@@ -769,7 +772,6 @@ def group_order_stats(ds, key_col: str, val_col: str, p: float, *,
     segment-start gather per frame: no per-group Python, no
     iterative passes (the group's rows are already co-located, so
     selection is an in-frame index away)."""
-    import numpy as np
     import pandas as pd
 
     from .window import _segment_bounds, keyed_apply

@@ -7,7 +7,7 @@ probe-pruned treatment.
 Build: one map-side (min, max) fold sizes an equi-width bucket grid,
 then every row lands in exactly one ``bucket=<i>/`` Parquet directory
 (content-hashed filenames — idempotent retries; staged build + atomic
-swap, the similarity.build_lsh_index protocol).  A range probe reads
+swap, :func:`staging.staged_index`).  A range probe reads
 ONLY the buckets overlapping [lo, hi) — at 100 TB the scan cost is
 proportional to the selected value range, not the corpus — and applies
 the exact vectorized predicate to the edge buckets.
@@ -25,7 +25,6 @@ agnostic: they read whichever grid the meta carries.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +56,7 @@ def build_value_index(ds, index_dir: str | Path, *,
     distribution — near-equal bucket sizes under skew)."""
     from ..sinks import _make_block_writer
     from .aggregate import _count_min_max, quantile_cont
-    from .similarity import _swap_in_index, _sweep_stale_builds
+    from .staging import staged_index
 
     if boundaries == "quantile":
         ps = [i / n_buckets for i in range(1, n_buckets)]
@@ -78,23 +77,16 @@ def build_value_index(ds, index_dir: str | Path, *,
     meta = {"kind": "value_range", "version": 1, "value_col": value_col,
             **meta_grid, **(extra_meta or {})}
 
-    d = Path(index_dir)
-    _sweep_stale_builds(d)
-    build = d.parent / f".{d.name}.building.{os.getpid()}"
-    build.mkdir(parents=True, exist_ok=True)
-
-    writer = _make_block_writer(str(build / "buckets"), ["bucket"])
-
     def assign(b: pa.Table) -> pa.Table:
         v = b[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
         return b.append_column("bucket",
                                pa.array(_bucket_of_meta(v, meta)))
 
-    (ds.map_batches(assign, batch_format="pyarrow")
-       .map_batches(writer, batch_format="pyarrow").materialize())
-
-    (build / "meta.json").write_text(json.dumps(meta))
-    _swap_in_index(build, d)
+    with staged_index(index_dir) as (build, staged_meta):
+        writer = _make_block_writer(str(build / "buckets"), ["bucket"])
+        (ds.map_batches(assign, batch_format="pyarrow")
+           .map_batches(writer, batch_format="pyarrow").materialize())
+        staged_meta.update(meta)
 
 
 def range_probe(index_dir: str | Path, lo: float, hi: float, *,

@@ -6,6 +6,16 @@ per-batch local top-k keeps the shuffle at (num_blocks x k) rows — the
 same top-k shape as stages.order.top_k.  The LSH-bucketed variant is
 the scale path: random-hyperplane signatures bucket the corpus so a
 query probes ~corpus/2^bits rows; recall is tunable by multi-probing.
+
+Each step is written once and shared by every operator: ``_unit``
+(row normalization) and ``_cosine``, ``_quant`` (fixed-point
+quantization), ``_sq_dist`` (exact integer squared distance),
+``_top_k`` (block-local top-k, driver merge, ``rank``, typed empty
+answer), ``_pq_codebooks`` and ``_long`` (PQ codebook fit and its
+long-form sidecar table) and ``_probe`` (the pruned read of a
+persisted index).  Operators read the ``embedding`` column and the
+``vec_id`` id; the constants below are the values the SQL oracles
+replay.
 """
 
 from __future__ import annotations
@@ -15,12 +25,36 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .aggregate import arrow_blocks, arrow_refs, concat_nonempty, to_fixed
+from .aggregate import (arrow_blocks, arrow_refs, concat_nonempty,
+                        fold_partials, half_away, to_fixed)
+from .staging import staged_index
 from .window import keyed_apply
+
+#: Fixed-point scale of the integer operators (k-means, cluster purity,
+#: PQ, IVF-PQ, PCA, MMR, SQ8).
+_FIXED_SCALE = 1024
+#: Fixed-point scale of the exact vector sums (label_vector_sums,
+#: gram_matrix).
+_SUM_SCALE = 1_000_000
+_SQ_LEVELS = 255
+#: MMR score ``7*rel - 3*maxsim``: lambda = 7/10.
+_MMR_LAMBDA = (7, 10)
+#: Reciprocal-rank fusion ``scale // (k + rank)``.
+_RRF_K, _RRF_SCALE = 60, 10 ** 12
+#: cosine_dup_pairs switches to the bucketed plan above this many rows.
+_EXACT_MAX_ROWS = 100_000
+_DUP_TABLES, _DUP_SEED, _DUP_BUCKET_ROWS = 8, 991, 50_000
+_N_PLANES, _LSH_SEED, _N_PROBE_BITS = 12, 777, 2
+_IVF_SEED, _IVF_ITERS = 123, 5
+
+_ADC = pa.schema([("vec_id", pa.int64()), ("adc_dist", pa.int64())])
 
 
 def _matrix(batch: pa.Table, col: str = "embedding") -> np.ndarray:
-    """(n, d) float64 matrix from a list<float> column, zero-copy-ish."""
+    """(n, d) float64 matrix from a list<float> column, zero-copy-ish;
+    (0, 0) for a block without rows (which may carry no columns)."""
+    if batch.num_rows == 0:
+        return np.zeros((0, 0))
     arr = batch[col]
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
@@ -29,44 +63,77 @@ def _matrix(batch: pa.Table, col: str = "embedding") -> np.ndarray:
         d = arr.type.list_size
     else:
         offs = np.asarray(arr.offsets)
-        d = int(offs[1] - offs[0]) if len(offs) > 1 else 0
-    return flat.reshape(-1, d)
+        d = int(offs[1] - offs[0])
+        if np.any(np.diff(offs) != d):
+            raise ValueError(f"{col}: ragged vectors")
+    return flat.reshape(len(arr), d)
 
 
-class BruteForceTopK:
-    """Actor-pool stage: per-batch cosine scores against a broadcast
-    query vector; emits each batch's local top-k candidates."""
-
-    def __init__(self, query_ref, k: int = 10, col: str = "embedding",
-                 id_col: str = "vec_id"):
-        import ray
-
-        q = np.asarray(ray.get(query_ref), dtype=np.float64)
-        self.q = q / max(np.linalg.norm(q), 1e-30)
-        self.k = k
-        self.col = col
-        self.id_col = id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        m = _matrix(batch, self.col)
-        norms = np.linalg.norm(m, axis=1)
-        sims = (m @ self.q) / np.maximum(norms, 1e-30)
-        order = np.lexsort((batch[self.id_col].to_numpy(zero_copy_only=False),
-                            -sims))[: self.k]
-        return pa.table({
-            self.id_col: pc.take(batch[self.id_col].combine_chunks()
-                                 if isinstance(batch[self.id_col], pa.ChunkedArray)
-                                 else batch[self.id_col],
-                                 pa.array(order)),
-            "sim": pa.array(sims[order], pa.float64()),
-        })
+def _unit(m: np.ndarray) -> np.ndarray:
+    """The rows of ``m`` (or the vector ``m``) scaled to unit length."""
+    return m / np.maximum(np.linalg.norm(m, axis=-1, keepdims=True), 1e-30)
 
 
-def knn_brute(ds, query_vec, k: int = 10, *, col: str = "embedding",
-              id_col: str = "vec_id"):
-    """Exact cosine top-k: Dataset(vec_id, sim, rank) of size k.
+def _cosine(batch: pa.Table, qn: np.ndarray) -> np.ndarray:
+    """Cosine of each embedding in ``batch`` against the unit query
+    ``qn`` (d,) or query rows (q, d): (n,) or (n, q)."""
+    return _unit(_matrix(batch)) @ qn.T
 
-    Deterministic tie-break: (-sim, vec_id).  Per-block local top-k
+
+def _quant(x: np.ndarray) -> np.ndarray:
+    """``x`` in fixed point: x * 1024 rounded half away from zero
+    (DuckDB ``round``), int64."""
+    return half_away(x * float(_FIXED_SCALE)).astype(np.int64)
+
+
+def _sq_dist(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Exact integer squared distances (n, k) between the rows of ``X``
+    (n, d) and ``C`` (k, d), by the |x|^2 + |c|^2 - 2<x,c> expansion."""
+    return (X * X).sum(1)[:, None] + (C * C).sum(1)[None, :] - 2 * (X @ C.T)
+
+
+def _best(t: pa.Table, key: str, k: int, desc: bool, id_col: str,
+          group: str | None):
+    """``t``'s k best rows by (``key``, ``id_col``), ``key`` descending
+    if ``desc``, per ``group`` value (ascending) when given; returned
+    with their 0-based rank."""
+    s = t[key].to_numpy(zero_copy_only=False)
+    cols = [t[id_col].to_numpy(zero_copy_only=False), -s if desc else s]
+    if group is not None:
+        cols.append(t[group].to_numpy(zero_copy_only=False))
+    order = np.lexsort(cols)
+    rank = np.arange(len(order))
+    if group is not None:
+        g = cols[-1][order]
+        first = np.ones(len(g), dtype=bool)
+        first[1:] = g[1:] != g[:-1]
+        rank = rank - np.maximum.accumulate(np.where(first, rank, 0))
+    keep = rank < k
+    return t.take(pa.array(order[keep])), rank[keep]
+
+
+def _top_k(ds, score, key: str, k: int, *, desc: bool, empty: pa.Schema,
+           id_col: str = "vec_id", group: str | None = None) -> pa.Table:
+    """The top-k tail: ``score(block)`` tabulates ``id_col``, ``key``
+    and any column to carry for each row of a block; each block keeps
+    its k best rows (:func:`_best`), the driver merges the (num_blocks
+    x k) survivors, keeps the k best and numbers them ``rank`` 1..k.
+    No survivors: zero rows typed by ``empty`` (the scored columns)."""
+    def local(b: pa.Table) -> pa.Table:
+        return _best(score(b), key, k, desc, id_col, group)[0]
+
+    merged = concat_nonempty(arrow_blocks(ds.map_batches(
+        local, batch_format="pyarrow", batch_size=None)))
+    if merged.num_columns == 0:
+        merged = empty.empty_table()
+    top, rank = _best(merged, key, k, desc, id_col, group)
+    return top.append_column("rank", pa.array(rank + 1, pa.int64()))
+
+
+def knn_brute(ds, query_vec, k: int = 10, *, id_col: str = "vec_id"):
+    """Exact cosine top-k: Dataset(id_col, sim, rank) of size k.
+
+    Deterministic tie-break: (-sim, id_col).  Per-block local top-k
     (broadcast query via ray.put, one matmul per block), then a
     driver-side merge of the (num_blocks x k) survivors — a
     distributed sort over a k-row result is pure fixed latency.
@@ -74,29 +141,18 @@ def knn_brute(ds, query_vec, k: int = 10, *, col: str = "embedding",
     import ray
     import ray.data
 
-    q = np.asarray(query_vec, dtype=np.float64)
-    qref = ray.put(q)
+    qref = ray.put(_unit(np.asarray(query_vec, dtype=np.float64)))
 
-    def local_top(batch: pa.Table) -> pa.Table:
-        return BruteForceTopK(qref, k=k, col=col, id_col=id_col)(batch)
+    def score(b: pa.Table) -> pa.Table:
+        return pa.table({id_col: b[id_col],
+                         "sim": pa.array(_cosine(b, ray.get(qref)))})
 
-    local = ds.map_batches(local_top, batch_format="pyarrow",
-                           batch_size=None)
-    merged = concat_nonempty(arrow_blocks(local))
-    if merged.num_columns == 0:
-        # Every block pruned empty (e.g. an ANN probe over unpopulated
-        # buckets): an approximate-search miss is 0 rows, not a crash.
-        merged = pa.table({id_col: pa.array([], pa.int64()),
-                           "sim": pa.array([], pa.float64())})
-    order = np.lexsort((merged[id_col].to_numpy(zero_copy_only=False),
-                        -merged["sim"].to_numpy(zero_copy_only=False)))[:k]
-    out = merged.take(pa.array(order)).append_column(
-        "rank", pa.array(np.arange(1, len(order) + 1, dtype=np.int64)))
-    return ray.data.from_arrow(out)
+    return ray.data.from_arrow(_top_k(
+        ds, score, "sim", k, desc=True, id_col=id_col,
+        empty=pa.schema([(id_col, pa.int64()), ("sim", pa.float64())])))
 
 
-def knn_brute_multi(ds, query_mat, qids, k: int = 10, *,
-                    col: str = "embedding", id_col: str = "vec_id"):
+def knn_brute_multi(ds, query_mat, qids, k: int = 10):
     """Batched exact cosine top-k — ONE matmul per block scores ALL
     queries at once (the retrieval shape of eval-set decontamination
     and hard-negative mining: thousands of probe vectors against the
@@ -107,66 +163,33 @@ def knn_brute_multi(ds, query_mat, qids, k: int = 10, *,
     Scale shape: the (q, d) normalized query matrix broadcasts once
     via ``ray.put``; each block pays one (n, d)x(d, q) float64 matmul
     and emits q x k local-survivor rows, so the driver merge holds
-    num_blocks x q x k tiny rows — never the corpus.  The only Python
-    loop is over QUERIES within a block (selection per score column),
-    not rows."""
+    num_blocks x q x k tiny rows — never the corpus."""
     import ray
     import ray.data
 
-    q = np.asarray(query_mat, dtype=np.float64)
-    qn = q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1e-30)
+    qn = _unit(np.asarray(query_mat, dtype=np.float64))
     qid_arr = np.asarray(qids, dtype=np.int64)
     if qid_arr.shape[0] != qn.shape[0]:
         raise ValueError("qids must align with query_mat rows")
     qref = ray.put((qn, qid_arr))
 
-    def local_top(batch: pa.Table) -> pa.Table:
+    def score(b: pa.Table) -> pa.Table:
         qmat, qv = ray.get(qref)
-        m = _matrix(batch, col)
-        norms = np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-30)
-        sims = (m / norms) @ qmat.T  # (n, q)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        kk = min(k, len(ids))
-        sel = np.empty((qmat.shape[0], kk), dtype=np.int64)
-        for j in range(qmat.shape[0]):
-            sel[j] = np.lexsort((ids, -sims[:, j]))[:kk]
+        sims = _cosine(b, qmat)  # (n, q), row-major below
         return pa.table({
-            "qid": pa.array(np.repeat(qv, kk), pa.int64()),
-            id_col: pa.array(ids[sel.ravel()]),
-            "sim": pa.array(sims[sel.ravel(),
-                                 np.repeat(np.arange(qmat.shape[0]), kk)],
-                            pa.float64()),
-        })
+            "qid": pa.array(np.tile(qv, b.num_rows)),
+            "vec_id": pa.array(np.repeat(
+                b["vec_id"].to_numpy(zero_copy_only=False), len(qv))),
+            "sim": pa.array(sims.ravel())})
 
-    local = ds.map_batches(local_top, batch_format="pyarrow",
-                           batch_size=None)
-    merged = concat_nonempty(arrow_blocks(local))
-    if merged.num_columns == 0:
-        return ray.data.from_arrow(pa.table({
-            "qid": pa.array([], pa.int64()),
-            id_col: pa.array([], pa.int64()),
-            "rank": pa.array([], pa.int64())}))
-    qcol = merged["qid"].to_numpy(zero_copy_only=False)
-    icol = merged[id_col].to_numpy(zero_copy_only=False)
-    scol = merged["sim"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((icol, -scol, qcol))
-    qs = qcol[order]
-    new_grp = np.ones(len(qs), dtype=bool)
-    new_grp[1:] = qs[1:] != qs[:-1]
-    grp_start = np.maximum.accumulate(
-        np.where(new_grp, np.arange(len(qs)), 0))
-    rank = np.arange(len(qs)) - grp_start
-    keep = order[rank < k]
-    return ray.data.from_arrow(pa.table({
-        "qid": pa.array(qcol[keep], pa.int64()),
-        id_col: pa.array(icol[keep]),
-        "rank": pa.array(rank[rank < k] + 1, pa.int64()),
-    }))
+    top = _top_k(ds, score, "sim", k, desc=True, group="qid",
+                 empty=pa.schema([("qid", pa.int64()),
+                                  ("vec_id", pa.int64()),
+                                  ("sim", pa.float64())]))
+    return ray.data.from_arrow(top.select(["qid", "vec_id", "rank"]))
 
 
-def triplet_mine(ds, anchor_mat, anchor_ids, anchor_labels, *,
-                 col: str = "embedding", id_col: str = "vec_id",
-                 label_col: str = "label"):
+def triplet_mine(ds, anchor_mat, anchor_ids, anchor_labels):
     """HARD-TRIPLET mining for contrastive training: per anchor, the
     nearest SAME-label corpus vector (positive, self excluded) and
     the nearest DIFFERENT-label vector (hard negative), exact cosine,
@@ -180,21 +203,16 @@ def triplet_mine(ds, anchor_mat, anchor_ids, anchor_labels, *,
     rows, never corpus rows."""
     import ray
 
-    q = np.asarray(anchor_mat, dtype=np.float64)
-    qn = q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1e-30)
     aids = np.asarray(anchor_ids, dtype=np.int64)
     albl = np.asarray(anchor_labels, dtype=np.int64)
-    ref = ray.put((qn, aids, albl))
+    ref = ray.put((_unit(np.asarray(anchor_mat, dtype=np.float64)), aids,
+                   albl))
 
     def local_best(batch: pa.Table) -> pa.Table:
         qm, av, al = ray.get(ref)
-        m = _matrix(batch, col)
-        norms = np.maximum(np.linalg.norm(m, axis=1, keepdims=True),
-                           1e-30)
-        sims = (m / norms) @ qm.T  # (n, q)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        lbl = batch[label_col].to_numpy(
-            zero_copy_only=False).astype(np.int64)
+        sims = _cosine(batch, qm)  # (n, q)
+        ids = batch["vec_id"].to_numpy(zero_copy_only=False)
+        lbl = batch["label"].to_numpy(zero_copy_only=False).astype(np.int64)
         out_a, out_c, out_s, out_same = [], [], [], []
         for j in range(qm.shape[0]):
             same = (lbl == al[j]) & (ids != av[j])
@@ -235,8 +253,7 @@ def triplet_mine(ds, anchor_mat, anchor_ids, anchor_labels, *,
     })
 
 
-def range_search(ds, query_vec, tau: float, *, col: str = "embedding",
-                 id_col: str = "vec_id"):
+def range_search(ds, query_vec, tau: float):
     """Radius (range) cosine search: every vector with
     ``cos(v, query) >= tau`` — the retrieval dual of top-k (fixed
     similarity floor instead of fixed result count; the shape used for
@@ -247,28 +264,25 @@ def range_search(ds, query_vec, tau: float, *, col: str = "embedding",
     in-radius rows — no shuffle, no driver materialization, result size
     proportional to the true neighborhood.  At 100 TB this is a single
     map over the corpus; compose with the LSH/IVF bucket indexes when
-    the radius is tight enough to prune reads."""
+    the radius is tight enough to prune reads.  A typed empty block
+    rides along in the same plan, so an empty answer keeps its
+    ``vec_id`` column."""
     import ray
+    import ray.data
 
-    q = np.asarray(query_vec, dtype=np.float64)
-    q = q / max(np.linalg.norm(q), 1e-30)
-    qref = ray.put(q)
+    qref = ray.put(_unit(np.asarray(query_vec, dtype=np.float64)))
 
     def in_radius(batch: pa.Table) -> pa.Table:
-        qv = ray.get(qref)
-        m = _matrix(batch, col)
-        sims = (m @ qv) / np.maximum(np.linalg.norm(m, axis=1), 1e-30)
-        keep = sims >= tau
-        ids = batch[id_col].combine_chunks() if isinstance(
-            batch[id_col], pa.ChunkedArray) else batch[id_col]
-        return pa.table({id_col: ids.filter(pa.array(keep))})
+        keep = _cosine(batch, ray.get(qref)) >= tau
+        return batch.select(["vec_id"]).filter(pa.array(keep))
 
     return ds.map_batches(in_radius, batch_format="pyarrow",
-                          batch_size=None)
+                          batch_size=None).union(ray.data.from_arrow(
+                              pa.schema([("vec_id", pa.int64())])
+                              .empty_table()))
 
 
-def ivf_centroids(ds, n_centroids: int = 16, iters: int = 5, *,
-                  col: str = "embedding", seed: int = 123) -> np.ndarray:
+def ivf_centroids(ds, n_centroids: int = 16) -> np.ndarray:
     """Distributed k-means (IVF coarse quantizer) over unit-normalized
     embeddings.  Deterministic: centroids init from a seeded random
     rotation, each Lloyd iteration is one map_batches pass emitting
@@ -278,25 +292,21 @@ def ivf_centroids(ds, n_centroids: int = 16, iters: int = 5, *,
     import ray
 
     first = arrow_blocks(ds.limit(max(n_centroids * 8, 256)))
-    sample = _matrix(concat_nonempty(first), col)
-    sample = sample / np.maximum(
-        np.linalg.norm(sample, axis=1, keepdims=True), 1e-30)
+    sample = _unit(_matrix(concat_nonempty(first)))
     if not len(sample):
         raise ValueError("ivf_centroids: empty embedding corpus")
     # Degrade gracefully on tiny corpora: fewer centroids than asked
     # beats a ValueError from sampling without replacement.
     n_centroids = min(n_centroids, len(sample))
-    rng = np.random.RandomState(seed)
+    rng = np.random.RandomState(_IVF_SEED)
     cents = sample[rng.choice(len(sample), n_centroids, replace=False)]
 
-    for _ in range(iters):
+    for _ in range(_IVF_ITERS):
         ref = ray.put(cents)
 
         def partial(batch: pa.Table) -> pa.Table:
             c = ray.get(ref)
-            m = _matrix(batch, col)
-            m = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True),
-                               1e-30)
+            m = _unit(_matrix(batch))
             assign = np.argmax(m @ c.T, axis=1)
             sums = np.zeros_like(c)
             np.add.at(sums, assign, m)
@@ -320,54 +330,41 @@ def ivf_centroids(ds, n_centroids: int = 16, iters: int = 5, *,
             sums[cid] += np.asarray(merged["s"][i].as_py())
         nz = counts > 0
         cents[nz] = sums[nz] / counts[nz, None]
-        cents = cents / np.maximum(
-            np.linalg.norm(cents, axis=1, keepdims=True), 1e-30)
+        cents = _unit(cents)
     return cents
 
 
-def cosine_dup_pairs(ds, threshold: float = 0.4, *, col: str = "embedding",
-                     id_col: str = "vec_id",
-                     exact_max_rows: int = 100_000, n_tables: int = 8,
-                     n_bits: int | None = None):
+def cosine_dup_pairs(ds, threshold: float = 0.4):
     """Embedding-cosine near-dup pairs: (vec_a, vec_b) with
     cosine >= threshold, vec_a < vec_b.
 
     Two plans, picked by corpus size:
 
-    - **exact** (rows <= ``exact_max_rows``): broadcast the normalized
+    - **exact** (rows <= ``_EXACT_MAX_ROWS``): broadcast the normalized
       matrix once, one matmul per batch — O(n^2/p) all-pairs exactness
       for oracle-scale inputs; driver memory is bounded by the guard.
     - **bucketed** (above the guard): :func:`cosine_dup_pairs_lsh` —
       banded random-hyperplane LSH + per-bucket exact verification; no
       driver materialization, no all-pairs work.  Emitted pairs are
-      exact-cosine verified (zero false positives); recall is tunable
-      via (n_tables, n_bits) and tested on planted near-dups.
+      exact-cosine verified (zero false positives); recall is tested
+      on planted near-dups.
     """
-    if ds.count() > exact_max_rows:
-        return cosine_dup_pairs_lsh(ds, threshold, col=col, id_col=id_col,
-                                    n_tables=n_tables, n_bits=n_bits)
-    return _cosine_dup_pairs_exact(ds, threshold, col=col, id_col=id_col)
+    if ds.count() > _EXACT_MAX_ROWS:
+        return cosine_dup_pairs_lsh(ds, threshold)
+    return _cosine_dup_pairs_exact(ds, threshold)
 
 
-def _cosine_dup_pairs_exact(ds, threshold: float, *, col: str,
-                            id_col: str):
+def _cosine_dup_pairs_exact(ds, threshold: float):
     import ray
-    import ray.data
 
-    parts = arrow_blocks(ds)
-    full = concat_nonempty(parts)
-    ids = full[id_col].to_numpy(zero_copy_only=False)
-    m = _matrix(full, col)
-    m = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-30)
-    ref = ray.put((ids, m))
+    full = concat_nonempty(arrow_blocks(ds))
+    ref = ray.put((full["vec_id"].to_numpy(zero_copy_only=False),
+                   _unit(_matrix(full))))
 
     def pairs(batch: pa.Table) -> pa.Table:
-        bids, bm = (batch[id_col].to_numpy(zero_copy_only=False),
-                    _matrix(batch, col))
+        bids = batch["vec_id"].to_numpy(zero_copy_only=False)
         aids, am = ray.get(ref)
-        bm = bm / np.maximum(np.linalg.norm(bm, axis=1, keepdims=True),
-                             1e-30)
-        sims = bm @ am.T
+        sims = _unit(_matrix(batch)) @ am.T
         bi, ai = np.nonzero((sims >= threshold) &
                             (bids[:, None] < aids[None, :]))
         return pa.table({"vec_a": pa.array(bids[bi], pa.int64()),
@@ -376,45 +373,41 @@ def _cosine_dup_pairs_exact(ds, threshold: float, *, col: str,
     return ds.map_batches(pairs, batch_format="pyarrow", batch_size=None)
 
 
-def cosine_dup_pairs_lsh(ds, threshold: float = 0.4, *,
-                         col: str = "embedding", id_col: str = "vec_id",
-                         n_tables: int = 8, n_bits: int | None = None,
-                         seed: int = 991, target_bucket_rows: int = 50_000):
+def cosine_dup_pairs_lsh(ds, threshold: float = 0.4):
     """Bucketed cosine near-dup pairs — the 100 TB plan.
 
-    Banded random-hyperplane LSH: ``n_tables`` independent sign-bit
+    Banded random-hyperplane LSH: ``_DUP_TABLES`` independent sign-bit
     signatures of ``n_bits`` hyperplanes each; rows sharing a (table,
     bucket) signature are candidates, verified with an exact in-bucket
     matmul, deduplicated across tables by a pair-keyed
     :func:`keyed_apply`.
 
     Partitioning assumptions: a (table, bucket) group holds ~corpus /
-    2^n_bits rows — ``n_bits`` defaults to log2(rows /
-    target_bucket_rows) (clamped 6..20) so buckets stay bounded as the
-    corpus grows; shuffle volume is n_tables x corpus (linear).
+    2^n_bits rows — ``n_bits`` is log2(rows / _DUP_BUCKET_ROWS)
+    (clamped 6..20) so buckets stay bounded as the corpus grows;
+    shuffle volume is n_tables x corpus (linear).
     Recall: a pair at cosine c collides in one table with
     p = (1 - arccos(c)/pi)^n_bits, across tables 1-(1-p)^n_tables
     (n_tables=8, n_bits=8: ~0.99 at c=0.95); emitted pairs are
     exact-verified, so precision is 1.0 at any setting.
     """
-    if n_bits is None:
-        import math
+    import math
 
-        n_bits = min(20, max(6, math.ceil(
-            math.log2(max(2, ds.count() / target_bucket_rows)))))
+    n_tables = _DUP_TABLES
+    n_bits = min(20, max(6, math.ceil(
+        math.log2(max(2, ds.count() / _DUP_BUCKET_ROWS)))))
 
     def explode(batch: pa.Table) -> pa.Table:
-        m = _matrix(batch, col)
-        m = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-30)
+        m = _unit(_matrix(batch))
         nb, d = m.shape
-        planes = _planes_banded(d, n_tables, n_bits, seed)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
+        planes = _planes_banded(d, n_tables, n_bits)
+        ids = batch["vec_id"].to_numpy(zero_copy_only=False)
         # (nb, n_tables*n_bits) signs -> (nb, n_tables) bucket ints
         bits = (m @ planes) >= 0
         weights = (1 << np.arange(n_bits, dtype=np.int64))
         buckets = bits.reshape(nb, n_tables, n_bits) @ weights
         return pa.table({
-            id_col: pa.array(np.repeat(ids, n_tables)),
+            "vec_id": pa.array(np.repeat(ids, n_tables)),
             "table_id": pa.array(
                 np.tile(np.arange(n_tables, dtype=np.int32), nb)),
             "bucket": pa.array(buckets.reshape(-1).astype(np.int64)),
@@ -426,7 +419,7 @@ def cosine_dup_pairs_lsh(ds, threshold: float = 0.4, *,
     exploded = ds.map_batches(explode, batch_format="pyarrow")
 
     def pairs_in_buckets(g: pd.DataFrame) -> pd.DataFrame:
-        ids = g[id_col].to_numpy()
+        ids = g["vec_id"].to_numpy()
         emb = np.stack(g["emb"].to_numpy())  # already normalized
         out_a, out_b = [], []
         for rows in g.groupby(["table_id", "bucket"],
@@ -448,13 +441,12 @@ def cosine_dup_pairs_lsh(ds, threshold: float = 0.4, *,
     return keyed_apply(partials, ["vec_a", "vec_b"], distinct_pairs)
 
 
-def _planes_banded(d: int, n_tables: int, n_bits: int,
-                   seed: int) -> np.ndarray:
+def _planes_banded(d: int, n_tables: int, n_bits: int) -> np.ndarray:
     """(d, n_tables*n_bits) deterministic hyperplanes (cached)."""
-    key = (d, n_tables, n_bits, seed)
+    key = (d, n_tables, n_bits)
     cached = _PLANES_CACHE.get(key)
     if cached is None:
-        rng = np.random.RandomState(seed)
+        rng = np.random.RandomState(_DUP_SEED)
         cached = rng.standard_normal((d, n_tables * n_bits))
         _PLANES_CACHE[key] = cached
     return cached
@@ -463,22 +455,22 @@ def _planes_banded(d: int, n_tables: int, n_bits: int,
 _PLANES_CACHE: dict = {}
 
 
-_N_PLANES = 12
-
-
-def _planes(d: int, seed: int = 777, n_planes: int | None = None
-            ) -> np.ndarray:
+def _planes(d: int, seed: int, n_planes: int = _N_PLANES) -> np.ndarray:
     rng = np.random.RandomState(seed)
-    return rng.standard_normal((d, n_planes or _N_PLANES))
+    return rng.standard_normal((d, n_planes))
 
 
-def lsh_bucket_batch(batch: pa.Table, *, col: str = "embedding",
-                     seed: int = 777) -> pa.Table:
+def _lsh_bucket(x: np.ndarray, seed: int, n_planes: int) -> np.ndarray:
+    """Sign-bit signature of the rows of ``x`` (or the vector ``x``)
+    under ``n_planes`` seeded random hyperplanes — the one bucket rule
+    of the LSH build and its probe."""
+    planes = _planes(x.shape[-1], seed, n_planes)
+    return ((x @ planes) >= 0) @ (1 << np.arange(n_planes))
+
+
+def lsh_bucket_batch(batch: pa.Table) -> pa.Table:
     """Append int32 ``bucket`` = sign-bit signature of random projections."""
-    m = _matrix(batch, col)
-    planes = _planes(m.shape[1], seed)
-    bits = (m @ planes) >= 0
-    bucket = bits @ (1 << np.arange(_N_PLANES))
+    bucket = _lsh_bucket(_matrix(batch), _LSH_SEED, _N_PLANES)
     return batch.append_column("bucket", pa.array(bucket.astype(np.int32)))
 
 
@@ -497,84 +489,50 @@ def _probe_bucket_set(base: int, n_probe_bits: int,
     return probe
 
 
-def _sweep_stale_builds(index_dir) -> None:
-    """Remove orphan ``.{name}.building.*`` staging dirs left by
-    crashed builds (each run stages under its own pid, so the scheme
-    must be self-cleaning)."""
-    import shutil
-    from pathlib import Path
+def _probe(index_dir, parts: list[str], q: np.ndarray, k: int):
+    """Exact cosine top-k (:func:`knn_brute`) over the partition
+    directories ``parts`` of a persisted index, in that order — the
+    only files the probe reads."""
+    import ray.data
 
-    d = Path(index_dir)
-    for stale in d.parent.glob(f".{d.name}.building.*"):
-        shutil.rmtree(stale, ignore_errors=True)
-
-
-def _swap_in_index(build_dir, index_dir) -> None:
-    """Install a freshly built index directory with a minimal missing-
-    path window: old dir is renamed aside (one syscall), the new dir
-    renamed in (one syscall), then the old removed — a crashed build
-    leaves only an orphan ``.building.*``/``.trash.*`` dir, never a
-    torn or merged index.  Concurrent REBUILDS of the same index dir
-    still need external coordination (single-writer, like the dict
-    cache); probes racing the two renames can transiently miss the
-    dir."""
-    import os
-    import shutil
-    from pathlib import Path
-
-    index_dir = Path(index_dir)
-    trash = None
-    if index_dir.exists():
-        trash = index_dir.parent / f".{index_dir.name}.trash.{os.getpid()}"
-        os.rename(index_dir, trash)
-    os.rename(build_dir, index_dir)
-    if trash is not None:
-        shutil.rmtree(trash, ignore_errors=True)
+    files = [str(p) for part in parts
+             for p in sorted((index_dir / part).glob("*.parquet"))]
+    ds = ray.data.read_parquet(files) if files else ray.data.from_arrow(
+        pa.schema([("vec_id", pa.int64()),
+                   ("embedding", pa.list_(pa.float64()))]).empty_table())
+    return knn_brute(ds, q, k)
 
 
-def build_lsh_index(ds, index_dir, *, col: str = "embedding",
-                    id_col: str = "vec_id", seed: int = 777,
-                    extra_meta: dict | None = None) -> None:
+def build_lsh_index(ds, index_dir, *, extra_meta: dict | None = None) -> None:
     """Persisted ANN index, built ONCE and probed many times (the
     Sphinx-index analog): rows are written as bucket-partitioned
     Parquet (``bucket=<b>/``) via the idempotent partitioned sink, plus
-    a meta sidecar pinning the hash family.  The build stages into a
-    ``.building.<pid>`` dir and swaps in atomically (meta.json written
-    last), so a crashed build never leaves a torn/merged index.
-    Probes read ONLY the probed bucket directories — no per-query
-    corpus re-scan or re-assignment.  ``extra_meta`` (e.g. a corpus
-    signature) rides along in meta.json for staleness checks."""
-    import json
-    import os
-    from pathlib import Path
-
+    a meta sidecar pinning the hash family.  The build is staged
+    (:func:`staging.staged_index`), so a crashed build never leaves a
+    torn/merged index.  Probes read ONLY the probed bucket directories
+    — no per-query corpus re-scan or re-assignment.  ``extra_meta``
+    (e.g. a corpus signature) rides along in meta.json for staleness
+    checks."""
     from ..sinks import _make_block_writer
 
-    d = Path(index_dir)
-    _sweep_stale_builds(d)
-    build = d.parent / f".{d.name}.building.{os.getpid()}"
-    build.mkdir(parents=True, exist_ok=True)
-    writer = _make_block_writer(str(build), ["bucket"])
-    bucketed = ds.map_batches(
-        lambda b: lsh_bucket_batch(b, col=col, seed=seed),
-        batch_format="pyarrow")
-    bucketed.map_batches(writer, batch_format="pyarrow").materialize()
-    meta = {"kind": "lsh", "n_planes": _N_PLANES, "seed": seed,
-            "col": col, "id_col": id_col, **(extra_meta or {})}
-    (build / "meta.json").write_text(json.dumps(meta))
-    _swap_in_index(build, d)
+    with staged_index(index_dir) as (build, meta):
+        writer = _make_block_writer(str(build), ["bucket"])
+        ds.map_batches(lsh_bucket_batch, batch_format="pyarrow") \
+          .map_batches(writer, batch_format="pyarrow").materialize()
+        # col/id_col: earlier versions' probes read them
+        meta.update({"kind": "lsh", "n_planes": _N_PLANES,
+                     "seed": _LSH_SEED, "col": "embedding",
+                     "id_col": "vec_id", **(extra_meta or {})})
 
 
-def knn_lsh_probe(index_dir, query_vec, k: int = 10, *,
-                  n_probe_bits: int = 2):
+def knn_lsh_probe(index_dir, query_vec, k: int = 10):
     """Partition-pruned ANN probe against a persisted LSH index: read
-    only the probed ``bucket=<b>/`` directories, exact cosine within.
-    Cost scales with the probed fraction of the corpus, independent of
-    how many queries have run before."""
+    only the ``bucket=<b>/`` directories within Hamming distance 2 of
+    the query's, exact cosine within.  Cost scales with the probed
+    fraction of the corpus, independent of how many queries have run
+    before."""
     import json
     from pathlib import Path
-
-    import ray.data
 
     d = Path(index_dir)
     meta = json.loads((d / "meta.json").read_text())
@@ -582,100 +540,69 @@ def knn_lsh_probe(index_dir, query_vec, k: int = 10, *,
     # The hash family comes from the META sidecar, not module
     # constants: an index persisted under a different plane count must
     # be probed with ITS planes.
-    planes = _planes(len(q), meta["seed"], meta["n_planes"])
-    base = int(((q @ planes) >= 0) @ (1 << np.arange(meta["n_planes"])))
-    probe = _probe_bucket_set(base, n_probe_bits, meta["n_planes"])
-    dirs = [d / f"bucket={b}" for b in sorted(probe)]
-    files = [str(p) for b in dirs if b.is_dir()
-             for p in sorted(b.glob("*.parquet"))]
-    if not files:
-        empty = pa.table({meta["id_col"]: pa.array([], pa.int64()),
-                          "sim": pa.array([], pa.float64()),
-                          "rank": pa.array([], pa.int64())})
-        return ray.data.from_arrow(empty)
-    ds = ray.data.read_parquet(files)
-    return knn_brute(ds, q, k, col=meta["col"], id_col=meta["id_col"])
+    base = int(_lsh_bucket(q, meta["seed"], meta["n_planes"]))
+    probe = _probe_bucket_set(base, _N_PROBE_BITS, meta["n_planes"])
+    return _probe(d, [f"bucket={b}" for b in sorted(probe)], q, k)
 
 
 def build_ivf_index(ds, index_dir, n_centroids: int = 16, *,
-                    col: str = "embedding", id_col: str = "vec_id",
-                    seed: int = 123,
                     extra_meta: dict | None = None) -> None:
     """Persisted IVF index: k-means coarse quantizer trained once, rows
     written as inverted-list-partitioned Parquet (``list=<cid>/``) with
     a centroid sidecar — probes read only the probed lists.  Staged
     build + atomic swap, like :func:`build_lsh_index`."""
-    import json
-    import os
-    from pathlib import Path
+    import pyarrow.parquet as pq
 
     import ray
 
     from ..sinks import _make_block_writer
 
-    d = Path(index_dir)
-    _sweep_stale_builds(d)
-    build = d.parent / f".{d.name}.building.{os.getpid()}"
-    build.mkdir(parents=True, exist_ok=True)
-    cents = ivf_centroids(ds, n_centroids, col=col, seed=seed)
-    cref = ray.put(cents)
+    with staged_index(index_dir) as (build, meta):
+        cents = ivf_centroids(ds, n_centroids)
+        cref = ray.put(cents)
 
-    def assign(batch: pa.Table) -> pa.Table:
-        c = ray.get(cref)
-        m = _matrix(batch, col)
-        m = m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-30)
-        cid = np.argmax(m @ c.T, axis=1).astype(np.int32)
-        return batch.append_column("list", pa.array(cid))
+        def assign(batch: pa.Table) -> pa.Table:
+            cid = np.argmax(_unit(_matrix(batch)) @ ray.get(cref).T, axis=1)
+            return batch.append_column("list", pa.array(cid.astype(np.int32)))
 
-    writer = _make_block_writer(str(build), ["list"])
-    ds.map_batches(assign, batch_format="pyarrow") \
-      .map_batches(writer, batch_format="pyarrow").materialize()
-    import pyarrow.parquet as pq
-
-    cent_t = pa.table({
-        "cid": pa.array(np.arange(len(cents), dtype=np.int32)),
-        "centroid": pa.FixedSizeListArray.from_arrays(
-            pa.array(cents.reshape(-1), pa.float64()), cents.shape[1]),
-    })
-    pq.write_table(cent_t, build / "centroids.parquet")
-    meta = {"kind": "ivf", "n_centroids": len(cents), "seed": seed,
-            "col": col, "id_col": id_col, **(extra_meta or {})}
-    (build / "meta.json").write_text(json.dumps(meta))
-    _swap_in_index(build, d)
+        writer = _make_block_writer(str(build), ["list"])
+        ds.map_batches(assign, batch_format="pyarrow") \
+          .map_batches(writer, batch_format="pyarrow").materialize()
+        pq.write_table(pa.table({
+            "cid": pa.array(np.arange(len(cents), dtype=np.int32)),
+            "centroid": pa.FixedSizeListArray.from_arrays(
+                pa.array(cents.reshape(-1), pa.float64()), cents.shape[1]),
+        }), build / "centroids.parquet")
+        meta.update({"kind": "ivf", "n_centroids": len(cents),
+                     "seed": _IVF_SEED, "col": "embedding",
+                     "id_col": "vec_id", **(extra_meta or {})})
 
 
 def knn_ivf_probe(index_dir, query_vec, k: int = 10, *, n_probe: int = 4):
     """Partition-pruned probe against a persisted IVF index: rank the
     sidecar centroids, read only the top ``n_probe`` list directories,
     exact cosine within."""
-    import json
     from pathlib import Path
 
     import pyarrow.parquet as pq
 
-    import ray.data
-
     d = Path(index_dir)
-    meta = json.loads((d / "meta.json").read_text())
-    cent_t = pq.read_table(d / "centroids.parquet")
-    cents = _matrix(cent_t, "centroid")
+    cents = _matrix(pq.read_table(d / "centroids.parquet"), "centroid")
     q = np.asarray(query_vec, dtype=np.float64)
-    qn = q / max(np.linalg.norm(q), 1e-30)
-    probe = np.argsort(-(cents @ qn))[:n_probe].tolist()
-    files = [str(p) for cid in probe
-             for p in sorted((d / f"list={cid}").glob("*.parquet"))
-             if (d / f"list={cid}").is_dir()]
-    if not files:
-        empty = pa.table({meta["id_col"]: pa.array([], pa.int64()),
-                          "sim": pa.array([], pa.float64()),
-                          "rank": pa.array([], pa.int64())})
-        return ray.data.from_arrow(empty)
-    ds = ray.data.read_parquet(files)
-    return knn_brute(ds, q, k, col=meta["col"], id_col=meta["id_col"])
+    probe = np.argsort(-(cents @ _unit(q)))[:n_probe]
+    return _probe(d, [f"list={cid}" for cid in probe], q, k)
 
 
-def label_vector_sums(ds, *, vec_col: str = "embedding",
-                      label_col: str = "label", scale: int = 1_000_000):
+def _sum_quant(b: pa.Table, scale: int) -> np.ndarray:
+    """``b``'s embeddings x ``scale`` as int64 by
+    :func:`aggregate.to_fixed` (Arrow's half-away rounding, on the
+    flat values; np.round is half-even — wrong tie behavior)."""
+    m = _matrix(b)
+    return to_fixed(pa.array(m.ravel()), float(scale)) \
+        .to_numpy(zero_copy_only=False).reshape(m.shape)
+
+
+def label_vector_sums(ds, *, scale: int = _SUM_SCALE):
     """VECTOR-COLUMN AGGREGATION (the k-means centroid step as a
     first-class operator): per label, the dimension-wise sum of the
     integer-quantized embedding plus the member count — consumers
@@ -687,55 +614,32 @@ def label_vector_sums(ds, *, vec_col: str = "embedding",
     |labels-in-block| x d rows — then the bounded-key driver fold
     (labels x dims is a SCHEMA-scale table).  Returns a Dataset of
     (label, dim 1-based, s, n)."""
-    import pyarrow.compute as pc
-
     import ray.data
 
-    from .aggregate import fold_partials
-
     def partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table({label_col: b[label_col],
-                             "dim": pa.array([], pa.int64()),
-                             "s": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        arr = b[vec_col]
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        # quantize on the FLAT values with the same double-precision
-        # half-away rounding the oracle uses (np.round is half-even —
-        # wrong tie behavior)
-        q = to_fixed(pc.cast(arr.values, pa.float64()), float(scale)) \
-            .to_numpy(zero_copy_only=False)
-        if isinstance(arr, pa.FixedSizeListArray):
-            d = arr.type.list_size
-        else:
-            offs = np.asarray(arr.offsets)
-            d = int(offs[1] - offs[0]) if len(offs) > 1 else 0
-            if np.any(np.diff(offs) != d):
-                raise ValueError("label_vector_sums: ragged vectors")
-        mat = q.reshape(-1, d)
-        labels = b[label_col].to_numpy(zero_copy_only=False)
-        codes, uniq = pd.factorize(labels)
+        mat = _sum_quant(b, scale)
+        d = mat.shape[1]
+        codes, uniq = pd.factorize(b["label"].to_numpy(zero_copy_only=False))
         sums = np.zeros((len(uniq), d), dtype=np.int64)
         np.add.at(sums, codes, mat)
         counts = np.bincount(codes, minlength=len(uniq)).astype(np.int64)
-        lab = np.repeat(uniq, d)
-        dim = np.tile(np.arange(1, d + 1, dtype=np.int64), len(uniq))
         return pa.table({
-            label_col: pa.array(lab).cast(b.schema.field(label_col).type),
-            "dim": pa.array(dim),
+            "label": pa.array(np.repeat(uniq, d))
+            .cast(b.schema.field("label").type),
+            "dim": pa.array(np.tile(np.arange(1, d + 1, dtype=np.int64),
+                                    len(uniq))),
             "s": pa.array(sums.reshape(-1)),
             "n": pa.array(np.repeat(counts, d)),
         })
 
     p = ds.map_batches(partial, batch_format="pyarrow")
     return ray.data.from_arrow(fold_partials(
-        p, [label_col, "dim"], [("s", "sum"), ("n", "sum")]))
+        p, ["label", "dim"], [("s", "sum"), ("n", "sum")],
+        empty_schema=pa.schema([(c, pa.int64())
+                                for c in ("label", "dim", "s", "n")])))
 
 
-def gram_matrix(ds, *, vec_col: str = "embedding",
-                scale: int = 1_000_000):
+def gram_matrix(ds):
     """Distributed EXACT Gram / second-moment matrix of an embedding
     column — the PCA / covariance / whitening precursor: X^T X over
     the integer-quantized vectors (same half-away quantization as
@@ -747,39 +651,18 @@ def gram_matrix(ds, *, vec_col: str = "embedding",
     driver fold — the exchange moves d^2 rows per block, never
     vectors.  Returns (i, j, s) with 1-based dims, s = sum of
     x_i * x_j over all rows.  Overflow bound: a cell partial is
-    <= n_rows * (scale * max|x|)^2; at scale=10^6 and unit-normalized
-    embeddings that caps the EXACT path near ~10^6 rows per fold —
-    beyond that, lower ``scale`` (10^4 holds ~10^10 rows) or fold the
-    i64 cells into object-store shards; dims stay schema-scale."""
-    import pyarrow.compute as pc
-
-    from .aggregate import fold_partials
-
+    <= n_rows * (10^6 * max|x|)^2; for unit-normalized embeddings
+    that caps the EXACT path near ~10^6 rows per fold — beyond that,
+    lower the scale (10^4 holds ~10^10 rows) or fold the i64 cells
+    into object-store shards; dims stay schema-scale."""
     def partial(b: pa.Table) -> pa.Table:
-        empty = pa.table({"i": pa.array([], pa.int64()),
-                          "j": pa.array([], pa.int64()),
-                          "s": pa.array([], pa.int64())})
-        if b.num_rows == 0:
-            return empty
-        arr = b[vec_col]
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        q = to_fixed(pc.cast(arr.values, pa.float64()), float(scale)) \
-            .to_numpy(zero_copy_only=False)
-        if isinstance(arr, pa.FixedSizeListArray):
-            d = arr.type.list_size
-        else:
-            offs = np.asarray(arr.offsets)
-            d = int(offs[1] - offs[0]) if len(offs) > 1 else 0
-        if d == 0:
-            return empty
-        x = q.reshape(-1, d)
+        x = _sum_quant(b, _SUM_SCALE)
         g = x.T @ x  # int64 matmul: exact
-        dims = np.arange(1, d + 1, dtype=np.int64)
+        dims = np.arange(1, x.shape[1] + 1, dtype=np.int64)
         return pa.table({
-            "i": pa.array(np.repeat(dims, d)),
-            "j": pa.array(np.tile(dims, d)),
-            "s": pa.array(g.ravel()),
+            "i": pa.array(np.repeat(dims, len(dims))),
+            "j": pa.array(np.tile(dims, len(dims))),
+            "s": pa.array(g.ravel(), pa.int64()),
         })
 
     p = ds.map_batches(partial, batch_format="pyarrow")
@@ -801,63 +684,47 @@ def _km_tdiv_vec(sums: list, n: int) -> list:
     return out
 
 
-def _km_quant(t: pa.Table, col: str, scale: int) -> np.ndarray:
-    """Half-away-from-zero quantization (DuckDB ``round``, the rule of
-    ``aggregate.to_fixed``) of the embedding matrix to int64."""
-    m = _matrix(t, col) * float(scale)
-    return np.copysign(np.floor(np.abs(m) + 0.5), m).astype(np.int64)
-
-
-def _km_init_block(t: pa.Table, col: str, id_col: str, scale: int,
-                   k: int):
+def _km_init_block(t: pa.Table, id_col: str, k: int):
     """Per-block seed candidates: the block's k smallest ids + their
     quantized vectors (the driver merges blocks and keeps the global
     k smallest — deterministic seeding without assuming dense ids)."""
-    if t.num_rows == 0 or id_col not in t.schema.names:
+    if t.num_rows == 0:
         return np.zeros(0, np.int64), np.zeros((0, 0), np.int64)
     ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    q = _km_quant(t, col, scale)
     order = np.argsort(ids, kind="stable")[:k]
-    return ids[order], q[order]
+    return ids[order], _quant(_matrix(t))[order]
 
 
-def _km_assign_block(t: pa.Table, col: str, id_col: str, scale: int,
-                     cents: np.ndarray):
+def _km_assign_block(t: pa.Table, cents: np.ndarray):
     """One Lloyd assignment pass over one block: exact integer squared
-    distances via the |x|^2 + |c|^2 - 2<x,c> expansion (ties -> the
-    lowest cluster index, np.argmin's first-minimum rule), returning
-    per-cluster coordinate sums + counts (int64 within the block,
-    arbitrary-precision across blocks in the driver fold)."""
+    distances (ties -> the lowest cluster index, np.argmin's
+    first-minimum rule), returning per-cluster coordinate sums +
+    counts (int64 within the block, arbitrary-precision across blocks
+    in the driver fold)."""
     k, d = cents.shape
-    if t.num_rows == 0 or id_col not in t.schema.names:
+    if t.num_rows == 0:
         return np.zeros((k, d), np.int64), np.zeros(k, np.int64)
-    q = _km_quant(t, col, scale)
-    dist = ((q * q).sum(1)[:, None] + (cents * cents).sum(1)[None, :]
-            - 2 * (q @ cents.T))
-    assign = np.argmin(dist, axis=1)
+    q = _quant(_matrix(t))
+    assign = np.argmin(_sq_dist(q, cents), axis=1)
     sums = np.zeros((k, d), np.int64)
     np.add.at(sums, assign, q)
     return sums, np.bincount(assign, minlength=k).astype(np.int64)
 
 
-def _km_emit_block(t: pa.Table, col: str, id_col: str, scale: int,
-                   cents: np.ndarray) -> pa.Table:
-    if t.num_rows == 0 or id_col not in t.schema.names:
+def _km_emit_block(t: pa.Table, id_col: str, cents: np.ndarray) -> pa.Table:
+    if t.num_rows == 0:
         return pa.table({"vec_id": pa.array([], pa.int64()),
                          "cluster": pa.array([], pa.int64())})
-    q = _km_quant(t, col, scale)
-    dist = ((q * q).sum(1)[:, None] + (cents * cents).sum(1)[None, :]
-            - 2 * (q @ cents.T))
     return pa.table({
         "vec_id": pa.array(t[id_col].to_numpy(zero_copy_only=False)
                            .astype(np.int64)),
-        "cluster": pa.array(np.argmin(dist, axis=1).astype(np.int64)),
+        "cluster": pa.array(np.argmin(_sq_dist(_quant(_matrix(t)), cents),
+                                      axis=1).astype(np.int64)),
     })
 
 
 def kmeans_fixed_point(ds, k: int = 8, iters: int = 3, *,
-                       col: str = "embedding", id_col: str = "vec_id",
-                       scale: int = 1024, centroids_only: bool = False):
+                       id_col: str = "vec_id", centroids_only: bool = False):
     """EXACT fixed-point Lloyd k-means with per-vector assignments out
     — the oracle-checkable sibling of :func:`ivf_centroids` (which
     stays float/rows-only as an ANN coarse quantizer).  Every step is
@@ -865,7 +732,7 @@ def kmeans_fixed_point(ds, k: int = 8, iters: int = 3, *,
     unroll the identical iterations and the assignment table
     hash-matches bit-for-bit:
 
-    * quantize:  x = round_half_away(embedding * scale) as int64;
+    * quantize:  x = round_half_away(embedding * 1024) as int64;
     * seed:      centroids = the k smallest ids' vectors, cluster
                  index = rank of id in that sorted seed list;
     * assign:    argmin of exact integer squared distance, ties to
@@ -890,7 +757,7 @@ def kmeans_fixed_point(ds, k: int = 8, iters: int = 3, *,
     assign_task = ray.remote(_km_assign_block).options(num_returns=2)
     emit_task = ray.remote(_km_emit_block)
 
-    seeds = [init_task.remote(r, col, id_col, scale, k) for r in refs]
+    seeds = [init_task.remote(r, id_col, k) for r in refs]
     ids = np.concatenate(ray.get([s[0] for s in seeds])) if seeds else \
         np.zeros(0, np.int64)
     if len(ids) < k:
@@ -903,8 +770,7 @@ def kmeans_fixed_point(ds, k: int = 8, iters: int = 3, *,
     cents = vecs[order].astype(np.int64)
 
     for _ in range(iters):
-        waves = [assign_task.remote(r, col, id_col, scale, cents)
-                 for r in refs]
+        waves = [assign_task.remote(r, cents) for r in refs]
         flat = ray.get([r for pair in waves for r in pair])
         parts = list(zip(flat[0::2], flat[1::2]))
         kk, d = cents.shape
@@ -929,11 +795,10 @@ def kmeans_fixed_point(ds, k: int = 8, iters: int = 3, *,
         # fused tag+pair stage) skip the emit wave entirely
         return cents
     return ray.data.from_arrow_refs(
-        [emit_task.remote(r, col, id_col, scale, cents) for r in refs])
+        [emit_task.remote(r, id_col, cents) for r in refs])
 
 
-def cluster_purity(ds, *, scale: int = 1024, col: str = "embedding",
-                   id_col: str = "vec_id", label_col: str = "label"):
+def cluster_purity(ds):
     """CLUSTER PURITY / confusion audit over a labeled embedding
     table — the eval every labeling or clustering stage needs: per
     label, how many member vectors sit CLOSER (exact integer squared
@@ -946,56 +811,40 @@ def cluster_purity(ds, *, scale: int = 1024, col: str = "embedding",
 
     Scale shape: centroids come from :func:`label_vector_sums`
     (per-block (label, dim) partials, bounded driver fold — schema-
-    sized state); the confusion pass is one map_batches with the
-    (L x d) centroid matrix broadcast, each block emitting <= L
-    partial rows; final fold is bounded by |labels|."""
+    sized state, at this module's fixed-point scale 1024); the
+    confusion pass is one map_batches with the (L x d) centroid
+    matrix broadcast, each block emitting <= L partial rows; final
+    fold is bounded by |labels|."""
     import ray
 
     sums = concat_nonempty(arrow_blocks(
-        label_vector_sums(ds, vec_col=col, label_col=label_col,
-                          scale=scale)))
-    labels = np.unique(sums[label_col].to_numpy(zero_copy_only=False)
-                       .astype(np.int64))
-    d = int(sums["dim"].to_numpy().max())
+        label_vector_sums(ds, scale=_FIXED_SCALE)))
+    labels = np.unique(sums["label"].to_numpy(zero_copy_only=False))
+    d = int(pc.max(sums["dim"]).as_py() or 0)
     C = np.zeros((len(labels), d), np.int64)
-    lidx = {int(v): i for i, v in enumerate(labels)}
-    svals = sums["s"].to_numpy(zero_copy_only=False)
-    nvals = sums["n"].to_numpy(zero_copy_only=False)
-    lvals = sums[label_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    dvals = sums["dim"].to_numpy(zero_copy_only=False)
-    for lab, dim, s, n in zip(lvals, dvals, svals, nvals):
-        C[lidx[int(lab)], int(dim) - 1] = \
-            (abs(int(s)) // int(n)) * (1 if s >= 0 else -1)
+    s = sums["s"].to_numpy(zero_copy_only=False)
+    C[np.searchsorted(labels, sums["label"].to_numpy(zero_copy_only=False)),
+      sums["dim"].to_numpy(zero_copy_only=False) - 1] = \
+        np.sign(s) * (np.abs(s) // sums["n"].to_numpy(zero_copy_only=False))
     ref = ray.put((labels, C))
 
     def local(b: pa.Table) -> pa.Table:
         labs, Cm = ray.get(ref)
-        X = _km_quant(b, col, scale)
-        n = X.shape[0]
-        if n == 0:
-            return pa.table({"label": pa.array([], pa.int64()),
-                             "n_members": pa.array([], pa.int64()),
-                             "n_confused": pa.array([], pa.int64())})
-        lbl = b[label_col].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        xsq = (X ** 2).sum(axis=1)[:, None]
-        csq = (Cm ** 2).sum(axis=1)[None, :]
-        d2 = xsq - 2 * (X @ Cm.T) + csq          # (n, L) exact int64
+        lbl = b["label"].to_numpy(zero_copy_only=False).astype(np.int64)
+        n = len(lbl)
+        d2 = _sq_dist(_quant(_matrix(b)), Cm)          # (n, L) exact int64
         own_ix = np.searchsorted(labs, lbl)
         own_d = d2[np.arange(n), own_ix]
-        masked = d2.copy()
-        masked[np.arange(n), own_ix] = np.iinfo(np.int64).max
-        other_d = masked.min(axis=1)
-        confused = (other_d < own_d).astype(np.int64)
+        d2[np.arange(n), own_ix] = np.iinfo(np.int64).max
+        confused = (d2.min(axis=1) < own_d).astype(np.int64)
         order = np.argsort(lbl, kind="stable")
         ul, starts = np.unique(lbl[order], return_index=True)
-        members = np.diff(np.append(starts, n))
-        conf = np.add.reduceat(confused[order], starts)
-        return pa.table({"label": pa.array(ul, pa.int64()),
-                         "n_members": pa.array(members, pa.int64()),
-                         "n_confused": pa.array(conf, pa.int64())})
+        return pa.table({
+            "label": pa.array(ul, pa.int64()),
+            "n_members": pa.array(np.diff(np.append(starts, n)), pa.int64()),
+            "n_confused": pa.array(np.add.reduceat(confused[order], starts),
+                                   pa.int64())})
 
-    from .aggregate import fold_partials
     return fold_partials(
         ds.map_batches(local, batch_format="pyarrow"),
         ["label"], [("n_members", "sum"), ("n_confused", "sum")],
@@ -1004,9 +853,46 @@ def cluster_purity(ds, *, scale: int = 1024, col: str = "embedding",
                                 ("n_confused", pa.int64())]))
 
 
+# ----------------------------------------------------- product quantization
+
+def _sub_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """(n, m, kc) exact squared distances from each of the m contiguous
+    subvectors of the rows of ``X`` to that subspace's kc codewords
+    ``C[s]`` (C is (m, kc, d/m))."""
+    m, _, sub_d = C.shape
+    Xs = X.reshape(len(X), m, sub_d)
+    return np.stack([_sq_dist(Xs[:, s], C[s]) for s in range(m)], axis=1)
+
+
+def _pq_codebooks(ds, d: int, m: int, kc: int, iters: int) -> np.ndarray:
+    """(m, kc, d/m) int64 PQ codebooks: the pinned integer k-means
+    (:func:`kmeans_fixed_point`, ``kc`` centroids) fitted on each of
+    the m contiguous subspaces of ``ds``'s embeddings."""
+    sub_d = d // m
+
+    def subspace(s: int):
+        def slicer(b: pa.Table) -> pa.Table:
+            mtx = _matrix(b)[:, s * sub_d:(s + 1) * sub_d]
+            return pa.table({"vec_id": b["vec_id"],
+                             "embedding": pa.array(list(mtx))})
+
+        return ds.map_batches(slicer, batch_format="pyarrow")
+
+    return np.stack([kmeans_fixed_point(subspace(s), k=kc, iters=iters,
+                                        centroids_only=True)
+                     for s in range(m)])
+
+
+def _long(a: np.ndarray, names: list[str]) -> pa.Table:
+    """Long-form int64 sidecar table of ``a``: one row per cell in C
+    order, its indices in ``names[:-1]`` and its value in
+    ``names[-1]``."""
+    cols = [*np.indices(a.shape).reshape(a.ndim, -1), a.reshape(-1)]
+    return pa.table({n: pa.array(c, pa.int64()) for n, c in zip(names, cols)})
+
+
 def pq_probe(ds, query_vec, *, m: int = 4, kc: int = 16,
-             iters: int = 2, k: int = 10, scale: int = 1024,
-             col: str = "embedding", id_col: str = "vec_id"):
+             iters: int = 2, k: int = 10):
     """PRODUCT QUANTIZATION (Jégou et al., PAMI 2011) fit + encode +
     ADC probe, EXACT in fixed point end to end: the embedding is
     split into ``m`` contiguous subspaces, each fitted with the
@@ -1035,84 +921,25 @@ def pq_probe(ds, query_vec, *, m: int = 4, kc: int = 16,
     d = q.shape[0]
     if d % m:
         raise ValueError(f"pq_probe: dim {d} not divisible by m={m}")
-    sub_d = d // m
-    if ds.count() == 0:
-        # no vectors: no codebook to fit and nothing to rank — typed
-        # empty top-k and centroid tables, not a k-means error
-        return (pa.table({id_col: pa.array([], pa.int64()),
-                          "adc_dist": pa.array([], pa.int64()),
-                          "rank": pa.array([], pa.int64())}),
-                pa.table({c: pa.array([], pa.int64())
-                          for c in ("sub", "cl", "jj", "c")}))
+    # no vectors: no codebook to fit (k-means refuses) and nothing to
+    # rank — empty codebooks, so the answers are typed empty tables
+    C = _pq_codebooks(ds, d, m, kc, iters) if ds.count() else \
+        np.zeros((m, 0, d // m), np.int64)
+    ref = ray.put((C, _sub_dists(_quant(q)[None], C)[0]))   # (m, kc)
 
-    cents = []
-    for s in range(m):
-        lo = s * sub_d
+    def score(b: pa.Table) -> pa.Table:
+        Cm, qd = ray.get(ref)
+        codes = _sub_dists(_quant(_matrix(b)), Cm).argmin(axis=2)
+        return pa.table({"vec_id": b["vec_id"], "adc_dist": pa.array(
+            qd[np.arange(m)[None, :], codes].sum(axis=1))})
 
-        def slicer(b: pa.Table, lo=lo) -> pa.Table:
-            mtx = _matrix(b, col)[:, lo:lo + sub_d]
-            return pa.table({id_col: b[id_col],
-                             col: pa.array(list(mtx))})
-
-        sub = ds.map_batches(slicer, batch_format="pyarrow")
-        cents.append(kmeans_fixed_point(
-            sub, k=kc, iters=iters, col=col, id_col=id_col,
-            scale=scale, centroids_only=True))
-    C = np.stack(cents)                        # (m, kc, sub_d) int64
-    qq = np.copysign(np.floor(np.abs(q * scale) + 0.5),
-                     q * scale).astype(np.int64)
-    qs = qq.reshape(m, sub_d)
-    qd = ((qs[:, None, :] - C) ** 2).sum(axis=2)   # (m, kc) int64
-    ref = ray.put((C, qd))
-
-    def local_top(b: pa.Table) -> pa.Table:
-        Cm, qdm = ray.get(ref)
-        X = _km_quant(b, col, scale)
-        n = X.shape[0]
-        if n == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "adc_dist": pa.array([], pa.int64())})
-        Xs = X.reshape(n, m, sub_d)
-        ids = b[id_col].to_numpy(zero_copy_only=False)
-        codes = np.empty((n, m), np.int64)
-        for s in range(m):
-            xsq = (Xs[:, s] ** 2).sum(axis=1)[:, None]
-            csq = (Cm[s] ** 2).sum(axis=1)[None, :]
-            dist = xsq - 2 * (Xs[:, s] @ Cm[s].T) + csq
-            codes[:, s] = dist.argmin(axis=1)    # first = lowest cl
-        adist = qdm[np.arange(m)[None, :], codes].sum(axis=1)
-        order = np.lexsort((ids, adist))[:k]
-        return pa.table({id_col: pa.array(ids[order], pa.int64()),
-                         "adc_dist": pa.array(adist[order], pa.int64())})
-
-    local = ds.map_batches(local_top, batch_format="pyarrow",
-                           batch_size=None)
-    merged = concat_nonempty(arrow_blocks(local))
-    ids = merged[id_col].to_numpy(zero_copy_only=False)
-    ad = merged["adc_dist"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((ids, ad))[:k]
-    topk = pa.table({
-        id_col: pa.array(ids[order], pa.int64()),
-        "adc_dist": pa.array(ad[order], pa.int64()),
-        "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.int64))})
-    subs, cls, jjs, vals = [], [], [], []
-    for s in range(m):
-        for c in range(kc):
-            for j in range(sub_d):
-                subs.append(s); cls.append(c); jjs.append(j)
-                vals.append(int(C[s, c, j]))
-    cent_long = pa.table({
-        "sub": pa.array(subs, pa.int64()),
-        "cl": pa.array(cls, pa.int64()),
-        "jj": pa.array(jjs, pa.int64()),
-        "c": pa.array(vals, pa.int64())})
-    return topk, cent_long
+    return (_top_k(ds, score, "adc_dist", k, desc=False, empty=_ADC),
+            _long(C, ["sub", "cl", "jj", "c"]))
 
 
 def ivfpq_probe(ds, query_vec, *, kl: int = 8, m: int = 4,
                 kc: int = 16, iters: int = 2, nprobe: int = 2,
-                k: int = 10, scale: int = 1024,
-                col: str = "embedding", id_col: str = "vec_id"):
+                k: int = 10):
     """IVF-PQ — the PRODUCTION big-ANN shape (coarse inverted lists
     prune the search space, PQ codes of the RESIDUALS compress what
     remains), exact in fixed point end to end: the coarse quantizer
@@ -1137,132 +964,52 @@ def ivfpq_probe(ds, query_vec, *, kl: int = 8, m: int = 4,
     d = q.shape[0]
     if d % m:
         raise ValueError(f"ivfpq_probe: dim {d} not divisible by {m}")
-    sub_d = d // m
 
-    CL = kmeans_fixed_point(ds, k=kl, iters=iters, col=col,
-                            id_col=id_col, scale=scale,
+    CL = kmeans_fixed_point(ds, k=kl, iters=iters,
                             centroids_only=True)          # (kl, d)
     clref = ray.put(CL)
 
-    def residual_batch(b: pa.Table) -> pa.Table:
+    def residuals(b: pa.Table) -> pa.Table:
         cl = ray.get(clref)
-        X = _km_quant(b, col, scale)
-        if X.shape[0] == 0:
-            return pa.table({id_col: b[id_col], col: b[col]})
-        xsq = (X ** 2).sum(axis=1)[:, None]
-        csq = (cl ** 2).sum(axis=1)[None, :]
-        dist = xsq - 2 * (X @ cl.T) + csq
-        lists = dist.argmin(axis=1)
-        R = (X - cl[lists]).astype(np.float64) / scale
-        return pa.table({id_col: b[id_col],
-                         col: pa.array(list(R))})
+        X = _quant(_matrix(b))
+        R = (X - cl[_sq_dist(X, cl).argmin(axis=1)]).astype(np.float64) \
+            / _FIXED_SCALE
+        return pa.table({"vec_id": b["vec_id"],
+                         "embedding": pa.array(list(R))})
 
-    res = ds.map_batches(residual_batch, batch_format="pyarrow")
-    cents = []
-    for s in range(m):
-        lo = s * sub_d
+    C = _pq_codebooks(ds.map_batches(residuals, batch_format="pyarrow"),
+                      d, m, kc, iters)                    # (m, kc, d/m)
+    qq = _quant(q)
+    # the nprobe lists nearest the query, ties to the lower list, and
+    # per probed list the query residual's ADC table (m, kc)
+    probed = np.sort(np.argsort(_sq_dist(qq[None], CL)[0],
+                                kind="stable")[:nprobe])
+    ref = ray.put((CL, C, probed, _sub_dists(qq[None] - CL[probed], C)))
 
-        def slicer(b: pa.Table, lo=lo) -> pa.Table:
-            mtx = _matrix(b, col)[:, lo:lo + sub_d]
-            return pa.table({id_col: b[id_col],
-                             col: pa.array(list(mtx))})
-
-        sub = res.map_batches(slicer, batch_format="pyarrow")
-        cents.append(kmeans_fixed_point(
-            sub, k=kc, iters=iters, col=col, id_col=id_col,
-            scale=scale, centroids_only=True))
-    C = np.stack(cents)                          # (m, kc, sub_d)
-
-    qq = np.copysign(np.floor(np.abs(q * scale) + 0.5),
-                     q * scale).astype(np.int64)
-    qd_coarse = ((qq[None, :] - CL) ** 2).sum(axis=1)     # (kl,)
-    probe_order = np.lexsort((np.arange(kl), qd_coarse))
-    probed = np.sort(probe_order[:nprobe])
-    # per probed list: the query residual's distance table (m, kc)
-    qds = {}
-    for li in probed:
-        qr = qq - CL[li]
-        qs = qr.reshape(m, sub_d)
-        qds[int(li)] = ((qs[:, None, :] - C) ** 2).sum(axis=2)
-    ref = ray.put((CL, C, probed, qds))
-
-    def local_top(b: pa.Table) -> pa.Table:
-        cl, Cm, pl, qdm = ray.get(ref)
-        X = _km_quant(b, col, scale)
-        n = X.shape[0]
-        empty = pa.table({id_col: pa.array([], pa.int64()),
-                          "adc_dist": pa.array([], pa.int64()),
-                          "list_id": pa.array([], pa.int64())})
-        if n == 0:
-            return empty
-        ids = b[id_col].to_numpy(zero_copy_only=False)
-        xsq = (X ** 2).sum(axis=1)[:, None]
-        csq = (cl ** 2).sum(axis=1)[None, :]
-        lists = (xsq - 2 * (X @ cl.T) + csq).argmin(axis=1)
+    def score(b: pa.Table) -> pa.Table:
+        cl, Cm, pl, qds = ray.get(ref)
+        X = _quant(_matrix(b))
+        lists = _sq_dist(X, cl).argmin(axis=1)
         keep = np.isin(lists, pl)
-        if not keep.any():
-            return empty
-        X, ids, lists = X[keep], ids[keep], lists[keep]
-        R = X - cl[lists]
-        Rs = R.reshape(len(ids), m, sub_d)
-        codes = np.empty((len(ids), m), np.int64)
-        for s in range(m):
-            rsq = (Rs[:, s] ** 2).sum(axis=1)[:, None]
-            ksq = (Cm[s] ** 2).sum(axis=1)[None, :]
-            codes[:, s] = (rsq - 2 * (Rs[:, s] @ Cm[s].T)
-                           + ksq).argmin(axis=1)
-        adist = np.empty(len(ids), np.int64)
-        for li in np.unique(lists):
-            mask = lists == li
-            adist[mask] = qdm[int(li)][
-                np.arange(m)[None, :], codes[mask]].sum(axis=1)
-        order = np.lexsort((ids, adist))[:k]
-        return pa.table({
-            id_col: pa.array(ids[order], pa.int64()),
-            "adc_dist": pa.array(adist[order], pa.int64()),
-            "list_id": pa.array(lists[order], pa.int64())})
+        X, lists = X[keep], lists[keep]
+        codes = _sub_dists(X - cl[lists], Cm).argmin(axis=2)
+        adist = qds[np.searchsorted(pl, lists)[:, None],
+                    np.arange(m)[None, :], codes].sum(axis=1)
+        return pa.table({"vec_id": b["vec_id"].filter(pa.array(keep)),
+                         "adc_dist": pa.array(adist, pa.int64())})
 
-    local = ds.map_batches(local_top, batch_format="pyarrow",
-                           batch_size=None)
-    merged = concat_nonempty(arrow_blocks(local))
-    if merged.num_columns == 0 or merged.num_rows == 0:
-        topk = pa.table({id_col: pa.array([], pa.int64()),
-                         "adc_dist": pa.array([], pa.int64()),
-                         "rank": pa.array([], pa.int64())})
-    else:
-        ids = merged[id_col].to_numpy(zero_copy_only=False)
-        ad = merged["adc_dist"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, ad))[:k]
-        topk = pa.table({
-            id_col: pa.array(ids[order], pa.int64()),
-            "adc_dist": pa.array(ad[order], pa.int64()),
-            "rank": pa.array(np.arange(1, len(order) + 1,
-                                       dtype=np.int64))})
-    cl_rows = [(int(li), int(j), int(CL[li, j]))
-               for li in range(kl) for j in range(d)]
-    coarse_long = pa.table({
-        "cl": pa.array([r[0] for r in cl_rows], pa.int64()),
-        "j": pa.array([r[1] for r in cl_rows], pa.int64()),
-        "c": pa.array([r[2] for r in cl_rows], pa.int64())})
-    pq_rows = [(s, c, j, int(C[s, c, j])) for s in range(m)
-               for c in range(kc) for j in range(sub_d)]
-    pq_long = pa.table({
-        "sub": pa.array([r[0] for r in pq_rows], pa.int64()),
-        "cl": pa.array([r[1] for r in pq_rows], pa.int64()),
-        "jj": pa.array([r[2] for r in pq_rows], pa.int64()),
-        "c": pa.array([r[3] for r in pq_rows], pa.int64())})
-    return topk, coarse_long, pq_long
+    return (_top_k(ds, score, "adc_dist", k, desc=False, empty=_ADC),
+            _long(CL, ["cl", "j", "c"]), _long(C, ["sub", "cl", "jj", "c"]))
 
 
 # ------------------------------------------------ fixed-point power PCA
 
-def pca_power_fixed_point(ds, *, iters: int = 4, col: str = "embedding",
-                          id_col: str = "vec_id", scale: int = 1024):
+def pca_power_fixed_point(ds, *, iters: int = 4):
     """EXACT fixed-point power-iteration PCA: the principal direction
     of the quantized embedding matrix via ``iters`` rounds of
-    ``v <- tdiv(G v * scale, max|G v|)`` on the Gram matrix
+    ``v <- tdiv(G v * 1024, max|G v|)`` on the Gram matrix
     ``G = X^T X``, then the per-vector projection ``X v`` — every step
-    integer (quantization = :func:`_km_quant`, division = DuckDB
+    integer (quantization = :func:`_quant`, division = DuckDB
     truncating ``//``), so an unrolled SQL oracle reproduces the
     scores bit-for-bit (float power iteration differs in ulps by
     summation order under distribution).
@@ -1272,38 +1019,37 @@ def pca_power_fixed_point(ds, *, iters: int = 4, col: str = "embedding",
     driver in unbounded Python ints (no int64 overflow at any corpus
     size) — a driver-side d^2 iteration loop (d is model-sized, not
     corpus-sized), then ONE broadcast projection map over the same
-    materialized blocks.  Two passes over the data total, nothing
-    corpus-sized on the driver; centering is intentionally skipped
-    (quantized PCA on the raw second moment — document if the data
-    is not approximately zero-mean)."""
+    materialized non-empty blocks.  Two passes over the data total,
+    nothing corpus-sized on the driver; centering is intentionally
+    skipped (quantized PCA on the raw second moment — document if the
+    data is not approximately zero-mean)."""
     import ray
 
     @ray.remote
     def gram_block(t: pa.Table):
-        q = _km_quant(t, col, scale)
+        q = _quant(_matrix(t))
         return (q.T @ q) if q.size else None
 
     @ray.remote
     def proj_block(t: pa.Table, v: np.ndarray) -> pa.Table:
-        q = _km_quant(t, col, scale)
-        p = q @ v
-        return pa.table({id_col: t[id_col],
+        p = _quant(_matrix(t)) @ v
+        return pa.table({"vec_id": t["vec_id"],
                          "proj": pa.array(p.astype(np.int64))})
 
     refs = arrow_refs(ds)
-    parts = [g for g in ray.get([gram_block.remote(r) for r in refs])
-             if g is not None]
+    grams = ray.get([gram_block.remote(r) for r in refs])
+    parts = [g for g in grams if g is not None]
     if not parts:
         return ray.data.from_arrow(
-            pa.table({id_col: pa.array([], pa.int64()),
+            pa.table({"vec_id": pa.array([], pa.int64()),
                       "proj": pa.array([], pa.int64())}))
     d = parts[0].shape[0]
     # fold in unbounded Python ints: int64 Gram partials are exact per
-    # block (|x| <= scale, block rows bounded), the cross-block sum is
+    # block (|x| <= 1024 |e|, block rows bounded), the cross-block sum is
     # where a 100-TB corpus would overflow int64
     G = [[sum(int(p[i, j]) for p in parts) for j in range(d)]
          for i in range(d)]
-    v = [scale] * d
+    v = [_FIXED_SCALE] * d
     for _ in range(iters):
         w = [sum(G[i][j] * v[j] for j in range(d)) for i in range(d)]
         m = max(abs(x) for x in w)
@@ -1311,10 +1057,11 @@ def pca_power_fixed_point(ds, *, iters: int = 4, col: str = "embedding",
             raise ValueError(
                 "pca_power_fixed_point: zero Gram-vector product "
                 "(degenerate all-zero input?)")
-        v = [(abs(x) * scale // m) * (1 if x >= 0 else -1) for x in w]
+        v = [(abs(x) * _FIXED_SCALE // m) * (1 if x >= 0 else -1) for x in w]
     vec = np.array(v, np.int64)
     return ray.data.from_arrow_refs(
-        [proj_block.remote(r, vec) for r in refs])
+        [proj_block.remote(r, vec)
+         for r, g in zip(refs, grams) if g is not None])
 
 
 # ----------------------------------------------- embedding inference stage
@@ -1326,28 +1073,27 @@ def pca_power_fixed_point(ds, *, iters: int = 4, col: str = "embedding",
 # changes.
 
 _ENC_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+_ENC_DIM, _ENC_SEED = 8, 5
 
 
 class TextEncoder:
-    """Actor-pool text -> ``embedding`` (list<double>) inference.
+    """Actor-pool ``(doc_id, text)`` -> ``(doc_id, embedding)``
+    (list<double>) inference.
 
     The stand-in model is DETERMINISTIC and exactly replayable by the
     SQL oracle: 26 letter-count features (vectorized
     ``pc.count_substring`` over the lowercased text — no Python row
     loop) projected by a seed-derived integer matrix
-    ``R[i][j] = ((3*i + 5*j + i*j + seed) % 7) - 3`` (the i*j cross
-    term keeps the rows independent — rank 7), built ONCE per actor
-    in ``__init__`` exactly where a real checkpoint load would go.
-    Outputs are integers (exactly float64-representable), so the
-    cosine ranking downstream is engine-independent to the same
-    degree as v_knn's.
+    ``R[i][j] = ((3*i + 5*j + i*j + seed) % 7) - 3`` (8 x 26, seed 5;
+    the i*j cross term keeps the rows independent — rank 7), built
+    ONCE per actor in ``__init__`` exactly where a real checkpoint
+    load would go.  Outputs are integers (exactly
+    float64-representable), so the cosine ranking downstream is
+    engine-independent to the same degree as v_knn's.
     """
 
-    def __init__(self, d_out: int = 8, seed: int = 5,
-                 text_col: str = "text", id_col: str = "doc_id"):
-        self.R = self._load_model(d_out, seed)
-        self.text_col = text_col
-        self.id_col = id_col
+    def __init__(self):
+        self.R = self._load_model(_ENC_DIM, _ENC_SEED)
 
     @staticmethod
     def _load_model(d_out: int, seed: int) -> np.ndarray:
@@ -1365,40 +1111,36 @@ class TextEncoder:
         return counts @ self.R.T
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        e = self.encode(batch[self.text_col])
+        e = self.encode(batch["text"])
         n, d = e.shape
         emb = pa.ListArray.from_arrays(
             pa.array(np.arange(0, (n + 1) * d, d, dtype=np.int64))
             .cast(pa.int32()),
             pa.array(e.reshape(-1).astype(np.float64), pa.float64()))
-        return pa.table({self.id_col: batch[self.id_col],
-                         "embedding": emb})
+        return pa.table({"doc_id": batch["doc_id"], "embedding": emb})
 
 
-def hybrid_rrf(legs: list[pa.Table], *, k: int = 10, rrf_k: int = 60,
-               scale: int = 10 ** 12, id_col: str = "doc_id") -> pa.Table:
+def hybrid_rrf(legs: list[pa.Table], *, k: int = 10) -> pa.Table:
     """Reciprocal-rank fusion of retrieval legs (BM25 + ANN is the
-    canonical pair): ``rrf(doc) = sum_leg scale // (rrf_k + rank)``
+    canonical pair): ``rrf(doc) = sum_leg 10^12 // (60 + rank)``
     with a missing leg contributing 0 — the standard RRF law
     (Cormack et al., SIGIR'09) made EXACT-integer by the scaled
     floor division, so any engine reproduces the fused ranking
     bit-for-bit (a float 1/(60+r) sum is ulp-fragile in the ties).
 
-    Each leg is a small ``(id_col, ..., rank)`` Arrow table — the
+    Each leg is a small ``(doc_id, ..., rank)`` Arrow table — the
     top-k output of :func:`knn_brute` /
     :func:`textindex.bm25_docs_topk` — so the fold is a driver-side
     merge of ``legs x k`` rows, bounded by the query constants, never
     by the corpus.  Ties break ascending id.  Returns
-    ``(id_col, rrf_score, rank)`` with rank 1..k, int64 throughout
-    (max score legs x scale // (rrf_k+1) << 2^63)."""
+    ``(doc_id, rrf_score, rank)`` with rank 1..k, int64 throughout
+    (max score legs x 10^12 // 61 << 2^63)."""
     acc: dict[int, int] = {}
     for t in legs:
-        ids = t[id_col].to_pylist()
-        ranks = t["rank"].to_pylist()
-        for i, r in zip(ids, ranks):
-            acc[i] = acc.get(i, 0) + scale // (rrf_k + int(r))
+        for i, r in zip(t["doc_id"].to_pylist(), t["rank"].to_pylist()):
+            acc[i] = acc.get(i, 0) + _RRF_SCALE // (_RRF_K + int(r))
     rows = sorted(acc.items(), key=lambda x: (-x[1], x[0]))[:k]
-    return pa.table({id_col: pa.array([r[0] for r in rows], pa.int64()),
+    return pa.table({"doc_id": pa.array([r[0] for r in rows], pa.int64()),
                      "rrf_score": pa.array([r[1] for r in rows],
                                            pa.int64()),
                      "rank": pa.array(np.arange(1, len(rows) + 1,
@@ -1407,68 +1149,49 @@ def hybrid_rrf(legs: list[pa.Table], *, k: int = 10, rrf_k: int = 60,
 
 # --------------------------------------------- MMR diversified re-rank
 
-def mmr_rerank(ds, query_vec, *, k: int = 10, pool: int = 25,
-               lam_num: int = 7, lam_den: int = 10,
-               col: str = "embedding", id_col: str = "vec_id",
-               scale: int = 1024):
+def mmr_rerank(ds, query_vec, *, k: int = 10, pool: int = 25):
     """EXACT Maximal Marginal Relevance re-ranking (Carbonell &
     Goldstein 1998): fetch a relevance pool distributed, then greedily
     pick ``k`` results maximizing ``lam*rel - (1-lam)*max_sim_to_
     selected`` — the diversity-aware variant of top-k every retrieval
     stack bolts onto its ranker.  All-integer: rel and pairwise sim
-    are int64 dot products of the :func:`_km_quant` embeddings, the
-    MMR score is ``lam_num*rel - (lam_den-lam_num)*maxsim`` (no
-    floats), ties broken by smallest id — so an unrolled SQL oracle
-    replays the greedy walk bit-for-bit.
+    are int64 dot products of the :func:`_quant` embeddings, the MMR
+    score is ``7*rel - 3*maxsim`` (lambda = 7/10, no floats), ties
+    broken by smallest id — so an unrolled SQL oracle replays the
+    greedy walk bit-for-bit.
 
     Scale shape — the canonical two-phase re-rank: ONE distributed
     pass computes integer relevance and keeps a per-block top-``pool``
-    (plus the survivors' quantized vectors: pool x d ints per block),
-    the driver merges blocks x pool survivor rows and runs the greedy
+    (plus the survivors' embeddings: pool x d values per block), the
+    driver merges blocks x pool survivor rows and runs the greedy
     loop over a pool x pool integer Gram matrix.  Pool and k are
     query-sized constants, never corpus-sized; nothing else leaves
     the blocks."""
     import ray
 
-    q = np.asarray(query_vec, dtype=np.float64) * float(scale)
+    lam_num, lam_den = _MMR_LAMBDA
     # captured by value, not ray.put: the quantized probe is d int64s
     # (~0.5 KB) — a closure constant ships with the task spec for free,
     # and a captured ObjectRef in a map_batches closure is the one
     # pattern that has tripped Ray's inlined-dependency refcounting
     # under load (reference_count.cc check failure seen in bench)
-    qq = np.copysign(np.floor(np.abs(q) + 0.5), q).astype(np.int64)
+    qq = _quant(np.asarray(query_vec, dtype=np.float64))
 
-    def local_top(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "rel": pa.array([], pa.int64()),
-                             "qv": pa.array([], pa.list_(pa.int64()))})
-        X = _km_quant(t, col, scale)
-        rel = X @ qq
-        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        o = np.lexsort((ids, -rel))[:pool]
+    def score(t: pa.Table) -> pa.Table:
         return pa.table({
-            id_col: pa.array(ids[o]),
-            "rel": pa.array(rel[o]),
-            "qv": pa.array(list(X[o]), pa.list_(pa.int64()))})
+            "vec_id": pa.array(t["vec_id"].to_numpy(zero_copy_only=False)
+                               .astype(np.int64)),
+            "rel": pa.array(_quant(_matrix(t)) @ qq),
+            "embedding": t["embedding"]})
 
-    parts = arrow_blocks(ds.map_batches(local_top, batch_format="pyarrow",
-                                        batch_size=None))
-    m = concat_nonempty(parts)
-    if m.num_columns == 0 or m.num_rows == 0:
-        return ray.data.from_arrow(
-            pa.table({id_col: pa.array([], pa.int64()),
-                      "mmr_rank": pa.array([], pa.int64()),
-                      "score": pa.array([], pa.int64())}))
-    ids = m[id_col].to_numpy(zero_copy_only=False)
-    rel = m["rel"].to_numpy(zero_copy_only=False)
-    o = np.lexsort((ids, -rel))[:pool]
-    ids, rel = ids[o], rel[o]
-    C = np.stack([np.asarray(v, dtype=np.int64)
-                  for v in m["qv"].to_pylist()])[o]
+    top = _top_k(ds, score, "rel", pool, desc=True, empty=pa.schema([
+        ("vec_id", pa.int64()), ("rel", pa.int64()),
+        ("embedding", pa.list_(pa.float64()))]))
+    ids = top["vec_id"].to_numpy(zero_copy_only=False)
+    rel = top["rel"].to_numpy(zero_copy_only=False)
+    C = _quant(_matrix(top))
     S = C @ C.T  # pool x pool integer Gram — query-sized
     n = len(ids)
-    picked: list[int] = []
     maxsim = np.zeros(n, dtype=np.int64)  # empty-selection term = 0
     remaining = np.ones(n, dtype=bool)
     out_ids, out_scores = [], []
@@ -1476,13 +1199,12 @@ def mmr_rerank(ds, query_vec, *, k: int = 10, pool: int = 25,
         score = lam_num * rel - (lam_den - lam_num) * maxsim
         cand = np.flatnonzero(remaining)
         best = cand[np.lexsort((ids[cand], -score[cand]))[0]]
-        picked.append(best)
         out_ids.append(int(ids[best]))
         out_scores.append(int(score[best]))
         remaining[best] = False
         np.maximum(maxsim, S[:, best], out=maxsim)
     return ray.data.from_arrow(pa.table({
-        id_col: pa.array(out_ids, pa.int64()),
+        "vec_id": pa.array(out_ids, pa.int64()),
         "mmr_rank": pa.array(np.arange(1, len(out_ids) + 1,
                                        dtype=np.int64)),
         "score": pa.array(out_scores, pa.int64())}))
@@ -1490,14 +1212,12 @@ def mmr_rerank(ds, query_vec, *, k: int = 10, pool: int = 25,
 
 # ----------------------------------------------- int8 scalar quantization
 
-def scalar_quantize_stats(ds, *, col: str = "embedding",
-                          id_col: str = "vec_id", scale: int = 1024,
-                          levels: int = 255):
+def scalar_quantize_stats(ds):
     """EXACT SQ8 scalar quantization of the embedding column — the
     vector-compression pass (FAISS's SQ8 / uint8 codes) a 100-TB
     embedding store runs before indexing: per-dimension global
-    [min, max] over the :func:`_km_quant` integers, then
-    ``code = (x - mn) * levels // (mx - mn)`` (all integer, ``// ``
+    [min, max] over the :func:`_quant` integers, then
+    ``code = (x - mn) * 255 // (mx - mn)`` (all integer, ``// ``
     truncating = floor since ``x >= mn``; constant-dimension columns
     code to 0).  Emits per vector the code checksum + range —
     ``(vec_id, code_sum, code_min, code_max)`` — rather than a
@@ -1506,44 +1226,35 @@ def scalar_quantize_stats(ds, *, col: str = "embedding",
     Scale shape (same two-wave pattern as the fixed-point PCA): one
     pass of per-block (min, max) partials — 2d ints each, folded on
     the driver — then one broadcast quantize map over the same
-    materialized blocks.  Nothing corpus-sized ever leaves a block."""
+    materialized non-empty blocks.  Nothing corpus-sized ever leaves
+    a block."""
     import ray
 
     @ray.remote
     def minmax_block(t: pa.Table):
-        q = _km_quant(t, col, scale)
-        if not q.size:
-            return None
-        return q.min(axis=0), q.max(axis=0)
+        q = _quant(_matrix(t))
+        return (q.min(axis=0), q.max(axis=0)) if q.size else None
 
     @ray.remote
     def code_block(t: pa.Table, mn: np.ndarray,
                    span: np.ndarray) -> pa.Table:
-        q = _km_quant(t, col, scale)
-        if not q.size:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "code_sum": pa.array([], pa.int64()),
-                             "code_min": pa.array([], pa.int64()),
-                             "code_max": pa.array([], pa.int64())})
+        q = _quant(_matrix(t))
         codes = np.where(span > 0,
-                         (q - mn) * levels // np.maximum(span, 1), 0)
+                         (q - mn) * _SQ_LEVELS // np.maximum(span, 1), 0)
         return pa.table({
-            id_col: t[id_col],
+            "vec_id": t["vec_id"],
             "code_sum": pa.array(codes.sum(axis=1).astype(np.int64)),
             "code_min": pa.array(codes.min(axis=1).astype(np.int64)),
             "code_max": pa.array(codes.max(axis=1).astype(np.int64))})
 
     refs = arrow_refs(ds)
-    parts = [p for p in ray.get([minmax_block.remote(r) for r in refs])
-             if p is not None]
-    if not parts:
-        return ray.data.from_arrow(
-            pa.table({id_col: pa.array([], pa.int64()),
-                      "code_sum": pa.array([], pa.int64()),
-                      "code_min": pa.array([], pa.int64()),
-                      "code_max": pa.array([], pa.int64())}))
-    mn = np.min([p[0] for p in parts], axis=0)
-    mx = np.max([p[1] for p in parts], axis=0)
-    span = mx - mn
+    parts = ray.get([minmax_block.remote(r) for r in refs])
+    if all(p is None for p in parts):
+        return ray.data.from_arrow(pa.table({
+            c: pa.array([], pa.int64())
+            for c in ("vec_id", "code_sum", "code_min", "code_max")}))
+    mn = np.min([p[0] for p in parts if p is not None], axis=0)
+    mx = np.max([p[1] for p in parts if p is not None], axis=0)
     return ray.data.from_arrow_refs(
-        [code_block.remote(r, mn, span) for r in refs])
+        [code_block.remote(r, mn, mx - mn)
+         for r, p in zip(refs, parts) if p is not None])

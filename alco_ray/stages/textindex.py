@@ -39,7 +39,6 @@ law.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -127,54 +126,50 @@ def build_text_index(parsed_ds, index_dir: str | Path, *,
                      extra_meta: dict | None = None) -> None:
     """Build the persisted index from a PARSED dataset (columns
     conv_id, turn_idx, parsed_ts, level, text).  Staged build + atomic
-    swap (crash-safe, same protocol as similarity.build_lsh_index);
-    ``extra_meta`` (e.g. a corpus signature) rides in meta.json for
-    staleness checks."""
+    swap (crash-safe, :func:`staging.staged_index`); ``extra_meta``
+    (e.g. a corpus signature) rides in meta.json for staleness
+    checks."""
     from ..sinks import _make_block_writer
-    from .similarity import _swap_in_index, _sweep_stale_builds
+    from .staging import staged_index
     from .window import suggest_key_partitions
 
-    d = Path(index_dir)
-    _sweep_stale_builds(d)
-    build = d.parent / f".{d.name}.building.{os.getpid()}"
-    build.mkdir(parents=True, exist_ok=True)
+    with staged_index(index_dir) as (build, meta):
+        # One parse of the corpus feeds BOTH artifacts: without this,
+        # the postings pass and the docstore pass would each re-execute
+        # the upstream read+parse plan.
+        parsed_ds = parsed_ds.materialize()
+        if n_buckets is None:
+            # ~32 distinct tokens per turn estimated; bucket files
+            # bounded at any corpus size, power of two for the mask.
+            # The count is the materialized blocks' metadata.
+            n_buckets = suggest_key_partitions(parsed_ds.count() * 32)
 
-    # One parse of the corpus feeds BOTH artifacts: without this, the
-    # postings pass and the docstore pass would each re-execute the
-    # upstream read+parse plan.
-    parsed_ds = parsed_ds.materialize()
-    if n_buckets is None:
-        # ~32 distinct tokens per turn estimated; bucket files bounded
-        # at any corpus size, power of two for the mask.  The count is
-        # the materialized blocks' metadata.
-        n_buckets = suggest_key_partitions(parsed_ds.count() * 32)
+        post_writer = _make_block_writer(str(build / "postings"),
+                                         ["bucket"])
+        postings = parsed_ds.map_batches(
+            lambda b: posting_explode(b, n_buckets, text_col),
+            batch_format="pyarrow")
+        postings.map_batches(post_writer,
+                             batch_format="pyarrow").materialize()
 
-    post_writer = _make_block_writer(str(build / "postings"), ["bucket"])
-    postings = parsed_ds.map_batches(
-        lambda b: posting_explode(b, n_buckets, text_col),
-        batch_format="pyarrow")
-    postings.map_batches(post_writer, batch_format="pyarrow").materialize()
+        doc_writer = _make_block_writer(str(build / "docs"), ["date"])
 
-    doc_writer = _make_block_writer(str(build / "docs"), ["date"])
+        def docstore(b: pa.Table) -> pa.Table:
+            return pa.table({
+                "date": day_string(b["parsed_ts"]),
+                "conv_id": b["conv_id"],
+                "turn_idx": b["turn_idx"],
+                text_col: b[text_col],
+            })
 
-    def docstore(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "date": day_string(b["parsed_ts"]),
-            "conv_id": b["conv_id"],
-            "turn_idx": b["turn_idx"],
-            text_col: b[text_col],
-        })
+        parsed_ds.map_batches(docstore, batch_format="pyarrow") \
+            .map_batches(doc_writer, batch_format="pyarrow").materialize()
 
-    parsed_ds.map_batches(docstore, batch_format="pyarrow") \
-        .map_batches(doc_writer, batch_format="pyarrow").materialize()
-
-    n_turns, total_tokens = _corpus_token_totals(parsed_ds, text_col)
-    meta = {"kind": "text_inverted", "version": INDEX_VERSION,
-            "n_buckets": n_buckets,
-            "n_turns": n_turns, "total_tokens": total_tokens,
-            "text_col": text_col, **(extra_meta or {})}
-    (build / "meta.json").write_text(json.dumps(meta))
-    _swap_in_index(build, d)
+        n_turns, total_tokens = _corpus_token_totals(parsed_ds, text_col)
+        meta.update({"kind": "text_inverted", "version": INDEX_VERSION,
+                     "n_buckets": n_buckets,
+                     "n_turns": n_turns, "total_tokens": total_tokens,
+                     "text_col": text_col, **(extra_meta or {})})
 
 
 def _corpus_token_totals(parsed_ds, text_col: str) -> tuple[int, int]:

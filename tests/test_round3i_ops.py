@@ -190,8 +190,8 @@ def test_gram_matrix_matches_numpy():
     ds = ray.data.from_arrow(pa.table({
         "embedding": pa.array([list(map(float, r)) for r in x],
                               pa.list_(pa.float32()))}))
-    out = gram_matrix(ds, scale=1000)
-    q = np.floor(np.abs(x.astype(np.float64)) * 1000 + 0.5).astype(
+    out = gram_matrix(ds)
+    q = np.floor(np.abs(x.astype(np.float64)) * 1_000_000 + 0.5).astype(
         np.int64) * np.sign(x).astype(np.int64)  # half away from zero
     want = q.T @ q
     got = {(r["i"], r["j"]): r["s"] for r in out.to_pylist()}

@@ -463,7 +463,7 @@ def test_pca_fixed_point_aligns_with_float_eigenvector(ray_session):
     flat = np.asarray(t["embedding"].combine_chunks().values,
                       dtype=np.float64)
     E = flat.reshape(t.num_rows, -1) * 1024.0
-    Eq = np.copysign(np.floor(np.abs(E) + 0.5), E)  # _km_quant law
+    Eq = np.copysign(np.floor(np.abs(E) + 0.5), E)  # similarity._quant law
     ids = t["vec_id"].to_numpy()
     G = Eq.T @ Eq
     w, V = np.linalg.eigh(G)

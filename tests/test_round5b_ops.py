@@ -1337,19 +1337,74 @@ def test_pdf_missing_endobj_dead_letters():
     assert out[1]["decode_ok"] is True
 
 
-def test_pq_probe_empty_input_returns_typed_empty():
-    """No embeddings in: an empty typed top-k and centroid table out,
-    not a k-means or missing-column error."""
+def _int64s(*names):
+    return pa.schema([(n, pa.int64()) for n in names])
+
+
+_TYPED_EMPTY = {
+    "pq_probe": (
+        lambda s, ds: s.pq_probe(ds, np.ones(8), m=4, kc=16, iters=2,
+                                 k=10)[0],
+        _int64s("vec_id", "adc_dist", "rank")),
+    "scalar_quantize_stats": (
+        lambda s, ds: s.scalar_quantize_stats(ds),
+        _int64s("vec_id", "code_sum", "code_min", "code_max")),
+    "pca_power_fixed_point": (
+        lambda s, ds: s.pca_power_fixed_point(ds, iters=4),
+        _int64s("vec_id", "proj")),
+    "label_vector_sums": (
+        lambda s, ds: s.label_vector_sums(ds),
+        _int64s("label", "dim", "s", "n")),
+    "cluster_purity": (
+        lambda s, ds: s.cluster_purity(ds),
+        _int64s("label", "n_members", "n_confused")),
+    "range_search": (
+        lambda s, ds: s.range_search(ds, np.ones(8), 0.25),
+        _int64s("vec_id")),
+    "knn_brute": (
+        lambda s, ds: s.knn_brute(ds, np.ones(8), 10),
+        pa.schema([("vec_id", pa.int64()), ("sim", pa.float64()),
+                   ("rank", pa.int64())])),
+}
+
+
+@pytest.mark.parametrize("how", ["empty", "filtered"])
+@pytest.mark.parametrize("op", sorted(_TYPED_EMPTY))
+def test_empty_input_returns_typed_empty(op, how):
+    """No embeddings in — a zero-row table, or every row filtered out
+    (Ray's schema-less empty blocks): zero rows out, typed, not a
+    reshape, k-means or missing-column error.  The schema is read off
+    the Arrow blocks: ``Dataset.to_pandas`` drops it."""
     import ray
 
-    from alco_ray.stages.similarity import pq_probe
+    from alco_ray.stages import similarity
+    from alco_ray.stages.aggregate import arrow_blocks
+
+    t = pa.table({"vec_id": pa.array([1, 2], pa.int64()),
+                  "embedding": pa.array([[1.0] * 8, [-1.0] * 8],
+                                        pa.list_(pa.float64())),
+                  "label": pa.array([0, 1], pa.int64())})
+    ds = (ray.data.from_arrow(t.slice(0, 0)) if how == "empty" else
+          ray.data.from_arrow(t).filter(lambda r: False))
+    run, schema = _TYPED_EMPTY[op]
+    out = run(similarity, ds)
+    blocks = [out] if isinstance(out, pa.Table) else arrow_blocks(out)
+    assert sum(b.num_rows for b in blocks) == 0
+    typed = [b.schema for b in blocks if b.num_columns]
+    assert typed and all(s == schema for s in typed), typed
+
+
+def test_pq_probe_empty_centroid_sidecar():
+    """No embeddings in: the long-form centroid sidecar is empty too,
+    with its columns."""
+    import ray
+
+    from alco_ray.stages.similarity import _matrix, pq_probe
 
     empty = pa.table({"vec_id": pa.array([], pa.int64()),
                       "embedding": pa.array([], pa.list_(pa.float64()))})
-    topk, cents = pq_probe(ray.data.from_arrow(empty), np.ones(8),
-                           m=4, kc=16, iters=2, k=10)
-    assert topk.num_rows == 0 and cents.num_rows == 0
-    assert topk.schema == pa.schema([("vec_id", pa.int64()),
-                                     ("adc_dist", pa.int64()),
-                                     ("rank", pa.int64())])
-    assert cents.column_names == ["sub", "cl", "jj", "c"]
+    assert _matrix(empty).shape == (0, 0)
+    _, cents = pq_probe(ray.data.from_arrow(empty), np.ones(8),
+                        m=4, kc=16, iters=2, k=10)
+    assert cents.num_rows == 0
+    assert cents.schema == _int64s("sub", "cl", "jj", "c")

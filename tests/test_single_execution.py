@@ -116,12 +116,17 @@ _ARGS = r"(?:[^()]|\([^()]*\))*?"
     (r"half_towards_infinity", "alco_ray/stages/aggregate.py",
      "convert to fixed point with alco_ray.stages.aggregate.to_fixed "
      "(the package's one rounding rule), not an inline pc.round"),
+    (r"copysign\(np\.floor", "alco_ray/stages/aggregate.py",
+     "round half away from zero in NumPy with "
+     "alco_ray.stages.aggregate.half_away, not an inline "
+     "copysign(floor(|x| + 0.5))"),
     (r'cluster_resources\(\)\.get\("CPU", 8\)\) // 2',
      "alco_ray/stages/join.py",
      "size a hash join with alco_ray.stages.join.join_partitions (the "
      "package's one join partition rule), not an inline CPU count"),
 ], ids=["to_arrow_refs", "partition_by_key", "regex_token_count",
-        "strftime_day", "map_groups", "fixed_point", "join_partitions"])
+        "strftime_day", "map_groups", "fixed_point", "half_away",
+        "join_partitions"])
 def test_package_never_calls(pattern, allowed, message):
     rx = re.compile(pattern)
     hits = [f"{rel}:{text.count(chr(10), 0, m.start()) + 1}"

@@ -398,11 +398,13 @@ def test_dedup_apply_union_find_random_graph():
     assert got_drop == expect_drop
 
 
-def test_cosine_dup_lsh_planted_recall_and_precision():
+def test_cosine_dup_lsh_planted_recall_and_precision(monkeypatch):
     # 40 planted near-dup pairs (cosine ~0.98) among 400 random vectors:
     # the bucketed path must find nearly all of them (recall via banded
     # LSH) and — because every emitted pair is exact-verified — nothing
-    # below the threshold.
+    # below the threshold.  Buckets of 2 target rows give 400 rows
+    # ceil(log2(200)) = 8 bits per table.
+    monkeypatch.setattr(similarity, "_DUP_BUCKET_ROWS", 2)
     rng = np.random.RandomState(3)
     d = 32
     base = rng.standard_normal((40, d))
@@ -415,8 +417,7 @@ def test_cosine_dup_lsh_planted_recall_and_precision():
             pa.array(m.reshape(-1), pa.float64()), d),
     })
     ds = ray.data.from_arrow(t)
-    got = similarity.cosine_dup_pairs_lsh(
-        ds, threshold=0.9, n_tables=8, n_bits=8).to_pandas()
+    got = similarity.cosine_dup_pairs_lsh(ds, threshold=0.9).to_pandas()
     got_pairs = set(zip(got["vec_a"], got["vec_b"]))
 
     mn = m / np.linalg.norm(m, axis=1, keepdims=True)
@@ -431,15 +432,14 @@ def test_cosine_dup_lsh_planted_recall_and_precision():
     assert len(got_pairs) >= 0.9 * len(true_pairs)
 
 
-def test_cosine_dup_pairs_guard_dispatch():
+def test_cosine_dup_pairs_guard_dispatch(monkeypatch):
     # Above the guard the exact path (driver materialization) must not
     # run; both plans agree on planted pairs.
     t, m = _vec_table(n=60, d=16, seed=9)
     ds = ray.data.from_arrow(t)
     exact = similarity.cosine_dup_pairs(ds, threshold=0.4).to_pandas()
-    bucketed = similarity.cosine_dup_pairs(
-        ds, threshold=0.4, exact_max_rows=10,
-        n_tables=16, n_bits=4).to_pandas()
+    monkeypatch.setattr(similarity, "_EXACT_MAX_ROWS", 10)
+    bucketed = similarity.cosine_dup_pairs(ds, threshold=0.4).to_pandas()
     e = set(zip(exact["vec_a"], exact["vec_b"]))
     b = set(zip(bucketed["vec_a"], bucketed["vec_b"]))
     assert b <= e  # verified: no false positives
@@ -1067,10 +1067,12 @@ def test_text_encoder_feeds_ann_paths(tmp_path):
     assert got["doc_id"].tolist() == want_ids.tolist()
     # (c) LSH index from raw text: self-query recalled at rank 1
     emb2 = ds.map_batches(TextEncoder, batch_format="pyarrow",
-                          concurrency=(1, 2))
-    build_lsh_index(emb2, tmp_path / "lsh", id_col="doc_id")
+                          concurrency=(1, 2)).map_batches(
+        lambda b: b.rename_columns(["vec_id", "embedding"]),
+        batch_format="pyarrow")
+    build_lsh_index(emb2, tmp_path / "lsh")
     lsh = knn_lsh_probe(tmp_path / "lsh", q, k=5).to_pandas()
-    assert lsh["doc_id"].tolist()[0] == 7
+    assert lsh["vec_id"].tolist()[0] == 7
     assert lsh["sim"].tolist()[0] == pytest.approx(1.0)
 
 
