@@ -3180,7 +3180,7 @@ def d_decontaminate(sf_dir: str):
 
     bench = docs.map_batches(split(True), batch_format="pyarrow")
     cand = docs.map_batches(split(False), batch_format="pyarrow")
-    return dedup.decontaminate(cand, bench, k=3)
+    return dedup.decontaminate(cand, bench)
 
 
 def d_decontaminate_bloom(sf_dir: str):
@@ -3201,7 +3201,7 @@ def d_decontaminate_bloom(sf_dir: str):
 
     bench = docs.map_batches(split(True), batch_format="pyarrow")
     cand = docs.map_batches(split(False), batch_format="pyarrow")
-    return dedup.decontaminate_bloom(cand, bench, k=3)
+    return dedup.decontaminate_bloom(cand, bench)
 
 
 def e_pivot(sf_dir: str):
@@ -4298,34 +4298,15 @@ def d_langid_confusion(sf_dir: str):
     beyond the profile fit's bounded fold."""
     import ray as _ray
 
-    from ..stages.text import _char_trigrams_distinct
-
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
     profiles = text.fit_trigram_profiles(ds)
-    langs = sorted(profiles)
-    pref = _ray.put({ln: np.sort(np.asarray(profiles[ln], np.int64))
-                     for ln in langs})
+    pref = _ray.put({ln: np.sort(np.asarray(p, np.int64))
+                     for ln, p in profiles.items()})
 
     def predict(b: pa.Table) -> pa.Table:
-        profs = _ray.get(pref)
-        n = b.num_rows
-        if not langs:
-            pred = np.array([""] * n, dtype=object)
-        else:
-            g, goffs = _char_trigrams_distinct(b["text"])
-            lens = np.diff(goffs)
-            nonempty = lens > 0
-            starts = goffs[:-1][nonempty]
-            scores = np.zeros((n, len(langs)), np.int64)
-            if len(g) and len(starts):
-                for j, ln in enumerate(langs):
-                    hit = np.isin(g, profs[ln]).astype(np.int64)
-                    scores[nonempty, j] = np.add.reduceat(hit, starts)
-            best = np.argmax(scores, axis=1)
-            pred = np.array(langs, dtype=object)[best]
-            pred[scores.max(axis=1) == 0] = ""
         return pa.table({"true_lang": b["lang"],
-                         "pred_lang": pa.array(list(pred), pa.string())})
+                         "pred_lang": text.learned_lang(b["text"],
+                                                        _ray.get(pref))})
 
     return agg_stage.fold_agg(
         ds, ["true_lang", "pred_lang"], {"cnt": ([], "count_all")}, predict,
@@ -5964,7 +5945,7 @@ def d_winnow(sf_dir: str):
 
     import functools
     return ds.map_batches(
-        functools.partial(text.winnow_stats, vocab=vocab, k=4, w=5),
+        functools.partial(text.winnow_stats, vocab=vocab),
         batch_format="pyarrow")
 
 
@@ -7106,11 +7087,13 @@ def d_dup_degree(sf_dir: str):
         "degree": hist.index.to_numpy(np.int64),
         "n_docs": hist.to_numpy(np.int64),
     })
-    zero = pd.DataFrame({"degree": np.array([0], np.int64),
-                         "n_docs": np.array([total - len(deg)],
-                                            np.int64)})
-    out = pd.concat([zero, out], ignore_index=True) \
-        .sort_values("degree").reset_index(drop=True)
+    if total > len(deg):
+        # the degree-0 row exists only when some document has no
+        # partner, as in the oracle's GROUP BY degree
+        zero = pd.DataFrame({"degree": np.array([0], np.int64),
+                             "n_docs": np.array([total - len(deg)],
+                                                np.int64)})
+        out = pd.concat([zero, out], ignore_index=True)
     return pa.table({"degree": pa.array(out["degree"], pa.int64()),
                      "n_docs": pa.array(out["n_docs"], pa.int64())})
 

@@ -20,14 +20,16 @@ Scalable shapes (each documented with its partitioning assumption):
   in <= k bits — bucket by (chunk_id, chunk_val) for candidate
   generation.
 
-Every pair join shuffles only through :func:`~.window.keyed_apply`:
-one call emits candidate pairs per bucket key, and where several
-buckets can emit the same pair, a second call keyed on the pair sums
-or dedupes it (:func:`lsh_candidate_pairs` folds on the driver
-instead; :func:`simhash_near_pairs` emits each pair once).  So all
-shuffle hashing goes through ``pandas.util.hash_array``
-(deterministic SipHash); shingle, MinHash and SimHash values mix
-fixed odd constants for independent hash families.
+Every operator over documents reads their ``text`` column and keys on
+``doc_id``.  Every pair join shuffles only through
+:func:`~.window.keyed_apply`: one call emits candidate pairs per
+bucket key, and where several buckets can emit the same pair, a second
+call keyed on the pair sums or dedupes it
+(:func:`lsh_candidate_pairs` folds on the driver instead;
+:func:`simhash_near_pairs` emits each pair once).  So all shuffle
+hashing goes through ``pandas.util.hash_array`` (deterministic
+SipHash); shingle, MinHash and SimHash values mix fixed odd constants
+for independent hash families.
 """
 
 from __future__ import annotations
@@ -39,15 +41,42 @@ import pyarrow.compute as pc
 
 from .aggregate import (arrow_blocks, arrow_refs, concat_nonempty,
                         drop_empty_blocks, partials)
-from .parse import tokenize
-from .text import hash_tokens, segmented_window_hashes
+from .text import (_TRIGRAM_B, _distinct_per_row, _reduce_rows,
+                   _token_hashes, segmented_window_hashes)
 from .window import keyed_apply
 
 MERSENNE_P = np.uint64((1 << 61) - 1)
 
+#: Tokens per shingle, for every shingle operator here.
+SHINGLE_K = 3
+
+#: decontaminate_bloom's filter: bits, and probes per shingle.
+BLOOM_BITS = 1 << 22
+BLOOM_K = 6
+
+#: Checked driver-side limits: candidate rows lsh_candidate_pairs
+#: folds, candidate pairs verify_pairs takes in one wave, and edges
+#: dedup_apply joins into components.
+MAX_CANDIDATE_ROWS = 50_000_000
+MAX_CANDIDATES = 50_000_000
+MAX_EDGES = 50_000_000
+
+#: Largest bucket a pair kernel expands: LSH band buckets past it are
+#: skipped (boilerplate-heavy corpora), a fuzzy deletion-variant
+#: bucket past it raises.
+LSH_MAX_BUCKET = 256
+FUZZY_MAX_BUCKET = 512
+
+#: SimHash bit-chunks for pigeonhole banding (divides 64).
+N_CHUNKS = 8
+
 #: byte-wise popcount lookup (numpy 1.x has no bitwise_count; a LUT
 #: gather over the uint8 view beats unpackbits ~8x in memory traffic)
 _POPCNT = np.array([bin(i).count("1") for i in range(256)], np.uint8)
+
+#: verify_pairs' answer.
+_VERIFIED = pa.schema([(c, pa.int64())
+                       for c in ("doc_a", "doc_b", "inter", "uni")])
 
 
 def dedup_exact(ds, key_cols: list[str], order_col: str):
@@ -63,7 +92,6 @@ def dedup_exact(ds, key_cols: list[str], order_col: str):
     (second-aligned timestamp[us] came back timestamp[s] from
     Dataset.groupby Min).  To recover full rows use
     :func:`dedup_exact_rows`."""
-    import pandas as pd  # noqa: F811
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
         out = (g.groupby(key_cols, sort=False, dropna=False)
@@ -76,37 +104,37 @@ def dedup_exact(ds, key_cols: list[str], order_col: str):
     return keyed_apply(ds, key_cols, body)
 
 
-def _shingle_hashes(batch: pa.Table, text_col: str, k: int = 3
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row arrays of DISTINCT k-token-shingle hashes.
+def _shingle_hashes(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row arrays of DISTINCT :data:`SHINGLE_K`-token-shingle hashes.
 
     Returns (flat uint64 hashes, int64 offsets) with len(offsets) =
     num_rows + 1.  Shingle hash = polynomial combine of the k token
     hashes (order-sensitive), reduced into [0, 2^61-1).  One
     vectorized segmented pass over the whole batch.
     """
-    toks = tokenize(batch[text_col], batch.num_rows)
-    flat = pc.list_flatten(toks).to_numpy(zero_copy_only=False)
-    offs = np.asarray(toks.offsets).astype(np.int64)
-    th = hash_tokens(flat) if len(flat) else np.zeros(0, np.uint64)
-    return segmented_window_hashes(
-        th, offs, k, np.uint64(0x9E3779B97F4A7C15), MERSENNE_P)
+    h, offs = _token_hashes(batch)
+    return segmented_window_hashes(h, offs, SHINGLE_K, _TRIGRAM_B,
+                                   MERSENNE_P)
 
 
-def shingle_explode(batch: pa.Table, text_col: str = "text",
-                    id_col: str = "doc_id", k: int = 3) -> pa.Table:
+def shingle_explode(batch: pa.Table) -> pa.Table:
     """(id, shingle_hash, n_shingles) — one row per DISTINCT shingle."""
-    h, offsets = _shingle_hashes(batch, text_col, k)
+    h, offsets = _shingle_hashes(batch)
     counts = np.diff(offsets)
-    ids = batch[id_col].to_numpy(zero_copy_only=False)
+    ids = batch["doc_id"].to_numpy(zero_copy_only=False)
     return pa.table({
-        id_col: pa.array(np.repeat(ids, counts)),
+        "doc_id": pa.array(np.repeat(ids, counts)),
         "shingle": pa.array(h.view(np.int64), pa.int64()),
         "n_shingles": pa.array(np.repeat(counts, counts), pa.int64()),
     })
 
 
-def _hit_counts(hits, id_col: str):
+def _doc_shingles(batch: pa.Table) -> pa.Table:
+    """(doc_id, shingle): the decontamination sides' rows."""
+    return shingle_explode(batch).select(["doc_id", "shingle"])
+
+
+def _hit_counts(hits):
     """Per-doc ``n_hit_grams`` over a shingle semi join's hits.  Its
     rows are (doc, shingle)-distinct by construction, so the per-doc
     size IS the distinct overlap count.  No overlap is a typed empty
@@ -114,23 +142,22 @@ def _hit_counts(hits, id_col: str):
     one."""
 
     def body(g: "pd.DataFrame") -> "pd.DataFrame":
-        out = (g.groupby(id_col, sort=False).size()
+        out = (g.groupby("doc_id", sort=False).size()
                 .rename("n_hit_grams").reset_index())
         out["n_hit_grams"] = out["n_hit_grams"].astype("int64")
         return out
 
     return drop_empty_blocks(
-        keyed_apply(hits, id_col, body),
-        pa.schema([(id_col, pa.int64()), ("n_hit_grams", pa.int64())]))
+        keyed_apply(hits, "doc_id", body),
+        pa.schema([("doc_id", pa.int64()), ("n_hit_grams", pa.int64())]))
 
 
-def decontaminate(ds, bench, *, k: int = 3, text_col: str = "text",
-                  id_col: str = "doc_id"):
+def decontaminate(ds, bench):
     """Benchmark decontamination: for every corpus document, the number
-    of DISTINCT k-token shingles it shares with ANY document of the
-    ``bench`` corpus (only contaminated docs are returned — sharing at
-    least one shingle).  The training-data hygiene op: drop or flag
-    training docs that overlap an eval set.
+    of DISTINCT shingles it shares with ANY document of the ``bench``
+    corpus (only contaminated docs are returned — sharing at least one
+    shingle).  The training-data hygiene op: drop or flag training docs
+    that overlap an eval set.
 
     Shape: distinct shingle hashes per doc on both sides (one
     vectorized segmented pass, :func:`shingle_explode`), then a keyed
@@ -140,22 +167,16 @@ def decontaminate(ds, bench, *, k: int = 3, text_col: str = "text",
     hash (the fingerprint family's negligible-collision trade)."""
     from .join import semi_join
 
-    def grams(b: pa.Table) -> pa.Table:
-        return shingle_explode(b, text_col, id_col, k) \
-            .select([id_col, "shingle"])
-
-    cg = ds.map_batches(grams, batch_format="pyarrow")
-    bg = bench.map_batches(grams, batch_format="pyarrow") \
+    cg = ds.map_batches(_doc_shingles, batch_format="pyarrow")
+    bg = bench.map_batches(_doc_shingles, batch_format="pyarrow") \
         .select_columns(["shingle"])
-    return _hit_counts(semi_join(cg, bg, "shingle"), id_col)
+    return _hit_counts(semi_join(cg, bg, "shingle"))
 
 
-def decontaminate_bloom(ds, bench, *, k: int = 3, text_col: str = "text",
-                        id_col: str = "doc_id", bloom_bits: int = 1 << 22,
-                        bloom_k: int = 6):
+def decontaminate_bloom(ds, bench):
     """:func:`decontaminate` with a BLOOM-FILTER prefilter — the
     100-TB-corpus shape: the benchmark's shingle set compresses to a
-    fixed ``bloom_bits/8``-byte word array (mergeable OR-fold,
+    fixed ``BLOOM_BITS/8``-byte word array (mergeable OR-fold,
     broadcast once via ``ray.put``), and the corpus-side probe drops
     every non-candidate (doc, shingle) row MAP-SIDE, so the exact
     shingle semi join that follows shuffles only the surviving sliver
@@ -169,26 +190,21 @@ def decontaminate_bloom(ds, bench, *, k: int = 3, text_col: str = "text",
     from .join import semi_join
     from .sketch import bloom_from_dataset, bloom_probe
 
-    def grams(b: pa.Table) -> pa.Table:
-        return shingle_explode(b, text_col, id_col, k) \
-            .select([id_col, "shingle"])
-
-    bg = bench.map_batches(grams, batch_format="pyarrow") \
+    bits, probes = BLOOM_BITS, BLOOM_K  # captured here: tasks see these values
+    bg = bench.map_batches(_doc_shingles, batch_format="pyarrow") \
         .select_columns(["shingle"])
     bg = bg.materialize()  # consumed twice: bloom build + exact verify
-    words = bloom_from_dataset(bg, "shingle", m_bits=bloom_bits,
-                               k=bloom_k)
-    wref = ray.put(words)
+    wref = ray.put(bloom_from_dataset(bg, "shingle", m_bits=bits,
+                                      k=probes))
 
     def probe(b: pa.Table) -> pa.Table:
-        g = shingle_explode(b, text_col, id_col, k) \
-            .select([id_col, "shingle"])
+        g = _doc_shingles(b)
         h = g["shingle"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        keep = bloom_probe(h, ray.get(wref), bloom_bits, bloom_k)
-        return g.filter(pa.array(keep))
+        return g.filter(pa.array(bloom_probe(h, ray.get(wref), bits,
+                                             probes)))
 
     cg = ds.map_batches(probe, batch_format="pyarrow")
-    return _hit_counts(semi_join(cg, bg, "shingle"), id_col)
+    return _hit_counts(semi_join(cg, bg, "shingle"))
 
 
 def dedup_exact_rows(ds, key_cols: list[str], order_col: str):
@@ -200,7 +216,6 @@ def dedup_exact_rows(ds, key_cols: list[str], order_col: str):
     :func:`keyed_apply` frame), then ONE vectorized sort +
     drop_duplicates per frame — no per-group Python, no broadcast,
     shuffle volume = input size once."""
-    import pandas as pd  # noqa: F811
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([*key_cols, order_col], kind="mergesort")
@@ -209,63 +224,57 @@ def dedup_exact_rows(ds, key_cols: list[str], order_col: str):
     return keyed_apply(ds, key_cols, body)
 
 
-def _shingle_overlaps(g: pd.DataFrame, id_col: str) -> pd.DataFrame:
-    """(doc_a, doc_b, inter, na, nb), doc_a < doc_b, for every doc pair
-    sharing a shingle in ``g`` (whole shingle groups): ``inter`` is the
-    pair's shared-shingle count within this frame, ``na``/``nb`` the
-    docs' distinct-shingle counts."""
-    m = g.merge(g, on="shingle", suffixes=("_a", "_b"))
-    m = m[m[f"{id_col}_a"] < m[f"{id_col}_b"]]
-    return (m.groupby([f"{id_col}_a", f"{id_col}_b"])
-             .agg(inter=("shingle", "size"),
-                  na=("n_shingles_a", "first"),
-                  nb=("n_shingles_b", "first"))
-             .reset_index()
-             .rename(columns={f"{id_col}_a": "doc_a",
-                              f"{id_col}_b": "doc_b"}))
+def _shingle_pairs(ds, prune, finalize):
+    """The exchange behind :func:`jaccard_pairs` and
+    :func:`containment_pairs`, a partitioned self hash-join (ray_guide
+    "Joins and lookups"): :func:`keyed_apply` on ``shingle`` runs one
+    vectorized pandas self-merge per frame of whole shingle groups into
+    per-pair partial overlaps ``(doc_a, doc_b, inter, na, nb)``,
+    doc_a < doc_b, kept where ``prune(na, nb)`` holds (``na``/``nb``:
+    the docs' distinct-shingle counts); a second :func:`keyed_apply`
+    on (doc_a, doc_b) sums them and hands the totals to ``finalize``
+    (Ray's own Aggregate measured ~44k rows/s on this shape)."""
+
+    def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        m = g.merge(g, on="shingle", suffixes=("_a", "_b"))
+        m = m[m["doc_id_a"] < m["doc_id_b"]]
+        out = (m.groupby(["doc_id_a", "doc_id_b"])
+                .agg(inter=("shingle", "size"),
+                     na=("n_shingles_a", "first"),
+                     nb=("n_shingles_b", "first"))
+                .reset_index()
+                .rename(columns={"doc_id_a": "doc_a", "doc_id_b": "doc_b"}))
+        return out[prune(out["na"].to_numpy(), out["nb"].to_numpy())]
+
+    def sum_finalize(g: pd.DataFrame) -> pd.DataFrame:
+        return finalize(g.groupby(["doc_a", "doc_b"], sort=False)
+                         .agg(inter=("inter", "sum"), na=("na", "max"),
+                              nb=("nb", "max"))
+                         .reset_index())
+
+    sh = ds.map_batches(shingle_explode, batch_format="pyarrow")
+    return keyed_apply(keyed_apply(sh, "shingle", pairs_in_bucket),
+                       ["doc_a", "doc_b"], sum_finalize)
 
 
-def _sum_overlaps(g: pd.DataFrame) -> pd.DataFrame:
-    """Per-pair totals of :func:`_shingle_overlaps` partials (``g``
-    holds whole pairs)."""
-    return (g.groupby(["doc_a", "doc_b"], sort=False)
-             .agg(inter=("inter", "sum"), na=("na", "max"),
-                  nb=("nb", "max"))
-             .reset_index())
-
-
-def jaccard_pairs(ds, threshold: float = 0.5, *, text_col: str = "text",
-                  id_col: str = "doc_id", k: int = 3):
+def jaccard_pairs(ds, threshold: float = 0.5):
     """Exact n-gram Jaccard near-dup pairs with Jaccard >= threshold.
 
     Returns Dataset(doc_a, doc_b, inter, uni) with doc_a < doc_b.
     threshold applied as inter/uni >= threshold using exact integer
-    arithmetic (inter * 1000 >= uni * round(threshold*1000)).
-
-    Shape: a partitioned self hash-join (ray_guide "Joins and
-    lookups").  :func:`keyed_apply` on ``shingle`` runs one vectorized
-    pandas self-merge per frame of whole shingle groups, emitting
-    per-pair partial intersections; a second :func:`keyed_apply` on
-    (doc_a, doc_b) sums them (Ray's own Aggregate measured ~44k rows/s
-    on this shape).
+    arithmetic (inter * 1000 >= uni * round(threshold*1000)), over
+    :func:`_shingle_pairs`.
     """
-    sh = ds.map_batches(
-        lambda b: shingle_explode(b, text_col, id_col, k),
-        batch_format="pyarrow")
     thr = round(threshold * 1000)
 
-    def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        out = _shingle_overlaps(g, id_col)
+    def prune(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
         # Exact-safe size-ratio prune: J >= t and inter <= min(na, nb)
         # imply min(na, nb) >= t * max(na, nb); incompatible-size
         # pairs can never pass the final threshold, so dropping their
         # partials here cuts the shuffle without changing the answer.
-        na = out["na"].to_numpy()
-        nb = out["nb"].to_numpy()
-        return out[np.minimum(na, nb) * 1000 >= thr * np.maximum(na, nb)]
+        return np.minimum(na, nb) * 1000 >= thr * np.maximum(na, nb)
 
-    def sum_finalize(g: pd.DataFrame) -> pd.DataFrame:
-        s = _sum_overlaps(g)
+    def finalize(s: pd.DataFrame) -> pd.DataFrame:
         uni = (s["na"] + s["nb"] - s["inter"]).astype("int64")
         keep = s["inter"].to_numpy() * 1000 >= uni.to_numpy() * thr
         out = pd.DataFrame({"doc_a": s["doc_a"], "doc_b": s["doc_b"],
@@ -273,13 +282,10 @@ def jaccard_pairs(ds, threshold: float = 0.5, *, text_col: str = "text",
                             "uni": uni})
         return out[keep]
 
-    partials = keyed_apply(sh, "shingle", pairs_in_bucket)
-    return keyed_apply(partials, ["doc_a", "doc_b"], sum_finalize)
+    return _shingle_pairs(ds, prune, finalize)
 
 
-def containment_pairs(ds, threshold: float = 0.8, *,
-                      text_col: str = "text", id_col: str = "doc_id",
-                      k: int = 3, min_shingles: int = 5):
+def containment_pairs(ds, threshold: float = 0.8, *, min_shingles: int = 5):
     """DIRECTED n-gram containment pairs: C(A->B) = |sh(A) ∩ sh(B)|
     / |sh(A)| >= threshold — the asymmetric near-dup relation Jaccard
     misses (a short document quoted whole inside a long one scores
@@ -288,26 +294,18 @@ def containment_pairs(ds, threshold: float = 0.8, *,
     passes, exact integer threshold (inter*1000 >= n_a*thr_ppt),
     n_a >= min_shingles guards degenerate tiny docs.
 
-    Scale shape: identical to :func:`jaccard_pairs` (a shingle-keyed
-    self-merge, then a pair-keyed exact finalize) — only the
-    feasibility prune changes: a directed pass needs inter <= min(na,
-    nb) >= thr*na, so pairs where NEITHER direction satisfies thr*min
-    <= 1000*max drop before the second exchange."""
-    sh = ds.map_batches(
-        lambda b: shingle_explode(b, text_col, id_col, k),
-        batch_format="pyarrow")
+    Scale shape: :func:`_shingle_pairs`, as for :func:`jaccard_pairs`
+    — only the feasibility prune changes: a directed pass needs inter
+    <= min(na, nb) >= thr*na, so pairs where NEITHER direction
+    satisfies thr*min <= 1000*max drop before the second exchange."""
     thr = round(threshold * 1000)
 
-    def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        out = _shingle_overlaps(g, id_col)
-        na = out["na"].to_numpy()
-        nb = out["nb"].to_numpy()
+    def prune(na: np.ndarray, nb: np.ndarray) -> np.ndarray:
         # feasibility: inter <= min(na, nb); a->b needs thr*na <=
         # 1000*min(na, nb) i.e. thr*na <= 1000*nb; b->a symmetric.
-        return out[(thr * na <= 1000 * nb) | (thr * nb <= 1000 * na)]
+        return (thr * na <= 1000 * nb) | (thr * nb <= 1000 * na)
 
-    def containment_finalize(g: pd.DataFrame) -> pd.DataFrame:
-        s = _sum_overlaps(g)
+    def finalize(s: pd.DataFrame) -> pd.DataFrame:
         inter = s["inter"].to_numpy().astype("int64")
         na = s["na"].to_numpy().astype("int64")
         nb = s["nb"].to_numpy().astype("int64")
@@ -322,8 +320,7 @@ def containment_pairs(ds, threshold: float = 0.8, *,
                 "n_contained": n_c[keep]}))
         return pd.concat(rows, ignore_index=True)
 
-    partials = keyed_apply(sh, "shingle", pairs_in_bucket)
-    return keyed_apply(partials, ["doc_a", "doc_b"], containment_finalize)
+    return _shingle_pairs(ds, prune, finalize)
 
 
 # ---------------------------------------------------------------- MinHash
@@ -331,10 +328,11 @@ def containment_pairs(ds, threshold: float = 0.8, *,
 N_HASHES = 64
 N_BANDS = 16
 ROWS_PER_BAND = N_HASHES // N_BANDS
+MINHASH_SEED = 1234
 
 
-def _hash_family(seed: int = 1234) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.RandomState(seed)
+def _hash_family() -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.RandomState(MINHASH_SEED)
     a = rng.randint(1, (1 << 61) - 1, size=N_HASHES, dtype=np.uint64) | np.uint64(1)
     b = rng.randint(0, (1 << 61) - 1, size=N_HASHES, dtype=np.uint64)
     return a, b
@@ -343,34 +341,25 @@ def _hash_family(seed: int = 1234) -> tuple[np.ndarray, np.ndarray]:
 _A, _B = _hash_family()
 
 
-def minhash_batch(batch: pa.Table, text_col: str = "text",
-                  id_col: str = "doc_id", k: int = 3) -> pa.Table:
+def minhash_batch(batch: pa.Table) -> pa.Table:
     """(id, sig: list<int64>[64]) MinHash signatures.  Docs with fewer
-    than k tokens get an all-max signature (never near anything)."""
-    h, offsets = _shingle_hashes(batch, text_col, k)
-    n = batch.num_rows
-    sigs = np.full((n, N_HASHES), (1 << 61) - 1, dtype=np.uint64)
-    lens = np.diff(offsets)
-    nonempty = lens > 0
-    starts = offsets[:-1][nonempty]
-    if len(h) and len(starts):
-        # One segmented min per hash function: empty rows contribute no
-        # flat elements, so consecutive non-empty starts are exactly
-        # the reduceat segment boundaries (same trick as
-        # text.fingerprint).  64 O(total) passes instead of one Python
-        # loop + (64, m) matmul per row.
-        with np.errstate(over="ignore"):
-            for i in range(N_HASHES):
-                vals = (_A[i] * h + _B[i]) % MERSENNE_P
-                sigs[nonempty, i] = np.minimum.reduceat(vals, starts)
+    than :data:`SHINGLE_K` tokens get an all-max signature (never near
+    anything).  One per-row minimum per hash function: 64 O(total)
+    passes instead of one Python loop + (64, m) matmul per row."""
+    h, offsets = _shingle_hashes(batch)
+    with np.errstate(over="ignore"):
+        sigs = np.stack([
+            _reduce_rows(np.minimum, (_A[i] * h + _B[i]) % MERSENNE_P,
+                         offsets, MERSENNE_P)
+            for i in range(N_HASHES)], axis=1)
     return pa.table({
-        id_col: batch[id_col],
+        "doc_id": batch["doc_id"],
         "sig": pa.FixedSizeListArray.from_arrays(
             pa.array(sigs.reshape(-1).view(np.int64), pa.int64()), N_HASHES),
     })
 
 
-def band_explode(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
+def band_explode(batch: pa.Table) -> pa.Table:
     """(id, band_id, band_hash) — one row per LSH band.
 
     Rows carrying the all-max sentinel (fewer than k tokens, see
@@ -394,64 +383,65 @@ def band_explode(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
         acc = np.zeros((n, N_BANDS), dtype=np.uint64)
         for j in range(ROWS_PER_BAND):
             acc = acc * B + bands[:, :, j]
-    ids = batch[id_col].to_numpy(zero_copy_only=False)
+    ids = batch["doc_id"].to_numpy(zero_copy_only=False)
     return pa.table({
-        id_col: pa.array(np.repeat(ids, N_BANDS)),
+        "doc_id": pa.array(np.repeat(ids, N_BANDS)),
         "band_id": pa.array(np.tile(np.arange(N_BANDS, dtype=np.int32), n)),
         "band_hash": pa.array(acc.reshape(-1).view(np.int64), pa.int64()),
     })
 
 
-def lsh_candidate_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
-                        k: int = 3, max_bucket: int = 256,
-                        max_candidate_rows: int = 50_000_000) -> pa.Table:
+def _fetch_bounded(ds, limit: int, message: str) -> pa.Table:
+    """``ds``'s blocks concatenated on the driver, fetched one block at
+    a time and counted as they arrive; ``ValueError(message)`` once
+    more than ``limit`` rows have arrived, so an over-limit input
+    moves at most ``limit`` rows plus one block, not all of it."""
+    import ray
+
+    blocks, total = [], 0
+    for ref in arrow_refs(ds):
+        t = ray.get(ref)
+        total += t.num_rows
+        if total > limit:
+            raise ValueError(message)
+        blocks.append(t)
+    return concat_nonempty(blocks)
+
+
+def lsh_candidate_pairs(ds) -> pa.Table:
     """MinHash-LSH candidate pairs: pa.Table(doc_a, doc_b, n_bands),
     one row per distinct pair, ``n_bands`` = bands it collided in.
 
     Pipeline: signatures -> band explode -> :func:`keyed_apply` on
     (band_id, band_hash) -> pairs per bucket -> driver-side distinct.
-    ``max_bucket`` caps quadratic blowup from degenerate buckets
-    (boilerplate-heavy corpora).  Candidate lists are bounded by
-    construction, and their consumers (e.g. the verify chain)
-    materialize them anyway, so the cross-partition distinct folds on
-    the driver instead of paying a second all-to-all shuffle;
-    ``max_candidate_rows`` makes that bound a checked limit.
+    Buckets past :data:`LSH_MAX_BUCKET` are skipped: that caps
+    quadratic blowup from degenerate buckets (boilerplate-heavy
+    corpora).  Candidate lists are bounded by construction, and their
+    consumers (e.g. the verify chain) materialize them anyway, so the
+    cross-partition distinct folds on the driver instead of paying a
+    second all-to-all shuffle; :data:`MAX_CANDIDATE_ROWS` makes that
+    bound a checked limit.
     """
-    import ray
-
-    sigs = ds.map_batches(
-        lambda b: minhash_batch(b, text_col, id_col, k),
-        batch_format="pyarrow")
-    bands = sigs.map_batches(lambda b: band_explode(b, id_col),
-                             batch_format="pyarrow")
+    cap = LSH_MAX_BUCKET  # captured here: tasks see this value
+    sigs = ds.map_batches(minhash_batch, batch_format="pyarrow")
+    bands = sigs.map_batches(band_explode, batch_format="pyarrow")
 
     def pairs_in_part(g: pd.DataFrame) -> pd.DataFrame:
-        if max_bucket is not None:
-            sz = g.groupby(["band_id", "band_hash"])[id_col].transform("size")
-            g = g[sz <= max_bucket]
+        sz = g.groupby(["band_id", "band_hash"])["doc_id"].transform("size")
+        g = g[sz <= cap]
         m = g.merge(g, on=["band_id", "band_hash"], suffixes=("_a", "_b"))
-        m = m[m[f"{id_col}_a"] < m[f"{id_col}_b"]]
-        out = (m.groupby([f"{id_col}_a", f"{id_col}_b"])
+        m = m[m["doc_id_a"] < m["doc_id_b"]]
+        out = (m.groupby(["doc_id_a", "doc_id_b"])
                 .size().rename("n_bands").reset_index())
-        return out.rename(columns={f"{id_col}_a": "doc_a",
-                                   f"{id_col}_b": "doc_b"})
+        return out.rename(columns={"doc_id_a": "doc_a",
+                                   "doc_id_b": "doc_b"})
 
-    partials = keyed_apply(bands, ["band_id", "band_hash"], pairs_in_part)
-    # Checked limit enforced INCREMENTALLY: blocks are fetched one at a
-    # time and counted as they arrive, so an over-limit corpus
-    # transfers at most max_candidate_rows + one block to the driver
-    # before raising — not the whole edge list.
-    blocks, total = [], 0
-    for ref in arrow_refs(partials):
-        t = ray.get(ref)
-        total += t.num_rows
-        if total > max_candidate_rows:
-            raise ValueError(
-                f"lsh_candidate_pairs: >{max_candidate_rows} candidate "
-                "rows (limit max_candidate_rows); raise the limit or "
-                "verify in shards")
-        blocks.append(t)
-    t = concat_nonempty(blocks)
+    t = _fetch_bounded(
+        keyed_apply(bands, ["band_id", "band_hash"], pairs_in_part),
+        MAX_CANDIDATE_ROWS,
+        f"lsh_candidate_pairs: more than MAX_CANDIDATE_ROWS "
+        f"({MAX_CANDIDATE_ROWS}) candidate rows; raise the limit or "
+        "verify in shards")
     if t.num_columns == 0:
         return pa.table({"doc_a": pa.array([], pa.int64()),
                          "doc_b": pa.array([], pa.int64()),
@@ -460,56 +450,10 @@ def lsh_candidate_pairs(ds, *, text_col: str = "text", id_col: str = "doc_id",
     return g.rename_columns(["doc_a", "doc_b", "n_bands"])
 
 
-def _count_block_rows(refs) -> list:
-    """Per-block row counts for a list of Arrow block refs, counted
-    remotely (colocated with each block) — the driver never pulls a
-    block just to count it."""
-    import ray
-
-    @ray.remote(num_cpus=0)
-    def block_rows(t) -> int:
-        return t.num_rows
-
-    return ray.get([block_rows.remote(r) for r in refs])
-
-
-def _verify_in_waves(ds, refs, counts, threshold, *, text_col, id_col,
-                     k, max_candidates):
-    """Bounded-wave driver loop behind :func:`verify_pairs`: greedily
-    pack candidate block refs into <= max_candidates-pair shards and
-    verify each shard independently.  Exact — every pair is in exactly
-    one shard and Jaccard verification is per-pair."""
-    import ray
-
-    waves: list[list] = []
-    cur: list = []
-    cur_n = 0
-    for r, c in zip(refs, counts):
-        if cur and cur_n + c > max_candidates:
-            waves.append(cur)
-            cur, cur_n = [], 0
-        cur.append(r)
-        cur_n += c
-    if cur:
-        waves.append(cur)
-    outs = []
-    for w in waves:
-        t = concat_nonempty(ray.get(w))
-        outs.append(verify_pairs(ds, t, threshold, text_col=text_col,
-                                 id_col=id_col, k=k,
-                                 max_candidates=max_candidates))
-    res = outs[0]
-    for o in outs[1:]:
-        res = res.union(o)
-    return res
-
-
-def verify_pairs(ds, candidates, threshold: float = 0.5, *,
-                 text_col: str = "text", id_col: str = "doc_id",
-                 k: int = 3, max_candidates: int = 50_000_000):
+def verify_pairs(ds, candidates: pa.Table, threshold: float = 0.5):
     """Exact-Jaccard verification of candidate near-dup pairs.
 
-    ``candidates`` (Dataset/Table of doc_a, doc_b — e.g. from
+    ``candidates`` (a Table of doc_a, doc_b — e.g. from
     :func:`lsh_candidate_pairs`) are APPROXIMATE: at scale, feeding
     them straight into :func:`dedup_apply` silently deletes
     non-duplicate documents on LSH false positives.  This operator
@@ -517,51 +461,31 @@ def verify_pairs(ds, candidates, threshold: float = 0.5, *,
     keeps those at/above ``threshold``.
 
     Shape: semi-join the corpus to the involved doc ids (broadcast —
-    candidates are small relative to the corpus; ``max_candidates``
+    candidates are small relative to the corpus; :data:`MAX_CANDIDATES`
     makes that a checked limit), run the exact bucketed pair kernel
     over that subset (cost ~ |involved|, not corpus), then intersect
     with the candidate set.  Returns Dataset(doc_a, doc_b, inter, uni).
 
-    Above ``max_candidates`` the verification runs in bounded WAVES
-    instead of raising: candidate blocks are greedily packed into
-    <= max_candidates-pair shards (one candidate block held on the
-    driver at a time, never the full table), each shard is verified
+    Above :data:`MAX_CANDIDATES` the verification runs in bounded
+    WAVES instead of raising: the table is cut into zero-copy slices
+    of at most MAX_CANDIDATES pairs, each slice is verified
     independently against its own semi-joined corpus subset, and the
-    per-shard result datasets are unioned.  A pair lands in exactly
-    one shard, so the union is exact.  Each wave re-scans the corpus
+    per-slice result datasets are unioned.  A pair lands in exactly
+    one slice, so the union is exact.  Each wave re-scans the corpus
     for its semi-join — at W waves that is W corpus scans, the price
-    of bounding driver/broadcast memory; callers with pathological
-    candidate volume should raise ``max_candidates`` toward what a
-    single broadcast can hold rather than paying many scans.
+    of bounding broadcast memory.
     """
     import ray
     import ray.data
 
-    if isinstance(candidates, ray.data.Dataset):
-        refs = arrow_refs(candidates)
-        counts = _count_block_rows(refs)
-        if sum(counts) > max_candidates:
-            return _verify_in_waves(
-                ds, refs, counts, threshold, text_col=text_col,
-                id_col=id_col, k=k, max_candidates=max_candidates)
-        candidates = concat_nonempty(ray.get(refs))
-    if candidates.num_rows > max_candidates:
-        # Table input over the cap: zero-copy slice into waves.
-        slices = [candidates.slice(i, max_candidates)
-                  for i in range(0, candidates.num_rows, max_candidates)]
-        outs = [verify_pairs(ds, s, threshold, text_col=text_col,
-                             id_col=id_col, k=k,
-                             max_candidates=max_candidates)
-                for s in slices]
-        res = outs[0]
-        for o in outs[1:]:
-            res = res.union(o)
-        return res
-    if candidates.num_rows == 0:
-        empty = pa.table({"doc_a": pa.array([], pa.int64()),
-                          "doc_b": pa.array([], pa.int64()),
-                          "inter": pa.array([], pa.int64()),
-                          "uni": pa.array([], pa.int64())})
+    n = candidates.num_rows
+    if n > MAX_CANDIDATES:
+        waves = [verify_pairs(ds, candidates.slice(i, MAX_CANDIDATES),
+                              threshold)
+                 for i in range(0, n, MAX_CANDIDATES)]
+        return waves[0].union(*waves[1:])
+    empty = _VERIFIED.empty_table()
+    if n == 0:
         return ray.data.from_arrow(empty)
     a = candidates["doc_a"].to_numpy(zero_copy_only=False)
     b = candidates["doc_b"].to_numpy(zero_copy_only=False)
@@ -569,133 +493,123 @@ def verify_pairs(ds, candidates, threshold: float = 0.5, *,
     iref = ray.put(involved)
 
     def keep_involved(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.is_in(batch[id_col], value_set=ray.get(iref)))
+        return batch.filter(pc.is_in(batch["doc_id"],
+                                     value_set=ray.get(iref)))
 
     sub = ds.map_batches(keep_involved, batch_format="pyarrow")
 
-    if candidates.num_rows <= 200_000 and len(involved) <= 200_000:
+    if n <= 200_000 and len(involved) <= 200_000:
         # Bounded candidate sets (the common case — that's the point
         # of LSH): pull the involved rows once and verify per-pair
         # with sorted-array intersections locally.  The distributed
         # alternative costs TWO extra all-to-all shuffles whose fixed
-        # latency dwarfs this much compute.
+        # latency dwarfs this much compute.  No candidate doc id in
+        # the corpus: no rows, and no pair survives.
         subset = concat_nonempty(arrow_blocks(
-            sub.select_columns([id_col, text_col])))
-        if subset.num_rows == 0 or id_col not in subset.column_names:
-            # No candidate doc id exists in the corpus (concat_nonempty
-            # collapses an all-empty ref list to a zero-column table).
-            empty = pa.table({"doc_a": pa.array([], pa.int64()),
-                              "doc_b": pa.array([], pa.int64()),
-                              "inter": pa.array([], pa.int64()),
-                              "uni": pa.array([], pa.int64())})
-            return ray.data.from_arrow(empty)
-        h, offs = _shingle_hashes(subset, text_col, k)
-        ids = subset[id_col].to_numpy(zero_copy_only=False)
-        # Vectorized id -> row position (sorted lookup, no Python dict).
-        order = np.argsort(ids, kind="stable")
-        sids = ids[order]
-
-        def locate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            j = np.clip(np.searchsorted(sids, x), 0, len(sids) - 1)
-            ok = sids[j] == x
-            return order[j], ok
-
-        ja, oka = locate(a)
-        jb, okb = locate(b)
-        valid = oka & okb
-        inter = np.zeros(candidates.num_rows, dtype=np.int64)
-        uni = np.zeros(candidates.num_rows, dtype=np.int64)
-        va, vb = ja[valid], jb[valid]
-        la = offs[va + 1] - offs[va]
-        lb = offs[vb + 1] - offs[vb]
-
-        def gather(rows: np.ndarray, lens: np.ndarray) -> np.ndarray:
-            # Segmented gather of variable-length shingle slices: one
-            # fancy-index instead of a per-pair Python loop.
-            out_starts = np.cumsum(lens) - lens
-            idx = (np.arange(int(lens.sum()), dtype=np.int64)
-                   - np.repeat(out_starts, lens)
-                   + np.repeat(offs[rows], lens))
-            return h[idx]
-
-        # Per-doc shingles are DISTINCT (see _shingle_hashes), so after
-        # sorting each pair's combined (A ++ B) list, every shared
-        # shingle appears as exactly one adjacent duplicate.
-        pair_ids = np.arange(len(va), dtype=np.int64)
-        vals = np.concatenate([gather(va, la), gather(vb, lb)])
-        keys = np.concatenate([np.repeat(pair_ids, la),
-                               np.repeat(pair_ids, lb)])
-        srt = np.lexsort((vals, keys))
-        kv, vv = keys[srt], vals[srt]
-        dup = (kv[1:] == kv[:-1]) & (vv[1:] == vv[:-1])
-        icount = np.bincount(kv[1:][dup],
-                             minlength=len(va)).astype(np.int64)
-        inter[valid] = icount
-        uni[valid] = la + lb - icount
-        thr = round(threshold * 1000)
-        keep = (uni > 0) & (inter * 1000 >= uni * thr)
-        out = pa.table({"doc_a": pa.array(a[keep]),
-                        "doc_b": pa.array(b[keep]),
-                        "inter": pa.array(inter[keep], pa.int64()),
-                        "uni": pa.array(uni[keep], pa.int64())})
-        return ray.data.from_arrow(out)
-
-    exact = jaccard_pairs(sub, threshold, text_col=text_col, id_col=id_col,
-                          k=k)
-    exact_t = concat_nonempty(arrow_blocks(exact))
-    if exact_t.num_rows == 0 or exact_t.num_columns == 0:
-        empty = pa.table({"doc_a": pa.array([], pa.int64()),
-                          "doc_b": pa.array([], pa.int64()),
-                          "inter": pa.array([], pa.int64()),
-                          "uni": pa.array([], pa.int64())})
-        return ray.data.from_arrow(empty)
-    # Intersect exact pairs among involved docs with the candidate set
-    # (exact pairs between involved-but-not-candidate docs must not
-    # leak through).  Both tables are bounded; exact pandas merge.
-    got = exact_t.to_pandas().merge(
-        candidates.select(["doc_a", "doc_b"]).to_pandas(),
-        on=["doc_a", "doc_b"], how="inner")
-    return ray.data.from_arrow(pa.Table.from_pandas(
-        got, preserve_index=False).select(["doc_a", "doc_b", "inter", "uni"]))
+            sub.select_columns(["doc_id", "text"])))
+        out = _jaccard_of(subset, a, b, threshold) if subset.num_rows \
+            else empty
+    else:
+        exact_t = concat_nonempty(arrow_blocks(jaccard_pairs(sub,
+                                                             threshold)))
+        out = empty
+        if exact_t.num_rows:
+            # Intersect exact pairs among involved docs with the
+            # candidate set (exact pairs between involved-but-not-
+            # candidate docs must not leak through).  Both tables are
+            # bounded; exact pandas merge.
+            got = exact_t.to_pandas().merge(
+                candidates.select(["doc_a", "doc_b"]).to_pandas(),
+                on=["doc_a", "doc_b"], how="inner")
+            out = pa.Table.from_pandas(got, preserve_index=False) \
+                .select(_VERIFIED.names)
+    return ray.data.from_arrow(out)
 
 
-def simhash_near_pairs(ds, max_hamming: int = 7, *,
-                       text_col: str = "text", id_col: str = "doc_id",
-                       n_chunks: int = 8, sig_ds=None):
+def _jaccard_of(subset: pa.Table, a: np.ndarray, b: np.ndarray,
+                threshold: float) -> pa.Table:
+    """The pairs (a[i], b[i]) whose docs are both in ``subset`` (doc_id,
+    text) and whose exact shingle Jaccard is at/above ``threshold``,
+    with their intersection and union sizes."""
+    h, offs = _shingle_hashes(subset)
+    ids = subset["doc_id"].to_numpy(zero_copy_only=False)
+    # Vectorized id -> row position (sorted lookup, no Python dict).
+    order = np.argsort(ids, kind="stable")
+    sids = ids[order]
+
+    def locate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        j = np.clip(np.searchsorted(sids, x), 0, len(sids) - 1)
+        ok = sids[j] == x
+        return order[j], ok
+
+    ja, oka = locate(a)
+    jb, okb = locate(b)
+    valid = oka & okb
+    inter = np.zeros(len(a), dtype=np.int64)
+    uni = np.zeros(len(a), dtype=np.int64)
+    va, vb = ja[valid], jb[valid]
+    la = offs[va + 1] - offs[va]
+    lb = offs[vb + 1] - offs[vb]
+
+    def gather(rows: np.ndarray, lens: np.ndarray) -> np.ndarray:
+        # Segmented gather of variable-length shingle slices: one
+        # fancy-index instead of a per-pair Python loop.
+        out_starts = np.cumsum(lens) - lens
+        idx = (np.arange(int(lens.sum()), dtype=np.int64)
+               - np.repeat(out_starts, lens)
+               + np.repeat(offs[rows], lens))
+        return h[idx]
+
+    # Per-doc shingles are DISTINCT (see _shingle_hashes), so the
+    # distinct values of a pair's combined (A ++ B) list are A ∪ B.
+    pair_ids = np.arange(len(va), dtype=np.int64)
+    pairs, _, _ = _distinct_per_row(
+        np.concatenate([np.repeat(pair_ids, la), np.repeat(pair_ids, lb)]),
+        np.concatenate([gather(va, la), gather(vb, lb)]))
+    union = np.bincount(pairs, minlength=len(va))
+    inter[valid] = la + lb - union
+    uni[valid] = union
+    thr = round(threshold * 1000)
+    keep = (uni > 0) & (inter * 1000 >= uni * thr)
+    return pa.table({"doc_a": pa.array(a[keep]),
+                     "doc_b": pa.array(b[keep]),
+                     "inter": pa.array(inter[keep], pa.int64()),
+                     "uni": pa.array(uni[keep], pa.int64())})
+
+
+def simhash_near_pairs(ds, max_hamming: int = 7, *, sig_ds=None):
     """All pairs with SimHash Hamming distance <= ``max_hamming``.
 
-    Banded by pigeonhole: the 64-bit signature splits into ``n_chunks``
-    equal bit-chunks; a pair differing in <= n_chunks-1 bits must agree
-    on at least one chunk, so grouping by (chunk_id, chunk_value)
-    reaches **recall 1.0** for ``max_hamming < n_chunks``, and the
-    in-bucket exact Hamming check gives precision 1.0 — making the
-    distributed pair generation exactly SQL-checkable from the
-    signature table.  Raises ``ValueError`` unless ``n_chunks``
-    divides 64 and ``max_hamming < n_chunks``.  ``sig_ds`` lets the
-    caller reuse precomputed (id, simhash) signatures.
+    Banded by pigeonhole: the 64-bit signature splits into
+    :data:`N_CHUNKS` equal bit-chunks; a pair differing in <=
+    N_CHUNKS-1 bits must agree on at least one chunk, so grouping by
+    (chunk_id, chunk_value) reaches **recall 1.0** for ``max_hamming <
+    N_CHUNKS``, and the in-bucket exact Hamming check gives precision
+    1.0 — making the distributed pair generation exactly SQL-checkable
+    from the signature table.  Raises ``ValueError`` unless
+    ``max_hamming < N_CHUNKS``.  ``sig_ds`` lets the caller reuse
+    precomputed (id, simhash) signatures.
     """
-    if 64 % n_chunks or not max_hamming < n_chunks:
+    if not max_hamming < N_CHUNKS:
         raise ValueError(
-            f"simhash_near_pairs: need 64 % n_chunks == 0 and "
-            f"max_hamming < n_chunks for recall 1.0, got "
-            f"n_chunks={n_chunks}, max_hamming={max_hamming}")
-    bits = 64 // n_chunks
+            f"simhash_near_pairs: need max_hamming < N_CHUNKS "
+            f"({N_CHUNKS}) for recall 1.0, got max_hamming={max_hamming}")
+    bits = 64 // N_CHUNKS
     sigs = sig_ds if sig_ds is not None else ds.map_batches(
-        lambda t: simhash_batch(t, text_col, id_col),
-        batch_format="pyarrow")
+        simhash_batch, batch_format="pyarrow")
 
     def explode(t: pa.Table) -> pa.Table:
         sig = t["simhash"].to_numpy(zero_copy_only=False).view(np.uint64)
-        ids = t[id_col].to_numpy(zero_copy_only=False)
+        ids = t["doc_id"].to_numpy(zero_copy_only=False)
         n = len(ids)
-        shifts = (np.arange(n_chunks, dtype=np.uint64) * np.uint64(bits))
+        shifts = (np.arange(N_CHUNKS, dtype=np.uint64) * np.uint64(bits))
         vals = ((sig[:, None] >> shifts[None, :])
                 & np.uint64((1 << bits) - 1)).reshape(-1)
         return pa.table({
-            id_col: pa.array(np.repeat(ids, n_chunks)),
-            "sig": pa.array(np.repeat(sig.view(np.int64), n_chunks)),
+            "doc_id": pa.array(np.repeat(ids, N_CHUNKS)),
+            "sig": pa.array(np.repeat(sig.view(np.int64), N_CHUNKS)),
             "chunk_id": pa.array(
-                np.tile(np.arange(n_chunks, dtype=np.int32), n)),
+                np.tile(np.arange(N_CHUNKS, dtype=np.int32), n)),
             "chunk_val": pa.array(vals.view(np.int64)),
         })
 
@@ -707,7 +621,7 @@ def simhash_near_pairs(ds, max_hamming: int = 7, *,
         # 75 s at sf0.1 under real chunk skew); triu indices + a
         # filter-before-materialize popcount keep only index arrays
         # and the surviving pairs.
-        ids = g[id_col].to_numpy()
+        ids = g["doc_id"].to_numpy()
         sg = g["sig"].to_numpy().astype(np.int64).view(np.uint64)
         cid = g["chunk_id"].to_numpy()
         cval = g["chunk_val"].to_numpy()
@@ -772,7 +686,7 @@ def simhash_near_pairs(ds, max_hamming: int = 7, *,
             xk = x[keep]
             mask = np.uint64((1 << bits) - 1)
             agree = np.stack([(xk >> np.uint64(c * bits)) & mask == 0
-                              for c in range(n_chunks)], axis=1)
+                              for c in range(N_CHUNKS)], axis=1)
             mine = np.argmax(agree, axis=1) == int(cid[s])
             ia_k, ib_k = ia[keep][mine], ib[keep][mine]
             ham_k = ham[keep][mine]
@@ -792,42 +706,25 @@ def simhash_near_pairs(ds, max_hamming: int = 7, *,
     return keyed_apply(chunks, ["chunk_id", "chunk_val"], pairs_in_part)
 
 
-def dedup_apply(ds, pairs, *, id_col: str = "doc_id",
-                max_edges: int = 50_000_000):
+def dedup_apply(ds, pairs, *, id_col: str = "doc_id"):
     """Keep one representative per near-dup cluster.
 
-    ``pairs`` is a Dataset/Table of (doc_a, doc_b) near-dup edges (from
-    :func:`jaccard_pairs`, :func:`lsh_candidate_pairs` or
+    ``pairs`` is a Dataset of (doc_a, doc_b) near-dup edges (from
+    :func:`jaccard_pairs`, :func:`verify_pairs` or
     similarity.cosine_dup_pairs).  Connected components are computed
     driver-side — the edge list is small relative to the corpus
-    (that's the point of near-dup detection), and ``max_edges`` makes
-    that assumption a checked limit instead of an implicit one —
+    (that's the point of near-dup detection), and :data:`MAX_EDGES`
+    makes that assumption a checked limit instead of an implicit one —
     keeping the minimum id per cluster; the removal set is broadcast
     and applied as a vectorized anti-join filter, no shuffle."""
     import ray
-    import ray.data
 
-    if isinstance(pairs, ray.data.Dataset):
-        # Enforce the limit INCREMENTALLY while fetching: an over-limit
-        # edge list moves at most max_edges + one block to the driver
-        # before the raise — not the whole thing.
-        blocks, n_edges = [], 0
-        for ref in arrow_refs(pairs):
-            t = ray.get(ref)
-            n_edges += t.num_rows
-            if n_edges > max_edges:
-                break
-            blocks.append(t)
-        if n_edges <= max_edges:
-            pairs = concat_nonempty(blocks)
-    else:
-        n_edges = pairs.num_rows
-    if n_edges > max_edges:
-        raise ValueError(
-            f"dedup_apply: {n_edges} near-dup edges exceed the "
-            f"driver-side component limit ({max_edges}); raise the pair "
-            "threshold or pre-contract edges (e.g. keep only each doc's "
-            "minimum partner) before applying")
+    pairs = _fetch_bounded(
+        pairs, MAX_EDGES,
+        f"dedup_apply: the near-dup edges exceed the driver-side "
+        f"component limit MAX_EDGES ({MAX_EDGES}); raise the pair "
+        "threshold or pre-contract edges (e.g. keep only each doc's "
+        "minimum partner) before applying")
     if pairs.num_rows:
         # Vectorized min-label propagation with pointer jumping:
         # labels are indices into the sorted node array, so the
@@ -861,31 +758,19 @@ def dedup_apply(ds, pairs, *, id_col: str = "doc_id",
     return ds.map_batches(keep, batch_format="pyarrow", batch_size=None)
 
 
-def simhash_batch(batch: pa.Table, text_col: str = "text",
-                  id_col: str = "doc_id") -> pa.Table:
-    """(id, simhash int64): 64-bit SimHash over token hashes."""
-    toks = tokenize(batch[text_col], batch.num_rows)
-    flat = pc.list_flatten(toks).to_numpy(zero_copy_only=False)
-    offs = np.asarray(toks.offsets).astype(np.int64)
-    th = hash_tokens(flat) if len(flat) else np.zeros(0, np.uint64)
-
-    n = batch.num_rows
-    out = np.zeros(n, dtype=np.uint64)
-    lens = np.diff(offs)
-    nonempty = lens > 0
-    starts = offs[:-1][nonempty]
-    if len(th) and len(starts):
-        # Per-bit segmented sum (64 O(n_tokens) reduceat passes); rows
-        # with no tokens keep signature 0.
-        for j in range(64):
-            bitvals = (((th >> np.uint64(j)) & np.uint64(1))
-                       .astype(np.int64) * 2 - 1)
-            seg_sum = np.add.reduceat(bitvals, starts)
-            bits = (seg_sum >= 0).astype(np.uint64)
-            col = np.zeros(n, dtype=np.uint64)
-            col[nonempty] = bits
-            out |= col << np.uint64(j)
-    return pa.table({id_col: batch[id_col],
+def simhash_batch(batch: pa.Table) -> pa.Table:
+    """(id, simhash int64): 64-bit SimHash over token hashes — bit j
+    is set where the row's tokens vote it 1 at least as often as 0
+    (one per-row sum of +-1 votes per bit); rows with no tokens keep
+    signature 0."""
+    th, offs = _token_hashes(batch)
+    out = np.zeros(batch.num_rows, dtype=np.uint64)
+    for j in range(64):
+        votes = (((th >> np.uint64(j)) & np.uint64(1))
+                 .astype(np.int64) * 2 - 1)
+        bit = _reduce_rows(np.add, votes, offs, -1) >= 0
+        out |= bit.astype(np.uint64) << np.uint64(j)
+    return pa.table({"doc_id": batch["doc_id"],
                      "simhash": pa.array(out.view(np.int64), pa.int64())})
 
 
@@ -1009,8 +894,7 @@ def _lev1_exact(a_vals, b_vals) -> np.ndarray:
     return out
 
 
-def fuzzy_pairs(ds, col: str, *, max_bucket: int = 512,
-                on_oversized: str = "error"):
+def fuzzy_pairs(ds, col: str):
     """FUZZY SIMILARITY JOIN: all pairs of DISTINCT values of ``col``
     within edit distance 1 (substitution, insertion or deletion) —
     the typo/near-identifier matching operator.  Returns a Dataset of
@@ -1022,16 +906,14 @@ def fuzzy_pairs(ds, col: str, *, max_bucket: int = 512,
     bucket groupby pairs only values sharing a variant, and a
     vectorized exact verifier (codepoint matrices, no per-pair Python)
     removes hash collisions.  Shuffle volume is values x (len+1)
-    hashes, never values^2; ``max_bucket`` caps degenerate buckets the
-    same way the MinHash-LSH path does.
+    hashes, never values^2.
 
-    ``on_oversized`` governs buckets past ``max_bucket`` (ADVICE r3:
-    silently dropping them broke the "all pairs within edit distance
-    1" contract undetected on corpora where many values share a
-    deletion variant).  Default ``"error"`` raises with the bucket
-    size so the break is LOUD; ``"keep"`` verifies oversized buckets
-    exactly anyway (quadratic in the bucket — caller accepts the
-    cost); ``"drop"`` is the old documented approximation."""
+    A bucket past :data:`FUZZY_MAX_BUCKET` values raises with the
+    bucket size (silently dropping such buckets broke the "all pairs
+    within edit distance 1" contract undetected on corpora where many
+    values share a deletion variant), so the break is LOUD."""
+    cap = FUZZY_MAX_BUCKET  # captured here: tasks see this value
+
     def distinct_fold(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"v": g["v"].drop_duplicates()})
 
@@ -1041,9 +923,6 @@ def fuzzy_pairs(ds, col: str, *, max_bucket: int = 512,
         "v", distinct_fold)
 
     def variants(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table({"v": pa.array([], pa.string()),
-                             "h": pa.array([], pa.int64())})
         vals = b["v"]
         if isinstance(vals, pa.ChunkedArray):
             vals = vals.combine_chunks()
@@ -1053,22 +932,14 @@ def fuzzy_pairs(ds, col: str, *, max_bucket: int = 512,
 
     hv = distinct.map_batches(variants, batch_format="pyarrow")
 
-    if on_oversized not in ("error", "keep", "drop"):
-        raise ValueError(f"fuzzy_pairs: on_oversized={on_oversized!r}")
-
     def pairs_in_part(g: pd.DataFrame) -> pd.DataFrame:
-        if max_bucket is not None and on_oversized != "keep":
-            sz = g.groupby("h")["v"].transform("size")
-            over = sz > max_bucket
-            if over.any() and on_oversized == "error":
-                raise ValueError(
-                    "fuzzy_pairs: a deletion-variant bucket holds "
-                    f"{int(sz[over].max())} values (> max_bucket="
-                    f"{max_bucket}); the all-pairs-within-edit-"
-                    "distance-1 contract cannot be met under the cap. "
-                    "Pass on_oversized='keep' (exact, quadratic in "
-                    "the bucket) or 'drop' (approximate).")
-            g = g[~over]
+        sz = g.groupby("h")["v"].transform("size")
+        if (sz > cap).any():
+            raise ValueError(
+                "fuzzy_pairs: a deletion-variant bucket holds "
+                f"{int(sz.max())} values (> FUZZY_MAX_BUCKET={cap}); "
+                "the all-pairs-within-edit-distance-1 contract cannot "
+                "be met under the cap.")
         m = g.merge(g, on="h", suffixes=("_a", "_b"))
         m = m[m["v_a"] < m["v_b"]]
         return m[["v_a", "v_b"]].drop_duplicates()

@@ -356,8 +356,12 @@ def cosine_dup_pairs(ds, threshold: float = 0.4):
 
 def _cosine_dup_pairs_exact(ds, threshold: float):
     import ray
+    import ray.data
 
     full = concat_nonempty(arrow_blocks(ds))
+    if full.num_rows == 0:  # zero rows, or schema-less filtered blocks
+        return ray.data.from_arrow(pa.schema(
+            [("vec_a", pa.int64()), ("vec_b", pa.int64())]).empty_table())
     ref = ray.put((full["vec_id"].to_numpy(zero_copy_only=False),
                    _unit(_matrix(full))))
 

@@ -7,6 +7,15 @@ All vectorized (pyarrow.compute / numpy / pandas-hash) map_batches
 bodies; langid is a stateful actor-pool class (profiles built once per
 actor).
 
+Operators read the ``text`` column (:func:`strip_html`: ``html``) and
+key their answers on ``doc_id``; :func:`quality_score` and
+:func:`token_explode` take those names as parameters, which their
+callers set.  The per-row steps are written once, below the hashing
+helpers: :func:`_windows` lists the length-k windows of each row,
+:func:`_poly` hashes them, :func:`_distinct_per_row` dedupes them per
+row, :func:`_reduce_rows` folds any per-element value per row, and
+:func:`_best_profile` scores rows against language profiles.
+
 Determinism: all hashing uses ``pandas.util.hash_array`` (SipHash with
 a fixed key) — stable across runs, processes and partitionings, unlike
 Python's seeded ``hash``.
@@ -19,7 +28,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .parse import TOKENIZE_SPLIT, tokenize
+from .parse import tokenize
 from .aggregate import fold_agg, partials
 from .join import join_partitions
 from .window import keyed_apply
@@ -27,10 +36,9 @@ from .window import keyed_apply
 STOPWORDS = ("the", "a", "and", "of", "to", "in", "is", "it")
 
 
-def token_stats(batch: pa.Table, text_col: str = "text",
-                id_col: str = "doc_id") -> pa.Table:
+def token_stats(batch: pa.Table) -> pa.Table:
     """(id, n_tokens, n_uniq_tokens) per document."""
-    toks = tokenize(batch[text_col], batch.num_rows)
+    toks = tokenize(batch["text"], batch.num_rows)
     n = pc.cast(pc.list_value_length(toks), pa.int64())
     # distinct count per list: flatten -> (parent, token) -> local groupby
     flat = pc.list_flatten(toks)
@@ -41,14 +49,13 @@ def token_stats(batch: pa.Table, text_col: str = "text",
     counts = np.zeros(batch.num_rows, dtype=np.int64)
     counts[uniq["p"].to_numpy()] = uniq["count_all"].to_numpy()
     return pa.table({
-        id_col: batch[id_col],
+        "doc_id": batch["doc_id"],
         "n_tokens": n,
         "n_uniq_tokens": pa.array(counts, pa.int64()),
     })
 
 
-def repetition_stats(batch: pa.Table, text_col: str = "text",
-                     id_col: str = "doc_id") -> pa.Table:
+def repetition_stats(batch: pa.Table) -> pa.Table:
     """Gopher-style repetition signals per document (the quality gate
     that kills boilerplate/templated text): total bigram count,
     DISTINCT bigram count, and the frequency of the single most
@@ -58,47 +65,28 @@ def repetition_stats(batch: pa.Table, text_col: str = "text",
     oracle results compare bit-for-bit.
 
     Fully vectorized: token SipHashes -> one polynomial combine for
-    every adjacent pair -> per-(row, bigram) run-length counts from a
-    single lexsort.  Bigram identity is its 64-bit hash (the same
-    negligible-collision trade the fingerprint family pins)."""
-    toks = tokenize(batch[text_col], batch.num_rows)
-    flat = pc.list_flatten(toks).to_numpy(zero_copy_only=False)
-    offs = np.asarray(toks.offsets).astype(np.int64)
+    every bigram (the k=2 windows) -> per-(row, bigram) run lengths
+    from :func:`_distinct_per_row`.  Bigram identity is its 64-bit
+    hash (the same negligible-collision trade the fingerprint family
+    pins)."""
     n = batch.num_rows
-    lens = np.diff(offs)
-    counts = np.maximum(lens - 1, 0)
-    total = int(counts.sum())
-    n_distinct = np.zeros(n, np.int64)
+    h, offs = _token_hashes(batch)
+    starts, row, _ = _windows(offs, 2)
+    rows, _, runs = _distinct_per_row(row, _poly(h, 2, _TRIGRAM_B, starts))
     top = np.zeros(n, np.int64)
-    if total:
-        h = hash_tokens(flat)
-        with np.errstate(over="ignore"):
-            acc = h[:-1] * _TRIGRAM_B + h[1:]
-        seg_base = np.repeat(offs[:-1], counts)
-        cum0 = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        intra = np.arange(total, dtype=np.int64) - np.repeat(cum0, counts)
-        bh = acc[seg_base + intra]
-        row = np.repeat(np.arange(n, dtype=np.int64), counts)
-        order = np.lexsort((bh, row))
-        rv, vv = row[order], bh[order]
-        new = np.ones(total, dtype=bool)
-        new[1:] = (vv[1:] != vv[:-1]) | (rv[1:] != rv[:-1])
-        grp_rows = rv[new]
-        grp_counts = np.diff(np.append(np.flatnonzero(new), total))
-        n_distinct = np.bincount(grp_rows, minlength=n)
-        np.maximum.at(top, grp_rows, grp_counts)
+    np.maximum.at(top, rows, runs)
     return pa.table({
-        id_col: batch[id_col],
-        "n_bigrams": pa.array(counts, pa.int64()),
-        "n_distinct_bigrams": pa.array(n_distinct, pa.int64()),
+        "doc_id": batch["doc_id"],
+        "n_bigrams": pa.array(np.bincount(row, minlength=n), pa.int64()),
+        "n_distinct_bigrams": pa.array(np.bincount(rows, minlength=n),
+                                       pa.int64()),
         "top_bigram_n": pa.array(top, pa.int64()),
     })
 
 
-def token_explode(batch: pa.Table, text_col: str = "text",
-                  id_col: str = "doc_id") -> pa.Table:
+def token_explode(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
     """(id, token) — one row per token occurrence (P4 flattened)."""
-    toks = tokenize(batch[text_col], batch.num_rows)
+    toks = tokenize(batch["text"], batch.num_rows)
     parents = pc.list_parent_indices(toks)
     ids = pc.take(batch[id_col].combine_chunks()
                   if isinstance(batch[id_col], pa.ChunkedArray)
@@ -106,9 +94,7 @@ def token_explode(batch: pa.Table, text_col: str = "text",
     return pa.table({id_col: ids, "token": pc.list_flatten(toks)})
 
 
-def chunk_documents(batch: pa.Table, chunk_size: int = 64,
-                    text_col: str = "text",
-                    id_col: str = "doc_id") -> pa.Table:
+def chunk_documents(batch: pa.Table, chunk_size: int = 64) -> pa.Table:
     """Context-window chunking: split each document into consecutive
     ``chunk_size``-token windows (last window may be short; empty docs
     emit nothing).  The pretraining prep step that turns variable-
@@ -122,14 +108,14 @@ def chunk_documents(batch: pa.Table, chunk_size: int = 64,
     per-chunk gather, no Python loop), and ``pc.binary_join`` emits
     the chunk text.  Stateless per batch: at 100 TB this runs as a
     plain map with zero shuffle."""
-    toks = tokenize(batch[text_col], batch.num_rows)
+    toks = tokenize(batch["text"], batch.num_rows)
     offs = np.asarray(toks.offsets, dtype=np.int64)
     n_tok = np.diff(offs)
     n_chunks = -(-n_tok // chunk_size)  # ceil; 0 for empty docs
     total = int(n_chunks.sum())
     if total == 0:
         return pa.table({
-            id_col: pa.array([], batch[id_col].type),
+            "doc_id": pa.array([], batch["doc_id"].type),
             "chunk_idx": pa.array([], pa.int64()),
             "n_tokens": pa.array([], pa.int64()),
             "chunk_text": pa.array([], pa.string()),
@@ -145,10 +131,10 @@ def chunk_documents(batch: pa.Table, chunk_size: int = 64,
     bounds = np.concatenate([start, end[-1:]])
     lists = pa.ListArray.from_arrays(
         pa.array(bounds, pa.int64()).cast(pa.int32()), toks.values)
-    ids = batch[id_col].combine_chunks() if isinstance(
-        batch[id_col], pa.ChunkedArray) else batch[id_col]
+    ids = batch["doc_id"].combine_chunks() if isinstance(
+        batch["doc_id"], pa.ChunkedArray) else batch["doc_id"]
     return pa.table({
-        id_col: pc.take(ids, pa.array(doc_idx)),
+        "doc_id": pc.take(ids, pa.array(doc_idx)),
         "chunk_idx": pa.array(chunk_idx, pa.int64()),
         "n_tokens": pa.array(end - start, pa.int64()),
         "chunk_text": pc.binary_join(lists, " "),
@@ -211,48 +197,95 @@ def hash_strings(arr: pa.Array) -> np.ndarray:
         return hash_tokens(arr.to_numpy(zero_copy_only=False))
 
 
+def _tokens(batch: pa.Table) -> tuple[pa.Array, np.ndarray]:
+    """The batch's flat token array + int64 row offsets."""
+    toks = tokenize(batch["text"], batch.num_rows)
+    return pc.list_flatten(toks), np.asarray(toks.offsets, np.int64)
+
+
+def _token_hashes(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hash_tokens` of the batch's flat tokens + row offsets."""
+    flat, offs = _tokens(batch)
+    return hash_tokens(flat.to_numpy(zero_copy_only=False)), offs
+
+
+# ------------------------------------------------------ per-row kernels
+
+def _windows(offs: np.ndarray, k: int
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every length-``k`` window that lies wholly inside one row of a
+    flat array cut by ``offs`` (len = rows + 1), in flat order, as
+    int64 (flat start, row, position in row).  One O(total) pass — no
+    per-row Python loop."""
+    counts = np.maximum(np.diff(offs) - k + 1, 0)
+    row = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    pos = np.arange(len(row), dtype=np.int64) \
+        - np.repeat(np.cumsum(counts) - counts, counts)
+    return offs[:-1][row] + pos, row, pos
+
+
+def _poly(vals: np.ndarray, k: int, B: np.uint64,
+          starts: np.ndarray) -> np.ndarray:
+    """Order-sensitive polynomial hash of ``vals[s:s+k]`` for each
+    window start ``s``: Horner's rule in uint64, wrapping mod 2^64."""
+    with np.errstate(over="ignore"):
+        acc = vals[starts].astype(np.uint64)
+        for j in range(1, k):
+            acc = acc * B + vals[starts + j]
+    return acc
+
+
+def _distinct_per_row(row: np.ndarray, val: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted distinct values per row: one lexsort on (row, value),
+    then the first of each run of equal pairs, as (row, value, run
+    length)."""
+    order = np.lexsort((val, row))
+    row, val = row[order], val[order]
+    first = np.ones(len(row), dtype=bool)
+    first[1:] = (row[1:] != row[:-1]) | (val[1:] != val[:-1])
+    at = np.flatnonzero(first)
+    return row[at], val[at], np.diff(np.append(at, len(row)))
+
+
+def _row_offsets(row: np.ndarray, n: int) -> np.ndarray:
+    """int64 offsets (len n + 1) of a flat array sorted by ``row``."""
+    return np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n))]) \
+        .astype(np.int64)
+
+
+def _reduce_rows(ufunc, vals: np.ndarray, offs: np.ndarray,
+                 fill) -> np.ndarray:
+    """``ufunc.reduceat`` of ``vals`` per row of ``offs``; a row with
+    no values gets ``fill``.  Only non-empty rows' starts reach
+    reduceat: an empty row's start would cut the previous row's
+    segment short and silently corrupt its value."""
+    lens = np.diff(offs)
+    out = np.full(len(lens), fill, vals.dtype)
+    nonempty = lens > 0
+    if nonempty.any():
+        out[nonempty] = ufunc.reduceat(vals, offs[:-1][nonempty])
+    return out
+
+
 def segmented_window_hashes(vals: np.ndarray, offs: np.ndarray, k: int,
                             B: np.uint64, mod: np.uint64 | None = None,
                             ) -> tuple[np.ndarray, np.ndarray]:
     """DISTINCT k-window polynomial hashes per segment, fully vectorized.
 
-    ``vals`` is a flat uint64 array segmented by ``offs`` (len =
+    ``vals`` is a flat unsigned array segmented by ``offs`` (len =
     n_segments + 1).  For every length-k window that lies wholly inside
-    one segment, hash = order-sensitive polynomial combine of its k
-    values (wrap-mod 2^64, then optionally ``% mod``); per segment the
-    hashes are deduplicated and sorted.  Returns (flat uint64 hashes,
-    int64 offsets).  One O(total) pass — no per-segment Python loop.
-    Shared by token shingling (dedup) and char-trigram langid.
+    one segment, hash = :func:`_poly` of its k values (wrap-mod 2^64,
+    then optionally ``% mod``); per segment the hashes are deduplicated
+    and sorted.  Returns (flat uint64 hashes, int64 offsets).  Shared by
+    token shingling (dedup), n-gram sharing and char-trigram langid.
     """
-    n_seg = len(offs) - 1
-    lens = np.diff(offs)
-    counts = np.maximum(lens - k + 1, 0)
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, np.uint64), np.zeros(n_seg + 1, np.int64)
-    N = len(vals)
-    with np.errstate(over="ignore"):
-        acc_all = vals[: N - k + 1].copy()
-        for j in range(1, k):
-            acc_all = acc_all * B + vals[j: N - k + 1 + j]
-        if mod is not None:
-            acc_all %= mod
-    # Window-start index per (segment, intra-window): offs[s] + intra.
-    seg_base = np.repeat(offs[:-1], counts)
-    cum0 = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    intra = np.arange(total, dtype=np.int64) - np.repeat(cum0, counts)
-    win = acc_all[seg_base + intra]
-    row_id = np.repeat(np.arange(n_seg, dtype=np.int64), counts)
-    # Per-segment sorted-unique: lexsort by (segment, hash), drop
-    # consecutive duplicates within a segment.
-    order = np.lexsort((win, row_id))
-    rv, vv = row_id[order], win[order]
-    keep = np.ones(total, dtype=bool)
-    keep[1:] = (vv[1:] != vv[:-1]) | (rv[1:] != rv[:-1])
-    out_vals, out_rows = vv[keep], rv[keep]
-    out_counts = np.bincount(out_rows, minlength=n_seg)
-    offsets = np.concatenate([[0], np.cumsum(out_counts)])
-    return out_vals, offsets.astype(np.int64)
+    starts, row, _ = _windows(offs, k)
+    win = _poly(vals, k, B, starts)
+    if mod is not None:
+        win %= mod
+    rows, win, _ = _distinct_per_row(row, win)
+    return win, _row_offsets(rows, len(offs) - 1)
 
 
 _TRIGRAM_B = np.uint64(0x9E3779B97F4A7C15)
@@ -313,15 +346,31 @@ def _codepoints_arrow(arr) -> tuple[np.ndarray, np.ndarray]:
     return cp, str_offs
 
 
-def _trigram_set(text: str) -> np.ndarray:
-    """Sorted distinct char-trigram hashes of one string."""
-    cp, offs = _codepoints([text])
-    h, _ = segmented_window_hashes(cp.astype(np.uint64), offs, 3, _TRIGRAM_B)
-    return h
+def _lowered(col) -> pa.Array:
+    """Lowercased text, nulls as ''."""
+    return pc.utf8_lower(pc.coalesce(col, pa.scalar("", pa.string())))
 
 
-def fingerprint(batch: pa.Table, text_col: str = "text",
-                id_col: str = "doc_id") -> pa.Table:
+def _best_profile(grams: np.ndarray, goffs: np.ndarray,
+                  profiles: dict[str, np.ndarray]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``grams`` (cut by ``goffs``): the language whose
+    profile holds most of the row's grams, ties broken in sorted
+    language order, and that count.  One ``np.isin`` and one per-row
+    sum per language — no per-row Python."""
+    langs = sorted(profiles)
+    n = len(goffs) - 1
+    if not langs:
+        return np.full(n, "", dtype=object), np.zeros(n, np.int64)
+    scores = np.stack([
+        _reduce_rows(np.add, np.isin(grams, profiles[ln]).astype(np.int64),
+                     goffs, 0)
+        for ln in langs], axis=1)
+    best = np.argmax(scores, axis=1)  # first max == sorted-order tie
+    return np.array(langs, dtype=object)[best], scores[np.arange(n), best]
+
+
+def fingerprint(batch: pa.Table) -> pa.Table:
     """Rolling polynomial fingerprint of the token stream -> int64.
 
     fp(doc) = sum_i h(tok_i) * B^(n-1-i)  (mod 2^64), B odd constant.
@@ -329,41 +378,21 @@ def fingerprint(batch: pa.Table, text_col: str = "text",
     blocks if ever needed.  Returned as int64 (reinterpreted bits) so
     it round-trips Parquet/SQL engines without unsigned-type trouble.
     """
-    toks = tokenize(batch[text_col], batch.num_rows)
-    flat = pc.list_flatten(toks).to_numpy(zero_copy_only=False)
-    offsets = np.asarray(toks.offsets).astype(np.int64)
-    h = hash_tokens(flat) if len(flat) else np.zeros(0, np.uint64)
-
+    h, offsets = _token_hashes(batch)
     # Horner vectorized: fp = sum h_i * B^(L-1-i) over each segment,
-    # via a precomputed power table + one segmented reduceat.
+    # via a power table (a wrapping uint64 cumprod) + one per-row sum.
     B = np.uint64(0x100000001B3)  # FNV prime, odd
     lens = np.diff(offsets)
     max_len = int(lens.max()) if len(lens) else 0
-    with np.errstate(over="ignore"):
-        powtab = np.ones(max_len + 1, dtype=np.uint64)
-        for k in range(1, max_len + 1):
-            powtab[k] = powtab[k - 1] * B
-        if len(flat):
-            pos = np.arange(len(flat), dtype=np.int64)
-            seg_end = np.repeat(offsets[1:], lens)
-            exp = seg_end - 1 - pos
-            contrib = h * powtab[exp]
-            # reduceat over NON-empty segment starts only: empty
-            # segments contribute no flat elements, so consecutive
-            # non-empty starts are contiguous element ranges.  (Feeding
-            # empty/clamped starts to reduceat shifts the previous
-            # segment's end and silently corrupts its fingerprint.)
-            out = np.zeros(batch.num_rows, dtype=np.uint64)
-            nonempty = lens > 0
-            out[nonempty] = np.add.reduceat(contrib,
-                                            offsets[:-1][nonempty])
-        else:
-            out = np.zeros(batch.num_rows, dtype=np.uint64)
-    return pa.table({id_col: batch[id_col],
+    powtab = np.ones(max_len + 1, dtype=np.uint64)
+    powtab[1:] = np.cumprod(np.full(max_len, B, np.uint64))
+    exp = np.repeat(offsets[1:], lens) - 1 - np.arange(len(h), dtype=np.int64)
+    out = _reduce_rows(np.add, h * powtab[exp], offsets, 0)
+    return pa.table({"doc_id": batch["doc_id"],
                      "fingerprint": pa.array(out.view(np.int64), pa.int64())})
 
 
-def fingerprint_dups(ds, *, text_col: str = "text", id_col: str = "doc_id"):
+def fingerprint_dups(ds):
     """Documents whose token-stream fingerprint collides with another's:
     (doc_id, rep_doc_id = min id of the colliding group) — one row per
     member of every dup group, representatives included.
@@ -374,14 +403,13 @@ def fingerprint_dups(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     groupby(fingerprint) to find dup groups -> hash-shuffle join of the
     (small) dup-group table back to the fingerprint rows — both sides
     partition on the same key, no broadcast of an unbounded set."""
-    fps = ds.map_batches(
-        lambda b: fingerprint(b, text_col, id_col), batch_format="pyarrow")
+    fps = ds.map_batches(fingerprint, batch_format="pyarrow")
 
     def dup_reps(g: pd.DataFrame) -> pd.DataFrame:
         # frame-local group stats (a fingerprint lives in exactly one
         # frame); Ray's Aggregate measures ~44k rows/s here
         out = (g.groupby("fingerprint", sort=False)
-                .agg(rep_doc_id=(id_col, "min"), n=(id_col, "size"))
+                .agg(rep_doc_id=("doc_id", "min"), n=("doc_id", "size"))
                 .reset_index())
         return out.loc[out["n"] > 1, ["fingerprint", "rep_doc_id"]]
 
@@ -392,12 +420,12 @@ def fingerprint_dups(ds, *, text_col: str = "text", id_col: str = "doc_id"):
         # dup-free corpus is a 0-row answer, not a crash.
         import ray.data
 
-        empty = pa.table({id_col: pa.array([], pa.int64()),
+        empty = pa.table({"doc_id": pa.array([], pa.int64()),
                           "rep_doc_id": pa.array([], pa.int64())})
         return ray.data.from_arrow(empty)
     joined = fps.join(dup_groups, "inner", num_partitions=join_partitions(),
                       on=("fingerprint",))
-    return joined.select_columns([id_col, "rep_doc_id"])
+    return joined.select_columns(["doc_id", "rep_doc_id"])
 
 
 # Character-trigram profiles per language, built deterministically from
@@ -415,44 +443,32 @@ _LANG_SEEDS = {
 
 
 class LangId:
-    """Actor-pool language-ID stage: char-trigram hash profiles built
-    once per actor in ``__init__`` (the model-load analog); per-batch
-    scoring is fully vectorized — one segmented trigram-hash pass over
-    the whole batch, then one ``np.isin`` + segmented sum per language
+    """Actor-pool language-ID stage: char-trigram hash profiles of the
+    embedded seeds built once per actor in ``__init__`` (the model-load
+    analog); per-batch scoring is fully vectorized — one segmented
+    trigram-hash pass over the whole batch, then :func:`_best_profile`
     (no per-row Python).  Prediction = argmax distinct-trigram overlap,
     ties broken by sorted language order."""
 
-    def __init__(self, langs: dict[str, str] | None = None):
-        seeds = langs or _LANG_SEEDS
+    def __init__(self):
+        langs = sorted(_LANG_SEEDS)
+        cp, offs = _codepoints([_LANG_SEEDS[ln].lower() for ln in langs])
+        h, hoffs = segmented_window_hashes(cp, offs, 3, _TRIGRAM_B)
         self.profiles: dict[str, np.ndarray] = {
-            lang: _trigram_set(seed.lower()) for lang, seed in seeds.items()
-        }
-        self.langs = sorted(self.profiles)
+            ln: h[hoffs[i]:hoffs[i + 1]] for i, ln in enumerate(langs)}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        lowered = pc.utf8_lower(
-            pc.coalesce(batch["text"], pa.scalar("", pa.string())))
-        cp, offs = _codepoints_arrow(lowered)
-        grams, goffs = segmented_window_hashes(
-            cp.astype(np.uint64), offs, 3, _TRIGRAM_B)
-        n = batch.num_rows
-        lens = np.diff(goffs)
-        nonempty = lens > 0
-        starts = goffs[:-1][nonempty]
-        scores = np.zeros((n, len(self.langs)), dtype=np.int64)
-        if len(grams) and len(starts):
-            for j, lang in enumerate(self.langs):
-                hit = np.isin(grams, self.profiles[lang]).astype(np.int64)
-                scores[nonempty, j] = np.add.reduceat(hit, starts)
-        best = np.argmax(scores, axis=1)  # first max == sorted-order tie
+        cp, offs = _codepoints_arrow(_lowered(batch["text"]))
+        pred, score = _best_profile(
+            *segmented_window_hashes(cp, offs, 3, _TRIGRAM_B), self.profiles)
         return pa.table({
             "doc_id": batch["doc_id"],
-            "pred_lang": pa.array([self.langs[i] for i in best], pa.string()),
-            "score": pa.array(scores[np.arange(n), best], pa.int64()),
+            "pred_lang": pa.array(pred, pa.string()),
+            "score": pa.array(score, pa.int64()),
         })
 
 
-def tf_df(ds, *, text_col: str = "text", id_col: str = "doc_id"):
+def tf_df(ds):
     """Integer-exact IR stats: (doc_id, token, tf, df) — term frequency
     per document and document frequency per token (the TF-IDF
     precursor; the float weighting is a trivial map the consumer
@@ -461,14 +477,11 @@ def tf_df(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     Shape: per-batch (doc, token, tf) partials (a document lives
     wholly in one batch), then shuffle on token — a token's rows
     co-locate, so df is a frame-local distinct count."""
-
-    def explode(b: pa.Table) -> pa.Table:
-        return token_explode(b, text_col, id_col)
-
-    tf = partials(ds, [id_col, "token"], {"tf": ([], "count_all")}, explode)
+    tf = partials(ds, ["doc_id", "token"], {"tf": ([], "count_all")},
+                  token_explode)
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
-        out = g[[id_col, "token", "tf"]].copy()
+        out = g[["doc_id", "token", "tf"]].copy()
         out["tf"] = out["tf"].astype("int64")
         # df = number of (doc, token) rows per token (distinct docs by
         # construction: tf rows are already per-(doc, token))
@@ -479,40 +492,27 @@ def tf_df(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     return keyed_apply(tf, "token", body)
 
 
-def ngram_counts(ds, *, n: int = 2, text_col: str = "text"):
+def ngram_counts(ds, *, n: int = 2):
     """Corpus-wide n-gram frequency table ``(gram, cnt)`` — the
     language-model co-occurrence / collocation primitive (top-k
     bigrams, contamination n-gram banks, PMI inputs).
 
-    Shape: per-batch partial counts — tokens flatten once, every
-    adjacent ``n``-window whose rows share a parent document joins in
-    ONE ``binary_join_element_wise`` call (no Python loop over rows or
-    grams) — then a gram-keyed :func:`keyed_apply` fold, because the
-    gram domain is unbounded (driver folds are reserved for bounded
-    key domains).
+    Shape: per-batch partial counts — tokens flatten once, and the
+    ``n`` tokens of every window inside one document (:func:`_windows`)
+    join element-wise (no Python loop over rows or grams) — then a
+    gram-keyed :func:`keyed_apply` fold, because the gram domain is
+    unbounded (driver folds are reserved for bounded key domains).
     Shuffle volume is the pre-aggregated per-batch distinct grams, not
     the token stream."""
     sep = pa.scalar(" ", pa.string())
 
     def ngrams(b: pa.Table) -> pa.Table:
-        empty = pa.table({"gram": pa.array([], pa.string())})
-        if b.num_rows == 0:
-            return empty
-        toks = tokenize(b[text_col], b.num_rows)
-        flat = pc.list_flatten(toks)
-        if isinstance(flat, pa.ChunkedArray):
-            flat = flat.combine_chunks()
-        m = len(flat)
-        if m < n:
-            return empty
-        par = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-        # windows [i, i+n) staying inside one document: first and last
-        # parent equal (parents are non-decreasing)
-        mask = pa.array(par[: m - (n - 1)] == par[n - 1:])
-        pieces = [flat.slice(i, m - (n - 1)).filter(mask) for i in range(n)]
-        grams = pieces[0]
-        for p in pieces[1:]:
-            grams = pc.binary_join_element_wise(grams, p, sep)
+        flat, offs = _tokens(b)
+        starts, _, _ = _windows(offs, n)
+        grams = flat.take(pa.array(starts))
+        for j in range(1, n):
+            grams = pc.binary_join_element_wise(
+                grams, flat.take(pa.array(starts + j)), sep)
         return pa.table({"gram": grams})
 
     counts = partials(ds, ["gram"], {"cnt": ([], "count_all")}, ngrams)
@@ -532,62 +532,41 @@ def ngram_counts(ds, *, n: int = 2, text_col: str = "text"):
 # fit + predict chain is integer-exact, so a SQL oracle can replay it
 # end-to-end (see d_lang_id_learned).
 
-_GRAM_RADIX = np.int64(1) << 21  # > max Unicode codepoint (0x10FFFF)
+#: Trigram code = c0*R^2 + c1*R + c2 with R = 2^21 > max Unicode code
+#: point (0x10FFFF): injective over Unicode, below 2^63, and integer
+#: order equals UTF-8 lexicographic order (UTF-8 is order-preserving),
+#: so tie-breaks on the code match SQL's binary string collation.
+_GRAM_RADIX = np.uint64(1 << 21)
+
+#: Grams kept per language by :func:`fit_trigram_profiles`.
+PROFILE_GRAMS = 50
 
 
-def _char_trigrams_distinct(arr) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row DISTINCT character-trigram codes + int64 offsets,
-    decoded straight from the Arrow buffers (no ``to_pylist``).
-
-    Code = c0*R^2 + c1*R + c2 with R = 2^21: injective over Unicode,
-    and integer order equals UTF-8 lexicographic order (UTF-8 is
-    order-preserving), so tie-breaks on the code match SQL's binary
-    string collation exactly."""
-    cp, offs = _codepoints_arrow(arr)
-    n = len(offs) - 1
-    cp64 = cp.astype(np.int64)
-    total = len(cp64)
-    if total < 3:
-        return np.zeros(0, np.int64), np.zeros(n + 1, np.int64)
-    w = (cp64[:-2] * (_GRAM_RADIX * _GRAM_RADIX)
-         + cp64[1:-1] * _GRAM_RADIX + cp64[2:])
-    pos = np.arange(total - 2, dtype=np.int64)
-    owner = np.searchsorted(offs, pos, side="right") - 1
-    valid = (pos + 3) <= offs[owner + 1]
-    g, row = w[valid], owner[valid]
-    order = np.lexsort((g, row))
-    g, row = g[order], row[order]
-    if len(g):
-        keep = np.ones(len(g), bool)
-        keep[1:] = (g[1:] != g[:-1]) | (row[1:] != row[:-1])
-        g, row = g[keep], row[keep]
-    counts = np.bincount(row, minlength=n) if len(row) else \
-        np.zeros(n, np.int64)
-    goffs = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    return g, goffs
+def _trigram_codes(col) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row DISTINCT character-trigram codes (int64) + offsets,
+    decoded straight from the Arrow buffers (no ``to_pylist``)."""
+    g, goffs = segmented_window_hashes(*_codepoints_arrow(col), 3,
+                                       _GRAM_RADIX)
+    return g.view(np.int64), goffs
 
 
-def fit_trigram_profiles(ds, *, text_col: str = "text",
-                         lang_col: str = "lang", k: int = 50,
-                         ) -> dict[str, np.ndarray]:
-    """LEARN language profiles from labeled data: per-(lang, gram)
-    DOCUMENT frequency via map-side distinct-gram partials folded
+def fit_trigram_profiles(ds) -> dict[str, np.ndarray]:
+    """LEARN language profiles from labeled data (``lang``): per-(lang,
+    gram) DOCUMENT frequency via map-side distinct-gram partials folded
     driver-side (bounded: |langs| x distinct grams in the corpus),
-    then the top-``k`` grams per language (df DESC, gram ASC — the
-    collation-parity tie-break).  Returns lang -> sorted gram codes.
+    then the top :data:`PROFILE_GRAMS` grams per language (df DESC,
+    gram ASC — the collation-parity tie-break).  Returns lang ->
+    sorted gram codes.
 
     Scale: the fold is the only cross-node traffic and it moves
     (lang, gram, partial-df) rows, never text; at an unbounded gram
     domain switch the fold to a gram-hash partition (the tf_df
     shape)."""
-    import ray
-
     def grams(b: pa.Table) -> pa.Table:
-        g, goffs = _char_trigrams_distinct(b[text_col])
-        counts = np.diff(goffs)
-        langs = b[lang_col].to_numpy(zero_copy_only=False)
+        g, goffs = _trigram_codes(b["text"])
+        langs = b["lang"].to_numpy(zero_copy_only=False)
         return pa.table({
-            "lang": pa.array(np.repeat(langs, counts)),
+            "lang": pa.array(np.repeat(langs, np.diff(goffs))),
             "gram": pa.array(g, pa.int64()),
         })
 
@@ -600,77 +579,36 @@ def fit_trigram_profiles(ds, *, text_col: str = "text",
     profiles: dict[str, np.ndarray] = {}
     for lang, grp in df.groupby("lang", sort=True):
         top = grp.sort_values(["df", "gram"],
-                              ascending=[False, True]).head(k)
+                              ascending=[False, True]).head(PROFILE_GRAMS)
         profiles[str(lang)] = np.sort(top["gram"].to_numpy())
     return profiles
 
 
-def predict_lang_learned(ds, profiles: dict[str, np.ndarray], *,
-                         text_col: str = "text", id_col: str = "doc_id"):
-    """Score every document against the LEARNED profiles: distinct
-    trigram codes per doc, one ``np.isin`` + segmented sum per
-    language, argmax with sorted-language tie-break; documents with
-    zero overlap against every profile predict '' (no evidence beats a
-    wrong guess).  Profiles broadcast once via ``ray.put``."""
+def learned_lang(col, profiles: dict[str, np.ndarray]) -> pa.Array:
+    """Predicted language per row of a text column under LEARNED
+    profiles (sorted int64 trigram codes): :func:`_best_profile` over
+    the rows' distinct trigram codes; rows with zero overlap against
+    every profile predict '' (no evidence beats a wrong guess)."""
+    pred, score = _best_profile(*_trigram_codes(col), profiles)
+    pred[score == 0] = ""
+    return pa.array(pred, pa.string())
+
+
+def predict_lang_learned(ds, profiles: dict[str, np.ndarray]):
+    """Score every document against the LEARNED profiles
+    (:func:`learned_lang`).  Profiles broadcast once via ``ray.put``."""
     import ray
 
-    langs = sorted(profiles)
-    if not langs:
-        return ds.map_batches(
-            lambda b: pa.table({
-                id_col: b[id_col],
-                "pred_lang": pa.array([""] * b.num_rows, pa.string())}),
-            batch_format="pyarrow")
-    pref = ray.put({ln: np.sort(np.asarray(profiles[ln], np.int64))
-                    for ln in langs})
-
-    def body(b: pa.Table) -> pa.Table:
-        profs = ray.get(pref)
-        g, goffs = _char_trigrams_distinct(b[text_col])
-        n = b.num_rows
-        lens = np.diff(goffs)
-        nonempty = lens > 0
-        starts = goffs[:-1][nonempty]
-        scores = np.zeros((n, len(langs)), np.int64)
-        if len(g) and len(starts):
-            for j, ln in enumerate(langs):
-                hit = np.isin(g, profs[ln]).astype(np.int64)
-                scores[nonempty, j] = np.add.reduceat(hit, starts)
-        best = np.argmax(scores, axis=1)  # first max == sorted-lang tie
-        pred = np.array(langs, dtype=object)[best]
-        pred[scores.max(axis=1) == 0] = ""
-        return pa.table({
-            id_col: b[id_col],
-            "pred_lang": pa.array(list(pred), pa.string()),
-        })
-
-    return ds.map_batches(body, batch_format="pyarrow")
+    pref = ray.put({ln: np.sort(np.asarray(p, np.int64))
+                    for ln, p in profiles.items()})
+    return ds.map_batches(
+        lambda b: pa.table({"doc_id": b["doc_id"],
+                            "pred_lang": learned_lang(b["text"],
+                                                      ray.get(pref))}),
+        batch_format="pyarrow")
 
 
-def _char_trigrams_all(arr) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row character-trigram codes WITH multiplicity (every
-    position, in order) + int64 row offsets — the with-duplicates
-    sibling of :func:`_char_trigrams_distinct`, same code encoding."""
-    cp, offs = _codepoints_arrow(arr)
-    n = len(offs) - 1
-    cp64 = cp.astype(np.int64)
-    total = len(cp64)
-    if total < 3:
-        return np.zeros(0, np.int64), np.zeros(n + 1, np.int64)
-    w = (cp64[:-2] * (_GRAM_RADIX * _GRAM_RADIX)
-         + cp64[1:-1] * _GRAM_RADIX + cp64[2:])
-    pos = np.arange(total - 2, dtype=np.int64)
-    owner = np.searchsorted(offs, pos, side="right") - 1
-    valid = (pos + 3) <= offs[owner + 1]
-    g, row = w[valid], owner[valid]
-    counts = np.bincount(row, minlength=n) if len(row) else \
-        np.zeros(n, np.int64)
-    goffs = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    return g, goffs
-
-
-def fit_background_trigrams(ds, *, text_col: str = "text",
-                            k: int = 200) -> np.ndarray:
+def fit_background_trigrams(ds, *, k: int = 200) -> np.ndarray:
     """LEARN a single background language-model profile: the top-``k``
     lowercase character trigrams by corpus DOCUMENT frequency (df DESC,
     gram ASC — the collation-parity tie-break), as sorted int64 codes.
@@ -681,9 +619,7 @@ def fit_background_trigrams(ds, *, text_col: str = "text",
     unbounded gram domain switch the fold to a gram-hash partition —
     the tf_df shape)."""
     def grams(b: pa.Table) -> pa.Table:
-        lowered = pc.utf8_lower(
-            pc.coalesce(b[text_col], pa.scalar("", pa.string())))
-        g, goffs = _char_trigrams_distinct(lowered)
+        g, _ = _trigram_codes(_lowered(b["text"]))
         return pa.table({"gram": pa.array(g, pa.int64())})
 
     folded = fold_agg(
@@ -696,8 +632,7 @@ def fit_background_trigrams(ds, *, text_col: str = "text",
     return np.sort(top["gram"].to_numpy().astype(np.int64))
 
 
-def trigram_coverage(ds, profile: np.ndarray, *, text_col: str = "text",
-                     id_col: str = "doc_id"):
+def trigram_coverage(ds, profile: np.ndarray):
     """Score every document under the background profile: the share of
     its lowercase trigram POSITIONS (with multiplicity) whose gram is
     in the profile — the cheap stand-in for LM perplexity that a
@@ -709,22 +644,18 @@ def trigram_coverage(ds, profile: np.ndarray, *, text_col: str = "text",
     pref = ray.put(np.sort(np.asarray(profile, np.int64)))
 
     def body(b: pa.Table) -> pa.Table:
-        prof = ray.get(pref)
-        lowered = pc.utf8_lower(
-            pc.coalesce(b[text_col], pa.scalar("", pa.string())))
-        g, goffs = _char_trigrams_all(lowered)
+        cp, offs = _codepoints_arrow(_lowered(b["text"]))
+        starts, row, _ = _windows(offs, 3)
+        g = _poly(cp, 3, _GRAM_RADIX, starts).view(np.int64)
+        goffs = _row_offsets(row, b.num_rows)
         lens = np.diff(goffs)
-        hits = np.zeros(b.num_rows, np.int64)
-        nonempty = lens > 0
-        starts = goffs[:-1][nonempty]
-        if len(g) and len(starts):
-            hit = np.isin(g, prof).astype(np.int64)
-            hits[nonempty] = np.add.reduceat(hit, starts)
+        hits = _reduce_rows(
+            np.add, np.isin(g, ray.get(pref)).astype(np.int64), goffs, 0)
         score = np.divide(hits, lens, out=np.zeros(len(lens), np.float64),
                           where=lens > 0)
         return pa.table({
-            id_col: b[id_col],
-            "n_grams": pa.array(lens.astype(np.int64)),
+            "doc_id": b["doc_id"],
+            "n_grams": pa.array(lens),
             "n_hits": pa.array(hits),
             "lm_score": pa.array(score, pa.float64()),
         })
@@ -732,8 +663,7 @@ def trigram_coverage(ds, profile: np.ndarray, *, text_col: str = "text",
     return ds.map_batches(body, batch_format="pyarrow")
 
 
-def cross_doc_ngram_share(ds, *, n: int = 5, text_col: str = "text",
-                          id_col: str = "doc_id"):
+def cross_doc_ngram_share(ds, *, n: int = 5):
     """Per-document CROSS-document duplication rate: the share of a
     document's DISTINCT word ``n``-grams that also occur in at least
     one OTHER document — the substring-level contamination/boilerplate
@@ -755,22 +685,12 @@ def cross_doc_ngram_share(ds, *, n: int = 5, text_col: str = "text",
     n_dup, dup_share)."""
 
     def gram_partial(b: pa.Table) -> pa.Table:
-        empty = pa.table({id_col: pa.array([], b[id_col].type),
-                          "gram": pa.array([], pa.uint64())})
-        if b.num_rows == 0:
-            return empty
-        toks = tokenize(b[text_col], b.num_rows)
-        flat = pc.list_flatten(toks)
-        if isinstance(flat, pa.ChunkedArray):
-            flat = flat.combine_chunks()
-        if len(flat) < n:
-            return empty
-        hv = hash_strings(flat)
-        offs = np.asarray(toks.offsets, np.int64)
-        win, woffs = segmented_window_hashes(hv, offs, n, _TRIGRAM_B)
+        flat, offs = _tokens(b)
+        win, woffs = segmented_window_hashes(hash_strings(flat), offs, n,
+                                             _TRIGRAM_B)
         owners = np.repeat(np.arange(b.num_rows, dtype=np.int64),
                            np.diff(woffs))
-        return pa.table({id_col: pc.take(b[id_col], pa.array(owners)),
+        return pa.table({"doc_id": pc.take(b["doc_id"], pa.array(owners)),
                          "gram": pa.array(win)})
 
     grams = ds.map_batches(gram_partial, batch_format="pyarrow")
@@ -779,20 +699,20 @@ def cross_doc_ngram_share(ds, *, n: int = 5, text_col: str = "text",
         df_size = g.groupby("gram")["gram"].transform("size")
         out = (g.assign(_dup=(df_size > 1).astype("int64"),
                         _one=np.ones(len(g), np.int64))
-               .groupby(id_col, as_index=False)
+               .groupby("doc_id", as_index=False)
                .agg(gp=("_one", "sum"), dp=("_dup", "sum")))
         return out
 
     per_part = keyed_apply(grams, "gram", gram_fold)
     base = ds.map_batches(
         lambda b: pa.table({
-            id_col: b[id_col],
+            "doc_id": b["doc_id"],
             "gp": pa.array(np.zeros(b.num_rows, np.int64)),
             "dp": pa.array(np.zeros(b.num_rows, np.int64))}),
         batch_format="pyarrow")
 
     def doc_fold(g: pd.DataFrame) -> pd.DataFrame:
-        out = (g.groupby(id_col, as_index=False)
+        out = (g.groupby("doc_id", as_index=False)
                .agg(n_grams=("gp", "sum"), n_dup=("dp", "sum")))
         ng = out["n_grams"].to_numpy().astype(np.int64)
         nd = out["n_dup"].to_numpy().astype(np.int64)
@@ -802,11 +722,10 @@ def cross_doc_ngram_share(ds, *, n: int = 5, text_col: str = "text",
             nd, ng, out=np.zeros(len(ng), np.float64), where=ng > 0)
         return out
 
-    return keyed_apply(per_part.union(base), id_col, doc_fold)
+    return keyed_apply(per_part.union(base), "doc_id", doc_fold)
 
 
-def dup_span_mask(ds, *, n: int = 5, text_col: str = "text",
-                  id_col: str = "doc_id"):
+def dup_span_mask(ds, *, n: int = 5):
     """Cross-document duplicated-SPAN removal — the APPLY step of
     exact substring dedup (Lee et al., "Deduplicating Training Data
     Makes Language Models Better", ACL'22): every token position
@@ -816,9 +735,9 @@ def dup_span_mask(ds, *, n: int = 5, text_col: str = "text",
     SCORES the duplication).
 
     Grams travel through the gram-keyed exchange as uint64 ROLLING
-    HASHES (per-token :func:`hash_strings` values combined by the same
-    order-sensitive polynomial as :func:`segmented_window_hashes`),
-    NOT literal strings — shuffle volume is 8 bytes/window instead of
+    HASHES (per-token :func:`hash_strings` values combined by
+    :func:`_poly`, the law of :func:`segmented_window_hashes`), NOT
+    literal strings — shuffle volume is 8 bytes/window instead of
     ~n x the corpus text bytes, which is what makes this exchange
     survivable at 100 TB.  The SQL oracle replays the literal-gram
     rule; a divergence needs two DIFFERENT n-grams colliding on 64
@@ -841,80 +760,56 @@ def dup_span_mask(ds, *, n: int = 5, text_col: str = "text",
 
     Output: (doc_id, n_tokens, n_masked, clean_text) for EVERY doc.
     """
-    import pandas as pd
-
-    B = _TRIGRAM_B
 
     def occ_partial(b: pa.Table) -> pa.Table:
-        empty = pa.table({id_col: pa.array([], pa.int64()),
-                          "gram": pa.array([], pa.uint64()),
-                          "pos": pa.array([], pa.int64())})
-        if b.num_rows == 0:
-            return empty
-        toks = tokenize(b[text_col], b.num_rows)
-        flat = pc.list_flatten(toks)
-        if isinstance(flat, pa.ChunkedArray):
-            flat = flat.combine_chunks()
-        m = len(flat)
-        if m < n:
-            return empty
-        par = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
-        mask_np = par[: m - (n - 1)] == par[n - 1:]
-        hv = hash_strings(flat)
-        with np.errstate(over="ignore"):
-            acc = hv[: m - (n - 1)].copy()
-            for j in range(1, n):
-                acc = acc * B + hv[j: m - (n - 1) + j]
-        owners = par[: m - (n - 1)][mask_np]
-        # window start relative to the doc's first flat token (par is
-        # nondecreasing, so searchsorted finds each doc's base index)
-        pos = np.flatnonzero(mask_np) - np.searchsorted(par, owners,
-                                                        side="left")
+        flat, offs = _tokens(b)
+        starts, row, pos = _windows(offs, n)
         return pa.table({
-            id_col: pc.take(b[id_col], pa.array(owners)),
-            "gram": pa.array(acc[mask_np]),
-            "pos": pa.array(pos.astype(np.int64)),
+            "doc_id": pc.take(b["doc_id"], pa.array(row)),
+            "gram": pa.array(_poly(hash_strings(flat), n, _TRIGRAM_B,
+                                   starts)),
+            "pos": pa.array(pos),
         })
 
     occurrences = ds.map_batches(occ_partial, batch_format="pyarrow")
 
     def gram_keep(g: pd.DataFrame) -> pd.DataFrame:
-        shared = g.groupby("gram")[id_col].transform("nunique") > 1
-        out = g.loc[shared, [id_col, "pos"]]
-        return pd.DataFrame({id_col: out[id_col].to_numpy(np.int64),
+        shared = g.groupby("gram")["doc_id"].transform("nunique") > 1
+        out = g.loc[shared, ["doc_id", "pos"]]
+        return pd.DataFrame({"doc_id": out["doc_id"].to_numpy(np.int64),
                              "pos": out["pos"].to_numpy(np.int64)})
 
     masks = keyed_apply(occurrences, "gram", gram_keep)
     mask_rows = masks.map_batches(
         lambda b: pa.table({
-            id_col: b[id_col],
-            text_col: pa.array([""] * b.num_rows, pa.string()),
+            "doc_id": b["doc_id"],
+            "text": pa.array([""] * b.num_rows, pa.string()),
             "pos": b["pos"]}),
         batch_format="pyarrow")
     text_rows = ds.map_batches(
         lambda b: pa.table({
-            id_col: b[id_col],
-            text_col: b[text_col],
+            "doc_id": b["doc_id"],
+            "text": b["text"],
             "pos": pa.array(np.full(b.num_rows, -1, np.int64))}),
         batch_format="pyarrow")
 
     def rebuild(g: pd.DataFrame) -> pd.DataFrame:
         is_text = g["pos"].to_numpy() == -1
-        docs = g.loc[is_text, [id_col, text_col]] \
-            .sort_values(id_col, kind="mergesort")
-        dids = docs[id_col].to_numpy(np.int64)
+        docs = g.loc[is_text, ["doc_id", "text"]] \
+            .sort_values("doc_id", kind="mergesort")
+        dids = docs["doc_id"].to_numpy(np.int64)
         if len(dids) == 0:
-            return pd.DataFrame({id_col: dids,
+            return pd.DataFrame({"doc_id": dids,
                                  "n_tokens": np.zeros(0, np.int64),
                                  "n_masked": np.zeros(0, np.int64),
                                  "clean_text": []})
-        toks = tokenize(pa.array(docs[text_col], pa.string(),
+        toks = tokenize(pa.array(docs["text"], pa.string(),
                                  from_pandas=True), len(docs))
         offs = np.asarray(toks.offsets, np.int64)
         total = int(offs[-1])
         nt = np.diff(offs)
         mrows = g.loc[~is_text]
-        mdid = mrows[id_col].to_numpy(np.int64)
+        mdid = mrows["doc_id"].to_numpy(np.int64)
         mpos = mrows["pos"].to_numpy(np.int64)
         # Interval union over the FLAT token array: one diff pass for
         # every mask in the frame (no per-document Python loop).
@@ -934,15 +829,14 @@ def dup_span_mask(ds, *, n: int = 5, text_col: str = "text",
         lists = pa.ListArray.from_arrays(
             pa.array(cum[offs], pa.int64()).cast(pa.int32()), kept_vals)
         clean = pc.binary_join(lists, " ")
-        return pd.DataFrame({id_col: dids, "n_tokens": nt,
+        return pd.DataFrame({"doc_id": dids, "n_tokens": nt,
                              "n_masked": nt - kept_per_doc,
                              "clean_text": clean.to_pandas()})
 
-    return keyed_apply(text_rows.union(mask_rows), id_col, rebuild)
+    return keyed_apply(text_rows.union(mask_rows), "doc_id", rebuild)
 
 
-def longest_shared_span(ds, *, max_len: int = 16, text_col: str = "text",
-                        id_col: str = "doc_id"):
+def longest_shared_span(ds, *, max_len: int = 16):
     """Per-document VARIABLE-LENGTH duplicate-span measure: the length
     (in tokens) of the longest token span that also occurs verbatim in
     at least one OTHER document, capped at ``max_len`` (0 = no shared
@@ -966,43 +860,35 @@ def longest_shared_span(ds, *, max_len: int = 16, text_col: str = "text",
 
     Output: (doc_id, max_shared_len) for EVERY doc.
     """
-    import pandas as pd
 
     def occ_partial(b: pa.Table) -> pa.Table:
-        empty = pa.table({id_col: pa.array([], pa.int64()),
-                          "n": pa.array([], pa.int64()),
-                          "gram": pa.array([], pa.uint64())})
-        if b.num_rows == 0:
-            return empty
-        toks = tokenize(b[text_col], b.num_rows)
-        flat = pc.list_flatten(toks)
-        if isinstance(flat, pa.ChunkedArray):
-            flat = flat.combine_chunks()
-        if len(flat) == 0:
-            return empty
+        flat, offs = _tokens(b)
         hv = hash_strings(flat)
-        offs = np.asarray(toks.offsets, np.int64)
-        ids_np = b[id_col].to_numpy(zero_copy_only=False)
+        ids = b["doc_id"].to_numpy(zero_copy_only=False)
         parts = []
         for n in range(1, max_len + 1):
             win, woffs = segmented_window_hashes(hv, offs, n, _TRIGRAM_B)
             if not len(win):
                 break
-            owners = np.repeat(ids_np, np.diff(woffs))
             parts.append(pa.table({
-                id_col: pa.array(owners.astype(np.int64)),
+                "doc_id": pa.array(np.repeat(ids, np.diff(woffs))
+                                   .astype(np.int64)),
                 "n": pa.array(np.full(len(win), n, np.int64)),
                 "gram": pa.array(win)}))
-        return pa.concat_tables(parts) if parts else empty
+        if not parts:
+            return pa.table({"doc_id": pa.array([], pa.int64()),
+                             "n": pa.array([], pa.int64()),
+                             "gram": pa.array([], pa.uint64())})
+        return pa.concat_tables(parts)
 
     occurrences = ds.map_batches(occ_partial, batch_format="pyarrow")
 
     def gram_fold(g: pd.DataFrame) -> pd.DataFrame:
         # per (n, gram) sharedness is frame-locally exact; rows
         # are already distinct per doc, so size == distinct docs
-        shared = g.groupby(["n", "gram"])[id_col].transform("size") > 1
-        hit = g.loc[shared, [id_col, "n"]]
-        out = (hit.groupby(id_col, as_index=False)
+        shared = g.groupby(["n", "gram"])["doc_id"].transform("size") > 1
+        hit = g.loc[shared, ["doc_id", "n"]]
+        out = (hit.groupby("doc_id", as_index=False)
                .agg(max_shared_len=("n", "max")))
         out["max_shared_len"] = out["max_shared_len"].astype(np.int64)
         return out
@@ -1010,21 +896,20 @@ def longest_shared_span(ds, *, max_len: int = 16, text_col: str = "text",
     per_part = keyed_apply(occurrences, "gram", gram_fold)
     base = ds.map_batches(
         lambda b: pa.table({
-            id_col: b[id_col],
+            "doc_id": b["doc_id"],
             "max_shared_len": pa.array(np.zeros(b.num_rows, np.int64))}),
         batch_format="pyarrow")
 
     def doc_fold(g: pd.DataFrame) -> pd.DataFrame:
-        out = (g.groupby(id_col, as_index=False)
+        out = (g.groupby("doc_id", as_index=False)
                .agg(max_shared_len=("max_shared_len", "max")))
         out["max_shared_len"] = out["max_shared_len"].astype(np.int64)
         return out
 
-    return keyed_apply(per_part.union(base), id_col, doc_fold)
+    return keyed_apply(per_part.union(base), "doc_id", doc_fold)
 
 
-def wrap_html_batch(batch: pa.Table, text_col: str = "text",
-                    id_col: str = "doc_id") -> pa.Table:
+def wrap_html_batch(batch: pa.Table) -> pa.Table:
     """Deterministic single-line HTML page per document — the
     web-crawl fixture for :func:`strip_html` (the mm_* synthetic-
     payload pattern applied to markup).  The payload text is
@@ -1032,8 +917,8 @@ def wrap_html_batch(batch: pa.Table, text_col: str = "text",
     round-trips exactly even when documents contain markup
     characters; boilerplate (title, style, nav, script, footer)
     varies with doc_id so a leak is id-dependent and hash-visible."""
-    ids = batch[id_col].to_numpy(zero_copy_only=False)
-    esc = pc.replace_substring(batch[text_col], "&", "&amp;")
+    ids = batch["doc_id"].to_numpy(zero_copy_only=False)
+    esc = pc.replace_substring(batch["text"], "&", "&amp;")
     esc = pc.replace_substring(esc, "<", "&lt;")
     esc = pc.replace_substring(esc, ">", "&gt;")
     body = esc.to_numpy(zero_copy_only=False).astype(object)
@@ -1045,7 +930,7 @@ def wrap_html_batch(batch: pa.Table, text_col: str = "text",
         f'<script>track({i});</script></div>'
         f'<footer>(c) site {i % 11}</footer></body></html>'
         for i, t in zip(ids, body)], dtype=object)
-    return pa.table({id_col: batch[id_col],
+    return pa.table({"doc_id": batch["doc_id"],
                      "html": pa.array(html, pa.string())})
 
 
@@ -1055,16 +940,15 @@ def wrap_html_batch(batch: pa.Table, text_col: str = "text",
 _HTML_BOILER = ("script", "style", "nav", "footer", "title")
 
 
-def strip_html(batch: pa.Table, html_col: str = "html",
-               id_col: str = "doc_id") -> pa.Table:
+def strip_html(batch: pa.Table) -> pa.Table:
     """Boilerplate removal + tag strip + entity unescape + whitespace
-    normalization — the web-corpus cleaning step every crawl pipeline
-    runs before quality scoring.  Fully vectorized (six RE2 passes +
-    three substring passes per batch, no Python row loop) and
-    embarrassingly parallel: at 100 TB this is a pure map with zero
-    shuffle.  Unescape order (&lt;/&gt; before &amp;) makes the
-    :func:`wrap_html_batch` round-trip exact."""
-    s = batch[html_col]
+    normalization of the ``html`` column — the web-corpus cleaning
+    step every crawl pipeline runs before quality scoring.  Fully
+    vectorized (six RE2 passes + three substring passes per batch, no
+    Python row loop) and embarrassingly parallel: at 100 TB this is a
+    pure map with zero shuffle.  Unescape order (&lt;/&gt; before
+    &amp;) makes the :func:`wrap_html_batch` round-trip exact."""
+    s = batch["html"]
     for el in _HTML_BOILER:
         s = pc.replace_substring_regex(
             s, f"<{el}\\b[^>]*>.*?</{el}>", " ")
@@ -1078,26 +962,27 @@ def strip_html(batch: pa.Table, html_col: str = "html",
     s = pc.replace_substring_regex(
         pc.replace_substring_regex(s, "\\s+", " "),
         "^ | $", "")
-    return pa.table({id_col: batch[id_col], "clean_text": s,
+    return pa.table({"doc_id": batch["doc_id"], "clean_text": s,
                      "clean_len": pc.cast(pc.utf8_length(s),
                                           pa.int64())})
 
 
 # ------------------------------------------------ winnowing fingerprints
 
-#: Winnowing hash law (shared with the SQL oracle): token id = 1-based
-#: rank in the sorted corpus vocabulary, k-gram hash = left-fold
-#: ``h <- (h * WINNOW_B + id) % WINNOW_M``.  WINNOW_M = 2^31 - 1 keeps
-#: every intermediate < 2^51 (exact in int64 AND in DuckDB BIGINT);
+#: Winnowing law (shared with the SQL oracle): token id = 1-based
+#: rank in the sorted corpus vocabulary, k-gram hash (k = WINNOW_K
+#: tokens) = left-fold ``h <- (h * WINNOW_B + id) % WINNOW_M``, one
+#: pick per window of WINNOW_W grams.  WINNOW_M = 2^31 - 1 keeps every
+#: intermediate < 2^51 (exact in int64 AND in DuckDB BIGINT);
 #: collisions at 2^31 are harmless for oracle equality because BOTH
 #: sides apply the identical law.
 WINNOW_B = 1_000_003
 WINNOW_M = (1 << 31) - 1
+WINNOW_K = 4
+WINNOW_W = 5
 
 
-def winnow_stats(batch: pa.Table, vocab: np.ndarray, *, k: int = 4,
-                 w: int = 5, text_col: str = "text",
-                 id_col: str = "doc_id") -> pa.Table:
+def winnow_stats(batch: pa.Table, vocab: np.ndarray) -> pa.Table:
     """Per-document WINNOWING fingerprint selection (Schleimer,
     Wilkerson & Aiken 2003 — the MOSS local document fingerprint):
     hash every k-token gram, slide a w-gram window, and select each
@@ -1110,40 +995,28 @@ def winnow_stats(batch: pa.Table, vocab: np.ndarray, *, k: int = 4,
     Fully vectorized, zero shuffle: one tokenize pass, token ids by
     ``np.searchsorted`` against the broadcast sorted vocab (rank law =
     the oracle's ``row_number() OVER (ORDER BY token)``), the k-fold
-    polynomial over the flat id array, then the w-window minimum as a
-    chain of w shifted ``np.minimum`` slices over a combined
+    law over each window of :func:`_windows`, then the w-window minimum
+    as a chain of w shifted ``np.minimum`` slices over a combined
     ``h * 2^31 + (2^31-1-pos)`` key (min => min hash, rightmost pos).
     Documents with fewer than k tokens emit nothing; documents with
-    1..w-1 grams form a single window (grouped ``minimum.reduceat``).
+    1..w-1 grams form a single window (their per-row minimum).
     """
-    toks = tokenize(batch[text_col], batch.num_rows)
-    offs = np.asarray(toks.offsets, dtype=np.int64)
-    flat = pc.list_flatten(toks).to_numpy(zero_copy_only=False)
-    ids = (np.searchsorted(vocab, flat.astype(str)) + 1).astype(np.int64)
-
-    lens = np.diff(offs)
-    G = np.maximum(lens - k + 1, 0)
-    total = int(G.sum())
-    empty = pa.table({id_col: pa.array([], pa.int64()),
-                      "n_grams": pa.array([], pa.int64()),
-                      "n_select": pa.array([], pa.int64()),
-                      "fp_sum": pa.array([], pa.int64())})
+    k, w = WINNOW_K, WINNOW_W
+    flat, offs = _tokens(batch)
+    ids = (np.searchsorted(vocab, flat.to_numpy(zero_copy_only=False)
+                           .astype(str)) + 1).astype(np.int64)
+    starts, gram_doc, intra = _windows(offs, k)
+    total = len(starts)
     if total == 0:
-        return empty
-
-    # k-gram polynomial at every flat start (cross-doc starts are
-    # computed then discarded by the compaction below — branch-free).
-    N = len(ids)
-    acc = ids[: N - k + 1].copy()
+        return pa.table({"doc_id": pa.array([], pa.int64()),
+                         "n_grams": pa.array([], pa.int64()),
+                         "n_select": pa.array([], pa.int64()),
+                         "fp_sum": pa.array([], pa.int64())})
+    h = ids[starts]
     for j in range(1, k):
-        acc = (acc * WINNOW_B + ids[j: N - k + 1 + j]) % WINNOW_M
-
-    # Compact to per-doc gram arrays (in position order).
-    seg_base = np.repeat(offs[:-1], G)
-    cum0 = np.concatenate([[0], np.cumsum(G)[:-1]])
-    intra = np.arange(total, dtype=np.int64) - np.repeat(cum0, G)
-    h = acc[seg_base + intra]
-    gram_doc = np.repeat(np.arange(len(G), dtype=np.int64), G)
+        h = (h * WINNOW_B + ids[starts + j]) % WINNOW_M
+    goffs = _row_offsets(gram_doc, batch.num_rows)
+    G = np.diff(goffs)
 
     # Combined key: min over it = (min hash, rightmost position).
     HALF = np.int64(1) << 31
@@ -1156,35 +1029,19 @@ def winnow_stats(batch: pa.Table, vocab: np.ndarray, *, k: int = 4,
         kw = key[: total - w + 1].copy()
         for j in range(1, w):
             np.minimum(kw, key[j: total - w + 1 + j], out=kw)
-        full = intra[: total - w + 1] <= (
-            np.repeat(G, G)[: total - w + 1] - w)
+        full = intra[: total - w + 1] <= G[gram_doc[: total - w + 1]] - w
         sel_doc_parts.append(gram_doc[: total - w + 1][full])
         sel_key_parts.append(kw[full])
     # Short docs (0 < G < w): single window over all their grams.
     short = (G > 0) & (G < w)
     if short.any():
-        starts = cum0[short]
-        ends = starts + G[short]
-        # reduceat over explicit [start, end) pairs (a bare `starts`
-        # index list would reduce each segment to the END of the flat
-        # array, bleeding into the next doc's grams); the sentinel
-        # pad keeps `end == total` a legal index.
-        keyp = np.append(key, np.int64(1) << 62)
-        bounds = np.column_stack([starts, ends]).ravel()
-        gmin = np.minimum.reduceat(keyp, bounds)[::2]
         sel_doc_parts.append(np.flatnonzero(short).astype(np.int64))
-        sel_key_parts.append(gmin)
+        sel_key_parts.append(_reduce_rows(np.minimum, key, goffs, 0)[short])
 
-    sd = np.concatenate(sel_doc_parts)
-    sk = np.concatenate(sel_key_parts)
-    # Distinct (doc, selected position): consecutive-dup drop after a
-    # (doc, key) lexsort — same keys <=> same position (pos is IN the
-    # key, so distinct keys per doc = distinct positions per doc).
-    o = np.lexsort((sk, sd))
-    sd, sk = sd[o], sk[o]
-    keep = np.ones(len(sd), dtype=bool)
-    keep[1:] = (sd[1:] != sd[:-1]) | (sk[1:] != sk[:-1])
-    sd, sk = sd[keep], sk[keep]
+    # Distinct (doc, selected position): pos is IN the key, so distinct
+    # keys per doc = distinct positions per doc.
+    sd, sk, _ = _distinct_per_row(np.concatenate(sel_doc_parts),
+                                  np.concatenate(sel_key_parts))
     sel_h = sk >> 31
 
     n_sel = np.bincount(sd, minlength=len(G))
@@ -1192,10 +1049,10 @@ def winnow_stats(batch: pa.Table, vocab: np.ndarray, *, k: int = 4,
                          minlength=len(G)).astype(np.int64)
     # float64 bincount weights are exact: each h < 2^31 and per-doc
     # selections are window-bounded, so sums stay far below 2^53.
-    doc_ids = batch[id_col].to_numpy(zero_copy_only=False)
+    doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)
     m = G > 0
     return pa.table({
-        id_col: pa.array(doc_ids[m].astype(np.int64)),
+        "doc_id": pa.array(doc_ids[m].astype(np.int64)),
         "n_grams": pa.array(G[m].astype(np.int64)),
         "n_select": pa.array(n_sel[m].astype(np.int64)),
         "fp_sum": pa.array(fp_sum[m])})

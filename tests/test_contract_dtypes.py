@@ -95,3 +95,31 @@ def test_dtype_and_value_parity(name, contract_env):
     # the driver's hash sensitivity.
     err = cc.compare(name, got, want, strict=True)
     assert err is None, err
+
+
+@pytest.mark.parametrize("texts", [
+    ["a b c d", "a b c d", "a b c d", "x y z w", "x y z w"],
+    [],
+], ids=["every_doc_paired", "empty"])
+def test_dup_degree_matches_oracle_without_degree_zero(texts, tmp_path,
+                                                       ray_session):
+    """d_dup_degree has a degree-0 row only where the oracle's GROUP BY
+    degree has one: when some document has no partner.  Here every
+    document has one, or there are none."""
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as entrymod
+    import check_contract as cc
+
+    path = tmp_path / "documents.parquet"
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(len(texts)), pa.int64()),
+        "text": pa.array(texts, pa.string())}), path)
+    got = cc.to_pandas(entrymod.queries()["d_dup_degree"](str(tmp_path)))
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM '{path}'")
+    want = con.sql(entrymod.oracle_sql()["d_dup_degree"]).df()
+    assert cc.compare("d_dup_degree", got, want) is None
+    assert 0 not in got["degree"].tolist()

@@ -5,17 +5,22 @@ a parameter: it widens the signature, and nothing keeps the other
 values working.  The scan reads the package, ``bench.py``,
 ``__ray_entry__.py``, ``pipebench/`` and ``scripts/``.  A parameter
 counts as set when some call passes it by keyword or by position,
-unless the value is a parameter of the calling function that nothing
-sets either (``col=col`` from an unset ``col``).  Calls are matched by
-the function's name, a constructor by its class's name.  ``MODULES``
-lists the modules that keep the rule; add one once its unset
-parameters are gone."""
+unless the value is an unset pass-through: a parameter of the calling
+function that nothing sets either (``col=col`` from an unset ``col``).
+A required parameter of a function the scan sees called passes
+"unset" on when every call fills it with an unset pass-through, so a
+loop through a helper (``f(col=col)`` -> ``helper(col=col)`` ->
+``f(col=col)``) sets nothing; such a parameter is never reported
+itself.  Calls are matched by the function's name, a constructor by
+its class's name.  ``MODULES`` lists the modules that keep the rule;
+add one once its unset parameters are gone."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = ["alco_ray/stages/similarity.py"]
+MODULES = ["alco_ray/stages/dedup.py", "alco_ray/stages/similarity.py",
+           "alco_ray/stages/text.py"]
 
 
 def _callers() -> list[ast.Module]:
@@ -27,18 +32,19 @@ def _callers() -> list[ast.Module]:
 
 
 def _signatures(tree: ast.Module) -> dict:
-    """name -> (positional parameters, defaulted parameters) of the
-    module's top-level functions and its classes' methods (a
-    constructor under its class's name, ``self`` dropped)."""
+    """name -> (positional parameters, defaulted parameters, required
+    parameters) of the module's top-level functions and its classes'
+    methods (a constructor under its class's name, ``self`` dropped)."""
     sigs = {}
 
     def add(name, f, bound):
         a = f.args
         pos = [x.arg for x in a.posonlyargs + a.args][bound:]
-        dflt = pos[len(pos) - len(a.defaults):] if a.defaults else []
-        dflt += [x.arg for x, d in zip(a.kwonlyargs, a.kw_defaults)
-                 if d is not None]
-        sigs[name] = (pos, dflt)
+        n_req = len(pos) - len(a.defaults)
+        dflt, req = pos[n_req:], pos[:n_req]
+        for x, d in zip(a.kwonlyargs, a.kw_defaults):
+            (req if d is None else dflt).append(x.arg)
+        sigs[name] = (pos, dflt, req)
 
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
@@ -81,7 +87,10 @@ def unset_parameters(module: ast.Module, callers: list[ast.Module]
     ``module`` that no call in ``callers`` sets."""
     sigs = _signatures(module)
     calls = _calls(sigs, callers)
-    unset = {(f, p) for f, (_, dflt) in sigs.items() for p in dflt}
+    unset = {(f, p) for f, (_, dflt, _) in sigs.items() for p in dflt}
+    called = {name for name, _, _ in calls}
+    dead = {(f, p) for f, (_, _, req) in sigs.items() if f in called
+            for p in req}  # required, and so far only fed unset values
     changed = True
     while changed:  # a pass-through is set once its source is
         changed = False
@@ -90,13 +99,17 @@ def unset_parameters(module: ast.Module, callers: list[ast.Module]
             passed.update({k.arg: k.value for k in call.keywords if k.arg})
             if any(isinstance(a, ast.Starred) for a in call.args) or any(
                     k.arg is None for k in call.keywords):
-                passed.update({p: None for p in sigs[name][1]})
+                passed.update({p: None for p in
+                               sigs[name][1] + sigs[name][2]})
             for p, value in passed.items():
-                if (name, p) in unset and not (
-                        isinstance(value, ast.Name)
-                        and (enclosing, value.id) in unset):
-                    unset.discard((name, p))
-                    changed = True
+                if isinstance(value, ast.Name) and (
+                        (enclosing, value.id) in unset
+                        or (enclosing, value.id) in dead):
+                    continue
+                for pool in (unset, dead):
+                    if (name, p) in pool:
+                        pool.discard((name, p))
+                        changed = True
     return sorted(f"{f}.{p}" for f, p in unset)
 
 
@@ -113,6 +126,24 @@ def test_scan_rules():
         "leaf.col", "leaf.n", "mid.col"]
     assert unset_parameters(module, callers + [ast.parse(
         "mid(1, col='b')\nleaf(2, n=5)\n")]) == []
+
+    # top -> waves -> top forwards top.col through waves' required
+    # col: every call fills waves.col with the unset top.col, so
+    # top.col stays unset, and waves.col is not reported
+    module = ast.parse(
+        "def top(x, *, col='a'):\n    return waves(x, col=col)\n"
+        "def waves(x, *, col):\n    return top(x, col=col)\n")
+    run = ast.parse("def run(x):\n    top(x)\n")
+    assert unset_parameters(module, [module, run]) == ["top.col"]
+    # one call with a real value makes waves.col, and so top.col, set
+    assert unset_parameters(module, [module, run, ast.parse(
+        "waves(1, col='b')\n")]) == []
+    # a function nobody calls forwards as before: its required
+    # parameters are not unset pass-throughs
+    module = ast.parse(
+        "def top(x, *, col='a'):\n    return 1\n"
+        "def orphan(x, col):\n    return top(x, col=col)\n")
+    assert unset_parameters(module, [module, run]) == []
 
 
 def test_every_defaulted_parameter_is_set_outside_tests():

@@ -227,7 +227,8 @@ def test_bloom_merge_is_elementwise_or():
             == (bloom_words(a, m_bits, k) | bloom_words(b, m_bits, k))).all()
 
 
-def test_decontaminate_bloom_equals_exact_plan():
+def test_decontaminate_bloom_equals_exact_plan(monkeypatch):
+    from alco_ray.stages import dedup
     from alco_ray.stages.dedup import decontaminate, decontaminate_bloom
 
     rng = np.random.RandomState(31)
@@ -241,12 +242,12 @@ def test_decontaminate_bloom_equals_exact_plan():
                       "text": pa.array([texts[3], texts[5]])})
     cand = t.filter(pa.array(~np.isin(np.arange(80), [3, 5])))
     exact = {r["doc_id"]: r["n_hit_grams"]
-             for r in decontaminate(_ds(cand, 5), _ds(bench, 1),
-                                    k=3).take_all()}
+             for r in decontaminate(_ds(cand, 5), _ds(bench, 1)).take_all()}
+    # a small filter, so that false positives happen
+    monkeypatch.setattr(dedup, "BLOOM_BITS", 1 << 14)
     bloom = {r["doc_id"]: r["n_hit_grams"]
-             for r in decontaminate_bloom(_ds(cand, 5), _ds(bench, 1),
-                                          k=3,
-                                          bloom_bits=1 << 14).take_all()}
+             for r in decontaminate_bloom(_ds(cand, 5),
+                                          _ds(bench, 1)).take_all()}
     assert exact == bloom
     assert exact[7] > 0
 

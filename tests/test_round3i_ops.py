@@ -576,35 +576,21 @@ def test_coalesce_intervals_matches_bruteforce(small_frames):
             assert r["n_events"] == c
 
 
-def test_fuzzy_pairs_oversized_bucket_contract(small_frames):
-    """ADVICE r3: buckets past max_bucket must not be dropped
-    SILENTLY.  Default errors loudly; 'keep' stays exact; 'drop' is
-    the documented approximation."""
-    import itertools
-
+def test_fuzzy_pairs_oversized_bucket_contract(small_frames, monkeypatch):
+    """Buckets past FUZZY_MAX_BUCKET must not be dropped SILENTLY: the
+    operator errors loudly."""
     import pytest
 
-    from alco_ray.stages.dedup import fuzzy_pairs
+    from alco_ray.stages import dedup
 
     # every value shares the deletion variant "x" (all are "x"+c or
     # "x" itself), so one bucket holds all of them
     vals = ["x"] + [f"x{c}" for c in "abcdefgh"]
     ds = ray.data.from_arrow(pa.table({"v": pa.array(vals, pa.string())}))
 
-    with pytest.raises(Exception, match="max_bucket"):
-        fuzzy_pairs(ds, "v", max_bucket=3).take_all()
-
-    kept = {(r["val_a"], r["val_b"])
-            for r in fuzzy_pairs(ds, "v", max_bucket=3,
-                                 on_oversized="keep").take_all()}
-    want = {(a, b) for a, b in itertools.combinations(sorted(set(vals)), 2)
-            if _lev_ref(a, b) <= 1}
-    assert kept == want
-
-    dropped = {(r["val_a"], r["val_b"])
-               for r in fuzzy_pairs(ds, "v", max_bucket=3,
-                                    on_oversized="drop").take_all()}
-    assert dropped <= want
+    monkeypatch.setattr(dedup, "FUZZY_MAX_BUCKET", 3)
+    with pytest.raises(Exception, match="FUZZY_MAX_BUCKET"):
+        dedup.fuzzy_pairs(ds, "v").take_all()
 
 
 def test_mixture_hash_large_id_parity():

@@ -506,7 +506,7 @@ def test_winnow_matches_brute_force(ray_session):
                              if t}))
     b = pa.table({"doc_id": pa.array(range(len(docs)), pa.int64()),
                   "text": pa.array(docs)})
-    out = winnow_stats(b, vocab, k=4, w=5).to_pandas() \
+    out = winnow_stats(b, vocab).to_pandas() \
         .set_index("doc_id")
 
     def brute(d, k=4, w=5):

@@ -1361,6 +1361,9 @@ _TYPED_EMPTY = {
     "range_search": (
         lambda s, ds: s.range_search(ds, np.ones(8), 0.25),
         _int64s("vec_id")),
+    "cosine_dup_pairs": (
+        lambda s, ds: s.cosine_dup_pairs(ds, 0.4),
+        _int64s("vec_a", "vec_b")),
     "knn_brute": (
         lambda s, ds: s.knn_brute(ds, np.ones(8), 10),
         pa.schema([("vec_id", pa.int64()), ("sim", pa.float64()),

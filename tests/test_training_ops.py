@@ -355,14 +355,16 @@ def test_dedup_apply_keeps_min_per_cluster():
     t = _docs_table()
     pairs = pa.table({"doc_a": pa.array([0, 0], pa.int64()),
                       "doc_b": pa.array([1, 2], pa.int64())})
-    kept = dedup.dedup_apply(ray.data.from_arrow(t), pairs).to_pandas()
+    kept = dedup.dedup_apply(ray.data.from_arrow(t),
+                             ray.data.from_arrow(pairs)).to_pandas()
     assert sorted(kept["doc_id"]) == [0, 3, 4, 5, 6]  # 1,2 fold into 0
 
     # transitive chain through a larger intermediate: 5-10 edge? use
     # (3,5),(4,5): component {3,4,5} -> keep 3
     pairs2 = pa.table({"doc_a": pa.array([3, 4], pa.int64()),
                        "doc_b": pa.array([5, 5], pa.int64())})
-    kept2 = dedup.dedup_apply(ray.data.from_arrow(t), pairs2).to_pandas()
+    kept2 = dedup.dedup_apply(ray.data.from_arrow(t),
+                              ray.data.from_arrow(pairs2)).to_pandas()
     assert sorted(kept2["doc_id"]) == [0, 1, 2, 3, 6]
 
 
@@ -393,7 +395,8 @@ def test_dedup_apply_union_find_random_graph():
 
     rows = pa.table({"doc_id": pa.array(range(n_nodes), pa.int64())})
     pairs = pa.table({"doc_a": pa.array(a), "doc_b": pa.array(b)})
-    kept = dedup.dedup_apply(ray.data.from_arrow(rows), pairs).to_pandas()
+    kept = dedup.dedup_apply(ray.data.from_arrow(rows),
+                             ray.data.from_arrow(pairs)).to_pandas()
     got_drop = sorted(set(range(n_nodes)) - set(kept["doc_id"]))
     assert got_drop == expect_drop
 
@@ -467,11 +470,10 @@ def test_verify_pairs_filters_false_positives():
     assert pairs <= {(0, 1), (0, 2), (0, 3)}
 
 
-def test_verify_pairs_waves_match_single_pass():
-    # Above max_candidates verify_pairs must shard into bounded waves
-    # (not raise) and the waved union must equal the single-pass
-    # answer pair-for-pair — for Table input (zero-copy slices) and
-    # Dataset input (block-ref packing) alike.
+def test_verify_pairs_waves_match_single_pass(monkeypatch):
+    # Above MAX_CANDIDATES verify_pairs must shard into bounded waves
+    # of zero-copy slices (not raise) and the waved union must equal
+    # the single-pass answer pair-for-pair.
     words = ("alpha beta gamma delta epsilon zeta eta theta iota "
              "kappa lamda mu").split()
     texts = []
@@ -492,17 +494,11 @@ def test_verify_pairs_waves_match_single_pass():
         return sorted(map(tuple, df[["doc_a", "doc_b", "inter",
                                      "uni"]].itertuples(index=False)))
 
-    want = norm(dedup.verify_pairs(ds, cands, threshold=0.3,
-                                   max_candidates=10_000).to_pandas())
+    want = norm(dedup.verify_pairs(ds, cands, threshold=0.3).to_pandas())
     assert want, "fixture must keep at least one pair"
-    got_table = norm(dedup.verify_pairs(ds, cands, threshold=0.3,
-                                        max_candidates=50).to_pandas())
-    assert got_table == want
-    cand_ds = ray.data.from_arrow(
-        [cands.slice(i, 40) for i in range(0, cands.num_rows, 40)])
-    got_ds = norm(dedup.verify_pairs(ds, cand_ds, threshold=0.3,
-                                     max_candidates=90).to_pandas())
-    assert got_ds == want
+    monkeypatch.setattr(dedup, "MAX_CANDIDATES", 50)
+    got = norm(dedup.verify_pairs(ds, cands, threshold=0.3).to_pandas())
+    assert got == want
 
 
 def test_simhash_near_pairs_exhaustive_vs_bruteforce():
@@ -525,14 +521,12 @@ def test_simhash_near_pairs_exhaustive_vs_bruteforce():
     assert expect, "fixture must contain at least one near pair"
 
 
-@pytest.mark.parametrize("max_hamming, n_chunks", [(8, 8), (3, 7)])
-def test_simhash_near_pairs_rejects_lossy_banding(max_hamming, n_chunks):
-    # max_hamming >= n_chunks loses recall and n_chunks must divide 64:
-    # both raise (an assert would vanish under python -O)
+def test_simhash_near_pairs_rejects_lossy_banding():
+    # max_hamming >= N_CHUNKS loses recall: it raises (an assert would
+    # vanish under python -O)
     ds = ray.data.from_arrow(_docs_table())
-    with pytest.raises(ValueError, match="n_chunks"):
-        dedup.simhash_near_pairs(ds, max_hamming=max_hamming,
-                                 n_chunks=n_chunks)
+    with pytest.raises(ValueError, match="N_CHUNKS"):
+        dedup.simhash_near_pairs(ds, max_hamming=dedup.N_CHUNKS)
 
 
 def test_fingerprint_dups_and_empty_corpus():
@@ -669,7 +663,7 @@ def test_key_partitions_grow_with_input():
     assert suggest_key_partitions(10**12) == 1 << 16  # capped
 
 
-def test_dedup_apply_max_edges_checked_before_concat():
+def test_dedup_apply_max_edges_checked_before_concat(monkeypatch):
     """An over-limit pair Dataset must raise BEFORE the driver-side
     concat materializes the edge list."""
     import pytest
@@ -680,13 +674,13 @@ def test_dedup_apply_max_edges_checked_before_concat():
     docs = ray.data.from_arrow(pa.table({"doc_id": list(range(10))}))
     edges = pa.table({"doc_a": [0, 1, 2, 3], "doc_b": [4, 5, 6, 7]})
     pairs = ray.data.from_arrow(edges)
+    want = sorted(dedup.dedup_apply(docs, pairs).to_pandas()["doc_id"])
+    monkeypatch.setattr(dedup, "MAX_EDGES", 3)
     with pytest.raises(ValueError, match="exceed the"):
-        dedup.dedup_apply(docs, pairs, max_edges=3)
-    # under the limit: same answer as the table path
-    got = sorted(dedup.dedup_apply(docs, pairs, max_edges=4)
-                 .to_pandas()["doc_id"])
-    want = sorted(dedup.dedup_apply(docs, edges)
-                  .to_pandas()["doc_id"])
+        dedup.dedup_apply(docs, pairs)
+    # at the limit: the same answer as under the default limit
+    monkeypatch.setattr(dedup, "MAX_EDGES", 4)
+    got = sorted(dedup.dedup_apply(docs, pairs).to_pandas()["doc_id"])
     assert got == want == [0, 1, 2, 3, 8, 9]
 
 
@@ -873,7 +867,7 @@ def test_decontaminate_bloom_without_overlap():
     bench = ray.data.from_arrow(pa.table({
         "doc_id": pa.array([9], pa.int64()),
         "text": ["zulu yankee xray whiskey"]}))
-    out = decontaminate_bloom(cand, bench, k=3)
+    out = decontaminate_bloom(cand, bench)
     assert out.count() == 0
     assert out.schema().names == ["doc_id", "n_hit_grams"]
 
@@ -975,7 +969,7 @@ def test_decontaminate_planted_overlap():
     bench = pa.table({"doc_id": pa.array([0], pa.int64()),
                       "text": pa.array([bench_txt])})
     out = dedup.decontaminate(
-        ray.data.from_arrow(corpus), ray.data.from_arrow(bench), k=3) \
+        ray.data.from_arrow(corpus), ray.data.from_arrow(bench)) \
         .to_pandas().set_index("doc_id")["n_hit_grams"].to_dict()
     assert out == {10: 1, 12: 2}
 

@@ -270,3 +270,53 @@ def test_keyed_apply_frames_hold_whole_groups(monkeypatch):
     pd.testing.assert_frame_equal(
         framed[["k", "n", "s"]].sort_values("k").reset_index(drop=True),
         whole[["k", "n", "s"]].sort_values("k").reset_index(drop=True))
+
+
+@given(lens=st.lists(st.integers(0, 9), max_size=8), k=st.integers(1, 6),
+       seed=st.integers(0, 999))
+@settings(max_examples=200, deadline=None)
+def test_text_row_kernels_match_per_row_loop(lens, k, seed):
+    """text.py's per-row kernels against a literal loop over each row:
+    the window enumerator, the window hash, the per-row distinct (with
+    run lengths) and the per-row reduce, over rows shorter than k and
+    empty rows too."""
+    from collections import Counter
+
+    from alco_ray.stages.text import (_TRIGRAM_B, _distinct_per_row,
+                                      _poly, _reduce_rows, _windows,
+                                      segmented_window_hashes)
+
+    rng = np.random.RandomState(seed)
+    offs = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
+    # a 3-letter alphabet, so windows repeat inside a row
+    vals = rng.randint(0, 3, size=int(offs[-1])).astype(np.uint64)
+
+    def horner(w):
+        h = int(w[0])
+        for v in w[1:]:
+            h = (h * int(_TRIGRAM_B) + int(v)) % (1 << 64)
+        return h
+
+    windows = [(int(offs[r]) + p, r, p)
+               for r, n in enumerate(lens) for p in range(n - k + 1)]
+    starts, row, pos = _windows(offs, k)
+    assert list(zip(starts.tolist(), row.tolist(), pos.tolist())) == windows
+
+    win = _poly(vals, k, _TRIGRAM_B, starts)
+    assert win.tolist() == [horner(vals[s:s + k]) for s, _, _ in windows]
+
+    per_row = [Counter(horner(vals[s:s + k]) for s, r2, _ in windows
+                       if r2 == r) for r in range(len(lens))]
+    want = [(r, h, c) for r, cnt in enumerate(per_row)
+            for h, c in sorted(cnt.items())]
+    d_row, d_val, d_run = _distinct_per_row(row, win)
+    assert list(zip(d_row.tolist(), d_val.tolist(), d_run.tolist())) == want
+    h, hoffs = segmented_window_hashes(vals, offs, k, _TRIGRAM_B)
+    assert [h[hoffs[r]:hoffs[r + 1]].tolist() for r in range(len(lens))] \
+        == [sorted(cnt) for cnt in per_row]
+
+    rows = [vals[offs[r]:offs[r + 1]] for r in range(len(lens))]
+    assert _reduce_rows(np.add, vals, offs, 7).tolist() == \
+        [int(x.sum()) if len(x) else 7 for x in rows]
+    assert _reduce_rows(np.minimum, vals, offs, 9).tolist() == \
+        [int(x.min()) if len(x) else 9 for x in rows]
