@@ -72,8 +72,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # Ground-truth sidecars the mm_adpcm_meta / mm_jpeg_meta oracles
     # read (independent-reference decoder stats; no Ray needed) — the
     # oracle must never race the query that writes them.
-    fixtures.ensure_adpcm_fixture()
-    fixtures.ensure_jpeg_fixture()
+    for name in fixtures.DECODE_FIXTURE_DOCS:
+        fixtures.ensure_decode_fixture(name)
     # Pre-materialize the hash-family sidecars the d_minhash_lsh /
     # d_simhash / d_lang_id oracle SQL reads at the driver's sf0.01
     # gate, so oracle execution can never race the query that writes

@@ -309,44 +309,6 @@ def _adpcm_reference_stats(payload: bytes):
             max(abs(s) for s in samples), total // len(samples))
 
 
-def ensure_adpcm_fixture(n_docs: int = 400,
-                         root: str = "/tmp/alco_ray_fixtures") -> Path:
-    """Deterministic IMA-ADPCM eval fixture: ``adpcm_docs.parquet``
-    (doc_id, media_type, payload — REAL WAV/0x11 bytes from
-    stages/multimodal.encode_adpcm_batch) plus ``adpcm_eval.parquet``
-    with the stats the INDEPENDENT reference decoder above extracts —
-    the ground-truth table IS the DuckDB oracle for the stage decoder
-    (the d_lang_id sidecar pattern).  sf-independent (fixed n_docs,
-    seeded signals), so one untagged directory serves every scale.
-    Idempotent + atomic like ensure_corpus."""
-    from .stages.multimodal import encode_adpcm_batch
-
-    out_dir = Path(root) / "adpcm"
-    eval_path = out_dir / "adpcm_eval.parquet"
-    docs_path = out_dir / "adpcm_docs.parquet"
-    if eval_path.exists() and docs_path.exists():
-        return out_dir
-    docs = encode_adpcm_batch(pa.table({
-        "doc_id": pa.array(range(n_docs), pa.int64())}))
-    stats = [_adpcm_reference_stats(p)
-             for p in docs["payload"].to_pylist()]
-    cols = list(zip(*stats))
-    ev = pa.table({
-        "doc_id": docs["doc_id"],
-        "sample_rate": pa.array(cols[0], pa.int64()),
-        "n_samples": pa.array(cols[1], pa.int64()),
-        "duration_us": pa.array(cols[2], pa.int64()),
-        "peak": pa.array(cols[3], pa.int64()),
-        "mean_amp": pa.array(cols[4], pa.int64()),
-    })
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for path, table in ((docs_path, docs), (eval_path, ev)):
-        tmp = out_dir / f".{path.name}.tmp.{os.getpid()}"
-        pq.write_table(table, tmp)
-        os.replace(tmp, path)
-    return out_dir
-
-
 def _jpeg_reference_stats(payload: bytes):
     """INDEPENDENT naive baseline-JPEG reference decoder — a second
     implementation of ITU-T T.81 next to stages/jpeg.decode_baseline_
@@ -479,34 +441,37 @@ def _jpeg_reference_stats(payload: bytes):
     return (w, h, sums[0] // n, sums[1] // n, sums[2] // n)
 
 
-def ensure_jpeg_fixture(n_docs: int = 300,
-                        root: str = "/tmp/alco_ray_fixtures") -> Path:
-    """Deterministic baseline-JPEG eval fixture: ``jpeg_docs.parquet``
-    (REAL JPEG payloads from stages/jpeg.encode_jpeg_batch) plus
-    ``jpeg_eval.parquet`` with the INDEPENDENT reference decoder's
-    stats — the ground-truth table IS the DuckDB oracle for the stage
-    decoder (the adpcm/langid sidecar pattern).  sf-independent;
-    idempotent + atomic."""
-    from .stages.jpeg import encode_jpeg_batch
+#: documents per decode fixture (sf-independent: one untagged
+#: directory serves every scale)
+DECODE_FIXTURE_DOCS = {"adpcm": 400, "jpeg": 300}
 
-    out_dir = Path(root) / "jpeg"
-    eval_path = out_dir / "jpeg_eval.parquet"
-    docs_path = out_dir / "jpeg_docs.parquet"
+
+def ensure_decode_fixture(name: str) -> Path:
+    """Deterministic decode eval fixture ``name`` ("adpcm" or "jpeg"):
+    ``<name>_docs.parquet`` (doc_id, media_type, payload — the
+    parser's REAL fixture payloads for ids 0..n-1) plus
+    ``<name>_eval.parquet``, one column per parser ``schema`` field,
+    with the stats the INDEPENDENT reference decoder above extracts —
+    the ground-truth table IS the DuckDB oracle for the stage decoder
+    (the d_lang_id sidecar pattern), so two implementations of the
+    spec must agree.  Idempotent + atomic like ensure_corpus."""
+    from .stages.jpeg import JpegDecoder
+    from .stages.multimodal import AdpcmWavDecoder
+
+    parser, reference = {
+        "adpcm": (AdpcmWavDecoder, _adpcm_reference_stats),
+        "jpeg": (JpegDecoder, _jpeg_reference_stats)}[name]
+    out_dir = Path("/tmp/alco_ray_fixtures") / name
+    eval_path = out_dir / f"{name}_eval.parquet"
+    docs_path = out_dir / f"{name}_docs.parquet"
     if eval_path.exists() and docs_path.exists():
         return out_dir
-    docs = encode_jpeg_batch(pa.table({
-        "doc_id": pa.array(range(n_docs), pa.int64())}))
-    stats = [_jpeg_reference_stats(p)
-             for p in docs["payload"].to_pylist()]
-    cols = list(zip(*stats))
-    ev = pa.table({
-        "doc_id": docs["doc_id"],
-        "width": pa.array(cols[0], pa.int64()),
-        "height": pa.array(cols[1], pa.int64()),
-        "mean_r": pa.array(cols[2], pa.int64()),
-        "mean_g": pa.array(cols[3], pa.int64()),
-        "mean_b": pa.array(cols[4], pa.int64()),
-    })
+    docs = parser.encode(pa.table({"doc_id": pa.array(
+        range(DECODE_FIXTURE_DOCS[name]), pa.int64())}))
+    cols = zip(*map(reference, docs["payload"].to_pylist()))
+    ev = pa.table({"doc_id": docs["doc_id"],
+                   **{f.name: pa.array(c, f.type)
+                      for f, c in zip(parser.schema, cols)}})
     out_dir.mkdir(parents=True, exist_ok=True)
     for path, table in ((docs_path, docs), (eval_path, ev)):
         tmp = out_dir / f".{path.name}.tmp.{os.getpid()}"

@@ -288,7 +288,7 @@ def mm_features(sf_dir: str):
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     media = ds.map_batches(multimodal.encode_documents_as_media,
                            batch_format="pyarrow", batch_size=None)
-    return multimodal.extract_features(media)
+    return multimodal.decode_media(media, multimodal.FakeFeatureExtractor)
 
 
 def t_grep(sf_dir: str):
@@ -2514,10 +2514,8 @@ def mm_frame_sample(sf_dir: str):
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     media = ds.map_batches(multimodal.encode_documents_as_media,
                            batch_format="pyarrow")
-    frames = media.map_batches(
-        lambda b: multimodal.sample_frames_batch(b, frame_bytes=64,
-                                                 every_n=4),
-        batch_format="pyarrow")
+    frames = media.map_batches(multimodal.sample_frames_batch,
+                               batch_format="pyarrow")
 
     def project(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -2538,6 +2536,16 @@ def mm_image_meta(sf_dir: str):
     return multimodal.decode_media(media)
 
 
+def _decoded(sf_dir: str, parser) -> "ray.data.Dataset":
+    """The documents' ids -> ``parser``'s fixture payloads -> the
+    parser's actor-pool decode: the shape of every closed-form
+    ``mm_`` entry (the oracle states what each fixture was built
+    from)."""
+    ds = _read(sf_dir, "documents", columns=["doc_id"])
+    media = ds.map_batches(parser.encode, batch_format="pyarrow")
+    return multimodal.decode_media(media, parser)
+
+
 def mm_ppm_meta(sf_dir: str):
     """REAL image decode (no codec library: P6 raw PPM is header +
     raw RGB, so parsing IS decoding): actual binary payloads are
@@ -2545,10 +2553,7 @@ def mm_ppm_meta(sf_dir: str):
     channel means in an actor pool — the oracle states the closed
     forms the fixture pixels were built from, so a header mis-parse or
     stride bug hash-mismatches (stages/multimodal.PpmDecoder)."""
-    ds = _read(sf_dir, "documents", columns=["doc_id"])
-    media = ds.map_batches(multimodal.encode_ppm_batch,
-                           batch_format="pyarrow")
-    return multimodal.decode_media(media, multimodal.PpmDecoder)
+    return _decoded(sf_dir, multimodal.PpmDecoder)
 
 
 def mm_wav_meta(sf_dir: str):
@@ -2558,10 +2563,7 @@ def mm_wav_meta(sf_dir: str):
     (rate, sample count, floor-us duration, peak, floor mean) in an
     actor pool — closed-form oracle as in mm_ppm_meta
     (stages/multimodal.WavDecoder)."""
-    ds = _read(sf_dir, "documents", columns=["doc_id"])
-    media = ds.map_batches(multimodal.encode_wav_batch,
-                           batch_format="pyarrow")
-    return multimodal.decode_media(media, multimodal.WavDecoder)
+    return _decoded(sf_dir, multimodal.WavDecoder)
 
 
 def mm_png_meta(sf_dir: str):
@@ -2572,10 +2574,7 @@ def mm_png_meta(sf_dir: str):
     reconstructed before the exact integer channel means are reduced
     in an actor pool — closed-form oracle as in mm_ppm_meta
     (stages/multimodal.PngDecoder)."""
-    ds = _read(sf_dir, "documents", columns=["doc_id"])
-    media = ds.map_batches(multimodal.encode_png_batch,
-                           batch_format="pyarrow")
-    return multimodal.decode_media(media, multimodal.PngDecoder)
+    return _decoded(sf_dir, multimodal.PngDecoder)
 
 
 def mm_adpcm_meta(sf_dir: str):
@@ -2586,7 +2585,7 @@ def mm_adpcm_meta(sf_dir: str):
     reference decoder produced at fixture time (the d_lang_id
     pattern), so two implementations of the spec must agree
     (stages/multimodal.AdpcmWavDecoder)."""
-    out_dir = fixtures.ensure_adpcm_fixture()
+    out_dir = fixtures.ensure_decode_fixture("adpcm")
     ds = ray.data.read_parquet(str(out_dir / "adpcm_docs.parquet"),
                                columns=["doc_id", "payload"])
     return multimodal.decode_media(ds, multimodal.AdpcmWavDecoder)
@@ -2602,7 +2601,7 @@ def mm_jpeg_meta(sf_dir: str):
     (dict-Huffman, generator bit reader, per-sample loops) sharing
     only the spec constants — the adpcm/langid pattern, so two
     implementations of the spec must agree bit-for-bit."""
-    out_dir = fixtures.ensure_jpeg_fixture()
+    out_dir = fixtures.ensure_decode_fixture("jpeg")
     ds = ray.data.read_parquet(str(out_dir / "jpeg_docs.parquet"),
                                columns=["doc_id", "payload"])
     return multimodal.decode_media(ds, jpeg.JpegDecoder)
@@ -2618,10 +2617,7 @@ def mm_mp4_meta(sf_dir: str):
     both exercised by the fixture rotation) in an actor pool; the
     oracle states the closed forms the fixture was built from.  The
     entropy-coded track payloads (H.264/AAC) remain declared stubs."""
-    ds = _read(sf_dir, "documents", columns=["doc_id"])
-    media = ds.map_batches(multimodal.encode_mp4_batch,
-                           batch_format="pyarrow")
-    return multimodal.decode_media(media, multimodal.Mp4MetaParser)
+    return _decoded(sf_dir, multimodal.Mp4MetaParser)
 
 
 
@@ -2634,10 +2630,7 @@ def mm_mp3_meta(sf_dir: str):
     parsed in an actor pool; the oracle states the closed forms the
     fixture rotation was built from.  The Huffman-coded audio payload
     remains a declared stub."""
-    ds = _read(sf_dir, "documents", columns=["doc_id"])
-    media = ds.map_batches(multimodal.encode_mp3_batch,
-                           batch_format="pyarrow")
-    return multimodal.decode_media(media, multimodal.Mp3MetaParser)
+    return _decoded(sf_dir, multimodal.Mp3MetaParser)
 
 
 def mm_gif_meta(sf_dir: str):
@@ -2650,10 +2643,7 @@ def mm_gif_meta(sf_dir: str):
     are walked in an actor pool; the oracle states the closed forms
     the fixture was built from.  The LZW-coded pixel payload remains
     a declared stub, exactly like MP4's mdat."""
-    ds = _read(sf_dir, "documents", columns=["doc_id"])
-    media = ds.map_batches(multimodal.encode_gif_batch,
-                           batch_format="pyarrow")
-    return multimodal.decode_media(media, multimodal.GifMetaParser)
+    return _decoded(sf_dir, multimodal.GifMetaParser)
 
 
 def mm_bmp_meta(sf_dir: str):
@@ -2664,10 +2654,7 @@ def mm_bmp_meta(sf_dir: str):
     PLUS the top-left pixel — which the oracle pins so a missed
     vertical flip hash-mismatches even though it leaves the means
     unchanged.  Closed-form oracle as in mm_ppm_meta."""
-    ds = _read(sf_dir, "documents", columns=["doc_id"])
-    media = ds.map_batches(multimodal.encode_bmp_batch,
-                           batch_format="pyarrow")
-    return multimodal.decode_media(media, multimodal.BmpDecoder)
+    return _decoded(sf_dir, multimodal.BmpDecoder)
 
 
 def mm_ppm_resize(sf_dir: str):
@@ -2675,10 +2662,7 @@ def mm_ppm_resize(sf_dir: str):
     block means) — decode + resize + re-reduce in one actor stage
     (stages/multimodal.PpmResizer); closed-form oracle as in
     mm_ppm_meta."""
-    ds = _read(sf_dir, "documents", columns=["doc_id"])
-    media = ds.map_batches(multimodal.encode_ppm_batch,
-                           batch_format="pyarrow")
-    return multimodal.decode_media(media, multimodal.PpmResizer)
+    return _decoded(sf_dir, multimodal.PpmResizer)
 
 
 # ------------------------------------------------------------ embeddings
@@ -4757,25 +4741,26 @@ def t_profile(sf_dir: str):
         ds, ["conv_id", "turn_idx", "role", "text", "tool", "ts"])
 
 
-def _ensure_value_index(sf_dir: str) -> Path:
+def _ensure_value_index(sf_dir: str, boundaries: str) -> Path:
     """Build-or-reuse the persisted numeric attribute index over
-    events.value (corpus-signature freshness gate, same protocol as
-    _ensure_text_index)."""
+    events.value, one directory per grid mode (corpus-signature
+    freshness gate, same protocol as _ensure_text_index).  An index
+    whose meta.json lacks the data schema predates it and is rebuilt,
+    not probed: its empty answers would be untyped."""
     import json
 
     from ..stages.attrindex import build_value_index
 
-    idx = Path("/tmp/alco_ray_cache") / Path(sf_dir).name / "value_index"
+    name = "value_index_q" if boundaries == "quantile" else "value_index"
+    idx = Path("/tmp/alco_ray_cache") / Path(sf_dir).name / name
     sig = _corpus_sig(sf_dir, "events")
     meta = idx / "meta.json"
-    fresh = False
-    if meta.exists():
-        m = json.loads(meta.read_text())
-        fresh = m.get("corpus_sig") == sig and m.get("kind") == "value_range"
-    if not fresh:
+    m = json.loads(meta.read_text()) if meta.exists() else {}
+    if m.get("corpus_sig") != sig or "schema" not in m:
         ds = _read(sf_dir, "events",
                    columns=["event_id", "user_id", "value"])
         build_value_index(ds, idx, value_col="value",
+                          boundaries=boundaries,
                           extra_meta={"corpus_sig": sig})
     return idx
 
@@ -4789,8 +4774,7 @@ def e_value_indexed(sf_dir: str):
     edge buckets."""
     from ..stages.attrindex import range_probe
 
-    idx = _ensure_value_index(sf_dir)
-    return range_probe(idx, 37.25, 41.5)
+    return range_probe(_ensure_value_index(sf_dir, "width"), 37.25, 41.5)
 
 
 def e_value_indexed_q(sf_dir: str):
@@ -4800,24 +4784,10 @@ def e_value_indexed_q(sf_dir: str):
     both grid modes serve the same predicate — with near-equal bucket
     sizes under skew (pruning law pinned by pytest on a Pareto-tailed
     column)."""
-    import json
+    from ..stages.attrindex import range_probe
 
-    from ..stages.attrindex import build_value_index, range_probe
-
-    idx = Path("/tmp/alco_ray_cache") / Path(sf_dir).name / "value_index_q"
-    sig = _corpus_sig(sf_dir, "events")
-    meta = idx / "meta.json"
-    fresh = False
-    if meta.exists():
-        m = json.loads(meta.read_text())
-        fresh = m.get("corpus_sig") == sig and "edges" in m
-    if not fresh:
-        ds = _read(sf_dir, "events",
-                   columns=["event_id", "user_id", "value"])
-        build_value_index(ds, idx, value_col="value",
-                          boundaries="quantile",
-                          extra_meta={"corpus_sig": sig})
-    return range_probe(idx, 37.25, 41.5)
+    return range_probe(_ensure_value_index(sf_dir, "quantile"),
+                       37.25, 41.5)
 
 
 def t_gap_median(sf_dir: str):
@@ -6933,10 +6903,7 @@ def mm_tiff_meta(sf_dir: str):
     rotates 'II' and 'MM' every other row) and multi-page chains
     (id%3+1 IFDs).  Strip payloads stay opaque, the MP4-mdat policy;
     the oracle states the closed forms the fixture was built from."""
-    ds = _read(sf_dir, "documents", columns=["doc_id"])
-    media = ds.map_batches(multimodal.encode_tiff_batch,
-                           batch_format="pyarrow")
-    return multimodal.decode_media(media, multimodal.TiffMetaParser)
+    return _decoded(sf_dir, multimodal.TiffMetaParser)
 
 
 def d_hash_bucket_stats(sf_dir: str):
@@ -6978,10 +6945,7 @@ def mm_zip_meta(sf_dir: str):
     rotating comment length exercises at every size.  Member payloads
     are never inflated (the mdat policy); STORED members carry real
     CRC32s.  Closed-form oracle as in the other container parsers."""
-    ds = _read(sf_dir, "documents", columns=["doc_id"])
-    media = ds.map_batches(multimodal.encode_zip_batch,
-                           batch_format="pyarrow")
-    return multimodal.decode_media(media, multimodal.ZipMetaParser)
+    return _decoded(sf_dir, multimodal.ZipMetaParser)
 
 
 def d_mix_weights(sf_dir: str):
@@ -7107,10 +7071,7 @@ def mm_flac_meta(sf_dir: str):
     byte-aligned container parsers never hit.  Exact floor-us
     duration out; entropy-coded frames stay opaque.  Closed-form
     oracle over the fixture rotation."""
-    ds = _read(sf_dir, "documents", columns=["doc_id"])
-    media = ds.map_batches(multimodal.encode_flac_batch,
-                           batch_format="pyarrow")
-    return multimodal.decode_media(media, multimodal.FlacMetaParser)
+    return _decoded(sf_dir, multimodal.FlacMetaParser)
 
 
 def mm_webp_meta(sf_dir: str):
@@ -7122,10 +7083,7 @@ def mm_webp_meta(sf_dir: str):
     all three variants and nests ALPH + VP8 chunks under VP8X so the
     multi-chunk walk is exercised at every scale.  Entropy-coded
     VP8/VP8L payloads stay declared stubs (the mdat doctrine)."""
-    ds = _read(sf_dir, "documents", columns=["doc_id"])
-    media = ds.map_batches(multimodal.encode_webp_batch,
-                           batch_format="pyarrow")
-    return multimodal.decode_media(media, multimodal.WebpMetaParser)
+    return _decoded(sf_dir, multimodal.WebpMetaParser)
 
 
 def mm_ogg_meta(sf_dir: str):
@@ -7138,10 +7096,7 @@ def mm_ogg_meta(sf_dir: str):
     occur under the fixture's length rotation), BOS/EOS and
     page-sequence continuity are enforced.  Codec payloads inside
     the packets stay opaque."""
-    ds = _read(sf_dir, "documents", columns=["doc_id"])
-    media = ds.map_batches(multimodal.encode_ogg_batch,
-                           batch_format="pyarrow")
-    return multimodal.decode_media(media, multimodal.OggMetaParser)
+    return _decoded(sf_dir, multimodal.OggMetaParser)
 
 
 def mm_ico_meta(sf_dir: str):
@@ -7152,10 +7107,7 @@ def mm_ico_meta(sf_dir: str):
     BITMAPINFOHEADER blob) — the routing step a multimodal sweep runs
     before dispatching image decoders.  Closed-form oracle over the
     fixture rotation; payload pixel data stays opaque."""
-    ds = _read(sf_dir, "documents", columns=["doc_id"])
-    media = ds.map_batches(multimodal.encode_ico_batch,
-                           batch_format="pyarrow")
-    return multimodal.decode_media(media, multimodal.IcoMetaParser)
+    return _decoded(sf_dir, multimodal.IcoMetaParser)
 
 
 def v_dim_truncation(sf_dir: str):
@@ -7199,10 +7151,7 @@ def mm_srt_meta(sf_dir: str):
     Closed-form oracle over the fixture rotation; structural poison
     (bad arrow, minutes >= 60, index gap, non-UTF-8) dead-letters in
     the pytest suite."""
-    ds = _read(sf_dir, "documents", columns=["doc_id"])
-    media = ds.map_batches(multimodal.encode_srt_batch,
-                           batch_format="pyarrow")
-    return multimodal.decode_media(media, multimodal.SrtMetaParser)
+    return _decoded(sf_dir, multimodal.SrtMetaParser)
 
 
 def mm_avi_meta(sf_dir: str):
@@ -7212,10 +7161,7 @@ def mm_avi_meta(sf_dir: str):
     accounting — the recursion the flat WAV/WebP walks never
     exercise.  Frame payloads stay opaque (the mdat doctrine);
     closed-form oracle over the fixture rotation."""
-    ds = _read(sf_dir, "documents", columns=["doc_id"])
-    media = ds.map_batches(multimodal.encode_avi_batch,
-                           batch_format="pyarrow")
-    return multimodal.decode_media(media, multimodal.AviMetaParser)
+    return _decoded(sf_dir, multimodal.AviMetaParser)
 
 
 def mm_tar_meta(sf_dir: str):
@@ -7226,10 +7172,7 @@ def mm_tar_meta(sf_dir: str):
     hop, two-zero-block terminator enforced.  stdlib ``tarfile``
     cross-checks the fixture in pytest (two implementations of the
     spec must agree); closed-form oracle over the rotation."""
-    ds = _read(sf_dir, "documents", columns=["doc_id"])
-    media = ds.map_batches(multimodal.encode_tar_batch,
-                           batch_format="pyarrow")
-    return multimodal.decode_media(media, multimodal.TarMetaParser)
+    return _decoded(sf_dir, multimodal.TarMetaParser)
 
 
 def mm_pdf_meta(sf_dir: str):
@@ -7242,10 +7185,7 @@ def mm_pdf_meta(sf_dir: str):
     stay opaque.  Closed-form oracle over the fixture rotation;
     stale-startxref / shifted-offset / truncation poison
     dead-letters in pytest."""
-    ds = _read(sf_dir, "documents", columns=["doc_id"])
-    media = ds.map_batches(multimodal.encode_pdf_batch,
-                           batch_format="pyarrow")
-    return multimodal.decode_media(media, multimodal.PdfMetaParser)
+    return _decoded(sf_dir, multimodal.PdfMetaParser)
 
 
 def v_knn_recall(sf_dir: str):

@@ -12,6 +12,10 @@ ONLY the buckets overlapping [lo, hi) — at 100 TB the scan cost is
 proportional to the selected value range, not the corpus — and applies
 the exact vectorized predicate to the edge buckets.
 
+meta.json also records the data schema (Arrow IPC, base64), so a
+probe answers a typed empty table — no bucket file, or every row
+filtered — without reading any file.
+
 Two bucket-grid modes, both reproducible from meta.json alone:
 ``boundaries="width"`` (default) is an equi-width grid — assignment is
 a float floor, the right choice for roughly uniform attributes;
@@ -24,6 +28,7 @@ agnostic: they read whichever grid the meta carries.
 
 from __future__ import annotations
 
+import base64
 import json
 from pathlib import Path
 
@@ -74,7 +79,9 @@ def build_value_index(ds, index_dir: str | Path, *,
     else:
         raise ValueError(f"boundaries must be 'width' or 'quantile', "
                          f"got {boundaries!r}")
+    schema = ds.schema().base_schema.remove_metadata()
     meta = {"kind": "value_range", "version": 1, "value_col": value_col,
+            "schema": base64.b64encode(schema.serialize()).decode(),
             **meta_grid, **(extra_meta or {})}
 
     def assign(b: pa.Table) -> pa.Table:
@@ -109,24 +116,13 @@ def range_probe(index_dir: str | Path, lo: float, hi: float, *,
     if stats_out is not None:
         stats_out["bucket_range"] = (b_lo, b_hi)
         stats_out["files"] = files
+    schema = pa.ipc.read_schema(
+        pa.py_buffer(base64.b64decode(meta["schema"])))
+    columns = columns or schema.names
+    empty = pa.table({c: pa.array([], schema.field(c).type)
+                      for c in columns})
     if not files:
-        import pyarrow.parquet as pq_
-
-        any_file = sorted((d / "buckets").rglob("*.parquet"))
-        if any_file:
-            schema = pq_.read_schema(str(any_file[0]))
-            cols = columns or [c for c in schema.names if c != "bucket"]
-            return pa.table({c: pa.array([], schema.field(c).type)
-                             for c in cols})
-        return pa.table({vcol: pa.array([], pa.float64())})
-
-    if columns is None:
-        # hive bucket=<i> dirs would resurface as a `bucket` column on
-        # read; default to the data columns only
-        import pyarrow.parquet as pq_
-
-        columns = [c for c in pq_.read_schema(files[0]).names
-                   if c != "bucket"]
+        return empty
     ds = ray.data.read_parquet(files, columns=columns)
 
     def exact(b: pa.Table) -> pa.Table:
@@ -140,12 +136,8 @@ def range_probe(index_dir: str | Path, lo: float, hi: float, *,
     if out.count() == 0:
         # all-filtered surfaces as ZERO blocks -> a 0-column frame
         # downstream (ray 2.49 drops the schema); the count() runs over
-        # the PRUNED read, so this guard is bucket-range-cheap
-        import pyarrow.parquet as pq_
-
-        schema = pq_.read_schema(files[0])
-        # a pa.Table, NOT from_arrow(zero-row): ray 2.49 drops the
-        # schema of a zero-row Dataset on to_pandas()
-        return pa.table(
-            {c: pa.array([], schema.field(c).type) for c in columns})
+        # the PRUNED read, so this guard is bucket-range-cheap.  A
+        # pa.Table, NOT from_arrow(zero-row): ray 2.49 drops the schema
+        # of a zero-row Dataset on to_pandas()
+        return empty
     return out

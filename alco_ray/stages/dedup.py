@@ -781,35 +781,39 @@ def simhash_batch(batch: pa.Table) -> pa.Table:
 _FZ_P = np.uint64(1099511628211)  # FNV-ish odd multiplier, mod 2^64
 
 
-def _fz_pad(cp: np.ndarray, offs: np.ndarray,
-            maxlen: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n, maxlen) uint32 codepoint matrix + length vector."""
-    n = len(offs) - 1
-    lens = np.diff(offs)
-    m = np.zeros((n, maxlen), np.uint32)
-    if len(cp):
-        rows = np.repeat(np.arange(n), lens)
-        pos = np.arange(len(cp), dtype=np.int64) - np.repeat(offs[:-1], lens)
-        m[rows, pos] = cp
-    return m, lens.astype(np.int64)
+def _length_slices(lens: np.ndarray) -> list[np.ndarray]:
+    """Row indices sorted by length, cut where a length exceeds
+    max(2 x the slice's shortest, 16): padded to its own longest
+    value, a slice costs at most 2 x its characters + 16 cells per
+    row, not rows x the batch's longest value."""
+    order = np.argsort(lens, kind="stable")
+    s = lens[order]
+    out, lo = [], 0
+    while lo < len(s):
+        hi = int(np.searchsorted(s, max(2 * int(s[lo]), 16), "right"))
+        out.append(order[lo:hi])
+        lo = hi
+    return out
 
 
-def _fz_variant_hashes(values) -> tuple[np.ndarray, np.ndarray]:
-    """Deletion-neighborhood hashes: for each string s emit the
-    polynomial hash of s itself AND of every single-deletion variant
-    s[:i] + s[i+1:] — two strings are within edit distance 1
-    (sub/ins/del) iff their variant STRING sets intersect, so hash
-    equality is a complete candidate rule (collisions only ADD
-    candidates; the exact verifier removes them).  Hashes combine
-    precomputed prefix hashes and suffix hashes, all uint64 wrap
-    arithmetic — no per-string Python.  Returns (row_idx, hash)."""
-    from .text import _codepoints_arrow
+def _fz_pad(cp: np.ndarray, offs: np.ndarray, rows: np.ndarray,
+            width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(len(rows), width) uint32 codepoint matrix of ``rows``, their
+    lengths, and the flat positions of their codepoints in ``cp``."""
+    lens = np.diff(offs)[rows]
+    intra = (np.arange(lens.sum(), dtype=np.int64)
+             - np.repeat(np.cumsum(lens) - lens, lens))
+    flat = np.repeat(offs[:-1][rows], lens) + intra
+    m = np.zeros((len(rows), width), np.uint32)
+    m[np.repeat(np.arange(len(rows)), lens), intra] = cp[flat]
+    return m, lens, flat
 
-    cp, offs = _codepoints_arrow(values)
-    n = len(offs) - 1
-    lens = np.diff(offs)
-    maxlen = int(lens.max()) if n else 0
-    m, lens = _fz_pad(cp, offs, maxlen)
+
+def _fz_slice_hashes(m: np.ndarray,
+                     lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full-string hash per row and deletion-variant hashes in (row,
+    deleted position) order, of one padded codepoint matrix."""
+    n, maxlen = m.shape
     m64 = m.astype(np.uint64)
     pre = np.zeros((n, maxlen + 1), np.uint64)
     for j in range(maxlen):
@@ -826,42 +830,69 @@ def _fz_variant_hashes(values) -> tuple[np.ndarray, np.ndarray]:
         exp = np.where(valid, e, 0).astype(np.int64)
         suf[:, j] = np.where(valid, m64[:, j] * pw[exp] + suf[:, j + 1],
                              np.uint64(0))
-    # full-string hash = suf[:, 0]
-    rows_full = np.arange(n, dtype=np.int64)
-    h_full = suf[:, 0]
     # deletion at i (0 <= i < len): pre_i * P^(len-1-i) + suf[i+1]
-    del_rows = np.repeat(rows_full, lens)
-    if len(del_rows):
-        i = (np.arange(len(del_rows), dtype=np.int64)
-             - np.repeat(np.cumsum(lens) - lens, lens))
-        ln = np.repeat(lens, lens)
-        h_del = (pre[del_rows, i] * pw[ln - 1 - i]
-                 + suf[del_rows, i + 1])
-    else:
-        i = np.zeros(0, np.int64)
-        h_del = np.zeros(0, np.uint64)
-    rows = np.concatenate([rows_full, del_rows])
-    hashes = np.concatenate([h_full, h_del])
-    return rows, hashes.view(np.int64)
+    del_rows = np.repeat(np.arange(n), lens)
+    i = (np.arange(len(del_rows), dtype=np.int64)
+         - np.repeat(np.cumsum(lens) - lens, lens))
+    ln = np.repeat(lens, lens)
+    return suf[:, 0], pre[del_rows, i] * pw[ln - 1 - i] \
+        + suf[del_rows, i + 1]
+
+
+def _fz_variant_hashes(values) -> tuple[np.ndarray, np.ndarray]:
+    """Deletion-neighborhood hashes: for each string s emit the
+    polynomial hash of s itself AND of every single-deletion variant
+    s[:i] + s[i+1:] — two strings are within edit distance 1
+    (sub/ins/del) iff their variant STRING sets intersect, so hash
+    equality is a complete candidate rule (collisions only ADD
+    candidates; the exact verifier removes them).  Hashes combine
+    precomputed prefix hashes and suffix hashes, all uint64 wrap
+    arithmetic — no per-string Python — over length slices
+    (:func:`_length_slices`), so one long value pads only its own
+    slice.  Returns (row_idx, hash): every row's full hash, then its
+    deletion hashes in (row, position) order."""
+    from .text import _codepoints_arrow
+
+    cp, offs = _codepoints_arrow(values)
+    lens = np.diff(offs)
+    h_full = np.zeros(len(lens), np.uint64)
+    h_del = np.zeros(len(cp), np.uint64)
+    for rows in _length_slices(lens):
+        m, ln, flat = _fz_pad(cp, offs, rows, int(lens[rows[-1]]))
+        h_full[rows], h_del[flat] = _fz_slice_hashes(m, ln)
+    rows_full = np.arange(len(lens), dtype=np.int64)
+    return (np.concatenate([rows_full, np.repeat(rows_full, lens)]),
+            np.concatenate([h_full, h_del]).view(np.int64))
 
 
 def _lev1_exact(a_vals, b_vals) -> np.ndarray:
     """Vectorized exact edit-distance<=1 check for paired string
-    arrays (pa.Array or pa.ChunkedArray), all-numpy: equal-length
-    pairs count mismatched positions; length-diff-1 pairs test the
-    classic first-mismatch / shifted-suffix alignment with a reverse
-    cumulative AND.  Returns bool mask (distance exactly 1 for
-    distinct values, <=1 in general)."""
+    arrays (pa.Array or pa.ChunkedArray), all-numpy, over length
+    slices of the pairs (:func:`_length_slices` on the longer side).
+    Returns bool mask (distance exactly 1 for distinct values, <=1 in
+    general)."""
     from .text import _codepoints_arrow
 
     acp, aoffs = _codepoints_arrow(a_vals)
     bcp, boffs = _codepoints_arrow(b_vals)
-    n = len(aoffs) - 1
-    # width maxlen+1: the shifted-suffix compare reads X[:, 1:maxlen+1]
-    maxlen = int(max(np.diff(aoffs).max(initial=0),
-                     np.diff(boffs).max(initial=0), 1))
-    A, la = _fz_pad(acp, aoffs, maxlen + 1)
-    B, lb = _fz_pad(bcp, boffs, maxlen + 1)
+    longest = np.maximum(np.diff(aoffs), np.diff(boffs))
+    out = np.zeros(len(longest), bool)
+    for rows in _length_slices(longest):
+        # width maxlen+1: the shifted-suffix compare reads X[:, 1:w]
+        w = max(int(longest[rows[-1]]), 1) + 1
+        A, la, _ = _fz_pad(acp, aoffs, rows, w)
+        B, lb, _ = _fz_pad(bcp, boffs, rows, w)
+        out[rows] = _lev1_padded(A, la, B, lb)
+    return out
+
+
+def _lev1_padded(A: np.ndarray, la: np.ndarray, B: np.ndarray,
+                 lb: np.ndarray) -> np.ndarray:
+    """Edit distance <= 1 per row of two padded codepoint matrices
+    (width > every length): equal-length pairs count mismatched
+    positions; length-diff-1 pairs test the classic first-mismatch /
+    shifted-suffix alignment with a reverse cumulative AND."""
+    n, w = A.shape
     # orient: X = longer side
     swap = lb > la
     X = np.where(swap[:, None], B, A)
@@ -870,7 +901,6 @@ def _lev1_exact(a_vals, b_vals) -> np.ndarray:
     ly = np.where(swap, la, lb)
     diff = lx - ly
     out = np.zeros(n, bool)
-    w = maxlen + 1
     cols = np.arange(w)
     inbounds = cols[None, :] < ly[:, None]
     # equal length: <= 1 substituted position

@@ -48,7 +48,6 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-import pyarrow as pa
 
 from .multimodal import RGB_MEANS, MediaParser, rgb_means_row
 
@@ -475,18 +474,6 @@ def jpeg_fixture_image(doc_id: int) -> np.ndarray:
                    0, 255).astype(np.uint8)
 
 
-def encode_jpeg_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
-    """Fixture adapter: REAL baseline-JPEG payloads per id."""
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    payloads = [encode_baseline_jpeg(jpeg_fixture_image(int(i)))
-                for i in ids]
-    return pa.table({
-        id_col: batch[id_col],
-        "media_type": pa.array(["image/jpeg"] * len(ids), pa.string()),
-        "payload": pa.array(payloads, pa.binary()),
-    })
-
-
 class JpegDecoder(MediaParser):
     """Actor-pool REAL baseline-JPEG decode: full marker parse, DHT
     canonical-Huffman reconstruction, bit-unstuffed entropy decode,
@@ -495,6 +482,12 @@ class JpegDecoder(MediaParser):
     rows (the poison-file dead-letter pattern)."""
 
     schema = RGB_MEANS
+    media_type = "image/jpeg"
+
+    @staticmethod
+    def payload(i: int) -> bytes:
+        """REAL baseline-JPEG payload of :func:`jpeg_fixture_image`."""
+        return encode_baseline_jpeg(jpeg_fixture_image(i))
 
     def _parse(self, p: bytes):
         return rgb_means_row(*decode_baseline_jpeg(p))

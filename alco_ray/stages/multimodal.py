@@ -12,9 +12,18 @@ or an integer that does not fit its int64 column turns that row into
 fails the task or changes its neighbours.  The ``Fake*`` classes are
 deterministic stand-ins with their own contract (no ``decode_ok``).
 
+Each parser also carries its own fixture: a ``media_type`` and a
+per-id ``payload(doc_id) -> bytes`` that builds REAL bytes of its
+format, whose docstring states the closed forms the oracle checks.
+The base :meth:`MediaParser.encode` is the one batch adapter
+(``doc_id`` in; ``doc_id``, ``media_type``, ``payload`` out).  The
+RIFF parsers (WAV, ADPCM, WebP, AVI) share one chunk walk
+(:func:`_riff_chunks`) and their fixtures one chunk writer
+(:func:`_riff_chunk`).
+
 Scale notes: binary payloads are large, so these stages use an explicit
-small ``batch_size`` (payload x batch_size x concurrency must fit the
-worker heap) and never convert the binary column to pandas (object
+small batch (:data:`DECODE_BATCH`; payload x batch x actors must fit
+the worker heap) and never convert the binary column to pandas (object
 dtype copies); everything stays ``batch_format="pyarrow"``.
 """
 
@@ -35,6 +44,15 @@ MULTIMODAL_SCHEMA = pa.schema([
     ("payload", pa.binary()),      # opaque encoded bytes
 ])
 
+#: rows per decode batch and the decode actor pool's (min, max) size
+DECODE_BATCH = 256
+DECODE_ACTORS = (1, 4)
+
+#: frame sampling: frame size in bytes, and every how many frames one
+#: is kept
+FRAME_BYTES = 64
+FRAME_EVERY = 4
+
 
 def encode_documents_as_media(batch: pa.Table) -> pa.Table:
     """Test/bench adapter: wrap the documents table's text bytes as fake
@@ -49,16 +67,13 @@ def encode_documents_as_media(batch: pa.Table) -> pa.Table:
 class FakeImageDecoder:
     """Actor-pool decode stub: binary in -> typed metadata out.
 
-    A real decoder would do ``PIL.Image.open(io.BytesIO(x))`` here (or
+    A real decoder would import its codec library once per actor in
+    ``__init__`` and do ``PIL.Image.open(io.BytesIO(x))`` here (or
     raise ``NotImplementedError`` when the codec is missing).  The fake
     derives (width, height, n_bytes) deterministically from the payload
     so tests/oracles are exact: width = n_bytes % 640 + 1,
     height = (n_bytes * 7) % 480 + 1.
     """
-
-    def __init__(self):
-        # Real impl: import the codec library ONCE per actor here.
-        self.codec = "fake-v1"
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n_bytes = pc.cast(pc.binary_length(batch["payload"]), pa.int64())
@@ -96,14 +111,15 @@ class FakeFeatureExtractor:
         })
 
 
-def sample_frames_batch(batch: pa.Table, frame_bytes: int = 64,
-                        every_n: int = 4) -> pa.Table:
+def sample_frames_batch(batch: pa.Table) -> pa.Table:
     """Frame sampling: treat each payload as a sequence of
-    ``frame_bytes``-sized frames and emit every ``every_n``-th frame as
-    its own row (doc_id, frame_idx, payload) — the video
-    keyframe-extraction shape.  Vectorized: one flat byte buffer + one
-    offsets array, frames materialized via zero-copy
-    ``LargeBinaryArray.from_buffers`` (no per-frame Python objects)."""
+    :data:`FRAME_BYTES`-sized frames and emit every
+    :data:`FRAME_EVERY`-th frame as its own row (doc_id, frame_idx,
+    payload) — the video keyframe-extraction shape.  Vectorized: one
+    flat byte buffer + one offsets array, frames materialized via
+    zero-copy ``LargeBinaryArray.from_buffers`` (no per-frame Python
+    objects)."""
+    frame_bytes, every_n = FRAME_BYTES, FRAME_EVERY
     payloads = batch["payload"].to_pylist()
     ids = batch["doc_id"].to_numpy(zero_copy_only=False)
     flat = b"".join(p or b"" for p in payloads)
@@ -149,17 +165,11 @@ def sample_frames_batch(batch: pa.Table, frame_bytes: int = 64,
     })
 
 
-def decode_media(ds, decoder_cls=FakeImageDecoder, *, batch_size: int = 256,
-                 concurrency=(1, 4)):
-    """Run an actor-pool decode over a multimodal dataset."""
+def decode_media(ds, decoder_cls=FakeImageDecoder):
+    """Run an actor-pool decode (a :class:`MediaParser`, or one of the
+    ``Fake*`` stubs) over a multimodal dataset."""
     return ds.map_batches(decoder_cls, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency)
-
-
-def extract_features(ds, extractor_cls=FakeFeatureExtractor, *,
-                     batch_size: int = 256, concurrency=(1, 4)):
-    return ds.map_batches(extractor_cls, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency)
+                          batch_size=DECODE_BATCH, concurrency=DECODE_ACTORS)
 
 
 # ------------------------------------------------------ parser skeleton
@@ -186,9 +196,27 @@ class MediaParser:
     ``None`` to reject the payload.  ``__call__`` owns the dead-letter
     policy (module docstring): rejection, any exception from
     ``_parse`` and int64 overflow are all per-row ``decode_ok =
-    false``, so ``_parse`` never needs a ``try`` of its own."""
+    false``, so ``_parse`` never needs a ``try`` of its own.
+
+    Each subclass also declares its fixture: ``media_type`` and a
+    static ``payload(doc_id) -> bytes``; :meth:`encode` serves them
+    all."""
 
     schema: pa.Schema
+    media_type: str
+
+    @classmethod
+    def encode(cls, batch: pa.Table) -> pa.Table:
+        """Fixture adapter: a ``doc_id`` batch -> (doc_id, media_type,
+        payload) with one ``payload(doc_id)`` per row."""
+        ids = batch["doc_id"]
+        return pa.table({
+            "doc_id": ids,
+            "media_type": pa.array([cls.media_type] * len(ids),
+                                   pa.string()),
+            "payload": pa.array([cls.payload(i) for i in ids.to_pylist()],
+                                pa.binary()),
+        })
 
     def _parse(self, payload: bytes) -> tuple | None:
         raise NotImplementedError
@@ -239,29 +267,6 @@ def _pcm_stats(rate: int, s: np.ndarray):
 # baseline JPEG (stages/jpeg.py) are the real compressed-image
 # decoders; all of them are MediaParser subclasses.
 
-def encode_ppm_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
-    """Fixture adapter: deterministic REAL binary-PPM payloads derived
-    from the id — width = (id % 8 + 1) * 2, height = (id % 4 + 1) * 2,
-    constant per-channel pixels R = id % 256, G = id*7 % 256,
-    B = id*13 % 256 — so every decoded statistic has a closed form an
-    oracle can state while the engine path decodes actual bytes."""
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    payloads = []
-    for i in ids:
-        w = int(i % 8 + 1) * 2
-        h = int(i % 4 + 1) * 2
-        px = np.empty((h, w, 3), np.uint8)
-        px[..., 0] = i % 256
-        px[..., 1] = (i * 7) % 256
-        px[..., 2] = (i * 13) % 256
-        payloads.append(b"P6\n%d %d\n255\n" % (w, h) + px.tobytes())
-    return pa.table({
-        id_col: batch[id_col],
-        "media_type": pa.array(["image/ppm"] * len(ids), pa.string()),
-        "payload": pa.array(payloads, pa.binary()),
-    })
-
-
 _PPM_HEADER = re.compile(rb"\AP6\s+(\d+)\s+(\d+)\s+(\d+)\s")
 
 
@@ -286,20 +291,32 @@ class PpmDecoder(MediaParser):
     per-image too); each image's pixel math is numpy-vectorized."""
 
     schema = RGB_MEANS
+    media_type = "image/ppm"
+
+    @staticmethod
+    def payload(i: int) -> bytes:
+        """Deterministic REAL binary PPM: width = (id % 8 + 1) * 2,
+        height = (id % 4 + 1) * 2, constant per-channel pixels
+        R = id % 256, G = id*7 % 256, B = id*13 % 256 — so every
+        decoded statistic has a closed form an oracle can state while
+        the engine path decodes actual bytes."""
+        w, h = (i % 8 + 1) * 2, (i % 4 + 1) * 2
+        px = np.empty((h, w, 3), np.uint8)
+        px[...] = (i % 256, i * 7 % 256, i * 13 % 256)
+        return b"P6\n%d %d\n255\n" % (w, h) + px.tobytes()
 
     def _parse(self, p: bytes):
         d = _ppm_pixels(p)
         return None if d is None else rgb_means_row(*d)
 
 
-class PpmResizer(MediaParser):
+class PpmResizer(PpmDecoder):
     """Actor-pool REAL 2x box downsample: decode (the PpmDecoder
     header check), average each 2x2 block exactly (integer sum // 4),
     emit the resized dims and the resized image's exact integer channel
-    means.  Requires even input dims (the fixture guarantees them); odd
-    dims emit ``decode_ok = false`` like malformed payloads."""
-
-    schema = RGB_MEANS
+    means.  Requires even input dims (the PPM fixture it inherits
+    guarantees them); odd dims emit ``decode_ok = false`` like
+    malformed payloads."""
 
     def _parse(self, p: bytes):
         d = _ppm_pixels(p)
@@ -315,30 +332,41 @@ class PpmResizer(MediaParser):
 # ------------------------------------------------------------- real WAV
 # RIFF/WAVE PCM is the audio analog of P6: a chunked container around
 # raw int16 samples, decodable with struct math alone — the audio
-# modality's REAL path next to the PPM image one.
+# modality's REAL path next to the PPM image one.  The RIFF chunk
+# walk and writer below serve every RIFF format here (WAV, ADPCM,
+# WebP, AVI).
 
-def encode_wav_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
-    """Fixture adapter: deterministic REAL mono 16-bit PCM WAV payloads
-    derived from the id — sample_rate = 8000 + (id % 4) * 4000,
-    n_samples = (id % 50 + 1) * 100, every sample the constant
-    id % 1000 - 500 — closed forms for the oracle, real RIFF bytes for
-    the engine."""
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    payloads = []
-    for i in ids:
-        rate = int(8000 + (i % 4) * 4000)
-        n = int(i % 50 + 1) * 100
-        samples = np.full(n, int(i % 1000 - 500), dtype="<i2")
-        data = samples.tobytes()
-        fmt = struct.pack("<HHIIHH", 1, 1, rate, rate * 2, 2, 16)
-        body = (b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
-                + b"data" + struct.pack("<I", len(data)) + data)
-        payloads.append(b"RIFF" + struct.pack("<I", len(body)) + body)
-    return pa.table({
-        id_col: batch[id_col],
-        "media_type": pa.array(["audio/wav"] * len(ids), pa.string()),
-        "payload": pa.array(payloads, pa.binary()),
-    })
+def _riff_chunk(cid: bytes, body: bytes) -> bytes:
+    """One RIFF chunk: id, little-endian body size, body, and a pad
+    byte after an odd-sized body (chunks are word-aligned)."""
+    return cid + struct.pack("<I", len(body)) + body \
+        + b"\x00" * (len(body) & 1)
+
+
+def _riff_chunks(p: bytes, lo: int, hi: int):
+    """The RIFF chunks in ``p[lo:hi]`` as (id, body start, body end),
+    hopping the pad byte after odd-sized bodies; ``None`` when a body
+    runs past ``hi``.  Trailing bytes too short for a chunk header are
+    ignored."""
+    out = []
+    while lo + 8 <= hi:
+        size = int.from_bytes(p[lo + 4:lo + 8], "little")
+        end = lo + 8 + size
+        if end > hi:
+            return None
+        out.append((p[lo:lo + 4], lo + 8, end))
+        lo = end + (size & 1)
+    return out
+
+
+def _wave_chunks(p: bytes):
+    """Chunk bodies by id of a RIFF/WAVE payload (a repeated id keeps
+    its last body), or ``None``; the RIFF size field is not checked."""
+    if p[:4] != b"RIFF" or p[8:12] != b"WAVE":
+        return None
+    chunks = _riff_chunks(p, 12, len(p))
+    return None if chunks is None else \
+        {cid: p[lo:hi] for cid, lo, hi in chunks}
 
 
 class WavDecoder(MediaParser):
@@ -350,22 +378,25 @@ class WavDecoder(MediaParser):
     amplitude."""
 
     schema = PCM_STATS
+    media_type = "audio/wav"
+
+    @staticmethod
+    def payload(i: int) -> bytes:
+        """Deterministic REAL mono 16-bit PCM WAV: sample_rate =
+        8000 + (id % 4) * 4000, n_samples = (id % 50 + 1) * 100, every
+        sample the constant id % 1000 - 500 — closed forms for the
+        oracle, real RIFF bytes for the engine."""
+        rate = 8000 + (i % 4) * 4000
+        data = np.full((i % 50 + 1) * 100, i % 1000 - 500, "<i2").tobytes()
+        fmt = struct.pack("<HHIIHH", 1, 1, rate, rate * 2, 2, 16)
+        return _riff_chunk(b"RIFF", b"WAVE" + _riff_chunk(b"fmt ", fmt)
+                           + _riff_chunk(b"data", data))
 
     def _parse(self, p: bytes):
-        if len(p) < 12 or p[:4] != b"RIFF" or p[8:12] != b"WAVE":
+        c = _wave_chunks(p)
+        if c is None:
             return None
-        pos, fmt, data = 12, None, None
-        while pos + 8 <= len(p):
-            cid = p[pos:pos + 4]
-            size = struct.unpack("<I", p[pos + 4:pos + 8])[0]
-            chunk = p[pos + 8:pos + 8 + size]
-            if len(chunk) != size:
-                return None
-            if cid == b"fmt ":
-                fmt = chunk
-            elif cid == b"data":
-                data = chunk
-            pos += 8 + size + (size & 1)  # chunks are word-aligned
+        fmt, data = c.get(b"fmt "), c.get(b"data")
         if fmt is None or data is None or len(fmt) < 16:
             return None
         audio_fmt, channels, rate, _, _, bits = struct.unpack(
@@ -395,15 +426,18 @@ def _png_chunk(ctype: bytes, data: bytes) -> bytes:
 
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
 
+#: bytes per pixel of the one supported PNG mode (8-bit RGB)
+_PNG_BPP = 3
 
-def _png_filter_row(ftype: int, raw: np.ndarray, prev: np.ndarray,
-                    bpp: int = 3) -> np.ndarray:
+
+def _png_filter_row(ftype: int, raw: np.ndarray,
+                    prev: np.ndarray) -> np.ndarray:
     """Apply PNG filter ``ftype`` to one raw scanline (encoder side —
     predictors use RAW bytes, all five vectorizable)."""
     r = raw.astype(np.int64)
-    left = np.concatenate([np.zeros(bpp, np.int64), r[:-bpp]])
+    left = np.concatenate([np.zeros(_PNG_BPP, np.int64), r[:-_PNG_BPP]])
     up = prev.astype(np.int64)
-    upleft = np.concatenate([np.zeros(bpp, np.int64), up[:-bpp]])
+    upleft = np.concatenate([np.zeros(_PNG_BPP, np.int64), up[:-_PNG_BPP]])
     if ftype == 0:
         out = r
     elif ftype == 1:
@@ -422,43 +456,6 @@ def _png_filter_row(ftype: int, raw: np.ndarray, prev: np.ndarray,
     return (out % 256).astype(np.uint8)
 
 
-def encode_png_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
-    """Fixture adapter: deterministic REAL RGB8 PNG payloads derived
-    from the id — width = (id % 7 + 1) * 2, height = (id % 5 + 1) * 2,
-    constant channels R = id % 256, G = id*11 % 256, B = id*17 % 256
-    (closed forms for the oracle) — with per-scanline filter type
-    (id + row) % 5, so every fixture batch exercises ALL FIVE spec
-    filters through the decoder's reconstruction math, and the IDAT
-    stream is genuinely zlib-compressed."""
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    payloads = []
-    for i in ids:
-        w = int(i % 7 + 1) * 2
-        h = int(i % 5 + 1) * 2
-        px = np.empty((h, w, 3), np.uint8)
-        px[..., 0] = i % 256
-        px[..., 1] = (i * 11) % 256
-        px[..., 2] = (i * 17) % 256
-        prev = np.zeros(w * 3, np.uint8)
-        lines = []
-        for y in range(h):
-            raw = px[y].reshape(-1)
-            ft = int((i + y) % 5)
-            lines.append(bytes([ft])
-                         + _png_filter_row(ft, raw, prev).tobytes())
-            prev = raw
-        ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
-        payloads.append(_PNG_SIG + _png_chunk(b"IHDR", ihdr)
-                        + _png_chunk(b"IDAT",
-                                     zlib.compress(b"".join(lines), 9))
-                        + _png_chunk(b"IEND", b""))
-    return pa.table({
-        id_col: batch[id_col],
-        "media_type": pa.array(["image/png"] * len(ids), pa.string()),
-        "payload": pa.array(payloads, pa.binary()),
-    })
-
-
 class PngDecoder(MediaParser):
     """Actor-pool REAL compressed-image decode: verify the PNG
     signature, walk chunks verifying each CRC32, validate IHDR
@@ -473,10 +470,36 @@ class PngDecoder(MediaParser):
     rows — the poison-file dead-letter pattern."""
 
     schema = RGB_MEANS
+    media_type = "image/png"
 
     #: IHDR the decoder supports: bit depth 8, color type 2 (RGB),
     #: compression 0, filter method 0, interlace 0
     _IHDR_TAIL = (8, 2, 0, 0, 0)
+
+    @staticmethod
+    def payload(i: int) -> bytes:
+        """Deterministic REAL RGB8 PNG: width = (id % 7 + 1) * 2,
+        height = (id % 5 + 1) * 2, constant channels R = id % 256,
+        G = id*11 % 256, B = id*17 % 256 (closed forms for the oracle)
+        — with per-scanline filter type (id + row) % 5, so every
+        fixture batch exercises ALL FIVE spec filters through the
+        decoder's reconstruction math, and the IDAT stream is genuinely
+        zlib-compressed."""
+        w, h = (i % 7 + 1) * 2, (i % 5 + 1) * 2
+        px = np.empty((h, w, 3), np.uint8)
+        px[...] = (i % 256, i * 11 % 256, i * 17 % 256)
+        prev = np.zeros(w * 3, np.uint8)
+        lines = []
+        for y in range(h):
+            raw = px[y].reshape(-1)
+            ft = (i + y) % 5
+            lines.append(bytes([ft])
+                         + _png_filter_row(ft, raw, prev).tobytes())
+            prev = raw
+        ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
+        return (_PNG_SIG + _png_chunk(b"IHDR", ihdr)
+                + _png_chunk(b"IDAT", zlib.compress(b"".join(lines), 9))
+                + _png_chunk(b"IEND", b""))
 
     def _chunks(self, p: bytes):
         pos, out = len(_PNG_SIG), []
@@ -496,7 +519,7 @@ class PngDecoder(MediaParser):
         return None
 
     def _defilter(self, stream: bytes, w: int, h: int):
-        bpp = 3
+        bpp = _PNG_BPP
         stride = w * bpp
         if len(stream) != h * (1 + stride):
             return None
@@ -639,41 +662,6 @@ def adpcm_fixture_signal(doc_id: int):
     return rate, np.clip(ramp + noise, -32768, 32767).astype(np.int16)
 
 
-def encode_adpcm_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
-    """Fixture adapter: REAL WAV(tag 0x11)-contained IMA-ADPCM payloads
-    over the deterministic per-id signal.  The ground-truth sidecar
-    (fixtures.ensure_adpcm_fixture) decodes the same payloads with an
-    INDEPENDENT naive reference decoder, so the oracle checks the
-    stage decoder against a second implementation of the spec, not
-    against itself."""
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    payloads = []
-    for i in ids:
-        rate, samples = adpcm_fixture_signal(int(i))
-        n = len(samples)
-        blocks, index = [], 0
-        for b0 in range(0, n, _ADPCM_SPB):
-            blk = samples[b0:b0 + _ADPCM_SPB]
-            # spec: each block's header re-seeds predictor+index, so
-            # blocks are independently decodable (seek support);
-            # carrying the exit index forward just improves quality
-            block_bytes, index = _ima_encode_block(blk, index)
-            blocks.append(block_bytes)
-        data = b"".join(blocks)
-        fmt = struct.pack("<HHIIHHHH", 0x11, 1, rate,
-                          rate * _ADPCM_BLOCK_ALIGN // _ADPCM_SPB,
-                          _ADPCM_BLOCK_ALIGN, 4, 2, _ADPCM_SPB)
-        body = (b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
-                + b"fact" + struct.pack("<II", 4, n)
-                + b"data" + struct.pack("<I", len(data)) + data)
-        payloads.append(b"RIFF" + struct.pack("<I", len(body)) + body)
-    return pa.table({
-        id_col: batch[id_col],
-        "media_type": pa.array(["audio/adpcm"] * len(ids), pa.string()),
-        "payload": pa.array(payloads, pa.binary()),
-    })
-
-
 class AdpcmWavDecoder(MediaParser):
     """Actor-pool REAL compressed-audio decode: walk the RIFF chunks,
     validate fmt tag 0x11 / mono / 4-bit, then run the IMA state
@@ -686,24 +674,38 @@ class AdpcmWavDecoder(MediaParser):
     emit ``decode_ok = false`` rows."""
 
     schema = PCM_STATS
+    media_type = "audio/adpcm"
+
+    @staticmethod
+    def payload(i: int) -> bytes:
+        """REAL WAV(tag 0x11)-contained IMA-ADPCM over the
+        deterministic per-id signal (:func:`adpcm_fixture_signal`).
+        The ground-truth sidecar (fixtures.ensure_decode_fixture)
+        decodes the same payloads with an INDEPENDENT naive reference
+        decoder, so the oracle checks the stage decoder against a
+        second implementation of the spec, not against itself."""
+        rate, samples = adpcm_fixture_signal(i)
+        blocks, index = [], 0
+        for b0 in range(0, len(samples), _ADPCM_SPB):
+            # spec: each block's header re-seeds predictor+index, so
+            # blocks are independently decodable (seek support);
+            # carrying the exit index forward just improves quality
+            block, index = _ima_encode_block(
+                samples[b0:b0 + _ADPCM_SPB], index)
+            blocks.append(block)
+        fmt = struct.pack("<HHIIHHHH", 0x11, 1, rate,
+                          rate * _ADPCM_BLOCK_ALIGN // _ADPCM_SPB,
+                          _ADPCM_BLOCK_ALIGN, 4, 2, _ADPCM_SPB)
+        return _riff_chunk(b"RIFF", b"WAVE" + _riff_chunk(b"fmt ", fmt)
+                           + _riff_chunk(b"fact",
+                                         struct.pack("<I", len(samples)))
+                           + _riff_chunk(b"data", b"".join(blocks)))
 
     def _decode(self, p: bytes):
-        if len(p) < 12 or p[:4] != b"RIFF" or p[8:12] != b"WAVE":
+        c = _wave_chunks(p)
+        if c is None:
             return None
-        pos, fmt, data, fact = 12, None, None, None
-        while pos + 8 <= len(p):
-            cid = p[pos:pos + 4]
-            size = struct.unpack("<I", p[pos + 4:pos + 8])[0]
-            chunk = p[pos + 8:pos + 8 + size]
-            if len(chunk) != size:
-                return None
-            if cid == b"fmt ":
-                fmt = chunk
-            elif cid == b"data":
-                data = chunk
-            elif cid == b"fact":
-                fact = chunk
-            pos += 8 + size + (size & 1)
+        fmt, data, fact = c.get(b"fmt "), c.get(b"data"), c.get(b"fact")
         if fmt is None or data is None or fact is None or len(fmt) < 20:
             return None
         tag, channels, rate, _, balign, bits, _, spb = struct.unpack(
@@ -765,24 +767,37 @@ _MP4_MATRIX = (b"\x00\x01\x00\x00" + b"\x00" * 12
                + b"\x40\x00\x00\x00")
 
 
-def encode_mp4_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
-    """Fixture adapter: deterministic REAL ISO BMFF containers with
-    closed forms for the oracle — timescale = 600*(id%3+1), duration
-    units = (id%50+1)*100, n_tracks = id%2+1 (track 1 'avc1' video,
-    track 2 'mp4a' audio), mdat payload length = id%64+8.  Coverage
-    rotation: mvhd version = id%2 (32- vs 64-bit times) and ids
-    divisible by 5 write mdat with a 64-bit largesize header, so the
-    parser's every branch sees real data at every scale."""
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    payloads = []
-    for i in ids:
-        tscale = 600 * int(i % 3 + 1)
-        dur = int(i % 50 + 1) * 100
-        n_tracks = int(i % 2 + 1)
-        ver = int(i % 2)
+class Mp4MetaParser(MediaParser):
+    """Actor-pool REAL MP4/ISO-BMFF container parse (ISO/IEC 14496-12
+    box walk): recursive descent over {moov, trak, mdia, minf, stbl},
+    32-bit sizes plus the size==1 largesize and size==0 to-end forms,
+    mvhd version 0 and 1 — emitting per-file (brand, n_tracks,
+    duration_us, codec fourcc list, mdat byte count).  No entropy
+    decoding — the track payloads stay opaque (H.264/AAC stubs).
+    Malformed containers (truncated box, size underrun, missing ftyp
+    or mvhd) emit ``decode_ok = false`` — the poison-file dead-letter
+    pattern shared by every decoder in this module."""
+
+    schema = pa.schema([("brand", pa.string()), ("n_tracks", pa.int64()),
+                        ("duration_us", pa.int64()), ("codecs", pa.string()),
+                        ("mdat_bytes", pa.int64())])
+    media_type = "video/mp4"
+
+    @staticmethod
+    def payload(i: int) -> bytes:
+        """Deterministic REAL ISO BMFF container with closed forms for
+        the oracle — timescale = 600*(id%3+1), duration units =
+        (id%50+1)*100, n_tracks = id%2+1 (track 1 'avc1' video, track
+        2 'mp4a' audio), mdat payload length = id%64+8.  Coverage
+        rotation: mvhd version = id%2 (32- vs 64-bit times) and ids
+        divisible by 5 write mdat with a 64-bit largesize header, so
+        the parser's every branch sees real data at every scale."""
+        tscale = 600 * (i % 3 + 1)
+        dur = (i % 50 + 1) * 100
+        n_tracks = i % 2 + 1
         ftyp = _mp4_box(b"ftyp", b"isom" + struct.pack(">I", 0x200)
                         + b"isom" + b"mp42")
-        if ver == 1:
+        if i % 2 == 1:
             mvhd_body = (b"\x01\x00\x00\x00"
                          + struct.pack(">QQIQ", 0, 0, tscale, dur))
         else:
@@ -817,32 +832,10 @@ def encode_mp4_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
             traks.append(_mp4_box(b"trak", tkhd + mdia))
         moov = _mp4_box(b"moov", _mp4_box(b"mvhd", mvhd_body)
                         + b"".join(traks))
-        mdat_len = int(i % 64 + 8)
         mdat = _mp4_box(b"mdat",
-                        bytes((int(i) + j) % 256 for j in range(mdat_len)),
-                        largesize=(i % 5 == 0))
-        payloads.append(ftyp + moov + mdat)
-    return pa.table({
-        id_col: batch[id_col],
-        "media_type": pa.array(["video/mp4"] * len(ids), pa.string()),
-        "payload": pa.array(payloads, pa.binary()),
-    })
-
-
-class Mp4MetaParser(MediaParser):
-    """Actor-pool REAL MP4/ISO-BMFF container parse (ISO/IEC 14496-12
-    box walk): recursive descent over {moov, trak, mdia, minf, stbl},
-    32-bit sizes plus the size==1 largesize and size==0 to-end forms,
-    mvhd version 0 and 1 — emitting per-file (brand, n_tracks,
-    duration_us, codec fourcc list, mdat byte count).  No entropy
-    decoding — the track payloads stay opaque (H.264/AAC stubs).
-    Malformed containers (truncated box, size underrun, missing ftyp
-    or mvhd) emit ``decode_ok = false`` — the poison-file dead-letter
-    pattern shared by every decoder in this module."""
-
-    schema = pa.schema([("brand", pa.string()), ("n_tracks", pa.int64()),
-                        ("duration_us", pa.int64()), ("codecs", pa.string()),
-                        ("mdat_bytes", pa.int64())])
+                        bytes((i + j) % 256 for j in range(i % 64 + 8)),
+                        largesize=i % 5 == 0)
+        return ftyp + moov + mdat
 
     def _walk(self, p: bytes, start: int, end: int, out: dict) -> bool:
         pos = start
@@ -933,42 +926,6 @@ def _mp3_frame_len(bitrate_kbps: int, rate_hz: int, padding: int) -> int:
     return 144 * bitrate_kbps * 1000 // rate_hz + padding
 
 
-def encode_mp3_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
-    """Fixture adapter: deterministic REAL MPEG-1 Layer III frame
-    streams with closed forms for the oracle — n_frames = id%40+1,
-    sampling-rate index = id%3, per-frame bitrate index rotating
-    (id + frame) % 14 + 1 (so VBR streams exist whenever n_frames > 1
-    — the parser must not assume CBR), padding bit = (id + frame) % 2.
-    Each frame is a spec header plus zero payload bytes of exactly the
-    header-implied length."""
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    payloads = []
-    for i in ids:
-        n_frames = int(i % 40 + 1)
-        rate_idx = int(i % 3)
-        rate = _MP3_RATES[rate_idx]
-        out = bytearray()
-        for f in range(n_frames):
-            br_idx = int((i + f) % 14 + 1)
-            pad = int((i + f) % 2)
-            # sync(11)=all 1 | version(2)=11 (MPEG-1) | layer(2)=01
-            # (III) | prot(1)=1 | bitrate(4) | rate(2) | padding(1) |
-            # private(1)=0 | mode(2)=11 (mono) | rest 0
-            b0 = 0xFF
-            b1 = 0xFB                      # 1111 1011
-            b2 = (br_idx << 4) | (rate_idx << 2) | (pad << 1)
-            b3 = 0xC0
-            flen = _mp3_frame_len(_MP3_BITRATES[br_idx], rate, pad)
-            frame = bytes((b0, b1, b2, b3)) + bytes(flen - 4)
-            out += frame
-        payloads.append(bytes(out))
-    return pa.table({
-        id_col: batch[id_col],
-        "media_type": pa.array(["audio/mpeg"] * len(ids), pa.string()),
-        "payload": pa.array(payloads, pa.binary()),
-    })
-
-
 class Mp3MetaParser(MediaParser):
     """Actor-pool REAL MP3 frame-header walk (ISO/IEC 11172-3): verify
     the 11-bit sync, decode version/layer/bitrate/rate/padding bit
@@ -984,6 +941,30 @@ class Mp3MetaParser(MediaParser):
 
     schema = _int64s("n_frames", "sample_rate", "duration_us",
                      "mean_bitrate_kbps")
+    media_type = "audio/mpeg"
+
+    @staticmethod
+    def payload(i: int) -> bytes:
+        """Deterministic REAL MPEG-1 Layer III frame stream with closed
+        forms for the oracle — n_frames = id%40+1, sampling-rate index
+        = id%3, per-frame bitrate index rotating (id + frame) % 14 + 1
+        (so VBR streams exist whenever n_frames > 1 — the parser must
+        not assume CBR), padding bit = (id + frame) % 2.  Each frame
+        is a spec header plus zero payload bytes of exactly the
+        header-implied length."""
+        rate_idx = i % 3
+        out = bytearray()
+        for f in range(i % 40 + 1):
+            br_idx = (i + f) % 14 + 1
+            pad = (i + f) % 2
+            # sync(11)=all 1 | version(2)=11 (MPEG-1) | layer(2)=01
+            # (III) | prot(1)=1 | bitrate(4) | rate(2) | padding(1) |
+            # private(1)=0 | mode(2)=11 (mono) | rest 0
+            b2 = (br_idx << 4) | (rate_idx << 2) | (pad << 1)
+            flen = _mp3_frame_len(_MP3_BITRATES[br_idx],
+                                  _MP3_RATES[rate_idx], pad)
+            out += bytes((0xFF, 0xFB, b2, 0xC0)) + bytes(flen - 4)
+        return bytes(out)
 
     def _parse(self, p: bytes):
         pos, n_frames, rate, br_sum = 0, 0, None, 0
@@ -1025,67 +1006,6 @@ class Mp3MetaParser(MediaParser):
 # chains.  Only the LZW-coded pixel payload stays a declared stub
 # (walked by sub-block length, never decompressed).
 
-def encode_gif_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
-    """Fixture adapter: deterministic REAL GIF89a streams with closed
-    forms for the oracle — width = (id%6+1)*2, height = (id%4+2)*2,
-    global palette of 2 << (id%3) colors, n_frames = id%5+1, each
-    frame's Graphic Control delay = (id*3 + frame) % 100 centisec.
-    Coverage rotation: frames with (id+frame)%4 == 0 carry a LOCAL
-    color table (size bits id%2), ids with id%6 == 0 carry a NETSCAPE
-    looping application extension (loop count id%10), ids with
-    id%7 == 0 carry a comment extension — so every block-walk branch
-    sees real data at every scale.  Data sub-blocks are length-valid
-    chains of deterministic filler bytes (the LZW payload is the
-    declared stub, exactly like mdat in the MP4 fixture)."""
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    payloads = []
-    for i in ids:
-        w = int(i % 6 + 1) * 2
-        h = int(i % 4 + 2) * 2
-        gbits = int(i % 3)
-        n_frames = int(i % 5 + 1)
-        out = bytearray(b"GIF89a")
-        # LSD: w, h, packed(GCT flag | color res 010 | size bits), bg,
-        # aspect
-        out += struct.pack("<HH", w, h)
-        out += bytes((0x80 | (0b010 << 4) | gbits, 0, 0))
-        out += bytes(((int(i) + j) % 256
-                      for j in range(3 * (2 << gbits))))  # GCT
-        if i % 6 == 0:                      # NETSCAPE loop extension
-            out += b"\x21\xff\x0bNETSCAPE2.0"
-            out += bytes((3, 1)) + struct.pack("<H", int(i % 10))
-            out += b"\x00"
-        if i % 7 == 0:                      # comment extension
-            out += b"\x21\xfe\x04meta\x00"
-        for f in range(n_frames):
-            delay = int((i * 3 + f) % 100)
-            out += b"\x21\xf9\x04\x00" + struct.pack("<H", delay)
-            out += b"\x00\x00"              # transparent idx, term
-            out += b"\x2c" + struct.pack("<HHHH", 0, 0, w, h)
-            if (i + f) % 4 == 0:            # local color table
-                lbits = int(i % 2)
-                out += bytes((0x80 | lbits,))
-                out += bytes(((int(i) + f + j) % 256
-                              for j in range(3 * (2 << lbits))))
-            else:
-                out += b"\x00"
-            out += bytes((7,))              # LZW min code size
-            a = int((i + f) % 200 + 1)      # two filler sub-blocks
-            b = int((i * 2 + f) % 100 + 1)
-            out += bytes((a,)) + bytes(((int(i) + j) % 256
-                                        for j in range(a)))
-            out += bytes((b,)) + bytes(((f + j) % 256
-                                        for j in range(b)))
-            out += b"\x00"                  # sub-block terminator
-        out += b"\x3b"                      # trailer
-        payloads.append(bytes(out))
-    return pa.table({
-        id_col: batch[id_col],
-        "media_type": pa.array(["image/gif"] * len(ids), pa.string()),
-        "payload": pa.array(payloads, pa.binary()),
-    })
-
-
 class GifMetaParser(MediaParser):
     """Actor-pool REAL GIF89a container parse: header + Logical
     Screen Descriptor bit fields, global/local color-table walks,
@@ -1100,6 +1020,57 @@ class GifMetaParser(MediaParser):
 
     schema = _int64s("width", "height", "n_frames", "total_delay_cs",
                      "gct_colors", "loops")
+    media_type = "image/gif"
+
+    @staticmethod
+    def payload(i: int) -> bytes:
+        """Deterministic REAL GIF89a stream with closed forms for the
+        oracle — width = (id%6+1)*2, height = (id%4+2)*2, global
+        palette of 2 << (id%3) colors, n_frames = id%5+1, each frame's
+        Graphic Control delay = (id*3 + frame) % 100 centisec.
+        Coverage rotation: frames with (id+frame)%4 == 0 carry a LOCAL
+        color table (size bits id%2), ids with id%6 == 0 carry a
+        NETSCAPE looping application extension (loop count id%10), ids
+        with id%7 == 0 carry a comment extension — so every block-walk
+        branch sees real data at every scale.  Data sub-blocks are
+        length-valid chains of deterministic filler bytes (the LZW
+        payload is the declared stub, exactly like mdat in the MP4
+        fixture)."""
+        w = (i % 6 + 1) * 2
+        h = (i % 4 + 2) * 2
+        gbits = i % 3
+        out = bytearray(b"GIF89a")
+        # LSD: w, h, packed(GCT flag | color res 010 | size bits), bg,
+        # aspect
+        out += struct.pack("<HH", w, h)
+        out += bytes((0x80 | (0b010 << 4) | gbits, 0, 0))
+        out += bytes((i + j) % 256 for j in range(3 * (2 << gbits)))  # GCT
+        if i % 6 == 0:                      # NETSCAPE loop extension
+            out += b"\x21\xff\x0bNETSCAPE2.0"
+            out += bytes((3, 1)) + struct.pack("<H", i % 10)
+            out += b"\x00"
+        if i % 7 == 0:                      # comment extension
+            out += b"\x21\xfe\x04meta\x00"
+        for f in range(i % 5 + 1):
+            delay = (i * 3 + f) % 100
+            out += b"\x21\xf9\x04\x00" + struct.pack("<H", delay)
+            out += b"\x00\x00"              # transparent idx, term
+            out += b"\x2c" + struct.pack("<HHHH", 0, 0, w, h)
+            if (i + f) % 4 == 0:            # local color table
+                lbits = i % 2
+                out += bytes((0x80 | lbits,))
+                out += bytes((i + f + j) % 256
+                             for j in range(3 * (2 << lbits)))
+            else:
+                out += b"\x00"
+            out += bytes((7,))              # LZW min code size
+            a = (i + f) % 200 + 1           # two filler sub-blocks
+            b = (i * 2 + f) % 100 + 1
+            out += bytes((a,)) + bytes((i + j) % 256 for j in range(a))
+            out += bytes((b,)) + bytes((f + j) % 256 for j in range(b))
+            out += b"\x00"                  # sub-block terminator
+        out += b"\x3b"                      # trailer
+        return bytes(out)
 
     def _subblocks(self, p: bytes, pos: int):
         while True:
@@ -1184,47 +1155,6 @@ class GifMetaParser(MediaParser):
 # BITMAPINFOHEADER validation, 4-byte row-stride padding, bottom-up
 # vs top-down row order, BGR channel order), not a stub.
 
-def encode_bmp_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
-    """Fixture adapter: deterministic REAL 24-bit BMP payloads with
-    closed forms for the oracle — width = (id%7+1)*2, height =
-    (id%5+1)*2, and IMAGE row y (top-based) holds constant channels
-    B = id%100 + y, G = id*3%100 + y, R = id*7%100 + y, so the exact
-    floor channel means are base + (h-1)//2 and the TOP row is
-    base + 0 (which catches a missed bottom-up flip, unlike the
-    mean).  Rotation: ids with id%3 == 0 store TOP-DOWN (negative
-    biHeight — the other real DIB branch), everything else
-    bottom-up; width alternates 3*w % 4 in {0, 2} so the row-padding
-    branch sees both forms."""
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    payloads = []
-    for i in ids:
-        w = int(i % 7 + 1) * 2
-        h = int(i % 5 + 1) * 2
-        top_down = i % 3 == 0
-        stride = (3 * w + 3) & ~3
-        bb, bg, br = int(i % 100), int(i * 3 % 100), int(i * 7 % 100)
-        rows = np.zeros((h, stride), np.uint8)
-        y = np.arange(h, dtype=np.int64)
-        px = np.empty((h, w, 3), np.uint8)
-        px[..., 0] = (bb + y)[:, None]      # B
-        px[..., 1] = (bg + y)[:, None]      # G
-        px[..., 2] = (br + y)[:, None]      # R
-        rows[:, :3 * w] = px.reshape(h, 3 * w)
-        if not top_down:
-            rows = rows[::-1]
-        data = rows.tobytes()
-        hdr = (b"BM" + struct.pack("<IHHI", 54 + len(data), 0, 0, 54)
-               + struct.pack("<IiihhIIiiII", 40, w,
-                             -h if top_down else h, 1, 24, 0,
-                             len(data), 2835, 2835, 0, 0))
-        payloads.append(hdr + data)
-    return pa.table({
-        id_col: batch[id_col],
-        "media_type": pa.array(["image/bmp"] * len(ids), pa.string()),
-        "payload": pa.array(payloads, pa.binary()),
-    })
-
-
 class BmpDecoder(MediaParser):
     """Actor-pool REAL uncompressed 24-bit BMP decode: file + info
     header validation (magic, header size 40, planes, bpp 24,
@@ -1237,6 +1167,39 @@ class BmpDecoder(MediaParser):
 
     schema = _int64s("width", "height", "mean_r", "mean_g", "mean_b",
                      "top_r", "top_g", "top_b")
+    media_type = "image/bmp"
+
+    @staticmethod
+    def payload(i: int) -> bytes:
+        """Deterministic REAL 24-bit BMP with closed forms for the
+        oracle — width = (id%7+1)*2, height = (id%5+1)*2, and IMAGE row
+        y (top-based) holds constant channels B = id%100 + y,
+        G = id*3%100 + y, R = id*7%100 + y, so the exact floor channel
+        means are base + (h-1)//2 and the TOP row is base + 0 (which
+        catches a missed bottom-up flip, unlike the mean).  Rotation:
+        ids with id%3 == 0 store TOP-DOWN (negative biHeight — the
+        other real DIB branch), everything else bottom-up; width
+        alternates 3*w % 4 in {0, 2} so the row-padding branch sees
+        both forms."""
+        w = (i % 7 + 1) * 2
+        h = (i % 5 + 1) * 2
+        top_down = i % 3 == 0
+        stride = (3 * w + 3) & ~3
+        rows = np.zeros((h, stride), np.uint8)
+        y = np.arange(h, dtype=np.int64)
+        px = np.empty((h, w, 3), np.uint8)
+        px[..., 0] = (i % 100 + y)[:, None]        # B
+        px[..., 1] = (i * 3 % 100 + y)[:, None]    # G
+        px[..., 2] = (i * 7 % 100 + y)[:, None]    # R
+        rows[:, :3 * w] = px.reshape(h, 3 * w)
+        if not top_down:
+            rows = rows[::-1]
+        data = rows.tobytes()
+        return (b"BM" + struct.pack("<IHHI", 54 + len(data), 0, 0, 54)
+                + struct.pack("<IiihhIIiiII", 40, w,
+                              -h if top_down else h, 1, 24, 0,
+                              len(data), 2835, 2835, 0, 0)
+                + data)
 
     def _parse(self, p: bytes):
         if len(p) < 54 or p[:2] != b"BM":
@@ -1271,54 +1234,6 @@ class BmpDecoder(MediaParser):
 # branch every other fixture row.  Strip payloads stay opaque (the
 # MP4-mdat policy).
 
-def encode_tiff_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
-    """Fixture adapter: deterministic REAL baseline-TIFF headers with
-    closed forms for the oracle — width = (id%9+1)*3 (LONG entry),
-    height = (id%5+2)*4 (SHORT entry, exercising the left-justified
-    inline-value rule), bits_per_sample = 8 or 16 by id%2,
-    compression = 1, and id%3+1 chained IFDs (multi-page).  Byte
-    order rotates: even ids 'II', odd ids 'MM'."""
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    payloads = []
-    for i in ids:
-        little = i % 2 == 0
-        e = "<" if little else ">"
-        w = int(i % 9 + 1) * 3
-        h = int(i % 5 + 2) * 4
-        bps = 8 if i % 2 == 0 else 16
-        pages = int(i % 3 + 1)
-        out = bytearray()
-        out += b"II" if little else b"MM"
-        out += struct.pack(e + "H", 42)
-        out += struct.pack(e + "I", 8)      # first IFD right after
-        pos = 8
-        for p in range(pages):
-            entries = [
-                (256, 4, 1, w),             # ImageWidth, LONG
-                (257, 3, 1, h),             # ImageLength, SHORT
-                (258, 3, 1, bps),           # BitsPerSample, SHORT
-                (259, 3, 1, 1),             # Compression, none
-            ]
-            ifd = bytearray(struct.pack(e + "H", len(entries)))
-            for tag, typ, cnt, val in entries:
-                ifd += struct.pack(e + "HHI", tag, typ, cnt)
-                if typ == 3:                # SHORT: left-justified
-                    ifd += struct.pack(e + "H", val) + b"\x00\x00"
-                else:
-                    ifd += struct.pack(e + "I", val)
-            nxt = pos + 2 + 12 * len(entries) + 4 if p < pages - 1 \
-                else 0
-            ifd += struct.pack(e + "I", nxt)
-            out += ifd
-            pos += len(ifd)
-        payloads.append(bytes(out))
-    return pa.table({
-        id_col: batch[id_col],
-        "media_type": pa.array(["image/tiff"] * len(ids), pa.string()),
-        "payload": pa.array(payloads, pa.binary()),
-    })
-
-
 class TiffMetaParser(MediaParser):
     """Actor-pool REAL TIFF IFD walk (TIFF 6.0): byte-order mark +
     magic 42, then the chained Image File Directories — 12-byte
@@ -1331,6 +1246,44 @@ class TiffMetaParser(MediaParser):
 
     schema = pa.schema([("byte_order", pa.string()), *_int64s(
         "width", "height", "bits_per_sample", "compression", "n_pages")])
+    media_type = "image/tiff"
+
+    @staticmethod
+    def payload(i: int) -> bytes:
+        """Deterministic REAL baseline-TIFF header with closed forms
+        for the oracle — width = (id%9+1)*3 (LONG entry), height =
+        (id%5+2)*4 (SHORT entry, exercising the left-justified
+        inline-value rule), bits_per_sample = 8 or 16 by id%2,
+        compression = 1, and id%3+1 chained IFDs (multi-page).  Byte
+        order rotates: even ids 'II', odd ids 'MM'."""
+        little = i % 2 == 0
+        e = "<" if little else ">"
+        pages = i % 3 + 1
+        entries = [
+            (256, 4, 1, (i % 9 + 1) * 3),   # ImageWidth, LONG
+            (257, 3, 1, (i % 5 + 2) * 4),   # ImageLength, SHORT
+            (258, 3, 1, 8 if little else 16),  # BitsPerSample, SHORT
+            (259, 3, 1, 1),                 # Compression, none
+        ]
+        out = bytearray()
+        out += b"II" if little else b"MM"
+        out += struct.pack(e + "H", 42)
+        out += struct.pack(e + "I", 8)      # first IFD right after
+        pos = 8
+        for p in range(pages):
+            ifd = bytearray(struct.pack(e + "H", len(entries)))
+            for tag, typ, cnt, val in entries:
+                ifd += struct.pack(e + "HHI", tag, typ, cnt)
+                if typ == 3:                # SHORT: left-justified
+                    ifd += struct.pack(e + "H", val) + b"\x00\x00"
+                else:
+                    ifd += struct.pack(e + "I", val)
+            nxt = pos + 2 + 12 * len(entries) + 4 if p < pages - 1 \
+                else 0
+            ifd += struct.pack(e + "I", nxt)
+            out += ifd
+            pos += len(ifd)
+        return bytes(out)
 
     def _parse(self, p: bytes):
         if len(p) < 8 or p[:2] not in (b"II", b"MM"):
@@ -1380,47 +1333,6 @@ class TiffMetaParser(MediaParser):
 # payloads stay opaque (the mdat policy); STORED members carry real
 # CRC32s so the fixture bytes are genuine archives.
 
-def encode_zip_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
-    """Fixture adapter: deterministic REAL ZIP archives with closed
-    forms for the oracle — n_members = id%6+1, member j holds
-    (id+j)%50+1 filler bytes STORED (method 0, real CRC32), names
-    'm00'.., and an EOCD comment of id%7 bytes so the tail scan-back
-    is exercised at every length."""
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    payloads = []
-    for i in ids:
-        n_members = int(i % 6 + 1)
-        locals_, centrals = [], []
-        pos = 0
-        for j in range(n_members):
-            name = b"m%02d" % j
-            data = bytes(((int(i) + j + k) % 256
-                          for k in range((int(i) + j) % 50 + 1)))
-            crc = zlib.crc32(data) & 0xFFFFFFFF
-            lfh = (b"PK\x03\x04" + struct.pack(
-                "<HHHHHIIIHH", 20, 0, 0, 0, 0, crc, len(data),
-                len(data), len(name), 0) + name + data)
-            cde = (b"PK\x01\x02" + struct.pack(
-                "<HHHHHHIIIHHHHHII", 20, 20, 0, 0, 0, 0, crc,
-                len(data), len(data), len(name), 0, 0, 0, 0, 0, pos)
-                + name)
-            locals_.append(lfh)
-            centrals.append(cde)
-            pos += len(lfh)
-        cd = b"".join(centrals)
-        comment = bytes((65 + k for k in range(int(i % 7))))
-        eocd = (b"PK\x05\x06" + struct.pack(
-            "<HHHHIIH", 0, 0, n_members, n_members, len(cd), pos,
-            len(comment)) + comment)
-        payloads.append(b"".join(locals_) + cd + eocd)
-    return pa.table({
-        id_col: batch[id_col],
-        "media_type": pa.array(["application/zip"] * len(ids),
-                               pa.string()),
-        "payload": pa.array(payloads, pa.binary()),
-    })
-
-
 class ZipMetaParser(MediaParser):
     """Actor-pool REAL ZIP central-directory parse (PKWARE APPNOTE
     4.3): EOCD located by scanning back from the tail through the
@@ -1433,6 +1345,38 @@ class ZipMetaParser(MediaParser):
 
     schema = _int64s("n_members", "total_uncompressed", "total_compressed",
                      "n_stored", "names_bytes", "comment_len")
+    media_type = "application/zip"
+
+    @staticmethod
+    def payload(i: int) -> bytes:
+        """Deterministic REAL ZIP archive with closed forms for the
+        oracle — n_members = id%6+1, member j holds (id+j)%50+1 filler
+        bytes STORED (method 0, real CRC32), names 'm00'.., and an
+        EOCD comment of id%7 bytes so the tail scan-back is exercised
+        at every length."""
+        n_members = i % 6 + 1
+        locals_, centrals = [], []
+        pos = 0
+        for j in range(n_members):
+            name = b"m%02d" % j
+            data = bytes((i + j + k) % 256 for k in range((i + j) % 50 + 1))
+            crc = zlib.crc32(data) & 0xFFFFFFFF
+            lfh = (b"PK\x03\x04" + struct.pack(
+                "<HHHHHIIIHH", 20, 0, 0, 0, 0, crc, len(data),
+                len(data), len(name), 0) + name + data)
+            cde = (b"PK\x01\x02" + struct.pack(
+                "<HHHHHHIIIHHHHHII", 20, 20, 0, 0, 0, 0, crc,
+                len(data), len(data), len(name), 0, 0, 0, 0, 0, pos)
+                + name)
+            locals_.append(lfh)
+            centrals.append(cde)
+            pos += len(lfh)
+        cd = b"".join(centrals)
+        comment = bytes(65 + k for k in range(i % 7))
+        eocd = (b"PK\x05\x06" + struct.pack(
+            "<HHHHIIH", 0, 0, n_members, n_members, len(cd), pos,
+            len(comment)) + comment)
+        return b"".join(locals_) + cd + eocd
 
     def _parse(self, p: bytes):
         lo = max(0, len(p) - 65557)
@@ -1469,44 +1413,6 @@ class ZipMetaParser(MediaParser):
 # none of the byte-aligned parsers above hits.  The entropy-coded
 # frames stay opaque (the mdat policy).
 
-def encode_flac_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
-    """Fixture adapter: deterministic REAL FLAC metadata streams with
-    closed forms for the oracle — rate rotates 32000/44100/48000,
-    channels = id%2+1, bits = 16 or 24, total_samples =
-    (id%50+1)*1000 + id%7 (exercising low bits of the 36-bit field).
-    Block rotation: ids%2 == 0 append PADDING, ids%5 == 0 append a
-    VORBIS_COMMENT-typed block, so the last-block flag moves."""
-    rates = (32000, 44100, 48000)
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    payloads = []
-    for i in ids:
-        rate = rates[int(i % 3)]
-        ch = int(i % 2 + 1)
-        bps = 16 if i % 2 == 0 else 24
-        total = int(i % 50 + 1) * 1000 + int(i % 7)
-        packed = ((rate << 44) | ((ch - 1) << 41)
-                  | ((bps - 1) << 36) | total)
-        si = (struct.pack(">HH", 1024, 4096)
-              + (34).to_bytes(3, "big") + (8192).to_bytes(3, "big")
-              + packed.to_bytes(8, "big") + bytes(16))
-        blocks = [(0, si)]
-        if i % 2 == 0:
-            blocks.append((1, bytes(int(i % 9 + 1))))   # PADDING
-        if i % 5 == 0:
-            blocks.append((4, b"\x00\x00\x00\x00"))     # VORBIS
-        out = bytearray(b"fLaC")
-        for j, (btype, body) in enumerate(blocks):
-            last = 0x80 if j == len(blocks) - 1 else 0
-            out += bytes((last | btype,)) + len(body).to_bytes(3, "big")
-            out += body
-        payloads.append(bytes(out))
-    return pa.table({
-        id_col: batch[id_col],
-        "media_type": pa.array(["audio/flac"] * len(ids), pa.string()),
-        "payload": pa.array(payloads, pa.binary()),
-    })
-
-
 class FlacMetaParser(MediaParser):
     """Actor-pool REAL FLAC metadata parse: 'fLaC' magic, the
     METADATA_BLOCK chain (1-bit last flag + 7-bit type + 24-bit
@@ -1519,6 +1425,36 @@ class FlacMetaParser(MediaParser):
 
     schema = _int64s("sample_rate", "channels", "bits_per_sample",
                      "total_samples", "duration_us", "n_blocks")
+    media_type = "audio/flac"
+
+    @staticmethod
+    def payload(i: int) -> bytes:
+        """Deterministic REAL FLAC metadata stream with closed forms
+        for the oracle — rate rotates 32000/44100/48000, channels =
+        id%2+1, bits = 16 or 24, total_samples = (id%50+1)*1000 + id%7
+        (exercising low bits of the 36-bit field).  Block rotation:
+        ids%2 == 0 append PADDING, ids%5 == 0 append a
+        VORBIS_COMMENT-typed block, so the last-block flag moves."""
+        rate = (32000, 44100, 48000)[i % 3]
+        ch = i % 2 + 1
+        bps = 16 if i % 2 == 0 else 24
+        total = (i % 50 + 1) * 1000 + i % 7
+        packed = ((rate << 44) | ((ch - 1) << 41)
+                  | ((bps - 1) << 36) | total)
+        si = (struct.pack(">HH", 1024, 4096)
+              + (34).to_bytes(3, "big") + (8192).to_bytes(3, "big")
+              + packed.to_bytes(8, "big") + bytes(16))
+        blocks = [(0, si)]
+        if i % 2 == 0:
+            blocks.append((1, bytes(i % 9 + 1)))        # PADDING
+        if i % 5 == 0:
+            blocks.append((4, b"\x00\x00\x00\x00"))     # VORBIS
+        out = bytearray(b"fLaC")
+        for j, (btype, body) in enumerate(blocks):
+            last = 0x80 if j == len(blocks) - 1 else 0
+            out += bytes((last | btype,)) + len(body).to_bytes(3, "big")
+            out += body
+        return bytes(out)
 
     def _parse(self, p: bytes):
         if len(p) < 8 or p[:4] != b"fLaC":
@@ -1565,64 +1501,6 @@ class FlacMetaParser(MediaParser):
 # minus-one fields.  All three are parsed for real; the VP8/VP8L
 # entropy-coded payloads remain declared stubs (the mdat doctrine).
 
-def encode_webp_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
-    """Fixture adapter: deterministic REAL WebP containers with closed
-    forms for the oracle — w = id%300+1, h = id%200+1, variant
-    id%3 in {VP8, VP8L, VP8X}, has_alpha = id%2 for the variants that
-    can carry it (VP8 cannot).  VP8X ids nest an ALPH chunk (when the
-    alpha flag is set) and a real VP8 frame chunk, so the chunk walk
-    sees multi-chunk files at every scale."""
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    payloads = []
-    for i in ids:
-        w = int(i % 300 + 1)
-        h = int(i % 200 + 1)
-        alpha = int(i % 2)
-        variant = int(i % 3)
-
-        def vp8_chunk(w=w, h=h, i=i):
-            version = int(i % 4)
-            part_size = int(i % 50 + 1)
-            tag = (0 | (version << 1) | (1 << 4) | (part_size << 5))
-            body = struct.pack("<I", tag)[:3]
-            body += b"\x9d\x01\x2a"
-            body += struct.pack("<HH", w & 0x3FFF, h & 0x3FFF)
-            body += bytes(((int(i) + j) % 256 for j in range(part_size)))
-            return b"VP8 " + struct.pack("<I", len(body)) + body \
-                + (b"\x00" if len(body) & 1 else b"")
-
-        if variant == 0:
-            chunks = vp8_chunk()
-        elif variant == 1:
-            bits = ((w - 1) & 0x3FFF) | (((h - 1) & 0x3FFF) << 14) \
-                | (alpha << 28) | (0 << 29)
-            body = b"\x2f" + struct.pack("<I", bits)
-            body += bytes(((int(i) * 3 + j) % 256
-                           for j in range(int(i % 20 + 1))))
-            chunks = b"VP8L" + struct.pack("<I", len(body)) + body \
-                + (b"\x00" if len(body) & 1 else b"")
-        else:
-            flags = (alpha << 4)  # bit 4: alpha (RFC 9649 layout)
-            body = bytes((flags, 0, 0, 0))
-            body += struct.pack("<I", w - 1)[:3]
-            body += struct.pack("<I", h - 1)[:3]
-            chunks = b"VP8X" + struct.pack("<I", len(body)) + body
-            if alpha:
-                ab = bytes((0,)) + bytes(((int(i) + j) % 256
-                                          for j in range(int(i % 9 + 1))))
-                chunks += b"ALPH" + struct.pack("<I", len(ab)) + ab \
-                    + (b"\x00" if len(ab) & 1 else b"")
-            chunks += vp8_chunk()
-        payload = b"RIFF" + struct.pack("<I", 4 + len(chunks)) \
-            + b"WEBP" + chunks
-        payloads.append(payload)
-    return pa.table({
-        id_col: batch[id_col],
-        "media_type": pa.array(["image/webp"] * len(ids), pa.string()),
-        "payload": pa.array(payloads, pa.binary()),
-    })
-
-
 class WebpMetaParser(MediaParser):
     """Actor-pool REAL WebP container parse: RIFF validation, chunk
     walk with word alignment, then the variant-specific dimension
@@ -1633,24 +1511,53 @@ class WebpMetaParser(MediaParser):
 
     schema = pa.schema([("fmt", pa.string()), *_int64s(
         "width", "height", "has_alpha", "n_chunks")])
+    media_type = "image/webp"
+
+    @staticmethod
+    def payload(i: int) -> bytes:
+        """Deterministic REAL WebP container with closed forms for the
+        oracle — w = id%300+1, h = id%200+1, variant id%3 in {VP8,
+        VP8L, VP8X}, has_alpha = id%2 for the variants that can carry
+        it (VP8 cannot).  VP8X ids nest an ALPH chunk (when the alpha
+        flag is set) and a real VP8 frame chunk, so the chunk walk sees
+        multi-chunk files at every scale."""
+        w, h, alpha = i % 300 + 1, i % 200 + 1, i % 2
+        part_size = i % 50 + 1
+        tag = ((i % 4) << 1) | (1 << 4) | (part_size << 5)
+        vp8 = _riff_chunk(b"VP8 ", struct.pack("<I", tag)[:3]
+                          + b"\x9d\x01\x2a"
+                          + struct.pack("<HH", w & 0x3FFF, h & 0x3FFF)
+                          + bytes((i + j) % 256 for j in range(part_size)))
+        variant = i % 3
+        if variant == 0:
+            chunks = vp8
+        elif variant == 1:
+            bits = ((w - 1) & 0x3FFF) | (((h - 1) & 0x3FFF) << 14) \
+                | (alpha << 28) | (0 << 29)
+            chunks = _riff_chunk(
+                b"VP8L", b"\x2f" + struct.pack("<I", bits)
+                + bytes((i * 3 + j) % 256 for j in range(i % 20 + 1)))
+        else:
+            flags = (alpha << 4)  # bit 4: alpha (RFC 9649 layout)
+            chunks = _riff_chunk(b"VP8X", bytes((flags, 0, 0, 0))
+                                 + struct.pack("<I", w - 1)[:3]
+                                 + struct.pack("<I", h - 1)[:3])
+            if alpha:
+                chunks += _riff_chunk(b"ALPH", bytes((0,)) + bytes(
+                    (i + j) % 256 for j in range(i % 9 + 1)))
+            chunks += vp8
+        return _riff_chunk(b"RIFF", b"WEBP" + chunks)
 
     def _parse(self, p: bytes):
         if len(p) < 12 or p[:4] != b"RIFF" or p[8:12] != b"WEBP":
             return None
         if struct.unpack("<I", p[4:8])[0] != len(p) - 8:
             return None
-        pos, chunks = 12, []
-        while pos + 8 <= len(p):
-            cid = p[pos:pos + 4]
-            size = struct.unpack("<I", p[pos + 4:pos + 8])[0]
-            body = p[pos + 8:pos + 8 + size]
-            if len(body) != size:
-                return None
-            chunks.append((cid, body))
-            pos += 8 + size + (size & 1)
+        chunks = _riff_chunks(p, 12, len(p))
         if not chunks:
             return None
-        cid, body = chunks[0]
+        cid, lo, hi = chunks[0]
+        body = p[lo:hi]
         if cid == b"VP8 ":
             if len(body) < 10 or body[3:6] != b"\x9d\x01\x2a":
                 return None
@@ -1700,43 +1607,6 @@ def _ogg_crc(data: bytes) -> int:
     return int(f"{raw:032b}"[::-1], 2)
 
 
-def encode_ogg_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
-    """Fixture adapter: deterministic REAL Ogg streams with closed
-    forms — n_pages = id%5+1, serial = (id*7+13)%100000, page p's
-    payload length = (id*3+p*7)%600+1 (so the 255-lacing split and
-    the 0-terminator branch both occur), granule = (id%97+1)*1000+p,
-    BOS/EOS flags on the first/last page, REAL page CRCs."""
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    payloads = []
-    for i in ids:
-        n_pages = int(i % 5 + 1)
-        serial = int((i * 7 + 13) % 100000)
-        out = bytearray()
-        for p in range(n_pages):
-            length = int((i * 3 + p * 7) % 600 + 1)
-            full, rem = divmod(length, 255)
-            lacing = bytes([255] * full + [rem])
-            body = bytes(((int(i) + p + j) % 256 for j in range(length)))
-            htype = (0x02 if p == 0 else 0) | \
-                (0x04 if p == n_pages - 1 else 0)
-            granule = int((i % 97 + 1) * 1000 + p)
-            page = bytearray(b"OggS\x00")
-            page.append(htype)
-            page += struct.pack("<qII", granule, serial, p)
-            page += b"\x00\x00\x00\x00"          # CRC placeholder
-            page.append(len(lacing))
-            page += lacing + body
-            crc = _ogg_crc(bytes(page))
-            page[22:26] = struct.pack("<I", crc)
-            out += page
-        payloads.append(bytes(out))
-    return pa.table({
-        id_col: batch[id_col],
-        "media_type": pa.array(["audio/ogg"] * len(ids), pa.string()),
-        "payload": pa.array(payloads, pa.binary()),
-    })
-
-
 class OggMetaParser(MediaParser):
     """Actor-pool REAL Ogg page walk (RFC 3533): capture-pattern and
     version checks, lacing-table packet accounting, granule/serial
@@ -1746,6 +1616,36 @@ class OggMetaParser(MediaParser):
 
     schema = _int64s("n_pages", "n_packets", "serial", "last_granule",
                      "payload_bytes")
+    media_type = "audio/ogg"
+
+    @staticmethod
+    def payload(i: int) -> bytes:
+        """Deterministic REAL Ogg stream with closed forms —
+        n_pages = id%5+1, serial = (id*7+13)%100000, page p's payload
+        length = (id*3+p*7)%600+1 (so the 255-lacing split and the
+        0-terminator branch both occur), granule = (id%97+1)*1000+p,
+        BOS/EOS flags on the first/last page, REAL page CRCs."""
+        n_pages = i % 5 + 1
+        serial = (i * 7 + 13) % 100000
+        out = bytearray()
+        for p in range(n_pages):
+            length = (i * 3 + p * 7) % 600 + 1
+            full, rem = divmod(length, 255)
+            lacing = bytes([255] * full + [rem])
+            body = bytes((i + p + j) % 256 for j in range(length))
+            htype = (0x02 if p == 0 else 0) | \
+                (0x04 if p == n_pages - 1 else 0)
+            granule = (i % 97 + 1) * 1000 + p
+            page = bytearray(b"OggS\x00")
+            page.append(htype)
+            page += struct.pack("<qII", granule, serial, p)
+            page += b"\x00\x00\x00\x00"          # CRC placeholder
+            page.append(len(lacing))
+            page += lacing + body
+            crc = _ogg_crc(bytes(page))
+            page[22:26] = struct.pack("<I", crc)
+            out += page
+        return bytes(out)
 
     def _parse(self, p: bytes):
         pos, n_pages, n_packets, total = 0, 0, 0, 0
@@ -1797,42 +1697,6 @@ class OggMetaParser(MediaParser):
 # parser exercises offset/bounds accounting plus payload SNIFFING,
 # the step every multimodal router runs before dispatching decoders.
 
-def encode_ico_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
-    """Fixture adapter: deterministic REAL ICO containers with closed
-    forms — n_images = id%4+1; image i has raw width byte
-    (id + i*17) % 256 (0 decodes to 256 — the quirk is exercised),
-    bpp rotating over {1,4,8,24,32}, payload length (id*5+i*3)%200+8,
-    PNG payload when (id+i)%2 else BMP (biSize=40 first)."""
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    payloads = []
-    for i in ids:
-        n = int(i % 4 + 1)
-        entries, blobs = [], []
-        offset = 6 + 16 * n
-        for k in range(n):
-            wraw = int((i + k * 17) % 256)
-            bpp = [1, 4, 8, 24, 32][int((i + k) % 5)]
-            size = int((i * 5 + k * 3) % 200) + 8
-            if (i + k) % 2:
-                blob = b"\x89PNG\r\n\x1a\n" + bytes(
-                    ((int(i) + k + j) % 256 for j in range(size - 8)))
-            else:
-                blob = struct.pack("<I", 40) + bytes(
-                    ((int(i) * 2 + k + j) % 256 for j in range(size - 4)))
-            entries.append(struct.pack(
-                "<BBBBHHII", wraw, wraw, 0, 0, 1, bpp, len(blob),
-                offset))
-            blobs.append(blob)
-            offset += len(blob)
-        payloads.append(b"\x00\x00\x01\x00" + struct.pack("<H", n)
-                        + b"".join(entries) + b"".join(blobs))
-    return pa.table({
-        id_col: batch[id_col],
-        "media_type": pa.array(["image/x-icon"] * len(ids), pa.string()),
-        "payload": pa.array(payloads, pa.binary()),
-    })
-
-
 class IcoMetaParser(MediaParser):
     """Actor-pool REAL ICO parse: ICONDIR validation, entry walk with
     strict offset/size bounds accounting, width-0 = 256 decode, and
@@ -1842,6 +1706,35 @@ class IcoMetaParser(MediaParser):
 
     schema = _int64s("n_images", "max_width", "max_bpp", "payload_bytes",
                      "n_png")
+    media_type = "image/x-icon"
+
+    @staticmethod
+    def payload(i: int) -> bytes:
+        """Deterministic REAL ICO container with closed forms —
+        n_images = id%4+1; image i has raw width byte (id + i*17) % 256
+        (0 decodes to 256 — the quirk is exercised), bpp rotating over
+        {1,4,8,24,32}, payload length (id*5+i*3)%200+8, PNG payload
+        when (id+i)%2 else BMP (biSize=40 first)."""
+        n = i % 4 + 1
+        entries, blobs = [], []
+        offset = 6 + 16 * n
+        for k in range(n):
+            wraw = (i + k * 17) % 256
+            bpp = [1, 4, 8, 24, 32][(i + k) % 5]
+            size = (i * 5 + k * 3) % 200 + 8
+            if (i + k) % 2:
+                blob = b"\x89PNG\r\n\x1a\n" + bytes(
+                    (i + k + j) % 256 for j in range(size - 8))
+            else:
+                blob = struct.pack("<I", 40) + bytes(
+                    (i * 2 + k + j) % 256 for j in range(size - 4))
+            entries.append(struct.pack(
+                "<BBBBHHII", wraw, wraw, 0, 0, 1, bpp, len(blob),
+                offset))
+            blobs.append(blob)
+            offset += len(blob)
+        return (b"\x00\x00\x01\x00" + struct.pack("<H", n)
+                + b"".join(entries) + b"".join(blobs))
 
     def _parse(self, p: bytes):
         if len(p) < 6 or p[:4] != b"\x00\x00\x01\x00":
@@ -1877,36 +1770,11 @@ class IcoMetaParser(MediaParser):
 # cue overlap — so the parser validates structure and emits exact
 # integer timeline accounting.
 
-def encode_srt_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
-    """Fixture adapter: deterministic REAL SRT documents with closed
-    forms — n_cues = id%6+1; cue c starts at c*3000 ms, lasts
-    (id*7+c*13)%3000+500 ms (so consecutive cues OVERLAP exactly when
-    that duration exceeds 3000 ms), carries 1+(id+c)%2 text lines."""
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-
-    def fmt(ms: int) -> str:
-        h, ms = divmod(ms, 3_600_000)
-        m, ms = divmod(ms, 60_000)
-        s, ms = divmod(ms, 1_000)
-        return f"{h:02d}:{m:02d}:{s:02d},{ms:03d}"
-
-    payloads = []
-    for i in ids:
-        n = int(i % 6 + 1)
-        cues = []
-        for c in range(n):
-            start = c * 3000
-            dur = int((i * 7 + c * 13) % 3000) + 500
-            lines = "\n".join(f"line{j} of cue {c} doc {int(i)}"
-                              for j in range(1 + int(i + c) % 2))
-            cues.append(f"{c + 1}\n{fmt(start)} --> {fmt(start + dur)}"
-                        f"\n{lines}\n")
-        payloads.append("\n".join(cues).encode())
-    return pa.table({
-        id_col: batch[id_col],
-        "media_type": pa.array(["text/srt"] * len(ids), pa.string()),
-        "payload": pa.array(payloads, pa.binary()),
-    })
+def _srt_time(ms: int) -> str:
+    h, ms = divmod(ms, 3_600_000)
+    m, ms = divmod(ms, 60_000)
+    s, ms = divmod(ms, 1_000)
+    return f"{h:02d}:{m:02d}:{s:02d},{ms:03d}"
 
 
 class SrtMetaParser(MediaParser):
@@ -1918,8 +1786,26 @@ class SrtMetaParser(MediaParser):
     ends), the subtitle-QA signal."""
 
     schema = _int64s("n_cues", "total_dur_ms", "n_lines", "n_overlaps")
+    media_type = "text/srt"
 
     _TS = re.compile(r"^(\d{2}):(\d{2}):(\d{2}),(\d{3})$")
+
+    @staticmethod
+    def payload(i: int) -> bytes:
+        """Deterministic REAL SRT document with closed forms —
+        n_cues = id%6+1; cue c starts at c*3000 ms, lasts
+        (id*7+c*13)%3000+500 ms (so consecutive cues OVERLAP exactly
+        when that duration exceeds 3000 ms), carries 1+(id+c)%2 text
+        lines."""
+        cues = []
+        for c in range(i % 6 + 1):
+            start = c * 3000
+            dur = (i * 7 + c * 13) % 3000 + 500
+            lines = "\n".join(f"line{j} of cue {c} doc {i}"
+                              for j in range(1 + (i + c) % 2))
+            cues.append(f"{c + 1}\n{_srt_time(start)} --> "
+                        f"{_srt_time(start + dur)}\n{lines}\n")
+        return "\n".join(cues).encode()
 
     def _ms(self, s: str):
         m = self._TS.match(s)
@@ -1967,51 +1853,6 @@ class SrtMetaParser(MediaParser):
 # walk) — the last structural exercise of the RIFF family: the main
 # header lives two levels deep, per-stream headers three.
 
-def encode_avi_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
-    """Fixture adapter: deterministic REAL AVI containers with closed
-    forms — total_frames = id%1000+1, width = (id%64+1)*16, height =
-    (id%36+1)*16, n_streams = id%3+1 alternating vids/auds starting
-    with vids, movi payload (id*11)%500+4 bytes."""
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    payloads = []
-    for i in ids:
-        frames = int(i % 1000 + 1)
-        w = int(i % 64 + 1) * 16
-        h = int(i % 36 + 1) * 16
-        n_str = int(i % 3 + 1)
-
-        def chunk(cid: bytes, body: bytes) -> bytes:
-            return cid + struct.pack("<I", len(body)) + body \
-                + (b"\x00" if len(body) & 1 else b"")
-
-        def lst(kind: bytes, body: bytes) -> bytes:
-            return chunk(b"LIST", kind + body)
-
-        avih = struct.pack("<10I", 33366, 0, 0, 0, frames, 0, n_str,
-                           0, w, h) + b"\x00" * 16
-        strls = b""
-        for s in range(n_str):
-            fcc = b"vids" if s % 2 == 0 else b"auds"
-            strh = fcc + b"FAKE" + struct.pack("<IHHIII", 0, 0, 0, 0,
-                                               1, 25 + s)
-            strh += b"\x00" * (56 - len(strh))
-            strf = bytes(((int(i) + s + j) % 256 for j in range(16)))
-            strls += lst(b"strl", chunk(b"strh", strh)
-                         + chunk(b"strf", strf))
-        hdrl = lst(b"hdrl", chunk(b"avih", avih) + strls)
-        movi_len = int((i * 11) % 500) + 4
-        movi = lst(b"movi", chunk(
-            b"00dc", bytes(((int(i) + j) % 256
-                            for j in range(movi_len)))))
-        body = b"AVI " + hdrl + movi
-        payloads.append(b"RIFF" + struct.pack("<I", len(body)) + body)
-    return pa.table({
-        id_col: batch[id_col],
-        "media_type": pa.array(["video/avi"] * len(ids), pa.string()),
-        "payload": pa.array(payloads, pa.binary()),
-    })
-
-
 class AviMetaParser(MediaParser):
     """Actor-pool REAL AVI container parse: recursive RIFF LIST walk
     (hdrl two levels deep, strl three), avih main-header decode,
@@ -2021,25 +1862,40 @@ class AviMetaParser(MediaParser):
 
     schema = _int64s("total_frames", "width", "height", "n_video",
                      "n_audio", "movi_bytes")
+    media_type = "video/avi"
 
-    def _chunks(self, p: bytes, pos: int, end: int):
-        out = []
-        while pos + 8 <= end:
-            cid = p[pos:pos + 4]
-            size = struct.unpack("<I", p[pos + 4:pos + 8])[0]
-            body_end = pos + 8 + size
-            if body_end > end:
-                return None
-            out.append((cid, pos + 8, body_end))
-            pos = body_end + (size & 1)
-        return out
+    @staticmethod
+    def payload(i: int) -> bytes:
+        """Deterministic REAL AVI container with closed forms —
+        total_frames = id%1000+1, width = (id%64+1)*16, height =
+        (id%36+1)*16, n_streams = id%3+1 alternating vids/auds
+        starting with vids, movi payload (id*11)%500+4 bytes."""
+        n_str = i % 3 + 1
+        avih = struct.pack("<10I", 33366, 0, 0, 0, i % 1000 + 1, 0, n_str,
+                           0, (i % 64 + 1) * 16, (i % 36 + 1) * 16) \
+            + b"\x00" * 16
+        strls = b""
+        for s in range(n_str):
+            fcc = b"vids" if s % 2 == 0 else b"auds"
+            strh = fcc + b"FAKE" + struct.pack("<IHHIII", 0, 0, 0, 0,
+                                               1, 25 + s)
+            strh += b"\x00" * (56 - len(strh))
+            strf = bytes((i + s + j) % 256 for j in range(16))
+            strls += _riff_chunk(b"LIST", b"strl"
+                                 + _riff_chunk(b"strh", strh)
+                                 + _riff_chunk(b"strf", strf))
+        hdrl = _riff_chunk(b"LIST", b"hdrl" + _riff_chunk(b"avih", avih)
+                           + strls)
+        movi = _riff_chunk(b"LIST", b"movi" + _riff_chunk(
+            b"00dc", bytes((i + j) % 256 for j in range(i * 11 % 500 + 4))))
+        return _riff_chunk(b"RIFF", b"AVI " + hdrl + movi)
 
     def _parse(self, p: bytes):
         if len(p) < 12 or p[:4] != b"RIFF" or p[8:12] != b"AVI ":
             return None
         if struct.unpack("<I", p[4:8])[0] != len(p) - 8:
             return None
-        top = self._chunks(p, 12, len(p))
+        top = _riff_chunks(p, 12, len(p))
         if not top:
             return None
         frames = w = h = n_streams = None
@@ -2049,7 +1905,7 @@ class AviMetaParser(MediaParser):
             if cid != b"LIST" or hi - lo < 4:
                 return None
             kind = p[lo:lo + 4]
-            inner = self._chunks(p, lo + 4, hi)
+            inner = _riff_chunks(p, lo + 4, hi)
             if inner is None:
                 return None
             if kind == b"hdrl":
@@ -2060,7 +1916,7 @@ class AviMetaParser(MediaParser):
                         v = struct.unpack("<10I", p[l2:l2 + 40])
                         frames, n_streams, w, h = v[4], v[6], v[8], v[9]
                     elif c2 == b"LIST" and p[l2:l2 + 4] == b"strl":
-                        sub = self._chunks(p, l2 + 4, h2)
+                        sub = _riff_chunks(p, l2 + 4, h2)
                         if not sub or sub[0][0] != b"strh":
                             return None
                         fcc = p[sub[0][1]:sub[0][1] + 4]
@@ -2085,47 +1941,6 @@ class AviMetaParser(MediaParser):
 # blanked (enforced below, like Ogg's CRC), block-padded payloads and
 # a two-zero-block terminator.
 
-def encode_tar_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
-    """Fixture adapter: deterministic REAL ustar archives with closed
-    forms — n_members = id%4+1; member k has size (id*13+k*7)%900
-    bytes, mtime id*100+k, name dir<id%10>/file<k>.bin."""
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    payloads = []
-    for i in ids:
-        n = int(i % 4 + 1)
-        out = bytearray()
-        for k in range(n):
-            size = int((i * 13 + k * 7) % 900)
-            mtime = int(i * 100 + k)
-            hdr = bytearray(512)
-            name = f"dir{int(i) % 10}/file{k}.bin".encode()
-            hdr[0:len(name)] = name
-            hdr[100:108] = b"0000644\x00"
-            hdr[108:116] = b"0000000\x00"
-            hdr[116:124] = b"0000000\x00"
-            hdr[124:136] = f"{size:011o}".encode() + b"\x00"
-            hdr[136:148] = f"{mtime:011o}".encode() + b"\x00"
-            hdr[148:156] = b" " * 8            # checksum placeholder
-            hdr[156] = ord("0")                # regular file
-            hdr[257:263] = b"ustar\x00"
-            hdr[263:265] = b"00"
-            chk = sum(hdr)
-            hdr[148:156] = f"{chk:06o}".encode() + b"\x00 "
-            out += hdr
-            body = bytes(((int(i) + k + j) % 256 for j in range(size)))
-            out += body
-            if size % 512:
-                out += b"\x00" * (512 - size % 512)
-        out += b"\x00" * 1024                  # end-of-archive marker
-        payloads.append(bytes(out))
-    return pa.table({
-        id_col: batch[id_col],
-        "media_type": pa.array(["application/x-tar"] * len(ids),
-                               pa.string()),
-        "payload": pa.array(payloads, pa.binary()),
-    })
-
-
 class TarMetaParser(MediaParser):
     """Actor-pool REAL ustar walk: octal field decode, per-header
     CHECKSUM re-verification (computed with the checksum field
@@ -2134,6 +1949,36 @@ class TarMetaParser(MediaParser):
     missing terminator dead-letters the archive."""
 
     schema = _int64s("n_members", "total_bytes", "max_mtime", "n_blocks")
+    media_type = "application/x-tar"
+
+    @staticmethod
+    def payload(i: int) -> bytes:
+        """Deterministic REAL ustar archive with closed forms —
+        n_members = id%4+1; member k has size (id*13+k*7)%900 bytes,
+        mtime id*100+k, name dir<id%10>/file<k>.bin."""
+        out = bytearray()
+        for k in range(i % 4 + 1):
+            size = (i * 13 + k * 7) % 900
+            hdr = bytearray(512)
+            name = f"dir{i % 10}/file{k}.bin".encode()
+            hdr[0:len(name)] = name
+            hdr[100:108] = b"0000644\x00"
+            hdr[108:116] = b"0000000\x00"
+            hdr[116:124] = b"0000000\x00"
+            hdr[124:136] = f"{size:011o}".encode() + b"\x00"
+            hdr[136:148] = f"{i * 100 + k:011o}".encode() + b"\x00"
+            hdr[148:156] = b" " * 8            # checksum placeholder
+            hdr[156] = ord("0")                # regular file
+            hdr[257:263] = b"ustar\x00"
+            hdr[263:265] = b"00"
+            chk = sum(hdr)
+            hdr[148:156] = f"{chk:06o}".encode() + b"\x00 "
+            out += hdr
+            out += bytes((i + k + j) % 256 for j in range(size))
+            if size % 512:
+                out += b"\x00" * (512 - size % 512)
+        out += b"\x00" * 1024                  # end-of-archive marker
+        return bytes(out)
 
     def _parse(self, p: bytes):
         if len(p) % 512:
@@ -2178,38 +2023,6 @@ class TarMetaParser(MediaParser):
 # STRUCTURAL triage a document pipeline runs before dispatching a real
 # renderer.
 
-def encode_pdf_batch(batch: pa.Table, id_col: str = "doc_id") -> pa.Table:
-    """Fixture adapter: deterministic REAL (minimal) PDFs with closed
-    forms — version minor id%4+3, n_objects = id%5+2, object k
-    carries /Len (id*3+k)%100; a classic xref table with the 65535
-    free head, a /Size trailer and startxref -> %%EOF."""
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    payloads = []
-    for i in ids:
-        n = int(i % 5 + 2)
-        out = bytearray(f"%PDF-1.{int(i) % 4 + 3}\n".encode())
-        offs = []
-        for k in range(n):
-            offs.append(len(out))
-            out += (f"{k + 1} 0 obj\n<< /Type /X{k} "
-                    f"/Len {int(i * 3 + k) % 100} >>\nendobj\n"
-                    .encode())
-        xref_off = len(out)
-        out += f"xref\n0 {n + 1}\n".encode()
-        out += b"0000000000 65535 f \n"
-        for off in offs:
-            out += f"{off:010d} 00000 n \n".encode()
-        out += (f"trailer\n<< /Size {n + 1} /Root 1 0 R >>\n"
-                f"startxref\n{xref_off}\n%%EOF\n".encode())
-        payloads.append(bytes(out))
-    return pa.table({
-        id_col: batch[id_col],
-        "media_type": pa.array(["application/pdf"] * len(ids),
-                               pa.string()),
-        "payload": pa.array(payloads, pa.binary()),
-    })
-
-
 class PdfMetaParser(MediaParser):
     """Actor-pool REAL (minimal) PDF structural parse: header version,
     tail-scan to ``startxref``, classic xref table decode (20-byte
@@ -2220,6 +2033,30 @@ class PdfMetaParser(MediaParser):
     dead-letters the document."""
 
     schema = _int64s("version_minor", "n_objects", "len_sum", "xref_off")
+    media_type = "application/pdf"
+
+    @staticmethod
+    def payload(i: int) -> bytes:
+        """Deterministic REAL (minimal) PDF with closed forms —
+        version minor id%4+3, n_objects = id%5+2, object k carries
+        /Len (id*3+k)%100; a classic xref table with the 65535 free
+        head, a /Size trailer and startxref -> %%EOF."""
+        n = i % 5 + 2
+        out = bytearray(f"%PDF-1.{i % 4 + 3}\n".encode())
+        offs = []
+        for k in range(n):
+            offs.append(len(out))
+            out += (f"{k + 1} 0 obj\n<< /Type /X{k} "
+                    f"/Len {(i * 3 + k) % 100} >>\nendobj\n"
+                    .encode())
+        xref_off = len(out)
+        out += f"xref\n0 {n + 1}\n".encode()
+        out += b"0000000000 65535 f \n"
+        for off in offs:
+            out += f"{off:010d} 00000 n \n".encode()
+        out += (f"trailer\n<< /Size {n + 1} /Root 1 0 R >>\n"
+                f"startxref\n{xref_off}\n%%EOF\n".encode())
+        return bytes(out)
 
     def _parse(self, p: bytes):
         if not p.startswith(b"%PDF-1."):

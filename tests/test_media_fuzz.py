@@ -13,46 +13,27 @@ import random
 import pyarrow as pa
 import pytest
 
-from alco_ray.stages import jpeg
-from alco_ray.stages import multimodal as mm
+from alco_ray.stages import jpeg  # noqa: F401  (registers JpegDecoder)
 from alco_ray.stages.multimodal import MediaParser
 
-#: fixture encoder per parser; a MediaParser subclass missing here
-#: fails both tests below, so no parser skips fuzzing
-ENCODERS = {
-    mm.PpmDecoder: mm.encode_ppm_batch,
-    mm.PpmResizer: mm.encode_ppm_batch,
-    mm.WavDecoder: mm.encode_wav_batch,
-    mm.PngDecoder: mm.encode_png_batch,
-    mm.AdpcmWavDecoder: mm.encode_adpcm_batch,
-    mm.Mp4MetaParser: mm.encode_mp4_batch,
-    mm.Mp3MetaParser: mm.encode_mp3_batch,
-    mm.GifMetaParser: mm.encode_gif_batch,
-    mm.BmpDecoder: mm.encode_bmp_batch,
-    mm.TiffMetaParser: mm.encode_tiff_batch,
-    mm.ZipMetaParser: mm.encode_zip_batch,
-    mm.FlacMetaParser: mm.encode_flac_batch,
-    mm.WebpMetaParser: mm.encode_webp_batch,
-    mm.OggMetaParser: mm.encode_ogg_batch,
-    mm.IcoMetaParser: mm.encode_ico_batch,
-    mm.SrtMetaParser: mm.encode_srt_batch,
-    mm.AviMetaParser: mm.encode_avi_batch,
-    mm.TarMetaParser: mm.encode_tar_batch,
-    mm.PdfMetaParser: mm.encode_pdf_batch,
-    jpeg.JpegDecoder: jpeg.encode_jpeg_batch,
-}
 
-PARSERS = MediaParser.__subclasses__()
+def _subclasses(cls) -> list:
+    """Every subclass, also of subclasses: a parser that shares its
+    fixture by inheritance is fuzzed too."""
+    return [c for sub in cls.__subclasses__()
+            for c in (sub, *_subclasses(sub))]
+
+
+#: a parser with no fixture (``media_type`` and ``payload``, its own or
+#: inherited) fails both tests below, so no parser skips fuzzing
+PARSERS = _subclasses(MediaParser)
 N_CLEAN = 12        # covers every fixture's id-rotated branches
 N_MUTANTS = 300
 
 
 def _clean_payloads(cls) -> list:
-    enc = ENCODERS.get(cls)
-    assert enc is not None, \
-        f"{cls.__name__} has no fixture encoder in ENCODERS"
     ids = pa.table({"doc_id": pa.array(range(N_CLEAN), pa.int64())})
-    return enc(ids)["payload"].to_pylist()
+    return cls.encode(ids)["payload"].to_pylist()
 
 
 def _mutant(rng: random.Random, clean: list) -> bytes:

@@ -19,7 +19,8 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = ["alco_ray/stages/dedup.py", "alco_ray/stages/similarity.py",
+MODULES = ["alco_ray/stages/dedup.py", "alco_ray/stages/jpeg.py",
+           "alco_ray/stages/multimodal.py", "alco_ray/stages/similarity.py",
            "alco_ray/stages/text.py"]
 
 

@@ -364,6 +364,56 @@ def test_lev1_kernel_unicode():
         assert bool(got[i]) == (_lev_ref(x, y) <= 1), (x, y)
 
 
+def test_fuzzy_kernels_pad_per_length_slice():
+    """Both fuzzy kernels pad each length slice to its own longest
+    value: on 2,000 short names plus one 4,000-character value the
+    tracemalloc peak stays under 32 MiB (215 MiB when every row was
+    padded to the batch's longest), and across slice boundaries the
+    hashes equal a per-string fold and the verdicts the reference."""
+    import random
+    import tracemalloc
+
+    from alco_ray.stages.dedup import (_FZ_P, _fz_variant_hashes,
+                                       _lev1_exact)
+
+    names = [f"user{i % 997}x{i}" for i in range(2000)] + ["q" * 4000]
+    tracemalloc.start()
+    try:
+        _fz_variant_hashes(pa.array(names, pa.string()))
+        _lev1_exact(pa.array(names, pa.string()),
+                    pa.array([n[1:] for n in names], pa.string()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, peak
+
+    def fold(s):
+        h = 0
+        for ch in s:
+            h = (h * int(_FZ_P) + ord(ch)) % (1 << 64)
+        return h
+
+    random.seed(5)
+    lengths = [0, 1, 8, 16, 17, 33, 40]     # across slice boundaries
+    strs = ["".join(random.choice("ab漢")
+                    for _ in range(random.choice(lengths)))
+            for _ in range(200)]
+    rows, hashes = _fz_variant_hashes(pa.array(strs, pa.string()))
+    want = [(r, fold(s)) for r, s in enumerate(strs)] + [
+        (r, fold(s[:i] + s[i + 1:]))
+        for r, s in enumerate(strs) for i in range(len(s))]
+    assert list(zip(rows.tolist(), hashes.view(np.uint64).tolist())) \
+        == want
+    # one deletion (or none) of each string, and random pairs
+    pairs = [(x, x[:k] + x[k + 1:]) for x in strs
+             for k in [random.randrange(len(x) + 1)]]
+    pairs += list(zip(strs, random.sample(strs, len(strs))))
+    got = _lev1_exact(pa.array([p[0] for p in pairs], pa.string()),
+                      pa.array([p[1] for p in pairs], pa.string()))
+    for i, (x, y) in enumerate(pairs):
+        assert bool(got[i]) == (_lev_ref(x, y) <= 1), (x, y)
+
+
 def test_pagerank_directed_with_dangling():
     from alco_ray.stages.graph import pagerank
 
@@ -448,6 +498,27 @@ def test_value_index_quantile_grid_under_skew(tmp_path):
     assert b1 - b0 <= 6
     assert len(stats["files"]) < len(
         list((idx / "buckets").rglob("*.parquet")))
+
+
+@pytest.mark.parametrize("boundaries", ["width", "quantile"])
+@pytest.mark.parametrize("values", [[], [37.3]], ids=["no_rows", "filtered"])
+def test_value_index_empty_answer_is_typed(tmp_path, boundaries, values):
+    """An empty answer carries the table's columns and types, from the
+    schema meta.json records: with no bucket file in the probed range
+    (a zero-row table, like e_value_indexed over empty events) and
+    with every row of the probed bucket filtered out."""
+    from alco_ray.stages.attrindex import build_value_index, range_probe
+
+    t = pa.table({
+        "event_id": pa.array(range(len(values)), pa.int64()),
+        "user_id": pa.array(range(len(values)), pa.int64()),
+        "value": pa.array(values, pa.float64())})
+    idx = tmp_path / "vidx"
+    build_value_index(ray.data.from_arrow(t), idx, value_col="value",
+                      boundaries=boundaries)
+    got = range_probe(idx, 37.31, 37.32)
+    assert got.num_rows == 0
+    assert got.schema == t.schema
 
 
 def test_auto_join_paths_agree():

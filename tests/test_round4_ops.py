@@ -329,9 +329,9 @@ def test_png_roundtrip_all_filters_random_pixels():
 
 def test_png_decoder_spec_conformance_and_poison():
     from alco_ray.stages.multimodal import (PngDecoder, _PNG_SIG,
-                                            _png_chunk, encode_png_batch)
+                                            _png_chunk)
 
-    enc = encode_png_batch(pa.table({
+    enc = PngDecoder.encode(pa.table({
         "doc_id": pa.array(list(range(25)), pa.int64())}))
     good = enc["payload"][3].as_py()
     # split the IDAT stream across two chunks — spec-legal, must decode
@@ -363,10 +363,10 @@ def test_png_decoder_spec_conformance_and_poison():
 
 
 def test_png_fixture_closed_forms():
-    from alco_ray.stages.multimodal import PngDecoder, encode_png_batch
+    from alco_ray.stages.multimodal import PngDecoder
 
     ids = pa.table({"doc_id": pa.array(list(range(70)), pa.int64())})
-    out = PngDecoder()(encode_png_batch(ids)).to_pylist()
+    out = PngDecoder()(PngDecoder.encode(ids)).to_pylist()
     for r in out:
         i = r["doc_id"]
         assert r["decode_ok"]
@@ -394,10 +394,9 @@ def test_ima_reconstruct_hand_computed():
 
 def test_adpcm_stage_matches_independent_reference():
     from alco_ray.fixtures import _adpcm_reference_stats
-    from alco_ray.stages.multimodal import (AdpcmWavDecoder,
-                                            encode_adpcm_batch)
+    from alco_ray.stages.multimodal import AdpcmWavDecoder
 
-    enc = encode_adpcm_batch(pa.table({
+    enc = AdpcmWavDecoder.encode(pa.table({
         "doc_id": pa.array([0, 3, 11, 57, 123], pa.int64())}))
     got = AdpcmWavDecoder()(enc).to_pylist()
     for row, payload in zip(got, enc["payload"].to_pylist()):
@@ -409,10 +408,9 @@ def test_adpcm_stage_matches_independent_reference():
 
 def test_adpcm_roundtrip_tracks_signal_and_poison():
     from alco_ray.stages.multimodal import (AdpcmWavDecoder,
-                                            adpcm_fixture_signal,
-                                            encode_adpcm_batch)
+                                            adpcm_fixture_signal)
 
-    enc = encode_adpcm_batch(pa.table({
+    enc = AdpcmWavDecoder.encode(pa.table({
         "doc_id": pa.array([2], pa.int64())}))
     payload = enc["payload"][0].as_py()
     rate, sig = adpcm_fixture_signal(2)
@@ -473,9 +471,9 @@ def test_jpeg_extend_rule_and_bitwriter_stuffing():
 
 def test_jpeg_stage_matches_independent_reference():
     from alco_ray.fixtures import _jpeg_reference_stats
-    from alco_ray.stages.jpeg import JpegDecoder, encode_jpeg_batch
+    from alco_ray.stages.jpeg import JpegDecoder
 
-    enc = encode_jpeg_batch(pa.table({
+    enc = JpegDecoder.encode(pa.table({
         "doc_id": pa.array([0, 1, 7, 29, 113], pa.int64())}))
     got = JpegDecoder()(enc).to_pylist()
     for row, payload in zip(got, enc["payload"].to_pylist()):
@@ -486,10 +484,9 @@ def test_jpeg_stage_matches_independent_reference():
 
 
 def test_jpeg_poison_payloads_dead_letter():
-    from alco_ray.stages.jpeg import (JpegDecoder, decode_baseline_jpeg,
-                                      encode_jpeg_batch)
+    from alco_ray.stages.jpeg import JpegDecoder, decode_baseline_jpeg
 
-    enc = encode_jpeg_batch(pa.table({
+    enc = JpegDecoder.encode(pa.table({
         "doc_id": pa.array([4, 0], pa.int64())}))
     good = enc["payload"][0].as_py()
     sos = good.index(b"\xff\xda")
@@ -750,10 +747,10 @@ def test_mp4_parser_boxes_and_poison():
     containers dead-letter with decode_ok=False instead of crashing."""
     import struct
 
-    from alco_ray.stages.multimodal import Mp4MetaParser, encode_mp4_batch
+    from alco_ray.stages.multimodal import Mp4MetaParser
 
     ids = list(range(12))
-    enc = encode_mp4_batch(pa.table({"doc_id": pa.array(ids, pa.int64())}))
+    enc = Mp4MetaParser.encode(pa.table({"doc_id": pa.array(ids, pa.int64())}))
     parser = Mp4MetaParser()
     out = parser(enc).to_pylist()
     for i, r in zip(ids, out):
@@ -793,9 +790,9 @@ def test_mp4_duration_overflow_dead_letters():
     their values, and nothing raises."""
     import struct
 
-    from alco_ray.stages.multimodal import Mp4MetaParser, encode_mp4_batch
+    from alco_ray.stages.multimodal import Mp4MetaParser
 
-    enc = encode_mp4_batch(pa.table({"doc_id": pa.array([0, 1, 2],
+    enc = Mp4MetaParser.encode(pa.table({"doc_id": pa.array([0, 1, 2],
                                                         pa.int64())}))
     payloads = enc["payload"].to_pylist()
     huge = bytearray(payloads[1])                 # odd id: mvhd v1
@@ -821,11 +818,10 @@ def test_mp3_parser_vbr_and_poison():
     """Frame-header walk: closed forms back out (VBR — per-frame
     bitrates rotate, duration must count frames not bytes), and bad
     sync / truncation / mid-stream rate changes dead-letter."""
-    from alco_ray.stages.multimodal import (_MP3_BITRATES, Mp3MetaParser,
-                                            encode_mp3_batch)
+    from alco_ray.stages.multimodal import (_MP3_BITRATES, Mp3MetaParser)
 
     ids = list(range(10))
-    enc = encode_mp3_batch(pa.table({"doc_id": pa.array(ids, pa.int64())}))
+    enc = Mp3MetaParser.encode(pa.table({"doc_id": pa.array(ids, pa.int64())}))
     parser = Mp3MetaParser()
     out = parser(enc).to_pylist()
     rates = (44100, 48000, 32000)

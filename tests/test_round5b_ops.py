@@ -15,10 +15,10 @@ def test_gif_parser_blocks_and_poison():
     """GIF89a block walk: closed-form fixture fields back out (LSD bit
     fields, per-frame Graphic Control delay sum, NETSCAPE loop count,
     local-color-table frames), and malformed streams dead-letter."""
-    from alco_ray.stages.multimodal import GifMetaParser, encode_gif_batch
+    from alco_ray.stages.multimodal import GifMetaParser
 
     ids = list(range(45))
-    enc = encode_gif_batch(pa.table({"doc_id": pa.array(ids, pa.int64())}))
+    enc = GifMetaParser.encode(pa.table({"doc_id": pa.array(ids, pa.int64())}))
     parser = GifMetaParser()
     out = parser(enc).to_pylist()
     for i, r in zip(ids, out):
@@ -56,10 +56,10 @@ def test_bmp_decoder_stride_flip_and_poison():
     dead-letter."""
     import struct
 
-    from alco_ray.stages.multimodal import BmpDecoder, encode_bmp_batch
+    from alco_ray.stages.multimodal import BmpDecoder
 
     ids = list(range(36))
-    enc = encode_bmp_batch(pa.table({"doc_id": pa.array(ids, pa.int64())}))
+    enc = BmpDecoder.encode(pa.table({"doc_id": pa.array(ids, pa.int64())}))
     dec = BmpDecoder()
     out = dec(enc).to_pylist()
     for i, r in zip(ids, out):
@@ -244,10 +244,11 @@ def test_tiff_parser_endian_pages_and_poison():
     IFD-offset CYCLE) dead-letter."""
     import struct
 
-    from alco_ray.stages.multimodal import TiffMetaParser, encode_tiff_batch
+    from alco_ray.stages.multimodal import TiffMetaParser
 
     ids = list(range(24))
-    enc = encode_tiff_batch(pa.table({"doc_id": pa.array(ids, pa.int64())}))
+    enc = TiffMetaParser.encode(
+        pa.table({"doc_id": pa.array(ids, pa.int64())}))
     parser = TiffMetaParser()
     out = parser(enc).to_pylist()
     for i, r in zip(ids, out):
@@ -309,10 +310,10 @@ def test_zip_parser_directory_and_poison():
     dead-letter."""
     import struct
 
-    from alco_ray.stages.multimodal import ZipMetaParser, encode_zip_batch
+    from alco_ray.stages.multimodal import ZipMetaParser
 
     ids = list(range(42))
-    enc = encode_zip_batch(pa.table({"doc_id": pa.array(ids, pa.int64())}))
+    enc = ZipMetaParser.encode(pa.table({"doc_id": pa.array(ids, pa.int64())}))
     parser = ZipMetaParser()
     out = parser(enc).to_pylist()
     for i, r in zip(ids, out):
@@ -412,11 +413,12 @@ def test_dup_degree_conserves_docs_and_edges():
 def test_flac_parser_bitfields_and_poison():
     """STREAMINFO bit extraction across byte boundaries under the
     full fixture rotation; malformed streams dead-letter."""
-    from alco_ray.stages.multimodal import FlacMetaParser, encode_flac_batch
+    from alco_ray.stages.multimodal import FlacMetaParser
 
     rates = (32000, 44100, 48000)
     ids = list(range(60))
-    enc = encode_flac_batch(pa.table({"doc_id": pa.array(ids, pa.int64())}))
+    enc = FlacMetaParser.encode(
+        pa.table({"doc_id": pa.array(ids, pa.int64())}))
     parser = FlacMetaParser()
     out = parser(enc).to_pylist()
     for i, r in zip(ids, out):
@@ -556,10 +558,11 @@ def test_large_orders_oracle_law():
 def test_webp_parser_variants_and_poison():
     """All three WebP chunk variants decode to the fixture closed
     forms; malformed containers dead-letter."""
-    from alco_ray.stages.multimodal import WebpMetaParser, encode_webp_batch
+    from alco_ray.stages.multimodal import WebpMetaParser
 
     ids = list(range(60))
-    enc = encode_webp_batch(pa.table({"doc_id": pa.array(ids, pa.int64())}))
+    enc = WebpMetaParser.encode(
+        pa.table({"doc_id": pa.array(ids, pa.int64())}))
     out = WebpMetaParser()(enc).to_pylist()
     for i, r in zip(ids, out):
         assert r["decode_ok"] is True
@@ -590,8 +593,7 @@ def test_ogg_parser_crc_and_poison():
     """Ogg page walk: closed forms back out, the fast zlib-transform
     CRC agrees with the spec-literal table implementation, and a
     single flipped payload bit dead-letters via CRC."""
-    from alco_ray.stages.multimodal import (OggMetaParser, _ogg_crc,
-                                            encode_ogg_batch)
+    from alco_ray.stages.multimodal import (OggMetaParser, _ogg_crc)
 
     # independent spec-literal reference CRC (slow table walk)
     tbl = []
@@ -615,7 +617,7 @@ def test_ogg_parser_crc_and_poison():
         assert _ogg_crc(m) == ref_crc(m)
 
     ids = list(range(120))
-    enc = encode_ogg_batch(pa.table({"doc_id": pa.array(ids, pa.int64())}))
+    enc = OggMetaParser.encode(pa.table({"doc_id": pa.array(ids, pa.int64())}))
     out = OggMetaParser()(enc).to_pylist()
     for i, r in zip(ids, out):
         n = i % 5 + 1
@@ -905,10 +907,10 @@ def test_templates_law():
 def test_ico_parser_quirk_and_poison():
     """ICO directory walk: closed forms back out including the
     width-0 = 256 quirk; bad type/truncation/bounds dead-letter."""
-    from alco_ray.stages.multimodal import IcoMetaParser, encode_ico_batch
+    from alco_ray.stages.multimodal import IcoMetaParser
 
     ids = list(range(300))
-    enc = encode_ico_batch(pa.table({"doc_id": pa.array(ids, pa.int64())}))
+    enc = IcoMetaParser.encode(pa.table({"doc_id": pa.array(ids, pa.int64())}))
     out = IcoMetaParser()(enc).to_pylist()
     saw256 = False
     for i, r in zip(ids, out):
@@ -1010,10 +1012,10 @@ def test_rolling_median_law():
 def test_srt_parser_timeline_and_poison():
     """SRT cue walk: closed forms back out incl. the overlap count;
     structural poison dead-letters."""
-    from alco_ray.stages.multimodal import SrtMetaParser, encode_srt_batch
+    from alco_ray.stages.multimodal import SrtMetaParser
 
     ids = list(range(500))
-    enc = encode_srt_batch(pa.table({"doc_id": pa.array(ids, pa.int64())}))
+    enc = SrtMetaParser.encode(pa.table({"doc_id": pa.array(ids, pa.int64())}))
     out = SrtMetaParser()(enc).to_pylist()
     saw_ov = 0
     for i, r in zip(ids, out):
@@ -1100,10 +1102,10 @@ def test_ivfpq_probe_law():
 def test_avi_parser_nested_walk_and_poison():
     """AVI nested-LIST walk: closed forms back out; structural
     damage dead-letters."""
-    from alco_ray.stages.multimodal import AviMetaParser, encode_avi_batch
+    from alco_ray.stages.multimodal import AviMetaParser
 
     ids = list(range(120))
-    enc = encode_avi_batch(pa.table({"doc_id": pa.array(ids, pa.int64())}))
+    enc = AviMetaParser.encode(pa.table({"doc_id": pa.array(ids, pa.int64())}))
     out = AviMetaParser()(enc).to_pylist()
     for i, r in zip(ids, out):
         n = i % 3 + 1
@@ -1190,10 +1192,10 @@ def test_tar_parser_checksum_and_stdlib_agreement():
     import io
     import tarfile
 
-    from alco_ray.stages.multimodal import TarMetaParser, encode_tar_batch
+    from alco_ray.stages.multimodal import TarMetaParser
 
     ids = list(range(150))
-    enc = encode_tar_batch(pa.table({"doc_id": pa.array(ids, pa.int64())}))
+    enc = TarMetaParser.encode(pa.table({"doc_id": pa.array(ids, pa.int64())}))
     out = TarMetaParser()(enc).to_pylist()
     for i, r in zip(ids, out):
         n = i % 4 + 1
@@ -1266,10 +1268,10 @@ def test_pdf_parser_xref_validation_and_poison():
     poison dead-letters."""
     import re
 
-    from alco_ray.stages.multimodal import PdfMetaParser, encode_pdf_batch
+    from alco_ray.stages.multimodal import PdfMetaParser
 
     ids = list(range(200))
-    enc = encode_pdf_batch(pa.table({"doc_id": pa.array(ids, pa.int64())}))
+    enc = PdfMetaParser.encode(pa.table({"doc_id": pa.array(ids, pa.int64())}))
     out = PdfMetaParser()(enc).to_pylist()
     for i, r in zip(ids, out):
         n = i % 5 + 2
@@ -1323,9 +1325,10 @@ def test_pdf_missing_endobj_dead_letters():
     """An object body without its ``endobj`` token, in a document whose
     header, startxref and xref offsets all validate, dead-letters the
     document instead of raising out of the batch."""
-    from alco_ray.stages.multimodal import PdfMetaParser, encode_pdf_batch
+    from alco_ray.stages.multimodal import PdfMetaParser
 
-    enc = encode_pdf_batch(pa.table({"doc_id": pa.array([7, 8], pa.int64())}))
+    enc = PdfMetaParser.encode(
+        pa.table({"doc_id": pa.array([7, 8], pa.int64())}))
     good = enc["payload"][0].as_py()
     cut = good.rindex(b"endobj")
     no_end = good[:cut] + b"xxxxxx" + good[cut + 6:]  # offsets unchanged

@@ -232,7 +232,8 @@ def test_multimodal_plumbing():
         assert row["width"] == nb % 640 + 1
         assert row["height"] == nb * 7 % 480 + 1
 
-    feats = multimodal.extract_features(ds).to_pandas()
+    feats = multimodal.decode_media(
+        ds, multimodal.FakeFeatureExtractor).to_pandas()
     f = np.stack(feats.sort_values("doc_id")["feature"].to_numpy())
     assert f.shape == (t.num_rows, multimodal.FakeFeatureExtractor.DIM)
     norms = np.linalg.norm(f, axis=1)
@@ -591,12 +592,14 @@ def test_persisted_ann_indexes_build_once_probe_pruned(tmp_path):
     assert len(got) == 5
 
 
-def test_multimodal_resize_and_frame_sample():
+def test_multimodal_resize_and_frame_sample(monkeypatch):
     t = _docs_table()
     media = multimodal.encode_documents_as_media(t)
 
-    frames = multimodal.sample_frames_batch(media, frame_bytes=16,
-                                            every_n=2)
+    # smaller frames than the default, so each payload spans many
+    monkeypatch.setattr(multimodal, "FRAME_BYTES", 16)
+    monkeypatch.setattr(multimodal, "FRAME_EVERY", 2)
+    frames = multimodal.sample_frames_batch(media)
     # brute-force expectation: every 2nd 16-byte frame per payload
     expect = []
     for did, text in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
