@@ -1853,15 +1853,13 @@ def t_conv_render(sf_dir: str):
                                    "text"])
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.lexsort((g["turn_idx"].to_numpy(),
-                            g["conv_id"].to_numpy()))
-        keys = g["conv_id"].to_numpy()[order]
+        s, seg_start, _, _ = window._sort_segments(g, "conv_id", "turn_idx")
+        keys = s["conv_id"].to_numpy()
         lines = pc.binary_join_element_wise(
-            pa.array(g["role"].to_numpy()[order], pa.string()),
-            pa.array(g["text"].to_numpy()[order], pa.string()),
+            pa.array(s["role"].to_numpy(), pa.string()),
+            pa.array(s["text"].to_numpy(), pa.string()),
             ": ")
-        seg_start, _, _ = window._segment_bounds(keys)
-        starts = np.flatnonzero(np.arange(len(keys)) == seg_start)
+        starts = np.unique(seg_start)
         offsets = np.append(starts, len(keys)).astype(np.int32)
         lst = pa.ListArray.from_arrays(pa.array(offsets), lines)
         rendered = pc.binary_join(lst, "\n")
@@ -1889,18 +1887,15 @@ def t_sft_masks(sf_dir: str):
                                    "text"])
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.lexsort((g["turn_idx"].to_numpy(),
-                            g["conv_id"].to_numpy()))
-        keys = g["conv_id"].to_numpy()[order]
-        tidx = g["turn_idx"].to_numpy()[order]
-        roles = g["role"].to_numpy()[order]
-        ll = (pc.utf8_length(pa.array(g["role"].to_numpy()[order],
-                                      pa.string())).to_numpy()
+        s, seg_start, _, _ = window._sort_segments(g, "conv_id", "turn_idx")
+        keys = s["conv_id"].to_numpy()
+        tidx = s["turn_idx"].to_numpy()
+        roles = s["role"].to_numpy()
+        ll = (pc.utf8_length(pa.array(roles, pa.string())).to_numpy()
               + 2
-              + pc.utf8_length(pa.array(g["text"].to_numpy()[order],
+              + pc.utf8_length(pa.array(s["text"].to_numpy(),
                                         pa.string())).to_numpy()
               ).astype(np.int64)
-        seg_start, _, _ = window._segment_bounds(keys)
         csum = np.cumsum(ll + 1)
         excl = csum - (ll + 1)
         start = excl - excl[seg_start]
@@ -3433,7 +3428,7 @@ def e_debounce(sf_dir: str):
 
     kept = window.debounce(
         ds.map_batches(cast_ts, batch_format="pyarrow"),
-        key_cols="user_id", ts_col="tsu", id_col="event_id",
+        key_col="user_id", ts_col="tsu", id_col="event_id",
         cooldown=86_400_000_000)
     return kept.select_columns(["event_id"])
 

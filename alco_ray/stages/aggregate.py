@@ -38,6 +38,16 @@ import pyarrow as pa
 #: distinct count, list) cannot be merged from partials.
 _MERGE_OPS = {"count_all": "sum", "sum": "sum", "min": "min", "max": "max"}
 
+#: Fixed-point scale of the discrete quantiles: money in cents.
+DISC_SCALE = 100
+
+#: :func:`order_stats_cont`: equal-width cells per refinement pass, the
+#: bracket population small enough to collect and select on the
+#: driver, and the most passes before it gives up.
+N_BUCKETS = 4096
+COLLECT_LIMIT = 1 << 18
+MAX_PASSES = 64
+
 
 def to_fixed(x, scale: int = 1):
     """``x`` x ``scale`` rounded half away from zero, as int64 — the
@@ -282,8 +292,28 @@ def _scaled_hist(ds, value_col: str, by: str, scale: int) -> pa.Table:
     return fold_agg(ds, [by, "v"], {"n": ([], "count_all")}, project)
 
 
+def _disc_quantiles(ds, value_col: str, qs: list[float], by: str,
+                    scale: int, names: list[str]) -> pa.Table:
+    """Table(by, *names): per group, the discrete quantile at each q of
+    ``qs`` — the element at 1-based rank max(1, ceil(q*n)) of the
+    scaled-value histogram, by one cumulative pick."""
+    import math
+
+    hist = _scaled_hist(ds, value_col, by, scale).to_pandas()
+    keys, picks = [], []
+    for key, g in hist.groupby(by, sort=True):
+        cum = g["n"].cumsum().to_numpy()
+        ranks = [max(1, math.ceil(q * cum[-1])) for q in qs]
+        keys.append(key)
+        picks.append(g["v"].to_numpy()[np.searchsorted(cum, ranks)])
+    cols = {by: pa.array(keys)}
+    cols.update({nm: pa.array([int(p[i]) for p in picks], pa.int64())
+                 for i, nm in enumerate(names)})
+    return pa.table(cols)
+
+
 def quantile_disc(ds, value_col: str, q: float, by: str,
-                  scale: int = 100):
+                  scale: int = DISC_SCALE):
     """Exact discrete quantile per bounded group (A-family extension):
     the element at 0-based sorted index ceil(q*n)-1 of the
     integer-scaled value (money in cents) — matching DuckDB's
@@ -296,26 +326,14 @@ def quantile_disc(ds, value_col: str, q: float, by: str,
     (prices/latencies are; free-floating doubles are not — those need
     the sort-based path or a sketch).  Returns Table(by, q_value)
     with q_value in scaled integer units."""
-    import math
-
-    hist = _scaled_hist(ds, value_col, by, scale).to_pandas()
-
-    out_k, out_v = [], []
-    for key, g in hist.groupby(by, sort=True):
-        n = int(g["n"].sum())
-        target = max(1, math.ceil(q * n))  # 1-based rank
-        cum = g["n"].cumsum()
-        out_k.append(key)
-        out_v.append(int(g.loc[cum >= target, "v"].iloc[0]))
-    return pa.table({by: pa.array(out_k),
-                     "q_value": pa.array(out_v, pa.int64())})
+    return _disc_quantiles(ds, value_col, [q], by, scale, ["q_value"])
 
 
-def pivot_counts(ds, key: str, col: str, values: list[str],
-                 prefix: str = "n_"):
+def pivot_counts(ds, key: str, col: str, values: list[str]):
     """PIVOT / conditional aggregation: one output row per ``key``,
-    one int64 count column per pivot value of ``col`` (the wide-format
-    report shape — SQL's ``count(*) FILTER (WHERE col = v)`` per v).
+    one int64 count column ``n_{v}`` per pivot value v of ``col`` (the
+    wide-format report shape — SQL's ``count(*) FILTER (WHERE col = v)``
+    per v).
 
     Shape: the pivot width is bounded (it is a SCHEMA, not data), so
     each block collapses to at most |distinct keys in block| rows of
@@ -325,7 +343,7 @@ def pivot_counts(ds, key: str, col: str, values: list[str],
     fold (see :func:`fold_partials` for the bounded-key contract)."""
     import pyarrow.compute as pc
 
-    names = [f"{prefix}{v}" for v in values]
+    names = [f"n_{v}" for v in values]
 
     def indicators(b: pa.Table) -> pa.Table:
         cols = {key: b[key]}
@@ -337,46 +355,14 @@ def pivot_counts(ds, key: str, col: str, values: list[str],
                        indicators)
 
 
-def _finest_sums(ds, keys: list[str], sum_cols: list[str], count_col: str):
-    """The finest grouping level of :func:`rollup_sums` and kin (one
-    scan) and the merge that re-aggregates it to coarser levels."""
-    spec = {c: (c, "sum") for c in sum_cols}
-    spec[count_col] = ([], "count_all")
-    return fold_agg(ds, keys, spec), merge_aggs(spec)
-
-
-def rollup_sums(ds, keys: list[str], sum_cols: list[str],
-                count_col: str = "n_rows") -> pa.Table:
+def rollup_sums(ds, keys: list[str], sum_cols: list[str]) -> pa.Table:
     """GROUP BY ROLLUP(keys): the finest level PLUS every prefix
     subtotal level up to the grand total, rolled-up key columns null —
-    SQL ``GROUP BY ROLLUP (...)`` semantics.
-
-    Scale shape: the INPUT is scanned exactly once — per-block partials
-    at the finest granularity, driver fold (bounded-key contract, same
-    as :func:`fold_partials`) — and every coarser level is derived by
-    re-aggregating the tiny finest TABLE driver-side.  At 100 TB the
-    subtotal levels cost |finest| rows of arithmetic, not another pass
-    over the data."""
-    import pyarrow.compute as pc
-
-    finest, aggs = _finest_sums(ds, keys, sum_cols, count_col)
-    out_names = keys + sum_cols + [count_col]
-    levels = [finest]
-    for lvl in range(len(keys) - 1, -1, -1):
-        kept = keys[:lvl]
-        if kept:
-            t = (finest.group_by(kept).aggregate(aggs)
-                 .rename_columns(kept + sum_cols + [count_col]))
-        else:
-            t = pa.table({c: pa.array([int(pc.sum(finest[c]).as_py() or 0)],
-                                      pa.int64())
-                          for c in sum_cols + [count_col]})
-        for k in keys[lvl:]:
-            t = t.append_column(k, pa.nulls(t.num_rows,
-                                            finest.schema.field(k).type))
-        levels.append(t.select(out_names))
-    return pa.concat_tables(levels).sort_by(
-        [(k, "ascending") for k in keys])
+    SQL ``GROUP BY ROLLUP (...)`` semantics: the grouping sets
+    ``[keys, keys[:-1], ..., []]`` of :func:`grouping_sets_sums`."""
+    return grouping_sets_sums(ds, keys, [keys[:i] for i in
+                                         range(len(keys), -1, -1)],
+                              sum_cols)
 
 
 def corr_moments(ds, x_col: str, y_col: str, by: str):
@@ -456,66 +442,28 @@ def distinct_count_by(ds, value_col: str, by: str,
     return out
 
 
-def cube_sums(ds, keys: list[str], sum_cols: list[str],
-              count_col: str = "n_rows") -> pa.Table:
+def cube_sums(ds, keys: list[str], sum_cols: list[str]) -> pa.Table:
     """GROUP BY CUBE(keys): every subset of the grouping keys (all 2^k
-    grouping sets), absent keys null — the full cross-tab report.
-
-    Same single-scan shape as :func:`rollup_sums`: finest-granularity
-    partials per block + driver fold, then each of the 2^k−1 coarser
-    grouping sets is re-aggregated from the tiny finest TABLE
-    driver-side.  At 100 TB the cube costs one pass over the data plus
-    (2^k−1)·|finest| rows of driver arithmetic — k is a report schema
-    (2–3 keys), never data-sized."""
+    grouping sets, largest first, in ``combinations`` order), absent
+    keys null — the full cross-tab report, by
+    :func:`grouping_sets_sums`.  At 100 TB the cube costs one pass over
+    the data plus (2^k−1)·|finest| rows of driver arithmetic — k is a
+    report schema (2–3 keys), never data-sized."""
     from itertools import combinations
 
-    import pyarrow.compute as pc
-
-    finest, aggs = _finest_sums(ds, keys, sum_cols, count_col)
-    out_names = keys + sum_cols + [count_col]
-    levels = [finest]
-    subsets = [list(s) for r in range(len(keys) - 1, -1, -1)
-               for s in combinations(keys, r)]
-    for kept in subsets:
-        if kept:
-            t = (finest.group_by(kept).aggregate(aggs)
-                 .rename_columns(kept + sum_cols + [count_col]))
-        else:
-            t = pa.table({c: pa.array([int(pc.sum(finest[c]).as_py() or 0)],
-                                      pa.int64())
-                          for c in sum_cols + [count_col]})
-        for k in keys:
-            if k not in kept:
-                t = t.append_column(k, pa.nulls(t.num_rows,
-                                                finest.schema.field(k).type))
-        levels.append(t.select(out_names))
-    return pa.concat_tables(levels).sort_by(
-        [(k, "ascending") for k in keys])
+    return grouping_sets_sums(
+        ds, keys, [list(c) for r in range(len(keys), -1, -1)
+                   for c in combinations(keys, r)], sum_cols)
 
 
 def quantiles_disc(ds, value_col: str, qs: list[float], by: str,
-                   scale: int = 100,
                    out_prefix: str = "q") -> pa.Table:
-    """Multi-quantile sibling of :func:`quantile_disc`: ALL requested
-    discrete quantiles from ONE histogram pass (the scan cost is the
-    histogram, not the pick), one column per q named
+    """Multi-quantile sibling of :func:`quantile_disc` (in cents): ALL
+    requested discrete quantiles from ONE histogram pass (the scan cost
+    is the histogram, not the pick), one column per q named
     ``{out_prefix}{q*100:g}``.  Same bounded-domain contract."""
-    import math
-
-    hist = _scaled_hist(ds, value_col, by, scale).to_pandas()
-    names = [f"{out_prefix}{q * 100:g}" for q in qs]
-    out_k = []
-    out_q: dict[str, list[int]] = {nm: [] for nm in names}
-    for key, g in hist.groupby(by, sort=True):
-        n = int(g["n"].sum())
-        cum = g["n"].cumsum()
-        out_k.append(key)
-        for q, nm in zip(qs, names):
-            target = max(1, math.ceil(q * n))
-            out_q[nm].append(int(g.loc[cum >= target, "v"].iloc[0]))
-    cols = {by: pa.array(out_k)}
-    cols.update({nm: pa.array(out_q[nm], pa.int64()) for nm in names})
-    return pa.table(cols)
+    return _disc_quantiles(ds, value_col, qs, by, DISC_SCALE,
+                           [f"{out_prefix}{q * 100:g}" for q in qs])
 
 
 def _float_vals(batch: pa.Table, col: str):
@@ -532,8 +480,6 @@ def _bracket_mask(a, lo: float, hi: float, closed: bool):
 
 
 def order_stats_cont(ds, value_col: str, ranks: list[int], *,
-                     n_buckets: int = 4096, collect_limit: int = 1 << 18,
-                     max_passes: int = 64,
                      span: tuple[int, float, float] | None = None,
                      ) -> dict[int, float]:
     """EXACT k-th order statistics (0-based ranks) of a CONTINUOUS
@@ -542,14 +488,14 @@ def order_stats_cont(ds, value_col: str, ranks: list[int], *,
 
     Iterative histogram refinement, the distributed selection
     algorithm: each pass histograms the surviving bracket(s) into
-    ``n_buckets`` equal-width cells via map-side partials folded
-    driver-side (the fold is <= brackets x n_buckets tiny rows), then
+    :data:`N_BUCKETS` equal-width cells via map-side partials folded
+    driver-side (the fold is <= brackets x N_BUCKETS tiny rows), then
     narrows each rank's bracket to the one cell containing it — a
     4096x width reduction per scan, so a 64-bit value range resolves
     in <= 3-4 passes in practice and every pass is an embarrassingly
     parallel column scan (no all-to-all; a distributed sort would scan
     the same bytes AND shuffle all of them).  A bracket whose
-    population falls under ``collect_limit`` short-circuits: its
+    population falls under :data:`COLLECT_LIMIT` short-circuits: its
     values are gathered (bounded driver memory) and selected exactly.
     Duplicate-heavy columns terminate via the ulp rules: a one-ulp
     right-open bracket can only hold its left endpoint, and a
@@ -559,6 +505,8 @@ def order_stats_cont(ds, value_col: str, ranks: list[int], *,
     ``span``: optional precomputed (n, min, max) to skip pass 0.
     """
     import ray
+
+    n_buckets = N_BUCKETS  # captured here: tasks see the caller's value
 
     if span is None:
         span = _count_min_max(ds, value_col)
@@ -573,7 +521,7 @@ def order_stats_cont(ds, value_col: str, ranks: list[int], *,
     brackets = {r: (float(gmin), float(gmax), True, 0, n) for r in ranks}
     resolved: dict[int, float] = {}
 
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         pending = {r: b for r, b in brackets.items() if r not in resolved}
         if not pending:
             return resolved
@@ -582,7 +530,7 @@ def order_stats_cont(ds, value_col: str, ranks: list[int], *,
         for r, (lo, hi, closed, off, cnt) in pending.items():
             if lo == hi or (not closed and np.nextafter(lo, hi) >= hi):
                 resolved[r] = lo  # single representable value left
-            elif cnt <= collect_limit:
+            elif cnt <= COLLECT_LIMIT:
                 collect[r] = (lo, hi, closed, off, cnt)
             else:
                 refine[r] = (lo, hi, closed, off, cnt)
@@ -672,28 +620,31 @@ def order_stats_cont(ds, value_col: str, ranks: list[int], *,
                 # no float progress possible: snap to the exact
                 # in-bracket [min, max] (a strict subset or a proof
                 # that one value remains)
-                bmin, bmax = _bracket_min_max(ds, value_col, lo, hi,
-                                              closed)
+                _, bmin, bmax = _count_min_max(ds, value_col,
+                                               (lo, hi, closed))
                 if bmin == bmax:
                     resolved[r] = bmin
                     continue
                 new_lo, new_hi, new_closed = bmin, bmax, True
             brackets[r] = (new_lo, new_hi, new_closed, new_off, new_cnt)
     raise RuntimeError("order_stats_cont did not converge "
-                       f"(max_passes={max_passes})")
+                       f"(MAX_PASSES={MAX_PASSES})")
 
 
-def _count_min_max(ds, value_col: str) -> tuple[int, float, float]:
-    """(non-null count, min, max) via one map-side partial pass."""
+def _count_min_max(ds, value_col: str, bracket: tuple | None = None
+                   ) -> tuple[int, float, float]:
+    """(non-null count, min, max) of ``value_col`` — of its values in
+    ``bracket`` (lo, hi, closed) when one is given — via one map-side
+    partial pass; min and max are NaN when there is no value."""
     def partial(batch: pa.Table) -> pa.Table:
         a = _float_vals(batch, value_col)
-        if a.size == 0:
-            return pa.table({"n": pa.array([0], pa.int64()),
-                             "lo": pa.array([np.inf], pa.float64()),
-                             "hi": pa.array([-np.inf], pa.float64())})
-        return pa.table({"n": pa.array([a.size], pa.int64()),
-                         "lo": pa.array([a.min()], pa.float64()),
-                         "hi": pa.array([a.max()], pa.float64())})
+        if bracket is not None:
+            a = a[_bracket_mask(a, *bracket)]
+        return pa.table({
+            "n": pa.array([a.size], pa.int64()),
+            "lo": pa.array([a.min() if a.size else np.inf], pa.float64()),
+            "hi": pa.array([a.max() if a.size else -np.inf],
+                           pa.float64())})
 
     t = concat_nonempty(arrow_blocks(
         ds.map_batches(partial, batch_format="pyarrow")))
@@ -705,26 +656,7 @@ def _count_min_max(ds, value_col: str) -> tuple[int, float, float]:
     return (n, float(pc.min(t["lo"]).as_py()), float(pc.max(t["hi"]).as_py()))
 
 
-def _bracket_min_max(ds, value_col: str, lo: float, hi: float,
-                     closed: bool) -> tuple[float, float]:
-    def partial(batch: pa.Table) -> pa.Table:
-        a = _float_vals(batch, value_col)
-        sel = a[_bracket_mask(a, lo, hi, closed)]
-        if sel.size == 0:
-            return pa.table({"lo": pa.array([np.inf], pa.float64()),
-                             "hi": pa.array([-np.inf], pa.float64())})
-        return pa.table({"lo": pa.array([sel.min()], pa.float64()),
-                         "hi": pa.array([sel.max()], pa.float64())})
-
-    t = concat_nonempty(arrow_blocks(
-        ds.map_batches(partial, batch_format="pyarrow")))
-    import pyarrow.compute as pc
-    return (float(pc.min(t["lo"]).as_py()), float(pc.max(t["hi"]).as_py()))
-
-
-def quantile_cont(ds, value_col: str, ps: list[float], *,
-                  n_buckets: int = 4096,
-                  collect_limit: int = 1 << 18) -> pa.Table:
+def quantile_cont(ds, value_col: str, ps: list[float]) -> pa.Table:
     """SQL ``percentile_cont`` over a continuous column, kept EXACT:
     for each p the two bracketing order statistics at ranks
     floor(p*(n-1)) and ceil(p*(n-1)) are found by
@@ -748,8 +680,6 @@ def quantile_cont(ds, value_col: str, ps: list[float], *,
         hi_r.append(int(math.ceil(idx)))
         ranks.update((lo_r[-1], hi_r[-1]))
     stats = order_stats_cont(ds, value_col, sorted(ranks),
-                             n_buckets=n_buckets,
-                             collect_limit=collect_limit,
                              span=(n, gmin, gmax))
     return pa.table({
         "p": pa.array([float(p) for p in ps], pa.float64()),
@@ -758,42 +688,34 @@ def quantile_cont(ds, value_col: str, ps: list[float], *,
     })
 
 
-def group_order_stats(ds, key_col: str, val_col: str, p: float, *,
-                      lo_col: str = "lo_value", hi_col: str = "hi_value"):
+def group_order_stats(ds, key_col: str, val_col: str, p: float):
     """Per-GROUP continuous percentile (SQL ``percentile_cont(p)
     WITHIN GROUP (ORDER BY val) ... GROUP BY key``), kept exact the
     same way :func:`quantile_cont` is: the two bracketing order
     statistics at ranks floor/ceil(p*(n_g-1)) are returned as actual
-    data values per key.
+    data values per key: (key, lo_value, hi_value).
 
     Unlike the global :func:`order_stats_cont` (whose key domain is
     ONE), the grouped variant shuffles by key (:func:`~.window.keyed_apply`:
-    every group lands whole in one frame) and selects with one lexsort +
-    segment-start gather per frame: no per-group Python, no
+    every group lands whole in one frame) and selects with one sorted
+    frame + segment-start gather per frame: no per-group Python, no
     iterative passes (the group's rows are already co-located, so
     selection is an in-frame index away)."""
     import pandas as pd
 
-    from .window import _segment_bounds, keyed_apply
+    from .window import _sort_segments, keyed_apply
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({key_col: np.array([], np.int64),
-                                 lo_col: np.array([], np.float64),
-                                 hi_col: np.array([], np.float64)})
-        k = g[key_col].to_numpy()
         v = g[val_col].to_numpy().astype(np.float64)
         nn = ~np.isnan(v)
-        k, v = k[nn], v[nn]
-        order = np.lexsort((v, k))
-        k, v = k[order], v[order]
-        seg_start, seg_end, _ = _segment_bounds(k)
-        starts = np.unique(seg_start)
-        cnt = seg_end[starts] - starts
+        s, start, end, _ = _sort_segments(g[nn], key_col, v[nn])
+        v = s[val_col].to_numpy().astype(np.float64)
+        starts = np.unique(start)
+        cnt = end[starts] - starts
         lo_r = starts + np.floor(p * (cnt - 1)).astype(np.int64)
         hi_r = starts + np.ceil(p * (cnt - 1)).astype(np.int64)
-        return pd.DataFrame({key_col: k[starts],
-                             lo_col: v[lo_r], hi_col: v[hi_r]})
+        return pd.DataFrame({key_col: s[key_col].to_numpy()[starts],
+                             "lo_value": v[lo_r], "hi_value": v[hi_r]})
 
     return keyed_apply(ds, key_col, body)
 
@@ -820,23 +742,27 @@ def melt(ds, id_cols: list[str], value_cols: list[str],
 
 
 def grouping_sets_sums(ds, keys: list[str], sets: list[list[str]],
-                       sum_cols: list[str],
-                       count_col: str = "n_rows") -> pa.Table:
+                       sum_cols: list[str]) -> pa.Table:
     """GROUP BY GROUPING SETS(sets) — the rollup/cube generalization:
     exactly the REQUESTED grouping sets (each a subset of ``keys``),
-    absent keys null.  Same single-scan shape as :func:`cube_sums`:
-    finest-granularity partials per block + driver fold, then every
-    requested set re-aggregates from the tiny finest table
-    driver-side — one pass over the data regardless of how many sets
-    the report asks for."""
+    absent keys null, with the ``sum_cols`` sums and ``n_rows`` per
+    group, sorted by ``keys``.
+
+    Scale shape: the INPUT is scanned exactly once — per-block partials
+    at the finest granularity, driver fold (bounded-key contract, same
+    as :func:`fold_partials`) — and every requested set re-aggregates
+    the tiny finest TABLE driver-side.  At 100 TB the coarser levels
+    cost |finest| rows of arithmetic, not another pass over the data."""
     import pyarrow.compute as pc
 
     for s in sets:
         bad = [c for c in s if c not in keys]
         if bad:
             raise ValueError(f"grouping_sets_sums: {bad} not in keys")
-    finest, aggs = _finest_sums(ds, keys, sum_cols, count_col)
-    out_names = keys + sum_cols + [count_col]
+    spec = {c: (c, "sum") for c in sum_cols}
+    spec["n_rows"] = ([], "count_all")
+    finest, aggs = fold_agg(ds, keys, spec), merge_aggs(spec)
+    out_names = keys + sum_cols + ["n_rows"]
     levels = []
     for kept in sets:
         kept = [k for k in keys if k in kept]  # canonical key order
@@ -844,11 +770,11 @@ def grouping_sets_sums(ds, keys: list[str], sets: list[list[str]],
             t = finest
         elif kept:
             t = (finest.group_by(kept).aggregate(aggs)
-                 .rename_columns(kept + sum_cols + [count_col]))
+                 .rename_columns(kept + sum_cols + ["n_rows"]))
         else:
             t = pa.table({c: pa.array([int(pc.sum(finest[c]).as_py() or 0)],
                                       pa.int64())
-                          for c in sum_cols + [count_col]})
+                          for c in sum_cols + ["n_rows"]})
         for k in keys:
             if k not in kept:
                 t = t.append_column(k, pa.nulls(t.num_rows,

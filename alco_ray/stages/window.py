@@ -2,17 +2,19 @@
 
 The reference fetches +-k neighboring lines around a search hit within
 the same context-column values.  Graft: per-conversation windows over
-``turn_idx``.
+``turn_idx``, and per-key windows over time.
 
-Execution shape (round 2): instead of ``groupby(conv_id).map_groups``
-— one Python call and one pandas frame PER conversation, so at
-billions of small conversations the interpreter overhead dominates the
-math — every operator here sorts on a hash of the key column, then
-runs ONE vectorized segmented kernel per frame of many whole key
-groups: sort the frame by (key, idx), find segment boundaries with one
-diff, and answer every window/as-of/session question with cumsum /
-maximum.accumulate arithmetic over the whole frame at once.  A key
-lives in exactly one frame, so frame-local answers are globally exact.
+Every keyed operator here is a kernel run by :func:`keyed_apply`, the
+one keyed shuffle: it sorts on a hash of the key column and hands each
+kernel call a pandas frame of MANY whole key groups, so frame-local
+answers are globally exact.  The kernel contract: a frame holds whole
+key groups, is never empty, and arrives in any row order.  A kernel
+sorts its frame by (key, order columns) and finds the key segments in
+one step (:func:`_sort_segments`), then answers every row at once with
+cumsum / maximum.accumulate / searchsorted arithmetic over the whole
+frame: a ROWS frame sum (:func:`_frame_sum`), the last flagged row at
+or before each row (:func:`_last_flagged`), and a per-segment time seek
+(:func:`_time_seek`).  No kernel loops over keys in Python.
 
 Partitioning assumption: a frame fits one worker's heap.
 :func:`keyed_apply` cuts each sorted block into runs of whole key
@@ -21,6 +23,7 @@ of its own), and its tasks are the sort's partitions, one per input
 block, so frames stay bounded at any corpus size and no caller sizes
 anything.
 """
+
 
 from __future__ import annotations
 
@@ -34,6 +37,13 @@ import pyarrow.compute as pc
 #: Most rows :func:`keyed_apply` hands one kernel call, unless a single
 #: key group is larger (it goes whole).
 FRAME_ROWS = 250_000
+
+#: The transcript operators' key and order columns.
+CONV_COL, TURN_COL = "conv_id", "turn_idx"
+
+#: Half-width of each event's span in :func:`coalesce_intervals`
+#: (15 minutes either side).
+BUSY_PAD_US = 900_000_000
 
 
 def default_hash_parts() -> int:
@@ -133,8 +143,14 @@ def keyed_apply(ds, keys, kernel):
             .map_batches(run, batch_size=None, batch_format="pyarrow"))
 
 
-def _segment_bounds(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row (segment_start, segment_end) positions for a sorted key
+def _micros(a) -> np.ndarray:
+    """int64 microseconds of a timestamp (or integer) column."""
+    return np.asarray(a).astype("datetime64[us]").view(np.int64)
+
+
+def _segment_bounds(keys: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row (segment_start, segment_end, segment_id) for a sorted key
     column: one vectorized change-point pass."""
     n = len(keys)
     if n == 0:
@@ -149,189 +165,193 @@ def _segment_bounds(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts[seg_id], ends[seg_id], seg_id
 
 
-def _windowed_flag_sum(flag: np.ndarray, seg_start: np.ndarray,
-                       seg_end: np.ndarray, radius: int) -> np.ndarray:
-    """Centered ROWS-frame windowed sum of ``flag`` within segments:
-    prefix sums + clamped window edges, no per-segment loop."""
-    n = len(flag)
-    c0 = np.concatenate([[0], np.cumsum(flag)])
-    pos = np.arange(n, dtype=np.int64)
-    lo = np.maximum(pos - radius, seg_start)
-    hi = np.minimum(pos + radius, seg_end - 1)
+def _sort_segments(g: pd.DataFrame, key: str, *order):
+    """``g`` sorted by (``key``, *``order``), ties in frame order, with
+    the per-row (segment_start, segment_end, segment_id) of the sorted
+    key.  Each of ``order`` is a column name or an array aligned with
+    ``g``, most significant first."""
+    cols = [g[c].to_numpy() if isinstance(c, str) else c
+            for c in reversed(order)]
+    s = g.iloc[np.lexsort((*cols, g[key].to_numpy()))]
+    return (s, *_segment_bounds(s[key].to_numpy()))
+
+
+def _frame_sum(x: np.ndarray, seg_start: np.ndarray, seg_end: np.ndarray,
+               before: int | None, after: int) -> np.ndarray:
+    """Sum of ``x`` over each row's ROWS frame ``[i - before, i +
+    after]`` clipped to its segment (``before=None``: from the segment
+    start, the running sum): prefix sums + clamped frame edges, no
+    per-segment loop."""
+    c0 = np.concatenate([[0], np.cumsum(x)])
+    pos = np.arange(len(x), dtype=np.int64)
+    lo = seg_start if before is None else np.maximum(pos - before,
+                                                     seg_start)
+    hi = np.minimum(pos + after, seg_end - 1)
     return c0[hi + 1] - c0[lo]
 
 
-def rolling_count(ds, *, flag_col: str, flag_value, radius: int = 2,
-                  conv_col: str = "conv_id", idx_col: str = "turn_idx",
-                  out_col: str = "w_count"):
+def _last_flagged(flag: np.ndarray, seg_start: np.ndarray) -> np.ndarray:
+    """Per row, the last position at or before it, within its segment,
+    where ``flag`` is set; -1 if there is none."""
+    pos = np.maximum.accumulate(np.where(flag, np.arange(len(flag)), -1))
+    return np.where(pos >= seg_start, pos, -1)
+
+
+def _session_ids(ts: np.ndarray, seg_start: np.ndarray,
+                 seg_end: np.ndarray, gap_us: int) -> np.ndarray:
+    """0-based session number of each row of (key, ts)-sorted rows: a
+    session breaks where the time since the key's previous row exceeds
+    ``gap_us``."""
+    brk = np.zeros(len(ts), np.int64)
+    brk[1:] = np.diff(ts) > gap_us
+    brk[seg_start] = 0
+    return _frame_sum(brk, seg_start, seg_end, None, 0)
+
+
+def _time_seek(ts: np.ndarray, seg_start: np.ndarray, seg_end: np.ndarray,
+               seg_id: np.ndarray):
+    """The time seek over rows sorted by (segment, ``ts``):
+    ``seek(rows, t, side)`` gives, for each probe row ``rows[j]``
+    (ascending), the first position in that row's segment whose ts is
+    ``>= t[j]`` (side ``"left"``) or ``> t[j]`` (``"right"``), and the
+    segment end when there is none.
+
+    One ``searchsorted`` over the composite ``seg_id * span + (ts -
+    min)`` answers every probe.  Targets are clipped to one step outside
+    the frame's time range, so ``span`` is that range plus 3 and no
+    probe reaches another segment.  When the composite would overflow
+    int64, each probed segment is searched on its own."""
+    t0 = ts.min()
+    rng = int(ts.max()) - int(t0)
+    span = rng + 3
+    if (int(seg_id[-1]) + 1) * span < 1 << 62:
+        comp = seg_id * span + (ts - t0)
+
+        def seek(rows, t, side):
+            rel = np.clip(t - t0, -1, rng + 1)
+            return np.searchsorted(comp, seg_id[rows] * span + rel, side)
+        return seek
+
+    def seek(rows, t, side):
+        out = np.empty(len(rows), np.int64)
+        run = np.flatnonzero(np.diff(seg_id[rows], prepend=-1))
+        for a, b in zip(run, np.append(run[1:], len(rows))):
+            lo, hi = seg_start[rows[a]], seg_end[rows[a]]
+            out[a:b] = lo + np.searchsorted(ts[lo:hi], t[a:b], side)
+        return out
+    return seek
+
+
+def rolling_count(ds, *, flag_col: str, flag_value, radius: int = 2):
     """Centered rolling window aggregate: for every turn, the number of
     rows with ``flag_col == flag_value`` within ``radius`` turns in the
-    same conversation (ROWS frame)."""
+    same conversation (ROWS frame): (conv_id, turn_idx, w_count)."""
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.lexsort((g[idx_col].to_numpy(), g[conv_col].to_numpy()))
-        g = g.iloc[order]
-        seg_start, seg_end, _ = _segment_bounds(g[conv_col].to_numpy())
-        flag = (g[flag_col] == flag_value).to_numpy().astype(np.int64)
-        out = g[[conv_col, idx_col]].copy()
-        out[out_col] = _windowed_flag_sum(flag, seg_start, seg_end, radius)
+        s, start, end, _ = _sort_segments(g, CONV_COL, TURN_COL)
+        flag = (s[flag_col] == flag_value).to_numpy().astype(np.int64)
+        out = s[[CONV_COL, TURN_COL]].copy()
+        out["w_count"] = _frame_sum(flag, start, end, radius, radius)
         return out
 
-    return keyed_apply(ds, conv_col, body)
+    return keyed_apply(ds, CONV_COL, body)
 
 
-def asof_prior(ds, *, flag_col: str, flag_value,
-               conv_col: str = "conv_id", idx_col: str = "turn_idx",
-               out_col: str = "last_match_idx"):
+def asof_prior(ds, *, flag_col: str, flag_value):
     """As-of join within a conversation: for every turn, the most
     recent ``turn_idx`` at-or-before it whose ``flag_col`` equals
-    ``flag_value`` (-1 if none yet).
-
-    Kernel: segment-reset running max via the offset trick — add
-    seg_id * 2^32 to each candidate value so np.maximum.accumulate
-    never carries a value across a segment boundary."""
+    ``flag_value`` (-1 if none yet): (conv_id, turn_idx,
+    last_match_idx)."""
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.lexsort((g[idx_col].to_numpy(), g[conv_col].to_numpy()))
-        g = g.iloc[order]
-        idx = g[idx_col].to_numpy().astype(np.int64)
-        _, _, seg_id = _segment_bounds(g[conv_col].to_numpy())
-        flag = (g[flag_col] == flag_value).to_numpy()
-        OFF = np.int64(1) << 32  # > max turn_idx + 2
-        val = np.where(flag, idx, np.int64(-1)) + seg_id * OFF
-        run = np.maximum.accumulate(val)
-        out = g[[conv_col, idx_col]].copy()
-        out[out_col] = run - seg_id * OFF
+        s, start, _, _ = _sort_segments(g, CONV_COL, TURN_COL)
+        idx = s[TURN_COL].to_numpy().astype(np.int64)
+        pos = _last_flagged((s[flag_col] == flag_value).to_numpy(), start)
+        out = s[[CONV_COL, TURN_COL]].copy()
+        out["last_match_idx"] = np.where(pos >= 0, idx[pos], -1)
         return out
 
-    return keyed_apply(ds, conv_col, body)
+    return keyed_apply(ds, CONV_COL, body)
 
 
 def sessionize(ds, *, key_col: str = "user_id", ts_col: str = "ts",
-               gap_minutes: int = 30, out_col: str = "session_id"):
+               gap_minutes: int = 30):
     """Gap-based sessionization: within each key, a new session starts
     whenever the time since the previous event exceeds ``gap_minutes``.
-    session_id = running count of gap-breaks (0-based) per key.
-
-    Kernel: one diff over the (key, ts)-sorted frame; a row is a
-    gap-break iff it is not a segment start and its ts-delta exceeds
-    the gap; session_id = cumsum re-based at each segment start."""
+    ``session_id`` = running count of gap-breaks (0-based) per key;
+    every input column is kept."""
     gap_us = np.int64(gap_minutes) * 60 * 1_000_000
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
-        ts = g[ts_col].to_numpy()
-        order = np.lexsort((ts, g[key_col].to_numpy()))
-        g = g.iloc[order]
-        ts = ts[order].astype("datetime64[us]").view(np.int64)
-        seg_start, _, _ = _segment_bounds(g[key_col].to_numpy())
-        n = len(g)
-        gap = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            delta = ts[1:] - ts[:-1]
-            pos = np.arange(1, n, dtype=np.int64)
-            gap[1:] = ((delta > gap_us) &
-                       (pos != seg_start[1:])).astype(np.int64)
-        c = np.cumsum(gap)
-        g = g.copy()
-        g[out_col] = c - c[seg_start]
-        return g
+        s, start, end, _ = _sort_segments(g, key_col, ts_col)
+        s = s.copy()
+        s["session_id"] = _session_ids(_micros(s[ts_col]), start, end,
+                                       gap_us)
+        return s
 
     return keyed_apply(ds, key_col, body)
 
 
-def context_window(ds, *, match_col: str, match_value, radius: int = 1,
-                   conv_col: str = "conv_id", idx_col: str = "turn_idx",
-                   keep_cols: list[str] | None = None):
+def context_window(ds, *, match_col: str, match_value, radius: int = 1):
     """Rows within ``radius`` turns of a matching row in the same
-    conversation (the grep context view).  Returns the kept rows."""
-    cols = keep_cols or [conv_col, idx_col, match_col]
+    conversation (the grep context view): (conv_id, turn_idx,
+    ``match_col``) of each kept row."""
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.lexsort((g[idx_col].to_numpy(), g[conv_col].to_numpy()))
-        g = g.iloc[order]
-        seg_start, seg_end, _ = _segment_bounds(g[conv_col].to_numpy())
-        flag = (g[match_col] == match_value).to_numpy().astype(np.int64)
-        w = _windowed_flag_sum(flag, seg_start, seg_end, radius)
-        return g.loc[w > 0, cols]
+        s, start, end, _ = _sort_segments(g, CONV_COL, TURN_COL)
+        flag = (s[match_col] == match_value).to_numpy().astype(np.int64)
+        w = _frame_sum(flag, start, end, radius, radius)
+        return s.loc[w > 0, [CONV_COL, TURN_COL, match_col]]
 
-    return keyed_apply(ds, conv_col, body)
+    return keyed_apply(ds, CONV_COL, body)
 
 
 def nearby_count(ds, *, key_col: str, ts_col: str, id_col: str,
                  radius_us: int, flag_col: str | None = None,
-                 flag_value=None, out_col: str = "n_nearby"):
-    """Time-RANGE join count: for every (flagged) row, the number of
-    OTHER rows with the same key whose timestamp lies within
-    ``±radius_us`` — the interval/range-join shape Ray Data has no
-    native operator for (a SQL engine answers it with a non-equi
+                 flag_value=None):
+    """Time-RANGE join count: for every (flagged) row, the number
+    ``n_nearby`` of OTHER rows with the same key whose timestamp lies
+    within ``±radius_us`` — the interval/range-join shape Ray Data has
+    no native operator for (a SQL engine answers it with a non-equi
     self-join).
 
-    Kernel (per key-hash frame, fully vectorized): collapse
-    (key, ts) into ONE int64 timeline — ``code * span + (ts - min)``
-    with ``span > (max - min) + radius + 1`` so no probe window can
-    bleed across keys — then a single pair of ``np.searchsorted``
-    calls answers every probe at once.  No self-join, no row
-    multiplication; shuffle volume = input once.  Composite-key
-    overflow is CHECKED (raise, don't corrupt)."""
+    Kernel: two :func:`_time_seek` probes per row over the (key,
+    ts)-sorted frame; rows come out in the frame's input order.  No
+    self-join, no row multiplication; shuffle volume = input once."""
     radius_us = int(radius_us)
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
-        ts = g[ts_col].to_numpy().astype("datetime64[us]").view(np.int64)
-        if len(ts) == 0:
-            return pd.DataFrame({id_col: np.array([], np.int64),
-                                 out_col: np.array([], np.int64)})
-        codes, _ = pd.factorize(g[key_col].to_numpy())
-        base = ts - ts.min()
-        span = int(base.max()) + radius_us + 2
-        n_keys = int(codes.max()) + 1
-        if span * n_keys >= (1 << 62):
-            raise ValueError(
-                f"nearby_count: composite timeline overflow "
-                f"({n_keys} keys x span {span} in one frame)")
-        comp = codes.astype(np.int64) * span + base
-        srt = np.sort(comp)
-        probe = (g[flag_col] == flag_value).to_numpy() \
-            if flag_col is not None else np.ones(len(ts), dtype=bool)
-        lo = np.searchsorted(srt, comp[probe] - radius_us, "left")
-        hi = np.searchsorted(srt, comp[probe] + radius_us, "right")
-        return pd.DataFrame({
-            id_col: g[id_col].to_numpy()[probe],
-            out_col: (hi - lo - 1).astype(np.int64),
-        })
+        s, start, end, sid = _sort_segments(g, key_col, ts_col)
+        ts = _micros(s[ts_col])
+        probe = np.flatnonzero((s[flag_col] == flag_value).to_numpy()) \
+            if flag_col is not None else np.arange(len(s))
+        seek = _time_seek(ts, start, end, sid)
+        n = (seek(probe, ts[probe] + radius_us, "right")
+             - seek(probe, ts[probe] - radius_us, "left") - 1)
+        back = np.argsort(s.index.to_numpy()[probe])  # input order
+        return pd.DataFrame({id_col: s[id_col].to_numpy()[probe][back],
+                             "n_nearby": n[back].astype(np.int64)})
 
     return keyed_apply(ds, key_col, body)
 
 
-def lag_delta(ds, *, key_col: str, ts_col: str, id_col: str,
-              out_col: str = "gap_us"):
-    """LAG window function: for every row, microseconds since the
-    PREVIOUS row of the same key in (ts, id) order — null for each
-    key's first row (SQL ``ts - lag(ts) OVER (PARTITION BY key
+def lag_delta(ds, *, key_col: str, ts_col: str, id_col: str):
+    """LAG window function: for every row, microseconds ``gap_us``
+    since the PREVIOUS row of the same key in (ts, id) order — null for
+    each key's first row (SQL ``ts - lag(ts) OVER (PARTITION BY key
     ORDER BY ts, id)``).  The inter-event-time signal behind retention
     / bot-detection features.
 
-    Kernel: one lexsort per key-hash frame, one diff; segment
-    starts masked to null via a pandas Int64 (nullable) column so the
-    output schema stays int64, not float."""
+    Kernel: one sorted frame, one diff; segment starts masked to null
+    via a pandas Int64 (nullable) column so the output schema stays
+    int64, not float."""
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({id_col: np.array([], np.int64),
-                                 out_col: pd.array([], dtype="Int64")})
-        ts = g[ts_col].to_numpy().astype("datetime64[us]").view(np.int64)
-        order = np.lexsort((g[id_col].to_numpy(), ts,
-                            g[key_col].to_numpy()))
-        g = g.iloc[order]
-        ts = ts[order]
-        seg_start, _, _ = _segment_bounds(g[key_col].to_numpy())
-        n = len(g)
-        gap = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            gap[1:] = ts[1:] - ts[:-1]
-        col = pd.array(gap, dtype="Int64")
-        col[np.arange(n) == seg_start] = pd.NA
-        return pd.DataFrame({id_col: g[id_col].to_numpy(),
-                             out_col: col})
+        s, start, _, _ = _sort_segments(g, key_col, ts_col, id_col)
+        ts = _micros(s[ts_col])
+        col = pd.array(np.diff(ts, prepend=ts[0]), dtype="Int64")
+        col[np.arange(len(ts)) == start] = pd.NA
+        return pd.DataFrame({id_col: s[id_col].to_numpy(), "gap_us": col})
 
     from alco_ray.stages import enforce_schema
 
@@ -342,7 +362,7 @@ def lag_delta(ds, *, key_col: str, ts_col: str, id_col: str,
     # extension column above hashes as `123`/`<NA>` while the oracle's
     # nullable BIGINT round-trips as `123.0`/`NaN` — driver hash
     # mismatch on identical values (CORRECTNESS_r03 e_event_gaps).
-    return enforce_schema(out, {id_col: id_type, out_col: pa.int64()})
+    return enforce_schema(out, {id_col: id_type, "gap_us": pa.int64()})
 
 
 def grouped_cumsum(ds, *, key_col: str, ts_col: str, id_col: str,
@@ -351,56 +371,34 @@ def grouped_cumsum(ds, *, key_col: str, ts_col: str, id_col: str,
     (int64) over (ts, id) order within each key — SQL ``sum(val) OVER
     (PARTITION BY key ORDER BY ts, id ROWS UNBOUNDED PRECEDING)``.
     Unlike stages/scan.ordered_prefix_sum (ONE global order, block-
-    ordered input) this is the per-group variant over arbitrary input:
-    segment-rebased cumsum per key-hash frame."""
+    ordered input) this is the per-group variant over arbitrary input."""
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({id_col: np.array([], np.int64),
-                                 out_col: np.array([], np.int64)})
-        ts = g[ts_col].to_numpy().astype("datetime64[us]").view(np.int64)
-        order = np.lexsort((g[id_col].to_numpy(), ts,
-                            g[key_col].to_numpy()))
-        g = g.iloc[order]
-        seg_start, _, _ = _segment_bounds(g[key_col].to_numpy())
-        vals = g[val_col].to_numpy().astype(np.int64)
-        c = np.cumsum(vals)
-        run = c - (c[seg_start] - vals[seg_start])
-        return pd.DataFrame({id_col: g[id_col].to_numpy(),
-                             out_col: run})
+        s, start, end, _ = _sort_segments(g, key_col, ts_col, id_col)
+        vals = s[val_col].to_numpy().astype(np.int64)
+        return pd.DataFrame({id_col: s[id_col].to_numpy(),
+                             out_col: _frame_sum(vals, start, end, None, 0)})
 
     return keyed_apply(ds, key_col, body)
 
 
 def grouped_dense_rank(ds, *, key_col: str, val_col: str, id_col: str,
-                       out_col: str = "drank", descending: bool = True):
+                       out_col: str = "drank"):
     """Per-key DENSE_RANK over ``val_col`` (int64; ties share a rank,
     no gaps) — SQL ``dense_rank() OVER (PARTITION BY key ORDER BY val
-    DESC)``.  Same key-hash-framed segmented kernel as
-    :func:`grouped_cumsum`: one shuffle on the key hash, vectorized
-    rank per frame, never a global sort."""
+    DESC)``: one sorted frame, the rank is the running count of value
+    changes within each key."""
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({id_col: np.array([], np.int64),
-                                 out_col: np.array([], np.int64)})
         vals = g[val_col].to_numpy().astype(np.int64)
-        sval = -vals if descending else vals
-        order = np.lexsort((sval, g[key_col].to_numpy()))
-        g = g.iloc[order]
-        sval = sval[order]
-        seg_start, _, _ = _segment_bounds(g[key_col].to_numpy())
-        new_seg = np.zeros(len(g), bool)
-        new_seg[seg_start] = True
-        changed = np.empty(len(g), bool)
-        changed[0] = True
-        changed[1:] = sval[1:] != sval[:-1]
-        bump = (changed & ~new_seg).astype(np.int64)
-        c = np.cumsum(bump)
-        # seg_start is PER-ROW (each row's own segment-start position)
-        rank = c - c[seg_start] + 1
-        return pd.DataFrame({id_col: g[id_col].to_numpy(),
-                             out_col: rank})
+        s, start, end, _ = _sort_segments(g, key_col, -vals)
+        v = s[val_col].to_numpy().astype(np.int64)
+        bump = np.zeros(len(v), np.int64)
+        bump[1:] = v[1:] != v[:-1]
+        bump[start] = 0
+        return pd.DataFrame({id_col: s[id_col].to_numpy(),
+                             out_col: _frame_sum(bump, start, end, None, 0)
+                             + 1})
 
     return keyed_apply(ds, key_col, body)
 
@@ -417,10 +415,10 @@ def asof_join(left_ds, right_ds, *, key_col: str, ts_col: str,
     Shape: tag each side, project both to one shared schema, union,
     ONE key-hash shuffle.  Per frame the kernel sorts by
     (key, ts, side) with right rows FIRST at equal ts (inclusive
-    match), then a segment-reset running max over ROW POSITIONS (the
-    offset trick) answers every probe at once; the matched value is a
-    single vectorized gather.  No per-key loop, no row multiplication,
-    shuffle volume = |L| + |R| exactly once."""
+    match); the last right row at or before each row
+    (:func:`_last_flagged`) answers every probe at once, and the
+    matched value is a single vectorized gather.  No per-key loop, no
+    row multiplication, shuffle volume = |L| + |R| exactly once."""
     import ray.data  # noqa: F401  (Dataset.union)
 
     def _field_type(ds, col):
@@ -449,32 +447,20 @@ def asof_join(left_ds, right_ds, *, key_col: str, ts_col: str,
                                         batch_format="pyarrow")))
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0 or not (g["__side"] == 1).any():
+        if not (g["__side"] == 1).any():
             # dtype-preserving empty output (object-dtype empties would
             # break Arrow schema unification across frames)
             return pd.DataFrame({left_id_col: g["__id"].iloc[:0],
                                  out_col: g["__val"].iloc[:0]})
-        ts = g[ts_col].to_numpy()
-        if ts.dtype.kind == "M":
-            ts = ts.astype("datetime64[us]").view(np.int64)
-        side = g["__side"].to_numpy()
-        order = np.lexsort((side, ts, g[key_col].to_numpy()))
-        g = g.iloc[order]
-        side = side[order]
-        n = len(g)
-        _, _, seg_id = _segment_bounds(g[key_col].to_numpy())
-        OFF = np.int64(1) << 40  # > any frame's row count
-        if n >= OFF:
-            raise ValueError("asof_join: frame too large")
-        cand = np.where(side == 0, np.arange(n, dtype=np.int64),
-                        np.int64(-1)) + seg_id * OFF
-        pos = np.maximum.accumulate(cand) - seg_id * OFF
+        s, start, _, _ = _sort_segments(g, key_col, ts_col, "__side")
+        side = s["__side"].to_numpy()
+        pos = _last_flagged(side == 0, start)
         left = side == 1
         lpos = pos[left]
-        vals = g["__val"].iloc[np.maximum(lpos, 0)].reset_index(drop=True)
+        vals = s["__val"].iloc[np.maximum(lpos, 0)].reset_index(drop=True)
         vals[lpos < 0] = None
         return pd.DataFrame({
-            left_id_col: g["__id"].iloc[left].reset_index(drop=True),
+            left_id_col: s["__id"].iloc[left].reset_index(drop=True),
             out_col: vals})
 
     from alco_ray.stages import enforce_schema
@@ -505,17 +491,10 @@ def transition_counts(ds, *, key_col: str, order_col: str, val_col: str,
     :func:`keyed_apply` instead)."""
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({from_col: np.array([], object),
-                                 to_col: np.array([], object),
-                                 "cnt": np.array([], np.int64)})
-        order = np.lexsort((g[order_col].to_numpy(), g[key_col].to_numpy()))
-        vals = g[val_col].to_numpy()[order]
-        keys = g[key_col].to_numpy()[order]
-        seg_start, _, _ = _segment_bounds(keys)
-        n = len(vals)
-        not_first = np.arange(n) != seg_start
-        d = pd.DataFrame({from_col: vals[np.arange(n) - 1][not_first],
+        s, start, _, _ = _sort_segments(g, key_col, order_col)
+        vals = s[val_col].to_numpy()
+        not_first = np.arange(len(vals)) != start
+        d = pd.DataFrame({from_col: np.roll(vals, 1)[not_first],
                           to_col: vals[not_first]})
         out = d.groupby([from_col, to_col], as_index=False).size() \
             .rename(columns={"size": "cnt"})
@@ -530,50 +509,44 @@ def transition_counts(ds, *, key_col: str, order_col: str, val_col: str,
 
 
 def path_counts(ds, *, key_col: str, order_cols: list[str],
-                val_col: str, n: int = 3, sep: str = ">",
-                path_col: str = "path", out_col: str = "cnt") -> pa.Table:
+                val_col: str, n: int = 3, sep: str = ">") -> pa.Table:
     """Order-``n`` PATH counts — the user-journey generalization of
     :func:`transition_counts`: for every run of ``n`` CONSECUTIVE
     rows of the same key (``order_cols`` order), count the joined
     value path ``v1>v2>...>vn`` (SQL: n-1 stacked ``lead()`` windows
-    then GROUP BY).  Same keyed shape: one :func:`keyed_apply`
-    over the key, pre-aggregated (path, cnt) partials, bounded-domain
-    driver fold (|value domain|^n rows — event types, roles, levels;
-    unbounded values would feed a second :func:`keyed_apply`
-    instead)."""
+    then GROUP BY): a (path, cnt) table.  Same keyed shape: one
+    :func:`keyed_apply` over the key, pre-aggregated (path, cnt)
+    partials, bounded-domain driver fold (|value domain|^n rows —
+    event types, roles, levels; unbounded values would feed a second
+    :func:`keyed_apply` instead)."""
     from functools import reduce
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) < n:
-            return pd.DataFrame({path_col: np.array([], object),
+            return pd.DataFrame({"path": np.array([], object),
                                  "cnt": np.array([], np.int64)})
-        order = np.lexsort(tuple(g[c].to_numpy()
-                                 for c in reversed(order_cols))
-                           + (g[key_col].to_numpy(),))
-        vals = g[val_col].to_numpy()[order].astype(object)
-        keys = g[key_col].to_numpy()[order]
-        # keys are sorted, so first == last  =>  the whole window is
-        # one key segment
-        same = keys[: len(keys) - n + 1] == keys[n - 1:]
-        paths = reduce(lambda a, k: a + sep + vals[k: len(vals) - n
-                                                   + 1 + k],
-                       range(1, n), vals[: len(vals) - n + 1])[same]
-        out = pd.DataFrame({path_col: paths}) \
-            .groupby(path_col, as_index=False).size() \
+        s, _, end, _ = _sort_segments(g, key_col, *order_cols)
+        vals = s[val_col].to_numpy().astype(object)
+        m = len(vals) - n + 1
+        # a window is one key's when it ends inside its first row's key
+        same = np.arange(m) + n <= end[:m]
+        paths = reduce(lambda a, k: a + sep + vals[k: m + k],
+                       range(1, n), vals[:m])[same]
+        out = pd.DataFrame({"path": paths}) \
+            .groupby("path", as_index=False).size() \
             .rename(columns={"size": "cnt"})
         out["cnt"] = out["cnt"].astype("int64")
         return out
 
     from .aggregate import fold_partials
 
-    kern = keyed_apply(ds, key_col, body)
-    t = fold_partials(kern, [path_col], [("cnt", "sum")],
-                      empty_schema=pa.schema([(path_col, pa.string()),
-                                              ("cnt", pa.int64())]))
-    return t.rename_columns([path_col, out_col])
+    return fold_partials(keyed_apply(ds, key_col, body), ["path"],
+                         [("cnt", "sum")],
+                         empty_schema=pa.schema([("path", pa.string()),
+                                                 ("cnt", pa.int64())]))
 
 
-def debounce(ds, *, key_cols, ts_col: str, id_col: str,
+def debounce(ds, *, key_col: str, ts_col: str, id_col: str,
              cooldown: int):
     """GREEDY DEBOUNCE / alert suppression (the log-pipeline storm
     breaker): per key, keep an event iff its timestamp is >= the last
@@ -582,84 +555,64 @@ def debounce(ds, *, key_cols, ts_col: str, id_col: str,
     state machine (which event is kept depends on which were kept
     before), so no window function expresses it — but it vectorizes
     by ROUNDS: round r keeps the r-th survivor of every key at once
-    (one searchsorted over a composite segment+time key per round).
-    Round count is bounded by span/cooldown — the DATA DURATION, not
-    the row count — so the kernel stays O(rounds x log n) vector ops
-    even on a year of events.
+    (one :func:`_time_seek` per round).  Round count is bounded by
+    span/cooldown — the DATA DURATION, not the row count — so the
+    kernel stays O(rounds x log n) vector ops even on a year of
+    events.
 
     ``ts_col`` must be integer-valued (cast timestamps upstream).
     Runs per key-hash frame; returns the kept rows, all input
     columns."""
-    key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([*key_cols, ts_col, id_col],
-                          kind="mergesort")
-        n = len(g)
-        if n == 0:
-            return g
-        seg = g.groupby(key_cols, sort=False).ngroup().to_numpy()
-        ts = g[ts_col].to_numpy().astype(np.int64)
-        span = np.int64(ts.max() - ts.min() + cooldown + 2)
-        comp = seg.astype(np.int64) * span + (ts - ts.min())
-        kept = np.zeros(n, bool)
-        active = np.flatnonzero(np.diff(seg, prepend=seg[0] - 1) != 0)
+        s, start, end, sid = _sort_segments(g, key_col, ts_col, id_col)
+        ts = s[ts_col].to_numpy().astype(np.int64)
+        seek = _time_seek(ts, start, end, sid)
+        kept = np.zeros(len(s), bool)
+        active = np.unique(start)
         while len(active):
             kept[active] = True
-            nxt = np.searchsorted(comp, comp[active] + cooldown,
-                                  side="left")
-            valid = nxt < n
-            nxt = nxt[valid]
-            active = nxt[seg[nxt] == seg[active[valid]]]
-        return g.iloc[kept]
+            nxt = seek(active, ts[active] + cooldown, "left")
+            active = nxt[nxt < end[active]]
+        return s.iloc[kept]
 
-    return keyed_apply(ds, key_cols[0], body)
+    return keyed_apply(ds, key_col, body)
 
 
 def adjacent_pairs(ds, *, key_col: str, order_col: str,
                    role_col: str | None = None,
                    text_col: str, from_role: str | None = None,
-                   to_role: str | None = None,
-                   prompt_col: str = "prompt",
-                   response_col: str = "response",
-                   require_consecutive: bool = True,
-                   emit_order: str = "first"):
+                   to_role: str | None = None):
     """CONSECUTIVE-ROW PAIR EXTRACTION: for every pair of adjacent
-    rows of the same key in ``order_col`` order where the first row's
+    rows of the same key whose ``order_col`` values differ by exactly 1
+    (a missing middle turn breaks the pair), where the first row's
     ``role_col`` is ``from_role`` and the next row's is ``to_role``,
-    emit (key, order, first text, next text) — the SFT training-pair
-    extractor (user turn -> the assistant turn that answers it), and
-    generically any stimulus->response adjacency (SQL ``lead() OVER
-    (PARTITION BY key ORDER BY ord)`` + a two-row predicate).
+    emit (key, first row's order, ``prompt`` = first text,
+    ``response`` = next text) — the SFT training-pair extractor (user
+    turn -> the assistant turn that answers it), and generically any
+    stimulus->response adjacency (SQL ``lead() OVER (PARTITION BY key
+    ORDER BY ord)`` + a two-row predicate).
 
     ``role_col``/``from_role``/``to_role`` of None disable the role
     predicate (EVERY positional adjacency pairs — the self-repetition
-    / drift analyses).  ``require_consecutive`` additionally demands
-    order values differ by exactly 1 (a missing middle turn breaks
-    the pair).  ``emit_order`` picks which row's order value labels
-    the pair ('first' or 'second').  Runs once per key-hash frame
+    / drift analyses).  Runs once per key-hash frame
     (:func:`keyed_apply`); output rows only (never the non-matching
     corpus)."""
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.lexsort((g[order_col].to_numpy(),
-                            g[key_col].to_numpy()))
-        keys = g[key_col].to_numpy()[order]
-        ordv = g[order_col].to_numpy()[order]
-        txt = g[text_col].to_numpy()[order]
-        i = np.arange(max(len(keys) - 1, 0))
-        ok = keys[i] == keys[i + 1]
+        s, _, end, _ = _sort_segments(g, key_col, order_col)
+        ordv = s[order_col].to_numpy()
+        txt = s[text_col].to_numpy()
+        i = np.arange(len(s) - 1)
+        ok = (i + 1 < end[i]) & (ordv[i + 1] == ordv[i] + 1)
         if role_col is not None:
-            roles = g[role_col].to_numpy()[order]
+            roles = s[role_col].to_numpy()
             ok = (ok & (roles[i] == from_role)
                   & (roles[i + 1] == to_role))
-        if require_consecutive:
-            ok = ok & (ordv[i + 1] == ordv[i] + 1)
         i = i[ok]
-        lab = ordv[i] if emit_order == "first" else ordv[i + 1]
-        return pd.DataFrame({key_col: keys[i], order_col: lab,
-                             prompt_col: txt[i],
-                             response_col: txt[i + 1]})
+        return pd.DataFrame({key_col: s[key_col].to_numpy()[i],
+                             order_col: ordv[i],
+                             "prompt": txt[i], "response": txt[i + 1]})
 
     return keyed_apply(ds, key_col, body)
 
@@ -675,8 +628,7 @@ def first_last_by(ds, *, key_col: str, ts_col: str, id_col: str,
     per key seen (its batch-local argmin/argmax/count — 8 fixed-width
     columns), then a key-hash frame fold re-reduces; shuffle
     volume is per-batch distinct keys, never the event stream.  Both
-    reduce levels are the same vectorized sort + drop_duplicates —
-    no per-key Python."""
+    reduce levels are vectorized sorts — no per-key Python."""
     def partial(pb: pa.Table) -> pd.DataFrame:
         g = pb.select([key_col, ts_col, id_col, val_col]).to_pandas()
         if len(g) == 0:
@@ -690,32 +642,21 @@ def first_last_by(ds, *, key_col: str, ts_col: str, id_col: str,
                 "l_id": g[id_col].to_numpy().astype(np.int64),
                 "l_val": g[val_col],
                 "cnt": np.array([], np.int64)})
-        ts = g[ts_col].to_numpy().astype("datetime64[us]").view(np.int64)
-        order = np.lexsort((g[id_col].to_numpy(), ts,
-                            g[key_col].to_numpy()))
-        g = g.iloc[order]
-        first = g.drop_duplicates(subset=[key_col], keep="first")
-        last = g.drop_duplicates(subset=[key_col], keep="last")
-        cnt = g.groupby(key_col, sort=False, as_index=False).size()
-        out = pd.DataFrame({
-            key_col: first[key_col].to_numpy(),
-            "f_ts": first[ts_col].to_numpy().astype("datetime64[us]"),
-            "f_id": first[id_col].to_numpy().astype(np.int64),
-            "f_val": first[val_col].to_numpy(),
+        s, start, end, _ = _sort_segments(g, key_col, ts_col, id_col)
+        first = np.unique(start)
+        f, last = s.iloc[first], s.iloc[end[first] - 1]
+        return pd.DataFrame({
+            key_col: f[key_col].to_numpy(),
+            "f_ts": f[ts_col].to_numpy().astype("datetime64[us]"),
+            "f_id": f[id_col].to_numpy().astype(np.int64),
+            "f_val": f[val_col].to_numpy(),
             "l_ts": last[ts_col].to_numpy().astype("datetime64[us]"),
             "l_id": last[id_col].to_numpy().astype(np.int64),
             "l_val": last[val_col].to_numpy(),
-            "cnt": cnt["size"].to_numpy().astype(np.int64),
+            "cnt": (end[first] - first).astype(np.int64),
         })
-        return out
-
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({key_col: g[key_col],
-                                 first_col: g["f_val"],
-                                 last_col: g["l_val"],
-                                 n_col: np.array([], np.int64)})
         a = g.sort_values([key_col, "f_ts", "f_id"], kind="mergesort")
         first = a.drop_duplicates(subset=[key_col], keep="first")
         b2 = g.sort_values([key_col, "l_ts", "l_id"], kind="mergesort")
@@ -732,14 +673,14 @@ def first_last_by(ds, *, key_col: str, ts_col: str, id_col: str,
 
 
 def asof_lookup(ds, dim: pa.Table, *, ts_col: str, dim_ts_col: str,
-                payload_col: str, out_col: str | None = None):
+                payload_col: str):
     """Broadcast AS-OF lookup against a SMALL dimension (the
     slowly-changing-dimension enrichment: effective exchange rate /
     price / config at event time): the dimension — already deduped to
     ONE row per effective timestamp by the caller — is sorted and
     broadcast once via ``ray.put``; each fact batch finds its row with
     one vectorized ``searchsorted`` (last dim ts at-or-before the
-    fact ts; null when none precedes).
+    fact ts; null when none precedes) and gains it as ``payload_col``.
 
     This is the broadcast DUAL of :func:`asof_join`: identical
     semantics, opposite plan — the fact side never shuffles, so it is
@@ -748,10 +689,8 @@ def asof_lookup(ds, dim: pa.Table, *, ts_col: str, dim_ts_col: str,
     fact-sized right side use :func:`asof_join`."""
     import ray
 
-    out_col = out_col or payload_col
     d = dim.sort_by([(dim_ts_col, "ascending")])
-    dts = d[dim_ts_col].to_numpy(zero_copy_only=False) \
-        .astype("datetime64[us]").view(np.int64)
+    dts = _micros(d[dim_ts_col].to_numpy(zero_copy_only=False))
     if len(np.unique(dts)) != len(dts):
         raise ValueError("asof_lookup dimension must hold one row per "
                          f"distinct {dim_ts_col}; pre-aggregate ties")
@@ -761,50 +700,15 @@ def asof_lookup(ds, dim: pa.Table, *, ts_col: str, dim_ts_col: str,
 
     def enrich(b: pa.Table) -> pa.Table:
         dim_ts, vals = ray.get(ref)
-        ts = b[ts_col].to_numpy(zero_copy_only=False) \
-            .astype("datetime64[us]").view(np.int64)
+        ts = _micros(b[ts_col].to_numpy(zero_copy_only=False))
         idx = np.searchsorted(dim_ts, ts, side="right") - 1
         has = idx >= 0
         take = pa.array(np.where(has, idx, 0), pa.int64())
         got = pc.take(vals, take)
         got = pc.if_else(pa.array(has), got, pa.scalar(None, vals.type))
-        return b.append_column(out_col, got)
+        return b.append_column(payload_col, got)
 
     return ds.map_batches(enrich, batch_format="pyarrow")
-
-
-def _range_frame_bounds(keys: np.ndarray, ts: np.ndarray,
-                        interval_us: int) -> tuple[np.ndarray, np.ndarray]:
-    """[lo, hi) index bounds of each row's RANGE frame
-    ``[ts - interval, ts]`` within its key segment, for rows ALREADY
-    sorted by (key, ts).  Pure kernel (property-tested directly):
-    two vectorized ``searchsorted`` calls over a segment-offset
-    composite that keeps each key's rows in a disjoint integer range;
-    int64-overflow fallback loops per segment (still vectorized
-    inside each)."""
-    seg_start, seg_end, seg_id = _segment_bounds(keys)
-    n = len(keys)
-    if n == 0:
-        z = np.array([], dtype=np.int64)
-        return z, z
-    rel = ts - ts.min()
-    span = int(rel.max()) + int(interval_us) + 2
-    n_seg = int(seg_id[-1]) + 1
-    if n_seg * span < (1 << 62):
-        c = seg_id * span + rel
-        lo = np.searchsorted(c, c - interval_us, side="left")
-        hi = np.searchsorted(c, c, side="right")
-        lo = np.maximum(lo, seg_start)
-    else:  # pragma: no cover - needs ~10^18 composite range
-        lo = np.empty(n, np.int64)
-        hi = np.empty(n, np.int64)
-        for s in np.flatnonzero(np.diff(np.concatenate(([-1], seg_id)))):
-            e = int(seg_end[s])
-            seg = ts[s:e]
-            lo[s:e] = s + np.searchsorted(seg, seg - interval_us,
-                                          side="left")
-            hi[s:e] = s + np.searchsorted(seg, seg, side="right")
-    return lo, hi
 
 
 def grouped_range_count(ds, *, key_col: str, ts_col: str, id_col: str,
@@ -816,26 +720,18 @@ def grouped_range_count(ds, *, key_col: str, ts_col: str, id_col: str,
     burst-detection frame.  RANGE semantics: peers (equal ts) are IN
     the frame regardless of position, unlike the ROWS frames above.
 
-    Kernel: one lexsort per key-hash frame, then two vectorized
-    ``searchsorted`` calls over a segment-offset composite (seg_id *
-    span + ts) that keeps each key's rows in their own disjoint
-    integer range — no per-segment Python loop.  When the composite
-    would overflow int64 (astronomical segment-count x time-span
-    products) it falls back to a per-segment loop, still vectorized
-    inside each segment."""
+    Kernel: one sorted frame, two :func:`_time_seek` probes per row —
+    no per-segment Python loop."""
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({id_col: np.array([], np.int64),
-                                 out_col: np.array([], np.int64)})
-        ts0 = g[ts_col].to_numpy().astype("datetime64[us]").view(np.int64)
-        order = np.lexsort((g[id_col].to_numpy(), ts0,
-                            g[key_col].to_numpy()))
-        g = g.iloc[order]
-        lo, hi = _range_frame_bounds(g[key_col].to_numpy(), ts0[order],
-                                     interval_us)
-        return pd.DataFrame({id_col: g[id_col].to_numpy(),
-                             out_col: hi - lo})
+        s, start, end, sid = _sort_segments(g, key_col, ts_col, id_col)
+        ts = _micros(s[ts_col])
+        seek = _time_seek(ts, start, end, sid)
+        rows = np.arange(len(ts))
+        return pd.DataFrame({
+            id_col: s[id_col].to_numpy(),
+            out_col: (seek(rows, ts, "right")
+                      - seek(rows, ts - interval_us, "left"))})
 
     return keyed_apply(ds, key_col, body)
 
@@ -847,179 +743,126 @@ def grouped_rolling_sum(ds, *, key_col: str, ts_col: str, id_col: str,
     current row and the ``frame - 1`` preceding rows of the same key
     in (ts, id) order — SQL ``sum(val) OVER (PARTITION BY key ORDER BY
     ts, id ROWS BETWEEN frame-1 PRECEDING AND CURRENT ROW)``, the
-    trailing-window feature (recent spend, burst detection).
-
-    Kernel: one lexsort per key-hash frame, one cumsum, one
-    clamped gather — the frame lower bound is ``max(segment start,
-    i - frame + 1)`` so windows never cross keys.  No per-row loop."""
+    trailing-window feature (recent spend, burst detection)."""
 
     def body(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({id_col: np.array([], np.int64),
-                                 out_col: np.array([], np.int64)})
-        ts = g[ts_col].to_numpy().astype("datetime64[us]").view(np.int64)
-        order = np.lexsort((g[id_col].to_numpy(), ts,
-                            g[key_col].to_numpy()))
-        g = g.iloc[order]
-        seg_start, _, _ = _segment_bounds(g[key_col].to_numpy())
-        vals = g[val_col].to_numpy().astype(np.int64)
-        c = np.cumsum(vals)
-        n = len(g)
-        lo = np.maximum(seg_start, np.arange(n, dtype=np.int64)
-                        - frame + 1)
-        roll = c - (c[lo] - vals[lo])
-        return pd.DataFrame({id_col: g[id_col].to_numpy(),
-                             out_col: roll})
+        s, start, end, _ = _sort_segments(g, key_col, ts_col, id_col)
+        vals = s[val_col].to_numpy().astype(np.int64)
+        return pd.DataFrame({id_col: s[id_col].to_numpy(),
+                             out_col: _frame_sum(vals, start, end,
+                                                 frame - 1, 0)})
 
     return keyed_apply(ds, key_col, body)
 
 
-def densify_daily(ds, key_col: str, ts_col: str):
-    """GAP FILLING / densification: per key, one row for EVERY calendar
-    day in that key's [min(ts), max(ts)] span with the day's event
-    count (0 for silent days) — the time-series regularization step
-    before rolling features or resampled training snapshots.
-
-    Shape: key-hash frames (a key's span is frame-local), one
-    vectorized kernel per frame: per-(key, day) counts via sort +
-    reduceat, spans expanded with a single global ``arange`` minus
-    per-row offsets (no per-key Python), counts scattered into the
-    dense frame by computed index.  Output rows = sum of span lengths;
-    day rides as a string so engines agree on the type exactly."""
-    import pandas as pd
+def _by_day(ds, key_col: str, ts_col: str, cols: list[str], fill):
+    """:func:`keyed_apply` of ``fill`` over ``ds`` projected to
+    (``key_col``, epoch day ``d`` of ``ts_col``, *``cols``)."""
 
     def prep(b: pa.Table) -> pa.Table:
         days = pc.cast(pc.floor_temporal(b[ts_col], unit="day"),
                        pa.timestamp("us"))
         epoch_days = pc.divide(pc.cast(days, pa.int64()),
                                pa.scalar(86_400_000_000, pa.int64()))
-        return pa.table({key_col: b[key_col], "d": epoch_days})
-
-    def fill(g: pd.DataFrame) -> pd.DataFrame:
-        k = g[key_col].to_numpy()
-        d = g["d"].to_numpy().astype(np.int64)
-        order = np.lexsort((d, k))
-        k, d = k[order], d[order]
-        kstart = np.ones(len(k), bool)
-        kstart[1:] = k[1:] != k[:-1]
-        kidx = np.cumsum(kstart) - 1          # dense key index per row
-        # per-(key, day) counts
-        pair_start = kstart.copy()
-        pair_start[1:] |= d[1:] != d[:-1]
-        ps = np.flatnonzero(pair_start)
-        cnt = np.diff(np.append(ps, len(k)))
-        pk, pd_ = kidx[ps], d[ps]
-        # per-key span
-        ks = np.flatnonzero(kstart)
-        lo = d[ks]
-        hi = np.maximum.reduceat(d, ks)
-        span = hi - lo + 1
-        offs = np.concatenate(([0], np.cumsum(span)))
-        total = int(offs[-1])
-        rows = np.repeat(np.arange(len(ks)), span)
-        day = (np.arange(total, dtype=np.int64)
-               - np.repeat(offs[:-1], span) + np.repeat(lo, span))
-        n = np.zeros(total, np.int64)
-        n[offs[pk] + (pd_ - lo[pk])] = cnt
-        day_str = np.datetime_as_string(
-            day.astype("datetime64[D]"), unit="D")
-        return pd.DataFrame({
-            key_col: k[ks][rows],
-            "day": day_str.astype(object),
-            "n_events": n})
+        return pa.table({key_col: b[key_col], "d": epoch_days,
+                         **{c: b[c] for c in cols}})
 
     return keyed_apply(ds.map_batches(prep, batch_format="pyarrow"),
                        key_col, fill)
+
+
+def _dense_days(g: pd.DataFrame, key_col: str, *order):
+    """The dense-day expansion of a frame of (key, epoch day ``d``)
+    rows: every key gets one dense row per calendar day of its
+    [first, last] day span, built from one global ``arange`` minus
+    per-key offsets (no per-key Python).
+
+    Returns the frame sorted by (key, d, *order), the first row of each
+    (key, day) run, each run's dense row, the dense (key, ``day``
+    string) frame, and each dense row's key's first dense row."""
+    s, start, end, sid = _sort_segments(g, key_col, "d", *order)
+    d = s["d"].to_numpy().astype(np.int64)
+    first = np.arange(len(d)) == start
+    first[1:] |= d[1:] != d[:-1]
+    runs = np.flatnonzero(first)
+    keys = np.unique(start)
+    lo = d[keys]
+    span = d[end[keys] - 1] - lo + 1
+    offs = np.concatenate(([0], np.cumsum(span)))
+    owner = np.repeat(np.arange(len(keys)), span)  # key of each dense row
+    key_start = offs[owner]
+    day = np.arange(offs[-1], dtype=np.int64) - key_start + lo[owner]
+    dense = pd.DataFrame({
+        key_col: s[key_col].to_numpy()[keys][owner],
+        "day": np.datetime_as_string(day.astype("datetime64[D]"),
+                                     unit="D").astype(object)})
+    pos = offs[sid[runs]] + d[runs] - lo[sid[runs]]
+    return s, runs, pos, dense, key_start
+
+
+def densify_daily(ds, key_col: str, ts_col: str):
+    """GAP FILLING / densification: per key, one row for EVERY calendar
+    day in that key's [min(ts), max(ts)] span with the day's event
+    count ``n_events`` (0 for silent days) — the time-series
+    regularization step before rolling features or resampled training
+    snapshots.  Key-hash frames (a key's span is frame-local), one
+    :func:`_dense_days` per frame, counts scattered into the dense
+    frame by computed index.  Output rows = sum of span lengths; day
+    rides as a string so engines agree on the type exactly."""
+
+    def fill(g: pd.DataFrame) -> pd.DataFrame:
+        s, runs, pos, dense, _ = _dense_days(g, key_col)
+        n = np.zeros(len(dense), np.int64)
+        n[pos] = np.diff(np.append(runs, len(s)))
+        dense["n_events"] = n
+        return dense
+
+    return _by_day(ds, key_col, ts_col, [], fill)
 
 
 def locf_daily(ds, key_col: str, ts_col: str, id_col: str,
                val_col: str):
     """Densify + LAST-OBSERVATION-CARRIED-FORWARD: per key, one row
     per calendar day in the key's span carrying the day's LAST value
-    ((ts, id) order) forward over silent days — the feature-snapshot
-    regularization step (:func:`densify_daily` gives the counts;
-    this gives the state).  ``val_col`` must be integer-exact (cents).
+    ((ts, id) order) forward over silent days as ``cents`` — the
+    feature-snapshot regularization step (:func:`densify_daily` gives
+    the counts; this gives the state).  ``val_col`` must be
+    integer-exact (cents).
 
-    Kernel: one lexsort per frame finds each (key, day)'s closing
-    value, the dense frame expands exactly as densify_daily, and the
-    fill is the classic vectorized LOCF (position-of-last-observation
-    via ``np.maximum.accumulate`` + gather).  Every key's first dense
-    day has an observation by construction (the span STARTS at an
-    observed day), so the carry never crosses keys and the output has
-    no nulls."""
-    import pandas as pd
-
-    def prep(b: pa.Table) -> pa.Table:
-        days = pc.cast(pc.floor_temporal(b[ts_col], unit="day"),
-                       pa.timestamp("us"))
-        epoch_days = pc.divide(pc.cast(days, pa.int64()),
-                               pa.scalar(86_400_000_000, pa.int64()))
-        return pa.table({
-            key_col: b[key_col], "d": epoch_days,
-            "t": pc.cast(b[ts_col], pa.int64()), id_col: b[id_col],
-            "v": b[val_col]})
+    Kernel: the dense frame of :func:`_dense_days`, each (key, day)'s
+    closing value scattered into it, and the fill is the last observed
+    dense row at or before each row (:func:`_last_flagged`).  Every
+    key's first dense day has an observation by construction (the span
+    STARTS at an observed day), so the output has no nulls."""
 
     def fill(g: pd.DataFrame) -> pd.DataFrame:
-        k = g[key_col].to_numpy()
-        d = g["d"].to_numpy().astype(np.int64)
-        t = g["t"].to_numpy().astype(np.int64)
-        i = g[id_col].to_numpy().astype(np.int64)
-        v = g["v"].to_numpy().astype(np.int64)
-        order = np.lexsort((i, t, d, k))
-        k, d, v = k[order], d[order], v[order]
-        # closing value per (key, day) = last row of each segment
-        pair_start = np.ones(len(k), bool)
-        pair_start[1:] = (k[1:] != k[:-1]) | (d[1:] != d[:-1])
-        ps = np.flatnonzero(pair_start)
-        pe = np.append(ps[1:], len(k)) - 1
-        pk_rows, pd_, pv = ps, d[ps], v[pe]
-        kstart = np.ones(len(ps), bool)
-        kstart[1:] = k[ps][1:] != k[ps][:-1]
-        kidx = np.cumsum(kstart) - 1
-        ks = np.flatnonzero(kstart)
-        lo = pd_[ks]
-        hi = np.maximum.reduceat(pd_, ks)
-        span = hi - lo + 1
-        offs = np.concatenate(([0], np.cumsum(span)))
-        total = int(offs[-1])
-        rows = np.repeat(np.arange(len(ks)), span)
-        day = (np.arange(total, dtype=np.int64)
-               - np.repeat(offs[:-1], span) + np.repeat(lo, span))
-        vals = np.zeros(total, np.int64)
-        has = np.zeros(total, bool)
-        pos = offs[kidx] + (pd_ - lo[kidx])
-        vals[pos] = pv
+        s, runs, pos, dense, key_start = _dense_days(g, key_col, ts_col,
+                                                     id_col)
+        v = s[val_col].to_numpy().astype(np.int64)
+        vals = np.zeros(len(dense), np.int64)
+        has = np.zeros(len(dense), bool)
+        vals[pos] = v[np.append(runs[1:], len(s)) - 1]
         has[pos] = True
-        # vectorized LOCF: index of the last observed position
-        src = np.where(has, np.arange(total), -1)
-        src = np.maximum.accumulate(src)
-        filled = vals[src]
-        day_str = np.datetime_as_string(
-            day.astype("datetime64[D]"), unit="D")
-        return pd.DataFrame({
-            key_col: k[ps][ks][rows],
-            "day": day_str.astype(object),
-            "cents": filled})
+        dense["cents"] = vals[_last_flagged(has, key_start)]
+        return dense
 
-    return keyed_apply(ds.map_batches(prep, batch_format="pyarrow"),
-                       key_col, fill)
+    return _by_day(ds, key_col, ts_col, [ts_col, id_col, val_col], fill)
 
 
-def coalesce_intervals(ds, key_col: str, ts_col: str, id_col: str, *,
-                       before_us: int = 900_000_000,
-                       after_us: int = 900_000_000):
+def coalesce_intervals(ds, key_col: str, ts_col: str, id_col: str):
     """INTERVAL COALESCING (union of overlapping intervals per key):
-    each row spans ``[ts - before, ts + after]``; touching/overlapping
-    spans of one key merge into maximal islands — the generic
-    primitive behind "busy periods", on-call coverage, downtime
-    merging (gap-based :func:`sessionize` is the point-event special
-    case).  Returns (key, start_ts, end_ts, n_events) per island.
+    each row spans ``[ts - BUSY_PAD_US, ts + BUSY_PAD_US]``;
+    touching/overlapping spans of one key merge into maximal islands —
+    the generic primitive behind "busy periods", on-call coverage,
+    downtime merging (gap-based :func:`sessionize` is the point-event
+    special case).  Returns (key, start_ts, end_ts, n_events) per
+    island.
 
-    Kernel: one lexsort per key-hash frame; with fixed ±W spans
-    the interval END is monotone within a key, so an island break is
-    simply ``start > previous end`` — one shifted compare + cumsum,
-    then segment-bound gathers.  No per-key Python."""
-    import pandas as pd
+    Kernel: one sorted frame; with fixed ±W spans the interval END is
+    monotone within a key, so an island break is simply ``start >
+    previous end`` — one shifted compare, then run-bound gathers.  No
+    per-key Python."""
+    pad = BUSY_PAD_US  # captured here: tasks see the caller's value
 
     def prep(b: pa.Table) -> pa.Table:
         return pa.table({key_col: b[key_col],
@@ -1027,23 +870,17 @@ def coalesce_intervals(ds, key_col: str, ts_col: str, id_col: str, *,
                          id_col: b[id_col]})
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
-        k = g[key_col].to_numpy()
-        t = g["t"].to_numpy().astype(np.int64)
-        i = g[id_col].to_numpy().astype(np.int64)
-        order = np.lexsort((i, t, k))
-        k, t = k[order], t[order]
-        s = t - before_us
-        e = t + after_us
-        n = len(k)
-        brk = np.ones(n, bool)
-        if n > 1:
-            brk[1:] = (k[1:] != k[:-1]) | (s[1:] > e[:-1])
+        s, start, _, _ = _sort_segments(g, key_col, "t", id_col)
+        t = s["t"].to_numpy().astype(np.int64)
+        lo, hi = t - pad, t + pad
+        brk = np.arange(len(t)) == start
+        brk[1:] |= lo[1:] > hi[:-1]
         starts = np.flatnonzero(brk)
-        ends = np.append(starts[1:], n) - 1
+        ends = np.append(starts[1:], len(t)) - 1
         return pd.DataFrame({
-            key_col: k[starts],
-            "start_ts": s[starts].view("datetime64[us]"),
-            "end_ts": e[ends].view("datetime64[us]"),
+            key_col: s[key_col].to_numpy()[starts],
+            "start_ts": lo[starts].view("datetime64[us]"),
+            "end_ts": hi[ends].view("datetime64[us]"),
             "n_events": (ends - starts + 1).astype(np.int64)})
 
     return keyed_apply(ds.map_batches(prep, batch_format="pyarrow"),

@@ -19,9 +19,10 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = ["alco_ray/stages/dedup.py", "alco_ray/stages/jpeg.py",
-           "alco_ray/stages/multimodal.py", "alco_ray/stages/similarity.py",
-           "alco_ray/stages/text.py"]
+MODULES = ["alco_ray/stages/aggregate.py", "alco_ray/stages/dedup.py",
+           "alco_ray/stages/jpeg.py", "alco_ray/stages/multimodal.py",
+           "alco_ray/stages/similarity.py", "alco_ray/stages/text.py",
+           "alco_ray/stages/window.py"]
 
 
 def _callers() -> list[ast.Module]:

@@ -13,7 +13,7 @@ import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alco_ray.stages.window import _range_frame_bounds
+from alco_ray.stages.window import _segment_bounds, _time_seek
 
 segments = st.lists(st.integers(min_value=1, max_value=12),
                     min_size=1, max_size=6)
@@ -28,7 +28,10 @@ def test_range_frame_bounds_bruteforce(seg_lens, interval, seed):
     # coarse ts grid plants exact ties; sorted within each segment
     ts = np.concatenate([np.sort(rng.randint(0, 25, size=m))
                          for m in seg_lens]).astype(np.int64)
-    lo, hi = _range_frame_bounds(keys, ts, interval)
+    # the RANGE frame [ts - interval, ts] that grouped_range_count seeks
+    seek = _time_seek(ts, *_segment_bounds(keys))
+    rows = np.arange(len(keys))
+    lo, hi = seek(rows, ts - interval, "left"), seek(rows, ts, "right")
     for i in range(len(keys)):
         in_frame = ((keys == keys[i]) & (ts >= ts[i] - interval)
                     & (ts <= ts[i]))

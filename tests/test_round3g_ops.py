@@ -197,16 +197,18 @@ def _qc_ds(vals, n_blocks=6):
     ).repartition(n_blocks)
 
 
-def test_quantile_cont_matches_sorted_bruteforce():
+def test_quantile_cont_matches_sorted_bruteforce(monkeypatch):
     import math
 
+    from alco_ray.stages import aggregate
     from alco_ray.stages.aggregate import quantile_cont
 
     rng = np.random.RandomState(1)
     vals = rng.randn(5000) * 37.0
-    # tiny collect_limit forces the histogram refinement path
-    out = quantile_cont(_qc_ds(vals), "value", [0.0, 0.25, 0.5, 0.9, 1.0],
-                        collect_limit=50).to_pydict()
+    # tiny COLLECT_LIMIT forces the histogram refinement path
+    monkeypatch.setattr(aggregate, "COLLECT_LIMIT", 50)
+    out = quantile_cont(_qc_ds(vals), "value",
+                        [0.0, 0.25, 0.5, 0.9, 1.0]).to_pydict()
     s = np.sort(vals)
     n = len(s)
     for i, p in enumerate(out["p"]):
@@ -215,19 +217,20 @@ def test_quantile_cont_matches_sorted_bruteforce():
         assert out["hi_value"][i] == s[math.ceil(idx)]
 
 
-def test_quantile_cont_duplicate_heavy():
+def test_quantile_cont_duplicate_heavy(monkeypatch):
+    from alco_ray.stages import aggregate
     from alco_ray.stages.aggregate import quantile_cont
 
+    monkeypatch.setattr(aggregate, "COLLECT_LIMIT", 10)
     # all-equal column: every percentile is that value
-    out = quantile_cont(_qc_ds(np.full(4000, 3.25)), "value", [0.5],
-                        collect_limit=10).to_pydict()
+    out = quantile_cont(_qc_ds(np.full(4000, 3.25)), "value",
+                        [0.5]).to_pydict()
     assert out["lo_value"] == [3.25] and out["hi_value"] == [3.25]
     # two ulp-adjacent floats, mass too big to collect: the ulp
     # termination rules must resolve, not loop
     b = np.nextafter(1.0, 2.0)
     vals = np.concatenate([np.full(3000, 1.0), np.full(3000, b)])
-    out = quantile_cont(_qc_ds(vals), "value", [0.25, 0.75],
-                        collect_limit=10).to_pydict()
+    out = quantile_cont(_qc_ds(vals), "value", [0.25, 0.75]).to_pydict()
     assert out["lo_value"] == [1.0, b] and out["hi_value"] == [1.0, b]
 
 
@@ -245,13 +248,15 @@ def test_quantile_cont_nulls_and_empty():
     assert empty.num_rows == 0
 
 
-def test_order_stats_cont_rank_bounds():
+def test_order_stats_cont_rank_bounds(monkeypatch):
+    from alco_ray.stages import aggregate
     from alco_ray.stages.aggregate import order_stats_cont
 
     ds = _qc_ds(np.arange(10, dtype=np.float64), 2)
     with pytest.raises(ValueError):
         order_stats_cont(ds, "value", [10])
-    got = order_stats_cont(ds, "value", [0, 9], collect_limit=2)
+    monkeypatch.setattr(aggregate, "COLLECT_LIMIT", 2)
+    got = order_stats_cont(ds, "value", [0, 9])
     assert got == {0: 0.0, 9: 9.0}
 
 

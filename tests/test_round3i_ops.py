@@ -607,7 +607,8 @@ def test_locf_daily_matches_pandas(small_frames):
             assert int(sel[d.strftime("%Y-%m-%d")]) == int(filled[d])
 
 
-def test_coalesce_intervals_matches_bruteforce(small_frames):
+def test_coalesce_intervals_matches_bruteforce(small_frames, monkeypatch):
+    from alco_ray.stages import window
     from alco_ray.stages.window import coalesce_intervals
 
     rng = np.random.RandomState(71)
@@ -620,8 +621,9 @@ def test_coalesce_intervals_matches_bruteforce(small_frames):
                        .astype("timedelta64[us]")),
         "eid": pa.array(np.arange(n, dtype=np.int64)),
     })
-    out = coalesce_intervals(ray.data.from_arrow(t), "u", "ts", "eid",
-                             before_us=W, after_us=W).to_pandas()
+    monkeypatch.setattr(window, "BUSY_PAD_US", W)
+    out = coalesce_intervals(ray.data.from_arrow(t), "u", "ts",
+                             "eid").to_pandas()
     df = t.to_pandas()
     for u, grp in df.groupby("u"):
         ts = np.sort(grp["ts"].to_numpy().astype("datetime64[us]")

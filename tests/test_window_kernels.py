@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alco_ray.stages.window import _segment_bounds, _windowed_flag_sum
+from alco_ray.stages.window import (_dense_days, _frame_sum, _last_flagged,
+                                    _segment_bounds, _session_ids,
+                                    _time_seek)
 
 segments = st.lists(st.integers(min_value=1, max_value=15),
                     min_size=1, max_size=8)
@@ -26,36 +28,32 @@ def _layout(seg_lens, rng_seed):
     return keys, flags
 
 
-@given(seg_lens=segments, radius=st.integers(0, 4), seed=st.integers(0, 999))
+@given(seg_lens=segments, before=st.one_of(st.none(), st.integers(0, 4)),
+       after=st.integers(0, 4), seed=st.integers(0, 999))
 @settings(max_examples=150, deadline=None)
-def test_windowed_flag_sum_matches_bruteforce(seg_lens, radius, seed):
+def test_windowed_flag_sum_matches_bruteforce(seg_lens, before, after, seed):
     keys, flags = _layout(seg_lens, seed)
     seg_start, seg_end, _ = _segment_bounds(keys)
-    got = _windowed_flag_sum(flags, seg_start, seg_end, radius)
+    got = _frame_sum(flags, seg_start, seg_end, before, after)
     for i in range(len(keys)):
-        lo = max(i - radius, seg_start[i])
-        hi = min(i + radius, seg_end[i] - 1)
+        lo = seg_start[i] if before is None else max(i - before,
+                                                     seg_start[i])
+        hi = min(i + after, seg_end[i] - 1)
         assert got[i] == flags[lo:hi + 1].sum()
 
 
 @given(seg_lens=segments, seed=st.integers(0, 999))
 @settings(max_examples=150, deadline=None)
-def test_asof_offset_trick_matches_bruteforce(seg_lens, seed):
+def test_asof_carry_matches_bruteforce(seg_lens, seed):
     keys, flags = _layout(seg_lens, seed)
-    # idx values: arbitrary increasing-within-segment ints
-    rng = np.random.RandomState(seed + 1)
-    idx = np.concatenate([np.cumsum(rng.randint(1, 5, size=n))
-                          for n in seg_lens]).astype(np.int64)
-    _, _, seg_id = _segment_bounds(keys)
-    OFF = np.int64(1) << 32
-    val = np.where(flags.astype(bool), idx, np.int64(-1)) + seg_id * OFF
-    got = np.maximum.accumulate(val) - seg_id * OFF
-    # brute force: last flagged idx at-or-before, per segment
+    seg_start, _, _ = _segment_bounds(keys)
+    got = _last_flagged(flags.astype(bool), seg_start)
+    # brute force: last flagged position at-or-before, per segment
     last = {}
     for i in range(len(keys)):
         k = keys[i]
         if flags[i]:
-            last[k] = idx[i]
+            last[k] = i
         assert got[i] == last.get(k, -1)
 
 
@@ -67,15 +65,9 @@ def test_session_cumsum_rebase_matches_bruteforce(seg_lens, gap, seed):
     deltas = rng.randint(0, 15, size=len(keys)).astype(np.int64)
     ts = np.concatenate([np.cumsum(deltas[keys == k])
                          for k in range(len(seg_lens))])
-    seg_start, _, _ = _segment_bounds(keys)
+    seg_start, seg_end, _ = _segment_bounds(keys)
     n = len(keys)
-    g = np.zeros(n, dtype=np.int64)
-    if n > 1:
-        d = ts[1:] - ts[:-1]
-        pos = np.arange(1, n, dtype=np.int64)
-        g[1:] = ((d > gap) & (pos != seg_start[1:])).astype(np.int64)
-    c = np.cumsum(g)
-    got = c - c[seg_start]
+    got = _session_ids(ts, seg_start, seg_end, gap)
     # brute force per segment
     expect = np.zeros(n, dtype=np.int64)
     for k in range(len(seg_lens)):
@@ -86,6 +78,140 @@ def test_session_cumsum_rebase_matches_bruteforce(seg_lens, gap, seed):
                 sid += 1
             expect[r] = sid
     assert np.array_equal(got, expect)
+
+
+@given(seg_lens=segments, big=st.booleans(), sides=st.lists(
+    st.tuples(st.integers(-30, 30), st.sampled_from(["left", "right"]),
+              st.booleans()), min_size=1, max_size=4),
+       seed=st.integers(0, 999))
+@settings(max_examples=150, deadline=None)
+def test_time_seek_matches_per_key_loop(seg_lens, big, sides, seed):
+    """The time seek against a per-key scan, over times near 2^62
+    too, where the composite timeline overflows and each segment is
+    searched on its own."""
+    rng = np.random.RandomState(seed)
+    keys = np.repeat(np.arange(len(seg_lens)), seg_lens)
+    scale = np.int64(1) << 57 if big else np.int64(1)
+    ts = np.concatenate([np.sort(rng.randint(0, 25, size=m))
+                         for m in seg_lens]).astype(np.int64) * scale
+    seek = _time_seek(ts, *_segment_bounds(keys))
+    for delta, side, every in sides:
+        rows = np.arange(len(ts)) if every else \
+            np.flatnonzero(rng.randint(0, 2, size=len(ts)))
+        t = ts[rows] + delta * scale
+        got = seek(rows, t, side)
+        for j, r in enumerate(rows):
+            seg = np.flatnonzero(keys == keys[r])
+            hit = [p for p in seg
+                   if (ts[p] >= t[j] if side == "left" else ts[p] > t[j])]
+            assert got[j] == (hit[0] if hit else seg[-1] + 1)
+
+
+@given(rows=st.lists(st.tuples(st.integers(0, 4), st.integers(-3, 12)),
+                     min_size=1, max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_dense_days_match_per_key_loop(rows):
+    """The dense-day expansion against a per-key loop: one dense row
+    per day of each key's span, each (key, day) run mapped to its
+    dense row, and each dense row to its key's first dense row."""
+    import pandas as pd
+
+    g = pd.DataFrame({"k": [k for k, _ in rows],
+                      "d": np.array([d for _, d in rows], np.int64)})
+    s, runs, pos, dense, key_start = _dense_days(g, "k")
+
+    assert s[["k", "d"]].values.tolist() == sorted(map(list, rows))
+    want, first = [], []
+    for k in sorted({k for k, _ in rows}):
+        days = [d for k2, d in rows if k2 == k]
+        first += [len(want)] * (max(days) - min(days) + 1)
+        want += [(k, str(np.datetime64(d, "D")))
+                 for d in range(min(days), max(days) + 1)]
+    assert list(zip(dense["k"], dense["day"])) == want
+    assert key_start.tolist() == first
+    pairs = sorted(set(rows))
+    assert list(zip(s["k"].iloc[runs], s["d"].iloc[runs])) == pairs
+    assert [want[p] for p in pos] == [
+        (k, str(np.datetime64(d, "D"))) for k, d in pairs]
+
+
+@pytest.mark.parametrize("op", ["debounce", "nearby_count",
+                                "grouped_range_count"])
+def test_time_operators_survive_composite_overflow(op):
+    """Five keys whose events sit at 0, 10 and 2^61 put each frame's
+    composite (key, time) timeline past int64: every operator must
+    still answer as a per-key loop does, through the per-segment
+    seek."""
+    import pandas as pd
+    import ray.data
+
+    from alco_ray.stages import window
+
+    n_keys, width = 5, 10
+    df = pd.DataFrame({"k": np.repeat(np.arange(n_keys), 3),
+                       "ts": np.tile(np.array([0, 10, 1 << 61],
+                                              np.int64), n_keys),
+                       "i": np.arange(3 * n_keys, dtype=np.int64)})
+    ds = ray.data.from_pandas(df.sample(frac=1, random_state=1)) \
+        .repartition(3)
+    want = {}
+    for k, grp in df.groupby("k"):
+        ts, ids = grp["ts"].to_numpy(), grp["i"].to_numpy()
+        for t, i in zip(ts, ids):
+            if op == "nearby_count":
+                want[i] = int((abs(ts - t) <= width).sum()) - 1
+            elif op == "grouped_range_count":
+                want[i] = int(((ts >= t - width) & (ts <= t)).sum())
+        if op == "debounce":
+            last = None
+            for t, i in sorted(zip(ts, ids)):
+                if last is None or t >= last + width:
+                    want[i], last = True, t
+
+    if op == "debounce":
+        out = window.debounce(ds, key_col="k", ts_col="ts", id_col="i",
+                              cooldown=width).to_pandas()
+        got = dict.fromkeys(out["i"], True)
+    elif op == "nearby_count":
+        out = window.nearby_count(ds, key_col="k", ts_col="ts",
+                                  id_col="i", radius_us=width).to_pandas()
+        got = dict(zip(out["i"], out["n_nearby"]))
+    else:
+        out = window.grouped_range_count(
+            ds, key_col="k", ts_col="ts", id_col="i",
+            interval_us=width).to_pandas()
+        got = dict(zip(out["i"], out["n_range"]))
+    assert got == want
+
+
+@pytest.mark.parametrize("frame_rows", [None, 7],
+                         ids=["block_frames", "frame_rows_7"])
+def test_keyed_apply_never_calls_a_kernel_on_an_empty_frame(frame_rows,
+                                                            monkeypatch):
+    """The contract the kernels rely on: every call gets a non-empty
+    frame, also over blocks a filter emptied, and a zero-row input
+    calls the kernel zero times."""
+    import pandas as pd
+    import ray.data
+
+    from alco_ray.stages import window
+
+    if frame_rows is not None:
+        monkeypatch.setattr(window, "FRAME_ROWS", frame_rows)
+
+    def kernel(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"rows": [len(g)]})
+
+    # range blocks hold consecutive ids, so the filter empties the
+    # first five of the eight
+    ds = ray.data.range(800, override_num_blocks=8) \
+        .filter(expr="id >= 500")
+    got = pd.DataFrame(window.keyed_apply(ds, "id", kernel).take_all())
+    assert got["rows"].min() > 0 and got["rows"].sum() == 300
+
+    empty = ray.data.range(800, override_num_blocks=8) \
+        .filter(expr="id < 0")
+    assert window.keyed_apply(empty, "id", kernel).take_all() == []
 
 
 def test_adjacent_pairs_brute_force():
@@ -173,7 +299,7 @@ def test_debounce_matches_sequential_brute_force(small_frames):
     for nblocks in (1, 3):
         ds = ray.data.from_arrow(tbl).repartition(nblocks)
         got = {r["i"] for r in window.debounce(
-            ds, key_cols="k", ts_col="t", id_col="i",
+            ds, key_col="k", ts_col="t", id_col="i",
             cooldown=cool).take_all()}
         assert got == want, nblocks
 
