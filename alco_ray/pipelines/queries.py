@@ -3373,28 +3373,13 @@ def e_seq_match(sf_dir: str):
                                           "event_type"])
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"],
-                          kind="mergesort")
-        seg = g.groupby("user_id", sort=False).ngroup().to_numpy()
+        g, start, _, _ = window._sort_segments(g, "user_id", "ts",
+                                               "event_id")
         et = g["event_type"].to_numpy()
-        m = len(g)
-        pos = np.arange(m, dtype=np.int64)
-        seg_first = np.diff(seg, prepend=seg[0] - 1) != 0 \
-            if m else np.zeros(0, bool)
-        OFF = np.int64(m + 2)
-
-        def prior_max(flag: np.ndarray) -> np.ndarray:
-            val = np.where(flag, pos, np.int64(-1)) + seg * OFF
-            acc = np.maximum.accumulate(val)
-            prior = np.empty(m, np.int64)
-            if m:
-                prior[0] = -1
-                prior[1:] = acc[:-1] - seg[1:] * OFF
-                prior[seg_first] = -1
-            return prior
-
-        sig = prior_max(et == "signup")
-        err = prior_max(et == "error")
+        # on a purchase row neither flag is set, so the last signup and
+        # the last error at or before it are the strictly prior ones
+        sig = window._last_flagged(et == "signup", start)
+        err = window._last_flagged(et == "error", start)
         hit = (et == "purchase") & (sig > err)
         out = pd.DataFrame({"user_id": g["user_id"].to_numpy(),
                             "hit": hit.astype(np.int64)})
@@ -4529,7 +4514,7 @@ def q_pagerank(sf_dir: str):
     edges = (window.keyed_apply(pairs, ["src", "dst"],
                                 lambda g: g[["src", "dst"]].drop_duplicates())
              .materialize())
-    ranks = graph.pagerank(edges, symmetric=True, iters=5)
+    ranks = graph.pagerank(edges)
 
     def decode(b: pa.Table) -> pa.Table:
         node = b["node"].to_numpy(zero_copy_only=False)

@@ -6,7 +6,7 @@ pure-Python, dependency-free, fully deterministic BPE:
 
 * **train** — word frequencies are counted DISTRIBUTED (per-block
   Arrow partial counts; the fold to the driver is guarded by an
-  explicit ``max_words`` bound, raising loudly instead of silently
+  explicit ``MAX_WORDS`` bound, raising loudly instead of silently
   OOMing — at 100 TB you would pre-shrink the domain with the
   token-hash partition fold in stages/text.tf_df or the Misra-Gries
   heavy-hitter pass in stages/sketch before fitting); the merge loop
@@ -44,24 +44,26 @@ import pyarrow.compute as pc
 from .aggregate import fold_agg
 from .parse import tokenize
 
+MAX_WORDS = 2_000_000   # distinct-word bound of the training fold
+MIN_PAIR_COUNT = 2      # a merge's pair must occur at least this often
 
-def word_count_table(ds, *, text_col: str = "text",
-                     max_words: int = 2_000_000) -> pa.Table:
-    """Distinct corpus words with total counts: per-block word-count
-    partials, one bounded driver fold.  Raises if the
-    distinct-word domain exceeds ``max_words`` (see module docstring
-    for the 100-TB shrink path)."""
+
+def word_count_table(ds) -> pa.Table:
+    """Distinct words of the ``text`` column with total counts:
+    per-block word-count partials, one bounded driver fold.  Raises if
+    the distinct-word domain exceeds ``MAX_WORDS`` (see module
+    docstring for the 100-TB shrink path)."""
     def words(b: pa.Table) -> pa.Table:
         return pa.table(
-            {"word": pc.list_flatten(tokenize(b[text_col], b.num_rows))})
+            {"word": pc.list_flatten(tokenize(b["text"], b.num_rows))})
 
     out = fold_agg(ds, ["word"], {"n": ([], "count_all")}, words,
                    empty_schema=pa.schema([("word", pa.string()),
                                            ("n", pa.int64())]))
-    if out.num_rows > max_words:
+    if out.num_rows > MAX_WORDS:
         raise ValueError(
-            f"distinct word domain {out.num_rows} exceeds max_words="
-            f"{max_words}; shrink with a heavy-hitter/min-count pass "
+            f"distinct word domain {out.num_rows} exceeds MAX_WORDS="
+            f"{MAX_WORDS}; shrink with a heavy-hitter/min-count pass "
             "before BPE training")
     return out
 
@@ -80,11 +82,11 @@ def _merge_pass(syms: list[str], l: str, r: str) -> list[str]:
     return out
 
 
-def fit_bpe(word_counts: pa.Table, *, n_merges: int = 40,
-            min_pair_count: int = 2) -> list[tuple[str, str]]:
+def fit_bpe(word_counts: pa.Table, *,
+            n_merges: int = 40) -> list[tuple[str, str]]:
     """Learn up to ``n_merges`` merges from a word->count table
     (driver-side; the table is the bounded Sennrich reduction).
-    Stops early when no pair reaches ``min_pair_count``."""
+    Stops early when no pair reaches ``MIN_PAIR_COUNT``."""
     words = [list(w) for w in word_counts["word"].to_pylist()]
     counts = [int(c) for c in word_counts["n"].to_pylist()]
     merges: list[tuple[str, str]] = []
@@ -97,7 +99,7 @@ def fit_bpe(word_counts: pa.Table, *, n_merges: int = 40,
             break
         # (count desc, pair asc) — deterministic
         best = min(pairs.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-        if pairs[best] < min_pair_count:
+        if pairs[best] < MIN_PAIR_COUNT:
             break
         merges.append(best)
         l, r = best
@@ -125,24 +127,22 @@ def _segment(word: str, merges: list[tuple[str, str]]) -> list[str]:
 
 
 class BpeTokenizer:
-    """Actor-pool apply stage.  ``mode='explode'`` emits one row per
-    BPE token: (id, tok_idx, bpe_token) with tok_idx the 0-based
-    position in the document's token stream; ``mode='count'`` emits
-    one row per document: (id, n_bpe_tokens); ``mode='chunk'`` emits
-    one row per ``chunk_size``-subword context window:
-    (id, chunk_idx, n_tokens, chunk_text) with tokens joined by ' '
-    (the subword twin of stages/text.chunk_documents)."""
+    """Actor-pool apply stage over (``doc_id``, ``text``) documents.
+    ``mode='explode'`` emits one row per BPE token: (doc_id, tok_idx,
+    bpe_token) with tok_idx the 0-based position in the document's
+    token stream; ``mode='count'`` emits one row per document:
+    (doc_id, n_bpe_tokens); ``mode='chunk'`` emits one row per
+    ``chunk_size``-subword context window: (doc_id, chunk_idx,
+    n_tokens, chunk_text) with tokens joined by ' ' (the subword twin
+    of stages/text.chunk_documents)."""
 
     def __init__(self, merges: list[tuple[str, str]], *,
-                 mode: str = "explode", chunk_size: int = 64,
-                 text_col: str = "text", id_col: str = "doc_id"):
+                 mode: str = "explode", chunk_size: int = 64):
         if mode not in ("explode", "count", "chunk"):
             raise ValueError(f"unknown mode {mode!r}")
         self.merges = [tuple(m) for m in merges]
         self.mode = mode
         self.chunk_size = int(chunk_size)
-        self.text_col = text_col
-        self.id_col = id_col
         self.cache: dict[str, list[str]] = {}
 
     def _toks(self, word: str) -> list[str]:
@@ -153,11 +153,11 @@ class BpeTokenizer:
         return t
 
     def __call__(self, b: pa.Table) -> pa.Table:
-        toks = tokenize(b[self.text_col], b.num_rows)
+        toks = tokenize(b["text"], b.num_rows)
         flat = pc.list_flatten(toks).to_pylist()
         parents = pc.list_parent_indices(toks).to_numpy(
             zero_copy_only=False).astype(np.int64)
-        ids = b[self.id_col]
+        ids = b["doc_id"]
 
         seg = [self._toks(w) for w in flat]
         m = np.fromiter((len(s) for s in seg), dtype=np.int64,
@@ -165,7 +165,7 @@ class BpeTokenizer:
         if self.mode == "count":
             n_doc = np.zeros(b.num_rows, dtype=np.int64)
             np.add.at(n_doc, parents, m)
-            return pa.table({self.id_col: ids,
+            return pa.table({"doc_id": ids,
                              "n_bpe_tokens": pa.array(n_doc, pa.int64())})
 
         total = int(m.sum())
@@ -195,7 +195,7 @@ class BpeTokenizer:
             texts = [" ".join(out_tokens[s:e])
                      for s, e in zip(starts, ends)]
             return pa.table({
-                self.id_col: pc.take(ids, pa.array(out_parent[starts])),
+                "doc_id": pc.take(ids, pa.array(out_parent[starts])),
                 "chunk_idx": pa.array(cidx[starts] if total else
                                       np.array([], dtype=np.int64),
                                       pa.int64()),
@@ -204,7 +204,7 @@ class BpeTokenizer:
             })
 
         return pa.table({
-            self.id_col: pc.take(ids, pa.array(out_parent)),
+            "doc_id": pc.take(ids, pa.array(out_parent)),
             "tok_idx": pa.array(pos, pa.int64()),
             "bpe_token": pa.array(out_tokens, pa.string()),
         })

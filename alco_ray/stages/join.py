@@ -21,6 +21,9 @@ from __future__ import annotations
 
 from .aggregate import arrow_blocks, concat_nonempty
 
+#: key-side rows up to which a join broadcasts instead of shuffling
+BROADCAST_LIMIT = 2_000_000
+
 
 def _prepared(keys_ds, on: list[str]):
     """Project the right side to its key columns and materialize it
@@ -93,10 +96,9 @@ def anti_join(ds, keys_ds, on: list[str] | str, *,
 
 
 def runtime_filter_semi_join(ds, keys_ds, on: str, *,
-                             right_on: str | None = None,
-                             broadcast_limit: int = 2_000_000):
+                             right_on: str | None = None):
     """Size-ADAPTIVE semi join (runtime-filter pushdown): when the
-    distinct key side fits ``broadcast_limit`` rows, the probe is a
+    distinct key side fits ``BROADCAST_LIMIT`` rows, the probe is a
     broadcast ``pc.is_in`` mask inside ``map_batches`` — the fact side
     is FILTERED IN PLACE with zero shuffle (the classic bloom/IN-list
     runtime filter every warehouse pushes below its joins; exact here,
@@ -118,7 +120,7 @@ def runtime_filter_semi_join(ds, keys_ds, on: str, *,
     n_keys = keys.count()
     if n_keys == 0:
         return ds.limit(0)
-    if n_keys > broadcast_limit:
+    if n_keys > BROADCAST_LIMIT:
         return _semi_join_prepared(ds, keys, [on], [right_on])
 
     def distinct(b: pa.Table) -> pa.Table:
@@ -134,15 +136,14 @@ def runtime_filter_semi_join(ds, keys_ds, on: str, *,
     return ds.map_batches(probe, batch_format="pyarrow")
 
 
-def auto_join(left, right, on, *, right_on=None, how: str = "inner",
-              broadcast_limit: int = 2_000_000,
+def auto_join(left, right, on, *, right_on=None,
               right_rows: int | None = None):
     """ADAPTIVE inner join — the one planning decision every pipeline
     makes, made explicit: BROADCAST the right side when it is
     dimension-sized (a sorted-key gather inside ``map_batches``; the
     fact side never shuffles) and fall back to the hash-shuffle
     ``Dataset.join`` when it is not.  The threshold is a row count
-    (``broadcast_limit``) against the right side's metadata count —
+    (``BROADCAST_LIMIT``) against the right side's metadata count —
     pass ``right_rows`` when the caller already knows it (avoids an
     execution of a transformed right side).
 
@@ -159,12 +160,8 @@ def auto_join(left, right, on, *, right_on=None, how: str = "inner",
     lkey = on if isinstance(on, str) else list(on)[0]
     rkey = (right_on if isinstance(right_on, str)
             else list(right_on)[0] if right_on else lkey)
-    if how != "inner":
-        raise ValueError("auto_join: only how='inner' (use Dataset.join "
-                         "or the semi/anti wrappers for other types)")
-
     n_right = right_rows if right_rows is not None else right.count()
-    if n_right > broadcast_limit:
+    if n_right > BROADCAST_LIMIT:
         # the empty-side guard: an inner join with an empty left is empty
         if _has_no_rows(left):
             return left.limit(0)

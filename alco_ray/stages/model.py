@@ -76,16 +76,16 @@ def _tdiv(a: int, b: int) -> int:
     return q if (a >= 0) == (b >= 0) else -q
 
 
-def quality_features(batch: pa.Table, text_col: str = "text",
-                     id_col: str = "doc_id") -> pa.Table:
-    """Integer features in [0, FEAT_SCALE] + the distillation label.
+def quality_features(batch: pa.Table) -> pa.Table:
+    """Integer features in [0, FEAT_SCALE] + the distillation label of
+    (``doc_id``, ``text``) documents.
 
     f0 bias (=FEAT_SCALE), f1 capped chars, f2 capped tokens, f3
     capped stopword RATIO in millis, f4 alpha ratio (millis);
     y = FEAT_SCALE iff the heuristic quality gate keeps the doc
     (n_tokens >= 20 and stopword ratio >= 10%) — i.e. the model
     DISTILLS the quality filter into a 5-weight scorer."""
-    q = quality_score(batch, text_col=text_col, id_col=id_col)
+    q = quality_score(batch)
 
     def scaled(v: pa.Array, cap: int) -> pa.Array:
         v = pc.min_element_wise(v, pa.scalar(cap, pa.int64()))
@@ -104,7 +104,7 @@ def quality_features(batch: pa.Table, text_col: str = "text",
                    pa.scalar(0, pa.int64()))
     n = batch.num_rows
     return pa.table({
-        id_col: batch[id_col],
+        "doc_id": batch["doc_id"],
         "f0": pa.array(np.full(n, FEAT_SCALE, dtype=np.int64)),
         "f1": scaled(q["n_chars"], CAPS["n_chars"]),
         "f2": scaled(q["n_tokens"], 400),
@@ -114,8 +114,7 @@ def quality_features(batch: pa.Table, text_col: str = "text",
     })
 
 
-def _gd_block_partial(b: pa.Table, w: list[int], feat_cols: list[str],
-                      label_col: str):
+def _gd_block_partial(b: pa.Table, w: list[int], feat_cols: list[str]):
     """One block's gradient partial for one GD iteration: (d gradient
     sums as Python ints, row count).  int64 inside the block (the
     module-docstring overflow audit), arbitrary precision across
@@ -125,16 +124,16 @@ def _gd_block_partial(b: pa.Table, w: list[int], feat_cols: list[str],
     F = np.column_stack([
         b[c].to_numpy(zero_copy_only=False) for c in feat_cols
     ]).astype(np.int64)
-    y = b[label_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    y = b["y"].to_numpy(zero_copy_only=False).astype(np.int64)
     resid = F @ np.array(w, dtype=np.int64) - y * W_SCALE
     g = F.T @ resid
     return [int(v) for v in g], b.num_rows
 
 
-def fit_linear_gd(feature_ds, *, feat_cols: list[str] | None = None,
-                  label_col: str = "y", iters: int = 16) -> list[int]:
-    """Distributed exact fixed-point GD fit; returns d weights at
-    scale W_SCALE as Python ints.
+def fit_linear_gd(feature_ds, *, iters: int = 16) -> list[int]:
+    """Distributed exact fixed-point GD fit of label ``y`` on the
+    ``FEAT_COLS`` features; returns d weights at scale W_SCALE as
+    Python ints.
 
     ``feature_ds`` is materialized once into object-store block refs;
     each of the ``iters`` passes is then ONE RAW-TASK WAVE over those
@@ -145,7 +144,7 @@ def fit_linear_gd(feature_ds, *, feat_cols: list[str] | None = None,
     in arbitrary precision; only the d-vector ``w`` ships per wave."""
     import ray
 
-    feat_cols = feat_cols or FEAT_COLS
+    feat_cols = FEAT_COLS  # read on the driver, shipped to every task
     d = len(feat_cols)
     lr_den = d * FEAT_SCALE * FEAT_SCALE
     refs = arrow_refs(feature_ds)
@@ -153,8 +152,7 @@ def fit_linear_gd(feature_ds, *, feat_cols: list[str] | None = None,
     w = [0] * d
 
     for _ in range(iters):
-        parts = ray.get([gd_task.remote(r, w, feat_cols, label_col)
-                         for r in refs])
+        parts = ray.get([gd_task.remote(r, w, feat_cols) for r in refs])
         g_tot = [0] * d
         n_tot = 0
         for g, n in parts:
@@ -167,23 +165,20 @@ def fit_linear_gd(feature_ds, *, feat_cols: list[str] | None = None,
     return w
 
 
-def class_midpoint_threshold(feature_ds, weights: list[int], *,
-                             feat_cols: list[str] | None = None,
-                             label_col: str = "y") -> int:
+def class_midpoint_threshold(feature_ds, weights: list[int]) -> int:
     """Learned decision boundary: the midpoint of the two
     class-conditional mean scores — one more distributed pass (per
     block: conditional score sums + counts, a bounded 4-number fold),
     all in truncating integer arithmetic so the SQL oracle replays it
     exactly.  Falls back to FEAT_SCALE*W_SCALE/2 when a class is
     absent."""
-    feat_cols = feat_cols or FEAT_COLS
     w_arr = np.array(weights, dtype=np.int64)
 
     def partial(b: pa.Table) -> pa.Table:
         F = np.column_stack([
-            b[c].to_numpy(zero_copy_only=False) for c in feat_cols
+            b[c].to_numpy(zero_copy_only=False) for c in FEAT_COLS
         ]).astype(np.int64)
-        y = b[label_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        y = b["y"].to_numpy(zero_copy_only=False).astype(np.int64)
         s = F @ w_arr
         pos = y == FEAT_SCALE
         return pa.table({
@@ -210,27 +205,23 @@ def class_midpoint_threshold(feature_ds, weights: list[int], *,
 class LinearScorer:
     """Actor-pool inference stage: weights load once per actor in
     ``__init__``; ``__call__`` is one integer matmul per batch.
-    Emits ``score_fp`` (= sum_j f_ij w_j, scale FEAT_SCALE*W_SCALE)
-    and the thresholded ``pred_keep``."""
+    Emits ``doc_id``, ``score_fp`` (= sum_j f_ij w_j, scale
+    FEAT_SCALE*W_SCALE) and the thresholded ``pred_keep``."""
 
     def __init__(self, weights: list[int],
-                 feat_cols: list[str] | None = None,
-                 id_col: str = "doc_id",
                  threshold_fp: int | None = None):
         self.w = np.array(weights, dtype=np.int64)
-        self.feat_cols = feat_cols or FEAT_COLS
-        self.id_col = id_col
         # default decision boundary: y = FEAT_SCALE/2 in score units
         self.thr = (threshold_fp if threshold_fp is not None
                     else FEAT_SCALE * W_SCALE // 2)
 
     def __call__(self, b: pa.Table) -> pa.Table:
         F = np.column_stack([
-            b[c].to_numpy(zero_copy_only=False) for c in self.feat_cols
+            b[c].to_numpy(zero_copy_only=False) for c in FEAT_COLS
         ]).astype(np.int64)
         s = F @ self.w
         return pa.table({
-            self.id_col: b[self.id_col],
+            "doc_id": b["doc_id"],
             "score_fp": pa.array(s, pa.int64()),
             "pred_keep": pa.array(s >= self.thr),
         })

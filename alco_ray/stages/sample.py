@@ -25,15 +25,14 @@ HASH_MULT = 2654435761  # Knuth multiplicative; shared with split/cap
 HASH_MOD = 4294967296
 
 
-def mixture_resample(ds, rates: dict[str, float], *,
-                     source_col: str = "source", id_col: str = "doc_id",
-                     copy_col: str = "copy_idx"):
-    """Deterministic per-source resampling: every row of source s is
+def mixture_resample(ds, rates: dict[str, float]):
+    """Deterministic per-source resampling: every row of ``source`` s is
     emitted floor(r_s) times, plus once more iff its multiplicative
     id-hash falls below frac(r_s) * 2^32 — expected copies exactly
     r_s, and downsampling (r<1), pass-through (r==1) and upsampling
-    (r>1) are the same code path.  Adds ``copy_col`` (0-based copy
-    number) for downstream epoch-aware shuffling.
+    (r>1) are the same code path.  Answers (``doc_id``, ``source``,
+    ``copy_idx``), the 0-based copy number for downstream epoch-aware
+    shuffling.
 
     Rows whose source has no rate raise (an unmapped source in a
     mixing config is a curation bug, not an implicit keep).  The
@@ -49,13 +48,13 @@ def mixture_resample(ds, rates: dict[str, float], *,
                        * HASH_MOD).astype(np.int64)
 
     def body(b: pa.Table) -> pa.Table:
-        idx = pc.index_in(b[source_col], value_set=key_arr)
+        idx = pc.index_in(b["source"], value_set=key_arr)
         if b.num_rows and pc.any(pc.is_null(idx)).as_py():
-            missing = pc.unique(b.filter(pc.is_null(idx))[source_col])
+            missing = pc.unique(b.filter(pc.is_null(idx))["source"])
             raise KeyError(f"sources without a mixture rate: "
                            f"{missing.to_pylist()[:5]}")
         idx_np = idx.to_numpy(zero_copy_only=False).astype(np.int64)
-        ids = b[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         if b.num_rows and ids.min() < 0:
             raise ValueError("mixture_resample: negative ids break "
                              "engine/oracle hash parity (DuckDB % is "
@@ -76,9 +75,9 @@ def mixture_resample(ds, rates: dict[str, float], *,
         copy_idx = np.arange(row.size, dtype=np.int64) - first[row]
         take = pa.array(row)
         return pa.table({
-            id_col: pc.take(_chunked(b[id_col]), take),
-            source_col: pc.take(_chunked(b[source_col]), take),
-            copy_col: pa.array(copy_idx, pa.int64()),
+            "doc_id": pc.take(_chunked(b["doc_id"]), take),
+            "source": pc.take(_chunked(b["source"]), take),
+            "copy_idx": pa.array(copy_idx, pa.int64()),
         })
 
     return ds.map_batches(body, batch_format="pyarrow")

@@ -1,20 +1,25 @@
-"""Mergeable sketches — approximate distinct counting (HyperLogLog).
+"""Mergeable sketches — distinct counts (HyperLogLog), frequent items
+(Misra-Gries), set membership (Bloom) and quantiles (MRL).
 
 Exact per-group COUNT DISTINCT (the A3b shape) ships every distinct
 (group, value) pair through a shuffle once; at 100 TB the pair stream
-IS the cost.  A HyperLogLog register set is a fixed ``2^p`` bytes per
-group regardless of input size, merges with an elementwise ``max``
+IS the cost.  A HyperLogLog register set is a fixed ``2^HLL_P`` bytes
+per group regardless of input size, merges with an elementwise ``max``
 (commutative, associative, idempotent — so the estimate is independent
 of partitioning, batch order and task retries), and answers within
-~``1.04 / sqrt(2^p)`` relative error.  The registers are the shuffle
-payload; the values never leave their batch.
+~``1.04 / sqrt(2^HLL_P)`` relative error.  The registers are the
+shuffle payload; the values never leave their batch.
 
-Shape here: per-batch register partials (one row per group seen in the
-batch, registers as a fixed-size binary blob) -> driver-side
-elementwise-max fold, which is exact for bounded group domains (the
-routed-sink / event-type shape this package folds everywhere else).
-For unbounded groups the same partials would feed ``window.keyed_apply``
-with a partition-local max — the blob column makes that a drop-in swap.
+Every sketch here runs on ONE fold (:func:`_fold_states`, the
+mergeable-summary shape of Agarwal et al., PODS'12): a ``map_batches``
+partial turns each block into a ``{group: state}`` dict (bounded: the
+group domain is schema-scale, like the routed-sink / event-type shape
+this package folds everywhere else), and the driver merges each
+group's states in block order with the sketch's own merge —
+``np.maximum`` for HLL registers, ``|`` for Bloom words, integer
+addition for Misra-Gries counters, ``mrl_merge`` for MRL levels.  For
+unbounded groups the same partials would feed ``window.keyed_apply``
+with a partition-local merge.
 
 Determinism: value hashing is ``pandas.util.hash_array`` (SipHash,
 fixed key), the same primitive the dedup family pins; no RNG anywhere.
@@ -22,11 +27,38 @@ fixed key), the same primitive the dedup family pins; no RNG anywhere.
 
 from __future__ import annotations
 
+import operator
+import pickle
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 from .aggregate import arrow_blocks, concat_nonempty, fold_agg
+
+HLL_P = 12                          # 2^12 registers per group
+QS = (0.01, 0.25, 0.5, 0.75, 0.99)  # quantile_sketch's quantiles
+GROUP_QS = (0.25, 0.5, 0.75)        # quantile_sketch_grouped's
+
+
+def _fold_states(ds, partial, merge) -> dict:
+    """The one sketch fold: ``partial(b)`` turns each block into a
+    ``{group: state}`` dict (pickled, one row per block) and the driver
+    merges each group's states in block order with ``merge``.  Zero-row
+    blocks, which ray 2.49 can surface without a schema, never reach
+    ``partial``."""
+    def body(b: pa.Table) -> pa.Table:
+        states = partial(b) if b.num_rows else {}
+        return pa.table({"sk": pa.array([pickle.dumps(states)],
+                                        pa.binary())})
+
+    parts = concat_nonempty(arrow_blocks(
+        ds.map_batches(body, batch_format="pyarrow")))
+    merged: dict = {}
+    for blob in parts["sk"].to_pylist() if parts.num_rows else ():
+        for g, state in pickle.loads(blob).items():
+            merged[g] = merge(merged[g], state) if g in merged else state
+    return merged
 
 
 def _bit_length_u64(w: np.ndarray) -> np.ndarray:
@@ -78,35 +110,17 @@ def hll_estimate(regs: np.ndarray) -> int:
     return int(round(e))
 
 
-def hll_distinct(ds, key_col: str, value_col: str, *,
-                 p: int = 12) -> pa.Table:
+def hll_distinct(ds, key_col: str, value_col: str) -> pa.Table:
     """Approximate COUNT(DISTINCT value) per key — bounded key domain
-    (driver fold of per-batch register blobs; the fold state is
-    n_keys x 2^p bytes, O(1) in the input)."""
-    m = 1 << p
+    (the fold state is n_keys x 2^HLL_P bytes, O(1) in the input)."""
+    def partial(b: pa.Table) -> dict:
+        codes, uniq = pd.factorize(
+            b[key_col].to_numpy(zero_copy_only=False))
+        regs = hll_partial(b[value_col].to_numpy(zero_copy_only=False),
+                           codes, len(uniq), HLL_P)
+        return dict(zip(uniq, regs))
 
-    def partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table({key_col: pa.array([], pa.string()),
-                             "regs": pa.array([], pa.binary())})
-        keys = b[key_col].to_numpy(zero_copy_only=False)
-        codes, uniq = pd.factorize(keys)
-        vals = b[value_col].to_numpy(zero_copy_only=False)
-        regs = hll_partial(vals, codes, len(uniq), p)
-        return pa.table({
-            key_col: pa.array(uniq.astype(object), pa.string()),
-            "regs": pa.array([r.tobytes() for r in regs], pa.binary()),
-        })
-
-    parts = concat_nonempty(arrow_blocks(
-        ds.map_batches(partial, batch_format="pyarrow")))
-    folded: dict[str, np.ndarray] = {}
-    if parts.num_rows:
-        for key, blob in zip(parts[key_col].to_pylist(),
-                             parts["regs"].to_pylist()):
-            r = np.frombuffer(blob, np.uint8)
-            prev = folded.get(key)
-            folded[key] = r if prev is None else np.maximum(prev, r)
+    folded = _fold_states(ds, partial, np.maximum)
     keys = sorted(folded)
     return pa.table({
         key_col: pa.array(keys, pa.string()),
@@ -134,16 +148,15 @@ def mg_summary(values: np.ndarray, counts: np.ndarray,
     return values[keep], counts[keep] - kth
 
 
-def heavy_hitters(ds, col: str, *, k: int = 64,
-                  divisor: int | None = None) -> pa.Table:
+def heavy_hitters(ds, col: str, *, k: int = 64) -> pa.Table:
     """EXACT frequent-items via a two-pass Misra-Gries sketch:
     ``(value, cnt)`` for every value whose count exceeds
-    ``total // divisor`` (``divisor`` defaults to ``k + 1``, the
-    largest threshold the sketch guarantees).
+    ``total // (k + 1)``, the largest threshold the sketch guarantees.
 
-    Pass 1 streams per-batch exact counts compressed to <= k MG
-    counters (the shuffle payload is k rows per block, O(1) in the
-    batch) and merges them driver-side — the merged candidate set
+    Pass 1 folds per-batch exact counts compressed to <= k MG counters
+    (the shuffle payload is k entries per block, O(1) in the batch),
+    plus the block's row count under the ``None`` key (``pd.factorize``
+    never yields ``None`` as a value); the merged candidate set
     provably contains every above-threshold value.  Pass 2 broadcasts
     the candidates (<= k values via ``ray.put``) and re-counts ONLY
     them exactly (bounded key domain -> per-batch partials + driver
@@ -153,54 +166,20 @@ def heavy_hitters(ds, col: str, *, k: int = 64,
 
     import ray
 
-    if divisor is None:
-        divisor = k + 1
-    if divisor > k + 1:
-        raise ValueError(
-            f"divisor {divisor} exceeds the MG guarantee k+1={k + 1}: "
-            "items above total/divisor could be missed — raise k")
+    def partial(b: pa.Table) -> dict:
+        codes, uniq = pd.factorize(b[col].to_numpy(zero_copy_only=False))
+        v, c = mg_summary(uniq.astype(object),
+                          np.bincount(codes).astype(np.int64), k)
+        return {None: b.num_rows, **dict(zip(v, c.tolist()))}
 
-    def partial(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table({"v": pa.array([], pa.string()),
-                             "c": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        vals = b[col].to_numpy(zero_copy_only=False)
-        codes, uniq = pd.factorize(vals)
-        cnt = np.bincount(codes).astype(np.int64)
-        v, c = mg_summary(uniq.astype(object), cnt, k)
-        n = np.zeros(len(v), np.int64)
-        if len(n):
-            n[0] = b.num_rows
-        elif b.num_rows:  # all counters cancelled: still carry total
-            return pa.table({"v": pa.array([None], pa.string()),
-                             "c": pa.array([0], pa.int64()),
-                             "n": pa.array([b.num_rows], pa.int64())})
-        return pa.table({"v": pa.array(v, pa.string()),
-                         "c": pa.array(c, pa.int64()),
-                         "n": pa.array(n, pa.int64())})
-
-    parts = concat_nonempty(arrow_blocks(
-        ds.map_batches(partial, batch_format="pyarrow")))
-    if parts.num_rows == 0 or parts.num_columns == 0:
-        return pa.table({col: pa.array([], pa.string()),
-                         "cnt": pa.array([], pa.int64())})
-    total = int(pc.sum(parts["n"]).as_py() or 0)
-    live = parts.filter(pc.is_valid(parts["v"]))
-    merged = (live.group_by(["v"]).aggregate([("c", "sum")])
-              if live.num_rows else pa.table(
-                  {"v": pa.array([], pa.string()),
-                   "c_sum": pa.array([], pa.int64())}))
-    cand_v, cand_c = mg_summary(
-        np.asarray(merged["v"].to_pylist(), dtype=object),
-        merged["c_sum"].to_numpy(zero_copy_only=False).astype(np.int64),
-        k)
-    threshold = total // divisor
+    merged = _fold_states(ds, partial, operator.add)
+    total = merged.pop(None, 0)
+    cand_v, _ = mg_summary(np.asarray(list(merged), dtype=object),
+                           np.asarray(list(merged.values()), np.int64), k)
     if len(cand_v) == 0:
         return pa.table({col: pa.array([], pa.string()),
                          "cnt": pa.array([], pa.int64())})
-    cand_set = pa.array(sorted(cand_v), pa.string())
-    ref = ray.put(cand_set)
+    ref = ray.put(pa.array(sorted(cand_v), pa.string()))
 
     def candidates(b: pa.Table) -> pa.Table:
         vals = pc.cast(b[col], pa.string())
@@ -210,7 +189,7 @@ def heavy_hitters(ds, col: str, *, k: int = 64,
     exact = fold_agg(ds, ["v"], {"cnt": ([], "count_all")}, candidates,
                      empty_schema=pa.schema([("v", pa.string()),
                                              ("cnt", pa.int64())]))
-    return exact.filter(pc.greater(exact["cnt"], threshold)) \
+    return exact.filter(pc.greater(exact["cnt"], total // (k + 1))) \
         .rename_columns([col, "cnt"])
 
 
@@ -260,24 +239,17 @@ def bloom_from_dataset(ds, col: str, *, m_bits: int,
                        k: int = 6) -> np.ndarray:
     """Distributed Bloom build over an int64 hash column: per-batch
     word-array partials (a fixed ``m_bits/8`` bytes each, O(1) in the
-    batch) OR-fold driver-side — the same mergeable-sketch shape as
-    the HLL fold.  ``m_bits`` must be a power of two."""
+    batch) OR-folded driver-side — the same mergeable-sketch fold as
+    the HLL registers.  ``m_bits`` must be a power of two."""
     if m_bits & (m_bits - 1):
         raise ValueError(f"m_bits {m_bits} must be a power of two")
 
-    def partial(b: pa.Table) -> pa.Table:
+    def partial(b: pa.Table) -> dict:
         h = b[col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return pa.table({"w": pa.array([bloom_words(h, m_bits, k)
-                                        .tobytes()], pa.binary())})
+        return {0: bloom_words(h, m_bits, k)}
 
-    parts = concat_nonempty(arrow_blocks(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=None)))
-    words = np.zeros(m_bits // 64, np.uint64)
-    if parts.num_rows and parts.num_columns:
-        for blob in parts["w"].to_pylist():
-            words |= np.frombuffer(blob, np.uint64)
-    return words
+    return _fold_states(ds, partial, np.bitwise_or).get(
+        0, np.zeros(m_bits // 64, np.uint64))
 
 
 # --------------------------------------------- deterministic quantile sketch
@@ -346,100 +318,54 @@ def mrl_quantile(levels: list, q: float) -> int:
     return int(vals[np.searchsorted(cum, target, side="left")])
 
 
-def quantile_sketch(ds, col: str, *, k: int = 256,
-                    qs: tuple = (0.01, 0.25, 0.5, 0.75, 0.99)):
-    """APPROXIMATE quantiles via a mergeable deterministic MRL sketch —
-    the sketch-family sibling of hll_distinct (distinct) and
-    heavy_hitters (frequency): per-block ``mrl_build`` partials (a few
-    KiB each regardless of block size), tree-merged driver-side, so at
-    100 TB the exact sort/shuffle of e_value_quantiles is replaced by
-    an O(blocks x k log(N/k)) fold.  Rank error is deterministic (no
+def _mrl_fold(ds, group_col: str | None, col: str, k: int) -> dict:
+    """{group: MRL sketch of ``col``}: per-block ``mrl_build`` partials
+    per group, merged in the fixed block order (so repeated runs
+    produce identical sketches); ``group_col`` None is one group, 0."""
+    def partial(b: pa.Table) -> dict:
+        v = pd.Series(b[col].to_numpy(zero_copy_only=False)
+                      .astype(np.int64))
+        g = b[group_col].to_pandas() if group_col else np.zeros(len(v), int)
+        return {key: mrl_build(sub.to_numpy(), k)
+                for key, sub in v.groupby(g, sort=False)}
+
+    return _fold_states(ds, partial, lambda a, b: mrl_merge(a, b, k))
+
+
+def quantile_sketch(ds, col: str, *, k: int = 256) -> pa.Table:
+    """APPROXIMATE ``QS`` quantiles via a mergeable deterministic MRL
+    sketch — the sketch-family sibling of hll_distinct (distinct) and
+    heavy_hitters (frequency), and :func:`quantile_sketch_grouped` over
+    one group: per-block ``mrl_build`` partials (a few KiB each
+    regardless of block size) merged driver-side, so at 100 TB the
+    exact sort/shuffle of e_value_quantiles is replaced by an
+    O(blocks x k log(N/k)) fold.  Rank error is deterministic (no
     failure probability); the bound is pytest-pinned against the exact
     quantiles.  Returns a pa.Table (q, value)."""
-    import pyarrow as pa
-
-    def partial(b: pa.Table) -> pa.Table:
-        import io
-        import pickle
-
-        if b.num_rows == 0 or col not in b.schema.names:
-            payload = pickle.dumps([])
-        else:
-            v = b[col].to_numpy(zero_copy_only=False).astype(np.int64)
-            payload = pickle.dumps([lv for lv in mrl_build(v, k)])
-        return pa.table({"sk": pa.array([payload], pa.binary())})
-
-    import pickle
-
-    parts = arrow_blocks(ds.map_batches(
-        partial, batch_format="pyarrow"))
-    sketches = []
-    for p in parts:
-        if p.num_rows == 0 or "sk" not in p.schema.names:
-            continue
-        for blob in p["sk"].to_pylist():
-            lv = pickle.loads(blob)
-            if any(len(x) for x in lv):
-                sketches.append(lv)
-    if not sketches:
-        return pa.table({"q": pa.array([], pa.float64()),
-                         "value": pa.array([], pa.int64())})
-    # fixed left-fold merge order (block order is deterministic for a
-    # given input), so repeated runs produce identical sketches
-    acc = sketches[0]
-    for s in sketches[1:]:
-        acc = mrl_merge(acc, s, k)
+    sketch = _mrl_fold(ds, None, col, k).get(0)
+    qs = QS if sketch else ()
     return pa.table({
-        "q": pa.array(list(qs), pa.float64()),
-        "value": pa.array([mrl_quantile(acc, q) for q in qs],
+        "q": pa.array(qs, pa.float64()),
+        "value": pa.array([mrl_quantile(sketch, q) for q in qs],
                           pa.int64()),
     })
 
 
-def quantile_sketch_grouped(ds, group_col: str, col: str, *, k: int = 256,
-                            qs: tuple = (0.25, 0.5, 0.75)):
-    """Per-GROUP approximate quantiles via the MRL sketch — grouped
-    percentiles without the exact per-group sort/shuffle: each block
-    emits one pickled {group: levels} dict (bounded: groups x k
-    entries), the driver tree-merges per group.  Bounded-key doctrine
-    (group domain is schema-scale, like interval_counts' sink x level).
-    Returns a pa.Table (group, q, value) sorted by (group, q)."""
-    import pickle
-
-    import pyarrow as pa
-
-    def partial(b: pa.Table) -> pa.Table:
-        by_group = {}
-        if b.num_rows and col in b.schema.names:
-            import pandas as pd  # noqa: F811
-
-            g = pd.DataFrame({
-                "g": b[group_col].to_pandas(),
-                "v": b[col].to_numpy(zero_copy_only=False)
-                .astype(np.int64)})
-            for key, sub in g.groupby("g", sort=False):
-                by_group[key] = mrl_build(sub["v"].to_numpy(), k)
-        return pa.table({"sk": pa.array([pickle.dumps(by_group)],
-                                        pa.binary())})
-
-    parts = arrow_blocks(ds.map_batches(
-        partial, batch_format="pyarrow"))
-    merged: dict = {}
-    for p in parts:
-        if p.num_rows == 0 or "sk" not in p.schema.names:
-            continue
-        for blob in p["sk"].to_pylist():
-            for key, lv in pickle.loads(blob).items():
-                merged[key] = mrl_merge(merged[key], lv, k) \
-                    if key in merged else lv
-    g_out, q_out, v_out = [], [], []
-    for key in sorted(merged):
-        for q in qs:
-            g_out.append(key)
-            q_out.append(q)
-            v_out.append(mrl_quantile(merged[key], q))
+def quantile_sketch_grouped(ds, group_col: str, col: str, *,
+                            k: int = 256) -> pa.Table:
+    """Per-GROUP approximate ``GROUP_QS`` quantiles via the MRL sketch —
+    grouped percentiles without the exact per-group sort/shuffle: each
+    block contributes one {group: levels} partial (bounded: groups x k
+    entries), merged per group.  Bounded-key doctrine (group domain is
+    schema-scale, like interval_counts' sink x level; its values are
+    strings).  Returns a pa.Table (group, q, value) sorted by (group,
+    q)."""
+    merged = _mrl_fold(ds, group_col, col, k)
+    keys = sorted(merged)
     return pa.table({
-        group_col: pa.array(g_out),
-        "q": pa.array(q_out, pa.float64()),
-        "value": pa.array(v_out, pa.int64()),
+        group_col: pa.array([g for g in keys for _ in GROUP_QS],
+                            pa.string()),
+        "q": pa.array(list(GROUP_QS) * len(keys), pa.float64()),
+        "value": pa.array([mrl_quantile(merged[g], q)
+                           for g in keys for q in GROUP_QS], pa.int64()),
     })

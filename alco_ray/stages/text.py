@@ -141,16 +141,16 @@ def chunk_documents(batch: pa.Table, chunk_size: int = 64) -> pa.Table:
     })
 
 
-def quality_score(batch: pa.Table, text_col: str = "text",
-                  id_col: str = "doc_id") -> pa.Table:
-    """Integer-exact quality features per document.
+def quality_score(batch: pa.Table) -> pa.Table:
+    """Integer-exact quality features per (``doc_id``, ``text``)
+    document.
 
     All outputs are int64 so distributed and oracle results compare
     bit-for-bit (no float-sum order effects): character length, token
     count, stopword count, alphabetic character count, and
     ``alpha_ratio_millis`` = floor(1000 * alpha_chars / max(1, chars)).
     """
-    text = batch[text_col]
+    text = batch["text"]
     toks = tokenize(text, batch.num_rows)
     n_tokens = pc.cast(pc.list_value_length(toks), pa.int64())
 
@@ -166,7 +166,7 @@ def quality_score(batch: pa.Table, text_col: str = "text",
     denom = pc.max_element_wise(n_chars, pa.scalar(1, pa.int64()))
     ratio = pc.divide(pc.multiply(n_alpha, pa.scalar(1000, pa.int64())), denom)
     return pa.table({
-        id_col: batch[id_col],
+        "doc_id": batch["doc_id"],
         "n_chars": n_chars,
         "n_tokens": n_tokens,
         "n_stopwords": pa.array(stops, pa.int64()),

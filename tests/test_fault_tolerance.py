@@ -10,8 +10,9 @@ process crash, not a Python exception) must still yield the
 oracle-exact fixed point via task retry.  The flagship ingest task
 must leave, after its retry, the sink tree a clean run writes.
 
-Injection: the wave kernels are module globals resolved at
-``ray.remote(...)`` wrap time, so a driver-side monkeypatch with a
+Injection: the wave kernels are module globals the driver resolves
+when it submits a wave (graph.py hands each kernel to its task; model.py
+wraps it with ``ray.remote``), so a driver-side monkeypatch with a
 CLOSURE (cloudpickle ships closures by value) reaches every worker.
 The ingest's kernels are closures too, built on the driver in
 ``IngestWorker.__init__`` and shipped with the instance.  A sentinel
@@ -67,16 +68,19 @@ def test_components_survive_worker_death(ray_session, tmp_path,
     b = rng.randint(0, 200, 400)
     m = a != b
     a, b = a[m].tolist(), b[m].tolist()
-    want = graph.connected_components(
-        _edges(a, b), num_partitions=3).to_pandas()
+    # three partitions of the 2 * len(a) directed edges
+    monkeypatch.setattr(graph, "PART_ROWS", -(-2 * len(a) // 3))
+    want = graph.connected_components(_edges(a, b))
+    assert want.num_blocks() == 3
+    want = want.to_pandas()
     want = sorted(zip(want["node"], want["component"]))
 
     sentinel = str(tmp_path / "cc_crash")
     open(sentinel, "w").close()
-    monkeypatch.setattr(graph, "_cc_send",
-                        _crash_once(graph._cc_send, sentinel))
-    got = graph.connected_components(
-        _edges(a, b), num_partitions=3).to_pandas()
+    monkeypatch.setattr(graph, "_send", _crash_once(graph._send, sentinel))
+    got = graph.connected_components(_edges(a, b))
+    assert got.num_blocks() == 3
+    got = got.to_pandas()
     assert os.path.exists(sentinel + ".consumed"), "crash never fired"
     assert sorted(zip(got["node"], got["component"])) == want
 
@@ -89,17 +93,21 @@ def test_pagerank_survives_worker_death(ray_session, tmp_path,
     ds = ray.data.from_arrow(pa.table({
         "src": pa.array(src, pa.int64()),
         "dst": pa.array(dst, pa.int64())}))
-    want = graph.pagerank(ds, iters=4, num_partitions=3).to_pandas()
+    monkeypatch.setattr(graph, "PART_ROWS", -(-2 * len(src) // 3))
+    want = graph.pagerank(ds)
+    assert want.num_blocks() == 3
+    want = want.to_pandas()
     want = sorted(zip(want["node"], want["rank_fp"]))
 
     sentinel = str(tmp_path / "pr_crash")
     open(sentinel, "w").close()
-    monkeypatch.setattr(graph, "_pr_contrib",
-                        _crash_once(graph._pr_contrib, sentinel))
+    monkeypatch.setattr(graph, "_send", _crash_once(graph._send, sentinel))
     ds2 = ray.data.from_arrow(pa.table({
         "src": pa.array(src, pa.int64()),
         "dst": pa.array(dst, pa.int64())}))
-    got = graph.pagerank(ds2, iters=4, num_partitions=3).to_pandas()
+    got = graph.pagerank(ds2)
+    assert got.num_blocks() == 3
+    got = got.to_pandas()
     assert os.path.exists(sentinel + ".consumed"), "crash never fired"
     assert sorted(zip(got["node"], got["rank_fp"])) == want
 
@@ -115,16 +123,15 @@ def test_gd_fit_survives_worker_death(ray_session, tmp_path,
                   "y": pa.array(y)})
     blocks = [t.slice(i, 100) for i in range(0, n, 100)]
     ds = ray.data.from_arrow(blocks)
-    want = model.fit_linear_gd(ds, feat_cols=["f0", "f1", "f2"],
-                               label_col="y", iters=6)
+    monkeypatch.setattr(model, "FEAT_COLS", ["f0", "f1", "f2"])
+    want = model.fit_linear_gd(ds, iters=6)
 
     sentinel = str(tmp_path / "gd_crash")
     open(sentinel, "w").close()
     monkeypatch.setattr(model, "_gd_block_partial",
                         _crash_once(model._gd_block_partial, sentinel))
     ds2 = ray.data.from_arrow(blocks)
-    got = model.fit_linear_gd(ds2, feat_cols=["f0", "f1", "f2"],
-                              label_col="y", iters=6)
+    got = model.fit_linear_gd(ds2, iters=6)
     assert os.path.exists(sentinel + ".consumed"), "crash never fired"
     assert got == want
 

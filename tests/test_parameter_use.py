@@ -12,16 +12,21 @@ A required parameter of a function the scan sees called passes
 loop through a helper (``f(col=col)`` -> ``helper(col=col)`` ->
 ``f(col=col)``) sets nothing; such a parameter is never reported
 itself.  Calls are matched by the function's name, a constructor by
-its class's name.  ``MODULES`` lists the modules that keep the rule;
-add one once its unset parameters are gone."""
+its class's name.  A callable handed to Ray with its arguments
+(``map_batches(Cls, fn_constructor_args=(m,))``, ``fn_kwargs=...``)
+counts as called with them.  ``MODULES`` lists the modules that keep
+the rule; add one once its unset parameters are gone."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = ["alco_ray/stages/aggregate.py", "alco_ray/stages/dedup.py",
-           "alco_ray/stages/jpeg.py", "alco_ray/stages/multimodal.py",
-           "alco_ray/stages/similarity.py", "alco_ray/stages/text.py",
+MODULES = ["alco_ray/stages/aggregate.py", "alco_ray/stages/bpe.py",
+           "alco_ray/stages/dedup.py", "alco_ray/stages/graph.py",
+           "alco_ray/stages/join.py", "alco_ray/stages/jpeg.py",
+           "alco_ray/stages/model.py", "alco_ray/stages/multimodal.py",
+           "alco_ray/stages/sample.py", "alco_ray/stages/similarity.py",
+           "alco_ray/stages/sketch.py", "alco_ray/stages/text.py",
            "alco_ray/stages/window.py"]
 
 
@@ -62,19 +67,53 @@ def _signatures(tree: ast.Module) -> dict:
     return sigs
 
 
+def _name(node) -> str | None:
+    return node.id if isinstance(node, ast.Name) else \
+        node.attr if isinstance(node, ast.Attribute) else None
+
+
+# Keywords that hand Ray a callable's arguments: (positional, keyword,
+# leading positionals Ray fills itself, the batch of a function).
+_FORWARDS = [("fn_constructor_args", "fn_constructor_kwargs", 0),
+             ("fn_args", "fn_kwargs", 1)]
+
+
+def _forwarded(call: ast.Call) -> ast.Call | None:
+    """The call Ray makes of the callable ``call`` passes first
+    (``ds.map_batches(Cls, fn_constructor_args=(m,))`` calls
+    ``Cls(m)``), or None.  Arguments that are not a literal tuple or
+    list, or a dict literal with constant keys, set every parameter,
+    like ``*args``/``**kwargs``."""
+    kw = {k.arg: k.value for k in call.keywords if k.arg}
+    for args_kw, kwargs_kw, lead in _FORWARDS:
+        if call.args and (args_kw in kw or kwargs_kw in kw):
+            args = kw.get(args_kw, ast.Tuple([]))
+            kwargs = kw.get(kwargs_kw, ast.Dict([], []))
+            pos = [ast.Constant(None)] * lead + (
+                args.elts if isinstance(args, (ast.Tuple, ast.List))
+                else [ast.Starred(args)])
+            if isinstance(kwargs, ast.Dict) and all(
+                    isinstance(k, ast.Constant) for k in kwargs.keys):
+                named = [ast.keyword(k.value, v)
+                         for k, v in zip(kwargs.keys, kwargs.values)]
+            else:
+                named = [ast.keyword(None, kwargs)]
+            return ast.Call(call.args[0], pos, named)
+    return None
+
+
 def _calls(sigs: dict, trees: list[ast.Module]) -> list:
     """(called name, call node, enclosing function name) for every
-    call to a name in ``sigs``."""
+    call to a name in ``sigs``, and for every call Ray makes of one
+    (:func:`_forwarded`)."""
     out = []
 
     def visit(node, enclosing):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
-                f = child.func
-                name = f.id if isinstance(f, ast.Name) else \
-                    f.attr if isinstance(f, ast.Attribute) else None
-                if name in sigs:
-                    out.append((name, child, enclosing))
+                for call in (child, _forwarded(child)):
+                    if call is not None and _name(call.func) in sigs:
+                        out.append((_name(call.func), call, enclosing))
             visit(child, child.name if isinstance(child, ast.FunctionDef)
                   else enclosing)
 
@@ -146,6 +185,25 @@ def test_scan_rules():
         "def top(x, *, col='a'):\n    return 1\n"
         "def orphan(x, col):\n    return top(x, col=col)\n")
     assert unset_parameters(module, [module, run]) == []
+
+    # a callable handed to Ray with its arguments is called with them:
+    # the constructor's after self, a function's after its batch
+    module = ast.parse(
+        "class Tok:\n    def __init__(self, m, *, mode='a', size=4):\n"
+        "        pass\n"
+        "def feats(batch, col='x', k=1):\n    pass\n")
+    run = ast.parse(
+        "def run(ds, m):\n"
+        "    ds.map_batches(Tok, fn_constructor_args=(m,),\n"
+        "                   fn_constructor_kwargs={'mode': 'b'})\n"
+        "    ds.map_batches(feats, fn_args=('y',))\n")
+    assert unset_parameters(module, [module, run]) == ["Tok.size",
+                                                       "feats.k"]
+    # arguments the scan cannot read set every parameter
+    assert unset_parameters(module, [module, ast.parse(
+        "def run(ds, kw):\n"
+        "    ds.map_batches(Tok, fn_constructor_kwargs=kw)\n"
+        "    ds.map_batches(feats, fn_kwargs={**kw})\n")]) == []
 
 
 def test_every_defaulted_parameter_is_set_outside_tests():

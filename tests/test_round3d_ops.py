@@ -143,14 +143,16 @@ def test_grouped_dense_rank_matches_pandas(tbl, small_frames):
 
 
 @pytest.mark.parametrize("limit", [2_000_000, 0])
-def test_runtime_filter_semi_join_both_paths(tbl, limit):
+def test_runtime_filter_semi_join_both_paths(tbl, limit, monkeypatch):
     # limit=0 forces the hash-shuffle fallback; both paths must agree
+    from alco_ray.stages import join
     from alco_ray.stages.join import runtime_filter_semi_join
 
+    monkeypatch.setattr(join, "BROADCAST_LIMIT", limit)
     left = tbl
     keys = pa.table({"k": pa.array([1, 3, 5, 7, 9] * 3, pa.int64())})
     got = (runtime_filter_semi_join(_ds(left), _ds(keys, 2), "x",
-                                    right_on="k", broadcast_limit=limit)
+                                    right_on="k")
            .to_pandas().sort_values("id").reset_index(drop=True))
     df = left.to_pandas()
     want = (df[df["x"].isin([1, 3, 5, 7, 9])]
@@ -167,8 +169,10 @@ def test_runtime_filter_fallback_prepares_keys_once(tbl, monkeypatch):
     from ray.data._internal.execution.streaming_executor import \
         StreamingExecutor
 
+    from alco_ray.stages import join
     from alco_ray.stages.join import runtime_filter_semi_join
 
+    monkeypatch.setattr(join, "BROADCAST_LIMIT", 0)
     keys = pa.table({"k": pa.array([1, 3, 5, 7, 9], pa.int64())})
     plans = []
     orig = StreamingExecutor.execute
@@ -180,7 +184,7 @@ def test_runtime_filter_fallback_prepares_keys_once(tbl, monkeypatch):
     monkeypatch.setattr(StreamingExecutor, "execute", recording)
     n = runtime_filter_semi_join(
         ray.data.from_arrow(tbl), ray.data.from_arrow(keys), "x",
-        right_on="k", broadcast_limit=0).count()
+        right_on="k").count()
     df = tbl.to_pandas()
     assert n == int(df["x"].isin([1, 3, 5, 7, 9]).sum())
     assert plans == ["Project", "AggregateNumRows"]

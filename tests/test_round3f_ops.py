@@ -119,14 +119,6 @@ def test_heavy_hitters_exact_counts():
     assert "hot" in got and got["hot"] == 500
 
 
-def test_heavy_hitters_divisor_guard():
-    from alco_ray.stages.sketch import heavy_hitters
-
-    t = pa.table({"token": pa.array(["a", "b"], pa.string())})
-    with pytest.raises(ValueError):
-        heavy_hitters(_ds(t, 1), "token", k=4, divisor=99)
-
-
 # ------------------------------------------------- transitions / first-last
 
 

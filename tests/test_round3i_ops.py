@@ -45,8 +45,8 @@ def _pairs_ds(pairs):
 
 @pytest.mark.parametrize("seed,n_nodes,n_edges", [(0, 8, 12), (1, 30, 60),
                                                   (2, 5, 4)])
-def test_pagerank_matches_reference(seed, n_nodes, n_edges):
-    from alco_ray.stages.graph import pagerank
+def test_pagerank_matches_reference(seed, n_nodes, n_edges, monkeypatch):
+    from alco_ray.stages import graph
 
     rng = np.random.RandomState(seed)
     pairs = set()
@@ -55,25 +55,28 @@ def test_pagerank_matches_reference(seed, n_nodes, n_edges):
         if a != b:
             pairs.add((int(min(a, b)), int(max(a, b))))
     pairs = sorted(pairs)
-    got = {r["node"]: r["rank_fp"]
-           for r in pagerank(_pairs_ds(pairs), iters=5,
-                             num_partitions=4).take_all()}
+    # four partitions: one per ceil(2 * n_edges / 4) directed edges
+    monkeypatch.setattr(graph, "PART_ROWS", -(-2 * n_edges // 4))
+    out = graph.pagerank(_pairs_ds(pairs))
+    assert out.num_blocks() == 4
+    got = {r["node"]: r["rank_fp"] for r in out.take_all()}
     assert got == _ref_pagerank(pairs)
 
 
-def test_pagerank_mass_and_empty():
-    from alco_ray.stages.graph import pagerank
+def test_pagerank_mass_and_empty(monkeypatch):
+    from alco_ray.stages import graph
 
     # star graph: hub rank strictly dominates, total mass stays within
     # rounding slack of scale (each of the 5 iterations floor-divides)
     pairs = [(0, i) for i in range(1, 9)]
-    out = {r["node"]: r["rank_fp"]
-           for r in pagerank(_pairs_ds(pairs), iters=5,
-                             num_partitions=2).take_all()}
+    monkeypatch.setattr(graph, "PART_ROWS", 8)  # 16 directed edges
+    ranks = graph.pagerank(_pairs_ds(pairs))
+    assert ranks.num_blocks() == 2
+    out = {r["node"]: r["rank_fp"] for r in ranks.take_all()}
     assert len(out) == 9
     assert out[0] > max(v for k, v in out.items() if k)
     assert abs(sum(out.values()) - 10 ** 12) < 10 ** 7
-    empty = pagerank(_pairs_ds([]), iters=3)
+    empty = graph.pagerank(_pairs_ds([]))
     assert empty.count() == 0
     assert empty.schema().names == ["node", "rank_fp"]
 
@@ -414,32 +417,6 @@ def test_fuzzy_kernels_pad_per_length_slice():
         assert bool(got[i]) == (_lev_ref(x, y) <= 1), (x, y)
 
 
-def test_pagerank_directed_with_dangling():
-    from alco_ray.stages.graph import pagerank
-
-    # 0 -> 1 -> 2, 3 -> 2 : node 2 is a dangling sink, 0 and 3 have
-    # no in-edges (rank = base each round)
-    pairs = [(0, 1), (1, 2), (3, 2)]
-    got = {r["node"]: r["rank_fp"]
-           for r in pagerank(_pairs_ds(pairs), symmetric=False,
-                             iters=4, num_partitions=2).take_all()}
-    # reference on the directed recurrence
-    scale, damping = 10 ** 12, 85
-    nodes = {0, 1, 2, 3}
-    deg = {0: 1, 1: 1, 3: 1}
-    n = len(nodes)
-    r0 = scale // n
-    base = ((100 - damping) * r0) // 100
-    r = {v: r0 for v in nodes}
-    for _ in range(4):
-        agg = {v: 0 for v in nodes}
-        for a, b in pairs:
-            agg[b] += r[a] // deg[a]
-        r = {v: base + (damping * agg[v]) // 100 for v in nodes}
-    assert got == r
-    assert got[2] > got[1] > got[0] == got[3]
-
-
 def test_value_index_probe_and_pruning(tmp_path):
     from alco_ray.stages.attrindex import build_value_index, range_probe
 
@@ -521,7 +498,8 @@ def test_value_index_empty_answer_is_typed(tmp_path, boundaries, values):
     assert got.schema == t.schema
 
 
-def test_auto_join_paths_agree():
+def test_auto_join_paths_agree(monkeypatch):
+    from alco_ray.stages import join
     from alco_ray.stages.join import auto_join
 
     rng = np.random.RandomState(51)
@@ -534,8 +512,10 @@ def test_auto_join_paths_agree():
     lds = ray.data.from_arrow(left)
     rds = ray.data.from_arrow(right)
     bc = auto_join(lds, rds, "k").to_pandas()
-    sh = auto_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
-                   "k", broadcast_limit=0).to_pandas()
+    with monkeypatch.context() as m:
+        m.setattr(join, "BROADCAST_LIMIT", 0)
+        sh = auto_join(ray.data.from_arrow(left),
+                       ray.data.from_arrow(right), "k").to_pandas()
     key = ["k", "x", "name"]
     a = bc[key].sort_values(key).reset_index(drop=True)
     b = sh[key].sort_values(key).reset_index(drop=True)
@@ -556,8 +536,8 @@ def test_auto_join_paths_agree():
     # ArrowInvalid on it)
     none_left = lds.filter(expr="k > 100")
     for limit in (2_000_000, 0):
-        assert auto_join(none_left, rds, "k",
-                         broadcast_limit=limit).count() == 0
+        monkeypatch.setattr(join, "BROADCAST_LIMIT", limit)
+        assert auto_join(none_left, rds, "k").count() == 0
 
 
 def test_outlier_rule_matches_bigint_bruteforce():

@@ -38,7 +38,7 @@ def test_merge_pass_leftmost_nonoverlap():
 def test_fit_bpe_hand_checked():
     # 'abab' x3, 'abc' x2: pair counts (a,b)=8, (b,a)=3, (b,c)=2
     wc = pa.table({"word": ["abab", "abc"], "n": [3, 2]})
-    merges = bpe.fit_bpe(wc, n_merges=3, min_pair_count=2)
+    merges = bpe.fit_bpe(wc, n_merges=3)
     # merge1 (a,b); then 'abab'->[ab,ab] (count 3), 'abc'->[ab,c]:
     # pairs (ab,ab)=3, (ab,c)=2 -> merge2 (ab,ab); then (abab? ...)
     assert merges[0] == ("a", "b")
@@ -74,7 +74,7 @@ def test_sequential_apply_equals_priority_apply():
              for _ in range(300)]
     wc = pa.table({"word": sorted(set(words)),
                    "n": [1] * len(set(words))})
-    merges = bpe.fit_bpe(wc, n_merges=25, min_pair_count=2)
+    merges = bpe.fit_bpe(wc, n_merges=25)
     assert merges  # the corpus is dense enough to learn something
     for w in set(words):
         assert bpe._segment(w, merges) == _priority_apply(w, merges), w
@@ -84,7 +84,7 @@ def test_segment_roundtrip_and_positions():
     texts = ["the cat sat", "the the the", ""]
     ds = _docs_ds(texts)
     wc = bpe.word_count_table(ds)
-    merges = bpe.fit_bpe(wc, n_merges=10, min_pair_count=2)
+    merges = bpe.fit_bpe(wc, n_merges=10)
     tok = bpe.BpeTokenizer(merges)
     out = pa.concat_tables(
         ray.get(ds.map_batches(tok, batch_format="pyarrow")
@@ -107,10 +107,11 @@ def test_segment_roundtrip_and_positions():
         assert cdf.loc[doc_id] == sizes.get(doc_id, 0)
 
 
-def test_word_count_guard_raises():
+def test_word_count_guard_raises(monkeypatch):
     ds = _docs_ds(["one two three four five six"])
-    with pytest.raises(ValueError, match="max_words"):
-        bpe.word_count_table(ds, max_words=3)
+    monkeypatch.setattr(bpe, "MAX_WORDS", 3)
+    with pytest.raises(ValueError, match="MAX_WORDS"):
+        bpe.word_count_table(ds)
 
 
 # ------------------------------------------------------------- model

@@ -144,10 +144,8 @@ def test_package_never_calls(pattern, allowed, message):
 _SIZING = {"n_parts", "approx_rows", "approx_docs", "grams_per_doc",
            "tokens_per_doc"}
 _SIZED = {
-    "alco_ray/stages/graph.py": {"_cc_send", "_cc_jump_req",
-                                 "_cc_jump_apply", "_pr_hash",
-                                 "_pr_split_arrays", "_pr_split_block",
-                                 "_pr_contrib"},
+    "alco_ray/stages/graph.py": {"_hash", "_split", "_split_block",
+                                 "_send", "_jump_req", "_jump_apply"},
     "alco_ray/stages/window.py": {"partition_by_key"},
 }
 
